@@ -30,7 +30,7 @@ from repro.errors import (
     TransientIoError,
     UnrecoverableDataError,
 )
-from repro.flash.device import FlashDevice
+from repro.flash.device import DeviceState, FlashDevice
 from repro.flash.latency import INTEL_540S_SSD, ServiceTimeModel
 from repro.flash.stripe import (
     ChunkKind,
@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 ObjectKey = Hashable
+
+#: Bound once: the write path and the space properties test it per device.
+_ONLINE = DeviceState.ONLINE
 
 
 @lru_cache(maxsize=1024)
@@ -129,9 +132,8 @@ class ArrayIoResult:
         for device_id, sample in other.device_io.items():
             mine = self.device_io.get(device_id)
             if mine is None:
-                self.device_io[device_id] = DeviceIoSample(**vars(sample))
-            else:
-                mine.merge(sample)
+                mine = self.device_io[device_id] = DeviceIoSample()
+            mine.merge(sample)
 
 
 @dataclass
@@ -153,23 +155,14 @@ class ObjectExtent:
     size: int
     scheme: RedundancyScheme
     stripes: List[StripeDescriptor] = field(default_factory=list)
+    #: Bytes in data chunks and in parity/replica chunks, accumulated as
+    #: the stripes are laid out (chunk lengths never change afterwards).
+    data_bytes: int = 0
+    redundancy_bytes: int = 0
 
     @property
     def stored_bytes(self) -> int:
-        return sum(chunk.length for stripe in self.stripes for chunk in stripe.chunks)
-
-    @property
-    def data_bytes(self) -> int:
-        return sum(
-            chunk.length
-            for stripe in self.stripes
-            for chunk in stripe.chunks
-            if chunk.kind is ChunkKind.DATA
-        )
-
-    @property
-    def redundancy_bytes(self) -> int:
-        return self.stored_bytes - self.data_bytes
+        return self.data_bytes + self.redundancy_bytes
 
 
 class _IoBatch:
@@ -182,63 +175,57 @@ class _IoBatch:
 
     def __init__(self, start: float, op: str = "") -> None:
         self._start = start
-        self._service: Dict[int, float] = {}
         self._wait: Dict[int, float] = {}
         self.result = ArrayIoResult(op=op)
+        #: A device's sample doubles as its open-batch record: everything
+        #: billed to the device is added to ``seconds`` in I/O order, so it
+        #: *is* the device's service sum.
+        self._samples = self.result.device_io
 
-    def _begin(self, device: FlashDevice) -> None:
-        if device.device_id not in self._wait:
-            self._wait[device.device_id] = max(0.0, device.busy_until - self._start)
-            self._service[device.device_id] = 0.0
-
-    def _sample(self, device: FlashDevice) -> DeviceIoSample:
-        sample = self.result.device_io.get(device.device_id)
-        if sample is None:
-            sample = DeviceIoSample()
-            self.result.device_io[device.device_id] = sample
+    def _open(self, device: FlashDevice) -> DeviceIoSample:
+        """First touch of a device: note its queueing delay, open its sample."""
+        self._wait[device.device_id] = max(0.0, device.busy_until - self._start)
+        sample = self._samples[device.device_id] = DeviceIoSample()
         return sample
 
     def read(self, device: FlashDevice, address: Tuple[int, int]) -> bytes:
-        self._begin(device)
-        sample = self._sample(device)
+        sample = self._samples.get(device.device_id)
+        if sample is None:
+            sample = self._open(device)
         try:
             payload, service_time = device.read_chunk(address)
         except (ChunkCorruptedError, TransientIoError):
             sample.reads += 1
             sample.errors += 1
             raise
-        self._service[device.device_id] += service_time
-        self.result.chunks_read += 1
-        self.result.bytes_read += len(payload)
+        length = len(payload)
+        result = self.result
+        result.chunks_read += 1
+        result.bytes_read += length
         sample.reads += 1
-        sample.bytes_read += len(payload)
+        sample.bytes_read += length
         sample.seconds += service_time
         return payload
 
     def write(self, device: FlashDevice, address: Tuple[int, int], payload: bytes) -> None:
-        self._begin(device)
+        sample = self._samples.get(device.device_id)
+        if sample is None:
+            sample = self._open(device)
         service_time = device.write_chunk(address, payload)
-        self._service[device.device_id] += service_time
-        self.result.chunks_written += 1
-        self.result.bytes_written += len(payload)
-        sample = self._sample(device)
+        length = len(payload)
+        result = self.result
+        result.chunks_written += 1
+        result.bytes_written += length
         sample.writes += 1
-        sample.bytes_written += len(payload)
+        sample.bytes_written += length
         sample.seconds += service_time
-
-    def charge(self, device: FlashDevice, seconds: float) -> None:
-        """Bill raw device time (e.g. decode CPU attributed to the reader)."""
-        self._begin(device)
-        self._service[device.device_id] += seconds
-        self._sample(device).seconds += seconds
 
     def finish(self, by_id: Dict[int, FlashDevice]) -> ArrayIoResult:
         elapsed = 0.0
-        for device_id, service in self._service.items():
-            completion = self._wait[device_id] + service
+        for device_id, sample in self._samples.items():
+            completion = self._wait[device_id] + sample.seconds
             elapsed = max(elapsed, completion)
-            device = by_id[device_id]
-            device.busy_until = self._start + completion
+            by_id[device_id].busy_until = self._start + completion
         self.result.elapsed = elapsed
         return self.result
 
@@ -294,7 +281,7 @@ class FlashArray:
     @property
     def online_devices(self) -> List[FlashDevice]:
         """Fully-trusted devices: targets for new chunk placement."""
-        return [device for device in self.devices if device.is_online]
+        return [device for device in self.devices if device.state is _ONLINE]
 
     @property
     def online_count(self) -> int:
@@ -315,18 +302,20 @@ class FlashArray:
             device for device in self.devices if device.is_available and not device.is_online
         ]
 
+    # Each space property walks the devices once: the cache manager reads
+    # them on every admission.
     @property
     def capacity_bytes(self) -> int:
         """Capacity of the online devices."""
-        return sum(device.capacity_bytes for device in self.online_devices)
+        return sum(d.capacity_bytes for d in self.devices if d.state is _ONLINE)
 
     @property
     def used_bytes(self) -> int:
-        return sum(device.used_bytes for device in self.online_devices)
+        return sum(d.used_bytes for d in self.devices if d.state is _ONLINE)
 
     @property
     def free_bytes(self) -> int:
-        return self.capacity_bytes - self.used_bytes
+        return sum(d.free_bytes for d in self.devices if d.state is _ONLINE)
 
     @property
     def logical_bytes(self) -> int:
@@ -403,60 +392,65 @@ class FlashArray:
         if previous is not None and not overwrite:
             raise ObjectExistsError(f"object {key!r} already stored")
         online = self.online_devices
-        width = len(online)
-        data_per_stripe, is_replication = _scheme_geometry(scheme, width)
-        device_ids = [device.device_id for device in online]
+        k, is_replication = _scheme_geometry(scheme, len(online))
+        # Everything below that does not depend on the payload is fixed
+        # here, once per object: the slot tuples of every rotation, the
+        # stripe width, the parity count and its codec.
+        layouts = scheme.layouts(tuple(device.device_id for device in online))
+        period = len(layouts)
+        stripe_width = len(layouts[0])
+        parity_count = 0 if is_replication else stripe_width - k
+        codec = self._codec(k, parity_count) if parity_count else None
         by_id = self._devices_by_id
 
         extent = ObjectExtent(key=key, size=len(payload), scheme=scheme)
+        stripes = extent.stripes
         batch = _IoBatch(self.clock.now, op="write")
+        write = batch.write
         offset = 0
         try:
-            for stripe_payload, chunk_length in split_payload(
-                len(payload), self.chunk_size, data_per_stripe
-            ):
+            for stripe_payload, chunk_length in split_payload(len(payload), self.chunk_size, k):
                 stripe_id = self._next_stripe_id
                 self._next_stripe_id += 1
-                # Rotate by the *global* stripe id so parity lands evenly
-                # across devices regardless of object sizes (§IV-C.3).
-                plan = scheme.plan(device_ids, stripe_id)
                 raw = payload[offset : offset + stripe_payload]
                 offset += stripe_payload
-                # One (k, chunk_length) stack per stripe: parity comes out
-                # of a single fused matvec, no per-fragment re-wrapping.
-                stack = pack_fragments(raw, data_per_stripe, chunk_length)
-                if is_replication:
-                    stripe_fragments = [stack[0].tobytes()] * len(plan)
-                    parity_count = 0
-                else:
-                    parity_count = len(plan) - data_per_stripe
-                    codec = self._codec(data_per_stripe, parity_count)
-                    parity = codec.encode_arrays(stack)
-                    stripe_fragments = [
-                        stack[index].tobytes() for index in range(data_per_stripe)
-                    ] + [parity[row].tobytes() for row in range(parity_count)]
-                locations: List[ChunkLocation] = []
-                for slot in plan:
-                    chunk_payload = stripe_fragments[slot.fragment_index]
-                    location = ChunkLocation(
-                        stripe_id=stripe_id,
-                        fragment_index=slot.fragment_index,
-                        device_id=slot.device_id,
-                        kind=slot.kind,
-                        length=len(chunk_payload),
-                    )
-                    batch.write(by_id[slot.device_id], location.address, chunk_payload)
-                    locations.append(location)
-                extent.stripes.append(
+                stripe_bytes = k * chunk_length
+                if stripe_payload < stripe_bytes:
+                    raw = raw.ljust(stripe_bytes, b"\0")  # final partial stripe
+                # Data fragments are slices of the payload; only a stripe
+                # that is actually encoded builds the (k, chunk_length)
+                # stack, and its parity is one fused matvec.
+                fragments = [
+                    raw[start : start + chunk_length]
+                    for start in range(0, stripe_bytes, chunk_length)
+                ]
+                if codec is not None:
+                    parity = codec.encode_arrays(pack_fragments(raw, k, chunk_length))
+                    fragments += [row.tobytes() for row in parity]
+                elif is_replication:
+                    fragments *= stripe_width
+                # Rotate by the *global* stripe id so parity lands evenly
+                # across devices regardless of object sizes (§IV-C.3).
+                chunks = tuple(
+                    [
+                        ChunkLocation(
+                            stripe_id, slot.fragment_index, slot.device_id, slot.kind,
+                            chunk_length, (stripe_id, slot.fragment_index),
+                        )
+                        for slot in layouts[stripe_id % period]
+                    ]
+                )
+                # The stripe is on record before its first chunk is
+                # programmed, so a rollback sees the stripe in flight too.
+                stripes.append(
                     StripeDescriptor(
-                        stripe_id=stripe_id,
-                        payload_bytes=stripe_payload,
-                        data_count=data_per_stripe,
-                        parity_count=parity_count,
-                        chunks=tuple(locations),
-                        replicated=is_replication,
+                        stripe_id, stripe_payload, k, parity_count, chunks, is_replication
                     )
                 )
+                extent.data_bytes += stripe_bytes
+                extent.redundancy_bytes += (stripe_width - k) * chunk_length
+                for chunk in chunks:
+                    write(by_id[chunk.device_id], chunk.address, fragments[chunk.fragment_index])
         except (FlashError, ErasureError):
             # Roll back on storage/encoding failures (device full, failed
             # mid-write, infeasible layout): drop the partially written new
@@ -472,7 +466,7 @@ class FlashArray:
             self._data_bytes -= previous.data_bytes
             self._redundancy_bytes -= previous.redundancy_bytes
         self._objects[key] = extent
-        for stripe in extent.stripes:
+        for stripe in stripes:
             self._stripe_owners[stripe.stripe_id] = key
         self._logical_bytes += extent.size
         self._data_bytes += extent.data_bytes
@@ -485,8 +479,9 @@ class FlashArray:
         for stripe in extent.stripes:
             for chunk in stripe.chunks:
                 device = by_id[chunk.device_id]
-                if device.has_chunk(chunk.address):
-                    device.delete_chunk(chunk.address)
+                address = chunk.address
+                if device.has_chunk(address):
+                    device.delete_chunk(address)
 
     def _unregister_stripes(self, extent: ObjectExtent) -> None:
         for stripe in extent.stripes:
@@ -494,7 +489,7 @@ class FlashArray:
 
     def _finish(self, batch: "_IoBatch") -> ArrayIoResult:
         """Close a batch and feed the observation to the health monitor."""
-        result = batch.finish(self.devices)
+        result = batch.finish(self._devices_by_id)
         if self.health is not None:
             self.health.ingest(result, self.clock.now)
         return result
@@ -549,13 +544,19 @@ class FlashArray:
         by_id: Dict[int, FlashDevice],
     ) -> bytes:
         available: Dict[int, ChunkLocation] = {}
+        trusted = True
         for chunk in stripe.chunks:
             device = by_id[chunk.device_id]
             if device.has_chunk(chunk.address):
                 available[chunk.fragment_index] = chunk
+            if device.state is not _ONLINE or device.corrupt_chunks:
+                trusted = False
+        # With every holder ONLINE and free of known-corrupt chunks all
+        # fragments rank equal, and trusted-first order *is* index order.
+        order = sorted(available) if trusted else self._fragment_order(available, by_id)
 
         if stripe.replicated:
-            for index in self._fragment_order(available, by_id):
+            for index in order:
                 chunk = available[index]
                 payload = self._read_fragment(batch, by_id, chunk)
                 if payload is None:
@@ -573,7 +574,7 @@ class FlashArray:
         # Pull fragments trusted-first (data before parity within a tier); a
         # checksum failure drops the fragment and the next survivor takes
         # its place.
-        for index in self._fragment_order(available, by_id):
+        for index in order:
             if len(fragments) == k:
                 break
             payload = self._read_fragment(batch, by_id, available[index])
@@ -586,8 +587,8 @@ class FlashArray:
                 f"stripe {stripe.stripe_id}: {len(fragments)} readable fragments, "
                 f"{k} needed"
             )
-        if all(index in fragments for index in range(k)):
-            return b"".join(fragments[i] for i in range(k))[: stripe.payload_bytes]
+        if max(fragments) < k:  # k distinct indices below k: all the data
+            return b"".join([fragments[i] for i in range(k)])[: stripe.payload_bytes]
         batch.result.degraded = True
         codec = self._codec(k, stripe.parity_count)
         # decode_arrays returns a contiguous (k, length) stack, so the
@@ -735,12 +736,7 @@ class FlashArray:
     def delete_object(self, key: ObjectKey) -> ArrayIoResult:
         """Remove an object's chunks (from online devices) and metadata."""
         extent = self.get_extent(key)
-        by_id = self._devices_by_id
-        for stripe in extent.stripes:
-            for chunk in stripe.chunks:
-                device = by_id[chunk.device_id]
-                if device.has_chunk(chunk.address):
-                    device.delete_chunk(chunk.address)
+        self._discard_chunks(extent)
         del self._objects[key]
         self._unregister_stripes(extent)
         self._logical_bytes -= extent.size

@@ -43,6 +43,11 @@ class DeviceState(enum.Enum):
     FAILED = "failed"
 
 
+#: The per-chunk I/O methods test the state inline rather than through
+#: ``is_available`` / ``_check_serviceable``: one identity test per chunk.
+_FAILED = DeviceState.FAILED
+
+
 @dataclass
 class DeviceStats:
     """Cumulative I/O counters for one device."""
@@ -144,38 +149,44 @@ class FlashDevice:
     # ------------------------------------------------------------------
     def write_chunk(self, address: ChunkAddress, payload: bytes) -> float:
         """Store (or overwrite) a chunk; returns the simulated service time."""
-        self._check_serviceable()
-        if self.fault_injector is not None:
-            self.fault_injector.on_write(self, address)
-            self._check_serviceable()
+        if self.state is _FAILED:
+            raise DeviceFailedError(self.device_id)
+        injector = self.fault_injector
+        if injector is not None:
+            injector.on_write(self, address)
+            if self.state is _FAILED:
+                raise DeviceFailedError(self.device_id)
+        length = len(payload)
         previous = self._chunks.get(address)
-        new_used = self._used - (len(previous) if previous is not None else 0) + len(payload)
+        new_used = self._used - (len(previous) if previous is not None else 0) + length
         if new_used > self.capacity_bytes:
             raise DeviceFullError(
-                f"device {self.device_id}: chunk of {len(payload)} bytes does not fit "
+                f"device {self.device_id}: chunk of {length} bytes does not fit "
                 f"({self.free_bytes} free)"
             )
+        stats = self.stats
+        ftl = self.ftl
         if previous is not None:
             # Overwriting flash means programming new pages; the old ones are
             # erased by garbage collection, which we bill immediately.
-            self.stats.erases += 1
-            if self.ftl is not None:
-                self.ftl.trim_extent(address, len(previous))
+            stats.erases += 1
+            if ftl is not None:
+                ftl.trim_extent(address, len(previous))
         self._chunks[address] = bytes(payload)
         self._checksums[address] = zlib.crc32(payload)
         self._used = new_used
         self.corrupt_chunks.discard(address)
-        if self.ftl is not None:
-            self.ftl.write_extent(address, len(payload))
-        self.stats.writes += 1
-        self.stats.programs += 1
-        self.stats.bytes_written += len(payload)
-        if self.fault_injector is not None:
+        if ftl is not None:
+            ftl.write_extent(address, length)
+        stats.writes += 1
+        stats.programs += 1
+        stats.bytes_written += length
+        if injector is not None:
             # Torn-write injection mutates the just-programmed bytes.
-            self.fault_injector.after_write(self, address)
-        service = self.model.write_time(len(payload))
-        if self.fault_injector is not None:
-            service = self.fault_injector.scale_time(self, service)
+            injector.after_write(self, address)
+        service = self.model.write_time(length)
+        if injector is not None:
+            service = injector.scale_time(self, service)
         return service
 
     def read_chunk(self, address: ChunkAddress) -> Tuple[bytes, float]:
@@ -188,34 +199,40 @@ class FlashDevice:
                 until a rewrite repairs it.
             TransientIoError: injected soft failure; the chunk is intact.
         """
-        self._check_serviceable()
-        if self.fault_injector is not None:
+        if self.state is _FAILED:
+            raise DeviceFailedError(self.device_id)
+        injector = self.fault_injector
+        if injector is not None:
             # May raise TransientIoError, rot the stored bytes (caught by
             # the CRC check below), or fire a due fail-stop on any device.
-            self.fault_injector.on_read(self, address)
-            self._check_serviceable()
+            injector.on_read(self, address)
+            if self.state is _FAILED:
+                raise DeviceFailedError(self.device_id)
         try:
             payload = self._chunks[address]
         except KeyError:
             raise ChunkMissingError(
                 f"device {self.device_id}: no chunk at {address}"
             ) from None
-        self.stats.reads += 1
-        self.stats.bytes_read += len(payload)
+        length = len(payload)
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += length
         if zlib.crc32(payload) != self._checksums[address]:
             self.corrupt_chunks.add(address)
             raise ChunkCorruptedError(
                 f"device {self.device_id}: checksum mismatch at {address}"
             )
-        service = self.model.read_time(len(payload))
-        if self.fault_injector is not None:
-            service = self.fault_injector.scale_time(self, service)
+        service = self.model.read_time(length)
+        if injector is not None:
+            service = injector.scale_time(self, service)
         return payload, service
 
     def delete_chunk(self, address: ChunkAddress) -> None:
         """Drop a chunk. Deleting a missing chunk raises; deletes are metadata
         operations and are billed no simulated time (TRIM is asynchronous)."""
-        self._check_serviceable()
+        if self.state is _FAILED:
+            raise DeviceFailedError(self.device_id)
         try:
             payload = self._chunks.pop(address)
         except KeyError:
@@ -225,14 +242,15 @@ class FlashDevice:
         self._checksums.pop(address, None)
         self.corrupt_chunks.discard(address)
         self._used -= len(payload)
-        self.stats.deletes += 1
-        self.stats.erases += 1
+        stats = self.stats
+        stats.deletes += 1
+        stats.erases += 1
         if self.ftl is not None:
             self.ftl.trim_extent(address, len(payload))
 
     def has_chunk(self, address: ChunkAddress) -> bool:
         """True if the chunk is present *and* the device can serve it."""
-        return self.is_available and address in self._chunks
+        return self.state is not _FAILED and address in self._chunks
 
     def verify_chunk(self, address: ChunkAddress) -> bool:
         """Recompute a stored chunk's checksum without billing an I/O.

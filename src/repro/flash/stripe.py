@@ -23,7 +23,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -58,24 +58,24 @@ class FragmentSlot:
     kind: ChunkKind
 
 
-@dataclass(frozen=True)
-class ChunkLocation:
-    """A placed chunk: stripe, fragment, device, role, and size."""
+class ChunkLocation(NamedTuple):
+    """A placed chunk: stripe, fragment, device, role, and size.
+
+    Built once when the stripe is laid out and then only read, one per
+    chunk the array ever stores — hence a tuple that *stores* its address
+    instead of a dataclass that re-derives it on every touch.
+    """
 
     stripe_id: int
     fragment_index: int
     device_id: int
     kind: ChunkKind
     length: int
-
-    @property
-    def address(self) -> Tuple[int, int]:
-        """The on-device address, ``(stripe_id, fragment_index)``."""
-        return (self.stripe_id, self.fragment_index)
+    #: The on-device address, ``(stripe_id, fragment_index)``.
+    address: Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class StripeDescriptor:
+class StripeDescriptor(NamedTuple):
     """Metadata for one stripe of an object."""
 
     stripe_id: int
@@ -121,24 +121,28 @@ class RedundancyScheme:
     def plan(self, devices: Sequence[int], rotation: int) -> List[FragmentSlot]:
         """Assign fragment roles to device slots for one stripe.
 
-        Placement repeats every ``width`` stripes, so only ``width``
-        distinct layouts exist per device set — the hot write path asks
-        for one per stripe, and the memoized table answers from cache.
-
         Args:
             devices: ids of the online devices the stripe will span.
             rotation: stripe sequence number, used to rotate parity/primary
                 placement round-robin.
         """
-        width = len(devices)
-        self.validate(width)
-        return list(
-            _cached_plan(self, tuple(devices), self._plan_rotation(width, rotation))
-        )
+        self.validate(len(devices))
+        layouts = self.layouts(tuple(devices))
+        return list(layouts[rotation % len(layouts)])
 
-    def _plan_rotation(self, width: int, rotation: int) -> int:
-        """Normalize a stripe id to the scheme's placement period."""
-        return rotation % width
+    def layouts(self, devices: Tuple[int, ...]) -> Tuple[Tuple[FragmentSlot, ...], ...]:
+        """Every distinct stripe layout over ``devices``, memoized.
+
+        Placement repeats with the scheme's period, so stripe ``s`` uses
+        ``layouts[s % len(layouts)]``. The write path asks once per object,
+        for a width :meth:`validate` has already accepted, and indexes per
+        stripe — no re-validation and no copy per stripe.
+        """
+        return _layouts(self, devices)
+
+    def _plan_period(self, width: int) -> int:
+        """After how many stripes placement repeats."""
+        return width
 
     def _plan_slots(
         self, devices: Tuple[int, ...], rotation: int
@@ -190,8 +194,8 @@ class ParityScheme(RedundancyScheme):
                 f"{self.parity} parity chunks need a stripe wider than {width}"
             )
 
-    def _plan_rotation(self, width: int, rotation: int) -> int:
-        return rotation % width if self.rotate else 0
+    def _plan_period(self, width: int) -> int:
+        return width if self.rotate else 1
 
     def _plan_slots(
         self, devices: Tuple[int, ...], rotation: int
@@ -259,13 +263,16 @@ class ReplicationScheme(RedundancyScheme):
         return slots
 
 
-@functools.lru_cache(maxsize=4096)
-def _cached_plan(
-    scheme: RedundancyScheme, devices: Tuple[int, ...], rotation: int
-) -> Tuple[FragmentSlot, ...]:
+@functools.lru_cache(maxsize=1024)
+def _layouts(
+    scheme: RedundancyScheme, devices: Tuple[int, ...]
+) -> Tuple[Tuple[FragmentSlot, ...], ...]:
     """Memoized stripe layouts: schemes and slots are frozen, so sharing
     the table across calls is safe."""
-    return tuple(scheme._plan_slots(devices, rotation))
+    return tuple(
+        tuple(scheme._plan_slots(devices, rotation))
+        for rotation in range(scheme._plan_period(len(devices)))
+    )
 
 
 def pack_fragments(raw: bytes, count: int, chunk_length: int) -> np.ndarray:

@@ -78,6 +78,50 @@ class TestTransactionalOverwrite:
         assert array.read_object("a")[0] == data
 
 
+class TestUnevenCapacityRollback:
+    """A chunk write that fails mid-stripe must take its stripe-mates with it.
+
+    Five devices of 1000 B, 100 B chunks, device 3 shrunk to 150 B: a
+    1200 B ``ParityScheme(1)`` object is three full stripes of one chunk per
+    device, and the second stripe's chunk does not fit on device 3 — after
+    devices 0-2 have already programmed theirs.
+    """
+
+    @staticmethod
+    def uneven_array():
+        array = FlashArray(
+            num_devices=5, device_capacity=1_000, chunk_size=100, model=ZERO_COST
+        )
+        array.devices[3].capacity_bytes = 150
+        return array
+
+    @staticmethod
+    def occupancy(array):
+        return [(device.used_bytes, device.chunk_count) for device in array.devices]
+
+    def test_failed_fresh_write_leaves_no_orphans(self):
+        array = self.uneven_array()
+        with pytest.raises(DeviceFullError):
+            array.write_object("x", payload_of(1_200), ParityScheme(1))
+        assert "x" not in array
+        assert self.occupancy(array) == [(0, 0)] * 5
+        assert (array.logical_bytes, array.data_bytes, array.redundancy_bytes) == (0, 0, 0)
+
+    def test_failed_overwrite_leaves_no_orphans(self):
+        array = self.uneven_array()
+        data = payload_of(400, seed=9)
+        array.write_object("x", data, ParityScheme(1))  # one stripe: fits
+        before = self.occupancy(array)
+        counters = (array.logical_bytes, array.data_bytes, array.redundancy_bytes)
+        assert before == [(100, 1)] * 5
+        with pytest.raises(DeviceFullError):
+            array.write_object("x", payload_of(1_200, seed=10), ParityScheme(1), overwrite=True)
+        assert self.occupancy(array) == before
+        assert (array.logical_bytes, array.data_bytes, array.redundancy_bytes) == counters
+        assert array.read_object("x")[0] == data
+        assert array.object_health("x") is ObjectHealth.HEALTHY
+
+
 class TestRestripe:
     def test_restripe_moves_object_off_failed_device(self):
         array = make_array(capacity=10_000)
