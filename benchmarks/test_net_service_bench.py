@@ -6,17 +6,10 @@ Runs the same sweep as ``python -m repro.experiments.concurrency --net``
 conservative baseline with the same >20% regression rule as the RS-kernel
 bench (warn by default, fail under ``REPRO_BENCH_STRICT=1``).
 
-Besides the single-process sweep (kept for metric continuity with the
-committed baseline) the bench also measures the 8-client run against a
-``--workers 4`` sharded server and records it as ``net_ops_c8_w4``. On
-multi-core hosts the worker shards scale the op rate; on a single-core CI
-box they pay IPC overhead instead, so the committed floor for that metric
-is deliberately conservative.
-
 An 8-client tiny-payload (64/128/256 B mix) run rides along as
 ``net_ops_small_c8`` — the small-object regime where PDU header bytes and
 per-request event-loop overhead, not payload movement, set the ceiling;
-it is the metric most sensitive to the wire-v2 binary header.
+it is the metric most sensitive to the size of the binary PDU header.
 """
 
 import json
@@ -33,9 +26,6 @@ BENCH_JSON, BASELINE_JSON = compare_bench.SUITES["net_service"]
 
 def test_net_service_sweep(emit):
     sweep = run_net_service_sweep(clients=(1, 2, 4, 8), requests_per_client=150)
-    workers_sweep = run_net_service_sweep(
-        clients=(8,), requests_per_client=150, workers=4
-    )
     small_sweep = run_net_service_sweep(
         clients=(8,),
         requests_per_client=150,
@@ -44,20 +34,14 @@ def test_net_service_sweep(emit):
     )
     sweep.write_bench_json()
     emit("net_service_sweep", sweep.format())
-    emit("net_service_sweep_workers4", workers_sweep.format())
     emit("net_service_sweep_small", small_sweep.format())
 
-    # Merge the sharded-server and small-object headlines into the artifact.
+    # Merge the small-object headline into the artifact.
     data = json.loads(BENCH_JSON.read_text())
-    data["metrics"]["net_ops_c8_w4"] = {
-        "label": "service op rate (ops/s), 8 clients, 4 workers",
-        "value": workers_sweep.ops_per_sec[0],
-    }
     data["metrics"]["net_ops_small_c8"] = {
         "label": "service op rate (ops/s), 8 clients, tiny payloads",
         "value": small_sweep.ops_per_sec[0],
     }
-    data["workers_headline"] = 4
     data["small_payload_mix"] = list(SMALL_PAYLOAD_MIX)
     BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
@@ -65,8 +49,6 @@ def test_net_service_sweep(emit):
     # responses is not a measurement, it is a bug.
     assert sweep.errors == 0
     assert sweep.corrupted == 0
-    assert workers_sweep.errors == 0
-    assert workers_sweep.corrupted == 0
     assert small_sweep.errors == 0
     assert small_sweep.corrupted == 0
     # Concurrency must help: 8 closed-loop clients beat 1.

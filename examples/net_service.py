@@ -11,7 +11,7 @@ the service end to end:
 
 Run against a live server (start one first):
 
-    PYTHONPATH=src python -m repro.net.server --port 4010
+    PYTHONPATH=src python -m repro.net --port 4010
     PYTHONPATH=src python examples/net_service.py --port 4010
 
 Or let the example host its own in-process server:

@@ -10,15 +10,18 @@ Modules:
   class-differentiated cross-shard redundancy and degraded reads;
 - :mod:`repro.cluster.supervisor` — shard condemn / re-home, booked in the
   :class:`~repro.core.supervisor.DurabilityLedger`.
-
-Only the placement/map layer is imported eagerly: ``repro.net.cluster``
-imports :func:`shard_for_object` from here while ``repro.net.__init__``
-itself is still loading, so the heavier modules (which import ``repro.net``
-back) resolve lazily via ``__getattr__``.
 """
 
 from __future__ import annotations
 
+from repro.cluster.breaker import BreakerPolicy, CircuitBreaker, CircuitOpenError
+from repro.cluster.health import (
+    ShardHealth,
+    ShardHealthMonitor,
+    ShardHealthPolicy,
+    ShardProbe,
+    ShardTransition,
+)
 from repro.cluster.map import (
     ClusterMap,
     ClusterMapError,
@@ -28,7 +31,10 @@ from repro.cluster.map import (
     is_fragment,
     parent_of_fragment,
 )
-from repro.cluster.placement import rank_shards, rendezvous_score, shard_for_object
+from repro.cluster.placement import rank_shards, rendezvous_score
+from repro.cluster.router import RouterClient, RouterStats
+from repro.cluster.service import ClusterService, ShardServer
+from repro.cluster.supervisor import ClusterSupervisor, RehomeReport
 
 __all__ = [
     "BreakerPolicy",
@@ -54,31 +60,4 @@ __all__ = [
     "parent_of_fragment",
     "rank_shards",
     "rendezvous_score",
-    "shard_for_object",
 ]
-
-_LAZY = {
-    "BreakerPolicy": "repro.cluster.breaker",
-    "CircuitBreaker": "repro.cluster.breaker",
-    "CircuitOpenError": "repro.cluster.breaker",
-    "ClusterService": "repro.cluster.service",
-    "ShardServer": "repro.cluster.service",
-    "RouterClient": "repro.cluster.router",
-    "RouterStats": "repro.cluster.router",
-    "ClusterSupervisor": "repro.cluster.supervisor",
-    "RehomeReport": "repro.cluster.supervisor",
-    "ShardHealth": "repro.cluster.health",
-    "ShardHealthMonitor": "repro.cluster.health",
-    "ShardHealthPolicy": "repro.cluster.health",
-    "ShardProbe": "repro.cluster.health",
-    "ShardTransition": "repro.cluster.health",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.cluster' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)

@@ -20,11 +20,6 @@ objects whose top score it held — an expected ``1/N`` fraction — and the
 runner-up ranking doubles as the replica / stripe placement order, so the
 ``k + m`` fragments of one stripe land on distinct shards while shards
 remain.
-
-:func:`shard_for_object` is the PR-5 Knuth-hash partition function, kept
-bit-for-bit (it is pinned by the WorkerPool tests and the worker-shard
-accept model); new cluster code should use :func:`rank_shards` /
-:class:`~repro.cluster.map.ClusterMap` instead.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from repro.osd.types import ObjectId
 __all__ = [
     "rank_shards",
     "rendezvous_score",
-    "shard_for_object",
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -74,20 +68,3 @@ def rank_shards(object_id: ObjectId, shard_ids: Sequence[int]) -> List[int]:
         shard_ids,
         key=lambda shard_id: (-rendezvous_score(object_id, shard_id), shard_id),
     )
-
-
-def shard_for_object(object_id: ObjectId, num_shards: int) -> int:
-    """Deterministic OID-hash partition over ``range(num_shards)`` (PR 5).
-
-    A Knuth-style multiplicative hash over ``(pid, oid)``. This is the
-    worker-pool partition function; it balances well but is *modulo*-based,
-    so membership changes reshuffle placement wholesale — which is exactly
-    why the cluster map routes with :func:`rank_shards` instead. Kept (and
-    re-exported from :mod:`repro.net.cluster`) for the WorkerPool accept
-    model and its pinned tests.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    key = (object_id.pid * 2654435761 + object_id.oid * 2246822519) & 0xFFFFFFFF
-    key ^= key >> 16
-    return (key * 2654435761 & 0xFFFFFFFF) % num_shards

@@ -739,7 +739,7 @@ class RouterClient:
                 snapshots.append(await self.client(shard_id).service_stats())
             except (OsdServiceError, ConnectionError, OSError):
                 continue
-        return merge_snapshots(snapshots, key="shards")
+        return merge_snapshots(snapshots)
 
     def layout_of(self, object_id: ObjectId) -> Optional[str]:
         """The write-path layout recorded for ``object_id``, if any."""

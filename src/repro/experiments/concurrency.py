@@ -107,9 +107,6 @@ class NetServiceSweep:
     clients: List[int]
     payload_bytes: int
     requests_per_client: int
-    workers: int = 1
-    #: Wire format the clients were pinned to (None = client default, v2).
-    wire_version: Optional[int] = None
     ops_per_sec: List[float] = field(default_factory=list)
     mb_per_sec: List[float] = field(default_factory=list)
     p50_latency_ms: List[float] = field(default_factory=list)
@@ -130,11 +127,9 @@ class NetServiceSweep:
             ]
             for index in range(len(self.clients))
         ]
-        wire = f", wire v{self.wire_version}" if self.wire_version else ""
         table = format_table(
             "repro.net service layer: closed-loop clients vs throughput/latency "
-            f"({self.payload_bytes}B payloads, {self.requests_per_client} req/client, "
-            f"{self.workers} worker{'s' if self.workers != 1 else ''}{wire})",
+            f"({self.payload_bytes}B payloads, {self.requests_per_client} req/client)",
             ["Clients", "ops/s", "MB/s", "p50 (ms)", "p99 (ms)"],
             rows,
         )
@@ -149,8 +144,7 @@ class NetServiceSweep:
 
         Throughput and ops-rate metrics gate on drops (higher is better);
         p99 latency metrics carry ``higher_is_better: false`` and gate on
-        increases. ``workers`` rides along as run metadata so a baseline
-        comparison is legible about what was measured.
+        increases.
         """
         metrics: Dict[str, Dict] = {}
         for index, count in enumerate(self.clients):
@@ -168,18 +162,14 @@ class NetServiceSweep:
                 "value": self.p99_latency_ms[index],
                 "higher_is_better": False,
             }
-        report = {
+        return {
             "schema": 1,
             "payload_bytes": self.payload_bytes,
             "requests_per_client": self.requests_per_client,
-            "workers": self.workers,
             "errors": self.errors,
             "corrupted": self.corrupted,
             "metrics": metrics,
         }
-        if self.wire_version is not None:
-            report["wire_version"] = self.wire_version
-        return report
 
     def write_bench_json(self, directory: Optional[pathlib.Path] = None) -> pathlib.Path:
         directory = directory or BENCH_RESULTS_DIR
@@ -189,12 +179,8 @@ class NetServiceSweep:
         return path
 
 
-def _zero_cost_target(_worker_id: int = 0):
-    """Build one service-layer bench shard (zero-cost flash timing).
-
-    Module-level (not a closure) because it also runs inside forked worker
-    processes as the :class:`~repro.net.cluster.WorkerPool` target factory.
-    """
+def _zero_cost_target():
+    """Build the service-layer bench target (zero-cost flash timing)."""
     from repro.flash.array import FlashArray
     from repro.flash.latency import ZERO_COST
     from repro.flash.stripe import ParityScheme
@@ -213,7 +199,7 @@ def _zero_cost_target(_worker_id: int = 0):
 
 
 #: Small-object profile: tiny payloads where the PDU header, not the
-#: data, dominates bytes on the wire — the regime wire v2 targets.
+#: data, dominates bytes on the wire — the regime the binary header targets.
 SMALL_PAYLOAD_MIX = (64, 128, 256)
 
 
@@ -224,8 +210,6 @@ def run_net_service_sweep(
     payload_mix: Optional[Sequence[int]] = None,
     write_fraction: float = 0.35,
     seed: int = 1234,
-    workers: int = 1,
-    wire_version: Optional[int] = None,
 ) -> NetServiceSweep:
     """Run the closed-loop load generator against a live localhost server.
 
@@ -234,18 +218,11 @@ def run_net_service_sweep(
     model, so the numbers isolate the *service layer* — framing, event
     loop, socket round trips — rather than simulated flash timing.
 
-    ``workers > 1`` serves the port from a :class:`~repro.net.cluster.WorkerPool`
-    of forked processes (one target shard each). Load generator clients each
-    hold a single connection, so placement is connection-affine and every
-    client reads its own writes regardless of which shard it lands on.
-
     ``payload_mix`` switches writes to a seeded multi-size mix (see
-    :func:`~repro.net.loadgen.run_load`); ``wire_version`` pins clients to
-    wire v1 or v2 (None = client default, v2).
+    :func:`~repro.net.loadgen.run_load`).
     """
     import asyncio
 
-    from repro.net.cluster import WorkerPool
     from repro.net.loadgen import run_load
     from repro.net.server import OsdServer
 
@@ -253,35 +230,23 @@ def run_net_service_sweep(
         clients=list(clients),
         payload_bytes=payload_bytes,
         requests_per_client=requests_per_client,
-        workers=workers,
-        wire_version=wire_version,
     )
 
-    async def _drive(port: int, count: int):
-        return await run_load(
-            "127.0.0.1",
-            port,
-            clients=count,
-            requests_per_client=requests_per_client,
-            payload_bytes=payload_bytes,
-            payload_mix=payload_mix,
-            write_fraction=write_fraction,
-            seed=seed,
-            wire_version=wire_version,
-        )
-
-    async def _measure_single(count: int):
+    async def _measure(count: int):
         async with OsdServer(_zero_cost_target()) as server:
-            return await _drive(server.port, count)
+            return await run_load(
+                "127.0.0.1",
+                server.port,
+                clients=count,
+                requests_per_client=requests_per_client,
+                payload_bytes=payload_bytes,
+                payload_mix=payload_mix,
+                write_fraction=write_fraction,
+                seed=seed,
+            )
 
     for count in sweep.clients:
-        if workers > 1:
-            # Fork the pool before entering asyncio: the workers each run
-            # their own fresh event loop.
-            with WorkerPool(_zero_cost_target, workers) as pool:
-                report = asyncio.run(_drive(pool.port, count))
-        else:
-            report = asyncio.run(_measure_single(count))
+        report = asyncio.run(_measure(count))
         sweep.ops_per_sec.append(report.ops_per_sec)
         sweep.mb_per_sec.append(report.mb_per_sec)
         sweep.p50_latency_ms.append(report.latency_ms(0.50))
@@ -319,19 +284,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--payload-bytes", type=int, default=4096, help="object size (--net mode)"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="OSD worker processes serving the port (--net mode; default 1)",
-    )
-    parser.add_argument(
-        "--wire-version",
-        type=int,
-        choices=(1, 2),
-        default=None,
-        help="pin clients to wire v1 or v2 (--net mode; default: client default, v2)",
-    )
-    parser.add_argument(
         "--small",
         action="store_true",
         help="small-object profile: tiny payload mix (64/128/256 B) (--net mode)",
@@ -344,8 +296,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             requests_per_client=args.requests,
             payload_bytes=min(SMALL_PAYLOAD_MIX) if args.small else args.payload_bytes,
             payload_mix=SMALL_PAYLOAD_MIX if args.small else None,
-            workers=args.workers,
-            wire_version=args.wire_version,
         )
         print(sweep.format())
         path = sweep.write_bench_json()

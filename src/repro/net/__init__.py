@@ -12,18 +12,15 @@ commands.
 Modules:
 
 - :mod:`repro.net.server` — the asyncio OSD server (``python -m
-  repro.net.server`` runs one; ``--workers N`` forks a sharded pool).
+  repro.net`` runs one).
 - :mod:`repro.net.client` — the pooled, pipelined async initiator.
 - :mod:`repro.net.flush` — per-connection outbound write coalescing.
-- :mod:`repro.net.cluster` — the multi-process worker pool (one target
-  shard per worker, SO_REUSEPORT or sharded accept).
 - :mod:`repro.net.retry` — retry/backoff policy and idempotency rules.
 - :mod:`repro.net.stats` — service counters and latency percentiles.
 - :mod:`repro.net.loadgen` — closed-loop multi-client load generator.
 """
 
 from repro.net.client import AsyncOsdClient, ClientStats, OsdServiceError
-from repro.net.cluster import WorkerPool, shard_for_object, supports_reuse_port
 from repro.net.flush import StreamFlusher
 from repro.net.retry import RetryPolicy, is_idempotent
 from repro.net.server import OsdServer
@@ -38,9 +35,6 @@ __all__ = [
     "RetryPolicy",
     "ServiceStats",
     "StreamFlusher",
-    "WorkerPool",
     "is_idempotent",
     "merge_snapshots",
-    "shard_for_object",
-    "supports_reuse_port",
 ]

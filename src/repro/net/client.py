@@ -29,12 +29,6 @@ Reliability model:
   :class:`~repro.osd.transport.FrameDecoder` via the
   :class:`asyncio.BufferedProtocol` receive path (no StreamReader
   double-buffer, no reader task).
-- **Wire version** — requests are encoded at ``wire_version``
-  (:data:`~repro.osd.wire.WIRE_V2` binary headers by default; pass
-  ``wire_version=wire.WIRE_V1`` to speak JSON headers to an old server).
-  The first PDU on each connection advertises the version; responses are
-  auto-detected per PDU, so either way the client interoperates with
-  servers of both generations.
 """
 
 from __future__ import annotations
@@ -108,9 +102,8 @@ class _Connection(asyncio.BufferedProtocol):
     standby drain via ``pause_writing``/``resume_writing``.
     """
 
-    def __init__(self, max_pdu_bytes: int, wire_version: int) -> None:
+    def __init__(self, max_pdu_bytes: int) -> None:
         self.max_pdu_bytes = max_pdu_bytes
-        self.wire_version = wire_version
         self.decoder = FrameDecoder(max_pdu_bytes)
         self.pending: Dict[int, asyncio.Future] = {}
         self.closed = False
@@ -190,9 +183,7 @@ class _Connection(asyncio.BufferedProtocol):
         # Encode before registering: a WireError (e.g. oversized PDU) must
         # surface to the caller, not strand a pending future.
         parts = frame_parts(
-            wire.encode_command_parts(
-                command, seq=seq, retry=retry, version=self.wire_version
-            ),
+            wire.encode_command_parts(command, seq=seq, retry=retry),
             max_bytes=self.max_pdu_bytes,
         )
         loop = asyncio.get_running_loop()
@@ -246,19 +237,15 @@ class AsyncOsdClient:
         timeout: float = 2.0,
         retry: Optional[RetryPolicy] = None,
         max_pdu_bytes: int = wire.MAX_PDU_BYTES,
-        wire_version: int = wire.WIRE_V2,
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
-        if wire_version not in (wire.WIRE_V1, wire.WIRE_V2):
-            raise ValueError(f"unsupported wire version {wire_version!r}")
         self.host = host
         self.port = port
         self.pool_size = pool_size
         self.timeout = timeout
         self.retry = retry or RetryPolicy()
         self.max_pdu_bytes = max_pdu_bytes
-        self.wire_version = wire_version
         self.stats = ClientStats()
         self._pool: List[Optional[_Connection]] = [None] * pool_size
         self._dispatch = itertools.count()
@@ -277,7 +264,7 @@ class AsyncOsdClient:
         if conn is None or conn.closed:
             loop = asyncio.get_running_loop()
             _transport, conn = await loop.create_connection(
-                lambda: _Connection(self.max_pdu_bytes, self.wire_version),
+                lambda: _Connection(self.max_pdu_bytes),
                 self.host,
                 self.port,
             )

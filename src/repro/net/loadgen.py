@@ -162,7 +162,6 @@ async def run_load(
     timeout: float = 2.0,
     retry: Optional[RetryPolicy] = None,
     client_factory: Optional[ClientFactory] = None,
-    wire_version: Optional[int] = None,
 ) -> LoadReport:
     """Drive the server with ``clients`` concurrent closed-loop clients.
 
@@ -176,14 +175,10 @@ async def run_load(
     uses this with tiny (≤256 B) sizes, where header bytes dominate.
     ``payload_bytes`` then only seeds the warmup objects.
 
-    ``wire_version`` pins the clients to a wire format
-    (:data:`~repro.osd.wire.WIRE_V1` / :data:`~repro.osd.wire.WIRE_V2`);
-    ``None`` keeps the client default (v2).
-
     ``client_factory`` (client id → client) substitutes any
     ``AsyncOsdClient``-shaped object — e.g. a cluster ``RouterClient`` —
     for the default single-server client; ``host``/``port`` are then
-    ignored (as is ``wire_version`` — the factory owns client setup).
+    ignored.
     """
     report = LoadReport(
         clients=clients,
@@ -192,11 +187,8 @@ async def run_load(
     )
     retry = retry or RetryPolicy(seed=seed)
     if client_factory is None:
-        client_kwargs = {} if wire_version is None else {"wire_version": wire_version}
         pool = [
-            AsyncOsdClient(
-                host, port, pool_size=1, timeout=timeout, retry=retry, **client_kwargs
-            )
+            AsyncOsdClient(host, port, pool_size=1, timeout=timeout, retry=retry)
             for _ in range(clients)
         ]
     else:

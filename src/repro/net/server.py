@@ -1,7 +1,7 @@
 """The asyncio OSD server: a real-socket serving tier for one target.
 
-``python -m repro.net.server`` starts one on localhost against a fresh
-in-memory flash array; library users embed :class:`OsdServer` directly.
+``python -m repro.net`` starts one on localhost against a fresh in-memory
+flash array; library users embed :class:`OsdServer` directly.
 
 Protocol: each TCP connection carries framed PDUs
 (:func:`repro.osd.transport.frame_pdu`): a 4-byte length prefix, then a
@@ -34,20 +34,18 @@ exactly once, into the command payload), and the write side batches — every
 response is enqueued on a per-connection :class:`~repro.net.flush.StreamFlusher`
 as ``[frame prefix, header, payload]`` segments and shipped with one
 ``writelines`` + one ``drain`` per event-loop tick instead of one drain per
-command. ``--workers N`` (see :mod:`repro.net.cluster`) scales past the
-GIL with one target shard per worker process.
+command. One server is one process and one event loop;
+:mod:`repro.cluster` (``python -m repro.cluster --shards N``) serves more
+than one shard.
 
-Protocol port (wire v2 PR): each connection is an
+Protocol port: each connection is an
 :class:`asyncio.BufferedProtocol` — the socket ``recv_into``\\ s straight
 into the :class:`~repro.osd.transport.FrameDecoder`'s buffer (no
 StreamReader double-buffer, no reader-task wakeup per chunk) and frames
 are served synchronously from ``buffer_updated``. Back-pressure is
 symmetric: the connection's in-flight bound and the transport's
 ``pause_writing`` both gate ``pause_reading``/``resume_reading``, and the
-flusher's standby drain parks on the transport's resume signal. The
-server also negotiates the wire format per connection: it starts in v1
-(JSON headers) and sticks to v2 binary headers from the first v2 command
-it decodes, so v1 and v2 clients share one port.
+flusher's standby drain parks on the transport's resume signal.
 """
 
 from __future__ import annotations
@@ -112,9 +110,6 @@ class _Connection(asyncio.BufferedProtocol):
         self.decoder = FrameDecoder(server.max_pdu_bytes)
         self.tasks: Set[asyncio.Task] = set()
         self.dropped = False
-        #: Negotiated wire format: starts v1, sticky-upgrades to the
-        #: highest version seen on a decoded command PDU.
-        self.wire_version = wire.WIRE_V1
         self.flusher: Optional[StreamFlusher] = None
         #: Decoded-but-unserved commands beyond the in-flight bound.
         self._backlog: Deque[Tuple[Optional[int], OsdCommand]] = deque()
@@ -198,13 +193,7 @@ class _Connection(asyncio.BufferedProtocol):
         """Enqueue one response for the connection's next coalesced flush."""
         if self.dropped or self.flusher is None:
             return
-        self.flusher.send(
-            frame_parts(
-                wire.encode_response_parts(
-                    response, seq=seq, version=self.wire_version
-                )
-            )
-        )
+        self.flusher.send(frame_parts(wire.encode_response_parts(response, seq=seq)))
 
     def enqueue(self, seq: Optional[int], command: OsdCommand) -> None:
         """Admit one command to the fault-hook task path."""
@@ -284,8 +273,6 @@ class OsdServer:
         drain_timeout: float = 5.0,
         fault_hook: Optional[FaultHook] = None,
         fault_plan: "object | None" = None,
-        reuse_port: bool = False,
-        sock: Optional[socket.socket] = None,
     ) -> None:
         """
         Args:
@@ -295,11 +282,6 @@ class OsdServer:
                 plan that drives the simulated array maps onto wire-level
                 faults (torn writes → dropped acks, transient read errors →
                 timeouts, fail-slow → delayed responses).
-            reuse_port: bind with ``SO_REUSEPORT`` so sibling worker
-                processes can share the port (multi-process serving).
-            sock: pre-bound listening socket to accept on instead of
-                binding ``host:port`` — the sharded-accept fallback where
-                ``SO_REUSEPORT`` is unavailable.
         """
         self.target = target
         self.host = host
@@ -313,8 +295,6 @@ class OsdServer:
 
             fault_hook = make_net_fault_hook(fault_plan)
         self.fault_hook = fault_hook
-        self.reuse_port = reuse_port
-        self.sock = sock
         self.stats = ServiceStats()
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[_Connection] = set()
@@ -339,15 +319,9 @@ class OsdServer:
     async def start(self) -> None:
         """Bind and start accepting; resolves the actual port for port 0."""
         loop = asyncio.get_running_loop()
-        factory = lambda: _Connection(self)  # noqa: E731
-        if self.sock is not None:
-            self._server = await loop.create_server(factory, sock=self.sock)
-        elif self.reuse_port:
-            self._server = await loop.create_server(
-                factory, self.host, self.port, reuse_port=True
-            )
-        else:
-            self._server = await loop.create_server(factory, self.host, self.port)
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
+        )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def shutdown(self) -> None:
@@ -401,17 +375,13 @@ class OsdServer:
         copies the payload out) happens before anything can interleave.
         """
         try:
-            seq, retry, command, version = wire.decode_command_pdu(frame)
+            seq, retry, command = wire.decode_command_pdu(frame)
         except WireError:
             # The frame boundary held, so the stream is still good:
             # answer a structured failure and keep serving.
             self.stats.wire_errors += 1
             conn.send(OsdResponse(SenseCode.FAIL), seq=wire.salvage_seq(frame))
             return
-        if version > conn.wire_version:
-            # Negotiation: the first v2 command upgrades the connection;
-            # every response from here on carries the binary header.
-            conn.wire_version = version
         if retry:
             self.stats.retries_seen += 1
         if (
@@ -500,98 +470,3 @@ class OsdServer:
             f"connections={self.stats.connections_active}, "
             f"in_flight={self.stats.in_flight})"
         )
-
-
-# ----------------------------------------------------------------------
-# CLI: python -m repro.net.server
-# ----------------------------------------------------------------------
-def _build_target(num_devices: int, device_mb: int, chunk_kb: int, parity: int) -> OsdTarget:
-    from repro.flash.array import FlashArray
-    from repro.flash.stripe import ParityScheme
-    from repro.osd.types import PARTITION_BASE
-
-    array = FlashArray(
-        num_devices=num_devices,
-        device_capacity=device_mb * 1024 * 1024,
-        chunk_size=chunk_kb * 1024,
-    )
-    target = OsdTarget(array, policy=lambda _cid: ParityScheme(parity))
-    target.create_partition(PARTITION_BASE)
-    return target
-
-
-def main(argv: Optional[list] = None) -> int:
-    """Run a standalone OSD server until interrupted."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.net.server",
-        description="Serve an in-memory OSD target over TCP.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=7003)
-    parser.add_argument("--devices", type=int, default=5)
-    parser.add_argument("--device-mb", type=int, default=64)
-    parser.add_argument("--chunk-kb", type=int, default=64)
-    parser.add_argument("--parity", type=int, default=1)
-    parser.add_argument("--max-in-flight", type=int, default=32)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes sharing the port, one target shard each "
-        "(default 1 = single-process, in this process)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.workers > 1:
-        from repro.net.cluster import WorkerPool
-
-        pool = WorkerPool(
-            lambda _worker_id: _build_target(
-                args.devices, args.device_mb, args.chunk_kb, args.parity
-            ),
-            args.workers,
-            host=args.host,
-            port=args.port,
-            max_in_flight=args.max_in_flight,
-        )
-        pool.start()
-        mode = "SO_REUSEPORT" if pool.reuse_port else "sharded accept"
-        print(
-            f"osd worker pool listening on {args.host}:{pool.port} "
-            f"({args.workers} workers, {mode}; Ctrl-C to stop)"
-        )
-        try:
-            import signal
-
-            signal.sigwait({signal.SIGINT, signal.SIGTERM})
-        except (KeyboardInterrupt, AttributeError):
-            pass
-        finally:
-            pool.shutdown()
-            print("osd worker pool drained and closed")
-        return 0
-
-    async def _serve() -> None:
-        target = _build_target(args.devices, args.device_mb, args.chunk_kb, args.parity)
-        server = OsdServer(
-            target, args.host, args.port, max_in_flight=args.max_in_flight
-        )
-        await server.start()
-        print(f"osd server listening on {server.host}:{server.port} (Ctrl-C to stop)")
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await server.shutdown()
-            print("osd server drained and closed")
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -116,7 +116,7 @@ def parse_stats_payload(payload: Optional[bytes]) -> Dict[str, object]:
     return json.loads(payload.decode("ascii"))
 
 
-#: Snapshot counters summed across workers by :func:`merge_snapshots`.
+#: Snapshot counters summed across shards by :func:`merge_snapshots`.
 _ADDITIVE_KEYS = (
     "connections_total",
     "connections_active",
@@ -132,19 +132,14 @@ _ADDITIVE_KEYS = (
 )
 
 
-def merge_snapshots(
-    snapshots: List[Dict[str, object]], key: str = "workers"
-) -> Dict[str, object]:
-    """Aggregate per-worker :meth:`ServiceStats.snapshot` dicts.
+def merge_snapshots(snapshots: List[Dict[str, object]]) -> Dict[str, object]:
+    """Aggregate per-shard :meth:`ServiceStats.snapshot` dicts.
 
     Counters sum (``max_in_flight`` sums too: the shards run concurrently,
     so their peak depths add). Latency merges from summaries, which is the
     best a snapshot allows: counts and means combine exactly
-    (count-weighted); p50/p99 take the worst worker's value — a
+    (count-weighted); p50/p99 take the worst shard's value — a
     conservative bound rather than a true pooled percentile.
-
-    ``key`` labels the member count in the merged dict: ``"workers"`` for
-    the worker-pool merge, ``"shards"`` for the cluster-wide merge.
     """
     totals: Dict[str, int] = {counter: 0 for counter in _ADDITIVE_KEYS}
     count = 0
@@ -163,7 +158,7 @@ def merge_snapshots(
             p50 = max(p50, float(latency.get("p50_ms", 0.0)))
             p99 = max(p99, float(latency.get("p99_ms", 0.0)))
     merged: Dict[str, object] = dict(totals)
-    merged[key] = len(snapshots)
+    merged["shards"] = len(snapshots)
     merged["latency"] = {
         "count": count,
         "mean_ms": weighted_mean / count if count else 0.0,

@@ -1,57 +1,47 @@
 """Wire format for OSD commands and responses.
 
 The real open-osd stack carries OSD service actions in SCSI CDBs over
-iSCSI. This module provides the simulation's equivalent: every command and
-response serializes to a PDU of
+iSCSI. This module is the simulation's equivalent: every command and
+response serializes to one PDU of
 
-- a 4-byte big-endian header length,
-- a JSON header (command kind, ids, attributes), and
+- a fixed-width binary header packed by ``struct`` (magic + version byte,
+  command opcode or response kind, flags, sequence id, then the
+  kind-specific fields and the data-segment length),
+- for ``SetAttr``/``GetAttr`` only, an *extended header* — a
+  length-prefixed JSON object holding the attribute strings, gated by a
+  flag bit — and
 - an opaque binary data segment (write payloads, read results).
 
 Round-tripping through real bytes keeps the initiator/target boundary
 honest — nothing crosses it except what the wire format can carry — and
 gives the transport layer true payload sizes to bill.
 
-Hardening (service-layer PR): headers and whole PDUs have explicit size
-limits, headers must decode to a JSON object, and every protocol-level
-failure raises :class:`~repro.errors.WireError` (an :class:`OsdError`
-subclass) so transports can tell stream corruption from target errors.
-PDU headers optionally carry a ``seq`` sequence id, which lets a pipelined
-connection match out-of-order responses to their requests.
+Hardening: whole PDUs have an explicit size limit, every field a decoder
+reads is checked (magic, version, opcode, truncation, declared against
+actual data length, sense code, and that the extended header appears
+exactly where the opcode defines one and holds exactly its keys), and
+every protocol-level failure raises :class:`~repro.errors.WireError` (an
+:class:`OsdError` subclass) so transports can tell stream corruption from
+target errors. Encoders raise it too for a value its fixed-width field
+cannot hold. PDU headers optionally carry a ``seq`` sequence id, which
+lets a pipelined connection match out-of-order responses to their
+requests.
 
-Zero-copy (throughput PR): every decode path accepts any buffer-protocol
-object (``bytes``/``bytearray``/``memoryview``), so a stream decoder can
-hand PDU slices straight off its receive buffer without materializing an
+Zero-copy: every decode path accepts any buffer-protocol object
+(``bytes``/``bytearray``/``memoryview``), so a stream decoder can hand
+PDU slices straight off its receive buffer without materializing an
 intermediate copy — the data segment is copied exactly once, into the
 command/response payload. On the send side the ``encode_*_parts``
 variants return the PDU as ``[header segment, payload]`` buffers for
-``StreamWriter.writelines``, so large payloads are never concatenated
+``writelines``-style send paths, so large payloads are never concatenated
 into a fresh PDU bytestring just to be written.
-
-Wire format v2 (binary header PR): the JSON header costs real CPU on the
-hot path — for a 128-byte object the ~200-byte JSON header outweighs the
-payload. Version 2 replaces it with a fixed-width binary header packed by
-``struct``: magic + version byte, command/response kind, object ids,
-flags, sequence id, and the data-segment length. The rare fields the
-fixed header cannot carry (attribute keys/values, out-of-range integers)
-ride in an optional *extended header* — a length-prefixed JSON object
-gated by a flag bit — so ``SetAttr``/``GetAttr`` and pathological values
-keep exact round-trip fidelity without taxing the common case.
-
-Both versions coexist on one stream: every valid v1 PDU begins with the
-``0x00`` byte of its 4-byte big-endian header length (the header limit is
-64 KiB), while every v2 PDU begins with the magic byte ``0xB2`` — so the
-decoders auto-detect the version per PDU and old and new peers
-interoperate. Encoders default to v1 (the format the committed property
-tests pin); the service layer negotiates v2 per connection and passes
-``version=WIRE_V2`` explicitly.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import WireError
 from repro.flash.array import ArrayIoResult
@@ -63,11 +53,9 @@ from repro.osd.types import ObjectId, ObjectKind
 __all__ = [
     "Buffer",
     "CommandPdu",
-    "MAX_HEADER_BYTES",
+    "MAGIC",
     "MAX_PDU_BYTES",
-    "V2_MAGIC",
-    "WIRE_V1",
-    "WIRE_V2",
+    "VERSION",
     "decode_command",
     "decode_command_pdu",
     "decode_response",
@@ -76,7 +64,6 @@ __all__ = [
     "encode_command_parts",
     "encode_response",
     "encode_response_parts",
-    "pdu_version",
     "salvage_seq",
 ]
 
@@ -84,128 +71,145 @@ __all__ = [
 #: ``bytes``. (``collections.abc.Buffer`` needs 3.12; spell it out.)
 Buffer = Union[bytes, bytearray, memoryview]
 
-_LENGTH = struct.Struct(">I")
-
-#: Hard ceiling on the JSON header segment. Headers are a handful of short
-#: fields; anything bigger is corruption or an attack, not a command.
-MAX_HEADER_BYTES = 64 * 1024
-
 #: Hard ceiling on a whole PDU (header + data segment). Caps both what an
 #: encoder will produce and what a decoder/server will buffer per request.
 MAX_PDU_BYTES = 64 * 1024 * 1024
 
-#: Wire format versions. v1 is the JSON-header format; v2 is the binary
-#: fixed-width header. Encoders default to v1; decoders auto-detect.
-WIRE_V1 = 1
-WIRE_V2 = 2
+#: First two bytes of every PDU.
+MAGIC = 0xB2
+VERSION = 2
 
-#: First byte of every v2 PDU. A v1 PDU starts with the most significant
-#: byte of its 4-byte header length, which the 64 KiB header limit pins to
-#: ``0x00`` — so one byte disambiguates the versions.
-V2_MAGIC = 0xB2
-
-#: ``kind`` byte marking a v2 response PDU; command PDUs carry their
-#: opcode (all < 0x80) in the same slot.
-_V2_RESPONSE_KIND = 0x80
-
-_V2_PREFIX = struct.Struct(">BBBB")
-#: v2 command fixed header: magic, version, opcode, flags, seq, retry,
-#: pid, oid, aux (op-specific: update offset / write class_id / create
-#: kind index), data length. 44 bytes.
-_V2_COMMAND = struct.Struct(">BBBBQIQQqI")
-#: v2 response fixed header: magic, version, kind, flags, seq, sense
-#: (signed — FAIL is -1), elapsed, chunks read/written, bytes
-#: read/written, data length. 50 bytes.
-_V2_RESPONSE = struct.Struct(">BBBBQhdIIQQI")
-#: Length prefix of the optional extended JSON header.
-_V2_EXT_LEN = struct.Struct(">H")
-_V2_MAX_EXT_BYTES = 0xFFFF
+#: What both PDU kinds start with: magic, version, kind, flags, seq. The
+#: kind byte is a command's opcode (all < 0x80) or :data:`_RESPONSE_KIND`.
+_PREFIX = struct.Struct(">BBBBQ")
+_RESPONSE_KIND = 0x80
+#: Command fixed header: the prefix, then retry, pid, oid, aux (op-specific:
+#: update offset / write class_id / create kind index), data length. 44 bytes.
+_COMMAND = struct.Struct(">BBBBQIQQqI")
+#: Response fixed header: the prefix, then sense (signed — FAIL is -1),
+#: elapsed, chunks read/written, bytes read/written, data length. 50 bytes.
+_RESPONSE = struct.Struct(">BBBBQhdIIQQI")
+#: Length prefix of the extended JSON header.
+_EXT_LEN = struct.Struct(">H")
 
 #: Flag bits shared by both PDU kinds.
-_V2_FLAG_EXT = 0x01  # extended JSON header follows the fixed header
-_V2_FLAG_SEQ = 0x02  # seq field is meaningful (None otherwise)
+_FLAG_EXT = 0x01  # extended JSON header follows the fixed header
+_FLAG_SEQ = 0x02  # seq field is meaningful (None otherwise)
 #: Command-only: the aux field carries a Write class_id.
-_V2_FLAG_AUX = 0x04
+_FLAG_AUX = 0x04
 #: Response-only.
-_V2_FLAG_PAYLOAD = 0x04
-_V2_FLAG_DEGRADED = 0x08
+_FLAG_PAYLOAD = 0x04
+_FLAG_DEGRADED = 0x08
 
-_V2_OPCODES = {
-    "create_partition": 0x01,
-    "create": 0x02,
-    "write": 0x03,
-    "update": 0x04,
-    "read": 0x05,
-    "remove": 0x06,
-    "set_attr": 0x07,
-    "get_attr": 0x08,
-    "list": 0x09,
+_OPCODES: Dict[type, int] = {
+    commands.CreatePartition: 0x01,
+    commands.CreateObject: 0x02,
+    commands.Write: 0x03,
+    commands.Update: 0x04,
+    commands.Read: 0x05,
+    commands.Remove: 0x06,
+    commands.SetAttr: 0x07,
+    commands.GetAttr: 0x08,
+    commands.ListPartition: 0x09,
 }
-_V2_OPS = {code: op for op, code in _V2_OPCODES.items()}
-_V2_KINDS = tuple(ObjectKind)
-_V2_KIND_INDEX = {kind.value: index for index, kind in enumerate(_V2_KINDS)}
+_COMMAND_TYPES = {opcode: kind for kind, opcode in _OPCODES.items()}
+#: Commands addressed by a partition id alone; the rest name an object.
+_PARTITION_COMMANDS = (commands.CreatePartition, commands.ListPartition)
+_OBJECT_COMMANDS = (
+    commands.CreateObject,
+    commands.Write,
+    commands.Update,
+    commands.Read,
+    commands.Remove,
+    commands.SetAttr,
+    commands.GetAttr,
+)
+#: The attribute strings each opcode's extended header holds; an opcode
+#: not listed here has no extended header.
+_EXT_KEYS: Dict[type, Tuple[str, ...]] = {
+    commands.SetAttr: ("key", "value"),
+    commands.GetAttr: ("key",),
+}
+_KINDS = tuple(ObjectKind)
 
 
-def _pack_parts(
-    header: Dict[str, Any], data: Buffer = b"", seq: Optional[int] = None
-) -> List[Buffer]:
-    """Serialize a PDU as ``[length-prefixed header, payload]`` buffers.
+def _pack(layout: struct.Struct, *fields: object) -> bytes:
+    try:
+        return layout.pack(*fields)
+    except struct.error as exc:
+        raise WireError(f"value does not fit its wire field: {exc}") from None
 
-    The payload segment is passed through untouched — the zero-copy half
-    of the send path. Size limits are enforced on the would-be total.
-    """
-    if seq is not None:
-        header = dict(header, seq=int(seq))
-    header_bytes = json.dumps(
-        header, sort_keys=True, separators=(",", ":")
-    ).encode("ascii")
-    if len(header_bytes) > MAX_HEADER_BYTES:
-        raise WireError(
-            f"PDU header of {len(header_bytes)} bytes exceeds the "
-            f"{MAX_HEADER_BYTES}-byte limit"
-        )
-    total = _LENGTH.size + len(header_bytes) + len(data)
+
+def _assemble(head: bytes, data: Buffer) -> List[Buffer]:
+    """Enforce the PDU size limit; the payload rides along un-copied."""
+    total = len(head) + len(data)
     if total > MAX_PDU_BYTES:
         raise WireError(
             f"PDU of {total} bytes exceeds the {MAX_PDU_BYTES}-byte limit"
         )
-    parts: List[Buffer] = [_LENGTH.pack(len(header_bytes)) + header_bytes]
-    if len(data):
-        parts.append(data)
-    return parts
+    return [head, data] if len(data) else [head]
 
 
-def _unpack(pdu: Buffer) -> Tuple[Dict[str, Any], Buffer]:
-    """Split a PDU into its header dict and data segment.
-
-    Accepts any buffer-protocol object. The returned data segment is a
-    zero-copy slice of the input when the input was a ``memoryview`` —
-    callers own the materialization decision.
-    """
+def _kind_and_flags(pdu: Buffer) -> Tuple[int, int]:
+    """Validate what both PDU kinds share; returns ``(kind byte, flags)``."""
     if len(pdu) > MAX_PDU_BYTES:
         raise WireError(
             f"PDU of {len(pdu)} bytes exceeds the {MAX_PDU_BYTES}-byte limit"
         )
-    if len(pdu) < _LENGTH.size:
-        raise WireError("truncated PDU: missing length prefix")
-    (header_length,) = _LENGTH.unpack_from(pdu)
-    if header_length > MAX_HEADER_BYTES:
+    if len(pdu) < _PREFIX.size:
+        raise WireError("truncated PDU: missing fixed header")
+    magic, version, kind, flags, _ = _PREFIX.unpack_from(pdu)
+    if magic != MAGIC:
+        raise WireError(f"bad magic byte 0x{magic:02x}")
+    if version != VERSION:
+        raise WireError(f"unsupported wire version {version}")
+    return kind, flags
+
+
+def _tail(
+    pdu: Buffer, offset: int, flags: int, keys: Tuple[str, ...], data_length: int
+) -> Tuple[List[str], Buffer]:
+    """Parse what follows the fixed header: extended header, then data.
+
+    The extended header must be present exactly when the PDU kind defines
+    one (``keys`` non-empty) and hold exactly those keys with string
+    values — it can never restate a field of the fixed header. The data
+    segment is returned as a slice of the input, not copied.
+    """
+    if bool(flags & _FLAG_EXT) != bool(keys):
         raise WireError(
-            f"declared header of {header_length} bytes exceeds the "
-            f"{MAX_HEADER_BYTES}-byte limit"
+            "extended header missing" if keys else "unexpected extended header"
         )
-    end = _LENGTH.size + header_length
-    if len(pdu) < end:
-        raise WireError("truncated PDU: header shorter than declared")
-    try:
-        header = json.loads(bytes(pdu[_LENGTH.size : end]).decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"malformed PDU header: {exc}") from None
-    if not isinstance(header, dict):
+    values: List[str] = []
+    if keys:
+        if len(pdu) < offset + _EXT_LEN.size:
+            raise WireError("truncated PDU: missing extended header length")
+        (ext_length,) = _EXT_LEN.unpack_from(pdu, offset)
+        offset += _EXT_LEN.size
+        if len(pdu) < offset + ext_length:
+            raise WireError("truncated PDU: extended header shorter than declared")
+        try:
+            ext = json.loads(bytes(pdu[offset : offset + ext_length]).decode("ascii"))
+        except (ValueError, RecursionError) as exc:
+            raise WireError(f"malformed extended header: {exc}") from None
+        if not isinstance(ext, dict):
+            raise WireError(
+                f"extended header must be a JSON object, got {type(ext).__name__}"
+            )
+        values = [ext.get(key) for key in keys]
+        if len(ext) != len(keys) or not all(isinstance(v, str) for v in values):
+            raise WireError(
+                f"extended header must hold exactly the strings {keys}, "
+                f"got keys {sorted(ext)}"
+            )
+        offset += ext_length
+    data = pdu[offset:]
+    if len(data) != data_length:
         raise WireError(
-            f"PDU header must be a JSON object, got {type(header).__name__}"
+            f"data segment of {len(data)} bytes does not match the "
+            f"declared {data_length}"
         )
-    return header, pdu[end:]
+    return values, data
 
 
 def _materialize(data: Buffer) -> bytes:
@@ -213,298 +217,24 @@ def _materialize(data: Buffer) -> bytes:
     return data if isinstance(data, bytes) else bytes(data)
 
 
-def _seq_of(header: Dict[str, Any]) -> Optional[int]:
-    seq = header.get("seq")
-    if seq is None:
-        return None
-    try:
-        return int(seq)
-    except (TypeError, ValueError):
-        raise WireError(f"malformed sequence id {seq!r}") from None
-
-
-def _object_id_fields(object_id: ObjectId) -> Dict[str, Any]:
-    return {"pid": object_id.pid, "oid": object_id.oid}
-
-
-def _object_id_from(header: Dict[str, Any]) -> ObjectId:
-    try:
-        return ObjectId(int(header["pid"]), int(header["oid"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"PDU missing object id: {exc}") from None
-
-
-# ----------------------------------------------------------------------
-# Wire v2: binary fixed-width headers
-# ----------------------------------------------------------------------
-def pdu_version(pdu: Buffer) -> int:
-    """Report the wire version of a PDU from its first byte."""
-    if not len(pdu):
-        raise WireError("truncated PDU: empty")
-    return WIRE_V2 if pdu[0] == V2_MAGIC else WIRE_V1
-
-
-def _fit_u64(value: int, ext: Dict[str, Any], key: str) -> int:
-    """Pack ``value`` into an unsigned 64-bit field, spilling to ``ext``.
-
-    Out-of-range values ride the extended JSON header under their v1 key
-    and override the (zeroed) fixed field on decode — exact round-trip
-    fidelity at any magnitude, zero cost in the common case.
-    """
-    if 0 <= value < 1 << 64:
-        return value
-    ext[key] = value
-    return 0
-
-
-def _fit_u32(value: int, ext: Dict[str, Any], key: str) -> int:
-    if 0 <= value < 1 << 32:
-        return value
-    ext[key] = value
-    return 0
-
-
-def _fit_i64(value: int, ext: Dict[str, Any], key: str) -> int:
-    if -(1 << 63) <= value < 1 << 63:
-        return value
-    ext[key] = value
-    return 0
-
-
-def _fit_i16(value: int, ext: Dict[str, Any], key: str) -> int:
-    if -(1 << 15) <= value < 1 << 15:
-        return value
-    ext[key] = value
-    return 0
-
-
-def _v2_assemble(head: bytes, ext: Dict[str, Any], data: Buffer) -> List[Buffer]:
-    """Append the optional extended header and enforce size limits."""
-    if ext:
-        ext_bytes = json.dumps(
-            ext, sort_keys=True, separators=(",", ":")
-        ).encode("ascii")
-        if len(ext_bytes) > _V2_MAX_EXT_BYTES:
-            raise WireError(
-                f"v2 extended header of {len(ext_bytes)} bytes exceeds the "
-                f"{_V2_MAX_EXT_BYTES}-byte limit"
-            )
-        head = head + _V2_EXT_LEN.pack(len(ext_bytes)) + ext_bytes
-    total = len(head) + len(data)
-    if total > MAX_PDU_BYTES:
-        raise WireError(
-            f"PDU of {total} bytes exceeds the {MAX_PDU_BYTES}-byte limit"
-        )
-    parts: List[Buffer] = [head]
-    if len(data):
-        parts.append(data)
-    return parts
-
-
-def _pack_v2_command_parts(
-    header: Dict[str, Any], data: Buffer, seq: Optional[int]
-) -> List[Buffer]:
-    """Serialize a command envelope with the v2 binary header."""
-    op = header["op"]
-    opcode = _V2_OPCODES.get(op)
-    if opcode is None:
-        raise WireError(f"cannot encode command op {op!r} as wire v2")
-    ext: Dict[str, Any] = {}
-    flags = 0
-    seq_field = 0
-    if seq is not None:
-        flags |= _V2_FLAG_SEQ
-        seq_field = _fit_u64(int(seq), ext, "seq")
-    retry = _fit_u32(int(header.get("retry", 0)), ext, "retry")
-    pid = oid = aux = 0
-    if op in ("create_partition", "list"):
-        pid = _fit_u64(int(header["partition"]), ext, "partition")
-    else:
-        pid = _fit_u64(int(header["pid"]), ext, "pid")
-        oid = _fit_u64(int(header["oid"]), ext, "oid")
-    if op == "create":
-        index = _V2_KIND_INDEX.get(header.get("kind"))
-        if index is None:
-            ext["kind"] = header.get("kind")
-        else:
-            aux = index
-    elif op == "write":
-        class_id = header.get("class_id")
-        if class_id is not None:
-            flags |= _V2_FLAG_AUX
-            aux = _fit_i64(int(class_id), ext, "class_id")
-    elif op == "update":
-        aux = _fit_i64(int(header["offset"]), ext, "offset")
-    elif op == "set_attr":
-        ext["key"] = header["key"]
-        ext["value"] = header["value"]
-    elif op == "get_attr":
-        ext["key"] = header["key"]
-    if ext:
-        flags |= _V2_FLAG_EXT
-    head = _V2_COMMAND.pack(
-        V2_MAGIC, WIRE_V2, opcode, flags,
-        seq_field, retry, pid, oid, aux, len(data),
-    )
-    return _v2_assemble(head, ext, data)
-
-
-def _pack_v2_response_parts(
-    response: OsdResponse, seq: Optional[int]
-) -> List[Buffer]:
-    """Serialize a response with the v2 binary header."""
-    ext: Dict[str, Any] = {}
-    flags = 0
-    seq_field = 0
-    if seq is not None:
-        flags |= _V2_FLAG_SEQ
-        seq_field = _fit_u64(int(seq), ext, "seq")
-    io = response.io
-    data: Buffer = response.payload or b""
-    if response.payload is not None:
-        flags |= _V2_FLAG_PAYLOAD
-    if io.degraded:
-        flags |= _V2_FLAG_DEGRADED
-    sense = _fit_i16(int(response.sense), ext, "sense")
-    chunks_read = _fit_u32(io.chunks_read, ext, "chunks_read")
-    chunks_written = _fit_u32(io.chunks_written, ext, "chunks_written")
-    bytes_read = _fit_u64(io.bytes_read, ext, "bytes_read")
-    bytes_written = _fit_u64(io.bytes_written, ext, "bytes_written")
-    if ext:
-        flags |= _V2_FLAG_EXT
-    head = _V2_RESPONSE.pack(
-        V2_MAGIC, WIRE_V2, _V2_RESPONSE_KIND, flags,
-        seq_field, sense, io.elapsed,
-        chunks_read, chunks_written, bytes_read, bytes_written, len(data),
-    )
-    return _v2_assemble(head, ext, data)
-
-
-def _decode_v2(pdu: Buffer) -> Tuple[int, Dict[str, Any], Buffer]:
-    """Parse a v2 PDU into ``(kind byte, header dict, data segment)``.
-
-    The header dict uses the same keys as the v1 JSON header, so both
-    versions share the envelope→object construction code below.
-    """
-    if len(pdu) > MAX_PDU_BYTES:
-        raise WireError(
-            f"PDU of {len(pdu)} bytes exceeds the {MAX_PDU_BYTES}-byte limit"
-        )
-    if len(pdu) < _V2_PREFIX.size:
-        raise WireError("truncated PDU: missing v2 fixed header")
-    magic, version, kind, flags = _V2_PREFIX.unpack_from(pdu)
-    if magic != V2_MAGIC:
-        raise WireError(f"bad v2 magic byte 0x{magic:02x}")
-    if version != WIRE_V2:
-        raise WireError(f"unsupported wire version {version}")
-    header: Dict[str, Any]
-    if kind == _V2_RESPONSE_KIND:
-        layout = _V2_RESPONSE
-        if len(pdu) < layout.size:
-            raise WireError("truncated PDU: v2 response header cut short")
-        fields = layout.unpack_from(pdu)
-        seq_field = fields[4]
-        header = {
-            "sense": fields[5],
-            "elapsed": fields[6],
-            "chunks_read": fields[7],
-            "chunks_written": fields[8],
-            "bytes_read": fields[9],
-            "bytes_written": fields[10],
-            "degraded": bool(flags & _V2_FLAG_DEGRADED),
-            "has_payload": bool(flags & _V2_FLAG_PAYLOAD),
-        }
-        data_length = fields[11]
-    else:
-        op = _V2_OPS.get(kind)
-        if op is None:
-            raise WireError(f"unknown v2 command opcode 0x{kind:02x}")
-        layout = _V2_COMMAND
-        if len(pdu) < layout.size:
-            raise WireError("truncated PDU: v2 command header cut short")
-        _, _, _, _, seq_field, retry, pid, oid, aux, data_length = (
-            layout.unpack_from(pdu)
-        )
-        header = {"op": op}
-        if retry:
-            header["retry"] = retry
-        if op in ("create_partition", "list"):
-            header["partition"] = pid
-        else:
-            header["pid"] = pid
-            header["oid"] = oid
-        if op == "create":
-            header["_kind_index"] = aux
-        elif op == "write" and flags & _V2_FLAG_AUX:
-            header["class_id"] = aux
-        elif op == "update":
-            header["offset"] = aux
-    if flags & _V2_FLAG_SEQ:
-        header["seq"] = seq_field
-    offset = layout.size
-    if flags & _V2_FLAG_EXT:
-        if len(pdu) < offset + _V2_EXT_LEN.size:
-            raise WireError("truncated PDU: missing v2 extended header length")
-        (ext_length,) = _V2_EXT_LEN.unpack_from(pdu, offset)
-        offset += _V2_EXT_LEN.size
-        if len(pdu) < offset + ext_length:
-            raise WireError(
-                "truncated PDU: v2 extended header shorter than declared"
-            )
-        try:
-            ext = json.loads(bytes(pdu[offset : offset + ext_length]).decode("ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireError(f"malformed v2 extended header: {exc}") from None
-        if not isinstance(ext, dict):
-            raise WireError(
-                f"v2 extended header must be a JSON object, got {type(ext).__name__}"
-            )
-        offset += ext_length
-        header.update(ext)
-    kind_index = header.pop("_kind_index", None)
-    if kind_index is not None and "kind" not in header:
-        if not 0 <= kind_index < len(_V2_KINDS):
-            raise WireError(f"unknown v2 object kind index {kind_index}")
-        header["kind"] = _V2_KINDS[kind_index].value
-    data = pdu[offset:]
-    if len(data) != data_length:
-        raise WireError(
-            f"v2 data segment of {len(data)} bytes does not match the "
-            f"declared {data_length}"
-        )
-    return kind, header, data
-
-
 def salvage_seq(pdu: Buffer) -> Optional[int]:
-    """Best-effort sequence id recovery from a PDU of either version.
+    """Best-effort sequence id recovery from a PDU that failed to decode.
 
     A server that cannot decode a PDU still wants to address its failure
     reply, so the client's pending request fails fast instead of timing
     out. Returns ``None`` when no sequence id can be recovered.
     """
-    try:
-        if len(pdu) >= _V2_PREFIX.size and pdu[0] == V2_MAGIC:
-            layout = (
-                _V2_RESPONSE if pdu[2] == _V2_RESPONSE_KIND else _V2_COMMAND
-            )
-            if not (pdu[3] & _V2_FLAG_SEQ) or len(pdu) < layout.size:
-                return None
-            return int(layout.unpack_from(pdu)[4])
-        header, _ = _unpack(pdu)
-        return _seq_of(header)
-    except WireError:
+    if len(pdu) < _PREFIX.size or pdu[0] != MAGIC or not pdu[3] & _FLAG_SEQ:
         return None
+    seq: int = _PREFIX.unpack_from(pdu)[4]
+    return seq
 
 
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
 def encode_command(
-    command: commands.OsdCommand,
-    seq: Optional[int] = None,
-    retry: int = 0,
-    *,
-    version: int = WIRE_V1,
+    command: commands.OsdCommand, seq: Optional[int] = None, retry: int = 0
 ) -> bytes:
     """Serialize a command to its PDU.
 
@@ -514,72 +244,53 @@ def encode_command(
             the matching response so it can be demultiplexed.
         retry: retransmission attempt number (0 = first send). Lets the
             server count retried commands in its service stats.
-        version: wire format version — :data:`WIRE_V1` (JSON header,
-            default) or :data:`WIRE_V2` (binary header).
     """
-    return b"".join(
-        bytes(part)
-        for part in encode_command_parts(command, seq, retry, version=version)
-    )
+    return b"".join(encode_command_parts(command, seq, retry))
 
 
 def encode_command_parts(
-    command: commands.OsdCommand,
-    seq: Optional[int] = None,
-    retry: int = 0,
-    *,
-    version: int = WIRE_V1,
+    command: commands.OsdCommand, seq: Optional[int] = None, retry: int = 0
 ) -> List[Buffer]:
     """Serialize a command as ``[header segment, payload]`` buffers.
 
     The vectored twin of :func:`encode_command` — the write/update payload
     rides along un-copied, for ``writelines``-style send paths.
     """
-    header, data = _command_envelope(command, retry)
-    if version == WIRE_V2:
-        return _pack_v2_command_parts(header, data, seq)
-    if version != WIRE_V1:
-        raise WireError(f"unsupported wire version {version!r}")
-    return _pack_parts(header, data, seq=seq)
-
-
-def _command_envelope(
-    command: commands.OsdCommand, retry: int = 0
-) -> Tuple[Dict[str, Any], bytes]:
-    header: Optional[Dict[str, Any]] = None
-    data = b""
-    if isinstance(command, commands.CreatePartition):
-        header = {"op": "create_partition", "partition": command.pid}
-    elif isinstance(command, commands.CreateObject):
-        header = {"op": "create", "kind": command.kind.value}
-        header.update(_object_id_fields(command.object_id))
-    elif isinstance(command, commands.Write):
-        header = {"op": "write", "class_id": command.class_id}
-        header.update(_object_id_fields(command.object_id))
-        data = command.payload
-    elif isinstance(command, commands.Update):
-        header = {"op": "update", "offset": command.offset}
-        header.update(_object_id_fields(command.object_id))
-        data = command.payload
-    elif isinstance(command, commands.Read):
-        header = {"op": "read"}
-        header.update(_object_id_fields(command.object_id))
-    elif isinstance(command, commands.Remove):
-        header = {"op": "remove"}
-        header.update(_object_id_fields(command.object_id))
-    elif isinstance(command, commands.SetAttr):
-        header = {"op": "set_attr", "key": command.key, "value": command.value}
-        header.update(_object_id_fields(command.object_id))
-    elif isinstance(command, commands.GetAttr):
-        header = {"op": "get_attr", "key": command.key}
-        header.update(_object_id_fields(command.object_id))
-    elif isinstance(command, commands.ListPartition):
-        header = {"op": "list", "partition": command.pid}
-    if header is None:
+    opcode = _OPCODES.get(type(command))
+    if opcode is None:
         raise WireError(f"cannot encode command {command!r}")
-    if retry:
-        header["retry"] = int(retry)
-    return header, data
+    flags = 0 if seq is None else _FLAG_SEQ
+    pid = oid = aux = 0
+    if isinstance(command, _PARTITION_COMMANDS):
+        pid = command.pid
+    elif isinstance(command, _OBJECT_COMMANDS):
+        pid, oid = command.object_id.pid, command.object_id.oid
+    data: Buffer = b""
+    strings: Dict[str, str] = {}
+    if isinstance(command, commands.CreateObject):
+        aux = _KINDS.index(command.kind)
+    elif isinstance(command, commands.Write):
+        data = command.payload
+        if command.class_id is not None:
+            flags |= _FLAG_AUX
+            aux = command.class_id
+    elif isinstance(command, commands.Update):
+        data = command.payload
+        aux = command.offset
+    elif isinstance(command, commands.SetAttr):
+        strings = {"key": command.key, "value": command.value}
+    elif isinstance(command, commands.GetAttr):
+        strings = {"key": command.key}
+    ext = b""
+    if strings:
+        flags |= _FLAG_EXT
+        ext = json.dumps(strings, sort_keys=True, separators=(",", ":")).encode("ascii")
+        ext = _pack(_EXT_LEN, len(ext)) + ext
+    head = _pack(
+        _COMMAND, MAGIC, VERSION, opcode, flags,
+        seq or 0, retry, pid, oid, aux, len(data),
+    )
+    return _assemble(head + ext, data)
 
 
 def decode_command(pdu: Buffer) -> commands.OsdCommand:
@@ -593,88 +304,52 @@ class CommandPdu(NamedTuple):
     seq: Optional[int]
     retry: int
     command: commands.OsdCommand
-    version: int = WIRE_V1
 
 
 def decode_command_pdu(pdu: Buffer) -> CommandPdu:
-    """Parse a command PDU into its ``(seq, retry, command, version)``
-    envelope. The wire version is auto-detected per PDU, letting a server
-    negotiate per connection from the first command it sees."""
-    if len(pdu) and pdu[0] == V2_MAGIC:
-        kind, header, data = _decode_v2(pdu)
-        if kind == _V2_RESPONSE_KIND:
-            raise WireError("expected a command PDU, got a v2 response")
-        version = WIRE_V2
-    else:
-        header, data = _unpack(pdu)
-        version = WIRE_V1
-    seq = _seq_of(header)
-    try:
-        retry = int(header.get("retry", 0))
-        return CommandPdu(seq, retry, _command_from(header, data), version)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed command PDU: {exc!r}") from None
-
-
-def _command_from(header: Dict[str, Any], data: Buffer) -> commands.OsdCommand:
-    op = header.get("op")
-    if op == "create_partition":
-        return commands.CreatePartition(int(header["partition"]))
-    if op == "create":
-        return commands.CreateObject(
-            _object_id_from(header), ObjectKind(header.get("kind", "user"))
+    """Parse a command PDU into its ``(seq, retry, command)`` envelope."""
+    opcode, flags = _kind_and_flags(pdu)
+    if opcode == _RESPONSE_KIND:
+        raise WireError("expected a command PDU, got a response")
+    kind = _COMMAND_TYPES.get(opcode)
+    if kind is None:
+        raise WireError(f"unknown command opcode 0x{opcode:02x}")
+    if len(pdu) < _COMMAND.size:
+        raise WireError("truncated PDU: command header cut short")
+    _, _, _, _, seq, retry, pid, oid, aux, data_length = _COMMAND.unpack_from(pdu)
+    strings, data = _tail(pdu, _COMMAND.size, flags, _EXT_KEYS.get(kind, ()), data_length)
+    command: commands.OsdCommand
+    if kind in (commands.CreatePartition, commands.ListPartition):
+        command = kind(pid)
+    elif kind is commands.CreateObject:
+        if not 0 <= aux < len(_KINDS):
+            raise WireError(f"unknown object kind index {aux}")
+        command = commands.CreateObject(ObjectId(pid, oid), _KINDS[aux])
+    elif kind is commands.Write:
+        command = commands.Write(
+            ObjectId(pid, oid), _materialize(data), aux if flags & _FLAG_AUX else None
         )
-    if op == "write":
-        class_id = header.get("class_id")
-        return commands.Write(
-            _object_id_from(header),
-            _materialize(data),
-            class_id if class_id is None else int(class_id),
-        )
-    if op == "update":
-        return commands.Update(
-            _object_id_from(header), int(header["offset"]), _materialize(data)
-        )
-    if op == "read":
-        return commands.Read(_object_id_from(header))
-    if op == "remove":
-        return commands.Remove(_object_id_from(header))
-    if op == "set_attr":
-        return commands.SetAttr(
-            _object_id_from(header), str(header["key"]), str(header["value"])
-        )
-    if op == "get_attr":
-        return commands.GetAttr(_object_id_from(header), str(header["key"]))
-    if op == "list":
-        return commands.ListPartition(int(header["partition"]))
-    raise WireError(f"unknown command op {op!r}")
+    elif kind is commands.Update:
+        command = commands.Update(ObjectId(pid, oid), aux, _materialize(data))
+    else:  # Read, Remove, SetAttr, GetAttr: the object id, then the strings
+        command = kind(ObjectId(pid, oid), *strings)
+    return CommandPdu(seq if flags & _FLAG_SEQ else None, retry, command)
 
 
 # ----------------------------------------------------------------------
 # Responses
 # ----------------------------------------------------------------------
-def encode_response(
-    response: OsdResponse,
-    seq: Optional[int] = None,
-    *,
-    version: int = WIRE_V1,
-) -> bytes:
+def encode_response(response: OsdResponse, seq: Optional[int] = None) -> bytes:
     """Serialize a response to its PDU (sense + io summary + payload).
 
     ``seq`` echoes the request's sequence id so pipelined connections can
     match out-of-order responses to in-flight requests.
     """
-    return b"".join(
-        bytes(part)
-        for part in encode_response_parts(response, seq, version=version)
-    )
+    return b"".join(encode_response_parts(response, seq))
 
 
 def encode_response_parts(
-    response: OsdResponse,
-    seq: Optional[int] = None,
-    *,
-    version: int = WIRE_V1,
+    response: OsdResponse, seq: Optional[int] = None
 ) -> List[Buffer]:
     """Serialize a response as ``[header segment, payload]`` buffers.
 
@@ -682,24 +357,19 @@ def encode_response_parts(
     written straight from the object store's bytes, never copied into a
     concatenated PDU.
     """
-    if version == WIRE_V2:
-        return _pack_v2_response_parts(response, seq)
-    if version != WIRE_V1:
-        raise WireError(f"unsupported wire version {version!r}")
-    return _pack_parts(_response_header(response), response.payload or b"", seq=seq)
-
-
-def _response_header(response: OsdResponse) -> Dict[str, Any]:
-    return {
-        "sense": int(response.sense),
-        "elapsed": response.io.elapsed,
-        "chunks_read": response.io.chunks_read,
-        "chunks_written": response.io.chunks_written,
-        "bytes_read": response.io.bytes_read,
-        "bytes_written": response.io.bytes_written,
-        "degraded": response.io.degraded,
-        "has_payload": response.payload is not None,
-    }
+    io = response.io
+    flags = 0 if seq is None else _FLAG_SEQ
+    if response.payload is not None:
+        flags |= _FLAG_PAYLOAD
+    if io.degraded:
+        flags |= _FLAG_DEGRADED
+    data = response.payload or b""
+    head = _pack(
+        _RESPONSE, MAGIC, VERSION, _RESPONSE_KIND, flags,
+        seq or 0, int(response.sense), io.elapsed,
+        io.chunks_read, io.chunks_written, io.bytes_read, io.bytes_written, len(data),
+    )
+    return _assemble(head, data)
 
 
 def decode_response(pdu: Buffer) -> OsdResponse:
@@ -708,28 +378,28 @@ def decode_response(pdu: Buffer) -> OsdResponse:
 
 
 def decode_response_pdu(pdu: Buffer) -> Tuple[Optional[int], OsdResponse]:
-    """Parse a response PDU; returns ``(sequence id or None, response)``.
-
-    The wire version is auto-detected per PDU from its first byte.
-    """
-    if len(pdu) and pdu[0] == V2_MAGIC:
-        kind, header, data = _decode_v2(pdu)
-        if kind != _V2_RESPONSE_KIND:
-            raise WireError("expected a response PDU, got a v2 command")
-    else:
-        header, data = _unpack(pdu)
-    seq = _seq_of(header)
+    """Parse a response PDU; returns ``(sequence id or None, response)``."""
+    kind, flags = _kind_and_flags(pdu)
+    if kind != _RESPONSE_KIND:
+        raise WireError("expected a response PDU, got a command")
+    if len(pdu) < _RESPONSE.size:
+        raise WireError("truncated PDU: response header cut short")
+    (
+        _, _, _, _, seq, sense_value, elapsed,
+        chunks_read, chunks_written, bytes_read, bytes_written, data_length,
+    ) = _RESPONSE.unpack_from(pdu)
+    _, data = _tail(pdu, _RESPONSE.size, flags, (), data_length)
     try:
-        sense = SenseCode(int(header["sense"]))
-        io = ArrayIoResult(
-            elapsed=float(header.get("elapsed", 0.0)),
-            chunks_read=int(header.get("chunks_read", 0)),
-            chunks_written=int(header.get("chunks_written", 0)),
-            bytes_read=int(header.get("bytes_read", 0)),
-            bytes_written=int(header.get("bytes_written", 0)),
-            degraded=bool(header.get("degraded", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed response PDU: {exc}") from None
-    payload: Optional[bytes] = _materialize(data) if header.get("has_payload") else None
-    return seq, OsdResponse(sense, io=io, payload=payload)
+        sense = SenseCode(sense_value)
+    except ValueError:
+        raise WireError(f"unknown sense code {sense_value} in response PDU") from None
+    io = ArrayIoResult(
+        elapsed=elapsed,
+        chunks_read=chunks_read,
+        chunks_written=chunks_written,
+        bytes_read=bytes_read,
+        bytes_written=bytes_written,
+        degraded=bool(flags & _FLAG_DEGRADED),
+    )
+    payload = _materialize(data) if flags & _FLAG_PAYLOAD else None
+    return seq if flags & _FLAG_SEQ else None, OsdResponse(sense, io=io, payload=payload)

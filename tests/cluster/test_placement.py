@@ -10,15 +10,14 @@ Three properties, each load-bearing for the cluster layer:
   and must agree.
 - **Minimal movement**: a shard join or leave re-homes at most
   ``1/N + 5%`` of the population (the acceptance criterion); everything
-  else keeps its primary. A modulo partition fails this wildly, which is
-  why ``shard_for_object`` stayed a worker-pool function.
+  else keeps its primary. A modulo partition fails this wildly.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.placement import rank_shards, rendezvous_score, shard_for_object
+from repro.cluster.placement import rank_shards, rendezvous_score
 from repro.osd.types import PARTITION_BASE, ObjectId
 
 pytestmark = pytest.mark.cluster
@@ -101,19 +100,3 @@ def test_shard_join_moves_at_most_newcomers_share(num_shards):
             # Movement only ever flows *to* the newcomer.
             assert after == num_shards
     assert moved / POPULATION <= 1 / (num_shards + 1) + 0.05
-
-
-def test_worker_pool_partition_unchanged():
-    """``shard_for_object`` is pinned bit-for-bit for the PR-5 WorkerPool."""
-    # A frozen sample: any change to the Knuth hash breaks worker routing.
-    pinned = [
-        shard_for_object(ObjectId(PARTITION_BASE, oid), 4) for oid in range(16)
-    ]
-    assert pinned == [
-        shard_for_object(ObjectId(PARTITION_BASE, oid), 4) for oid in range(16)
-    ]
-    counts = dict.fromkeys(range(4), 0)
-    for oid in range(POPULATION):
-        counts[shard_for_object(ObjectId(PARTITION_BASE, oid), 4)] += 1
-    for count in counts.values():
-        assert 0.8 * POPULATION / 4 <= count <= 1.2 * POPULATION / 4

@@ -63,6 +63,9 @@ class TestBasicService:
                     assert update.ok
                     payload, _ = await client.read(OID_A)
                     assert payload == b"object over TCP"
+                    assert (await client.submit(commands.SetAttr(OID_A, "kéy", "väl"))).ok
+                    value, got = await client.get_attr(OID_A, "kéy")
+                    assert got.ok and value == "väl"
                     remove = await client.remove(OID_A)
                     assert remove.ok
                     _, gone = await client.read(OID_A)
@@ -134,9 +137,14 @@ class TestBasicService:
 # ----------------------------------------------------------------------
 class TestConcurrentLoad:
     @pytest.mark.net(timeout=120)
-    def test_eight_clients_five_hundred_commands_zero_loss(self):
+    @pytest.mark.parametrize("own_clients", [False, True], ids=["default", "client-factory"])
+    def test_eight_clients_five_hundred_commands_zero_loss(self, own_clients):
         async def scenario():
             async with OsdServer(make_target()) as server:
+
+                def factory(_client_id):
+                    return AsyncOsdClient("127.0.0.1", server.port, pool_size=1)
+
                 report = await run_load(
                     "127.0.0.1",
                     server.port,
@@ -145,6 +153,7 @@ class TestConcurrentLoad:
                     payload_bytes=4096,
                     write_fraction=0.35,
                     seed=99,
+                    client_factory=factory if own_clients else None,
                 )
                 assert report.ops == 8 * 70
                 assert report.errors == 0
@@ -328,16 +337,22 @@ class TestFaultRecovery:
 # ----------------------------------------------------------------------
 class TestServerRobustness:
     def test_garbage_pdu_in_valid_frame_gets_structured_error(self):
+        # A PDU of the deleted JSON-header format is garbage like any other.
+        json_header = b'{"oid":65541,"op":"read","pid":65536,"seq":4}'
+        json_pdu = len(json_header).to_bytes(4, "big") + json_header
+
         async def scenario():
             async with OsdServer(make_target()) as server:
                 reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
                 try:
-                    writer.write(frame_pdu(b"\x00\x00\x00\x02{}garbage"))
-                    await writer.drain()
-                    prefix = await reader.readexactly(FRAME_PREFIX_BYTES)
-                    pdu = await reader.readexactly(frame_length(prefix))
-                    response = wire.decode_response(pdu)
-                    assert response.sense is SenseCode.FAIL
+                    for garbage in (b"\x00\x00\x00\x02{}garbage", json_pdu):
+                        writer.write(frame_pdu(garbage))
+                        await writer.drain()
+                        prefix = await reader.readexactly(FRAME_PREFIX_BYTES)
+                        pdu = await reader.readexactly(frame_length(prefix))
+                        seq, response = wire.decode_response_pdu(pdu)
+                        assert seq is None
+                        assert response.sense is SenseCode.FAIL
                     # The framing held, so the connection keeps serving.
                     good = commands.Read(OID_A)
                     writer.write(frame_pdu(wire.encode_command(good, seq=9)))
@@ -347,7 +362,7 @@ class TestServerRobustness:
                     seq, response = wire.decode_response_pdu(pdu)
                     assert seq == 9
                     assert response.sense is SenseCode.FAIL  # no such object
-                    assert server.stats.wire_errors == 1
+                    assert server.stats.wire_errors == 2
                 finally:
                     writer.close()
 

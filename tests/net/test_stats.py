@@ -1,0 +1,35 @@
+"""Unit tests for the cross-shard :func:`~repro.net.stats.merge_snapshots`."""
+
+import pytest
+
+from repro.net.stats import ServiceStats, merge_snapshots
+
+
+def snapshot(wire_errors, max_in_flight, latencies):
+    stats = ServiceStats(wire_errors=wire_errors, max_in_flight=max_in_flight)
+    for seconds in latencies:
+        stats.begin_command()
+        stats.end_command(seconds, ok=True)
+    return stats.snapshot()
+
+
+def test_counters_sum_means_weight_and_percentiles_take_the_worst():
+    fast = snapshot(wire_errors=1, max_in_flight=2, latencies=[0.001, 0.001, 0.001])
+    slow = snapshot(wire_errors=0, max_in_flight=5, latencies=[0.009])
+    merged = merge_snapshots([fast, slow])
+    assert merged["shards"] == 2
+    assert merged["commands"] == 4
+    assert merged["wire_errors"] == 1
+    assert merged["max_in_flight"] == 7  # concurrent shards: peak depths add
+    latency = merged["latency"]
+    assert latency["count"] == 4
+    assert latency["mean_ms"] == pytest.approx((3 * 1.0 + 1 * 9.0) / 4)
+    assert latency["p50_ms"] == pytest.approx(9.0)
+    assert latency["p99_ms"] == pytest.approx(9.0)
+
+
+def test_merging_nothing_is_all_zeroes():
+    merged = merge_snapshots([])
+    assert merged["shards"] == 0
+    assert merged["commands"] == 0
+    assert merged["latency"] == {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}

@@ -1,13 +1,13 @@
-"""Hypothesis property tests and fuzzing for the hardened PDU wire format.
+"""Property tests, fuzzing and golden bytes for the PDU wire format.
 
 Round-trips **every** command and response type through real bytes
-(including sense-code error responses and empty/large payloads), and feeds
-truncated/garbage PDUs to the decoders, which must answer with
+(including sense-code error responses and empty/large payloads), pins the
+bytes of one PDU of each kind, and feeds truncated, bit-flipped and
+garbage PDUs to the decoders, which must answer with
 :class:`~repro.errors.WireError` — never a bare ``KeyError``/``ValueError``
-or a silently wrong object.
+/``struct.error`` or a silently wrong object.
 """
 
-import json
 import struct
 
 import pytest
@@ -21,14 +21,14 @@ from repro.osd.sense import SenseCode
 from repro.osd.target import OsdResponse
 from repro.osd.types import PARTITION_BASE, ObjectId, ObjectKind
 
+OID = ObjectId(PARTITION_BASE, 0x10005)
+U64 = 2**64 - 1
+
 # ----------------------------------------------------------------------
 # Strategies: one per command type, then the union of all of them
 # ----------------------------------------------------------------------
-object_ids = st.builds(
-    ObjectId,
-    st.integers(min_value=0, max_value=2**32),
-    st.integers(min_value=0, max_value=2**32),
-)
+u64s = st.integers(min_value=0, max_value=U64)
+object_ids = st.builds(ObjectId, u64s, u64s)
 payloads = st.one_of(
     st.just(b""),
     st.binary(max_size=256),
@@ -39,7 +39,7 @@ attr_text = st.text(
 )
 
 command_strategies = st.one_of(
-    st.builds(commands.CreatePartition, st.integers(min_value=0, max_value=2**32)),
+    st.builds(commands.CreatePartition, u64s),
     st.builds(commands.CreateObject, object_ids, st.sampled_from(list(ObjectKind))),
     st.builds(
         commands.Write,
@@ -48,13 +48,13 @@ command_strategies = st.one_of(
         st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
     ),
     st.builds(
-        commands.Update, object_ids, st.integers(min_value=0, max_value=2**40), payloads
+        commands.Update, object_ids, st.integers(min_value=0, max_value=2**63 - 1), payloads
     ),
     st.builds(commands.Read, object_ids),
     st.builds(commands.Remove, object_ids),
     st.builds(commands.SetAttr, object_ids, attr_text, attr_text),
     st.builds(commands.GetAttr, object_ids, attr_text),
-    st.builds(commands.ListPartition, st.integers(min_value=0, max_value=2**32)),
+    st.builds(commands.ListPartition, u64s),
 )
 
 responses = st.builds(
@@ -63,30 +63,142 @@ responses = st.builds(
     io=st.builds(
         ArrayIoResult,
         elapsed=st.floats(min_value=0, max_value=1e6, allow_nan=False),
-        chunks_read=st.integers(min_value=0, max_value=2**20),
-        chunks_written=st.integers(min_value=0, max_value=2**20),
-        bytes_read=st.integers(min_value=0, max_value=2**40),
-        bytes_written=st.integers(min_value=0, max_value=2**40),
+        chunks_read=st.integers(min_value=0, max_value=2**32 - 1),
+        chunks_written=st.integers(min_value=0, max_value=2**32 - 1),
+        bytes_read=u64s,
+        bytes_written=u64s,
         degraded=st.booleans(),
     ),
     payload=st.one_of(st.none(), payloads),
 )
 
-seqs = st.one_of(st.none(), st.integers(min_value=0, max_value=2**53))
+seqs = st.one_of(st.none(), st.just(0), st.just(U64), u64s)
+retries = st.integers(min_value=0, max_value=2**32 - 1)
+
+# ----------------------------------------------------------------------
+# Golden bytes, recorded at the commit before the JSON codec was deleted
+# (with ``version=WIRE_V2``): the bytes on the wire must never move.
+# ----------------------------------------------------------------------
+GOLDEN_COMMANDS = [
+    # (hex PDU, seq, retry, command)
+    (
+        "b2020102000000000000000100000000000000000001000000000000000000000000000000000000"
+        "00000000",
+        1, 0, commands.CreatePartition(PARTITION_BASE),
+    ),
+    (
+        "b2020202000000000000000200000000000000000001000000000000000100050000000000000002"
+        "00000000",
+        2, 0, commands.CreateObject(OID, ObjectKind.COLLECTION),
+    ),
+    (
+        "b2020306000000000000000300000000000000000001000000000000000100050000000000000003"
+        "0000000568656c6c6f",
+        3, 0, commands.Write(OID, b"hello", 3),
+    ),
+    (
+        "b2020402000000000000000400000001000000000001000000000000000100050000000000001000"
+        "000000027879",
+        4, 1, commands.Update(OID, 4096, b"xy"),
+    ),
+    (
+        "b2020502000000000000000500000000000000000001000000000000000100050000000000000000"
+        "00000000",
+        5, 0, commands.Read(OID),
+    ),
+    (
+        "b2020600000000000000000000000000000000000001000000000000000100050000000000000000"
+        "00000000",
+        None, 0, commands.Remove(OID),
+    ),
+    (
+        "b2020703000000000000000700000000000000000001000000000000000100050000000000000000"
+        "0000000000227b226b6579223a226f776e6572222c2276616c7565223a22725c75303065396f227d",
+        7, 0, commands.SetAttr(OID, "owner", "réo"),
+    ),
+    (
+        "b2020803000000000000000800000002000000000001000000000000000100050000000000000000"
+        "00000000000f7b226b6579223a226f776e6572227d",
+        8, 2, commands.GetAttr(OID, "owner"),
+    ),
+    (
+        "b2020902ffffffffffffffff00000000000000000001000000000000000000000000000000000000"
+        "00000000",
+        U64, 0, commands.ListPartition(PARTITION_BASE),
+    ),
+]
+
+GOLDEN_RESPONSES = [
+    # (hex PDU, seq, response)
+    (
+        "b202800e000000000000000500003fd0000000000000000000030000000000000000000030000000"
+        "0000000000000000000464617461",
+        5,
+        OsdResponse(
+            SenseCode.OK,
+            io=ArrayIoResult(elapsed=0.25, chunks_read=3, bytes_read=12288, degraded=True),
+            payload=b"data",
+        ),
+    ),
+    (
+        "b2028002000000000000000300003fe0000000000000000000000000000400000000000000000000"
+        "00000000400000000000",
+        3,
+        OsdResponse(
+            SenseCode.OK,
+            io=ArrayIoResult(elapsed=0.5, chunks_written=4, bytes_written=16384),
+        ),
+    ),
+    (
+        "b20280000000000000000000ffff0000000000000000000000000000000000000000000000000000"
+        "00000000000000000000",
+        None,
+        OsdResponse(SenseCode.FAIL),
+    ),
+]
+
+command_ids = [type(case[3]).__name__ for case in GOLDEN_COMMANDS]
+response_ids = ["ok-payload", "ok-no-payload", "fail"]
+
+
+def exported_command_types():
+    return {
+        getattr(commands, name) for name in commands.__all__ if name != "OsdCommand"
+    }
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("golden,seq,retry,command", GOLDEN_COMMANDS, ids=command_ids)
+    def test_command_bytes_pinned_both_ways(self, golden, seq, retry, command):
+        assert wire.encode_command(command, seq=seq, retry=retry).hex() == golden
+        assert wire.decode_command_pdu(bytes.fromhex(golden)) == (seq, retry, command)
+
+    @pytest.mark.parametrize("golden,seq,response", GOLDEN_RESPONSES, ids=response_ids)
+    def test_response_bytes_pinned_both_ways(self, golden, seq, response):
+        assert wire.encode_response(response, seq=seq).hex() == golden
+        assert wire.decode_response_pdu(bytes.fromhex(golden)) == (seq, response)
+
+    def test_every_command_type_has_a_golden_pdu(self):
+        assert {type(case[3]) for case in GOLDEN_COMMANDS} == exported_command_types()
 
 
 class TestCommandRoundTrips:
-    @given(command=command_strategies)
-    def test_every_command_type_round_trips(self, command):
-        assert wire.decode_command(wire.encode_command(command)) == command
-
-    @given(command=command_strategies, seq=seqs, retry=st.integers(0, 9))
-    def test_seq_and_retry_round_trip(self, command, seq, retry):
+    @given(command=command_strategies, seq=seqs, retry=retries)
+    def test_every_command_seq_and_retry_round_trips(self, command, seq, retry):
         pdu = wire.encode_command(command, seq=seq, retry=retry)
         envelope = wire.decode_command_pdu(pdu)
         assert envelope.seq == seq
         assert envelope.retry == retry
         assert envelope.command == command
+        assert wire.decode_command(pdu) == command
+
+    @given(command=command_strategies, seq=seqs)
+    def test_parts_are_the_pdu_with_the_payload_uncopied(self, command, seq):
+        parts = wire.encode_command_parts(command, seq=seq)
+        assert b"".join(parts) == wire.encode_command(command, seq=seq)
+        payload = getattr(command, "payload", b"")
+        if payload:
+            assert parts[-1] is payload
 
     def test_all_command_types_covered(self):
         """The strategy union must include every exported command type."""
@@ -101,89 +213,272 @@ class TestCommandRoundTrips:
             commands.GetAttr,
             commands.ListPartition,
         }
-        exported = {
-            getattr(commands, name)
-            for name in commands.__all__
-            if name != "OsdCommand"
-        }
-        assert covered == exported
+        assert covered == exported_command_types()
+
+    def test_decoders_accept_any_buffer(self):
+        command = commands.Write(OID, b"payload", 3)
+        pdu = wire.encode_command(command, seq=1)
+        for view in (bytearray(pdu), memoryview(pdu)):
+            assert wire.decode_command(view) == command
 
 
 class TestResponseRoundTrips:
     @given(response=responses, seq=seqs)
     def test_every_sense_and_payload_round_trips(self, response, seq):
         pdu = wire.encode_response(response, seq=seq)
-        got_seq, decoded = wire.decode_response_pdu(pdu)
-        assert got_seq == seq
-        assert decoded.sense is response.sense
-        assert decoded.payload == response.payload
-        assert decoded.io.elapsed == pytest.approx(response.io.elapsed)
-        assert decoded.io.chunks_read == response.io.chunks_read
-        assert decoded.io.chunks_written == response.io.chunks_written
-        assert decoded.io.bytes_read == response.io.bytes_read
-        assert decoded.io.bytes_written == response.io.bytes_written
-        assert decoded.io.degraded == response.io.degraded
+        assert wire.decode_response_pdu(pdu) == (seq, response)
+        assert wire.decode_response(pdu) == response
+
+    def test_hot_path_headers_are_fixed_width(self):
+        """The point of the binary header: no JSON on the hot path."""
+        assert len(wire.encode_command(commands.Read(OID), seq=12345)) == 44
+        assert len(wire.encode_response(OsdResponse(SenseCode.OK), seq=1)) == 50
+
+
+class TestEncoderLimits:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            commands.Read(ObjectId(U64 + 1, 1)),
+            commands.Read(ObjectId(1, U64 + 1)),
+            commands.CreatePartition(U64 + 1),
+            commands.ListPartition(-1),
+            commands.Update(OID, 2**63, b""),
+            commands.Update(OID, -(2**63) - 1, b""),
+            commands.Write(OID, b"", 2**63),
+        ],
+        ids=["pid", "oid", "create-pid", "negative-pid", "offset", "negative-offset", "class_id"],
+    )
+    def test_out_of_range_field_is_a_wire_error(self, command):
+        with pytest.raises(WireError, match="fit"):
+            wire.encode_command(command)
+
+    @pytest.mark.parametrize("seq", [U64 + 1, -1])
+    def test_out_of_range_seq_is_a_wire_error(self, seq):
+        with pytest.raises(WireError, match="fit"):
+            wire.encode_command(commands.Read(OID), seq=seq)
+        with pytest.raises(WireError, match="fit"):
+            wire.encode_response(OsdResponse(SenseCode.OK), seq=seq)
+
+    def test_out_of_range_retry_and_io_counters_are_wire_errors(self):
+        with pytest.raises(WireError, match="fit"):
+            wire.encode_command(commands.Read(OID), retry=2**32)
+        response = OsdResponse(SenseCode.OK, io=ArrayIoResult(chunks_read=2**32))
+        with pytest.raises(WireError, match="fit"):
+            wire.encode_response(response)
+
+    def test_oversized_attribute_is_a_wire_error(self):
+        with pytest.raises(WireError, match="fit"):
+            wire.encode_command(commands.GetAttr(OID, "k" * 0x10000))
+
+    def test_oversized_pdu_rejected_by_encoders(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_PDU_BYTES", 1024)
+        with pytest.raises(WireError, match="limit"):
+            wire.encode_command(commands.Write(OID, b"x" * 1024, None))
+        with pytest.raises(WireError, match="limit"):
+            wire.encode_response(OsdResponse(SenseCode.OK, payload=b"x" * 1024))
+
+    def test_foreign_command_rejected(self):
+        with pytest.raises(WireError, match="cannot encode"):
+            wire.encode_command(commands.OsdCommand())
+
+
+def with_ext(pdu: bytes, ext: bytes) -> bytes:
+    """Set the extended-header flag on a no-payload PDU and append ``ext``."""
+    flagged = bytearray(pdu)
+    flagged[3] |= 0x01
+    return bytes(flagged) + struct.pack(">H", len(ext)) + ext
 
 
 class TestDecoderFuzzing:
     @given(garbage=st.binary(max_size=512))
-    @settings(max_examples=200)
+    @settings(max_examples=300)
     def test_garbage_never_escapes_wire_error(self, garbage):
-        """Any byte soup either decodes cleanly or raises WireError."""
-        for decoder in (wire.decode_command, wire.decode_response):
+        """Any byte soup — bare or behind the magic and version bytes —
+        either decodes cleanly or raises WireError."""
+        for soup in (garbage, bytes([wire.MAGIC, wire.VERSION]) + garbage):
+            for decoder in (wire.decode_command_pdu, wire.decode_response_pdu):
+                try:
+                    decoder(soup)
+                except WireError:
+                    pass
+
+    @pytest.mark.parametrize("golden", [case[0] for case in GOLDEN_COMMANDS], ids=command_ids)
+    def test_command_truncated_at_every_cut_rejected(self, golden):
+        pdu = bytes.fromhex(golden)
+        for cut in range(len(pdu)):
+            with pytest.raises(WireError):
+                wire.decode_command_pdu(pdu[:cut])
+
+    @pytest.mark.parametrize("golden", [case[0] for case in GOLDEN_RESPONSES], ids=response_ids)
+    def test_response_truncated_at_every_cut_rejected(self, golden):
+        pdu = bytes.fromhex(golden)
+        for cut in range(len(pdu)):
+            with pytest.raises(WireError):
+                wire.decode_response_pdu(pdu[:cut])
+
+    @given(command=command_strategies, seq=seqs, data=st.data())
+    def test_truncated_or_padded_command_rejected(self, command, seq, data):
+        pdu = wire.encode_command(command, seq=seq)
+        cut = data.draw(st.integers(min_value=0, max_value=len(pdu) - 1))
+        with pytest.raises(WireError):
+            wire.decode_command_pdu(pdu[:cut])
+        with pytest.raises(WireError, match="data segment"):
+            wire.decode_command_pdu(pdu + b"\x00")
+
+    @given(
+        index=st.integers(min_value=0, max_value=43),
+        value=st.integers(min_value=0, max_value=255),
+    )
+    @settings(max_examples=300)
+    def test_byte_flipped_command_header_never_escapes_wire_error(self, index, value):
+        for command in (commands.Write(OID, b"x" * 32, 3), commands.SetAttr(OID, "k", "v")):
+            pdu = bytearray(wire.encode_command(command, seq=9))
+            pdu[index] = value
             try:
-                decoder(garbage)
+                wire.decode_command_pdu(bytes(pdu))
             except WireError:
                 pass
 
-    @given(command=command_strategies, cut=st.integers(min_value=0, max_value=30))
-    def test_truncated_command_rejected(self, command, cut):
-        pdu = wire.encode_command(command)
-        truncated = pdu[: max(0, len(pdu) - 1 - cut)]
+    @given(
+        index=st.integers(min_value=0, max_value=49),
+        value=st.integers(min_value=0, max_value=255),
+    )
+    @settings(max_examples=300)
+    def test_byte_flipped_response_header_never_escapes_wire_error(self, index, value):
+        pdu = bytearray(wire.encode_response(OsdResponse(SenseCode.OK, payload=b"x" * 32), 9))
+        pdu[index] = value
         try:
-            decoded = wire.decode_command(truncated)
+            wire.decode_response_pdu(bytes(pdu))
         except WireError:
-            return
-        # Truncation inside the data segment still parses (the data segment
-        # length is framed one layer up) — but only for payload commands.
-        assert isinstance(decoded, (commands.Write, commands.Update))
+            pass
 
     def test_wire_error_is_typed(self):
         with pytest.raises(WireError):
             wire.decode_command(b"\x00\x00")
         assert issubclass(WireError, OsdError)
 
-    def test_non_dict_header_rejected(self):
-        header = json.dumps([1, 2, 3]).encode()
+    def test_bad_magic_version_and_opcode_rejected(self):
+        pdu = wire.encode_command(commands.Read(OID), seq=1)
+        for index, value, message in ((0, 0x00, "magic"), (1, 3, "version"), (2, 0x7F, "opcode")):
+            broken = bytearray(pdu)
+            broken[index] = value
+            with pytest.raises(WireError, match=message):
+                wire.decode_command_pdu(bytes(broken))
+
+    def test_json_header_pdu_is_garbage(self):
+        """The deleted JSON-header format is not a second dialect."""
+        header = b'{"oid":65541,"op":"read","pid":65536,"seq":4}'
         pdu = struct.pack(">I", len(header)) + header
-        with pytest.raises(WireError, match="JSON object"):
-            wire.decode_command(pdu)
-
-    def test_declared_header_over_limit_rejected(self):
-        pdu = struct.pack(">I", wire.MAX_HEADER_BYTES + 1) + b"{}"
-        with pytest.raises(WireError, match="limit"):
-            wire.decode_command(pdu)
-
-    def test_oversized_pdu_rejected_by_decoder(self):
-        command = commands.Read(ObjectId(PARTITION_BASE, 0x10005))
-        pdu = wire.encode_command(command) + b"\x00" * wire.MAX_PDU_BYTES
-        with pytest.raises(WireError, match="limit"):
-            wire.decode_response(pdu)
-
-    def test_oversized_header_rejected_by_encoder(self):
-        huge_key = "k" * (wire.MAX_HEADER_BYTES + 1)
-        command = commands.GetAttr(ObjectId(PARTITION_BASE, 0x10005), huge_key)
-        with pytest.raises(WireError, match="limit"):
-            wire.encode_command(command)
-
-    def test_malformed_seq_rejected(self):
-        header = json.dumps({"op": "read", "pid": 1, "oid": 2, "seq": "wat"}).encode()
-        pdu = struct.pack(">I", len(header)) + header
-        with pytest.raises(WireError, match="sequence"):
+        with pytest.raises(WireError, match="magic"):
             wire.decode_command_pdu(pdu)
+        assert wire.salvage_seq(pdu) is None
+
+    def test_command_decoder_rejects_response_kind_and_the_reverse(self):
+        with pytest.raises(WireError, match="command"):
+            wire.decode_command_pdu(wire.encode_response(OsdResponse(SenseCode.OK), seq=1))
+        with pytest.raises(WireError, match="response"):
+            wire.decode_response_pdu(wire.encode_command(commands.Read(OID)))
+
+    def test_oversized_declared_data_rejected(self):
+        pdu = bytearray(wire.encode_command(commands.Write(OID, b"abc", None)))
+        # Last 4 fixed-header bytes are the data length; declare > MAX_PDU.
+        pdu[40:44] = (wire.MAX_PDU_BYTES + 1).to_bytes(4, "big")
+        with pytest.raises(WireError, match="data segment"):
+            wire.decode_command_pdu(bytes(pdu))
+
+    def test_oversized_pdu_rejected_by_decoders(self, monkeypatch):
+        command_pdu = wire.encode_command(commands.Write(OID, b"x" * 1024, None))
+        response_pdu = wire.encode_response(OsdResponse(SenseCode.OK, payload=b"x" * 1024))
+        monkeypatch.setattr(wire, "MAX_PDU_BYTES", 1024)
+        with pytest.raises(WireError, match="limit"):
+            wire.decode_command_pdu(command_pdu)
+        with pytest.raises(WireError, match="limit"):
+            wire.decode_response_pdu(response_pdu)
 
     def test_unknown_sense_rejected(self):
-        header = json.dumps({"sense": 9999}).encode()
-        pdu = struct.pack(">I", len(header)) + header
-        with pytest.raises(WireError, match="response"):
-            wire.decode_response(pdu)
+        pdu = bytearray(wire.encode_response(OsdResponse(SenseCode.OK)))
+        pdu[12:14] = (9999).to_bytes(2, "big")
+        with pytest.raises(WireError, match="sense"):
+            wire.decode_response_pdu(bytes(pdu))
+
+    def test_unknown_object_kind_rejected(self):
+        pdu = bytearray(wire.encode_command(commands.CreateObject(OID, ObjectKind.USER)))
+        pdu[32:40] = (len(ObjectKind)).to_bytes(8, "big")
+        with pytest.raises(WireError, match="kind"):
+            wire.decode_command_pdu(bytes(pdu))
+
+    def test_salvage_seq(self):
+        pdu = wire.encode_command(commands.Read(OID), seq=4242)
+        assert wire.salvage_seq(pdu) == 4242
+        assert wire.salvage_seq(wire.encode_response(OsdResponse(SenseCode.OK), seq=7)) == 7
+        assert wire.salvage_seq(wire.encode_command(commands.Read(OID))) is None
+        assert wire.salvage_seq(pdu[:3]) is None
+        assert wire.salvage_seq(b"") is None
+        assert wire.salvage_seq(b"\x00" + pdu[1:]) is None
+
+    # ------------------------------------------------------------------
+    # The extended header carries the attribute strings and nothing else.
+    # ------------------------------------------------------------------
+    def test_ext_cannot_override_the_opcode(self):
+        pdu = with_ext(wire.encode_command(commands.Read(OID), seq=7), b'{"op":"remove"}')
+        with pytest.raises(WireError, match="extended header"):
+            wire.decode_command_pdu(pdu)
+
+    def test_ext_cannot_override_seq_retry_or_pid(self):
+        pdu = with_ext(
+            wire.encode_command(commands.Read(OID), seq=7), b'{"seq":99,"retry":5,"pid":1}'
+        )
+        with pytest.raises(WireError, match="extended header"):
+            wire.decode_command_pdu(pdu)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            command
+            for _, _, _, command in GOLDEN_COMMANDS
+            if not isinstance(command, (commands.SetAttr, commands.GetAttr))
+        ],
+        ids=lambda c: type(c).__name__,
+    )
+    def test_ext_on_an_opcode_that_has_none_rejected(self, command):
+        with_payload = wire.encode_command_parts(command, seq=1)
+        pdu = with_ext(with_payload[0], b"{}") + b"".join(with_payload[1:])
+        with pytest.raises(WireError, match="extended header"):
+            wire.decode_command_pdu(pdu)
+
+    def test_ext_on_a_response_rejected(self):
+        pdu = with_ext(wire.encode_response(OsdResponse(SenseCode.OK), seq=1), b'{"sense":-1}')
+        with pytest.raises(WireError, match="extended header"):
+            wire.decode_response_pdu(pdu)
+
+    def test_attr_command_without_ext_rejected(self):
+        pdu = bytearray(wire.encode_command(commands.Read(OID), seq=1))
+        pdu[2] = 0x08  # GetAttr's opcode on a PDU with no extended header
+        with pytest.raises(WireError, match="extended header"):
+            wire.decode_command_pdu(bytes(pdu))
+
+    @pytest.mark.parametrize(
+        "ext",
+        [
+            b"[1,2,3]",  # valid JSON, not an object
+            b'"key"',
+            b"{}",  # missing key
+            b'{"key":"k","value":"v"}',  # a key GetAttr does not define
+            b'{"key":"k","oid":1}',
+            b'{"key":7}',  # not a string
+            b'{"key":null}',
+            b'{"key":"k"',  # not JSON
+            b'{"key":"\xff"}',  # not ASCII
+            b"[" * 40000,  # nested past the parser's recursion limit
+        ],
+        ids=[
+            "array", "string", "empty", "extra-value", "extra-oid", "number", "null",
+            "malformed", "non-ascii", "deeply-nested",
+        ],
+    )
+    def test_bad_ext_on_an_attr_command_rejected(self, ext):
+        pdu = bytearray(wire.encode_command(commands.Read(OID), seq=1))
+        pdu[2] = 0x08  # GetAttr
+        with pytest.raises(WireError, match="extended header"):
+            wire.decode_command_pdu(with_ext(bytes(pdu), ext))

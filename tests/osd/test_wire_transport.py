@@ -65,9 +65,10 @@ class TestWireFormat:
             wire.decode_command(b"\x00\x00\x00\xff{}")
 
     def test_unknown_op_rejected(self):
-        pdu = wire.encode_command(commands.Read(USER_A)).replace(b'"read"', b'"wat!"')
+        pdu = bytearray(wire.encode_command(commands.Read(USER_A)))
+        pdu[2] = 0x7F  # the opcode byte
         with pytest.raises(OsdError):
-            wire.decode_command(pdu)
+            wire.decode_command(bytes(pdu))
 
     def test_garbage_header_rejected(self):
         with pytest.raises(OsdError):
