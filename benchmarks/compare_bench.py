@@ -1,45 +1,42 @@
 """Compare benchmark JSON runs against their committed baselines.
 
-Five suites share this machinery:
+Two suites share this machinery:
 
 - the erasure-kernel microbenchmark (``test_rs_codec_microbench.py``) →
-  ``results/BENCH_rs_codec.json`` vs ``BENCH_rs_codec.baseline.json``;
-- the net service-layer sweep (``repro.experiments.concurrency --net`` /
-  ``test_net_service_bench.py``) → ``results/BENCH_net_service.json`` vs
-  ``BENCH_net_service.baseline.json``;
+  ``results/BENCH_rs_codec.json`` vs ``BENCH_rs_codec.baseline.json``
+  (wall-clock throughput, so a tolerance is the only possible gate);
 - the supervised fault campaign (``python -m repro.experiments
   fault-campaign`` / ``test_fault_campaign.py``) →
   ``results/BENCH_fault_campaign.json`` vs
   ``BENCH_fault_campaign.baseline.json`` (detection latency,
-  time-to-full-redundancy, degraded-read p99 — all lower-is-better);
-- the sharded-cluster sweep (``python -m repro.experiments
-  cluster-campaign`` / ``test_cluster_bench.py``) →
-  ``results/BENCH_cluster.json`` vs ``BENCH_cluster.baseline.json``
-  (routed op rate per shard count, plus p99 latency ceilings);
-- the chaos campaign (``python -m repro.experiments chaos-campaign`` /
-  ``test_chaos_campaign.py``) → ``results/BENCH_chaos.json`` vs
-  ``BENCH_chaos.baseline.json`` (fail-slow detection latency ceiling,
-  degraded-window throughput floor, hedge rate, condemn count).
+  time-to-full-redundancy, degraded-read p99 — all lower-is-better and
+  all *simulated* seconds; ``test_fault_campaign.py`` additionally
+  requires them to equal the baseline exactly).
+
+Wall-clock performance of the served stack is not compared here: it is
+measured out of process by ``perf/run.py`` against ``BENCHMARK.json``.
 
 A metric entry provides its value as ``new_mbps`` (throughput) or
 ``value``, plus an optional ``higher_is_better`` flag (default true).
 Throughput metrics regress when they *drop* more than the threshold;
 latency-style metrics (``higher_is_better: false``) regress when they
-*rise* more than the threshold.
+*rise* more than the threshold. A baseline metric that the current
+report no longer carries is reported as missing.
 
 Used two ways:
 
-- as a library by the ``bench_regression``-marked pytest checks, which warn
-  by default and fail when ``REPRO_BENCH_STRICT=1``;
+- as a library by the ``bench_regression``-marked pytest check
+  (``test_vs_baseline.py``), which warns by default and fails when
+  ``REPRO_BENCH_STRICT=1``;
 - as a CLI::
 
     PYTHONPATH=src python benchmarks/compare_bench.py            # all suites
     PYTHONPATH=src python benchmarks/compare_bench.py --strict   # exit 1 on regression
     PYTHONPATH=src python benchmarks/compare_bench.py CURRENT BASELINE
 
-Absolute numbers depend on the machine, which is why the default is a
-warning and the committed baselines are conservative; within one machine
-(or CI runner class) a >20% move on these benchmarks reliably means a real
+Absolute RS-kernel numbers depend on the machine, which is why the
+default is a warning and that baseline is conservative; within one
+machine (or CI runner class) a >20% move reliably means a real
 regression, not noise.
 """
 
@@ -60,35 +57,23 @@ SUITES: Dict[str, Tuple[Path, Path]] = {
         _BENCH_DIR / "results" / "BENCH_rs_codec.json",
         _BENCH_DIR / "BENCH_rs_codec.baseline.json",
     ),
-    "net_service": (
-        _BENCH_DIR / "results" / "BENCH_net_service.json",
-        _BENCH_DIR / "BENCH_net_service.baseline.json",
-    ),
     "fault_campaign": (
         _BENCH_DIR / "results" / "BENCH_fault_campaign.json",
         _BENCH_DIR / "BENCH_fault_campaign.baseline.json",
     ),
-    "cluster": (
-        _BENCH_DIR / "results" / "BENCH_cluster.json",
-        _BENCH_DIR / "BENCH_cluster.baseline.json",
-    ),
-    "chaos": (
-        _BENCH_DIR / "results" / "BENCH_chaos.json",
-        _BENCH_DIR / "BENCH_chaos.baseline.json",
-    ),
 }
-
-# Back-compat aliases (pre-net layout importers).
-DEFAULT_CURRENT, DEFAULT_BASELINE = SUITES["rs_codec"]
 
 __all__ = ["Regression", "SUITES", "load", "compare", "format_report", "main"]
 
 
 class Regression(NamedTuple):
-    """One metric that moved past the allowed threshold, the wrong way."""
+    """One metric that moved past the allowed threshold, the wrong way.
+
+    ``current`` is None when the current report no longer has the metric.
+    """
 
     metric: str
-    current: float
+    current: Optional[float]
     baseline: float
     higher_is_better: bool = True
 
@@ -98,15 +83,6 @@ class Regression(NamedTuple):
         if self.higher_is_better:
             return 1.0 - self.current / self.baseline
         return self.current / self.baseline - 1.0
-
-    # Back-compat names used by the original rs-codec report.
-    @property
-    def current_mbps(self) -> float:
-        return self.current
-
-    @property
-    def baseline_mbps(self) -> float:
-        return self.baseline
 
 
 def load(path: "str | Path") -> Dict:
@@ -122,20 +98,22 @@ def _metric_value(entry: Dict) -> Optional[float]:
 def compare(current: Dict, baseline: Dict, threshold: float = DEFAULT_THRESHOLD) -> List[Regression]:
     """Metrics that moved past ``threshold`` in the harmful direction.
 
-    Metrics present in only one report are ignored — adding a new
+    Metrics only the current report has are ignored — adding a new
     measurement must not fail the comparison against an older baseline.
+    A baseline metric the current report lacks *is* a regression:
+    renaming or dropping a metric must not silently un-gate it.
     """
     regressions: List[Regression] = []
     current_metrics = current.get("metrics", {})
     for name, base_entry in sorted(baseline.get("metrics", {}).items()):
-        entry = current_metrics.get(name)
-        if entry is None:
-            continue
         base_value = _metric_value(base_entry)
-        cur_value = _metric_value(entry)
-        if not base_value or cur_value is None:
+        if not base_value:
             continue
         higher_is_better = bool(base_entry.get("higher_is_better", True))
+        cur_value = _metric_value(current_metrics.get(name, {}))
+        if cur_value is None:
+            regressions.append(Regression(name, None, base_value, higher_is_better))
+            continue
         if higher_is_better:
             regressed = cur_value < base_value * (1.0 - threshold)
         else:
@@ -145,9 +123,17 @@ def compare(current: Dict, baseline: Dict, threshold: float = DEFAULT_THRESHOLD)
     return regressions
 
 
-def format_report(regressions: List[Regression]) -> str:
-    lines = [f"{len(regressions)} benchmark metric(s) regressed >20% vs baseline:"]
+def format_report(regressions: List[Regression], threshold: float = DEFAULT_THRESHOLD) -> str:
+    lines = [
+        f"{len(regressions)} benchmark metric(s) regressed >{threshold:.0%} vs baseline:"
+    ]
     for regression in regressions:
+        if regression.current is None:
+            lines.append(
+                f"  {regression.metric}: missing from the current report "
+                f"(baseline {regression.baseline:.2f})"
+            )
+            continue
         direction = "-" if regression.higher_is_better else "+"
         lines.append(
             f"  {regression.metric}: {regression.current:.2f} vs "
@@ -184,9 +170,10 @@ def main(argv: "List[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    if (args.current is None) != (args.baseline is None):
+        parser.error("give CURRENT and BASELINE together, or neither")
     if args.current is not None:
-        baseline = args.baseline if args.baseline is not None else DEFAULT_BASELINE
-        pairs = {"explicit": (Path(args.current), Path(baseline))}
+        pairs = {"explicit": (args.current, args.baseline)}
         for path in pairs["explicit"]:
             if not path.exists():
                 print(f"missing benchmark file: {path}", file=sys.stderr)
@@ -207,7 +194,7 @@ def main(argv: "List[str] | None" = None) -> int:
         if regressions:
             failed = True
             print(f"{name}:")
-            print(format_report(regressions))
+            print(format_report(regressions, args.threshold))
         else:
             print(f"{name}: no regression vs baseline")
     if not compared_any:

@@ -1,35 +1,25 @@
-"""Benchmark + gate: the chaos campaign (autonomous self-healing).
+"""Behaviour gate: the chaos campaign (autonomous self-healing).
 
 Runs the same campaign as ``python -m repro.experiments chaos-campaign``:
 a seeded partition burst + flapping link + fail-slow ramp over a routed
 read workload against a 4-shard cluster, with the shard health monitor
-and the autonomous supervisor loop doing the healing. Emits
-``results/BENCH_chaos.json`` and gates it against the committed
-conservative floors with the same >20% rule as the other suites (warn by
-default, fail under ``REPRO_BENCH_STRICT=1``).
+and the autonomous supervisor loop doing the healing.
 
-Reliability is the hard gate, not timing: any protected-class (0-2) loss
+Reliability is the gate, not timing: any protected-class (0-2) loss
 raises inside the campaign, the fail-slow shard must be condemned by the
-detector verdict (never by the campaign), and two runs with the same seed
-must produce byte-identical ledger artefacts.
+detector verdict (never by the campaign), mirrored reads must have hedged
+once the detector saw the slow primary, and two runs with the same seed
+must produce byte-identical ledger artefacts. Wall-clock detection latency
+is reported in ``results/chaos_campaign.txt``, not gated.
 """
 
-import os
-import warnings
-
-import pytest
-
-import compare_bench
 from repro.experiments.chaos_campaign import run_chaos_campaign
-
-BENCH_JSON, BASELINE_JSON = compare_bench.SUITES["chaos"]
 
 SEED = 1234
 
 
 def test_chaos_campaign(emit, tmp_path):
     first = run_chaos_campaign(seed=SEED)
-    first.write_bench_json()
     ledger_path = first.write_ledger_json()
     emit("chaos_campaign", first.format())
 
@@ -41,6 +31,7 @@ def test_chaos_campaign(emit, tmp_path):
     assert first.rehome["shard_id"] == first.victim_shard
     assert first.detection_latency_s >= 0.0
     assert first.degraded_window_reads > 0
+    assert first.hedged_reads > 0
 
     # Determinism: an identical seed reproduces the ledger byte-for-byte.
     # Wall-clock metrics (detection latency, throughput) legitimately
@@ -49,20 +40,3 @@ def test_chaos_campaign(emit, tmp_path):
     replay_path = second.write_ledger_json(tmp_path)
     assert replay_path.read_bytes() == ledger_path.read_bytes()
 
-
-@pytest.mark.bench_regression
-def test_no_regression_vs_baseline():
-    """Warn (or fail under REPRO_BENCH_STRICT=1) on >20% chaos regression."""
-    if not BENCH_JSON.exists():
-        pytest.skip("run test_chaos_campaign first to produce BENCH_chaos.json")
-    if not BASELINE_JSON.exists():
-        pytest.skip("no committed baseline to compare against")
-    regressions = compare_bench.compare(
-        compare_bench.load(BENCH_JSON), compare_bench.load(BASELINE_JSON)
-    )
-    if not regressions:
-        return
-    message = compare_bench.format_report(regressions)
-    if os.environ.get("REPRO_BENCH_STRICT") == "1":
-        pytest.fail(message)
-    warnings.warn(message)

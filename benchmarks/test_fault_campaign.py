@@ -4,28 +4,25 @@ Runs the composed-fault campaign (latent bit-rot + fail-slow + fail-stop
 under the closed detect→spare→rebuild→scrub loop), emits
 ``results/BENCH_fault_campaign.json``, and gates detection latency,
 time-to-full-redundancy, and degraded-read p99 against the committed
-baseline. Unlike the wall-clock suites these metrics are *simulated* time,
-so they are machine-independent: a >20% move is a behaviour change in the
-detection or repair pipeline, never scheduler noise.
+baseline. These metrics are *simulated* seconds, deterministic per
+(profile, seed) on any machine, so the gate is equality, both ways: any
+move is a behaviour change in the detection or repair pipeline, and an
+intended one re-records ``BENCH_fault_campaign.baseline.json`` in the same
+PR. (``test_vs_baseline.py`` still reports the ±20% ``compare_bench`` view.)
 """
-
-import os
-import warnings
-
-import pytest
 
 import compare_bench
 from repro.experiments.common import PROFILES
 from repro.experiments.fault_campaign import run_fault_campaign
 
-BENCH_JSON, BASELINE_JSON = compare_bench.SUITES["fault_campaign"]
+_, BASELINE_JSON = compare_bench.SUITES["fault_campaign"]
 
 
 def test_fault_campaign(emit):
     # The committed baseline was produced with exactly this configuration;
     # the campaign is deterministic per (profile, seed).
     result = run_fault_campaign(profile=PROFILES["fast"], seed=20190707)
-    result.write_bench_json()
+    fresh = compare_bench.load(result.write_bench_json())
     emit("fault_campaign", result.format())
 
     # The campaign's contract: no protected-class object may be lost, every
@@ -40,20 +37,10 @@ def test_fault_campaign(emit):
     assert "fail_slow" in result.detection_latency_s
     assert "fail_stop" in result.detection_latency_s
 
+    # Simulated time is reproducible to the last digit: the fresh run must
+    # *equal* the committed baseline, not merely stay within a tolerance.
+    baseline = compare_bench.load(BASELINE_JSON)
+    for key in ("metrics", "injected"):
+        assert fresh[key] == baseline[key], key
+    assert fresh["ledger"]["incidents"] == baseline["ledger"]["incidents"]
 
-@pytest.mark.bench_regression
-def test_no_regression_vs_baseline():
-    """Warn (or fail under REPRO_BENCH_STRICT=1) on >20% repair regression."""
-    if not BENCH_JSON.exists():
-        pytest.skip("run test_fault_campaign first to produce BENCH_fault_campaign.json")
-    if not BASELINE_JSON.exists():
-        pytest.skip("no committed baseline to compare against")
-    regressions = compare_bench.compare(
-        compare_bench.load(BENCH_JSON), compare_bench.load(BASELINE_JSON)
-    )
-    if not regressions:
-        return
-    message = compare_bench.format_report(regressions)
-    if os.environ.get("REPRO_BENCH_STRICT") == "1":
-        pytest.fail(message)
-    warnings.warn(message)

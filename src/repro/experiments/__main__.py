@@ -7,7 +7,9 @@ Usage::
     REPRO_PROFILE=smoke python -m repro.experiments --list
 
 Artefact names: fig5, fig6, fig7, fig8, fig9, space-table, ablations,
-fault-campaign (honours ``--seed``), and more — see ``--list``.
+fault-campaign, cluster-campaign, chaos-campaign (these three honour
+``--seed``), and more — see ``--list``; ``fault_campaign`` is read as
+``fault-campaign``.
 Outputs print to stdout and are saved under ``benchmarks/results/``.
 """
 
@@ -30,14 +32,8 @@ from repro.experiments.endurance import (
     run_parity_placement_wear,
     run_write_amplification_sweep,
 )
-from repro.experiments.concurrency import (
-    run_concurrency_sweep,
-    run_net_service_sweep,
-)
-from repro.experiments.cluster_campaign import (
-    run_cluster_campaign,
-    run_cluster_sweep,
-)
+from repro.experiments.concurrency import run_concurrency_sweep
+from repro.experiments.cluster_campaign import run_cluster_campaign
 from repro.experiments.chaos_campaign import run_chaos_campaign
 from repro.experiments.fault_campaign import run_fault_campaign
 from repro.experiments.recovery_timeline import run_recovery_timeline
@@ -65,13 +61,6 @@ def _ablations_text() -> str:
     )
 
 
-def _net_service_text() -> str:
-    """Run the real-socket service sweep and persist its BENCH json."""
-    sweep = run_net_service_sweep()
-    sweep.write_bench_json()
-    return sweep.format()
-
-
 def _fault_campaign_text(seed: "int | None") -> str:
     """Run the supervised fault campaign and persist its BENCH json."""
     kwargs = {} if seed is None else {"seed": seed}
@@ -81,22 +70,19 @@ def _fault_campaign_text(seed: "int | None") -> str:
 
 
 def _chaos_campaign_text(seed: "int | None") -> str:
-    """Run the chaos campaign; persist its bench + ledger artefacts."""
+    """Run the chaos campaign and persist its ledger artefact."""
     kwargs = {} if seed is None else {"seed": seed}
     result = run_chaos_campaign(**kwargs)
-    result.write_bench_json()
     result.write_ledger_json()
     return result.format()
 
 
 def _cluster_campaign_text(seed: "int | None") -> str:
-    """Run the shard-loss campaign + shard sweep; persist both artefacts."""
+    """Run the shard-loss campaign and persist its ledger artefact."""
     kwargs = {} if seed is None else {"seed": seed}
-    campaign = run_cluster_campaign(**kwargs)
-    campaign.write_ledger_json()
-    sweep = run_cluster_sweep(**kwargs)
-    sweep.write_bench_json()
-    return campaign.format() + "\n\n" + sweep.format()
+    result = run_cluster_campaign(**kwargs)
+    result.write_ledger_json()
+    return result.format()
 
 
 ARTEFACTS = {
@@ -108,14 +94,9 @@ ARTEFACTS = {
     "space-table": lambda: run_space_efficiency_table().format(),
     "recovery-timeline": lambda: run_recovery_timeline().format(),
     "concurrency": lambda: run_concurrency_sweep().format(),
-    "net-service": lambda: _net_service_text(),
-    # --seed is honoured; both spellings accepted for convenience.
-    "fault-campaign": lambda seed=None: _fault_campaign_text(seed),
-    "fault_campaign": lambda seed=None: _fault_campaign_text(seed),
-    "cluster-campaign": lambda seed=None: _cluster_campaign_text(seed),
-    "cluster_campaign": lambda seed=None: _cluster_campaign_text(seed),
-    "chaos-campaign": lambda seed=None: _chaos_campaign_text(seed),
-    "chaos_campaign": lambda seed=None: _chaos_campaign_text(seed),
+    "fault-campaign": _fault_campaign_text,
+    "cluster-campaign": _cluster_campaign_text,
+    "chaos-campaign": _chaos_campaign_text,
     "warmup": lambda: run_warmup_experiment().format(),
     "ablations": _ablations_text,
     "endurance": lambda: (
@@ -124,6 +105,8 @@ ARTEFACTS = {
         + run_parity_placement_wear().format()
     ),
 }
+#: Artefacts that take ``--seed``.
+SEEDED = {"fault-campaign", "cluster-campaign", "chaos-campaign"}
 
 
 def main(argv=None) -> int:
@@ -134,8 +117,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "artefacts",
         nargs="*",
+        type=lambda name: name.replace("_", "-"),
         choices=[*ARTEFACTS, []],
-        help="artefacts to regenerate (default: all)",
+        help="artefacts to regenerate (default: all; '_' is read as '-')",
     )
     parser.add_argument(
         "--list", action="store_true", help="list artefact names and exit"
@@ -144,8 +128,8 @@ def main(argv=None) -> int:
         "--seed",
         type=int,
         default=None,
-        help="workload/fault seed for the fault-campaign artefact "
-        "(identical seeds produce byte-identical ledgers)",
+        help="workload/fault seed for the fault-, cluster- and chaos-campaign "
+        "artefacts (identical seeds produce byte-identical ledgers)",
     )
     args = parser.parse_args(argv)
     if args.list:
@@ -157,17 +141,7 @@ def main(argv=None) -> int:
     print(f"profile: {profile.name} (REPRO_PROFILE to change)\n")
     for name in chosen:
         started = time.perf_counter()
-        if name in (
-            "fault-campaign",
-            "fault_campaign",
-            "cluster-campaign",
-            "cluster_campaign",
-            "chaos-campaign",
-            "chaos_campaign",
-        ):
-            text = ARTEFACTS[name](args.seed)
-        else:
-            text = ARTEFACTS[name]()
+        text = ARTEFACTS[name](args.seed) if name in SEEDED else ARTEFACTS[name]()
         elapsed = time.perf_counter() - started
         print(text)
         print(f"\n[{name}: {elapsed:.1f}s]\n")

@@ -24,9 +24,8 @@ The workload is read-only between populate and verify, so the census at
 condemn time — and therefore the :class:`DurabilityLedger` — is a pure
 function of the seed: identical seeds produce byte-identical ledger
 artefacts despite wall-clock noise. Wall-clock numbers (detection
-latency, degraded-window throughput, hedge rate) go to
-``benchmarks/results/BENCH_chaos.json`` instead, gated by
-``compare_bench.py`` against committed conservative floors.
+latency, degraded-window throughput, hedge rate) are reported by
+:meth:`ChaosCampaignResult.format`, not persisted and not gated.
 
 Losing any protected-class object (0-2) — or condemning the wrong shard —
 raises :class:`ChaosCampaignError`.
@@ -65,7 +64,6 @@ __all__ = [
 BENCH_RESULTS_DIR = (
     pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 )
-CHAOS_BENCH_NAME = "BENCH_chaos.json"
 CHAOS_LEDGER_NAME = "chaos_campaign_ledger.json"
 
 #: Classes whose loss (or corruption) fails the campaign outright.
@@ -161,58 +159,12 @@ class ChaosCampaignResult:
             rows,
         )
 
-    def to_bench_report(self) -> Dict:
-        """The BENCH_chaos.json shape for ``compare_bench.py``.
-
-        Committed floors are deliberately conservative (loose ceilings on
-        latency, low floors on throughput): within one runner class a >20%
-        move past *these* numbers means self-healing broke, not noise.
-        """
-        return {
-            "schema": 1,
-            "seed": self.seed,
-            "shards": self.shards,
-            "objects": self.objects,
-            "protected_losses": self.protected_losses,
-            "metrics": {
-                "chaos_detection_latency_s": {
-                    "label": "fail-slow injection -> FAILED verdict (s)",
-                    "value": self.detection_latency_s,
-                    "higher_is_better": False,
-                },
-                "chaos_degraded_ops_s": {
-                    "label": "routed reads/s through the degraded window",
-                    "value": self.degraded_ops_per_sec,
-                },
-                "chaos_hedge_rate": {
-                    "label": "hedged fraction of degraded-window reads",
-                    "value": self.hedge_rate,
-                },
-                "chaos_auto_condemns": {
-                    "label": "autonomous condemns (exactly one expected)",
-                    "value": float(self.auto_condemns),
-                },
-            },
-        }
-
-    def write_bench_json(
-        self, directory: Optional[pathlib.Path] = None
-    ) -> pathlib.Path:
-        directory = directory or BENCH_RESULTS_DIR
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / CHAOS_BENCH_NAME
-        path.write_text(
-            json.dumps(self.to_bench_report(), indent=2, sort_keys=True) + "\n"
-        )
-        return path
-
     def write_ledger_json(
         self, directory: Optional[pathlib.Path] = None
     ) -> pathlib.Path:
         """The determinism artefact: byte-identical per seed.
 
-        Only logical-clock state goes in — every wall-clock measurement
-        lives in the bench report instead.
+        Only logical-clock state goes in — no wall-clock measurement.
         """
         directory = directory or BENCH_RESULTS_DIR
         directory.mkdir(parents=True, exist_ok=True)

@@ -1,26 +1,20 @@
-"""The cluster experiments: shard-count sweep and the shard-loss campaign.
+"""The cluster experiment: the shard-loss campaign.
 
-Two artefacts, one subsystem (:mod:`repro.cluster`):
+:func:`run_cluster_campaign` adds the shard-loss axis to the fault
+campaign: populate a 3-shard cluster with all three redundancy classes
+through the router, run a seeded op mix, *hard-kill* one shard with the
+cluster map still stale — the degraded window, where class-2 reads must
+reconstruct cross-shard through the erasure codec and class-1 reads must
+fail over to their mirrors — then condemn the shard through the
+:class:`ClusterSupervisor` and verify the whole population byte-exact on
+the shrunken cluster. Losing any protected-class object (0-2) raises
+:class:`ClusterCampaignLossError`; class-3 sole copies that died with
+the shard are booked in the ledger as losses (they are cache misses, not
+durability failures). The ledger runs on the supervisor's logical step
+clock, so identical seeds produce byte-identical ledgers.
 
-- :func:`run_cluster_sweep` drives the verified closed-loop workload
-  (:mod:`repro.net.loadgen`) through :class:`RouterClient`s against 1-, 2-,
-  and 4-shard clusters — the scale-out counterpart of the net-service
-  sweep. It publishes ``benchmarks/results/BENCH_cluster.json``, gated by
-  ``compare_bench.py`` against conservative committed floors; lost or
-  corrupted responses anywhere in the sweep fail the bench test outright.
-
-- :func:`run_cluster_campaign` adds the shard-loss axis to the fault
-  campaign: populate a 3-shard cluster with all three redundancy classes
-  through the router, run a seeded op mix, *hard-kill* one shard with the
-  cluster map still stale — the degraded window, where class-2 reads must
-  reconstruct cross-shard through the erasure codec and class-1 reads must
-  fail over to their mirrors — then condemn the shard through the
-  :class:`ClusterSupervisor` and verify the whole population byte-exact on
-  the shrunken cluster. Losing any protected-class object (0-2) raises
-  :class:`ClusterCampaignLossError`; class-3 sole copies that died with
-  the shard are booked in the ledger as losses (they are cache misses, not
-  durability failures). The ledger runs on the supervisor's logical step
-  clock, so identical seeds produce byte-identical ledgers.
+Routed throughput and latency are not measured here: that is the
+``cluster_routed`` workload of ``perf/run.py``.
 """
 
 from __future__ import annotations
@@ -29,14 +23,13 @@ import asyncio
 import json
 import pathlib
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.cluster.router import RouterClient
 from repro.cluster.service import ClusterService
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.net.client import OsdServiceError
-from repro.net.loadgen import run_load
 from repro.net.retry import RetryPolicy
 from repro.sim.report import format_table
 from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
@@ -44,15 +37,12 @@ from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
 __all__ = [
     "ClusterCampaignLossError",
     "ClusterCampaignResult",
-    "ClusterSweep",
     "run_cluster_campaign",
-    "run_cluster_sweep",
 ]
 
 BENCH_RESULTS_DIR = (
     pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 )
-CLUSTER_BENCH_NAME = "BENCH_cluster.json"
 CLUSTER_LEDGER_NAME = "cluster_campaign_ledger.json"
 
 #: Classes whose loss fails the campaign (mirrored dirty + striped hot clean).
@@ -63,145 +53,6 @@ class ClusterCampaignLossError(RuntimeError):
     """A protected class (0-2) lost data across a shard loss."""
 
 
-# ----------------------------------------------------------------------
-# Shard-count sweep (BENCH_cluster.json)
-# ----------------------------------------------------------------------
-@dataclass
-class ClusterSweep:
-    """Throughput/latency of the routed cluster per shard count."""
-
-    shard_counts: List[int]
-    clients: int
-    payload_bytes: int
-    requests_per_client: int
-    ops_per_sec: List[float] = field(default_factory=list)
-    mb_per_sec: List[float] = field(default_factory=list)
-    p99_latency_ms: List[float] = field(default_factory=list)
-    errors: int = 0
-    corrupted: int = 0
-    redirects: int = 0
-
-    def format(self) -> str:
-        rows = [
-            [
-                self.shard_counts[index],
-                f"{self.ops_per_sec[index]:.0f}",
-                f"{self.mb_per_sec[index]:.1f}",
-                f"{self.p99_latency_ms[index]:.2f}",
-            ]
-            for index in range(len(self.shard_counts))
-        ]
-        table = format_table(
-            "repro.cluster: routed closed-loop clients vs shard count "
-            f"({self.clients} clients, {self.payload_bytes}B payloads, "
-            f"{self.requests_per_client} req/client)",
-            ["Shards", "ops/s", "MB/s", "p99 (ms)"],
-            rows,
-        )
-        return (
-            table
-            + f"\n  errors={self.errors} corrupted={self.corrupted}"
-            + f" redirects={self.redirects}"
-        )
-
-    def to_bench_report(self) -> Dict:
-        """The BENCH_cluster.json shape for ``compare_bench.py``."""
-        metrics: Dict[str, Dict] = {}
-        for index, shards in enumerate(self.shard_counts):
-            metrics[f"cluster_ops_s{shards}_c{self.clients}"] = {
-                "label": f"routed op rate (ops/s), {shards} shards",
-                "value": self.ops_per_sec[index],
-            }
-            metrics[f"cluster_p99_s{shards}_c{self.clients}"] = {
-                "label": f"routed p99 latency (ms), {shards} shards",
-                "value": self.p99_latency_ms[index],
-                "higher_is_better": False,
-            }
-        return {
-            "schema": 1,
-            "clients": self.clients,
-            "payload_bytes": self.payload_bytes,
-            "requests_per_client": self.requests_per_client,
-            "errors": self.errors,
-            "corrupted": self.corrupted,
-            "metrics": metrics,
-        }
-
-    def write_bench_json(self, directory: Optional[pathlib.Path] = None) -> pathlib.Path:
-        directory = directory or BENCH_RESULTS_DIR
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / CLUSTER_BENCH_NAME
-        path.write_text(
-            json.dumps(self.to_bench_report(), indent=2, sort_keys=True) + "\n"
-        )
-        return path
-
-
-async def _sweep_point(
-    shards: int,
-    clients: int,
-    requests_per_client: int,
-    payload_bytes: int,
-    seed: int,
-    sweep: ClusterSweep,
-) -> None:
-    async with ClusterService(shards) as service:
-        cluster_map = service.cluster_map
-        assert cluster_map is not None
-        routers: List[RouterClient] = []
-
-        def factory(client_id: int) -> RouterClient:
-            router = RouterClient(
-                cluster_map,
-                pool_size=1,
-                retry=RetryPolicy(seed=seed + client_id),
-            )
-            routers.append(router)
-            return router  # type: ignore[return-value]
-
-        report = await run_load(
-            "", 0,
-            clients=clients,
-            requests_per_client=requests_per_client,
-            payload_bytes=payload_bytes,
-            seed=seed,
-            client_factory=factory,  # type: ignore[arg-type]
-        )
-        sweep.ops_per_sec.append(report.ops_per_sec)
-        sweep.mb_per_sec.append(report.mb_per_sec)
-        sweep.p99_latency_ms.append(report.latency_ms(0.99))
-        sweep.errors += report.errors
-        sweep.corrupted += report.corrupted
-        sweep.redirects += sum(r.router_stats.redirects for r in routers)
-
-
-def run_cluster_sweep(
-    shard_counts: Sequence[int] = (1, 2, 4),
-    *,
-    clients: int = 8,
-    requests_per_client: int = 120,
-    payload_bytes: int = 4096,
-    seed: int = 1234,
-) -> ClusterSweep:
-    """Measure routed throughput/latency at each shard count."""
-    sweep = ClusterSweep(
-        shard_counts=list(shard_counts),
-        clients=clients,
-        payload_bytes=payload_bytes,
-        requests_per_client=requests_per_client,
-    )
-    for shards in sweep.shard_counts:
-        asyncio.run(
-            _sweep_point(
-                shards, clients, requests_per_client, payload_bytes, seed, sweep
-            )
-        )
-    return sweep
-
-
-# ----------------------------------------------------------------------
-# Shard-loss campaign
-# ----------------------------------------------------------------------
 @dataclass
 class ClusterCampaignResult:
     """Everything one shard-loss campaign produced."""

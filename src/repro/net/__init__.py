@@ -17,7 +17,6 @@ Modules:
 - :mod:`repro.net.flush` — per-connection outbound write coalescing.
 - :mod:`repro.net.retry` — retry/backoff policy and idempotency rules.
 - :mod:`repro.net.stats` — service counters and latency percentiles.
-- :mod:`repro.net.loadgen` — closed-loop multi-client load generator.
 """
 
 from repro.net.client import AsyncOsdClient, ClientStats, OsdServiceError

@@ -21,6 +21,8 @@ from repro.cluster.supervisor import ClusterSupervisor
 from repro.net.retry import NO_RETRY
 from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
 
+from tests.closed_loop import run_closed_loop
+
 pytestmark = pytest.mark.cluster
 
 
@@ -98,6 +100,25 @@ class TestRoutedDataPath:
                     merged = await router.service_stats_all()
                     assert merged["shards"] == 3
                     assert merged["commands"] >= 1
+
+        run(scenario())
+
+    def test_four_routers_share_one_cluster_zero_loss(self):
+        """Concurrent routers, mixed classes: no error, every read byte-exact."""
+
+        async def scenario():
+            async with ClusterService(2) as service:
+                report = await run_closed_loop(
+                    [make_router(service) for _ in range(4)],
+                    requests=60,
+                    payload_bytes=2048,
+                    write_fraction=0.35,
+                    seed=17,
+                    classes=(1, 2, 3),
+                )
+                assert report.ops == 4 * 60
+                assert report.errors == 0
+                assert report.corrupted == 0
 
         run(scenario())
 

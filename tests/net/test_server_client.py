@@ -16,7 +16,6 @@ from repro.flash.array import FlashArray
 from repro.flash.latency import ZERO_COST
 from repro.flash.stripe import ParityScheme
 from repro.net.client import AsyncOsdClient, OsdServiceError
-from repro.net.loadgen import run_load
 from repro.net.retry import NO_RETRY, RetryPolicy
 from repro.net.server import OsdServer
 from repro.osd import commands, wire
@@ -24,6 +23,8 @@ from repro.osd.sense import SenseCode
 from repro.osd.target import OsdTarget
 from repro.osd.transport import FRAME_PREFIX_BYTES, frame_length, frame_pdu
 from repro.osd.types import PARTITION_BASE, ObjectId
+
+from tests.closed_loop import run_closed_loop
 
 pytestmark = pytest.mark.net
 
@@ -137,23 +138,16 @@ class TestBasicService:
 # ----------------------------------------------------------------------
 class TestConcurrentLoad:
     @pytest.mark.net(timeout=120)
-    @pytest.mark.parametrize("own_clients", [False, True], ids=["default", "client-factory"])
-    def test_eight_clients_five_hundred_commands_zero_loss(self, own_clients):
+    def test_eight_clients_five_hundred_commands_zero_loss(self):
         async def scenario():
             async with OsdServer(make_target()) as server:
-
-                def factory(_client_id):
-                    return AsyncOsdClient("127.0.0.1", server.port, pool_size=1)
-
-                report = await run_load(
-                    "127.0.0.1",
-                    server.port,
-                    clients=8,
-                    requests_per_client=70,  # + 16 seed writes each ≈ 688 total
+                report = await run_closed_loop(
+                    [AsyncOsdClient("127.0.0.1", server.port, pool_size=1) for _ in range(8)],
+                    requests=70,  # + 16 seed writes each ≈ 688 total
                     payload_bytes=4096,
                     write_fraction=0.35,
                     seed=99,
-                    client_factory=factory if own_clients else None,
+                    classes=(3,),
                 )
                 assert report.ops == 8 * 70
                 assert report.errors == 0
@@ -184,16 +178,19 @@ class TestConcurrentLoad:
                 return None
 
             async with OsdServer(make_target(), fault_hook=chaotic) as server:
-                report = await run_load(
-                    "127.0.0.1",
-                    server.port,
-                    clients=8,
-                    requests_per_client=64,
+                retry = RetryPolicy(max_attempts=6, base_delay=0.05, seed=7)
+                report = await run_closed_loop(
+                    [
+                        AsyncOsdClient(
+                            "127.0.0.1", server.port, pool_size=1, timeout=0.2, retry=retry
+                        )
+                        for _ in range(8)
+                    ],
+                    requests=64,
                     payload_bytes=2048,
                     write_fraction=0.4,
                     seed=7,
-                    timeout=0.2,
-                    retry=RetryPolicy(max_attempts=6, base_delay=0.05, seed=7),
+                    classes=(3,),
                 )
                 assert injected["drop"] + injected["delay"] > 0, "chaos never fired"
                 assert report.errors == 0
