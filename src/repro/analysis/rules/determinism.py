@@ -14,7 +14,8 @@ Repo-wide, this rule bans the *always-wrong* sources:
 - ``datetime.now()`` / ``utcnow()`` / ``today()`` — wall clock again;
 - module-level ``random.*`` functions (``random.random()``,
   ``random.randint()``, ...) — hidden global RNG state;
-- ``random.Random()`` / ``numpy.random.default_rng()`` with no seed and
+- ``random.Random()`` / ``numpy.random.default_rng()`` (and the numpy bit
+  generators, ``SeedSequence``, ``Generator``) with no seed and
   ``random.SystemRandom`` — ambient entropy;
 - ``numpy.random.seed()`` and the legacy ``numpy.random.<dist>()``
   global-state API.
@@ -52,6 +53,20 @@ _HOST_CLOCKS = {
 }
 _DATETIME_CLASSES = {"datetime.datetime", "datetime.date"}
 _DATETIME_FNS = {"now", "utcnow", "today"}
+
+#: numpy.random constructors that hold their own state: deterministic when
+#: given a seed (or, for ``Generator``, a bit generator), ambient entropy
+#: when called bare.
+_NUMPY_OWN_STATE = {
+    "default_rng",
+    "Generator",
+    "SeedSequence",
+    "PCG64",
+    "PCG64DXSM",
+    "Philox",
+    "SFC64",
+    "MT19937",
+}
 
 #: Subtrees where the strict (host-clock) checks also apply.
 _STRICT_PREFIXES = (
@@ -151,11 +166,11 @@ class _DeterminismVisitor(RuleVisitor):
         )
 
     def _check_numpy_random(self, node: ast.Call, fn: str) -> None:
-        if fn == "default_rng":
+        if fn in _NUMPY_OWN_STATE:
             if not node.args and not node.keywords:
                 self.report(
                     node,
-                    "numpy.random.default_rng() without a seed draws ambient "
+                    f"numpy.random.{fn}() without a seed draws ambient "
                     "entropy; pass an explicit seed",
                 )
             return

@@ -106,8 +106,12 @@ class BackendStore:
 
     @staticmethod
     def _generate(name: str, version: int, size: int) -> bytes:
-        rng = np.random.default_rng(_seed_for(name, version))
-        return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+        # Raw 64-bit words, eight payload bytes per draw, little-endian so
+        # the content is the same on every host.
+        words = np.random.default_rng(_seed_for(name, version)).bit_generator.random_raw(
+            (size + 7) // 8
+        )
+        return words.astype("<u8", copy=False).view(np.uint8)[:size].tobytes()
 
     # ------------------------------------------------------------------
     # I/O with simulated latency

@@ -17,6 +17,9 @@ import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from zlib import crc32
+
+import numpy as np
 
 from repro.erasure.rs import RSCodec
 from repro.errors import (
@@ -403,32 +406,69 @@ class FlashArray:
         codec = self._codec(k, parity_count) if parity_count else None
         by_id = self._devices_by_id
 
-        extent = ObjectExtent(key=key, size=len(payload), scheme=scheme)
+        size = len(payload)
+        chunk_size = self.chunk_size
+        full_bytes = k * chunk_size
+        full = size // full_bytes
+        # Leading stripes laid out straight from the payload: all the full
+        # ones, except a lone full stripe that needs parity — batching one
+        # stripe saves nothing, so it is packed and encoded like the tail.
+        direct = full if codec is None or full > 1 else 0
+        extent = ObjectExtent(key=key, size=size, scheme=scheme)
         stripes = extent.stripes
         batch = _IoBatch(self.clock.now, op="write")
-        write = batch.write
+        result = batch.result
+        samples = result.device_io
         offset = 0
         try:
-            for stripe_payload, chunk_length in split_payload(len(payload), self.chunk_size, k):
+            parity_rows: List[bytes] = []
+            if codec is not None and direct:
+                # One encode per object: GF(256) parity is column-wise, so
+                # fragment i of every full stripe laid side by side encodes
+                # to every stripe's parity side by side, byte for byte.
+                stacked = (
+                    np.frombuffer(payload, dtype=np.uint8, count=direct * full_bytes)
+                    .reshape(direct, k, chunk_size)
+                    .transpose(1, 0, 2)
+                    .reshape(k, direct * chunk_size)
+                )
+                parity_rows = [row.tobytes() for row in codec.encode_arrays(stacked)]
+            for number, (stripe_payload, chunk_length) in enumerate(
+                split_payload(size, chunk_size, k)
+            ):
                 stripe_id = self._next_stripe_id
                 self._next_stripe_id += 1
-                raw = payload[offset : offset + stripe_payload]
-                offset += stripe_payload
                 stripe_bytes = k * chunk_length
-                if stripe_payload < stripe_bytes:
-                    raw = raw.ljust(stripe_bytes, b"\0")  # final partial stripe
-                # Data fragments are slices of the payload; only a stripe
-                # that is actually encoded builds the (k, chunk_length)
-                # stack, and its parity is one fused matvec.
-                fragments = [
-                    raw[start : start + chunk_length]
-                    for start in range(0, stripe_bytes, chunk_length)
-                ]
-                if codec is not None:
-                    parity = codec.encode_arrays(pack_fragments(raw, k, chunk_length))
-                    fragments += [row.tobytes() for row in parity]
-                elif is_replication:
+                if number < direct:
+                    # Data fragments are slices of the payload, parity is
+                    # this stripe's columns of the object-wide encode.
+                    fragments = [
+                        payload[start : start + chunk_size]
+                        for start in range(offset, offset + full_bytes, chunk_size)
+                    ]
+                    column = number * chunk_size
+                    fragments += [row[column : column + chunk_size] for row in parity_rows]
+                else:
+                    # A stripe packed and encoded alone: the partial tail,
+                    # zero-padded, or a lone full stripe.
+                    raw = payload[offset : offset + stripe_payload]
+                    if stripe_payload < stripe_bytes:
+                        raw = raw.ljust(stripe_bytes, b"\0")
+                    fragments = [
+                        raw[start : start + chunk_length]
+                        for start in range(0, stripe_bytes, chunk_length)
+                    ]
+                    if codec is not None:
+                        parity = codec.encode_arrays(pack_fragments(raw, k, chunk_length))
+                        fragments += [row.tobytes() for row in parity]
+                offset += stripe_payload
+                # One CRC32 per distinct fragment: a replicated stripe is
+                # one byte string sent to every slot, checksummed once.
+                if is_replication:
                     fragments *= stripe_width
+                    checksums = [crc32(fragments[0])] * stripe_width
+                else:
+                    checksums = [crc32(fragment) for fragment in fragments]
                 # Rotate by the *global* stripe id so parity lands evenly
                 # across devices regardless of object sizes (§IV-C.3).
                 chunks = tuple(
@@ -449,8 +489,20 @@ class FlashArray:
                 )
                 extent.data_bytes += stripe_bytes
                 extent.redundancy_bytes += (stripe_width - k) * chunk_length
+                # ``_IoBatch.write`` in place, chunk by chunk in slot order.
                 for chunk in chunks:
-                    write(by_id[chunk.device_id], chunk.address, fragments[chunk.fragment_index])
+                    device_id = chunk.device_id
+                    sample = samples.get(device_id)
+                    if sample is None:
+                        sample = batch._open(by_id[device_id])
+                    index = chunk.fragment_index
+                    sample.seconds += by_id[device_id].write_chunk(
+                        chunk.address, fragments[index], checksums[index]
+                    )
+                    sample.writes += 1
+                    sample.bytes_written += chunk_length
+                result.chunks_written += stripe_width
+                result.bytes_written += stripe_width * chunk_length
         except (FlashError, ErasureError):
             # Roll back on storage/encoding failures (device full, failed
             # mid-write, infeasible layout): drop the partially written new
@@ -478,10 +530,7 @@ class FlashArray:
         by_id = self._devices_by_id
         for stripe in extent.stripes:
             for chunk in stripe.chunks:
-                device = by_id[chunk.device_id]
-                address = chunk.address
-                if device.has_chunk(address):
-                    device.delete_chunk(address)
+                by_id[chunk.device_id].discard_chunk(chunk.address)
 
     def _unregister_stripes(self, extent: ObjectExtent) -> None:
         for stripe in extent.stripes:

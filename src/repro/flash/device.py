@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import (
     ChunkCorruptedError,
@@ -147,8 +147,16 @@ class FlashDevice:
     # ------------------------------------------------------------------
     # I/O — each call returns the simulated service time in seconds.
     # ------------------------------------------------------------------
-    def write_chunk(self, address: ChunkAddress, payload: bytes) -> float:
-        """Store (or overwrite) a chunk; returns the simulated service time."""
+    def write_chunk(
+        self, address: ChunkAddress, payload: bytes, checksum: Optional[int] = None
+    ) -> float:
+        """Store (or overwrite) a chunk; returns the simulated service time.
+
+        ``checksum`` is the caller's ``zlib.crc32(payload)`` when it already
+        has it (the array computes it once for the byte string every replica
+        of a stripe shares); it is recorded as given and verified on every
+        read, so a wrong value fails safe as a checksum mismatch.
+        """
         if self.state is _FAILED:
             raise DeviceFailedError(self.device_id)
         injector = self.fault_injector
@@ -173,7 +181,7 @@ class FlashDevice:
             if ftl is not None:
                 ftl.trim_extent(address, len(previous))
         self._chunks[address] = bytes(payload)
-        self._checksums[address] = zlib.crc32(payload)
+        self._checksums[address] = zlib.crc32(payload) if checksum is None else checksum
         self._used = new_used
         self.corrupt_chunks.discard(address)
         if ftl is not None:
@@ -233,12 +241,21 @@ class FlashDevice:
         operations and are billed no simulated time (TRIM is asynchronous)."""
         if self.state is _FAILED:
             raise DeviceFailedError(self.device_id)
-        try:
-            payload = self._chunks.pop(address)
-        except KeyError:
-            raise ChunkMissingError(
-                f"device {self.device_id}: no chunk at {address}"
-            ) from None
+        if address not in self._chunks:
+            raise ChunkMissingError(f"device {self.device_id}: no chunk at {address}")
+        self.discard_chunk(address)
+
+    def discard_chunk(self, address: ChunkAddress) -> None:
+        """Drop a chunk if this device still serves it.
+
+        The array's retire path: a chunk on a FAILED device, or one that is
+        already gone, is simply nothing to do (:meth:`delete_chunk` raises).
+        """
+        if self.state is _FAILED:
+            return
+        payload = self._chunks.pop(address, None)
+        if payload is None:
+            return
         self._checksums.pop(address, None)
         self.corrupt_chunks.discard(address)
         self._used -= len(payload)

@@ -153,7 +153,8 @@ class OsdTarget:
             io = self.array.write_object(object_id, payload, scheme, overwrite=True)
         except UnrecoverableDataError:
             return OsdResponse(SenseCode.DATA_CORRUPTED)
-        if existing is None:
+        info = existing
+        if info is None:
             info = ObjectInfo(
                 object_id=object_id,
                 kind=kind,
@@ -161,12 +162,14 @@ class OsdTarget:
                 class_id=effective_class,
                 created_at=self.array.clock.now,
             )
-            info.attributes["reo.class_id"] = str(effective_class)
             self._objects[object_id] = info
             self._partitions[object_id.pid].add(object_id)
         else:
-            existing.size = len(payload)
-            existing.class_id = effective_class
+            info.size = len(payload)
+            info.class_id = effective_class
+        # The label on the attributes page follows the class on every write:
+        # the cluster supervisor reads it to pick a re-home width.
+        info.attributes["reo.class_id"] = str(effective_class)
         return OsdResponse(SenseCode.OK, io=io)
 
     def update_object(self, object_id: ObjectId, offset: int, data: bytes) -> OsdResponse:

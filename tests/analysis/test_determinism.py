@@ -145,6 +145,44 @@ def test_numpy_global_state_fires_default_rng_quiet(lint):
     assert all(f.rule_id == "determinism" for f in findings)
 
 
+def test_numpy_bit_generators_hold_their_own_state(lint):
+    lint.write(
+        "backend/np_bits.py",
+        """
+        import numpy as np
+        from numpy.random import PCG64, Generator, SeedSequence
+
+        def good_words(seed, count):
+            return np.random.PCG64(seed).random_raw(count)
+
+        def good_generator(seed):
+            return Generator(PCG64(SeedSequence(seed)))
+
+        def good_others(seed):
+            return (np.random.PCG64DXSM(seed), np.random.Philox(key=seed),
+                    np.random.SFC64(seed), np.random.MT19937(seed))
+
+        def bad_bits():
+            return np.random.PCG64()
+
+        def bad_sequence():
+            return SeedSequence()
+
+        def bad_generator():
+            return Generator()
+
+        def bad_nested():
+            return Generator(np.random.Philox())
+        """,
+    )
+    findings = lint.run()
+    assert [f.symbol for f in findings] == [
+        "bad_bits", "bad_sequence", "bad_generator", "bad_nested",
+    ]
+    assert all("without a seed" in f.message for f in findings)
+    assert not any("global RNG state" in f.message for f in findings)
+
+
 def test_sim_clock_module_is_exempt(lint):
     lint.write(
         "sim/clock.py",

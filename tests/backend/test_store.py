@@ -1,5 +1,7 @@
 """Tests for the backend data store."""
 
+import hashlib
+
 import pytest
 
 from repro.backend.store import BackendStore
@@ -82,6 +84,39 @@ class TestContent:
         store.write("a", b"z" * 50)
         assert store.size_of("a") == 50
         assert len(store.read("a")[0]) == 50
+
+
+class TestGenerator:
+    """Content comes from the seeded generator's raw 64-bit words."""
+
+    def test_content_is_pinned_across_processes(self):
+        store = make_store()
+        store.register("obj-17", 44_000)
+        assert store.payload_for("obj-17", 0)[:8].hex() == "fecf3a4baa133ede"
+        assert hashlib.sha256(store.payload_for("obj-17", 3)).hexdigest()[:16] == "c8b1f4c1f252588a"
+
+    def test_stable_across_calls_and_distinct_across_names_and_versions(self):
+        store = make_store()
+        store.register("a", 1024)
+        store.register("b", 1024)
+        assert store.payload_for("a", 1) == store.payload_for("a", 1)
+        assert store.payload_for("a", 1) != store.payload_for("a", 2)
+        assert store.payload_for("a", 1) != store.payload_for("b", 1)
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 44_000])
+    def test_length_is_the_registered_size(self, size):
+        store = make_store()
+        store.register("a", size)
+        assert len(store.payload_for("a", 0)) == size
+        assert len(store.read("a")[0]) == size
+
+    def test_a_prefix_does_not_depend_on_the_size(self):
+        store = make_store()
+        store.register("a", 44_000)
+        whole = store.payload_for("a", 5)
+        for size in (1, 7, 8, 9, 4_097):
+            store.register("a", size)
+            assert store.payload_for("a", 5) == whole[:size]
 
 
 class TestLatency:

@@ -396,6 +396,36 @@ class TestCondemnRehome:
 
         run(scenario())
 
+    def test_object_dirtied_after_a_clean_write_is_rehomed_mirrored(self):
+        """Class 3 then class 1: the surviving primary must say "dirty"."""
+
+        async def scenario():
+            async with ClusterService(4) as service:
+                async with make_router(service) as router:
+                    router.known_partitions.add(PARTITION_BASE)
+                    target = oid(900)
+                    assert (await router.write(target, payload_for("dirtied", 0), 3)).ok
+                    body = payload_for("dirtied", 1)
+                    assert (await router.write(target, body, 1)).ok
+                    primary, mirror = router.cluster_map.owners_for(target, width=2)
+                    await service.stop_shard(mirror)  # the primary is all that is left
+                    supervisor = ClusterSupervisor(service, router)
+                    report = await supervisor.condemn(mirror, "test crash", evacuate=False)
+                    assert report.objects_lost == 0
+                    holders = [
+                        shard_id
+                        for shard_id, server in service.shards.items()
+                        if server.target.exists(target)
+                    ]
+                    assert sorted(holders) == sorted(
+                        router.cluster_map.owners_for(target, width=2)
+                    )
+                    assert primary in holders and len(holders) == 2
+                    got, response = await router.read(target)
+                    assert response.ok and got == body
+
+        run(scenario())
+
     def test_same_seed_produces_byte_identical_ledgers(self):
         import json
 

@@ -1,0 +1,161 @@
+"""The admit path does each piece of byte work once, and only the work moves.
+
+``write_object`` encodes all full stripes of an object in one
+``RSCodec.encode_arrays`` call and checksums each distinct fragment once —
+a replicated stripe is one byte string programmed ``stripe_width`` times.
+What is stored, what every chunk records and what every read verifies must
+be exactly what the stripe-by-stripe, chunk-by-chunk path produced: the
+seed kernel in :mod:`repro.erasure.reference` stays the definition of
+parity, and the device's own CRC check the definition of integrity.
+"""
+
+import contextlib
+import random
+import zlib
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.erasure.reference import encode_reference
+from repro.erasure.rs import RSCodec
+from repro.errors import ChunkCorruptedError
+from repro.faults import FaultInjector, FaultPlan, TornWrite
+from repro.flash.array import FlashArray
+from repro.flash.device import FlashDevice
+from repro.flash.latency import ZERO_COST
+from repro.flash.stripe import ChunkKind, ParityScheme, ReplicationScheme
+
+from tests.flash.test_engine_equivalence import SCHEMES
+
+CHUNK = 16
+
+
+def make_array(width=5):
+    return FlashArray(
+        num_devices=width, device_capacity=10**6, chunk_size=CHUNK, model=ZERO_COST
+    )
+
+
+def stored(array, chunk):
+    return array.devices[chunk.device_id].read_chunk(chunk.address)[0]
+
+
+@st.composite
+def parity_cases(draw):
+    """(scheme, width, size): ``full`` whole stripes, then -1/0/+1 byte or a tail."""
+    scheme = draw(st.sampled_from([ParityScheme(1), ParityScheme(2)]))
+    width = draw(st.integers(min_value=4, max_value=6))
+    stripe_bytes = scheme.data_chunks_per_stripe(width) * CHUNK
+    full = draw(st.sampled_from([0, 1, 2, 7]))
+    extra = draw(st.sampled_from([-1, 0, 1]) | st.integers(2, stripe_bytes - 1))
+    return scheme, width, max(0, full * stripe_bytes + extra)
+
+
+@contextlib.contextmanager
+def recorded_encodes():
+    """Log the stack shape of every ``RSCodec.encode_arrays`` call."""
+    shapes = []
+    original = RSCodec.encode_arrays
+
+    def recording(self, stacked):
+        shapes.append(stacked.shape)
+        return original(self, stacked)
+
+    with mock.patch.object(RSCodec, "encode_arrays", recording):
+        yield shapes
+
+
+class TestOneEncodePerObject:
+    @given(parity_cases(), st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_parity_is_the_reference_encoding_of_each_stripe(self, case, seed):
+        scheme, width, size = case
+        array = make_array(width)
+        array.write_object("pad", b"x" * 7, ParityScheme(1))  # shifts the rotation
+        payload = random.Random(seed).randbytes(size)
+        with recorded_encodes() as shapes:
+            array.write_object("obj", payload, scheme)
+        assert len(shapes) <= 2
+
+        k = scheme.data_chunks_per_stripe(width)
+        codec = RSCodec(k, scheme.parity)
+        for stripe in array.get_extent("obj").stripes:
+            by_index = {chunk.fragment_index: chunk for chunk in stripe.chunks}
+            data = [stored(array, by_index[index]) for index in range(k)]
+            parity = encode_reference(codec, data)
+            for chunk in stripe.chunks:
+                if chunk.kind is ChunkKind.PARITY:
+                    assert stored(array, chunk) == parity[chunk.fragment_index - k]
+        assert array.read_object("obj")[0] == payload
+
+    def test_full_stripes_share_one_call_and_the_tail_takes_one_more(self):
+        array = make_array()
+        with recorded_encodes() as shapes:
+            array.write_object("whole", bytes(7 * 3 * CHUNK), ParityScheme(2))
+            array.write_object("tailed", bytes(7 * 3 * CHUNK + 5), ParityScheme(2))
+            array.write_object("small", bytes(5), ParityScheme(2))
+            array.write_object("lone", bytes(3 * CHUNK + 5), ParityScheme(2))
+            array.write_object("plain", bytes(7 * 5 * CHUNK + 5), ParityScheme(0))
+            array.write_object("mirror", bytes(7 * CHUNK + 5), ReplicationScheme())
+        assert shapes == [
+            (3, 7 * CHUNK), (3, 7 * CHUNK), (3, 2), (3, 2), (3, CHUNK), (3, 2),
+        ]
+
+
+class TestOneChecksumPerDistinctFragment:
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda scheme: scheme.name)
+    def test_every_chunk_records_the_checksum_of_what_it_stores(self, scheme):
+        array = make_array()
+        payload = random.Random(5).randbytes(9 * CHUNK + 3)
+        array.write_object("obj", payload, scheme)
+        for stripe in array.get_extent("obj").stripes:
+            recorded = set()
+            for chunk in stripe.chunks:
+                device = array.devices[chunk.device_id]
+                assert device.verify_chunk(chunk.address)
+                assert device._checksums[chunk.address] == zlib.crc32(stored(array, chunk))
+                recorded.add(device._checksums[chunk.address])
+            if stripe.replicated:
+                assert len(recorded) == 1
+        assert array.read_object("obj")[0] == payload
+
+    def test_crc32_runs_once_per_replicated_stripe(self):
+        array = make_array()
+        payload = random.Random(6).randbytes(4 * CHUNK + 3)
+        with mock.patch("repro.flash.array.crc32", wraps=zlib.crc32) as in_array, \
+                mock.patch("repro.flash.device.zlib") as in_device:
+            array.write_object("obj", payload, ReplicationScheme())
+        assert in_array.call_count == len(array.get_extent("obj").stripes) == 5
+        in_device.crc32.assert_not_called()
+
+    def test_torn_write_trips_only_the_replica_it_hit(self):
+        torn = 2
+        array = make_array()
+        FaultInjector(
+            FaultPlan(events=(TornWrite(rate=1.0, devices=(torn,)),), seed=3)
+        ).attach(array)
+        payload = random.Random(7).randbytes(6 * CHUNK + 3)
+        array.write_object("obj", payload, ReplicationScheme())
+
+        data, result = array.read_object("obj")
+        assert data == payload
+        assert result.degraded
+        assert {
+            device_id for device_id, sample in result.device_io.items() if sample.errors
+        } == {torn}
+        for stripe in array.get_extent("obj").stripes:
+            for chunk in stripe.chunks:
+                intact = array.devices[chunk.device_id].verify_chunk(chunk.address)
+                assert intact == (chunk.device_id != torn)
+
+    def test_a_wrong_guard_fails_safe(self):
+        device = FlashDevice(device_id=0, capacity_bytes=1024, model=ZERO_COST)
+        device.write_chunk((0, 0), b"payload", checksum=zlib.crc32(b"payload"))
+        assert device.read_chunk((0, 0))[0] == b"payload"
+        device.write_chunk((0, 1), b"payload", checksum=zlib.crc32(b"payload") ^ 1)
+        assert not device.verify_chunk((0, 1))
+        with pytest.raises(ChunkCorruptedError):
+            device.read_chunk((0, 1))
+        assert (0, 1) in device.corrupt_chunks

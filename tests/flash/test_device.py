@@ -1,9 +1,17 @@
 """Tests for the simulated flash device."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import ChunkMissingError, DeviceFailedError, DeviceFullError
+from repro.errors import (
+    ChunkCorruptedError,
+    ChunkMissingError,
+    DeviceFailedError,
+    DeviceFullError,
+)
 from repro.flash.device import DeviceState, FlashDevice
+from repro.flash.ftl import FtlConfig, PageMappedFtl
 from repro.flash.latency import ZERO_COST
 
 
@@ -111,6 +119,69 @@ class TestIo:
         assert elapsed == pytest.approx(0.25 + 5 / 10.0)
         _payload, elapsed = device.read_chunk((0, 0))
         assert elapsed == pytest.approx(0.5 + 5 / 10.0)
+
+
+class TestDiscard:
+    """``discard_chunk`` is ``delete_chunk`` for callers that tolerate absence."""
+
+    @staticmethod
+    def worn_device():
+        """A device with an FTL, two chunks and a tripped checksum on one."""
+        device = make_device(capacity=4096)
+        device.ftl = PageMappedFtl(FtlConfig(page_size=64, pages_per_block=4, num_blocks=16))
+        device.write_chunk((0, 0), b"a" * 200)
+        device.write_chunk((0, 1), b"b" * 100)
+        device.corrupt_chunk((0, 0))
+        with pytest.raises(ChunkCorruptedError):
+            device.read_chunk((0, 0))
+        return device
+
+    @staticmethod
+    def state_of(device):
+        return (
+            dataclasses.astuple(device.stats),
+            device.used_bytes,
+            device.chunk_count,
+            set(device.corrupt_chunks),
+            (0, 0) in device._checksums,
+            device.ftl.mapped_pages,
+            dataclasses.astuple(device.ftl.stats),
+        )
+
+    def test_present_chunk_has_delete_chunks_effects(self):
+        deleted, discarded = self.worn_device(), self.worn_device()
+        deleted.delete_chunk((0, 0))
+        discarded.discard_chunk((0, 0))
+        assert self.state_of(discarded) == self.state_of(deleted)
+        assert discarded.stats.deletes == discarded.stats.erases == 1
+        assert discarded.used_bytes == 100
+        assert discarded.corrupt_chunks == set()
+        assert discarded.ftl.mapped_pages == 2  # the 100-byte chunk's pages
+        assert not discarded.has_chunk((0, 0))
+
+    def test_absent_chunk_is_a_noop(self):
+        device = self.worn_device()
+        before = self.state_of(device)
+        device.discard_chunk((9, 9))
+        assert self.state_of(device) == before
+        with pytest.raises(ChunkMissingError):
+            device.delete_chunk((9, 9))
+
+    def test_failed_device_is_a_noop(self):
+        device = self.worn_device()
+        before = self.state_of(device)
+        device.fail()
+        device.discard_chunk((0, 0))
+        assert self.state_of(device) == before
+        with pytest.raises(DeviceFailedError):
+            device.delete_chunk((0, 0))
+
+    def test_suspect_device_still_discards(self):
+        device = self.worn_device()
+        device.suspect()
+        device.discard_chunk((0, 1))
+        assert device.used_bytes == 200
+        assert device.stats.deletes == 1
 
 
 class TestStats:

@@ -135,6 +135,23 @@ class TestClassification:
         target.set_class(USER_A, 2)
         assert target.get_info(USER_A).attributes["reo.class_id"] == "2"
 
+    def test_class_label_follows_the_class_through_overwrites(self):
+        target = make_target()
+
+        def label():
+            info = target.get_info(USER_A)
+            assert info.attributes["reo.class_id"] == str(info.class_id)
+            return info.class_id
+
+        target.write_object(USER_A, b"m" * 640, class_id=3)
+        assert label() == 3
+        target.write_object(USER_A, b"n" * 640, class_id=1)  # class-changing overwrite
+        assert label() == 1
+        target.write_object(USER_A, b"o" * 640)  # class_id=None keeps the class
+        assert label() == 1
+        target.set_class(USER_A, 2)
+        assert label() == 2
+
     def test_set_class_reencodes(self):
         target = make_target()
         target.write_object(USER_A, b"m" * 640, class_id=3)
