@@ -23,9 +23,8 @@ Inside ``async def`` bodies in scope this rule flags:
 - ``await <stream>.drain()`` inside a ``for``/``while`` loop — a drain
   per command defeats write coalescing (each one can yield to the
   scheduler and flush a single PDU). Responses belong on the connection's
-  :class:`~repro.net.flush.StreamFlusher`, which drains once per batch;
-  the flusher's own flush loop is the one sanctioned site and carries a
-  ``# repro: allow[async-blocking]`` tag.
+  :class:`~repro.net.flush.StreamFlusher`, which ships one ``writelines``
+  per event-loop tick and awaits nothing.
 
 Nested *synchronous* ``def`` bodies are skipped: they only run when
 called, and flagging them here would double-report helper functions.
@@ -224,7 +223,7 @@ class _AsyncVisitor(RuleVisitor):
             self.report(
                 node,
                 "await drain() inside a per-command loop defeats write "
-                "coalescing; enqueue on the connection's StreamFlusher and "
+                "coalescing; enqueue on the connection's StreamFlusher, or "
                 "drain once per batch",
             )
         self.generic_visit(node)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.breaker import BreakerBank, BreakerPolicy, CircuitOpenError
@@ -226,14 +226,9 @@ class RouterClient:
         """Aggregate wire-level counters across all shard clients."""
         total = ClientStats()
         for client in self._clients.values():
-            shard_stats = client.stats
-            total.requests += shard_stats.requests
-            total.retries += shard_stats.retries
-            total.timeouts += shard_stats.timeouts
-            total.connection_errors += shard_stats.connection_errors
-            total.busy_replies += shard_stats.busy_replies
-            total.server_timeouts += shard_stats.server_timeouts
-            total.exhausted += shard_stats.exhausted
+            for counter in fields(ClientStats):
+                name = counter.name
+                setattr(total, name, getattr(total, name) + getattr(client.stats, name))
         return total
 
     async def refresh_map(self) -> bool:

@@ -63,6 +63,10 @@ __all__ = ["ClusterService", "MIRROR_WIDTH", "ShardServer"]
 #: of a class it may not know yet.
 MIRROR_WIDTH = 2
 
+#: Replies one router connection may have held on a shard (chaos delays)
+#: before that connection's frame loop stops.
+SHARD_MAX_IN_FLIGHT = 64
+
 _MUTATIONS = (Write, Update, Remove, CreateObject, SetAttr)
 _READS = (Read, GetAttr)
 
@@ -169,29 +173,19 @@ class ClusterService:
         host: str = "127.0.0.1",
         *,
         target_factory: Callable[[int], OsdTarget] = default_target_factory,
-        max_in_flight: int = 64,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self.num_shards = num_shards
         self.host = host
         self.target_factory = target_factory
-        self.max_in_flight = max_in_flight
         self.shards: Dict[int, ShardServer] = {}
         self.cluster_map: Optional[ClusterMap] = None
 
     async def start(self) -> ClusterMap:
         """Boot every shard on an ephemeral port and install the epoch-1 map."""
         for shard_id in range(self.num_shards):
-            server = ShardServer(
-                self.target_factory(shard_id),
-                shard_id,
-                self.host,
-                port=0,
-                max_in_flight=self.max_in_flight,
-            )
-            await server.start()
-            self.shards[shard_id] = server
+            await self._boot_shard(shard_id)
         cluster_map = ClusterMap(
             epoch=1,
             shards=tuple(
@@ -201,6 +195,18 @@ class ClusterService:
         )
         self.install_map(cluster_map)
         return cluster_map
+
+    async def _boot_shard(self, shard_id: int) -> ShardServer:
+        server = ShardServer(
+            self.target_factory(shard_id),
+            shard_id,
+            self.host,
+            port=0,
+            max_in_flight=SHARD_MAX_IN_FLIGHT,
+        )
+        await server.start()
+        self.shards[shard_id] = server
+        return server
 
     def install_map(self, cluster_map: ClusterMap) -> None:
         """Push a (newer) map to every still-running shard."""
@@ -223,15 +229,7 @@ class ClusterService:
         used = [shard.shard_id for shard in self.cluster_map.shards]
         used.extend(self.shards)
         shard_id = max(used, default=-1) + 1
-        server = ShardServer(
-            self.target_factory(shard_id),
-            shard_id,
-            self.host,
-            port=0,
-            max_in_flight=self.max_in_flight,
-        )
-        await server.start()
-        self.shards[shard_id] = server
+        server = await self._boot_shard(shard_id)
         joined = self.cluster_map.with_shard(
             ShardInfo(shard_id=shard_id, host=self.host, port=server.port)
         )

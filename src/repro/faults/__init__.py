@@ -4,15 +4,15 @@
 a seeded, typed schedule of fault events (fail-stop, latent sector errors,
 transient read errors, fail-slow, torn writes) that a
 :class:`FaultInjector` executes deterministically against a simulated flash
-array, and that :func:`make_net_fault_hook` adapts to the socket service
-layer. :class:`NetFaultPlan` lifts the same discipline to shard-grain
-network chaos (partitions, fail-slow links, flapping, crashes) executed by
-:class:`ShardChaos` against a cluster's shard servers. See
+array. :class:`NetFaultPlan` lifts the same discipline to the socket
+service layer: shard-grain network chaos (partitions, fail-slow links,
+flapping, crashes) executed by :class:`ShardChaos` as the shard servers'
+fault hooks. See
 :mod:`repro.faults.plan` and :mod:`repro.faults.netplan` for the event
 catalogues.
 """
 
-from repro.faults.injector import FaultInjector, make_net_fault_hook
+from repro.faults.injector import FaultInjector
 from repro.faults.netplan import (
     LinkFailSlow,
     LinkFlap,
@@ -50,5 +50,4 @@ __all__ = [
     "ShardCrash",
     "TornWrite",
     "TransientReadError",
-    "make_net_fault_hook",
 ]

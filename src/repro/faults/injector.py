@@ -15,17 +15,15 @@ Device-scoped events (fail-slow) are stamped with the target device's
 stamp no longer matches and the fault stops applying — a replacement device
 is a different physical device.
 
-:func:`make_net_fault_hook` adapts the same plan to the asyncio OSD
-server's ``fault_hook`` so one schedule can span the storage and service
-layers: transient-read rates become ``SERVER_TIMEOUT`` replies, torn-write
-rates become dropped (executed-but-unacknowledged) connections, and a
-fail-slow event delays responses.
+The socket service layer has its own plan vocabulary and executor
+(:mod:`repro.faults.netplan`); this injector drives the simulated array
+only.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import TransientIoError
 from repro.faults.plan import (
@@ -41,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - imports only for annotations
     from repro.flash.array import FlashArray
     from repro.flash.device import ChunkAddress, FlashDevice
 
-__all__ = ["FaultInjector", "make_net_fault_hook"]
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
@@ -217,52 +215,3 @@ class FaultInjector:
             self._streams[key] = stream
         return stream
 
-
-def make_net_fault_hook(
-    plan: FaultPlan,
-    *,
-    delay_scale: float = 0.001,
-) -> Callable[[object, Optional[int]], Awaitable[Optional[str]]]:
-    """Adapt a fault plan to the OSD server's ``fault_hook`` protocol.
-
-    Mapping (service-layer analogues of the storage faults):
-
-    - :class:`TransientReadError` ``rate`` → answer ``SERVER_TIMEOUT`` sense
-      data (the command executed; the reply is lost to the client's timer);
-    - :class:`TornWrite` ``rate`` → sever the connection without replying
-      (executed but unacknowledged — the torn/ambiguous outcome);
-    - :class:`FailSlow` → delay each response by
-      ``delay_scale * (latency_multiplier - 1)`` wall seconds.
-
-    Time-anchored events (``FailStop``, ``from_time`` offsets) are ignored —
-    the net server runs on wall clocks, not the simulated one. Decisions use
-    the same seeded stream discipline as the storage injector (device id 0),
-    so a given seed produces the same fault sequence per server.
-    """
-    import asyncio
-
-    timeout_rates = [
-        (index, event.rate) for index, event in plan.of_type(TransientReadError)
-    ]
-    drop_rates = [(index, event.rate) for index, event in plan.of_type(TornWrite)]
-    delay = sum(
-        delay_scale * (event.latency_multiplier - 1.0)
-        for _, event in plan.of_type(FailSlow)
-    )
-    streams = {
-        index: random.Random(f"{plan.seed}:{index}:net")
-        for index, _ in timeout_rates + drop_rates
-    }
-
-    async def hook(command, seq):
-        if delay > 0:
-            await asyncio.sleep(delay)
-        for index, rate in drop_rates:
-            if streams[index].random() < rate:
-                return "drop"
-        for index, rate in timeout_rates:
-            if streams[index].random() < rate:
-                return "timeout"
-        return None
-
-    return hook

@@ -20,10 +20,12 @@ streams string-seeded with ``"{plan.seed}:{event_index}:{shard_id}:net"``
 — the same cross-process-stable discipline as the device injector.
 
 Fault semantics ride the server's :data:`~repro.net.server.FaultHook`
-protocol, so every injected failure lands *after* execution and before the
-reply — a dropped write is the real-world ambiguous outcome (executed but
-unacknowledged), exactly the case the client's idempotent-only retry and
-the router's degraded paths are built to survive.
+protocol — a plain function returning a verdict (``None``, ``"drop"``, or
+the seconds to hold the reply; the server owns the clock) — so every
+injected failure lands *after* execution and before the reply: a dropped
+write is the real-world ambiguous outcome (executed but unacknowledged),
+exactly the case the client's idempotent-only retry and the router's
+degraded paths are built to survive.
 """
 
 from __future__ import annotations
@@ -295,8 +297,8 @@ class ShardChaos:
     def hook_for(self, shard_id: int):
         """The server ``fault_hook`` enacting this plan at one shard."""
 
-        async def hook(command: object, seq: Optional[int]) -> Optional[str]:
-            return await self._apply(shard_id)
+        def hook(command: object, seq: Optional[int]) -> Union[None, str, float]:
+            return self._apply(shard_id)
 
         return hook
 
@@ -316,7 +318,7 @@ class ShardChaos:
     # ------------------------------------------------------------------
     # The hook body
     # ------------------------------------------------------------------
-    async def _apply(self, shard_id: int) -> Optional[str]:
+    def _apply(self, shard_id: int) -> Union[None, str, float]:
         op = self.ops.get(shard_id, 0)
         self.ops[shard_id] = op + 1
         if shard_id in self.crashed:
@@ -336,7 +338,7 @@ class ShardChaos:
             self.delayed_seconds[shard_id] = (
                 self.delayed_seconds.get(shard_id, 0.0) + delay
             )
-            await asyncio.sleep(delay)
+            return delay  # the server holds the reply this long
         return None
 
     def _dropped(self, shard_id: int, op: int) -> bool:

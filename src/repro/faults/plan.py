@@ -6,12 +6,10 @@ sector errors discovered on read, transient I/O errors that succeed on
 retry, fail-slow devices whose service times quietly balloon, and torn
 writes that persist a truncated payload. A :class:`FaultPlan` composes any
 number of these as data, so a whole campaign is one value that can be
-logged, replayed, and driven through every layer:
-
-- the storage layer, via :class:`repro.faults.FaultInjector` hooked into
-  :meth:`repro.flash.device.FlashDevice.read_chunk` / ``write_chunk``;
-- the service layer, via :func:`repro.faults.make_net_fault_hook`, which
-  adapts the same plan to the net server's ``fault_hook``.
+logged, replayed, and driven through the storage layer by a
+:class:`repro.faults.FaultInjector` hooked into
+:meth:`repro.flash.device.FlashDevice.read_chunk` / ``write_chunk``. (The
+socket service layer has its own vocabulary, :mod:`repro.faults.netplan`.)
 
 Every stochastic decision is drawn from streams derived from
 ``(plan seed, event index, device id)``, so two runs with the same seed are
@@ -155,9 +153,7 @@ class FaultPlan:
     """An immutable, seeded schedule of fault events.
 
     One plan drives a whole campaign: attach it to an array through a
-    :class:`~repro.faults.FaultInjector` and (optionally) to an
-    :class:`~repro.net.server.OsdServer` through
-    :func:`~repro.faults.make_net_fault_hook`.
+    :class:`~repro.faults.FaultInjector`.
     """
 
     events: Tuple[FaultEvent, ...] = ()

@@ -35,14 +35,11 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--device-mb", type=int, default=64)
     parser.add_argument("--chunk-kb", type=int, default=64)
     parser.add_argument("--parity", type=int, default=1)
-    parser.add_argument("--max-in-flight", type=int, default=32)
     args = parser.parse_args(argv)
 
     async def _serve() -> None:
         target = _build_target(args.devices, args.device_mb, args.chunk_kb, args.parity)
-        server = OsdServer(
-            target, args.host, args.port, max_in_flight=args.max_in_flight
-        )
+        server = OsdServer(target, args.host, args.port)
         await server.start()
         print(f"osd server listening on {server.host}:{server.port} (Ctrl-C to stop)")
         try:

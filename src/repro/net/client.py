@@ -24,11 +24,15 @@ Reliability model:
 - **Coalescing** — symmetric with the server: requests are enqueued on a
   per-connection :class:`~repro.net.flush.StreamFlusher` as un-copied
   ``[frame prefix, header, payload]`` segments, so pipelined commands
-  issued in the same event-loop tick share one ``writelines`` and one
-  ``drain``; responses land straight in the zero-copy
+  issued in the same event-loop tick share one ``writelines``; responses
+  land straight in the zero-copy
   :class:`~repro.osd.transport.FrameDecoder` via the
   :class:`asyncio.BufferedProtocol` receive path (no StreamReader
   double-buffer, no reader task).
+- **No write-side back-pressure** — a request that does not fit the socket
+  waits in the transport's write buffer and ``submit`` is never blocked on
+  it; closed-loop callers (one outstanding request per caller) are what
+  bounds that buffer today.
 """
 
 from __future__ import annotations
@@ -98,8 +102,7 @@ class _Connection(asyncio.BufferedProtocol):
     A :class:`asyncio.BufferedProtocol`: the transport ``recv_into``\\ s
     straight into the frame decoder's buffer, and responses resolve their
     pending futures synchronously in ``buffer_updated`` — no reader task,
-    no per-chunk copy. Transport back-pressure parks the flusher's
-    standby drain via ``pause_writing``/``resume_writing``.
+    no per-chunk copy.
     """
 
     def __init__(self, max_pdu_bytes: int) -> None:
@@ -121,7 +124,7 @@ class _Connection(asyncio.BufferedProtocol):
             # Request/response traffic: never sit in Nagle's buffer.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.transport = transport
-        self.flusher = StreamFlusher(transport, on_error=self._fail_pending)
+        self.flusher = StreamFlusher(transport)
 
     def get_buffer(self, sizehint: int) -> memoryview:
         return self.decoder.get_buffer(max(sizehint, RECV_CHUNK_BYTES))
@@ -147,21 +150,13 @@ class _Connection(asyncio.BufferedProtocol):
         self._fail_pending()
         self._lost.set()
 
-    def pause_writing(self) -> None:
-        if self.flusher is not None:
-            self.flusher.pause_writing()
-
-    def resume_writing(self) -> None:
-        if self.flusher is not None:
-            self.flusher.resume_writing()
-
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
     def _fail_pending(self) -> None:
         self.closed = True
         if self.flusher is not None:
-            self.flusher.abort()
+            self.flusher.close()
         for future in self.pending.values():
             if not future.done():
                 future.set_exception(
@@ -199,7 +194,7 @@ class _Connection(asyncio.BufferedProtocol):
         try:
             # Coalesced send: the flusher batches this with every other
             # request enqueued this tick. Socket failures surface through
-            # the reader/flusher failing the pending futures.
+            # connection_lost failing the pending futures.
             self.flusher.send(parts)
             return await future
         finally:
@@ -216,7 +211,7 @@ class _Connection(asyncio.BufferedProtocol):
     async def close(self) -> None:
         self.closed = True
         if self.flusher is not None:
-            await self.flusher.aclose()
+            self.flusher.close()
         if self.transport is not None:
             if not self.transport.is_closing():
                 self.transport.close()

@@ -1,37 +1,21 @@
-"""Outbound write coalescing for one stream connection.
+"""Outbound write coalescing for one transport.
 
-The seed service layer paid one ``writer.write`` + one ``await
-writer.drain()`` per PDU — at 4 KiB payloads that makes syscall and
-event-loop overhead, not data movement, the throughput ceiling.
+One ``transport.write`` per PDU makes syscall and event-loop overhead,
+not data movement, the throughput ceiling at small payloads.
 :class:`StreamFlusher` batches instead: producers enqueue framed PDUs as
-buffer *segments* (no concatenation), and a single flusher task per
-connection ships everything accumulated since its last wakeup with one
-``writelines`` and one ``drain`` per batch.
+buffer *segments* (no concatenation), and the first ``send`` of an
+event-loop tick schedules one ``call_soon`` callback that ships
+everything enqueued in that tick with a single ``writelines``.
 
-Coalescing falls out of the event loop's own scheduling: the first
-``send`` of a tick schedules a flush callback with ``call_soon``, which
-runs once the current callbacks finish — so every response produced in
-the same event-loop tick shares one ``writelines`` syscall. The flush
-callback is synchronous (no task wakeup per batch); draining is deferred
-to a standby task that only runs when the transport's own write buffer
-exceeds the high-water mark, because ``drain`` on an unpressured
-transport is a no-op not worth a task switch.
+Memory stays bounded by a high-water mark: once the outbox reaches it,
+``send`` pushes the buffered segments into the transport immediately, so
+the flusher itself never holds more than the mark plus one PDU.
 
-Memory stays bounded by a high-water mark: once the outbox exceeds it,
-``send`` pushes the buffered segments into the transport immediately
-(still without draining per send), so backpressure is delegated to the
-transport's own write buffer and the standby drain task.
-
-The flusher accepts two kinds of sink. A :class:`asyncio.StreamWriter`
-(anything with a ``drain`` coroutine) is *writer mode*, where the standby
-task awaits ``writer.drain()``. A bare :class:`asyncio.Transport`
-(``Protocol`` port) is *transport mode*: there is no ``drain()``
-coroutine in the protocol world — the transport signals back-pressure by
-calling ``pause_writing``/``resume_writing`` on its protocol, and the
-owning protocol forwards those to :meth:`pause_writing`/
-:meth:`resume_writing` here. The standby drain task then awaits the
-resume event instead of ``drain()``: same semantics (block until the
-write buffer empties below the low-water mark), no stream wrapper.
+The flusher is a list and a callback — no task, nothing awaited. It
+applies no back-pressure of its own: past the outbox the bytes sit in the
+transport's write buffer, and the transport reports pressure to its
+protocol (``pause_writing``/``resume_writing``), which is where the
+server gates its frame loop (:mod:`repro.net.server`).
 """
 
 from __future__ import annotations
@@ -48,36 +32,26 @@ DEFAULT_HIGH_WATER_BYTES = 256 * 1024
 
 
 class StreamFlusher:
-    """Coalesces many outbound frames into one ``writelines`` + ``drain``.
+    """Coalesces the frames sent in one event-loop tick into one ``writelines``.
 
     Args:
-        writer: the connection's :class:`asyncio.StreamWriter`, or a bare
-            :class:`asyncio.Transport` (transport mode — anything without
-            a ``drain`` coroutine).
-        high_water_bytes: outbox size that triggers an early (undrained)
-            push into the transport; also the transport write-buffer size
-            past which the standby drain task is woken.
-        on_error: called once if the flusher's drain hits a dead socket;
-            the owner severs the connection.
-        on_flush: called after every completed batch (stats hooks).
+        transport: the connection's :class:`asyncio.Transport`.
+        high_water_bytes: outbox size that triggers an early push into
+            the transport.
+        on_flush: called after every end-of-tick batch (stats hooks).
     """
 
     def __init__(
         self,
-        writer,
+        transport: asyncio.Transport,
         *,
         high_water_bytes: int = DEFAULT_HIGH_WATER_BYTES,
-        on_error: Optional[Callable[[], None]] = None,
         on_flush: Optional[Callable[[], None]] = None,
     ) -> None:
-        self.writer = writer
-        #: Writer mode awaits ``writer.drain()``; transport mode awaits
-        #: the ``resume_writing`` signal forwarded by the owning protocol.
-        self._writer_mode = hasattr(writer, "drain")
+        self.transport = transport
         self.high_water_bytes = high_water_bytes
-        self.on_error = on_error
         self.on_flush = on_flush
-        #: Completed batches (one writelines + one drain each).
+        #: Completed end-of-tick batches (one ``writelines`` each).
         self.flushes = 0
         #: Frames accepted via :meth:`send`.
         self.sends = 0
@@ -85,38 +59,11 @@ class StreamFlusher:
         self._outbox_bytes = 0
         self._flush_scheduled = False
         self._loop = asyncio.get_event_loop()
-        self._wakeup = asyncio.Event()
-        self._resumed = asyncio.Event()
-        self._resumed.set()
         self._closed = False
-        self._task = asyncio.ensure_future(self._run())
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def paused(self) -> bool:
-        """True while the transport holds the connection in back-pressure."""
-        return not self._resumed.is_set()
-
-    def pause_writing(self) -> None:
-        """Transport mode: the write buffer crossed its high-water mark.
-
-        Forwarded by the owning protocol's ``pause_writing``. Wakes the
-        standby drain task, which parks on the resume event — the
-        protocol-world equivalent of an in-flight ``drain()``.
-        """
-        self._resumed.clear()
-        self._wakeup.set()
-
-    def resume_writing(self) -> None:
-        """Transport mode: the write buffer emptied below low-water."""
-        self._resumed.set()
 
     def send(self, parts: Sequence[Buffer]) -> None:
         """Enqueue one framed PDU (as segments) for the next batch."""
-        if self._closed or self.writer.is_closing():
+        if self._closed or self.transport.is_closing():
             return
         self.sends += 1
         self._outbox.extend(parts)
@@ -129,20 +76,14 @@ class StreamFlusher:
             self._loop.call_soon(self._flush_batch)
 
     def _push(self) -> None:
-        """Move the outbox into the transport's write buffer (no drain)."""
+        """Move the outbox into the transport's write buffer."""
         buffers, self._outbox = self._outbox, []
         self._outbox_bytes = 0
-        if buffers and not self.writer.is_closing():
-            self.writer.writelines(buffers)
+        if buffers and not self.transport.is_closing():
+            self.transport.writelines(buffers)
 
     def _flush_batch(self) -> None:
-        """End-of-tick flush: one ``writelines`` for the whole batch.
-
-        Runs as a plain callback, not a task — nothing here awaits. The
-        standby drain task is only woken when the transport reports real
-        back-pressure, so the steady-state batch costs one syscall and
-        zero task switches.
-        """
+        """End-of-tick flush: one ``writelines`` for the whole batch."""
         self._flush_scheduled = False
         if self._closed:
             return
@@ -150,61 +91,13 @@ class StreamFlusher:
         self.flushes += 1
         if self.on_flush is not None:
             self.on_flush()
-        if self._write_buffer_size() > self.high_water_bytes:
-            self._wakeup.set()
 
-    def _write_buffer_size(self) -> int:
-        transport = self.writer.transport if self._writer_mode else self.writer
-        if transport is None:
-            return 0
-        return transport.get_write_buffer_size()
+    def close(self) -> None:
+        """Push what is queued and refuse further sends.
 
-    async def _drain(self) -> None:
-        """One back-pressure wait, in whichever dialect the sink speaks."""
-        if self._writer_mode:
-            await self.writer.drain()  # repro: allow[async-blocking]
-        else:
-            await self._resumed.wait()
-
-    async def _run(self) -> None:
-        """Standby drain task: applies back-pressure only when asked."""
-        try:
-            while not self._closed:
-                await self._wakeup.wait()
-                self._wakeup.clear()
-                if self._closed:
-                    break
-                # The sanctioned drain: one per pressured batch, covering
-                # every send since the transport last emptied.
-                await self._drain()
-        except asyncio.CancelledError:
-            raise
-        except (ConnectionError, OSError):
-            self._closed = True
-            if self.on_error is not None:
-                self.on_error()
-
-    def abort(self) -> None:
-        """Synchronous teardown: push what's queued, stop the task."""
+        The transport flushes its own write buffer before the FIN, so
+        frames sent before ``close()`` are still delivered.
+        """
         if not self._closed:
             self._closed = True
             self._push()
-        # Unblock any transport-mode drain waiter: a closed transport
-        # flushes (or drops) its own buffer; nobody resumes a dead one.
-        self._resumed.set()
-        self._task.cancel()
-
-    async def aclose(self) -> None:
-        """Flush the outbox best-effort, then stop the flusher task."""
-        self.abort()
-        try:
-            await self._task
-        except asyncio.CancelledError:
-            pass
-        except (ConnectionError, OSError):
-            return
-        if not self.writer.is_closing():
-            try:
-                await self._drain()
-            except (ConnectionError, OSError):
-                pass

@@ -6,8 +6,19 @@ flash array; library users embed :class:`OsdServer` directly.
 Protocol: each TCP connection carries framed PDUs
 (:func:`repro.osd.transport.frame_pdu`): a 4-byte length prefix, then a
 command PDU (:mod:`repro.osd.wire`). Requests carry a ``seq`` id; the
-response echoes it, so a connection is fully pipelined — many commands in
-flight, responses in completion order.
+response echoes it, so a connection is fully pipelined.
+
+There is one serving path, made of protocol callbacks and timers — no
+task per command or per connection. Each connection is an
+:class:`asyncio.BufferedProtocol`: the socket ``recv_into``\\ s straight
+into a zero-copy :class:`~repro.osd.transport.FrameDecoder`, and
+``buffer_updated`` decodes and executes each complete frame inline
+(``command.apply(target)`` is a synchronous call). The response goes on
+the connection's :class:`~repro.net.flush.StreamFlusher` (one
+``writelines`` per event-loop tick) unless a :data:`FaultHook` asks for
+it to be *held*, which is one ``loop.call_later`` timer. A command is
+**in flight** from execution until its reply is released, so
+``ServiceStats.in_flight`` counts held replies — on every server.
 
 Robustness model:
 
@@ -15,46 +26,35 @@ Robustness model:
   buffered; oversized or unparseable frames kill the connection (the byte
   stream is unsynchronized). A malformed PDU *inside* a valid frame gets a
   structured ``FAIL`` reply and the connection lives on.
-- **Backpressure** — a per-connection semaphore bounds in-flight commands;
-  when full, the server simply stops reading that socket, pushing back
-  through TCP. An optional global cap answers ``SERVER_BUSY`` sense data
-  instead of executing, so overload is visible to clients as a retryable
-  status, not a dropped connection.
-- **Graceful shutdown** — stop accepting, drain in-flight commands up to a
-  deadline, then close connections.
+- **One gate** — while a connection holds ``max_in_flight`` replies *or*
+  its transport reports write pressure, the frame loop stops — the
+  remaining frames stay undecoded and unexecuted in the decoder — and
+  the socket is paused, pushing back through TCP; a released reply or
+  ``resume_writing`` re-enters the loop. A peer that pipelines reads and
+  never reads the answers costs at most the flusher's high-water mark +
+  the transport's + one response. The optional global cap answers
+  ``SERVER_BUSY`` instead of executing: overload is a retryable status.
+- **Half-close** — EOF with replies held or frames gated finishes them,
+  then closes.
+- **Graceful shutdown** — stop accepting, wait up to ``drain_timeout`` for
+  held replies to go out, then close connections; replies still held are
+  abandoned (timers cancelled, commands booked) before ``shutdown`` returns.
 - **Stats endpoint** — a ``#QUERY#`` control write naming
   :data:`~repro.osd.types.SERVICE_STATS_OBJECT` is answered by the server
   with a JSON :class:`~repro.net.stats.ServiceStats` snapshot (connections,
   in-flight depth, retries seen, timeouts, p50/p99 service latency).
 
-Throughput model (zero-copy + coalescing PR): the read side pulls large
-chunks into a zero-copy :class:`~repro.osd.transport.FrameDecoder` (PDUs
-are memoryview slices of the receive buffer; the data segment is copied
-exactly once, into the command payload), and the write side batches — every
-response is enqueued on a per-connection :class:`~repro.net.flush.StreamFlusher`
-as ``[frame prefix, header, payload]`` segments and shipped with one
-``writelines`` + one ``drain`` per event-loop tick instead of one drain per
-command. One server is one process and one event loop;
-:mod:`repro.cluster` (``python -m repro.cluster --shards N``) serves more
-than one shard.
-
-Protocol port: each connection is an
-:class:`asyncio.BufferedProtocol` — the socket ``recv_into``\\ s straight
-into the :class:`~repro.osd.transport.FrameDecoder`'s buffer (no
-StreamReader double-buffer, no reader-task wakeup per chunk) and frames
-are served synchronously from ``buffer_updated``. Back-pressure is
-symmetric: the connection's in-flight bound and the transport's
-``pause_writing`` both gate ``pause_reading``/``resume_reading``, and the
-flusher's standby drain parks on the transport's resume signal.
+One server is one process and one event loop; :mod:`repro.cluster`
+(``python -m repro.cluster --shards N``) serves more than one shard.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import socket
 import time
-from collections import deque
-from typing import Awaitable, Callable, Deque, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple, Union
 
 from repro.errors import ControlMessageError, OsdError, WireError
 from repro.net.flush import StreamFlusher
@@ -73,15 +73,16 @@ __all__ = ["ControlReadProvider", "FaultHook", "OsdServer", "RECV_CHUNK_BYTES"]
 #: the transport, so one ``recv_into`` can land many pipelined frames.
 RECV_CHUNK_BYTES = 256 * 1024
 
-#: Test/chaos hook called after a command executes, before its response is
-#: sent. May sleep to delay the response past the client's timeout. Return
-#: ``None`` for normal service, ``"drop"`` to sever the connection without
-#: replying (executed but unacknowledged — the ambiguous case that makes
-#: non-idempotent retries unsafe), or ``"timeout"`` to answer
-#: ``SERVER_TIMEOUT`` sense data instead of the real response. Faults land
-#: *after* execution so an abandoned attempt can never execute late and
-#: clobber a newer write.
-FaultHook = Callable[[OsdCommand, Optional[int]], Awaitable[Optional[str]]]
+#: Test/chaos hook, a plain function called after a command executes and
+#: before its response is sent. Its verdict: ``None`` for normal service;
+#: a number of seconds to *hold* the response that long (the server owns
+#: the clock — past the client's timeout, say); ``"drop"`` to sever the
+#: connection without replying (executed but unacknowledged — the
+#: ambiguous case that makes non-idempotent retries unsafe); or
+#: ``"timeout"`` to answer ``SERVER_TIMEOUT`` sense data instead of the
+#: real response. Faults land *after* execution so an abandoned attempt
+#: can never execute late and clobber a newer write.
+FaultHook = Callable[[OsdCommand, Optional[int]], Union[None, str, float]]
 
 #: A server-side read endpoint: called with no arguments when a ``#QUERY#``
 #: control write names its registered object id; returns the reply payload.
@@ -96,27 +97,23 @@ class _Connection(asyncio.BufferedProtocol):
 
     The transport fills the frame decoder's buffer directly
     (``get_buffer``/``buffer_updated``); complete frames are decoded and
-    served synchronously in the same callback. Commands that need the
-    fault-hook task path are admitted through a backlog bounded by the
-    server's per-connection in-flight limit — while the backlog is
-    non-empty (or the transport reports write pressure) the socket is
-    paused, which is the protocol-world version of the old
-    "stop reading while the semaphore is full" back-pressure.
+    executed synchronously in the same callback, until they run out or
+    the gate (:meth:`_gated`) closes. Frames behind a closed gate stay in
+    the decoder and the socket is paused; releasing a held reply or the
+    transport's ``resume_writing`` re-enters the loop.
     """
 
     def __init__(self, server: "OsdServer") -> None:
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
         self.decoder = FrameDecoder(server.max_pdu_bytes)
-        self.tasks: Set[asyncio.Task] = set()
         self.dropped = False
         self.flusher: Optional[StreamFlusher] = None
-        #: Decoded-but-unserved commands beyond the in-flight bound.
-        self._backlog: Deque[Tuple[Optional[int], OsdCommand]] = deque()
-        self._in_flight = 0
-        self._reading_paused = False
+        #: Executed-but-unanswered replies: token -> (release timer, start).
+        self._held: Dict[int, Tuple[asyncio.TimerHandle, float]] = {}
+        self._tokens = itertools.count()
         self._write_paused = False
-        self._eof_drain: Optional[asyncio.Task] = None
+        self._eof = False
 
     # ------------------------------------------------------------------
     # asyncio.BufferedProtocol interface
@@ -129,9 +126,7 @@ class _Connection(asyncio.BufferedProtocol):
             # buffer waiting for an ACK.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.transport = transport
-        self.flusher = StreamFlusher(
-            transport, on_error=self.drop, on_flush=self.server._count_flush
-        )
+        self.flusher = StreamFlusher(transport, on_flush=self.server._count_flush)
         self.server._register(self)
 
     def get_buffer(self, sizehint: int) -> memoryview:
@@ -139,121 +134,113 @@ class _Connection(asyncio.BufferedProtocol):
 
     def buffer_updated(self, nbytes: int) -> None:
         self.decoder.buffer_updated(nbytes)
-        if self.dropped or self.server._draining:
-            return
-        try:
-            for frame in self.decoder.frames():
-                self.server._accept_frame(self, frame)
-                if self.dropped or self.server._draining:
-                    return
-        except WireError:
-            # Oversized/poisoned frame: the stream cannot be resynced.
-            self.server.stats.wire_errors += 1
-            self.drop()
+        self._serve_frames()
 
-    def eof_received(self) -> Optional[bool]:
-        # Connection-level EOF: finish what was already accepted, then
-        # close from our side (True keeps the transport open for writes).
-        if self.tasks or self._backlog:
-            self._eof_drain = asyncio.ensure_future(self._drain_then_close())
-            return True
-        self.drop()
-        return False
+    def eof_received(self) -> bool:
+        # Finish what was already received — held replies, gated frames —
+        # then close from our side (True keeps the transport open for
+        # writes). With the gate open every complete frame has been
+        # served, so there is nothing to wait for.
+        self._eof = True
+        self._sync_socket()
+        return not self.dropped
 
     def connection_lost(self, exc: Optional[BaseException]) -> None:
-        self.dropped = True
-        self._backlog.clear()
-        if self._eof_drain is not None:
-            self._eof_drain.cancel()
-        for task in self.tasks:
-            task.cancel()
-        if self.flusher is not None:
-            self.flusher.abort()
+        self.drop()
         self.server._unregister(self)
 
     def pause_writing(self) -> None:
-        # The transport's write buffer crossed its high-water mark: park
-        # the flusher's standby drain and stop accepting bytes whose
-        # responses would pile onto an already-pressured buffer.
+        # The transport's write buffer crossed its high-water mark: stop
+        # executing commands whose responses would pile onto it.
         self._write_paused = True
-        if self.flusher is not None:
-            self.flusher.pause_writing()
-        self._update_read_gate()
+        self._sync_socket()
 
     def resume_writing(self) -> None:
         self._write_paused = False
-        if self.flusher is not None:
-            self.flusher.resume_writing()
-        self._update_read_gate()
+        self._serve_frames()
 
     # ------------------------------------------------------------------
     # Serving support
     # ------------------------------------------------------------------
+    def _gated(self) -> bool:
+        """The one gate: while it holds, no frame is decoded or executed."""
+        return (
+            self._write_paused
+            or len(self._held) >= self.server.max_in_flight
+            or self.dropped
+            or self.server._draining
+        )
+
+    def _serve_frames(self) -> None:
+        """Serve buffered frames until they run out or the gate closes."""
+        if not self._gated():
+            try:
+                for frame in self.decoder.frames():
+                    self.server._serve_frame(self, frame)
+                    if self._gated():
+                        break
+            except WireError:
+                # Oversized/poisoned frame: the stream cannot be resynced.
+                self.server.stats.wire_errors += 1
+                self.drop()
+        self._sync_socket()
+
+    def _sync_socket(self) -> None:
+        """Pause the socket while gated; after EOF, close once idle."""
+        transport = self.transport
+        if self.dropped or transport is None or transport.is_closing():
+            return
+        gated = self._gated()
+        if self._eof:
+            # The transport stopped reading at EOF; what is left is to
+            # notice that everything received has been answered.
+            if not gated and not self._held:
+                self.drop()
+        elif gated:
+            transport.pause_reading()  # both are no-ops when already so
+        else:
+            transport.resume_reading()
+
     def send(self, response: OsdResponse, seq: Optional[int]) -> None:
         """Enqueue one response for the connection's next coalesced flush."""
         if self.dropped or self.flusher is None:
             return
         self.flusher.send(frame_parts(wire.encode_response_parts(response, seq=seq)))
 
-    def enqueue(self, seq: Optional[int], command: OsdCommand) -> None:
-        """Admit one command to the fault-hook task path."""
-        self._backlog.append((seq, command))
-        self._pump()
+    def hold(
+        self, seconds: float, started: float, response: OsdResponse, seq: Optional[int]
+    ) -> None:
+        """Keep an executed command's reply back on a timer."""
+        token = next(self._tokens)
+        loop = asyncio.get_running_loop()
+        timer = loop.call_later(seconds, self._release, token, response, seq)
+        self._held[token] = (timer, started)
 
-    def _pump(self) -> None:
-        while self._backlog and self._in_flight < self.server.max_in_flight:
-            seq, command = self._backlog.popleft()
-            self._in_flight += 1
-            task = asyncio.ensure_future(
-                self.server._serve_command(self, seq, command)
-            )
-            self.tasks.add(task)
-            task.add_done_callback(self._task_done)
-        self._update_read_gate()
-
-    def _task_done(self, task: asyncio.Task) -> None:
-        self.tasks.discard(task)
-        self._in_flight -= 1
-        if not self.dropped:
-            self._pump()
-
-    def _update_read_gate(self) -> None:
-        """Pause the socket while back-pressured, resume when clear."""
-        want_pause = self._write_paused or bool(self._backlog)
-        if self.transport is None or self.transport.is_closing():
-            return
-        if want_pause and not self._reading_paused:
-            self.transport.pause_reading()
-            self._reading_paused = True
-        elif not want_pause and self._reading_paused and not self.dropped:
-            self.transport.resume_reading()
-            self._reading_paused = False
-
-    async def _drain_then_close(self) -> None:
-        """Post-EOF drain: serve accepted commands, then close the socket."""
-        deadline = asyncio.get_running_loop().time() + self.server.drain_timeout
-        while self.tasks or self._backlog:
-            pending = set(self.tasks)
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                break
-            if pending:
-                await asyncio.wait(pending, timeout=remaining)
-            else:
-                await asyncio.sleep(0)
-        self.drop()
+    def _release(self, token: int, response: OsdResponse, seq: Optional[int]) -> None:
+        _timer, started = self._held.pop(token)
+        self.server.stats.end_command(time.perf_counter() - started, response.ok)
+        self.send(response, seq)
+        self.server._settled()
+        self._serve_frames()
 
     def drop(self) -> None:
         """Sever the connection immediately (fault injection / fatal error).
 
-        Already-queued responses are pushed into the transport first;
-        ``close()`` flushes the transport buffer before the FIN, so a
-        drained-then-dropped connection still delivers its replies.
+        Held replies are abandoned — timers cancelled, commands booked as
+        executed without a good answer. Already-queued responses are
+        pushed into the transport first; ``close()`` flushes the
+        transport buffer before the FIN, so a served-then-dropped
+        connection still delivers its replies.
         """
         self.dropped = True
-        self._backlog.clear()
+        now = time.perf_counter()
+        for timer, started in self._held.values():
+            timer.cancel()
+            self.server.stats.end_command(now - started, False)
+        self._held.clear()
+        self.server._settled()
         if self.flusher is not None:
-            self.flusher.abort()
+            self.flusher.close()
         if self.transport is not None and not self.transport.is_closing():
             self.transport.close()
 
@@ -272,16 +259,14 @@ class OsdServer:
         max_pdu_bytes: int = wire.MAX_PDU_BYTES,
         drain_timeout: float = 5.0,
         fault_hook: Optional[FaultHook] = None,
-        fault_plan: "object | None" = None,
     ) -> None:
         """
         Args:
-            fault_hook: explicit chaos hook (see :data:`FaultHook`).
-            fault_plan: a :class:`repro.faults.FaultPlan` to derive the hook
-                from when no explicit one is given — the same declarative
-                plan that drives the simulated array maps onto wire-level
-                faults (torn writes → dropped acks, transient read errors →
-                timeouts, fail-slow → delayed responses).
+            max_in_flight: held replies at which one connection's gate closes.
+            max_total_in_flight: held replies, server-wide, past which
+                commands are answered ``SERVER_BUSY`` unexecuted.
+            drain_timeout: how long :meth:`shutdown` waits for held replies.
+            fault_hook: chaos hook (see :data:`FaultHook`).
         """
         self.target = target
         self.host = host
@@ -290,15 +275,13 @@ class OsdServer:
         self.max_total_in_flight = max_total_in_flight
         self.max_pdu_bytes = max_pdu_bytes
         self.drain_timeout = drain_timeout
-        if fault_hook is None and fault_plan is not None:
-            from repro.faults import make_net_fault_hook
-
-            fault_hook = make_net_fault_hook(fault_plan)
         self.fault_hook = fault_hook
         self.stats = ServiceStats()
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[_Connection] = set()
         self._draining = False
+        #: Resolved by :meth:`_settled` when a draining server holds nothing.
+        self._idle: Optional[asyncio.Future] = None
         self._control_reads: dict = {}
         self.register_control_read(SERVICE_STATS_OBJECT, self.stats.to_json)
 
@@ -325,19 +308,17 @@ class OsdServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def shutdown(self) -> None:
-        """Graceful stop: stop accepting, drain in-flight, then close."""
+        """Graceful stop: stop accepting, release held replies, then close."""
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.drain_timeout
-        while True:
-            pending = [task for conn in self._connections for task in conn.tasks]
-            remaining = deadline - loop.time()
-            if not pending or remaining <= 0:
-                break
-            await asyncio.wait(pending, timeout=remaining)
+        if self.stats.in_flight:
+            self._idle = asyncio.get_running_loop().create_future()
+            try:
+                await asyncio.wait_for(self._idle, self.drain_timeout)
+            except asyncio.TimeoutError:
+                pass  # drop() below abandons what is still held
         for conn in list(self._connections):
             conn.drop()
         # Let the transports deliver connection_lost and unregister the
@@ -367,78 +348,60 @@ class OsdServer:
     def _count_flush(self) -> None:
         self.stats.flushes += 1
 
-    def _accept_frame(self, conn: _Connection, frame: memoryview) -> None:
-        """Decode one framed PDU and serve it (inline or via a task).
+    def _settled(self) -> None:
+        """Wake a draining :meth:`shutdown` once no reply is held anywhere."""
+        idle = self._idle
+        if idle is not None and not idle.done() and not self.stats.in_flight:
+            idle.set_result(None)
 
-        Runs synchronously inside ``buffer_updated``: the memoryview is
-        only valid until the decoder's next batch, so decoding (which
-        copies the payload out) happens before anything can interleave.
+    def _serve_frame(self, conn: _Connection, frame: memoryview) -> None:
+        """Decode one framed PDU, execute it, then answer or hold the answer.
+
+        Runs synchronously inside the connection's frame loop: the
+        memoryview is only valid until the decoder's next batch, so
+        decoding (which copies the payload out) happens before anything
+        can interleave. Serving inline also means every command in one
+        receive chunk lands its response in the same coalesced flush.
         """
+        stats = self.stats
         try:
             seq, retry, command = wire.decode_command_pdu(frame)
         except WireError:
             # The frame boundary held, so the stream is still good:
             # answer a structured failure and keep serving.
-            self.stats.wire_errors += 1
+            stats.wire_errors += 1
             conn.send(OsdResponse(SenseCode.FAIL), seq=wire.salvage_seq(frame))
             return
         if retry:
-            self.stats.retries_seen += 1
+            stats.retries_seen += 1
         if (
             self.max_total_in_flight is not None
-            and self.stats.in_flight >= self.max_total_in_flight
+            and stats.in_flight >= self.max_total_in_flight
         ):
-            self.stats.busy_rejections += 1
+            stats.busy_rejections += 1
             conn.send(OsdResponse(SenseCode.SERVER_BUSY), seq=seq)
             return
-        if self.fault_hook is None:
-            # Fast path: execution is synchronous, so a task per command
-            # buys nothing but scheduler overhead. Serving inline also
-            # means every command in this receive chunk lands its response
-            # in the same coalesced flush.
-            self._serve_inline(conn, seq, command)
-            return
-        # Backpressure: the connection pauses its socket while commands
-        # are backlogged beyond the in-flight bound.
-        conn.enqueue(seq, command)
-
-    def _serve_inline(
-        self, conn: _Connection, seq: Optional[int], command: OsdCommand
-    ) -> None:
-        """Hook-free serving: execute and enqueue without a task round trip."""
-        self.stats.begin_command()
+        stats.begin_command()
         started = time.perf_counter()
-        ok = False
+        ok = held = False
         try:
             response = self._execute(command)
-            ok = response.ok
-            conn.send(response, seq=seq)
+            hook = self.fault_hook
+            verdict = hook(command, seq) if hook is not None else None
+            if verdict is None:
+                ok = response.ok
+                conn.send(response, seq=seq)
+            elif verdict == "drop":
+                conn.drop()
+            elif verdict == "timeout":
+                stats.timeouts += 1
+                conn.send(OsdResponse(SenseCode.SERVER_TIMEOUT), seq=seq)
+            else:
+                conn.hold(verdict, started, response, seq)
+                held = True
         finally:
-            self.stats.end_command(time.perf_counter() - started, ok)
-
-    async def _serve_command(
-        self, conn: _Connection, seq: Optional[int], command: OsdCommand
-    ) -> None:
-        self.stats.begin_command()
-        started = time.perf_counter()
-        ok = False
-        try:
-            response = self._execute(command)
-            if self.fault_hook is not None:
-                action = await self.fault_hook(command, seq)
-                if action == "drop":
-                    conn.drop()
-                    return
-                if action == "timeout":
-                    self.stats.timeouts += 1
-                    conn.send(OsdResponse(SenseCode.SERVER_TIMEOUT), seq=seq)
-                    return
-            ok = response.ok
-            # No per-command drain: the connection's flusher ships every
-            # response enqueued this tick with one writelines + one drain.
-            conn.send(response, seq=seq)
-        finally:
-            self.stats.end_command(time.perf_counter() - started, ok)
+            if not held:
+                stats.end_command(time.perf_counter() - started, ok)
 
     def _execute(self, command: OsdCommand) -> OsdResponse:
         control_reply = self._intercept_control_read(command)

@@ -40,13 +40,16 @@ class LatencyReservoir:
             self._window[self._cursor] = seconds
             self._cursor = (self._cursor + 1) % self.capacity
 
-    def percentile(self, fraction: float) -> float:
-        """Latency at ``fraction`` (0..1) of the current window; 0 if empty."""
-        if not self._window:
-            return 0.0
+    def percentiles(self, *fractions: float) -> List[float]:
+        """Latency at each of ``fractions`` (0..1) of the current window.
+
+        One sort serves every fraction asked for; zeros if the window is empty.
+        """
         ordered = sorted(self._window)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
+        if not ordered:
+            return [0.0] * len(fractions)
+        last = len(ordered) - 1
+        return [ordered[min(last, int(f * len(ordered)))] for f in fractions]
 
     @property
     def mean(self) -> float:
@@ -85,6 +88,7 @@ class ServiceStats:
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-serializable view served by the stats endpoint."""
+        p50, p99 = self.latency.percentiles(0.50, 0.99)
         return {
             "connections_total": self.connections_total,
             "connections_active": self.connections_active,
@@ -100,8 +104,8 @@ class ServiceStats:
             "latency": {
                 "count": self.latency.count,
                 "mean_ms": self.latency.mean * 1e3,
-                "p50_ms": self.latency.percentile(0.50) * 1e3,
-                "p99_ms": self.latency.percentile(0.99) * 1e3,
+                "p50_ms": p50 * 1e3,
+                "p99_ms": p99 * 1e3,
             },
         }
 

@@ -1,10 +1,9 @@
 """The OSD initiator: the client side the cache manager runs on (paper §V).
 
-The initiator builds OSD commands and executes them against a target —
-either in-process (the default, used by the experiment calibration) or
-through an :class:`~repro.osd.transport.IscsiChannel`, which serializes
-every command and response to PDU bytes and bills simulated network time,
-matching the open-osd/iSCSI split of the paper's prototype.
+The initiator builds OSD commands and executes them against an in-process
+target; :class:`~repro.net.client.AsyncOsdClient` is its counterpart over
+real sockets, where every command and response crosses as PDU bytes —
+the open-osd/iSCSI split of the paper's prototype.
 
 Crucially for Reo, classification and query messages travel through the
 reserved control object exactly as the paper describes: synchronous writes
@@ -13,7 +12,7 @@ to OID ``0x10004`` (§IV-C.2).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.flash.array import ArrayIoResult
 from repro.osd import commands
@@ -22,28 +21,16 @@ from repro.osd.sense import SenseCode
 from repro.osd.target import OsdResponse, OsdTarget
 from repro.osd.types import CONTROL_OBJECT, ROOT_OBJECT, ObjectId
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.osd.transport import IscsiChannel
-
 __all__ = ["OsdInitiator"]
 
 
 class OsdInitiator:
     """Client-side handle to one OSD target."""
 
-    def __init__(self, target: OsdTarget, channel: "Optional[IscsiChannel]" = None) -> None:
-        """
-        Args:
-            target: the OSD target to talk to.
-            channel: optional transport session; when set, every command
-                round-trips through the wire format with network billing.
-        """
+    def __init__(self, target: OsdTarget) -> None:
         self.target = target
-        self.channel = channel
 
     def _execute(self, command: commands.OsdCommand) -> OsdResponse:
-        if self.channel is not None:
-            return self.channel.submit(command)
         return command.apply(self.target)
 
     # ------------------------------------------------------------------
@@ -104,5 +91,4 @@ class OsdInitiator:
         return sense
 
     def __repr__(self) -> str:
-        transport = "iscsi" if self.channel is not None else "local"
-        return f"OsdInitiator(target={self.target!r}, transport={transport})"
+        return f"OsdInitiator(target={self.target!r})"

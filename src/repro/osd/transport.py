@@ -1,45 +1,34 @@
-"""iSCSI-like transport between the OSD initiator and target.
+"""Stream framing for OSD PDUs.
 
 The paper's prototype emulates OSD with "iSCSI protocol coupled with the
-current block-based devices" (§II-A): the initiator is the host side of an
-iSCSI session, the target the server side. :class:`IscsiChannel` models that
-session: commands and responses cross it as *serialized PDUs*
-(:mod:`repro.osd.wire`), and the link bills simulated transfer time with a
-``busy_until`` queue, so command traffic contends on the wire like data
-does.
+current block-based devices" (§II-A): commands and responses cross the
+initiator→target session as serialized PDUs (:mod:`repro.osd.wire`). This
+module owns what a byte stream needs on top of that — the real sockets in
+:mod:`repro.net` are its users.
 
-The channel is optional — `OsdInitiator` works in-process by default, which
-is what the experiment calibration uses. Wiring a channel in adds per-command
-network latency and an honest serialization boundary.
-
-This module also owns the *stream framing* shared by every transport that
-carries PDUs over a byte stream (this simulated channel and the real
-sockets in :mod:`repro.net`): each PDU travels as a 4-byte big-endian
-length prefix followed by the PDU bytes. The PDU's internal header length
-does not bound its data segment, so the outer frame is what lets a stream
-receiver know where one PDU ends and the next begins.
+Each PDU travels as a 4-byte big-endian length prefix followed by the PDU
+bytes. The PDU's internal header length does not bound its data segment,
+so the outer frame is what lets a stream receiver know where one PDU ends
+and the next begins. :func:`frame_pdu` / :func:`frame_parts` wrap a PDU
+(joined, or as un-copied segments for ``writelines``);
+:func:`frame_length` validates a prefix against the size limit *before*
+the body is buffered; :class:`FrameDecoder` reassembles frames from
+arbitrary chunks, zero-copy, and doubles as the receive buffer of an
+:class:`asyncio.BufferedProtocol`.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
-from repro.errors import OsdError, WireError
-from repro.flash.array import ArrayIoResult
-from repro.flash.latency import NETWORK_10GBE, ServiceTimeModel
+from repro.errors import WireError
 from repro.osd import wire
-from repro.osd.commands import OsdCommand
-from repro.osd.target import OsdResponse, OsdTarget
 from repro.osd.wire import Buffer
-from repro.sim.clock import SimClock
 
 __all__ = [
-    "ChannelStats",
     "FRAME_PREFIX_BYTES",
     "FrameDecoder",
-    "IscsiChannel",
     "frame_pdu",
     "frame_parts",
     "frame_length",
@@ -199,98 +188,3 @@ class FrameDecoder:
             self._consumed = end
             yield frame
 
-
-@dataclass
-class ChannelStats:
-    """Traffic counters for one session.
-
-    ``commands`` counts every submission attempt; ``failures`` the subset
-    that died before a response PDU came back (malformed/oversized PDUs,
-    target-side exceptions); ``sense_errors`` the subset that completed the
-    round trip but reported a non-OK sense code.
-    """
-
-    commands: int = 0
-    failures: int = 0
-    sense_errors: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
-
-
-class IscsiChannel:
-    """A simulated initiator→target session carrying PDU traffic."""
-
-    def __init__(
-        self,
-        target: OsdTarget,
-        clock: Optional[SimClock] = None,
-        model: ServiceTimeModel = NETWORK_10GBE,
-    ) -> None:
-        self.target = target
-        self.clock = clock or target.array.clock
-        self.model = model
-        self.busy_until = 0.0
-        self.stats = ChannelStats()
-
-    def submit(self, command: OsdCommand) -> OsdResponse:
-        """Ship a command PDU, execute it, ship the response PDU back.
-
-        The returned response's ``io.elapsed`` includes both transfer legs
-        plus the target-side execution time, so callers see end-to-end
-        latency. Failed submissions (wire or target exceptions) are counted
-        in :attr:`ChannelStats.failures` before the exception propagates.
-
-        The *command* still round-trips through real PDU bytes — that is
-        the honest serialization boundary. The *response* is encoded once
-        to bill its transfer from the true frame length, then returned
-        directly instead of being pointlessly decoded back out of the
-        bytes the target itself just produced.
-        """
-        self.stats.commands += 1
-        try:
-            request_frame = frame_pdu(wire.encode_command(command))
-            outbound = self._transfer(len(request_frame), write=True)
-            decoded = wire.decode_command(request_frame[FRAME_PREFIX_BYTES:])
-            response = decoded.apply(self.target)
-            response_frame_bytes = FRAME_PREFIX_BYTES + len(wire.encode_response(response))
-            inbound = self._transfer(response_frame_bytes, write=False)
-        except OsdError:
-            self.stats.failures += 1
-            raise
-        # Rebuild the io summary with only the fields the wire carries
-        # (op/device_io never cross it), so billing the transfer legs
-        # neither mutates the target's ArrayIoResult nor leaks host-side
-        # detail the encoded response would have dropped.
-        result = OsdResponse(
-            response.sense,
-            io=ArrayIoResult(
-                elapsed=response.io.elapsed + outbound + inbound,
-                chunks_read=response.io.chunks_read,
-                chunks_written=response.io.chunks_written,
-                bytes_read=response.io.bytes_read,
-                bytes_written=response.io.bytes_written,
-                degraded=response.io.degraded,
-            ),
-            payload=response.payload,
-        )
-        if not result.ok:
-            self.stats.sense_errors += 1
-        self.stats.bytes_sent += len(request_frame)
-        self.stats.bytes_received += response_frame_bytes
-        return result
-
-    def _transfer(self, num_bytes: int, write: bool) -> float:
-        service = (
-            self.model.write_time(num_bytes) if write else self.model.read_time(num_bytes)
-        )
-        start = self.clock.now
-        begin = max(start, self.busy_until)
-        completion = begin + service
-        self.busy_until = completion
-        return completion - start
-
-    def __repr__(self) -> str:
-        return (
-            f"IscsiChannel(commands={self.stats.commands}, "
-            f"sent={self.stats.bytes_sent}, received={self.stats.bytes_received})"
-        )

@@ -147,9 +147,8 @@ class TestEndToEndFailSlow:
 
                     victim = 0
 
-                    async def crawl(command, seq):
-                        await asyncio.sleep(0.05)
-                        return None
+                    def crawl(command, seq):
+                        return 0.05
 
                     service.shards[victim].fault_hook = crawl
                     probe = ShardProbe(router, monitor, interval=0.01)

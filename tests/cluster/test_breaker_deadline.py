@@ -125,9 +125,8 @@ class TestDeadlineBudget:
             async with ClusterService(1) as service:
                 server = service.shards[0]
 
-                async def slow(command, seq):
-                    await asyncio.sleep(0.2)
-                    return None
+                def slow(command, seq):
+                    return 0.2
 
                 server.fault_hook = slow
                 async with make_router(
@@ -177,9 +176,8 @@ class TestDeadlineBudget:
             async with ClusterService(2) as service:
                 for server in service.shards.values():
 
-                    async def slow(command, seq):
-                        await asyncio.sleep(0.15)
-                        return None
+                    def slow(command, seq):
+                        return 0.15
 
                     server.fault_hook = slow
                 async with make_router(
@@ -195,6 +193,8 @@ class TestDeadlineBudget:
                         # all share the one 0.25s budget.
                         await router.write(oid(1), b"x" * 64, 0)
                     assert loop.time() - started < 1.0
+                    # The aggregate carries every ClientStats counter.
+                    assert router.stats.deadline_exhausted >= 1
 
         run(scenario())
 
@@ -216,9 +216,8 @@ class TestHedgedReads:
                     assert (await router.write(target, body, 0)).ok
                     primary = router.cluster_map.primary_for(target)
 
-                    async def crawl(command, seq):
-                        await asyncio.sleep(0.25)
-                        return None
+                    def crawl(command, seq):
+                        return 0.25
 
                     service.shards[primary].fault_hook = crawl
                     # Teach the detector the primary is pathologically slow.

@@ -1,6 +1,4 @@
-"""Tests for the fault injector: hooks, determinism, and the net adapter."""
-
-import asyncio
+"""Tests for the fault injector: device hooks and determinism."""
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ from repro.faults import (
     LatentErrors,
     TornWrite,
     TransientReadError,
-    make_net_fault_hook,
 )
 from repro.flash.array import FlashArray
 from repro.flash.latency import ZERO_COST, ServiceTimeModel
@@ -164,30 +161,3 @@ class TestDeterminism:
         assert first_a == first_b
         assert inj_a.injected_corruptions == inj_b.injected_corruptions
 
-
-class TestNetFaultHook:
-    @staticmethod
-    def _drain(hook, calls):
-        async def run():
-            return [await hook(None, seq) for seq in range(calls)]
-
-        return asyncio.run(run())
-
-    def test_transient_rate_becomes_timeouts(self):
-        hook = make_net_fault_hook(FaultPlan(events=(TransientReadError(rate=1.0),)))
-        assert self._drain(hook, 3) == ["timeout"] * 3
-
-    def test_torn_write_rate_becomes_drops(self):
-        hook = make_net_fault_hook(FaultPlan(events=(TornWrite(rate=1.0),)))
-        assert self._drain(hook, 3) == ["drop"] * 3
-
-    def test_clean_plan_injects_nothing(self):
-        hook = make_net_fault_hook(FaultPlan(events=(FailStop(at_time=1.0, device=0),)))
-        assert self._drain(hook, 3) == [None] * 3
-
-    def test_same_seed_same_decision_sequence(self):
-        plan = FaultPlan(events=(TransientReadError(rate=0.5),), seed=21)
-        first = self._drain(make_net_fault_hook(plan), 64)
-        second = self._drain(make_net_fault_hook(plan), 64)
-        assert first == second
-        assert "timeout" in first and None in first

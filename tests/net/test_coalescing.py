@@ -1,10 +1,9 @@
 """Write coalescing: pipelined traffic shares flushes on both ends.
 
 The per-connection :class:`~repro.net.flush.StreamFlusher` batches every
-PDU enqueued in one event-loop tick into a single ``writelines``;
-``drain`` runs only when the transport reports real back-pressure. These
-tests pin the batching behaviour directly on the flusher and end-to-end
-through the server's ``flushes`` counter.
+PDU enqueued in one event-loop tick into a single ``writelines``. These
+tests pin the batching behaviour directly on the flusher (against a fake
+transport) and end-to-end through the server's ``flushes`` counter.
 """
 
 import asyncio
@@ -40,28 +39,13 @@ def run(coro):
 
 
 class _RecordingTransport:
-    """Fake transport reporting a configurable write-buffer size."""
-
-    def __init__(self):
-        self.buffered = 0
-
-    def get_write_buffer_size(self):
-        return self.buffered
-
-
-class _RecordingWriter:
-    """Just enough of a StreamWriter for the flusher: records batches."""
+    """Just enough of an ``asyncio.Transport`` for the flusher: records batches."""
 
     def __init__(self):
         self.batches = []
-        self.drains = 0
-        self.transport = _RecordingTransport()
 
     def writelines(self, parts):
         self.batches.append([bytes(p) for p in parts])
-
-    async def drain(self):
-        self.drains += 1
 
     def is_closing(self):
         return False
@@ -70,62 +54,53 @@ class _RecordingWriter:
 class TestStreamFlusher:
     def test_sends_enqueued_same_tick_share_one_flush(self):
         async def scenario():
-            writer = _RecordingWriter()
-            flusher = StreamFlusher(writer)
+            transport = _RecordingTransport()
+            flusher = StreamFlusher(transport)
             for index in range(10):
                 flusher.send([b"part-%d" % index])
-            # Let the flush callback run one tick.
-            await asyncio.sleep(0)
-            await asyncio.sleep(0)
+            assert transport.batches == []  # nothing leaves before the tick ends
+            await asyncio.sleep(0)  # the flush callback runs
             assert flusher.sends == 10
             assert flusher.flushes == 1
-            # The transport reported no back-pressure, so the batch cost
-            # one syscall and zero drains.
-            assert writer.drains == 0
-            assert [b for batch in writer.batches for b in batch] == [
-                b"part-%d" % index for index in range(10)
-            ]
-            await flusher.aclose()
+            assert transport.batches == [[b"part-%d" % index for index in range(10)]]
 
         run(scenario())
 
-    def test_high_water_pushes_early_without_extra_drains(self):
+    def test_high_water_pushes_early(self):
         async def scenario():
-            writer = _RecordingWriter()
-            flusher = StreamFlusher(writer, high_water_bytes=64)
+            transport = _RecordingTransport()
+            flusher = StreamFlusher(transport, high_water_bytes=64)
             payload = b"x" * 48
             flusher.send([payload])
-            flusher.send([payload])  # crosses 64B: pushed immediately
-            # The early push hands bytes to the transport without waiting
-            # for the end-of-tick flush callback.
-            assert len(writer.batches) >= 1
+            assert transport.batches == []
+            flusher.send([payload])  # crosses 64 B: pushed immediately,
+            assert transport.batches == [[payload, payload]]  # not at end of tick
             await asyncio.sleep(0)
-            await asyncio.sleep(0)
-            assert writer.drains == 0
-            assert b"".join(b for batch in writer.batches for b in batch) == payload * 2
-            await flusher.aclose()
+            assert transport.batches == [[payload, payload]]  # and only once
 
         run(scenario())
 
-    def test_transport_back_pressure_wakes_the_drain_task(self):
+    def test_close_pushes_the_outbox_and_refuses_more(self):
         async def scenario():
-            writer = _RecordingWriter()
-            flusher = StreamFlusher(writer, high_water_bytes=64)
-            writer.transport.buffered = 1024  # transport reports pressure
-            flusher.send([b"x" * 8])
-            await asyncio.sleep(0)  # flush callback runs, wakes drainer
-            await asyncio.sleep(0)  # drain task runs
-            await asyncio.sleep(0)
-            assert flusher.flushes == 1
-            assert writer.drains == 1
-            await flusher.aclose()
+            transport = _RecordingTransport()
+            flushed = []
+            flusher = StreamFlusher(transport, on_flush=lambda: flushed.append(1))
+            flusher.send([b"queued"])
+            flusher.close()
+            assert transport.batches == [[b"queued"]]  # delivered, synchronously
+            flusher.send([b"late"])
+            flusher.close()
+            await asyncio.sleep(0)  # the scheduled tick finds the flusher closed
+            assert transport.batches == [[b"queued"]]
+            assert flusher.sends == 1
+            assert flushed == []
 
         run(scenario())
 
 
 class TestEndToEndCoalescing:
     def test_pipelined_commands_need_fewer_server_flushes(self):
-        """N pipelined responses leave the server in < N drains."""
+        """N pipelined responses leave the server in < N flushes."""
         commands_issued = 40
 
         async def scenario():

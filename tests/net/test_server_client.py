@@ -110,9 +110,9 @@ class TestBasicService:
         async def scenario():
             slow_first = {"pending": True}
 
-            async def stall_first_read(command, _seq):
+            def stall_first_read(command, _seq):
                 if isinstance(command, commands.Read) and slow_first.pop("pending", None):
-                    await asyncio.sleep(0.15)
+                    return 0.15
                 return None
 
             async with OsdServer(make_target(), fault_hook=stall_first_read) as server:
@@ -167,14 +167,14 @@ class TestConcurrentLoad:
             chaos = random.Random(4242)
             injected = {"drop": 0, "delay": 0}
 
-            async def chaotic(command, _seq):
+            def chaotic(command, _seq):
                 roll = chaos.random()
                 if roll < 0.015:
                     injected["drop"] += 1
                     return "drop"
                 if roll < 0.03:
                     injected["delay"] += 1
-                    await asyncio.sleep(0.4)  # well past the client timeout
+                    return 0.4  # well past the client timeout
                 return None
 
             async with OsdServer(make_target(), fault_hook=chaotic) as server:
@@ -210,9 +210,9 @@ class TestFaultRecovery:
         async def scenario():
             stall = {"pending": True}
 
-            async def delay_first_read(command, _seq):
+            def delay_first_read(command, _seq):
                 if isinstance(command, commands.Read) and stall.pop("pending", None):
-                    await asyncio.sleep(0.5)
+                    return 0.5
                 return None
 
             async with OsdServer(make_target(), fault_hook=delay_first_read) as server:
@@ -235,7 +235,7 @@ class TestFaultRecovery:
         async def scenario():
             sabotage = {"pending": True}
 
-            async def drop_first_read(command, _seq):
+            def drop_first_read(command, _seq):
                 if isinstance(command, commands.Read) and sabotage.pop("pending", None):
                     return "drop"
                 return None
@@ -261,7 +261,7 @@ class TestFaultRecovery:
         async def scenario():
             sabotage = {"pending": True}
 
-            async def drop_first_remove(command, _seq):
+            def drop_first_remove(command, _seq):
                 if isinstance(command, commands.Remove) and sabotage.pop("pending", None):
                     return "drop"
                 return None
@@ -283,10 +283,8 @@ class TestFaultRecovery:
 
     def test_server_busy_surfaces_as_sense_and_retries(self):
         async def scenario():
-            async def slow_writes(command, _seq):
-                if isinstance(command, commands.Write):
-                    await asyncio.sleep(0.15)
-                return None
+            def slow_writes(command, _seq):
+                return 0.15 if isinstance(command, commands.Write) else None
 
             async with OsdServer(
                 make_target(), max_total_in_flight=1, fault_hook=slow_writes
@@ -301,7 +299,7 @@ class TestFaultRecovery:
                     write_task = asyncio.ensure_future(
                         client.write(OID_A, b"occupies the server", class_id=3)
                     )
-                    await asyncio.sleep(0.05)  # let the write start executing
+                    await asyncio.sleep(0.05)  # the write executed; its reply is held
                     payload, response = await client.read(OID_A)
                     assert response.ok  # eventually served after busy replies
                     await write_task
@@ -312,7 +310,7 @@ class TestFaultRecovery:
 
     def test_retry_budget_exhaustion_raises_service_error(self):
         async def scenario():
-            async def always_drop(_command, _seq):
+            def always_drop(_command, _seq):
                 return "drop"
 
             async with OsdServer(make_target(), fault_hook=always_drop) as server:
@@ -424,9 +422,8 @@ class TestServerRobustness:
 class TestGracefulShutdown:
     def test_drains_in_flight_then_refuses_new_connections(self):
         async def scenario():
-            async def slow_everything(_command, _seq):
-                await asyncio.sleep(0.2)
-                return None
+            def slow_everything(_command, _seq):
+                return 0.2
 
             target = make_target()
             server = OsdServer(target, fault_hook=slow_everything)
@@ -436,7 +433,7 @@ class TestGracefulShutdown:
             in_flight = asyncio.ensure_future(
                 client.write(OID_A, b"written during shutdown", class_id=3)
             )
-            await asyncio.sleep(0.05)  # command is now executing server-side
+            await asyncio.sleep(0.05)  # executed server-side, reply held
             await server.shutdown()
             response = await in_flight  # drained, not dropped
             assert response.ok

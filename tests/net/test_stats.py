@@ -1,4 +1,5 @@
-"""Unit tests for the cross-shard :func:`~repro.net.stats.merge_snapshots`."""
+"""Unit tests for :class:`~repro.net.stats.ServiceStats` snapshots and their
+cross-shard :func:`~repro.net.stats.merge_snapshots`."""
 
 import pytest
 
@@ -33,3 +34,20 @@ def test_merging_nothing_is_all_zeroes():
     assert merged["shards"] == 0
     assert merged["commands"] == 0
     assert merged["latency"] == {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
+
+
+def test_snapshot_percentiles_of_a_known_window():
+    # 1..100 ms recorded out of order: nearest-rank p50 is the 51st value,
+    # p99 the 100th — both from the one sort a snapshot does.
+    stats = ServiceStats()
+    for ms in list(range(51, 101)) + list(range(1, 51)):
+        stats.begin_command()
+        stats.end_command(ms / 1e3, ok=True)
+    latency = stats.snapshot()["latency"]
+    assert latency["count"] == 100
+    assert latency["p50_ms"] == pytest.approx(51.0)
+    assert latency["p99_ms"] == pytest.approx(100.0)
+    assert stats.latency.percentiles(0.0, 0.5, 0.99, 1.0) == pytest.approx(
+        [0.001, 0.051, 0.100, 0.100]
+    )
+    assert ServiceStats().latency.percentiles(0.5, 0.99) == [0.0, 0.0]

@@ -1,18 +1,13 @@
-"""Tests for the PDU wire format and the iSCSI-like transport."""
+"""Tests for the PDU wire format (stream framing: tests/net/test_framing.py)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import OsdError
-from repro.flash.array import FlashArray
-from repro.flash.latency import ZERO_COST, ServiceTimeModel
-from repro.flash.stripe import ParityScheme
 from repro.osd import commands, wire
-from repro.osd.initiator import OsdInitiator
 from repro.osd.sense import SenseCode
-from repro.osd.target import OsdResponse, OsdTarget
-from repro.osd.transport import IscsiChannel
+from repro.osd.target import OsdResponse
 from repro.osd.types import PARTITION_BASE, ObjectId, ObjectKind
 
 USER_A = ObjectId(PARTITION_BASE, 0x10005)
@@ -79,83 +74,3 @@ class TestWireFormat:
         command = commands.Write(ObjectId(PARTITION_BASE, 0x10005 + oid_offset), payload, 3)
         assert wire.decode_command(wire.encode_command(command)) == command
 
-
-def make_stack(channel_model=None):
-    array = FlashArray(num_devices=5, device_capacity=10**6, chunk_size=64, model=ZERO_COST)
-    target = OsdTarget(array, policy=lambda cid: ParityScheme(1))
-    target.create_partition(PARTITION_BASE)
-    channel = IscsiChannel(target, model=channel_model or ZERO_COST)
-    return array, target, OsdInitiator(target, channel=channel), channel
-
-
-class TestTransport:
-    def test_full_session_roundtrip(self):
-        _array, _target, initiator, channel = make_stack()
-        initiator.write(USER_A, b"over the wire", class_id=3)
-        payload, response = initiator.read(USER_A)
-        assert payload == b"over the wire"
-        assert response.ok
-        assert channel.stats.commands == 2
-        assert channel.stats.bytes_sent > 0
-        assert channel.stats.bytes_received > len(b"over the wire")
-
-    def test_control_messages_cross_the_wire(self):
-        _array, target, initiator, channel = make_stack()
-        initiator.write(USER_A, b"x" * 320, class_id=3)
-        response = initiator.set_class(USER_A, 2)
-        assert response.ok
-        assert target.get_info(USER_A).class_id == 2
-        sense, _ = initiator.query(USER_A)
-        assert sense is SenseCode.OK
-        assert channel.stats.commands == 3
-
-    def test_partial_update_over_wire(self):
-        _array, _target, initiator, _channel = make_stack()
-        initiator.write(USER_A, b"a" * 200, class_id=3)
-        initiator.update(USER_A, 50, b"WIRE")
-        payload, _ = initiator.read(USER_A)
-        assert payload[50:54] == b"WIRE"
-
-    def test_network_time_billed(self):
-        slow_link = ServiceTimeModel(0.01, 0.01, 10**9, 10**9)
-        _array, _target, initiator, _channel = make_stack(channel_model=slow_link)
-        response = initiator.write(USER_A, b"y" * 100, class_id=3)
-        # Two transfers (command out, response back) at 10 ms overhead each.
-        assert response.io.elapsed >= 0.02
-
-    def test_link_queues_back_to_back_commands(self):
-        slow_link = ServiceTimeModel(0.01, 0.01, 10**9, 10**9)
-        _array, _target, initiator, channel = make_stack(channel_model=slow_link)
-        initiator.write(USER_A, b"y", class_id=3)
-        response = initiator.read(USER_A)[1]
-        # The second command waited behind the first on the same session.
-        assert response.io.elapsed > 0.02
-
-    def test_failed_submission_counted(self):
-        _array, _target, _initiator, channel = make_stack()
-
-        class Unserializable(commands.OsdCommand):
-            def apply(self, target):  # pragma: no cover - never reached
-                raise AssertionError
-
-        with pytest.raises(OsdError):
-            channel.submit(Unserializable())
-        assert channel.stats.commands == 1
-        assert channel.stats.failures == 1
-        assert channel.stats.sense_errors == 0
-
-    def test_sense_error_counted_separately_from_failures(self):
-        _array, _target, initiator, channel = make_stack()
-        _, response = initiator.read(USER_A)  # never written
-        assert response.sense is SenseCode.FAIL
-        assert channel.stats.commands == 1
-        assert channel.stats.failures == 0
-        assert channel.stats.sense_errors == 1
-
-    def test_local_initiator_has_no_channel_cost(self):
-        array = FlashArray(num_devices=5, device_capacity=10**6, chunk_size=64, model=ZERO_COST)
-        target = OsdTarget(array, policy=lambda cid: ParityScheme(0))
-        target.create_partition(PARTITION_BASE)
-        initiator = OsdInitiator(target)
-        response = initiator.write(USER_A, b"local", class_id=3)
-        assert response.io.elapsed == 0.0
