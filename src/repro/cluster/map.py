@@ -23,7 +23,10 @@ flipped shard owned — the minimal-movement property the rebalance loop and
 its property tests rely on. The same HRW ranking orders replicas and
 erasure-stripe fragments, which is what lands the ``k + m`` fragments of a
 class-2 stripe on distinct shards (declustered redundancy: one shard's
-loss degrades a stripe instead of killing it).
+loss degrades a stripe instead of killing it). Because a map never
+changes, it derives its eligible-id tuples and its id index once, and an
+object's ranking is a lookup in the bounded memo of
+:func:`repro.cluster.placement.ranking` after its first touch.
 
 Fragment objects (see :mod:`repro.cluster.router`) live in a shadow
 partition; they are placed by their *parent's* HRW ranking at their stripe
@@ -38,7 +41,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.placement import rank_shards
+from repro.cluster.placement import ranking
 from repro.osd.types import ObjectId
 
 __all__ = [
@@ -147,20 +150,27 @@ class ClusterMap:
     def __post_init__(self) -> None:
         if self.epoch < 1:
             raise ClusterMapError("epoch must be >= 1")
-        seen = set()
+        index: Dict[int, ShardInfo] = {}
         for shard in self.shards:
-            if shard.shard_id in seen:
+            if shard.shard_id in index:
                 raise ClusterMapError(f"duplicate shard id {shard.shard_id}")
-            seen.add(shard.shard_id)
+            index[shard.shard_id] = shard
+        # Derived once, because the map never changes. Plain attributes, not
+        # fields: ``==``, ``hash``, ``repr`` and the wire format ignore them.
+        derive = object.__setattr__
+        derive(self, "_index", index)
+        online = [s.shard_id for s in self.shards if s.state is ShardState.ONLINE]
+        readable = [
+            s.shard_id for s in self.shards if s.state is not ShardState.CONDEMNED
+        ]
+        derive(self, "_placement", tuple(sorted(online)))
+        derive(self, "_readable", tuple(sorted(readable)))
 
     # ------------------------------------------------------------------
     # Membership views
     # ------------------------------------------------------------------
     def shard(self, shard_id: int) -> Optional[ShardInfo]:
-        for shard in self.shards:
-            if shard.shard_id == shard_id:
-                return shard
-        return None
+        return self._index.get(shard_id)  # type: ignore[attr-defined]
 
     def require(self, shard_id: int) -> ShardInfo:
         shard = self.shard(shard_id)
@@ -171,24 +181,31 @@ class ClusterMap:
     @property
     def placement_ids(self) -> List[int]:
         """Shards eligible for *new* placement (ONLINE only, sorted)."""
-        return sorted(
-            shard.shard_id
-            for shard in self.shards
-            if shard.state is ShardState.ONLINE
-        )
+        return list(self._placement)  # type: ignore[attr-defined]
 
     @property
     def readable_ids(self) -> List[int]:
         """Shards that may still serve reads (ONLINE + DRAINING, sorted)."""
-        return sorted(
-            shard.shard_id
-            for shard in self.shards
-            if shard.state is not ShardState.CONDEMNED
-        )
+        return list(self._readable)  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
+    def ranking_for(self, object_id: ObjectId) -> Tuple[int, ...]:
+        """The placement-eligible shards in HRW order for ``object_id``.
+
+        A lookup in :func:`repro.cluster.placement.ranking` after the
+        object's first touch. Rank 0 is the primary, rank 1 the mirror slot,
+        and rank ``i`` (cycling while shards are scarce) the home of stripe
+        fragment ``i`` — rank the *parent's* id, never a fragment's.
+        """
+        eligible = self._placement  # type: ignore[attr-defined]
+        if not eligible:
+            raise ClusterMapError(
+                f"epoch-{self.epoch} map has no placement-eligible shards"
+            )
+        return ranking(object_id, eligible)
+
     def primary_for(self, object_id: ObjectId) -> int:
         """The shard that owns ``object_id`` under this map."""
         return self.owners_for(object_id, width=1)[0]
@@ -201,17 +218,12 @@ class ClusterMap:
         ranking at their stripe index — a single owner each — so one
         stripe's fragments occupy distinct shards while enough remain.
         """
-        eligible = self.placement_ids
-        if not eligible:
-            raise ClusterMapError(
-                f"epoch-{self.epoch} map has no placement-eligible shards"
-            )
         if is_fragment(object_id):
             parent, index = parent_of_fragment(object_id)
-            ranked = rank_shards(parent, eligible)
+            ranked = self.ranking_for(parent)
             return [ranked[index % len(ranked)]]
-        ranked = rank_shards(object_id, eligible)
-        return ranked[: max(1, min(width, len(ranked)))]
+        ranked = self.ranking_for(object_id)
+        return list(ranked[: max(1, min(width, len(ranked)))])
 
     def stripe_shards_for(self, object_id: ObjectId, fragments: int) -> List[int]:
         """Shard per stripe fragment, distinct while shards suffice.
@@ -222,12 +234,7 @@ class ClusterMap:
         """
         if fragments < 1:
             raise ClusterMapError("a stripe needs at least one fragment")
-        eligible = self.placement_ids
-        if not eligible:
-            raise ClusterMapError(
-                f"epoch-{self.epoch} map has no placement-eligible shards"
-            )
-        ranked = rank_shards(object_id, eligible)
+        ranked = self.ranking_for(object_id)
         return [ranked[index % len(ranked)] for index in range(fragments)]
 
     # ------------------------------------------------------------------

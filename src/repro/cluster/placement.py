@@ -24,14 +24,22 @@ remain.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 from repro.osd.types import ObjectId
 
 __all__ = [
+    "RANKING_MEMO_ENTRIES",
     "rank_shards",
+    "ranking",
     "rendezvous_score",
 ]
+
+#: Rankings :func:`ranking` keeps (least recently used beyond that are
+#: recomputed on their next touch). An entry is a few hundred bytes, so a
+#: full memo is tens of MB at most.
+RANKING_MEMO_ENTRIES = 1 << 16
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -68,3 +76,16 @@ def rank_shards(object_id: ObjectId, shard_ids: Sequence[int]) -> List[int]:
         shard_ids,
         key=lambda shard_id: (-rendezvous_score(object_id, shard_id), shard_id),
     )
+
+
+@lru_cache(maxsize=RANKING_MEMO_ENTRIES)
+def ranking(object_id: ObjectId, shard_ids: Tuple[int, ...]) -> Tuple[int, ...]:
+    """:func:`rank_shards` as a bounded memo: the lookup placement runs on.
+
+    The ranking is a pure function of its arguments, so the memo is keyed by
+    the eligible set itself rather than by a map or an epoch: a new epoch
+    with the same membership keeps its rankings, and a router and the shard
+    servers of one process share one entry per object. The result is an
+    immutable tuple because every caller is handed the same one.
+    """
+    return tuple(rank_shards(object_id, shard_ids))

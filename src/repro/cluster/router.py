@@ -47,7 +47,7 @@ from __future__ import annotations
 import asyncio
 import struct
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.breaker import BreakerBank, BreakerPolicy, CircuitOpenError
 from repro.cluster.map import (
@@ -93,15 +93,21 @@ def encode_fragment(
     return FRAGMENT_HEADER.pack(_FRAGMENT_MAGIC, k, m, index, class_id, size) + payload
 
 
-def decode_fragment(blob: bytes) -> Tuple[Dict[str, int], bytes]:
-    """Split a stripe fragment into its header fields and payload."""
+def _split_fragment(blob: bytes) -> Tuple[tuple, memoryview]:
+    """A checked fragment as ``(FRAGMENT_HEADER fields, payload view)``."""
     if len(blob) < FRAGMENT_HEADER.size:
         raise OsdServiceError("stripe fragment shorter than its header")
-    magic, k, m, index, class_id, size = FRAGMENT_HEADER.unpack_from(blob)
-    if magic != _FRAGMENT_MAGIC:
-        raise OsdServiceError(f"bad stripe fragment magic {magic!r}")
+    fields = FRAGMENT_HEADER.unpack_from(blob)
+    if fields[0] != _FRAGMENT_MAGIC:
+        raise OsdServiceError(f"bad stripe fragment magic {fields[0]!r}")
+    return fields, memoryview(blob)[FRAGMENT_HEADER.size :]
+
+
+def decode_fragment(blob: bytes) -> Tuple[Dict[str, int], bytes]:
+    """Split a stripe fragment into its header fields and payload."""
+    (_magic, k, m, index, class_id, size), payload = _split_fragment(blob)
     header = {"k": k, "m": m, "index": index, "class_id": class_id, "size": size}
-    return header, blob[FRAGMENT_HEADER.size :]
+    return header, bytes(payload)
 
 
 @dataclass
@@ -309,11 +315,17 @@ class RouterClient:
     async def _routed(
         self,
         command: commands.OsdCommand,
-        route: Callable[[ClusterMap], int],
+        object_id: ObjectId,
+        rank: int,
         deadline: Optional[float] = None,
     ) -> OsdResponse:
-        """Submit along ``route(map)``, healing the map on ``WRONG_SHARD``.
+        """Submit to the shard at HRW ``rank`` of ``object_id``, healing the
+        map on ``WRONG_SHARD``.
 
+        The route is data, resolved against the *current* map on every try:
+        rank 0 is the primary, rank 1 the mirror slot, rank ``i`` of a
+        striped parent the home of its fragment ``i`` (cycling while shards
+        are scarce, so the mirror slot of a one-shard map is the primary).
         ``WRONG_SHARD`` means the command did not execute, so replaying it
         along the corrected route is safe for every command type. The
         ``deadline`` budget spans the whole redirect chain: every replay's
@@ -327,7 +339,8 @@ class RouterClient:
                     raise OsdServiceError(
                         f"operation deadline exhausted while routing {command!r}"
                     )
-            shard_id = route(self.cluster_map)
+            ranked = self.cluster_map.ranking_for(object_id)
+            shard_id = ranked[rank % len(ranked)]
             response = await self._submit(shard_id, command, deadline)
             if response.sense is not SenseCode.WRONG_SHARD:
                 return response
@@ -370,20 +383,35 @@ class RouterClient:
         *,
         deadline: Optional[float] = None,
     ) -> OsdResponse:
-        """Write by class policy: mirror 0/1, stripe 2, plain otherwise."""
+        """Write by class policy: mirror 0/1, stripe 2, plain otherwise.
+
+        An overwrite that changes the object's layout (dirty → flushed, hot
+        → cold) retires the previous layout's copies once the new ones have
+        landed, so no orphan fragment or stale mirror copy outlives it.
+        """
         self.known_partitions.add(object_id.pid)
         if deadline is None:
             deadline = self._op_deadline()
+        previous = self._layouts.get(object_id)
         if class_id in MIRROR_CLASSES:
-            return await self._write_mirrored(object_id, payload, class_id, deadline)
-        if class_id in STRIPED_CLASSES:
-            return await self._write_striped(object_id, payload, class_id, deadline)
-        command = commands.Write(object_id, payload, class_id)
-        response = await self._routed(
-            command, lambda m: m.primary_for(object_id), deadline
-        )
+            layout = "mirror"
+            response = await self._write_mirrored(object_id, payload, class_id, deadline)
+        elif class_id in STRIPED_CLASSES:
+            layout = "stripe"
+            response = await self._write_striped(object_id, payload, class_id, deadline)
+        else:
+            layout = "plain"
+            response = await self._routed(
+                commands.Write(object_id, payload, class_id), object_id, 0, deadline
+            )
         if response.ok:
-            self._layouts[object_id] = "plain"
+            self._layouts[object_id] = layout
+            if previous is not None and previous != layout:
+                # A stripe shares no copy with the other layouts; plain and
+                # mirror share the primary, which the write just overwrote.
+                await self._remove_copies(
+                    object_id, previous, deadline, 0 if layout == "stripe" else 1
+                )
         return response
 
     async def _write_mirrored(
@@ -394,23 +422,13 @@ class RouterClient:
         deadline: Optional[float] = None,
     ) -> OsdResponse:
         command = commands.Write(object_id, payload, class_id)
-        primary = await self._routed(
-            command, lambda m: m.primary_for(object_id), deadline
-        )
+        primary = await self._routed(command, object_id, 0, deadline)
         if not primary.ok:
             return primary
-        owners = self.cluster_map.owners_for(object_id, width=2)
-        if len(owners) > 1:
-            mirror = await self._routed(
-                command,
-                lambda m, _rank=1: m.owners_for(object_id, width=2)[
-                    min(_rank, len(m.owners_for(object_id, width=2)) - 1)
-                ],
-                deadline,
-            )
+        if len(self.cluster_map.ranking_for(object_id)) > 1:
+            mirror = await self._routed(command, object_id, 1, deadline)
             if not mirror.ok:
                 return mirror
-        self._layouts[object_id] = "mirror"
         self.router_stats.mirrors_written += 1
         return primary
 
@@ -442,9 +460,8 @@ class RouterClient:
                         ),
                         class_id,
                     ),
-                    lambda cm, _fid=fragment_object_id(object_id, index): (
-                        cm.owners_for(_fid)[0]
-                    ),
+                    object_id,
+                    index,
                     deadline,
                 )
                 for index, fragment in enumerate(fragments)
@@ -453,7 +470,6 @@ class RouterClient:
         for result in results:
             if not result.ok:
                 return result
-        self._layouts[object_id] = "stripe"
         self.router_stats.stripes_written += 1
         return OsdResponse(SenseCode.OK)
 
@@ -470,9 +486,7 @@ class RouterClient:
             return await self._read_striped(object_id, deadline)
         if layout == "mirror":
             return await self._read_mirrored(object_id, deadline)
-        response = await self._routed(
-            commands.Read(object_id), lambda m: m.primary_for(object_id), deadline
-        )
+        response = await self._routed(commands.Read(object_id), object_id, 0, deadline)
         return response.payload, response
 
     def _should_hedge(self, shard_id: int) -> bool:
@@ -575,27 +589,26 @@ class RouterClient:
 
     async def _fetch_fragment(
         self, object_id: ObjectId, index: int, deadline: Optional[float] = None
-    ) -> Optional[Tuple[Dict[str, int], bytes]]:
+    ) -> Optional[Tuple[int, memoryview]]:
+        """Fragment ``index`` as ``(parent payload size, payload view)``."""
         fragment_id = fragment_object_id(object_id, index)
         try:
             response = await self._routed(
-                commands.Read(fragment_id),
-                lambda m: m.owners_for(fragment_id)[0],
-                deadline,
+                commands.Read(fragment_id), object_id, index, deadline
             )
         except (OsdServiceError, ConnectionError, OSError):
             response = None
-        blob: Optional[bytes] = None
         if response is not None and response.ok and response.payload is not None:
-            blob = bytes(response.payload)
+            blob: Optional[bytes] = response.payload
         else:
             blob = await self._sweep_fragment(fragment_id, deadline)
         if blob is None:
             return None
         try:
-            return decode_fragment(blob)
+            fields, view = _split_fragment(blob)
         except OsdServiceError:
             return None
+        return fields[-1], view
 
     async def _sweep_fragment(
         self, fragment_id: ObjectId, deadline: Optional[float]
@@ -619,7 +632,7 @@ class RouterClient:
             except (OsdServiceError, ConnectionError, OSError):
                 continue
             if response.ok and response.payload is not None:
-                return bytes(response.payload)
+                return response.payload
         return None
 
     async def _read_striped(
@@ -633,9 +646,9 @@ class RouterClient:
             index: frag for index, frag in enumerate(fetched) if frag is not None
         }
         if len(present) == k:
-            header = present[0][0]
+            size = present[0][0]
             data = b"".join(present[index][1] for index in range(k))
-            return data[: header["size"]], OsdResponse(SenseCode.OK)
+            return data[:size], OsdResponse(SenseCode.OK)
         # Degraded: pull parity fragments until k total, then decode.
         self.router_stats.degraded_reads += 1
         parity = await asyncio.gather(
@@ -646,7 +659,7 @@ class RouterClient:
                 present[k + index] = frag
         if len(present) < k:
             return None, OsdResponse(SenseCode.FAIL)
-        header = next(iter(present.values()))[0]
+        size = next(iter(present.values()))[0]
         try:
             data_fragments = self.codec.decode(
                 {index: frag for index, (_, frag) in present.items()}
@@ -654,7 +667,7 @@ class RouterClient:
         except (UnrecoverableDataError, OsdError):
             return None, OsdResponse(SenseCode.FAIL)
         data = b"".join(data_fragments)
-        return data[: header["size"]], OsdResponse(SenseCode.OK)
+        return data[:size], OsdResponse(SenseCode.OK)
 
     # ------------------------------------------------------------------
     # Remove / attributes
@@ -665,14 +678,24 @@ class RouterClient:
         if deadline is None:
             deadline = self._op_deadline()
         layout = self._layouts.pop(object_id, "plain")
+        return await self._remove_copies(object_id, layout, deadline)
+
+    async def _remove_copies(
+        self,
+        object_id: ObjectId,
+        layout: str,
+        deadline: Optional[float],
+        first_rank: int = 0,
+    ) -> OsdResponse:
+        """Remove what ``layout`` put down: every fragment of a stripe, or
+        the plain copies from HRW rank ``first_rank`` on."""
         if layout == "stripe":
             results = await asyncio.gather(
                 *(
                     self._routed(
                         commands.Remove(fragment_object_id(object_id, index)),
-                        lambda cm, _fid=fragment_object_id(object_id, index): (
-                            cm.owners_for(_fid)[0]
-                        ),
+                        object_id,
+                        index,
                         deadline,
                     )
                     for index in range(self.codec.n)
@@ -683,21 +706,15 @@ class RouterClient:
                 if isinstance(result, BaseException):
                     raise result
             return OsdResponse(SenseCode.OK)
+        copies = 1
         if layout == "mirror":
-            owners = self.cluster_map.owners_for(object_id, width=2)
-            response = OsdResponse(SenseCode.OK)
-            for rank in range(len(owners)):
-                response = await self._routed(
-                    commands.Remove(object_id),
-                    lambda m, _rank=rank: m.owners_for(object_id, width=2)[
-                        min(_rank, len(m.owners_for(object_id, width=2)) - 1)
-                    ],
-                    deadline,
-                )
-            return response
-        return await self._routed(
-            commands.Remove(object_id), lambda m: m.primary_for(object_id), deadline
-        )
+            copies = min(2, len(self.cluster_map.ranking_for(object_id)))
+        response = OsdResponse(SenseCode.OK)
+        for rank in range(first_rank, copies):
+            response = await self._routed(
+                commands.Remove(object_id), object_id, rank, deadline
+            )
+        return response
 
     async def get_attr(
         self, object_id: ObjectId, key: str, *, deadline: Optional[float] = None
@@ -705,9 +722,7 @@ class RouterClient:
         if deadline is None:
             deadline = self._op_deadline()
         response = await self._routed(
-            commands.GetAttr(object_id, key),
-            lambda m: m.primary_for(object_id),
-            deadline,
+            commands.GetAttr(object_id, key), object_id, 0, deadline
         )
         if not response.ok or response.payload is None:
             return None, response

@@ -434,11 +434,11 @@ class ClusterSupervisor:
         header = next(iter(survivors.values()))[0]
         k, m = header["k"], header["m"]
         class_id = header["class_id"]
+        plan = cluster_map.stripe_shards_for(parent, k + m)
         needed: Dict[int, bytes] = {}
         for index in range(k + m):
-            desired = cluster_map.owners_for(fragment_object_id(parent, index))[0]
             held_by = fragment_holders.get(index, [])
-            if desired in held_by:
+            if plan[index] in held_by:
                 continue
             if index in survivors:
                 # Survives elsewhere (the draining shard): plain copy.
@@ -466,7 +466,6 @@ class ClusterSupervisor:
                 report.fragments_reconstructed += 1
         for index in sorted(needed):
             fragment_id = fragment_object_id(parent, index)
-            desired = cluster_map.owners_for(fragment_id)[0]
             blob = encode_fragment(
                 needed[index],
                 k=k,
@@ -475,7 +474,7 @@ class ClusterSupervisor:
                 class_id=class_id,
                 size=header["size"],
             )
-            await self.router.client(desired).write(fragment_id, blob, class_id)
+            await self.router.client(plan[index]).write(fragment_id, blob, class_id)
             self.ledger.record_rehomed(fragment_id, class_id, len(needed[index]))
             report.bytes_moved += len(needed[index])
             self._tick()

@@ -362,7 +362,9 @@ class AsyncOsdClient:
         self, command: commands.OsdCommand, attempt: int, timeout: float
     ) -> OsdResponse:
         slot = next(self._dispatch) % self.pool_size
-        conn = await self._connection(slot)
+        conn = self._pool[slot]
+        if conn is None or conn.closed:
+            conn = await self._connection(slot)
         seq = next(self._seq)
         return await conn.request(command, seq, retry=attempt, timeout=timeout)
 

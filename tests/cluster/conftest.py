@@ -11,6 +11,8 @@ import signal
 
 import pytest
 
+from repro.cluster import placement
+
 DEFAULT_TIMEOUT_SECONDS = 60
 
 
@@ -36,3 +38,22 @@ def cluster_watchdog(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def scores(monkeypatch):
+    """The shard id of every ``rendezvous_score`` call, from an empty memo.
+
+    The count gate of "placement is a lookup": a ranking costs one score per
+    eligible shard, a memo hit none.
+    """
+    calls = []
+    real = placement.rendezvous_score
+
+    def counted(object_id, shard_id):
+        calls.append(shard_id)
+        return real(object_id, shard_id)
+
+    monkeypatch.setattr(placement, "rendezvous_score", counted)
+    placement.ranking.cache_clear()
+    return calls

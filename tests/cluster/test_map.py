@@ -6,6 +6,8 @@ round-trip, fragment-aware ownership, and stripe declustering.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.map import (
     ClusterMap,
@@ -16,6 +18,7 @@ from repro.cluster.map import (
     is_fragment,
     parent_of_fragment,
 )
+from repro.cluster.placement import RANKING_MEMO_ENTRIES, rank_shards, ranking
 from repro.osd.types import PARTITION_BASE, ObjectId
 
 pytestmark = pytest.mark.cluster
@@ -146,3 +149,104 @@ class TestPlacement:
             assert stripe.count(shard_id) == 2
         with pytest.raises(ClusterMapError):
             m.stripe_shards_for(OID, 0)
+
+
+# ----------------------------------------------------------------------
+# Placement is a memoized lookup: same answers as the uncached definition
+# ----------------------------------------------------------------------
+def _assert_matches_definition(m, object_id, width, fragments):
+    """Every placement answer of ``m`` against ``rank_shards`` on the ONLINE ids."""
+    eligible = sorted(
+        s.shard_id for s in m.shards if s.state is ShardState.ONLINE
+    )
+    assert m.placement_ids == eligible
+    if not eligible:
+        for ask in (
+            lambda: m.owners_for(object_id, width),
+            lambda: m.primary_for(object_id),
+            lambda: m.stripe_shards_for(object_id, fragments),
+            lambda: m.owners_for(fragment_object_id(object_id, 0)),
+        ):
+            with pytest.raises(ClusterMapError):
+                ask()
+        return
+    ranked = rank_shards(object_id, eligible)
+    owners = m.owners_for(object_id, width)
+    assert owners == ranked[: max(1, min(width, len(ranked)))]
+    assert m.primary_for(object_id) == ranked[0]
+    stripe = m.stripe_shards_for(object_id, fragments)
+    assert stripe == [ranked[i % len(ranked)] for i in range(fragments)]
+    for index in range(fragments):
+        assert m.owners_for(fragment_object_id(object_id, index)) == [stripe[index]]
+    # Answers are fresh lists: a caller that mutates one changes nothing.
+    owners.append(-1)
+    stripe.clear()
+    assert m.owners_for(object_id, width) == ranked[: max(1, min(width, len(ranked)))]
+    assert m.stripe_shards_for(object_id, fragments)[0] == ranked[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    states=st.lists(st.sampled_from(list(ShardState)), min_size=1, max_size=7),
+    flips=st.lists(
+        st.tuples(st.integers(0, 6), st.sampled_from(list(ShardState))), max_size=4
+    ),
+    oid=st.integers(min_value=0, max_value=(1 << 48) - 1),
+    width=st.integers(min_value=1, max_value=3),
+    fragments=st.integers(min_value=1, max_value=8),
+)
+def test_memoized_placement_equals_the_uncached_definition(
+    states, flips, oid, width, fragments
+):
+    object_id = ObjectId(PARTITION_BASE, oid)
+    m = ClusterMap(
+        epoch=1,
+        shards=tuple(
+            ShardInfo(shard_id=2 * i, host="127.0.0.1", port=7000 + i, state=state)
+            for i, state in enumerate(states)
+        ),
+    )
+    _assert_matches_definition(m, object_id, width, fragments)
+    for position, state in flips:
+        m = m.with_shard_state(m.shards[position % len(m.shards)].shard_id, state)
+        _assert_matches_definition(m, object_id, width, fragments)
+    m = m.with_shard(ShardInfo(shard_id=1, host="127.0.0.1", port=7999))
+    _assert_matches_definition(m, object_id, width, fragments)
+    m = ClusterMap.from_json(m.to_json())
+    _assert_matches_definition(m, object_id, width, fragments)
+
+
+def test_ranking_memo_is_bounded():
+    assert ranking.cache_info().maxsize == RANKING_MEMO_ENTRIES
+    m = _map(1)
+    try:
+        for index in range(RANKING_MEMO_ENTRIES + 64):
+            m.primary_for(ObjectId(PARTITION_BASE, index))
+        assert ranking.cache_info().currsize == RANKING_MEMO_ENTRIES
+    finally:
+        ranking.cache_clear()  # do not carry a full memo through the session
+
+
+def test_new_epoch_with_the_same_membership_keeps_its_rankings(scores):
+    first = _map(4)
+    owners = first.owners_for(OID, width=2)
+    assert sorted(scores) == [0, 1, 2, 3]  # one ranking: one score per shard
+    again = ClusterMap.from_json(_map(4, epoch=9).to_json())
+    assert again.owners_for(OID, width=2) == owners
+    assert again.owners_for(fragment_object_id(OID, 3)) == [
+        first.stripe_shards_for(OID, 4)[3]
+    ]
+    assert len(scores) == 4  # same eligible set: every answer was a lookup
+
+
+def test_equality_hash_and_wire_format_ignore_the_derived_state():
+    touched, untouched = _map(4), _map(4)
+    touched.owners_for(OID, width=2)
+    assert touched.placement_ids == touched.readable_ids == [0, 1, 2, 3]
+    assert touched == untouched
+    assert hash(touched) == hash(untouched)
+    assert repr(touched) == repr(untouched)
+    assert touched.to_json() == untouched.to_json()
+    assert set(touched.to_dict()) == {"epoch", "shards"}
+    assert touched.shard(3) is touched.shards[3]
+    assert touched.shard(4) is None

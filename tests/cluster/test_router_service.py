@@ -10,12 +10,14 @@ ledgers per seed.
 """
 
 import asyncio
+import itertools
 import random
 
 import pytest
 
 from repro.cluster.map import ShardState, fragment_object_id
-from repro.cluster.router import RouterClient
+from repro.cluster.router import RouterClient, decode_fragment, encode_fragment
+from repro.net.client import OsdServiceError
 from repro.cluster.service import ClusterService, ShardServer
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.net.retry import NO_RETRY
@@ -119,6 +121,82 @@ class TestRoutedDataPath:
                 assert report.ops == 4 * 60
                 assert report.errors == 0
                 assert report.corrupted == 0
+
+        run(scenario())
+
+
+def test_fragment_header_round_trip_and_rejections():
+    blob = encode_fragment(b"abcdef", k=4, m=2, index=5, class_id=2, size=21)
+    header, payload = decode_fragment(blob)
+    assert header == {"k": 4, "m": 2, "index": 5, "class_id": 2, "size": 21}
+    assert payload == b"abcdef" and type(payload) is bytes
+    with pytest.raises(OsdServiceError, match="shorter than its header"):
+        decode_fragment(blob[:15])
+    with pytest.raises(OsdServiceError, match="bad stripe fragment magic"):
+        decode_fragment(b"XXXX" + blob[4:])
+
+
+def _holders(service):
+    """Every user object (fragments included) each shard's target holds."""
+    return {
+        shard_id: sorted(info.object_id for info in server.target.user_objects())
+        for shard_id, server in sorted(service.shards.items())
+    }
+
+
+class TestClassChangingOverwrite:
+    @pytest.mark.parametrize(
+        "old_class,new_class",
+        list(itertools.permutations((1, 2, 3), 2)),
+        ids=lambda class_id: {1: "mirror", 2: "stripe", 3: "plain"}[class_id],
+    )
+    def test_overwrite_leaves_only_the_new_layout(self, old_class, new_class):
+        """The paper's lifecycle (dirty → clean, hot → cold) changes an
+        object's class on overwrite; the old layout's copies must go."""
+
+        async def scenario():
+            async with ClusterService(4) as service:
+                async with make_router(service) as router:
+                    target, body = oid(700), payload_for("relayout", 1)
+                    # What a fresh write of the new class puts down.
+                    assert (await router.write(target, body, new_class)).ok
+                    fresh = _holders(service)
+                    assert (await router.remove(target)).ok
+                    assert not any(_holders(service).values())
+
+                    assert (await router.write(target, payload_for("relayout", 0), old_class)).ok
+                    assert (await router.write(target, body, new_class)).ok
+                    assert _holders(service) == fresh
+                    got, response = await router.read(target)
+                    assert response.ok and got == body
+                    assert (await router.remove(target)).ok
+                    assert not any(_holders(service).values())
+
+        run(scenario())
+
+
+class TestPlacementIsALookup:
+    def test_placed_objects_are_never_ranked_again(self, scores):
+        """Router and shards both answer a placed object's route from the memo."""
+
+        async def scenario():
+            async with ClusterService(4) as service:
+                async with make_router(service) as router:
+                    # First touch of a stripe: one ranking of the parent (one
+                    # score per eligible shard), not one per fragment.
+                    assert (await router.write(oid(802), payload_for("memo", 2), 2)).ok
+                    assert sorted(scores) == [0, 1, 2, 3]
+                    assert (await router.write(oid(801), payload_for("memo", 1), 1)).ok
+                    assert (await router.write(oid(803), payload_for("memo", 3), 3)).ok
+                    del scores[:]
+                    for index, class_id in ((801, 1), (802, 2), (803, 3)):
+                        body = payload_for("memo-again", index)
+                        assert (await router.write(oid(index), body, class_id)).ok
+                        got, response = await router.read(oid(index))
+                        assert response.ok and got == body
+                        assert (await router.remove(oid(index))).ok
+                    assert scores == []
+                    assert not any(_holders(service).values())
 
         run(scenario())
 
