@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from repro.cluster.breaker import BreakerPolicy, CircuitBreaker, CircuitOpenError
 from repro.cluster.health import (
+    SHARD_HEALTH_POLICY,
     ShardHealth,
     ShardHealthMonitor,
-    ShardHealthPolicy,
     ShardProbe,
     ShardTransition,
 )
@@ -47,9 +47,9 @@ __all__ = [
     "RehomeReport",
     "RouterClient",
     "RouterStats",
+    "SHARD_HEALTH_POLICY",
     "ShardHealth",
     "ShardHealthMonitor",
-    "ShardHealthPolicy",
     "ShardInfo",
     "ShardProbe",
     "ShardServer",

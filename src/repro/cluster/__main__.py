@@ -21,68 +21,47 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import random
 import sys
 from typing import List, Optional
 
-from repro.cluster.router import RouterClient
 from repro.cluster.service import ClusterService
 from repro.cluster.supervisor import ClusterSupervisor
-from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
-
-SMOKE_OBJECTS = 48
-SMOKE_PAYLOAD = 2048
-
-
-def _smoke_payload(seed: int, index: int) -> bytes:
-    return random.Random(f"cluster-smoke/{seed}/{index}").randbytes(SMOKE_PAYLOAD)
-
-
-async def _verify_all(
-    router: RouterClient, objects: List[ObjectId], seed: int
-) -> int:
-    """Count byte-exact mismatches across the whole population."""
-    bad = 0
-    for index, object_id in enumerate(objects):
-        payload, response = await router.read(object_id)
-        if not response.ok or payload != _smoke_payload(seed, index):
-            print(f"smoke: MISMATCH at {object_id} (sense={response.sense!r})")
-            bad += 1
-    return bad
+from repro.osd.types import PARTITION_BASE
 
 
 async def _smoke(shards: int, host: str, seed: int) -> int:
+    from repro.experiments.campaign import Population
+
+    population = Population(
+        "cluster-smoke",
+        seed,
+        objects=48,
+        payload_bytes=2048,
+        classes=(1, 2, 3),
+        oid_offset=0x1000,
+    )
     async with ClusterService(shards, host) as service:
         router = service.router()
         supervisor = ClusterSupervisor(service, router)
         try:
-            objects = [
-                ObjectId(PARTITION_BASE, FIRST_USER_OID + 0x1000 + index)
-                for index in range(SMOKE_OBJECTS)
-            ]
             router.known_partitions.add(PARTITION_BASE)
-            for index, object_id in enumerate(objects):
-                class_id = (1, 2, 3)[index % 3]
-                response = await router.write(
-                    object_id, _smoke_payload(seed, index), class_id
-                )
-                if not response.ok:
-                    print(f"smoke: write failed at {object_id}")
-                    return 1
-            bad = await _verify_all(router, objects, seed)
+            await population.populate(router)
+            # A drain loses nothing, so a class-3 miss fails the smoke as
+            # surely as the protected-class loss `verify` raises on.
+            bad = await population.verify(router, "before re-home")
             if bad:
-                print(f"smoke: {bad} mismatches before re-home")
+                print(f"smoke: {len(bad)} mismatches before re-home")
                 return 1
-            print(f"smoke: {len(objects)} objects byte-exact on {shards} shards")
+            print(f"smoke: {len(population)} objects byte-exact on {shards} shards")
 
             victim = max(service.shards)
             report = await supervisor.condemn(victim, "smoke condemn")
             if report.objects_lost:
                 print(f"smoke: re-home lost {report.objects_lost} objects")
                 return 1
-            bad = await _verify_all(router, objects, seed)
+            bad = await population.verify(router, "after re-home")
             if bad:
-                print(f"smoke: {bad} mismatches after re-home")
+                print(f"smoke: {len(bad)} mismatches after re-home")
                 return 1
             print(
                 f"smoke: condemned shard {victim} "
@@ -93,12 +72,16 @@ async def _smoke(shards: int, host: str, seed: int) -> int:
                 f"{shards - 1} shards"
             )
             return 0
+        except RuntimeError as exc:  # a failed populate, or CampaignLossError
+            print(f"smoke: {exc}")
+            return 1
         finally:
             await router.aclose()
 
 
 def _chaos_smoke(seed: int) -> int:
     """CI chaos cycle: seeded chaos schedule, automatic condemn asserted."""
+    from repro.experiments.campaign import CampaignLossError
     from repro.experiments.chaos_campaign import (
         ChaosCampaignError,
         run_chaos_campaign,
@@ -106,7 +89,7 @@ def _chaos_smoke(seed: int) -> int:
 
     try:
         result = run_chaos_campaign(seed=seed)
-    except ChaosCampaignError as exc:
+    except (CampaignLossError, ChaosCampaignError) as exc:
         print(f"chaos-smoke: FAILED: {exc}")
         return 1
     if result.auto_condemns != 1 or result.rehome.get("shard_id") != result.victim_shard:

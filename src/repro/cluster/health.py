@@ -1,9 +1,7 @@
 """Shard-level health monitoring: the cluster's failure detector.
 
-This is :mod:`repro.core.health` lifted one level up. The device monitor
-infers device failure from the I/O stream; here the *shard* (one OSD
-server behind a socket) is the unit of suspicion, and the evidence is
-round-trip observations — passive samples reported by the
+The *shard* (one OSD server behind a socket) is the unit of suspicion, and
+the evidence is round-trip observations — passive samples reported by the
 :class:`~repro.cluster.router.RouterClient` around every routed command,
 plus active heartbeats from a :class:`ShardProbe` loop, both folded into
 the same per-shard EWMAs:
@@ -12,18 +10,22 @@ the same per-shard EWMAs:
   retries per observation), and
 - a **slowdown** EWMA — observed round-trip seconds over the shard's own
   learned healthy baseline (the mean of its first successful samples), so
-  the metric is scale-free exactly like the device monitor's
-  model-relative slowdown: a healthy shard hovers near 1.0 and a
+  the metric is scale-free: a healthy shard hovers near 1.0 and a
   fail-slow link converges to its injected multiplier.
 
-The same three-state discipline applies: ONLINE → SUSPECT on a threshold
-crossing (after ``min_ops`` warm-up), SUSPECT → FAILED only when the
-pathology *persists* for ``confirm_ops`` further observations or worsens
-past the hard thresholds — so a flapping link parks a shard in SUSPECT
-without condemning it, while sustained fail-slow escalates. The FAILED
-verdict is emitted as a :class:`ShardTransition` for the autonomous
-:class:`~repro.cluster.supervisor.ClusterSupervisor` loop to act on
-(drain → condemn → re-home), keeping detection separate from repair.
+What to conclude from the EWMAs is not decided here: the thresholds
+(:class:`~repro.core.health.HealthPolicy`), the rolling record and the
+ONLINE → SUSPECT → FAILED ladder (:func:`~repro.core.health.escalate`) are
+the failure plane's one shared decision, in :mod:`repro.core.health`. A
+threshold crossing (after ``min_ops`` warm-up) parks a shard in SUSPECT;
+only a pathology that *persists* for ``confirm_ops`` further observations,
+or worsens past the hard thresholds, is FAILED — so a flapping link parks a
+shard without condemning it, while sustained fail-slow escalates. This
+tier acts on the ``recovered`` verdict: probes keep evidence flowing to a
+parked shard, so one that stopped flapping earns its way back to ONLINE.
+The FAILED verdict is emitted as a :class:`ShardTransition` for the
+autonomous :class:`~repro.cluster.supervisor.ClusterSupervisor` loop to
+act on (drain → condemn → re-home), keeping detection separate from repair.
 
 The monitor holds no clock of its own: callers stamp every observation
 with their ``now``. Transitions carry those wall timestamps for the
@@ -37,83 +39,45 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
 
+from repro.core.health import HealthPolicy, HealthRecord, TransitionLog, escalate
 from repro.net.client import OsdServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - imports only for annotations
     from repro.cluster.router import RouterClient
 
 __all__ = [
+    "SHARD_HEALTH_POLICY",
     "ShardHealth",
     "ShardHealthMonitor",
-    "ShardHealthPolicy",
     "ShardProbe",
     "ShardTransition",
 ]
 
-
-@dataclass(frozen=True)
-class ShardHealthPolicy:
-    """Thresholds separating network noise from a demotion-worthy shard.
-
-    The numbers are deliberately hotter than the device policy's: a shard
-    observation is a whole round trip (already smoothed over many device
-    ops), sample rates are lower (per command + heartbeat, not per chunk),
-    and a condemned shard is rebuilt from redundancy rather than thrown
-    away — so the detector can afford to be decisive.
-
-    Attributes:
-        alpha: EWMA smoothing factor per observation.
-        min_ops: observations before any verdict (warm-up, also the
-            baseline-learning window for the slowdown denominator).
-        suspect_error_rate: error-rate EWMA demoting ONLINE → SUSPECT.
-        fail_error_rate: error-rate EWMA escalating SUSPECT → FAILED.
-        suspect_slowdown: slowdown EWMA demoting ONLINE → SUSPECT.
-        fail_slowdown: slowdown EWMA escalating straight to FAILED.
-        confirm_ops: observations a SUSPECT shard must stay past a suspect
-            threshold before escalation — one partition burst or a flap
-            window parks a shard; only persistent pathology condemns it.
-        baseline_floor: lower bound (seconds) on the learned healthy
-            baseline, so loopback's sub-millisecond round trips cannot
-            make scheduler jitter register as a pathological slowdown.
-    """
-
-    alpha: float = 0.15
-    min_ops: int = 6
-    suspect_error_rate: float = 0.25
-    fail_error_rate: float = 0.60
-    suspect_slowdown: float = 4.0
-    fail_slowdown: float = 60.0
-    confirm_ops: int = 12
-    baseline_floor: float = 0.0005
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.suspect_error_rate > self.fail_error_rate:
-            raise ValueError("suspect_error_rate must not exceed fail_error_rate")
-        if self.suspect_slowdown > self.fail_slowdown:
-            raise ValueError("suspect_slowdown must not exceed fail_slowdown")
-        if self.min_ops < 1 or self.confirm_ops < 1:
-            raise ValueError("min_ops and confirm_ops must be >= 1")
+#: The shard tier's thresholds. Deliberately hotter than the device
+#: defaults: a shard observation is a whole round trip (already smoothed
+#: over many device ops), sample rates are lower (per command + heartbeat,
+#: not per chunk), and a condemned shard is rebuilt from redundancy rather
+#: than thrown away — so the detector can afford to be decisive.
+SHARD_HEALTH_POLICY = HealthPolicy(
+    alpha=0.15,
+    min_ops=6,
+    suspect_error_rate=0.25,
+    fail_error_rate=0.60,
+    suspect_slowdown=4.0,
+    fail_slowdown=60.0,
+    confirm_ops=12,
+)
 
 
 @dataclass
-class ShardHealth:
-    """The monitor's rolling picture of one shard."""
+class ShardHealth(HealthRecord):
+    """One shard's record, which is also where its detector state lives."""
 
-    shard_id: int
     state: str = "online"  # "online" | "suspect" | "failed"
-    ops: int = 0
-    errors: int = 0
-    error_ewma: float = 0.0
-    slowdown_ewma: float = 1.0
     #: Learned healthy round-trip baseline (seconds); None while warming up.
     baseline: Optional[float] = None
-    #: ops counter value when the shard entered SUSPECT (escalation timer).
-    suspect_at_ops: Optional[int] = None
-    suspect_since: Optional[float] = None
     _baseline_sum: float = field(default=0.0, repr=False)
     _baseline_count: int = field(default=0, repr=False)
 
@@ -129,7 +93,13 @@ class ShardHealth:
 
 
 class ShardTransition(NamedTuple):
-    """One detector state-machine step for one shard."""
+    """One detector state-machine step for one shard.
+
+    Its own class, not the device tier's ``HealthTransition``: ``reason`` is
+    built here from wall-clock-fed EWMAs, and the determinism-taint rule
+    tracks field taint per class — sharing the tuple would either taint the
+    device tier's seed-deterministic reasons or lose the catch on these.
+    """
 
     shard_id: int
     old: str
@@ -138,17 +108,28 @@ class ShardTransition(NamedTuple):
     reason: str
 
 
-ShardTransitionListener = Callable[[ShardTransition], None]
+def _reason(cause: str, health: ShardHealth) -> str:
+    if cause == "errors":
+        return f"error_ewma={health.error_ewma:.3f}"
+    if cause == "slowdown":
+        return f"slowdown_ewma={health.slowdown_ewma:.1f}"
+    if cause == "hard":
+        return (
+            f"error_ewma={health.error_ewma:.3f} "
+            f"slowdown_ewma={health.slowdown_ewma:.1f}"
+        )
+    if cause == "persistent":
+        return f"persistent after {health.ops - (health.suspect_at_ops or 0)} ops"
+    return cause  # "recovered"
 
 
-class ShardHealthMonitor:
+class ShardHealthMonitor(TransitionLog[ShardTransition]):
     """Folds per-shard round-trip observations into SUSPECT/FAILED verdicts."""
 
-    def __init__(self, policy: Optional[ShardHealthPolicy] = None) -> None:
-        self.policy = policy or ShardHealthPolicy()
+    def __init__(self, policy: Optional[HealthPolicy] = None) -> None:
+        super().__init__()
+        self.policy = policy or SHARD_HEALTH_POLICY
         self.shards: Dict[int, ShardHealth] = {}
-        self.listeners: List[ShardTransitionListener] = []
-        self.transitions: List[ShardTransition] = []
 
     # ------------------------------------------------------------------
     # Observation intake
@@ -168,7 +149,7 @@ class ShardHealthMonitor:
         timeout's duration measures the client's patience, not the shard.
         """
         policy = self.policy
-        health = self._health(shard_id)
+        health = self.health_of(shard_id)
         health.ops += 1
         alpha = policy.alpha
         health.error_ewma += alpha * ((0.0 if ok else 1.0) - health.error_ewma)
@@ -186,87 +167,42 @@ class ShardHealthMonitor:
             else:
                 slowdown = latency / health.baseline
                 health.slowdown_ewma += alpha * (slowdown - health.slowdown_ewma)
-        self._evaluate(health, now)
+        if health.state != "failed":
+            self._evaluate(shard_id, health, now)
 
-    def reset(self, shard_id: int) -> None:
-        """Forget a shard's record (re-admit after repair: fresh identity)."""
-        self.shards.pop(shard_id, None)
+    def _evaluate(self, shard_id: int, health: ShardHealth, now: float) -> None:
+        verdict = escalate(self.policy, health, health.state)
+        if verdict is None:
+            return
+        new, cause = verdict
+        transition = ShardTransition(
+            shard_id, health.state, new, now, _reason(cause, health)
+        )
+        health.state = new
+        if new == "suspect":
+            health.suspect_at_ops = health.ops
+            health.suspect_since = now
+        elif new == "online":
+            health.suspect_at_ops = health.suspect_since = None
+        self._emit(transition)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def health_of(self, shard_id: int) -> ShardHealth:
-        return self._health(shard_id)
+        health = self.shards.get(shard_id)
+        if health is None:
+            health = self.shards[shard_id] = ShardHealth()
+        return health
 
     def state_of(self, shard_id: int) -> str:
-        return self._health(shard_id).state
+        return self.health_of(shard_id).state
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         return {
             str(shard_id): self.shards[shard_id].snapshot()
             for shard_id in sorted(self.shards)
         }
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _health(self, shard_id: int) -> ShardHealth:
-        health = self.shards.get(shard_id)
-        if health is None:
-            health = ShardHealth(shard_id=shard_id)
-            self.shards[shard_id] = health
-        return health
-
-    def _evaluate(self, health: ShardHealth, now: float) -> None:
-        policy = self.policy
-        if health.ops < policy.min_ops or health.state == "failed":
-            return
-        errs, slow = health.error_ewma, health.slowdown_ewma
-        if health.state == "online":
-            if errs >= policy.suspect_error_rate or slow >= policy.suspect_slowdown:
-                health.state = "suspect"
-                health.suspect_at_ops = health.ops
-                health.suspect_since = now
-                reason = (
-                    f"error_ewma={errs:.3f}"
-                    if errs >= policy.suspect_error_rate
-                    else f"slowdown_ewma={slow:.1f}"
-                )
-                self._emit(health.shard_id, "online", "suspect", now, reason)
-            return
-        # SUSPECT: escalate on hard thresholds or persistent pathology;
-        # recover to ONLINE when both EWMAs decay back under the suspect
-        # lines (a flap that stopped flapping earns its way back).
-        if errs >= policy.fail_error_rate or slow >= policy.fail_slowdown:
-            health.state = "failed"
-            self._emit(
-                health.shard_id, "suspect", "failed", now,
-                f"error_ewma={errs:.3f} slowdown_ewma={slow:.1f}",
-            )
-            return
-        still_bad = errs >= policy.suspect_error_rate or slow >= policy.suspect_slowdown
-        started = health.suspect_at_ops or 0
-        if still_bad and health.ops - started >= policy.confirm_ops:
-            health.state = "failed"
-            self._emit(
-                health.shard_id, "suspect", "failed", now,
-                f"persistent after {health.ops - started} ops",
-            )
-            return
-        if not still_bad and health.ops - started >= policy.confirm_ops:
-            health.state = "online"
-            health.suspect_at_ops = None
-            health.suspect_since = None
-            self._emit(health.shard_id, "suspect", "online", now, "recovered")
-
-    def _emit(
-        self, shard_id: int, old: str, new: str, at: float, reason: str
-    ) -> ShardTransition:
-        transition = ShardTransition(shard_id, old, new, at, reason)
-        self.transitions.append(transition)
-        for listener in list(self.listeners):
-            listener(transition)
-        return transition
 
 
 class ShardProbe:

@@ -10,12 +10,13 @@ per shard and routes every addressed command by the epoch-versioned
   ``SERVER_BUSY``) means the command did not execute, so the replay is safe
   for every command type. The router can also pull a fresh map from any
   live shard via the :data:`~repro.osd.types.CLUSTER_MAP_OBJECT` endpoint.
-- **Class-differentiated redundancy** (the paper's class policy, lifted to
-  shard granularity): classes 0 and 1 (metadata, dirty) are **mirrored**
-  on the object's top-2 HRW shards; class 2 (hot clean) is **RS-striped**
-  ``k + m`` across distinct HRW-ranked shards so any single shard loss is
-  reconstructable; class 3 (cold clean) is a **plain** single copy — it is
-  a cache, and a lost cold-clean object is a refetch, not data loss.
+- **Class-differentiated redundancy** (the paper's class policy at shard
+  granularity, read from :data:`repro.core.policy.CLASS_LAYOUT`): classes 0
+  and 1 (metadata, dirty) are **mirrored** on the object's top-2 HRW
+  shards; class 2 (hot clean) is **RS-striped** ``k + m`` across distinct
+  HRW-ranked shards so any single shard loss is reconstructable; class 3
+  (cold clean) is a **plain** single copy — it is a cache, and a lost
+  cold-clean object is a refetch, not data loss.
 - **Degraded reads** — with a shard down, striped reads fall back to parity
   fragments and reconstruct through :class:`~repro.erasure.rs.RSCodec`;
   mirrored reads fail over to the mirror shard.
@@ -56,6 +57,7 @@ from repro.cluster.map import (
     STRIPE_PARTITION_OFFSET,
     fragment_object_id,
 )
+from repro.core.policy import CLASS_LAYOUT
 from repro.erasure.rs import RSCodec
 from repro.errors import OsdError, UnrecoverableDataError
 from repro.net.client import AsyncOsdClient, ClientStats, OsdServiceError
@@ -74,11 +76,6 @@ __all__ = [
     "decode_fragment",
     "encode_fragment",
 ]
-
-#: Classes mirrored on the top-2 HRW shards (metadata, dirty).
-MIRROR_CLASSES = (0, 1)
-#: Classes RS-striped across shards (hot clean).
-STRIPED_CLASSES = (2,)
 
 #: Stripe-fragment header: magic, k, m, fragment index, class id, true
 #: (unpadded) parent payload size.
@@ -393,14 +390,12 @@ class RouterClient:
         if deadline is None:
             deadline = self._op_deadline()
         previous = self._layouts.get(object_id)
-        if class_id in MIRROR_CLASSES:
-            layout = "mirror"
+        layout = CLASS_LAYOUT.get(class_id, "plain")
+        if layout == "mirror":
             response = await self._write_mirrored(object_id, payload, class_id, deadline)
-        elif class_id in STRIPED_CLASSES:
-            layout = "stripe"
+        elif layout == "stripe":
             response = await self._write_striped(object_id, payload, class_id, deadline)
         else:
-            layout = "plain"
             response = await self._routed(
                 commands.Write(object_id, payload, class_id), object_id, 0, deadline
             )
@@ -757,7 +752,7 @@ class RouterClient:
 
     def note_layout(self, object_id: ObjectId, layout: str) -> None:
         """Teach the read path an object's layout (supervisor/recovery use)."""
-        if layout not in ("plain", "mirror", "stripe"):
+        if layout not in CLASS_LAYOUT.values():
             raise ValueError(f"unknown layout {layout!r}")
         self._layouts[object_id] = layout
 

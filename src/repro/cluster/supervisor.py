@@ -1,13 +1,14 @@
-"""Shard-level condemn / re-home: the cluster's recovery loop.
+"""Shard-level condemn / re-home: the shard tier's repair.
 
-:class:`ClusterSupervisor` is the cluster-granularity analogue of
-:class:`~repro.core.supervisor.RecoverySupervisor`: where that loop swaps a
-failed *device* and rebuilds its chunks, this one condemns a *shard*, bumps
-the map epoch, and re-homes every object the shard owned — booking each
-step in the same :class:`~repro.core.supervisor.DurabilityLedger`, so the
-fault campaign's durability artefact covers both failure axes with one
-vocabulary (a shard incident is keyed by ``(shard_id, generation)``
-exactly like a device incident).
+The failure plane decides once (:mod:`repro.core.health`: thresholds and
+the escalation ladder; :mod:`repro.core.policy`: the class table and the
+recovery order) and books into one
+:class:`~repro.core.supervisor.DurabilityLedger`, where a shard incident is
+keyed by ``(shard_id, generation)`` exactly like a device incident. What is
+this tier's own is the *repair*: :class:`ClusterSupervisor` condemns a
+shard, bumps the map epoch, and re-homes every object the shard owned
+(:class:`~repro.core.supervisor.RecoverySupervisor` swaps a spare in and
+rebuilds chunks instead).
 
 Re-home flow (``condemn``):
 
@@ -17,11 +18,12 @@ Re-home flow (``condemn``):
    answers reads) or ``CONDEMNED`` (crash: it is gone). Installing the
    exclusion map *first* is load-bearing — the re-home writes below must
    pass the new owners' route checks.
-3. Census every known partition across the still-readable shards, then, in
-   sorted object order (deterministic ledger):
+3. Census every known partition across the still-readable shards and ask
+   the holders for each object's class (the ``reo.class_id`` attribute),
+   then, in class order 0 → 1 → 2 → 3 — the paper's differentiated
+   recovery — and by object id within a class (deterministic ledger):
    - **plain / mirrored objects** — copy to any new owner that lacks them,
-     reading from a surviving holder (class via the ``reo.class_id``
-     attribute; classes 0/1 keep mirror width 2);
+     reading from a surviving holder (mirrored classes keep width 2);
    - **stripe fragments** — fragments held by the draining shard are
      copied out; fragments lost with a crashed shard are *reconstructed*
      from any ``k`` survivors through the erasure codec and written to
@@ -48,6 +50,8 @@ from repro.cluster.map import (
 )
 from repro.cluster.router import RouterClient, decode_fragment, encode_fragment
 from repro.cluster.service import ClusterService
+from repro.core.classes import ObjectClass
+from repro.core.policy import CLASS_LAYOUT, RECOVERY_ORDER
 from repro.core.supervisor import DurabilityLedger
 from repro.net.client import OsdServiceError
 from repro.osd.types import ObjectId
@@ -56,6 +60,14 @@ if TYPE_CHECKING:  # pragma: no cover - imports only for annotations
     from repro.cluster.health import ShardHealthMonitor, ShardTransition
 
 __all__ = ["ClusterSupervisor", "RehomeReport"]
+
+#: ``reo.class_id`` attribute text → class id, for the classes the table knows.
+_CLASS_OF_ATTRIBUTE = {str(class_id): class_id for class_id in CLASS_LAYOUT}
+#: The one class the table stripes: what a stripe is taken for when no
+#: holder states its class and no fragment survives to carry it.
+_STRIPED_CLASS = next(
+    class_id for class_id, layout in CLASS_LAYOUT.items() if layout == "stripe"
+)
 
 
 @dataclass
@@ -97,15 +109,10 @@ class RehomeReport:
 class ClusterSupervisor:
     """Executes shard condemnations against a live :class:`ClusterService`."""
 
-    def __init__(
-        self,
-        service: ClusterService,
-        router: RouterClient,
-        ledger: Optional[DurabilityLedger] = None,
-    ) -> None:
+    def __init__(self, service: ClusterService, router: RouterClient) -> None:
         self.service = service
         self.router = router
-        self.ledger = ledger if ledger is not None else DurabilityLedger()
+        self.ledger = DurabilityLedger()
         self._step = 0.0
         #: Attached failure detector (see :meth:`attach_monitor`).
         self.monitor: "Optional[ShardHealthMonitor]" = None
@@ -223,57 +230,40 @@ class ClusterSupervisor:
             raise RuntimeError("cluster not started")
         self._condemning.add(shard_id)
         try:
-            return await self._condemn(
-                shard_id, reason, evacuate=evacuate, detected=detected
-            )
-        finally:
-            self._condemning.discard(shard_id)
+            report = RehomeReport(shard_id=shard_id, epoch_before=cluster_map.epoch)
+            generation = cluster_map.require(shard_id).generation + 1
+            incident = self.ledger.incident_for(shard_id, generation)
+            if detected:
+                # Detection preceded condemnation: book it as its own logical
+                # step. Wall-clock detection latency is a *bench* metric — the
+                # ledger stays on the deterministic step clock.
+                incident.suspected_at = self._tick()
+            now = self._tick()
+            if not incident.reason:
+                incident.reason = reason
+            incident.failed_at = now
+            self.ledger.begin_degraded(now)
 
-    async def _condemn(
-        self,
-        shard_id: int,
-        reason: str,
-        *,
-        evacuate: bool,
-        detected: bool,
-    ) -> RehomeReport:
-        cluster_map = self.service.cluster_map
-        assert cluster_map is not None
-        report = RehomeReport(shard_id=shard_id, epoch_before=cluster_map.epoch)
-        generation = cluster_map.require(shard_id).generation + 1
-        incident = self.ledger.incident_for(shard_id, generation)
-        if detected:
-            # Detection preceded condemnation: book it as its own logical
-            # step. Wall-clock detection latency is a *bench* metric — the
-            # ledger stays on the deterministic step clock.
-            incident.suspected_at = self._tick()
-        now = self._tick()
-        if not incident.reason:
-            incident.reason = reason
-        incident.failed_at = now
-        self.ledger.begin_degraded(now)
-
-        # Exclude the shard from placement *before* moving anything, so the
-        # re-home writes pass the new owners' route checks.
-        state = ShardState.DRAINING if evacuate else ShardState.CONDEMNED
-        excluded = cluster_map.with_shard_state(shard_id, state)
-        self.service.install_map(excluded)
-        self.router.install_map(excluded)
-        incident.swapped_at = self._tick()
-
-        await self._rehome(shard_id, excluded, report, evacuate=evacuate)
-
-        if evacuate:
-            final = excluded.with_shard_state(shard_id, ShardState.CONDEMNED)
+            # Exclude the shard from placement *before* moving anything, so
+            # the re-home writes pass the new owners' route checks.
+            state = ShardState.DRAINING if evacuate else ShardState.CONDEMNED
+            final = cluster_map.with_shard_state(shard_id, state)
             self.service.install_map(final)
             self.router.install_map(final)
+            incident.swapped_at = self._tick()
+
+            await self._rehome(final, report)
+
+            if evacuate:
+                final = final.with_shard_state(shard_id, ShardState.CONDEMNED)
+                self.service.install_map(final)
+                self.router.install_map(final)
             await self.service.stop_shard(shard_id)
-        else:
-            final = excluded
-            await self.service.stop_shard(shard_id)
-        report.epoch_after = final.epoch
-        self.ledger.mark_recovered(self._tick())
-        return report
+            report.epoch_after = final.epoch
+            self.ledger.mark_recovered(self._tick())
+            return report
+        finally:
+            self._condemning.discard(shard_id)
 
     # ------------------------------------------------------------------
     # Join: grow the cluster and rebalance into the new shard
@@ -302,7 +292,7 @@ class ClusterSupervisor:
         # routes to the newcomer.
         for pid in sorted(self.router.known_partitions):
             await self.router.client(shard_id).create_partition(pid)
-        await self._rehome(shard_id, joined, report, evacuate=True)
+        await self._rehome(joined, report)
         return report
 
     # ------------------------------------------------------------------
@@ -328,27 +318,41 @@ class ClusterSupervisor:
             held_by.sort()
         return holders
 
-    async def _rehome(
-        self,
-        shard_id: int,
-        cluster_map: ClusterMap,
-        report: RehomeReport,
-        *,
-        evacuate: bool,
-    ) -> None:
+    async def _rehome(self, cluster_map: ClusterMap, report: RehomeReport) -> None:
         holders = await self._census(cluster_map)
-        plain_ids = sorted(oid for oid in holders if not is_fragment(oid))
+        plain: Dict[ObjectId, List[int]] = {}
         stripes: Dict[ObjectId, Dict[int, List[int]]] = {}
-        for object_id in holders:
+        for object_id, held_by in holders.items():
             if is_fragment(object_id):
                 parent, index = parent_of_fragment(object_id)
-                stripes.setdefault(parent, {})[index] = holders[object_id]
-        for object_id in plain_ids:
-            report.objects_examined += 1
-            await self._rehome_plain(object_id, holders[object_id], cluster_map, report)
+                stripes.setdefault(parent, {})[index] = held_by
+            else:
+                plain[object_id] = held_by
+        # Classes first, then the walk: differentiated recovery (§IV-D)
+        # restores metadata and dirty data before hot clean before cold.
+        queue: List[Tuple[int, ObjectId, bool]] = []
+        for object_id in sorted(plain):
+            class_id = await self._class_of(
+                plain[object_id], object_id, ObjectClass.DIRTY
+            )
+            queue.append((class_id, object_id, False))
         for parent in sorted(stripes):
+            index = min(stripes[parent])
+            class_id = await self._class_of(
+                stripes[parent][index], fragment_object_id(parent, index), _STRIPED_CLASS
+            )
+            queue.append((class_id, parent, True))
+        queue.sort(key=lambda item: (RECOVERY_ORDER.index(item[0]), item[1]))
+        for class_id, object_id, striped in queue:
             report.objects_examined += 1
-            await self._rehome_stripe(parent, stripes[parent], cluster_map, report)
+            if striped:
+                await self._rehome_stripe(
+                    object_id, class_id, stripes[object_id], cluster_map, report
+                )
+            else:
+                await self._rehome_plain(
+                    object_id, class_id, plain[object_id], cluster_map, report
+                )
 
     async def _read_from(
         self, shard_id: int, object_id: ObjectId
@@ -361,29 +365,44 @@ class ClusterSupervisor:
             return None
         return payload if payload is not None else b""
 
-    async def _class_of(self, shard_id: int, object_id: ObjectId) -> int:
-        try:
-            value, response = await self.router.client(shard_id).get_attr(
-                object_id, "reo.class_id"
-            )
-        except (OsdServiceError, ConnectionError, OSError):
-            return 3
-        if not response.ok or value is None:
-            return 3
-        try:
-            return int(value)
-        except ValueError:
-            return 3
+    async def _class_of(
+        self, held_by: List[int], object_id: ObjectId, unknown: int
+    ) -> int:
+        """The object's class, from the first holder that states one.
+
+        Every holder is asked in turn: one dropped ``GetAttr`` must not
+        decide an object's redundancy. When none answers with a class the
+        table knows, the object is taken for ``unknown`` — and callers fail
+        safe toward protection, passing :attr:`ObjectClass.DIRTY` for a
+        plain-held object: it is re-homed at mirror width and tagged dirty.
+        Over-protecting clean data costs a spare copy; taking dirty data for
+        cold would leave the only valid copy of it unmirrored.
+        """
+        for shard_id in held_by:
+            try:
+                value, response = await self.router.client(shard_id).get_attr(
+                    object_id, "reo.class_id"
+                )
+            except (OsdServiceError, ConnectionError, OSError):
+                continue
+            if response.ok and value in _CLASS_OF_ATTRIBUTE:
+                return _CLASS_OF_ATTRIBUTE[value]
+        return int(unknown)
+
+    def _book_lost(self, report: RehomeReport, object_id: ObjectId, class_id: int) -> None:
+        self.ledger.record_lost(object_id, class_id)
+        report.lost_by_class[class_id] = report.lost_by_class.get(class_id, 0) + 1
+        self._tick()
 
     async def _rehome_plain(
         self,
         object_id: ObjectId,
+        class_id: int,
         held_by: List[int],
         cluster_map: ClusterMap,
         report: RehomeReport,
     ) -> None:
-        class_id = await self._class_of(held_by[0], object_id)
-        width = 2 if class_id in (0, 1) else 1
+        width = 2 if CLASS_LAYOUT[class_id] == "mirror" else 1
         desired = cluster_map.owners_for(object_id, width=width)
         missing = [owner for owner in desired if owner not in held_by]
         if not missing:
@@ -394,9 +413,7 @@ class ClusterSupervisor:
             if payload is not None:
                 break
         if payload is None:
-            self.ledger.record_lost(object_id, class_id)
-            report.lost_by_class[class_id] = report.lost_by_class.get(class_id, 0) + 1
-            self._tick()
+            self._book_lost(report, object_id, class_id)
             return
         for owner in missing:
             await self.router.client(owner).write(object_id, payload, class_id)
@@ -408,6 +425,7 @@ class ClusterSupervisor:
     async def _rehome_stripe(
         self,
         parent: ObjectId,
+        class_id: int,
         fragment_holders: Dict[int, List[int]],
         cluster_map: ClusterMap,
         report: RehomeReport,
@@ -427,9 +445,7 @@ class ClusterSupervisor:
                     continue
                 break
         if not survivors:
-            self.ledger.record_lost(parent, 2)
-            report.lost_by_class[2] = report.lost_by_class.get(2, 0) + 1
-            self._tick()
+            self._book_lost(report, parent, class_id)
             return
         header = next(iter(survivors.values()))[0]
         k, m = header["k"], header["m"]
@@ -451,11 +467,7 @@ class ClusterSupervisor:
         to_rebuild = sorted(i for i, frag in needed.items() if frag == b"")
         if to_rebuild:
             if len(survivors) < k:
-                self.ledger.record_lost(parent, class_id)
-                report.lost_by_class[class_id] = (
-                    report.lost_by_class.get(class_id, 0) + 1
-                )
-                self._tick()
+                self._book_lost(report, parent, class_id)
                 return
             rebuilt = self.router.codec.reconstruct(
                 {index: frag for index, (_, frag) in survivors.items()},

@@ -22,43 +22,69 @@ prioritized rebuild), keeping detection separate from repair policy.
 Fail-stop failures (device already FAILED on the array) are *observed* by
 :meth:`HealthMonitor.poll` and emitted through the same transition stream,
 so one listener sees every failure shape.
+
+The *decision* — thresholds (:class:`HealthPolicy`), the rolling record
+(:class:`HealthRecord`), the listener log (:class:`TransitionLog`) and the
+escalation ladder (:func:`escalate`) — is written once, here, and also
+drives the shard detector of :mod:`repro.cluster.health`. A tier keeps what
+is its own: how evidence is gathered, where the state is stored, and the
+wording of its transition reasons (the determinism-taint rule tells
+seed-deterministic EWMAs from wall-clock-fed ones by the module that reads
+them, so each tier formats its own).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Generic, List, NamedTuple, Optional, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - imports only for annotations
     from repro.flash.array import ArrayIoResult, FlashArray
     from repro.flash.device import FlashDevice
 
-__all__ = ["DeviceHealth", "HealthMonitor", "HealthPolicy", "HealthTransition"]
+__all__ = [
+    "DeviceHealth",
+    "HealthMonitor",
+    "HealthPolicy",
+    "HealthRecord",
+    "HealthTransition",
+    "TransitionLog",
+    "escalate",
+]
 
 
 @dataclass(frozen=True)
 class HealthPolicy:
     """Thresholds separating noise from demotion-worthy pathology.
 
+    One class for both tiers; the defaults are the device tier's, the shard
+    tier's are the value :data:`repro.cluster.health.SHARD_HEALTH_POLICY`.
+
     Attributes:
         alpha: EWMA smoothing factor *per operation*. A batch of ``n`` ops
             moves the average by ``1 - (1 - alpha) ** n``, so one bad op in
-            a small batch cannot spike a healthy device over a threshold —
+            a small batch cannot spike a healthy unit over a threshold —
             only a sustained rate converges there.
-        min_ops: operations observed before any verdict (EWMA warm-up).
+        min_ops: operations observed before any verdict (EWMA warm-up; for
+            a shard also the baseline-learning window).
         suspect_error_rate: error-rate EWMA demoting ONLINE → SUSPECT.
         fail_error_rate: error-rate EWMA escalating SUSPECT → FAILED.
         suspect_slowdown: slowdown EWMA demoting ONLINE → SUSPECT.
         fail_slowdown: slowdown EWMA escalating straight to FAILED.
-        confirm_ops: operations a SUSPECT device must stay past its suspect
+        confirm_ops: operations a SUSPECT unit must stay past its suspect
             threshold before the monitor escalates to FAILED — one bad
-            burst parks a device, only a *persistent* pathology replaces it.
-        suspect_grace: simulated seconds a device may stay SUSPECT before
-            :meth:`HealthMonitor.poll` escalates it to FAILED regardless of
-            traffic. Demotion diverts reads to peers, so a parked device may
-            see no further I/O and the ops-based escalation would starve;
-            the grace period is the time-based backstop (a real array would
-            either rehabilitate the device with probes or evict it).
+            burst parks a unit, only a *persistent* pathology replaces it.
+        suspect_grace: (device tier only) simulated seconds a device may
+            stay SUSPECT before :meth:`HealthMonitor.poll` escalates it to
+            FAILED regardless of traffic. Demotion diverts reads to peers,
+            so a parked device may see no further I/O and the ops-based
+            escalation would starve; the grace period is the time-based
+            backstop (a real array would either rehabilitate the device
+            with probes or evict it).
+        baseline_floor: (shard tier only) lower bound, in seconds, on the
+            learned healthy round-trip baseline, so loopback's
+            sub-millisecond round trips cannot make scheduler jitter
+            register as a pathological slowdown.
     """
 
     alpha: float = 0.02
@@ -69,6 +95,7 @@ class HealthPolicy:
     fail_slowdown: float = 20.0
     confirm_ops: int = 24
     suspect_grace: float = 30.0
+    baseline_floor: float = 0.0005
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
@@ -77,29 +104,76 @@ class HealthPolicy:
             raise ValueError("suspect_error_rate must not exceed fail_error_rate")
         if self.suspect_slowdown > self.fail_slowdown:
             raise ValueError("suspect_slowdown must not exceed fail_slowdown")
+        if self.min_ops < 1 or self.confirm_ops < 1:
+            raise ValueError("min_ops and confirm_ops must be >= 1")
 
 
 @dataclass
-class DeviceHealth:
-    """The monitor's rolling picture of one device."""
+class HealthRecord:
+    """A monitor's rolling picture of one unit (a device or a shard)."""
 
-    device_id: int
-    generation: int = 0
     ops: int = 0
     errors: int = 0
     error_ewma: float = 0.0
     slowdown_ewma: float = 1.0
-    #: ops counter value when the device entered SUSPECT (escalation timer).
+    #: ops counter value when the unit entered SUSPECT (escalation timer).
     suspect_at_ops: Optional[int] = None
     suspect_since: Optional[float] = None
 
-    def snapshot(self) -> Dict[str, float]:
-        return {
-            "ops": self.ops,
-            "errors": self.errors,
-            "error_ewma": round(self.error_ewma, 6),
-            "slowdown_ewma": round(self.slowdown_ewma, 6),
-        }
+
+def escalate(
+    policy: HealthPolicy, record: HealthRecord, state: str
+) -> Optional[tuple[str, str]]:
+    """The escalation ladder: ``(new_state, cause)``, or None for no change.
+
+    Pure — the monitors apply the verdict. ``state`` is ``"online"`` or
+    ``"suspect"`` (a FAILED unit is never asked). An online unit past a
+    suspect threshold turns ``suspect`` (cause ``errors``, else
+    ``slowdown``). A suspect one past a fail threshold is ``failed``
+    (``hard``); ``confirm_ops`` after its demotion it is ``failed`` if still
+    past a suspect threshold (``persistent``), else back ``online``
+    (``recovered``).
+    """
+    if record.ops < policy.min_ops:
+        return None
+    errs, slow = record.error_ewma, record.slowdown_ewma
+    if errs >= policy.suspect_error_rate:
+        bad: Optional[str] = "errors"
+    elif slow >= policy.suspect_slowdown:
+        bad = "slowdown"
+    else:
+        bad = None
+    if state == "online":
+        return ("suspect", bad) if bad else None
+    if errs >= policy.fail_error_rate or slow >= policy.fail_slowdown:
+        return "failed", "hard"
+    if record.ops - (record.suspect_at_ops or 0) < policy.confirm_ops:
+        return None
+    return ("failed", "persistent") if bad else ("online", "recovered")
+
+
+T = TypeVar("T")
+
+
+class TransitionLog(Generic[T]):
+    """Every state-machine step a monitor emitted, fanned out to listeners."""
+
+    def __init__(self) -> None:
+        self.listeners: List[Callable[[T], None]] = []
+        self.transitions: List[T] = []
+
+    def _emit(self, transition: T) -> T:
+        self.transitions.append(transition)
+        for listener in list(self.listeners):
+            listener(transition)
+        return transition
+
+
+@dataclass
+class DeviceHealth(HealthRecord):
+    """One device's record; a swapped-in spare starts a fresh one."""
+
+    generation: int = 0
 
 
 class HealthTransition(NamedTuple):
@@ -112,30 +186,35 @@ class HealthTransition(NamedTuple):
     reason: str
 
 
-TransitionListener = Callable[[HealthTransition], None]
+def _reason(cause: str, health: HealthRecord) -> str:
+    if cause == "errors":
+        return f"error_ewma={health.error_ewma:.3f}"
+    if cause == "slowdown":
+        return f"slowdown_ewma={health.slowdown_ewma:.1f}"
+    if cause == "hard":
+        return (
+            f"error_ewma={health.error_ewma:.3f} "
+            f"slowdown_ewma={health.slowdown_ewma:.1f}"
+        )
+    return f"persistent after {health.ops - (health.suspect_at_ops or 0)} ops"
 
 
-class HealthMonitor:
+class HealthMonitor(TransitionLog[HealthTransition]):
     """Watches per-device I/O health and drives the SUSPECT/FAILED verdicts."""
 
     def __init__(
-        self,
-        array: "FlashArray",
-        policy: Optional[HealthPolicy] = None,
-        attach: bool = True,
+        self, array: "FlashArray", policy: Optional[HealthPolicy] = None
     ) -> None:
+        super().__init__()
         self.array = array
         self.policy = policy or HealthPolicy()
         self.devices: Dict[int, DeviceHealth] = {}
-        self.listeners: List[TransitionListener] = []
-        self.transitions: List[HealthTransition] = []
         #: Device ids whose FAILED state has been emitted (dedup).
         self._failed_seen: Dict[int, int] = {}
         #: Degraded foreground-read latencies (simulated seconds), for the
         #: durability ledger's degraded-read percentiles.
         self.degraded_read_latencies: List[float] = []
-        if attach:
-            array.health = self
+        array.health = self
 
     # ------------------------------------------------------------------
     # Observation intake
@@ -174,12 +253,11 @@ class HealthMonitor:
         for device in self.array.devices:
             health = self._health(device)  # refreshed on generation change
             if not device.is_available:
-                if self._failed_seen.get(device.device_id) != device.generation:
-                    self._failed_seen[device.device_id] = device.generation
-                    emitted.append(
-                        self._emit(device.device_id, "online", "failed", now,
-                                   "fail-stop observed")
+                if self._first_failure(device):
+                    verdict = HealthTransition(
+                        device.device_id, "online", "failed", now, "fail-stop observed"
                     )
+                    emitted.append(self._emit(verdict))
                 continue
             if not device.is_online:
                 # SUSPECT: reads were diverted to peers, so the ops-based
@@ -189,15 +267,13 @@ class HealthMonitor:
                     health.suspect_since = now
                 elif (
                     now - health.suspect_since >= self.policy.suspect_grace
-                    and self._failed_seen.get(device.device_id) != device.generation
+                    and self._first_failure(device)
                 ):
-                    self._failed_seen[device.device_id] = device.generation
-                    emitted.append(
-                        self._emit(
-                            device.device_id, "suspect", "failed", now,
-                            f"suspect for {now - health.suspect_since:.3f}s",
-                        )
+                    verdict = HealthTransition(
+                        device.device_id, "suspect", "failed", now,
+                        f"suspect for {now - health.suspect_since:.3f}s",
                     )
+                    emitted.append(self._emit(verdict))
         return emitted
 
     # ------------------------------------------------------------------
@@ -222,9 +298,7 @@ class HealthMonitor:
         if health is None or health.generation != device.generation:
             # First sighting, or a spare was swapped in: fresh record — a
             # replacement is a different physical device.
-            health = DeviceHealth(
-                device_id=device.device_id, generation=device.generation
-            )
+            health = DeviceHealth(generation=device.generation)
             self.devices[device.device_id] = health
         return health
 
@@ -237,48 +311,32 @@ class HealthMonitor:
             + sample.bytes_written / model.write_bandwidth
         )
 
-    def _evaluate(self, device: "FlashDevice", health: DeviceHealth, now: float) -> None:
-        policy = self.policy
-        if health.ops < policy.min_ops or not device.is_available:
-            return
-        errs, slow = health.error_ewma, health.slowdown_ewma
-        if device.is_online:
-            if errs >= policy.suspect_error_rate or slow >= policy.suspect_slowdown:
-                device.suspect()
-                health.suspect_at_ops = health.ops
-                health.suspect_since = now
-                reason = (
-                    f"error_ewma={errs:.3f}" if errs >= policy.suspect_error_rate
-                    else f"slowdown_ewma={slow:.1f}"
-                )
-                self._emit(device.device_id, "online", "suspect", now, reason)
-            return
-        # SUSPECT: escalate when the pathology persists or worsens. Emit the
-        # FAILED verdict once per device generation (the supervisor acts on
-        # the first one; without a supervisor, repeats would just be noise).
+    def _first_failure(self, device: "FlashDevice") -> bool:
+        """Claim this generation's one FAILED verdict (the supervisor acts on
+        the first; repeats would be noise); False when already claimed."""
         if self._failed_seen.get(device.device_id) == device.generation:
-            return
-        if errs >= policy.fail_error_rate or slow >= policy.fail_slowdown:
-            self._failed_seen[device.device_id] = device.generation
-            self._emit(
-                device.device_id, "suspect", "failed", now,
-                f"error_ewma={errs:.3f} slowdown_ewma={slow:.1f}",
-            )
-            return
-        started = health.suspect_at_ops or 0
-        still_bad = errs >= policy.suspect_error_rate or slow >= policy.suspect_slowdown
-        if still_bad and health.ops - started >= policy.confirm_ops:
-            self._failed_seen[device.device_id] = device.generation
-            self._emit(
-                device.device_id, "suspect", "failed", now,
-                f"persistent after {health.ops - started} ops",
-            )
+            return False
+        self._failed_seen[device.device_id] = device.generation
+        return True
 
-    def _emit(
-        self, device_id: int, old: str, new: str, at: float, reason: str
-    ) -> HealthTransition:
-        transition = HealthTransition(device_id, old, new, at, reason)
-        self.transitions.append(transition)
-        for listener in list(self.listeners):
-            listener(transition)
-        return transition
+    def _evaluate(self, device: "FlashDevice", health: DeviceHealth, now: float) -> None:
+        if not device.is_available:
+            return
+        state = "online" if device.is_online else "suspect"
+        verdict = escalate(self.policy, health, state)
+        if verdict is None or verdict[0] == "online":
+            # `recovered` is ignored by this tier: demotion diverted the
+            # device's reads to its peers, so the trickle it still serves is
+            # no evidence of health. A parked device leaves SUSPECT by being
+            # replaced or through the grace period in `poll`.
+            return
+        new, cause = verdict
+        if new == "suspect":
+            device.suspect()
+            health.suspect_at_ops = health.ops
+            health.suspect_since = now
+        elif not self._first_failure(device):
+            return
+        self._emit(
+            HealthTransition(device.device_id, state, new, now, _reason(cause, health))
+        )

@@ -10,16 +10,27 @@ calls the policy with an object's class id and gets back the
   (Reo-10% / Reo-20% / Reo-40%).
 - :class:`UniformPolicy` — the evaluation's baselines: the same scheme for
   every class (0-parity, 1-parity, 2-parity, or full replication).
+
+The module also holds the one **class table** the failure plane reads:
+:data:`CLASS_LAYOUT` (how the shard tier lays a class out across shards),
+:data:`PROTECTED_CLASSES` (classes that carry redundancy, so losing one of
+their objects is a durability failure, not a cache miss) and
+:data:`RECOVERY_ORDER` (§IV-D: rebuild class 0, then 1, 2, 3). All three are
+derived once, at import, from :meth:`ReoPolicy.scheme_for`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.core.classes import ObjectClass
 from repro.flash.stripe import ParityScheme, RedundancyScheme, ReplicationScheme
 
 __all__ = [
+    "CLASS_LAYOUT",
+    "PROTECTED_CLASSES",
+    "RECOVERY_ORDER",
     "RedundancyPolicy",
     "ReoPolicy",
     "UniformPolicy",
@@ -114,3 +125,27 @@ def full_replication() -> UniformPolicy:
 def reo_policy(reserve_fraction: float = 0.10, hot_parity: int = 2) -> ReoPolicy:
     """Reo with the given reserved redundancy fraction (0.1/0.2/0.4)."""
     return ReoPolicy(reserve_fraction=reserve_fraction, hot_parity=hot_parity)
+
+
+def _shard_layout(scheme: RedundancyScheme) -> str:
+    if isinstance(scheme, ReplicationScheme):
+        return "mirror"
+    if isinstance(scheme, ParityScheme) and scheme.parity > 0:
+        return "stripe"
+    return "plain"
+
+
+#: Class id → shard-tier layout: a replicated class is mirrored on its top-2
+#: HRW shards, a parity-protected class is RS-striped across shards, a class
+#: with no redundancy is one plain copy. A plain dict so the router's
+#: per-write dispatch stays one constant-time probe.
+CLASS_LAYOUT: Dict[int, str] = {
+    int(class_id): _shard_layout(ReoPolicy().scheme_for(class_id))
+    for class_id in ObjectClass
+}
+#: Classes whose loss fails a campaign (metadata, dirty, hot clean).
+PROTECTED_CLASSES = tuple(
+    class_id for class_id, layout in CLASS_LAYOUT.items() if layout != "plain"
+)
+#: Differentiated recovery: most important class first.
+RECOVERY_ORDER = tuple(sorted(CLASS_LAYOUT))

@@ -16,7 +16,6 @@ Outputs print to stdout and are saved under ``benchmarks/results/``.
 from __future__ import annotations
 
 import argparse
-import pathlib
 import sys
 import time
 
@@ -33,6 +32,7 @@ from repro.experiments.endurance import (
     run_write_amplification_sweep,
 )
 from repro.experiments.concurrency import run_concurrency_sweep
+from repro.experiments.campaign import RESULTS_DIR
 from repro.experiments.cluster_campaign import run_cluster_campaign
 from repro.experiments.chaos_campaign import run_chaos_campaign
 from repro.experiments.fault_campaign import run_fault_campaign
@@ -44,8 +44,6 @@ from repro.experiments.normal_run import run_normal_run_figure
 from repro.experiments.space_efficiency import run_space_efficiency_table
 from repro.experiments.writeback import run_writeback_figure
 from repro.workload.medisyn import Locality
-
-RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 
 def _ablations_text() -> str:

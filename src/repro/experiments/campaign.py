@@ -1,0 +1,150 @@
+"""The campaign harness: what every reliability campaign shares.
+
+A campaign injects faults, lets the failure plane repair, and then holds
+the outcome against one contract — no object of a protected class (see
+:data:`repro.core.policy.PROTECTED_CLASSES`) may be lost — before writing a
+seed-deterministic artefact under ``benchmarks/results/``. This module is
+the one home of that contract, of the results directory and artefact
+format, and of the routed campaigns' seeded object :class:`Population`
+(payload oracle, populate loop, byte-exact verify loop). The fault
+campaign, the cluster campaign, the chaos campaign and
+``python -m repro.cluster --smoke`` differ only in the faults they inject.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+import pathlib
+import random
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+
+from repro.core.policy import PROTECTED_CLASSES
+from repro.net.client import OsdServiceError
+from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
+
+if TYPE_CHECKING:  # pragma: no cover - imports only for annotations
+    from repro.cluster.router import RouterClient
+    from repro.osd.target import OsdResponse
+
+__all__ = [
+    "CampaignLossError",
+    "Population",
+    "RESULTS_DIR",
+    "protected_losses",
+    "write_artefact",
+]
+
+RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
+
+
+class CampaignLossError(RuntimeError):
+    """A protected class lost data — the failure plane broke its contract."""
+
+
+def protected_losses(lost_by_class: Mapping) -> Dict[int, int]:
+    """The protected-class entries of a ledger's ``lost_by_class``.
+
+    Accepts the live ledger's int keys and its JSON form's string keys.
+    """
+    return {
+        int(class_id): count
+        for class_id, count in lost_by_class.items()
+        if int(class_id) in PROTECTED_CLASSES and count
+    }
+
+
+def write_artefact(
+    name: str, payload: Dict[str, object], directory: Optional[pathlib.Path] = None
+) -> pathlib.Path:
+    """Write one deterministic artefact: sorted keys, so bytes follow content."""
+    directory = directory or RESULTS_DIR
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / name
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+class Population:
+    """A seeded object population, written and verified through a router.
+
+    Object ``index`` has id ``FIRST_USER_OID + oid_offset + index``, class
+    ``classes[index % len(classes)]`` and, at version ``v``, the payload
+    drawn from ``random.Random(f"{tag}/{seed}/{index}/{v}")`` — a pure
+    function of its identity, so the expected bytes need no bookkeeping.
+    """
+
+    def __init__(
+        self,
+        tag: str,
+        seed: int,
+        *,
+        objects: int,
+        payload_bytes: int,
+        classes: Sequence[int],
+        oid_offset: int,
+    ) -> None:
+        self.tag = tag
+        self.seed = seed
+        self.payload_bytes = payload_bytes
+        self.ids = [
+            ObjectId(PARTITION_BASE, FIRST_USER_OID + oid_offset + index)
+            for index in range(objects)
+        ]
+        self.classes = [classes[index % len(classes)] for index in range(objects)]
+        self.versions = [0] * objects
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def payload(self, index: int) -> bytes:
+        """The bytes object ``index`` must hold at its current version."""
+        key = f"{self.tag}/{self.seed}/{index}/{self.versions[index]}"
+        return random.Random(key).randbytes(self.payload_bytes)
+
+    async def write(self, router: "RouterClient", index: int) -> "OsdResponse":
+        return await router.write(
+            self.ids[index], self.payload(index), self.classes[index]
+        )
+
+    async def populate(self, router: "RouterClient") -> None:
+        for index, object_id in enumerate(self.ids):
+            if not (await self.write(router, index)).ok:
+                raise RuntimeError(f"populate failed at {object_id}")
+
+    async def read(
+        self, router: "RouterClient", index: int, phase: str, attempts: int = 1
+    ) -> bool:
+        """Read one object back; True when it is byte-exact.
+
+        Reads are idempotent, so ``attempts`` spaced tries ride out a
+        transient overlap of faults; each is its own observation for an
+        attached health monitor. Exhausting them is a miss for an
+        unprotected object and :class:`CampaignLossError` for a protected one.
+        """
+        object_id = self.ids[index]
+        for attempt in range(attempts):
+            if attempt:
+                await asyncio.sleep(0.05)
+            try:
+                payload, response = await router.read(object_id)
+            except (OsdServiceError, ConnectionError, OSError):
+                continue
+            if response.ok and payload == self.payload(index):
+                return True
+        if self.classes[index] in PROTECTED_CLASSES:
+            raise CampaignLossError(
+                f"class-{self.classes[index]} object {object_id} unreadable "
+                f"({phase}, seed {self.seed})"
+            )
+        return False
+
+    async def verify(
+        self, router: "RouterClient", phase: str, attempts: int = 1
+    ) -> List[int]:
+        """Read the whole population back; the (unprotected) indices missed."""
+        return [
+            index
+            for index in range(len(self.ids))
+            if not await self.read(router, index, phase, attempts)
+        ]

@@ -27,32 +27,29 @@ artefacts despite wall-clock noise. Wall-clock numbers (detection
 latency, degraded-window throughput, hedge rate) are reported by
 :meth:`ChaosCampaignResult.format`, not persisted and not gated.
 
-Losing any protected-class object (0-2) — or condemning the wrong shard —
-raises :class:`ChaosCampaignError`.
+Losing any protected-class object (0-2) raises
+:class:`~repro.experiments.campaign.CampaignLossError`; condemning the
+wrong shard, or none, raises :class:`ChaosCampaignError`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import pathlib
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
-from repro.cluster.health import (
-    ShardHealthMonitor,
-    ShardHealthPolicy,
-    ShardProbe,
-)
+from repro.cluster.health import ShardHealthMonitor, ShardProbe
 from repro.cluster.router import RouterClient
 from repro.cluster.service import ClusterService
 from repro.cluster.supervisor import ClusterSupervisor
+from repro.core.health import HealthPolicy
+from repro.experiments.campaign import Population, protected_losses, write_artefact
 from repro.faults import LinkFailSlow, LinkFlap, NetFaultPlan, NetPartition, ShardChaos
-from repro.net.client import OsdServiceError
 from repro.net.retry import NO_RETRY
+from repro.osd.types import PARTITION_BASE
 from repro.sim.report import format_table
-from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
 
 __all__ = [
     "CHAOS_POLICY",
@@ -61,13 +58,11 @@ __all__ = [
     "run_chaos_campaign",
 ]
 
-BENCH_RESULTS_DIR = (
-    pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-)
 CHAOS_LEDGER_NAME = "chaos_campaign_ledger.json"
-
-#: Classes whose loss (or corruption) fails the campaign outright.
-PROTECTED_CLASSES = (0, 1, 2)
+#: The campaign's geometry: a victim, a flapping and a partitioned shard plus
+#: one clean one. ``MAX_DEGRADED_READS`` bounds the wait for the detector.
+SHARDS, OBJECTS, PAYLOAD_BYTES = 4, 48, 2048
+TRANSIENT_READS, MAX_DEGRADED_READS = 120, 2000
 
 #: The campaign's detector tuning. The transient phase *calibrates* these
 #: numbers: an 8-op partition burst peaks the error EWMA near
@@ -76,7 +71,7 @@ PROTECTED_CLASSES = (0, 1, 2)
 #: flaps park a shard in SUSPECT at worst. A fail-slow link at ~80x the
 #: loopback baseline crosses ``fail_slowdown`` within a handful of
 #: observations once its ramp completes.
-CHAOS_POLICY = ShardHealthPolicy(
+CHAOS_POLICY = HealthPolicy(
     alpha=0.12,
     min_ops=6,
     suspect_error_rate=0.30,
@@ -88,8 +83,14 @@ CHAOS_POLICY = ShardHealthPolicy(
 )
 
 
+#: Tries per workload read. Reads are idempotent, so a few spaced attempts
+#: ride out the worst transient overlap; each attempt is a separate clean
+#: observation for the health monitor, and only exhausting them is a miss.
+READ_ATTEMPTS = 3
+
+
 class ChaosCampaignError(RuntimeError):
-    """The cluster failed to heal itself (loss, wrong condemn, no condemn)."""
+    """The cluster failed to heal itself (wrong condemn, no condemn)."""
 
 
 @dataclass
@@ -120,16 +121,11 @@ class ChaosCampaignResult:
     auto_condemns: int
     rehome: Dict[str, object]
     ledger: Dict[str, object]
-    chaos_snapshot: Dict[str, object] = field(default_factory=dict)
 
     @property
     def protected_losses(self) -> int:
         lost = self.ledger.get("lost_by_class", {})
-        return sum(
-            count
-            for class_id, count in dict(lost).items()  # type: ignore[union-attr]
-            if int(class_id) in PROTECTED_CLASSES
-        )
+        return sum(protected_losses(lost).values())  # type: ignore[arg-type]
 
     def format(self) -> str:
         rows = [
@@ -166,9 +162,6 @@ class ChaosCampaignResult:
 
         Only logical-clock state goes in — no wall-clock measurement.
         """
-        directory = directory or BENCH_RESULTS_DIR
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / CHAOS_LEDGER_NAME
         payload = {
             "seed": self.seed,
             "shards": self.shards,
@@ -178,19 +171,13 @@ class ChaosCampaignResult:
             "rehome": self.rehome,
             "ledger": self.ledger,
         }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return path
+        return write_artefact(CHAOS_LEDGER_NAME, payload, directory)
 
 
-def _campaign_payload(seed: int, index: int, size: int) -> bytes:
-    """Deterministic payload oracle (read-only campaign: no versions)."""
-    return random.Random(f"chaos-campaign/{seed}/{index}").randbytes(size)
-
-
-def _cast(seed: int, shards: int) -> Dict[str, int]:
+def _cast(seed: int) -> Dict[str, int]:
     """Seed-deterministic fault assignment: three distinct shards."""
     rng = random.Random(f"chaos-campaign-cast/{seed}")
-    victim, flap, partition = rng.sample(range(shards), 3)
+    victim, flap, partition = rng.sample(range(SHARDS), 3)
     return {"victim": victim, "flap": flap, "partition": partition}
 
 
@@ -204,47 +191,8 @@ async def _wait_for(predicate, timeout: float, interval: float = 0.01) -> bool:
     return False
 
 
-async def _verified_read(
-    router: RouterClient,
-    object_id: ObjectId,
-    expected: bytes,
-    class_id: int,
-    phase: str,
-    attempts: int = 3,
-) -> bool:
-    """One workload read; protected-class misses fail the campaign.
-
-    Reads are idempotent, so a handful of spaced attempts ride out the
-    worst transient overlap (a partition burst and a flap-down window
-    landing together can briefly exceed the stripe's parity tolerance).
-    Each attempt is a separate clean observation for the health monitor;
-    only exhausting them all is a loss.
-    """
-    for attempt in range(attempts):
-        try:
-            payload, response = await router.read(object_id)
-        except (OsdServiceError, ConnectionError, OSError):
-            payload, response = None, None
-        if response is not None and response.ok and payload == expected:
-            return True
-        if attempt + 1 < attempts:
-            await asyncio.sleep(0.05)
-    if class_id in PROTECTED_CLASSES:
-        raise ChaosCampaignError(
-            f"class-{class_id} object {object_id} unreadable ({phase} phase)"
-        )
-    return False
-
-
-async def _run_campaign(
-    seed: int,
-    shards: int,
-    objects: int,
-    payload_bytes: int,
-    transient_reads: int,
-    max_degraded_reads: int,
-) -> ChaosCampaignResult:
-    cast = _cast(seed, shards)
+async def _run_campaign(seed: int) -> ChaosCampaignResult:
+    cast = _cast(seed)
     victim = cast["victim"]
     transient_plan = NetFaultPlan(
         events=(
@@ -255,9 +203,10 @@ async def _run_campaign(
                 shards=(cast["partition"],), from_op=12, until_op=20
             ),
             # A flapping link: one dropped command in ten. Staggered to
-            # start after the burst usually ends — the retry loop in
-            # ``_verified_read`` covers the overlap that op-clock skew
-            # can still produce.
+            # start after the burst usually ends — the three spaced read
+            # attempts below cover the overlap that op-clock skew can
+            # still produce (together the two can briefly exceed a
+            # stripe's parity tolerance).
             LinkFlap(
                 shard=cast["flap"],
                 period_ops=10,
@@ -276,7 +225,7 @@ async def _run_campaign(
         )
     )
 
-    async with ClusterService(shards) as service:
+    async with ClusterService(SHARDS) as service:
         monitor = ShardHealthMonitor(CHAOS_POLICY)
         # NO_RETRY is load-bearing for detection quality: the router
         # observes whole client submissions, so wire-level retries would
@@ -296,47 +245,31 @@ async def _run_campaign(
         probe = ShardProbe(router, monitor, interval=0.02)
         chaos: Optional[ShardChaos] = None
         loop = asyncio.get_running_loop()
+        population = Population(
+            "chaos-campaign",
+            seed,
+            objects=OBJECTS,
+            payload_bytes=PAYLOAD_BYTES,
+            classes=(0, 1, 2, 3),
+            oid_offset=0x6000,
+        )
         try:
             # ---- Populate (all four classes) and learn baselines. ----
             await router.create_partition(PARTITION_BASE)
-            ids: List[ObjectId] = [
-                ObjectId(PARTITION_BASE, FIRST_USER_OID + 0x6000 + index)
-                for index in range(objects)
-            ]
-            classes = [(0, 1, 2, 3)[index % 4] for index in range(objects)]
-            for index, object_id in enumerate(ids):
-                response = await router.write(
-                    object_id,
-                    _campaign_payload(seed, index, payload_bytes),
-                    classes[index],
-                )
-                if not response.ok:
-                    raise RuntimeError(f"populate failed at {object_id}")
+            await population.populate(router)
             await probe.start()
             await supervisor.start_autonomous()
-            for index, object_id in enumerate(ids):  # warm-up pass
-                await _verified_read(
-                    router,
-                    object_id,
-                    _campaign_payload(seed, index, payload_bytes),
-                    classes[index],
-                    "warm-up",
-                )
+            await population.verify(router, "warm-up", READ_ATTEMPTS)
 
             # ---- Transient phase: partition burst + flapping link. ----
             chaos = ShardChaos(transient_plan).install(service)
             rng = random.Random(f"chaos-campaign-ops/{seed}")
             transient_failures = 0
-            for _ in range(transient_reads):
-                index = rng.randrange(objects)
-                ok = await _verified_read(
-                    router,
-                    ids[index],
-                    _campaign_payload(seed, index, payload_bytes),
-                    classes[index],
-                    "transient",
-                )
-                if not ok:
+            for _ in range(TRANSIENT_READS):
+                index = rng.randrange(OBJECTS)
+                if not await population.read(
+                    router, index, "transient phase", READ_ATTEMPTS
+                ):
                     transient_failures += 1
             chaos.uninstall()
             if supervisor.auto_events:
@@ -365,16 +298,10 @@ async def _run_campaign(
             degraded_window_reads = 0
             while (
                 not supervisor.auto_events
-                and degraded_window_reads < max_degraded_reads
+                and degraded_window_reads < MAX_DEGRADED_READS
             ):
-                index = rng.randrange(objects)
-                await _verified_read(
-                    router,
-                    ids[index],
-                    _campaign_payload(seed, index, payload_bytes),
-                    classes[index],
-                    "fail-slow",
-                )
+                index = rng.randrange(OBJECTS)
+                await population.read(router, index, "fail-slow phase", READ_ATTEMPTS)
                 degraded_window_reads += 1
             healed = await _wait_for(
                 lambda: bool(supervisor.auto_events), timeout=30.0
@@ -401,18 +328,10 @@ async def _run_campaign(
             # ---- Verify: every object, byte-exact, on the healed map. ----
             await probe.aclose()
             await supervisor.stop_autonomous()
-            class3_losses = 0
-            for index, object_id in enumerate(ids):
-                ok = await _verified_read(
-                    router,
-                    object_id,
-                    _campaign_payload(seed, index, payload_bytes),
-                    classes[index],
-                    "verify",
+            for index in await population.verify(router, "verify", READ_ATTEMPTS):
+                supervisor.ledger.record_lost(
+                    population.ids[index], population.classes[index]
                 )
-                if not ok:
-                    class3_losses += 1
-                    supervisor.ledger.record_lost(object_id, classes[index])
 
             stats = router.router_stats
             hedge_rate = (
@@ -422,8 +341,8 @@ async def _run_campaign(
             )
             return ChaosCampaignResult(
                 seed=seed,
-                shards=shards,
-                objects=objects,
+                shards=SHARDS,
+                objects=OBJECTS,
                 victim_shard=victim,
                 flap_shard=cast["flap"],
                 partition_shard=cast["partition"],
@@ -432,7 +351,7 @@ async def _run_campaign(
                     degraded_window_reads / window_s if window_s > 0 else 0.0
                 ),
                 degraded_window_reads=degraded_window_reads,
-                transient_reads=transient_reads,
+                transient_reads=TRANSIENT_READS,
                 transient_failures=transient_failures,
                 hedged_reads=stats.hedged_reads,
                 hedge_wins=stats.hedge_wins,
@@ -444,7 +363,6 @@ async def _run_campaign(
                 auto_condemns=len(supervisor.auto_events),
                 rehome=report.to_dict(),
                 ledger=supervisor.ledger.to_dict(),
-                chaos_snapshot=chaos.snapshot(),
             )
         finally:
             if chaos is not None:
@@ -457,24 +375,6 @@ async def _run_campaign(
             await asyncio.sleep(0.02)
 
 
-def run_chaos_campaign(
-    seed: int = 1234,
-    *,
-    shards: int = 4,
-    objects: int = 48,
-    payload_bytes: int = 2048,
-    transient_reads: int = 120,
-    max_degraded_reads: int = 2000,
-) -> ChaosCampaignResult:
+def run_chaos_campaign(seed: int = 1234) -> ChaosCampaignResult:
     """Run the chaos campaign; raises unless the cluster heals itself."""
-    if shards < 4:
-        raise ValueError(
-            "the chaos campaign needs >= 4 shards (victim + flap + "
-            "partition + at least one clean shard)"
-        )
-    return asyncio.run(
-        _run_campaign(
-            seed, shards, objects, payload_bytes, transient_reads,
-            max_degraded_reads,
-        )
-    )
+    return asyncio.run(_run_campaign(seed))

@@ -20,8 +20,9 @@ time inside phase B.
 Published artefact: ``benchmarks/results/BENCH_fault_campaign.json`` with
 the durability ledger plus three gated metrics — detection latency,
 time-to-full-redundancy, and degraded-read p99. The campaign *hard-fails*
-(raises) if any object of classes 0-2 is lost: under one-at-a-time device
-faults with spares, Reo's protected classes must ride through.
+(raises :class:`~repro.experiments.campaign.CampaignLossError`) if any
+object of classes 0-2 is lost: under one-at-a-time device faults with
+spares, Reo's protected classes must ride through.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.health import HealthPolicy
-from repro.core.reo import ReoCache
+from repro.experiments.campaign import CampaignLossError, protected_losses, write_artefact
 from repro.experiments.common import Profile, active_profile, build_experiment_cache
 from repro.faults import FailSlow, FailStop, FaultInjector, FaultPlan, LatentErrors
 from repro.sim.report import format_table
@@ -42,17 +43,15 @@ from repro.workload.trace import Trace
 
 __all__ = ["FaultCampaignResult", "run_fault_campaign"]
 
-BENCH_RESULTS_DIR = (
-    pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-)
 CAMPAIGN_BENCH_NAME = "BENCH_fault_campaign.json"
-
-#: Object classes whose loss fails the campaign (metadata, dirty, hot clean).
-PROTECTED_CLASSES = (0, 1, 2)
-
-
-class CampaignLossError(RuntimeError):
-    """A protected class (0-2) lost data — the loop failed its contract."""
+#: The configuration the committed baseline was recorded with.
+POLICY_KEY = "Reo-20%"
+CACHE_PERCENT = 10  # of the data set
+#: Per-chunk-read latent bit-rot probability: background noise for the
+#: scrubber, far below the demotion threshold.
+UBER_RATE = 0.002
+LATENCY_MULTIPLIER = 8.0  # the fail-slow device's service-time factor
+SPARES = 2  # replacement devices the supervisor may auto-swap
 
 
 @dataclass
@@ -77,11 +76,7 @@ class FaultCampaignResult:
 
     @property
     def protected_losses(self) -> int:
-        return sum(
-            count
-            for class_id, count in self.lost_by_class.items()
-            if int(class_id) in PROTECTED_CLASSES
-        )
+        return sum(protected_losses(self.lost_by_class).values())
 
     @property
     def worst_detection_latency_s(self) -> float:
@@ -158,13 +153,7 @@ class FaultCampaignResult:
         }
 
     def write_bench_json(self, directory: Optional[pathlib.Path] = None) -> pathlib.Path:
-        directory = directory or BENCH_RESULTS_DIR
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / CAMPAIGN_BENCH_NAME
-        path.write_text(
-            json.dumps(self.to_bench_report(), indent=2, sort_keys=True) + "\n"
-        )
-        return path
+        return write_artefact(CAMPAIGN_BENCH_NAME, self.to_bench_report(), directory)
 
 
 def _campaign_trace(
@@ -198,11 +187,6 @@ def _sub_trace(trace: Trace, start: int, end: int, label: str) -> Trace:
 def run_fault_campaign(
     profile: Optional[Profile] = None,
     seed: int = 20190707,
-    policy_key: str = "Reo-20%",
-    cache_percent: int = 10,
-    uber_rate: float = 0.002,
-    latency_multiplier: float = 8.0,
-    spares: int = 2,
     num_objects: Optional[int] = None,
     num_requests: Optional[int] = None,
 ) -> FaultCampaignResult:
@@ -211,27 +195,23 @@ def run_fault_campaign(
     Args:
         seed: drives the workload *and* every injected-fault stream —
             identical seeds produce byte-identical ledgers.
-        uber_rate: per-chunk-read latent bit-rot probability (background
-            noise for the scrubber, far below the demotion threshold).
-        latency_multiplier: the fail-slow device's service-time factor.
-        spares: replacement devices the supervisor may auto-swap.
         num_objects / num_requests: overrides for small test campaigns.
     """
     profile = profile or active_profile()
     trace = _campaign_trace(profile, seed, num_objects, num_requests)
     cache = build_experiment_cache(
-        policy_key,
-        int(trace.total_bytes * cache_percent / 100),
+        POLICY_KEY,
+        int(trace.total_bytes * CACHE_PERCENT / 100),
         profile,
         chunk_size=profile.failure_chunk_size,
     )
-    plan = FaultPlan(events=(LatentErrors(uber_rate=uber_rate, seed=seed),), seed=seed)
+    plan = FaultPlan(events=(LatentErrors(uber_rate=UBER_RATE, seed=seed),), seed=seed)
     injector = FaultInjector(plan).attach(cache.array)
     supervisor = cache.enable_supervision(
         # The grace period is wall time in the paper's world; scale it like
         # the device fixed costs so it expires within a scaled run.
         health_policy=HealthPolicy(suspect_grace=max(0.02, 10.0 / profile.size_scale)),
-        spares=spares,
+        spares=SPARES,
         scrub_interval=_scrub_interval(profile),
         injector=injector,
     )
@@ -256,7 +236,7 @@ def run_fault_campaign(
     injector.extend(
         FailSlow(
             device=slow_device,
-            latency_multiplier=latency_multiplier,
+            latency_multiplier=LATENCY_MULTIPLIER,
             from_time=cache.clock.now,
         ),
         FailStop(at_time=stop_at, device=stop_device),
@@ -277,11 +257,7 @@ def run_fault_campaign(
     supervisor.drain()
 
     ledger = supervisor.ledger.to_dict()
-    losses = {
-        class_id: count
-        for class_id, count in supervisor.ledger.lost_by_class.items()
-        if class_id in PROTECTED_CLASSES and count
-    }
+    losses = protected_losses(supervisor.ledger.lost_by_class)
     if losses:
         raise CampaignLossError(
             f"protected classes lost objects: {losses} "

@@ -1,14 +1,18 @@
 """Declarative fault injection for reliability campaigns.
 
-``repro.faults`` turns failure scenarios into data: a :class:`FaultPlan` is
-a seeded, typed schedule of fault events (fail-stop, latent sector errors,
-transient read errors, fail-slow, torn writes) that a
-:class:`FaultInjector` executes deterministically against a simulated flash
-array. :class:`NetFaultPlan` lifts the same discipline to the socket
-service layer: shard-grain network chaos (partitions, fail-slow links,
-flapping, crashes) executed by :class:`ShardChaos` as the shard servers'
-fault hooks. See
-:mod:`repro.faults.plan` and :mod:`repro.faults.netplan` for the event
+``repro.faults`` turns failure scenarios into data. One container,
+:class:`~repro.faults.plan.SeededPlan` — an immutable, seeded, typed
+schedule whose every random decision comes from
+:func:`~repro.faults.plan.stream` — carries two event vocabularies:
+
+- :class:`FaultPlan`: device faults (fail-stop, latent sector errors,
+  transient read errors, fail-slow, torn writes), executed by a
+  :class:`FaultInjector` against a simulated flash array on simulated time;
+- :class:`NetFaultPlan`: shard-grain network chaos (partitions, fail-slow
+  links, flapping, drop noise, crashes), executed by :class:`ShardChaos` as
+  the shard servers' fault hooks on each shard's operation count.
+
+See :mod:`repro.faults.plan` and :mod:`repro.faults.netplan` for the event
 catalogues.
 """
 

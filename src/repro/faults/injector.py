@@ -3,21 +3,20 @@
 The injector is attached to a :class:`~repro.flash.array.FlashArray` and
 hooks the per-device I/O paths (:meth:`FlashDevice.read_chunk` /
 ``write_chunk`` call back into it) plus the simulated clock for time-driven
-events. Determinism contract: every random decision comes from a
-``random.Random`` stream seeded with the string
-``"{plan.seed}:{event_index}:{device_id}"`` — string seeding hashes with
-SHA-512, so streams are stable across processes and independent of
-``PYTHONHASHSEED``. Because the simulation is synchronous, per-device
-operation order is deterministic, and therefore so is every injected fault.
+events. Determinism contract: every random decision comes from the
+:func:`~repro.faults.plan.stream` keyed
+``"{plan.seed}:{event_index}:{device_id}:{extra}"``. Because the simulation
+is synchronous, per-device operation order is deterministic, and therefore
+so is every injected fault.
 
 Device-scoped events (fail-slow) are stamped with the target device's
 *generation* at attach time: once a spare is swapped into the slot, the
 stamp no longer matches and the fault stops applying — a replacement device
 is a different physical device.
 
-The socket service layer has its own plan vocabulary and executor
-(:mod:`repro.faults.netplan`); this injector drives the simulated array
-only.
+The shard-grain network vocabulary has its own executor
+(:class:`repro.faults.netplan.ShardChaos`); this injector drives the
+simulated array only.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from repro.faults.plan import (
     LatentErrors,
     TornWrite,
     TransientReadError,
+    stream,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - imports only for annotations
@@ -209,9 +209,7 @@ class FaultInjector:
 
     def _stream(self, event_index: int, device_id: int, extra: int = 0) -> random.Random:
         key = (event_index, device_id)
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = random.Random(f"{self.plan.seed}:{event_index}:{device_id}:{extra}")
-            self._streams[key] = stream
-        return stream
+        if key not in self._streams:
+            self._streams[key] = stream(self.plan.seed, event_index, device_id, extra)
+        return self._streams[key]
 

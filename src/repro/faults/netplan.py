@@ -1,8 +1,7 @@
 """Shard-grain network chaos: seeded, op-indexed fault schedules.
 
-:class:`~repro.faults.plan.FaultPlan` speaks the *device* failure
-vocabulary (latent errors, torn writes, fail-stop). This module lifts the
-same declarative, seeded discipline to the **cluster network**: a
+The second event vocabulary over :class:`~repro.faults.plan.SeededPlan`
+(:class:`~repro.faults.plan.FaultPlan` holds the device one): a
 :class:`NetFaultPlan` schedules shard-grain link pathologies — partitions
 (blackholed shards), fail-slow links (injected latency ramps), flapping
 (periodic drop/restore), probabilistic drop noise, and outright crashes —
@@ -15,9 +14,9 @@ shard has served since the hooks were installed. A campaign that issues a
 deterministic command sequence per shard (the chaos campaign's sequential
 routed workload does) gets a byte-reproducible fault schedule: the same
 ops are dropped, delayed, and crashed on every run with the same seed.
-Stochastic decisions (:class:`LinkNoise`) draw from ``random.Random``
-streams string-seeded with ``"{plan.seed}:{event_index}:{shard_id}:net"``
-— the same cross-process-stable discipline as the device injector.
+Stochastic decisions (:class:`LinkNoise`) draw from the
+:func:`~repro.faults.plan.stream` keyed
+``"{plan.seed}:{event_index}:{shard_id}:net"``.
 
 Fault semantics ride the server's :data:`~repro.net.server.FaultHook`
 protocol — a plain function returning a verdict (``None``, ``"drop"``, or
@@ -33,20 +32,10 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Awaitable,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Awaitable, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import FaultPlanError
+from repro.faults.plan import SeededPlan, stream
 
 if TYPE_CHECKING:  # pragma: no cover - imports only for annotations
     from repro.cluster.service import ClusterService
@@ -190,57 +179,11 @@ class ShardCrash:
 
 NetFaultEvent = Union[NetPartition, LinkFailSlow, LinkFlap, LinkNoise, ShardCrash]
 
-_NET_EVENT_TYPES = (NetPartition, LinkFailSlow, LinkFlap, LinkNoise, ShardCrash)
 
+class NetFaultPlan(SeededPlan):
+    """A seeded schedule of shard-grain network fault events."""
 
-@dataclass(frozen=True)
-class NetFaultPlan:
-    """An immutable, seeded schedule of shard-grain network fault events."""
-
-    events: Tuple[NetFaultEvent, ...] = ()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        events = tuple(self.events)
-        object.__setattr__(self, "events", events)
-        for event in events:
-            if not isinstance(event, _NET_EVENT_TYPES):
-                raise FaultPlanError(
-                    f"unknown net fault event type {type(event).__name__!r}"
-                )
-            event._validate()
-
-    def __iter__(self) -> Iterator[NetFaultEvent]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def of_type(self, event_type) -> "list[Tuple[int, NetFaultEvent]]":
-        """``(event_index, event)`` pairs of one type, in plan order.
-
-        As with :meth:`FaultPlan.of_type`, the index keys the event's
-        private random stream, so reordering unrelated events never
-        changes an event's decisions.
-        """
-        return [
-            (index, event)
-            for index, event in enumerate(self.events)
-            if isinstance(event, event_type)
-        ]
-
-    def extended(self, *events: NetFaultEvent) -> "NetFaultPlan":
-        """A new plan with ``events`` appended (same seed, stable indices)."""
-        return NetFaultPlan(events=self.events + tuple(events), seed=self.seed)
-
-    def describe(self) -> str:
-        """One line per event, for campaign logs."""
-        if not self.events:
-            return "NetFaultPlan(empty)"
-        lines = [f"NetFaultPlan(seed={self.seed}):"]
-        for index, event in enumerate(self.events):
-            lines.append(f"  [{index}] {event!r}")
-        return "\n".join(lines)
+    EVENT_TYPES = (NetPartition, LinkFailSlow, LinkFlap, LinkNoise, ShardCrash)
 
 
 class ShardChaos:
@@ -385,11 +328,9 @@ class ShardChaos:
 
     def _stream(self, event_index: int, shard_id: int) -> random.Random:
         key = (event_index, shard_id)
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = random.Random(f"{self.plan.seed}:{event_index}:{shard_id}:net")
-            self._streams[key] = stream
-        return stream
+        if key not in self._streams:
+            self._streams[key] = stream(self.plan.seed, event_index, shard_id, "net")
+        return self._streams[key]
 
     def __repr__(self) -> str:
         return (

@@ -14,12 +14,17 @@ socket service layer has its own vocabulary, :mod:`repro.faults.netplan`.)
 Every stochastic decision is drawn from streams derived from
 ``(plan seed, event index, device id)``, so two runs with the same seed are
 byte-identical — campaigns are experiments, not anecdotes.
+
+The plan *container* (:class:`SeededPlan`) and the stream recipe
+(:func:`stream`) are shared by both vocabularies; this module adds the
+device events on top of them.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from typing import ClassVar, Iterator, Optional, Tuple, Union
 
 from repro.errors import FaultPlanError
 
@@ -29,9 +34,81 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "LatentErrors",
+    "SeededPlan",
     "TornWrite",
     "TransientReadError",
+    "stream",
 ]
+
+
+def stream(seed: int, *key: object) -> random.Random:
+    """The private random stream of ``(seed, *key)``.
+
+    Seeded with the ``:``-joined string — string seeding hashes with
+    SHA-512, so streams are stable across processes and independent of
+    ``PYTHONHASHSEED``. Executors key it by event index and unit id (plus a
+    discriminator), so reordering unrelated events never changes an event's
+    private randomness.
+    """
+    return random.Random(":".join(str(part) for part in (seed, *key)))
+
+
+@dataclass(frozen=True)
+class SeededPlan:
+    """An immutable, seeded schedule of fault events of one vocabulary."""
+
+    events: Tuple = ()
+    seed: int = 0
+    #: The event classes this vocabulary admits.
+    EVENT_TYPES: ClassVar[Tuple[type, ...]] = ()
+
+    def __post_init__(self) -> None:
+        events = tuple(self.events)
+        object.__setattr__(self, "events", events)
+        for event in events:
+            if not isinstance(event, self.EVENT_TYPES):
+                raise FaultPlanError(
+                    f"{type(self).__name__} has no event type "
+                    f"{type(event).__name__!r}"
+                )
+            event._validate()
+
+    def __iter__(self) -> Iterator:
+        return iter(self.events)
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def of_type(self, event_type) -> "list[Tuple[int, object]]":
+        """``(event_index, event)`` pairs of one event type, in plan order.
+
+        The index is the event's position in the plan; executors mix it into
+        the :func:`stream` key.
+        """
+        return [
+            (index, event)
+            for index, event in enumerate(self.events)
+            if isinstance(event, event_type)
+        ]
+
+    def extended(self, *events):
+        """A new plan with ``events`` appended (same seed).
+
+        Appending preserves existing indices, hence stream keys, so a
+        campaign can stage late faults (e.g. a fail-stop scheduled after a
+        calibration phase) without perturbing the faults already in flight.
+        """
+        return type(self)(events=self.events + tuple(events), seed=self.seed)
+
+    def describe(self) -> str:
+        """One line per event, for campaign logs."""
+        name = type(self).__name__
+        if not self.events:
+            return f"{name}(empty)"
+        lines = [f"{name}(seed={self.seed}):"]
+        for index, event in enumerate(self.events):
+            lines.append(f"  [{index}] {event!r}")
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -145,63 +222,12 @@ class TornWrite:
 
 FaultEvent = Union[FailStop, LatentErrors, TransientReadError, FailSlow, TornWrite]
 
-_EVENT_TYPES = (FailStop, LatentErrors, TransientReadError, FailSlow, TornWrite)
 
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """An immutable, seeded schedule of fault events.
+class FaultPlan(SeededPlan):
+    """A seeded schedule of device fault events.
 
     One plan drives a whole campaign: attach it to an array through a
     :class:`~repro.faults.FaultInjector`.
     """
 
-    events: Tuple[FaultEvent, ...] = ()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        events = tuple(self.events)
-        object.__setattr__(self, "events", events)
-        for event in events:
-            if not isinstance(event, _EVENT_TYPES):
-                raise FaultPlanError(
-                    f"unknown fault event type {type(event).__name__!r}"
-                )
-            event._validate()
-
-    def __iter__(self) -> Iterator[FaultEvent]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def of_type(self, event_type) -> "list[Tuple[int, FaultEvent]]":
-        """``(event_index, event)`` pairs of one event type, in plan order.
-
-        The index is the event's position in the plan; injectors mix it into
-        the RNG stream key so reordering unrelated events never changes an
-        event's private randomness.
-        """
-        return [
-            (index, event)
-            for index, event in enumerate(self.events)
-            if isinstance(event, event_type)
-        ]
-
-    def extended(self, *events: FaultEvent) -> "FaultPlan":
-        """A new plan with ``events`` appended (same seed).
-
-        Appending preserves existing stream keys, so a campaign can stage
-        late faults (e.g. a fail-stop scheduled after a calibration phase)
-        without perturbing the faults already in flight.
-        """
-        return FaultPlan(events=self.events + tuple(events), seed=self.seed)
-
-    def describe(self) -> str:
-        """One line per event, for campaign logs."""
-        if not self.events:
-            return "FaultPlan(empty)"
-        lines = [f"FaultPlan(seed={self.seed}):"]
-        for index, event in enumerate(self.events):
-            lines.append(f"  [{index}] {event!r}")
-        return "\n".join(lines)
+    EVENT_TYPES = (FailStop, LatentErrors, TransientReadError, FailSlow, TornWrite)

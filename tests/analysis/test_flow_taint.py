@@ -191,6 +191,84 @@ def test_taint_flows_through_constructed_fields(lint):
     assert findings[0].path.endswith("cluster/super2.py")
 
 
+def test_shared_ladder_keeps_the_shard_catch_and_the_device_tier_quiet(lint):
+    # The failure plane's shape: one escalation function in repro.core,
+    # called by both monitors; each tier formats its own reason from its own
+    # *ewma* reads and has its own transition class. The shard supervisor
+    # booking that reason fires; the device supervisor doing the same does
+    # not — its EWMAs are fed from simulated time.
+    lint.write(
+        "core/health.py",
+        """
+        from typing import NamedTuple
+
+        def escalate(policy, record, state):
+            if record.error_ewma >= policy.suspect_error_rate:
+                return "suspect", "errors"
+            return None
+
+        class HealthTransition(NamedTuple):
+            device_id: int
+            new: str
+            reason: str
+
+        def _reason(cause, health):
+            return f"error_ewma={health.error_ewma:.3f}"
+
+        class HealthMonitor:
+            def ingest(self, device_id, health):
+                new, cause = escalate(self.policy, health, "online")
+                return HealthTransition(device_id, new, _reason(cause, health))
+        """,
+    )
+    lint.write(
+        "core/supervisor.py",
+        """
+        from repro.core.health import HealthTransition
+
+        class RecoverySupervisor:
+            def on_transition(self, transition: HealthTransition):
+                incident = self.ledger.incident_for(transition.device_id)
+                incident.reason = transition.reason
+        """,
+    )
+    lint.write(
+        "cluster/health.py",
+        """
+        from typing import NamedTuple
+
+        from repro.core.health import escalate
+
+        class ShardTransition(NamedTuple):
+            shard_id: int
+            new: str
+            reason: str
+
+        def _reason(cause, health):
+            return f"error_ewma={health.error_ewma:.3f}"
+
+        class ShardHealthMonitor:
+            def observe(self, shard_id, health):
+                new, cause = escalate(self.policy, health, health.state)
+                return ShardTransition(shard_id, new, _reason(cause, health))
+        """,
+    )
+    lint.write(
+        "cluster/supervisor.py",
+        """
+        from repro.cluster.health import ShardTransition
+
+        class ClusterSupervisor:
+            def on_transition(self, transition: ShardTransition):
+                incident = self.ledger.incident_for(transition.shard_id)
+                incident.reason = transition.reason
+        """,
+    )
+    (finding,) = only(lint)
+    assert finding.path.endswith("cluster/supervisor.py")
+    assert ".reason" in finding.message
+
+
 def test_suppression_silences_a_booking(lint):
     lint.write(
         "cluster/waived.py",

@@ -8,6 +8,7 @@ import pytest
 from repro.cluster.map import fragment_object_id
 from repro.cluster.service import ClusterService
 from repro.cluster.supervisor import ClusterSupervisor
+from repro.core.policy import CLASS_LAYOUT
 from repro.net.retry import NO_RETRY
 from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
 
@@ -57,7 +58,7 @@ class TestAdmit:
                     fragments_to_newcomer = 0
                     total_slots = 0
                     for object_id, (_, class_id) in expected.items():
-                        if class_id == 2:
+                        if CLASS_LAYOUT[class_id] == "stripe":
                             for i in range(router.codec.n):
                                 fid = fragment_object_id(object_id, i)
                                 total_slots += 1
@@ -69,7 +70,7 @@ class TestAdmit:
                                 if joined.owners_for(fid)[0] == new_id:
                                     fragments_to_newcomer += 1
                         else:
-                            width = 2 if class_id in (0, 1) else 1
+                            width = 2 if CLASS_LAYOUT[class_id] == "mirror" else 1
                             old = before.owners_for(object_id, width=width)
                             new = joined.owners_for(object_id, width=width)
                             total_slots += width

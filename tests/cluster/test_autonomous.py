@@ -1,20 +1,20 @@
 """Autonomous self-healing: detector verdicts drive condemn/re-home."""
 
 import asyncio
+import dataclasses
 import random
 
 import pytest
 
-from repro.cluster.health import ShardHealthMonitor, ShardHealthPolicy, ShardProbe
+from repro.cluster.health import SHARD_HEALTH_POLICY, ShardHealthMonitor, ShardProbe
 from repro.cluster.map import ShardState
 from repro.cluster.service import ClusterService
 from repro.cluster.supervisor import ClusterSupervisor
+from repro.core.policy import PROTECTED_CLASSES
 from repro.net.retry import NO_RETRY
 from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
 
 pytestmark = pytest.mark.cluster
-
-PROTECTED_CLASSES = (0, 1, 2)
 
 
 def run(coro):
@@ -128,7 +128,8 @@ class TestEndToEndFailSlow:
             async with ClusterService(3) as service:
                 # Hot detector so the test converges in a couple seconds.
                 monitor = ShardHealthMonitor(
-                    ShardHealthPolicy(
+                    dataclasses.replace(
+                        SHARD_HEALTH_POLICY,
                         alpha=0.3,
                         min_ops=4,
                         confirm_ops=6,

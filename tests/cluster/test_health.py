@@ -1,14 +1,12 @@
 """Unit tests for the shard-level health detector."""
 
 import asyncio
+import dataclasses
 
 import pytest
 
-from repro.cluster.health import (
-    ShardHealthMonitor,
-    ShardHealthPolicy,
-    ShardProbe,
-)
+from repro.cluster.health import SHARD_HEALTH_POLICY, ShardHealthMonitor, ShardProbe
+from repro.core.health import HealthPolicy
 
 BASE = 0.001  # healthy round-trip used to warm baselines
 
@@ -23,11 +21,13 @@ def warm(monitor, shard_id, ops=None, latency=BASE):
 class TestPolicyValidation:
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError):
-            ShardHealthPolicy(suspect_error_rate=0.5, fail_error_rate=0.4)
+            HealthPolicy(suspect_error_rate=0.5, fail_error_rate=0.4)
         with pytest.raises(ValueError):
-            ShardHealthPolicy(suspect_slowdown=10.0, fail_slowdown=5.0)
+            HealthPolicy(suspect_slowdown=10.0, fail_slowdown=5.0)
         with pytest.raises(ValueError):
-            ShardHealthPolicy(alpha=0.0)
+            HealthPolicy(alpha=0.0)
+        with pytest.raises(ValueError):
+            HealthPolicy(confirm_ops=0)
 
 
 class TestWarmup:
@@ -45,27 +45,16 @@ class TestWarmup:
         assert health.baseline == pytest.approx(0.002)
 
     def test_baseline_floor_shields_loopback_jitter(self):
-        policy = ShardHealthPolicy(baseline_floor=0.0005)
+        policy = dataclasses.replace(SHARD_HEALTH_POLICY, baseline_floor=0.0005)
         monitor = ShardHealthMonitor(policy)
         warm(monitor, 0, latency=0.00001)
         assert monitor.health_of(0).baseline == pytest.approx(0.0005)
 
 
 class TestErrorPath:
-    def test_sustained_errors_suspect_then_fail(self):
-        monitor = ShardHealthMonitor()
-        warm(monitor, 0)
-        for i in range(60):
-            monitor.observe(0, None, ok=False, now=10.0 + i)
-            if monitor.state_of(0) == "failed":
-                break
-        assert monitor.state_of(0) == "failed"
-        states = [(t.old, t.new) for t in monitor.transitions]
-        assert states == [("online", "suspect"), ("suspect", "failed")]
-
     def test_one_error_burst_does_not_fail(self):
         """A short burst parks the shard SUSPECT; recovery earns ONLINE back."""
-        policy = ShardHealthPolicy(confirm_ops=8)
+        policy = dataclasses.replace(SHARD_HEALTH_POLICY, confirm_ops=8)
         monitor = ShardHealthMonitor(policy)
         warm(monitor, 0)
         # Burst: enough errors to cross suspect, not enough persistence.
@@ -119,16 +108,6 @@ class TestListenersAndReset:
             monitor.observe(3, None, ok=False, now=10.0 + i)
         assert [t.new for t in seen] == ["suspect", "failed"]
         assert seen[0].shard_id == 3
-
-    def test_reset_gives_fresh_identity(self):
-        monitor = ShardHealthMonitor()
-        warm(monitor, 0)
-        for i in range(60):
-            monitor.observe(0, None, ok=False, now=10.0 + i)
-        assert monitor.state_of(0) == "failed"
-        monitor.reset(0)
-        assert monitor.state_of(0) == "online"
-        assert monitor.health_of(0).ops == 0
 
     def test_snapshot_sorted_and_json_shaped(self):
         monitor = ShardHealthMonitor()

@@ -21,6 +21,7 @@ from repro.net.client import OsdServiceError
 from repro.cluster.service import ClusterService, ShardServer
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.net.retry import NO_RETRY
+from repro.osd import commands
 from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
 
 from tests.closed_loop import run_closed_loop
@@ -142,6 +143,15 @@ def _holders(service):
         shard_id: sorted(info.object_id for info in server.target.user_objects())
         for shard_id, server in sorted(service.shards.items())
     }
+
+
+def _holding(service, object_id):
+    """The shards whose target holds ``object_id``, sorted."""
+    return sorted(
+        shard_id
+        for shard_id, server in service.shards.items()
+        if server.target.exists(object_id)
+    )
 
 
 class TestClassChangingOverwrite:
@@ -490,17 +500,76 @@ class TestCondemnRehome:
                     supervisor = ClusterSupervisor(service, router)
                     report = await supervisor.condemn(mirror, "test crash", evacuate=False)
                     assert report.objects_lost == 0
-                    holders = [
-                        shard_id
-                        for shard_id, server in service.shards.items()
-                        if server.target.exists(target)
-                    ]
-                    assert sorted(holders) == sorted(
+                    holders = _holding(service, target)
+                    assert holders == sorted(
                         router.cluster_map.owners_for(target, width=2)
                     )
                     assert primary in holders and len(holders) == 2
                     got, response = await router.read(target)
                     assert response.ok and got == body
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "written_class, silenced",
+        [
+            # One dropped GetAttr must not decide: the next holder says dirty.
+            pytest.param(1, 1, id="first-holder-silent"),
+            # Nobody says: fail safe toward protection, not toward class 3.
+            pytest.param(3, 4, id="every-holder-silent"),
+        ],
+    )
+    def test_unanswered_class_query_never_demotes(self, written_class, silenced):
+        def drop_getattr(command, seq):
+            return "drop" if isinstance(command, commands.GetAttr) else None
+
+        async def scenario():
+            async with ClusterService(4) as service:
+                async with make_router(service) as router:
+                    router.known_partitions.add(PARTITION_BASE)
+                    target = oid(910)
+                    body = payload_for("silent", written_class)
+                    assert (await router.write(target, body, written_class)).ok
+                    held_by = _holding(service, target)
+                    for shard_id in held_by[:silenced]:
+                        service.shards[shard_id].fault_hook = drop_getattr
+                    supervisor = ClusterSupervisor(service, router)
+                    report = await supervisor.condemn(held_by[-1], "test drain")
+                    assert report.objects_lost == 0
+                    holders = _holding(service, target)
+                    assert holders == sorted(
+                        router.cluster_map.owners_for(target, width=2)
+                    )
+                    for shard_id in holders:
+                        stored = service.shards[shard_id].target
+                        assert stored.get_info(target).attributes["reo.class_id"] == "1"
+                        assert stored.read_object(target).payload == body
+
+        run(scenario())
+
+    def test_rehome_walks_classes_in_recovery_order(self):
+        """Differentiated recovery: class 0 first, class 3 last (§IV-D)."""
+
+        async def scenario():
+            async with ClusterService(3) as service:
+                async with make_router(service) as router:
+                    router.known_partitions.add(PARTITION_BASE)
+                    for index in range(24):
+                        class_id = (3, 2, 1, 0)[index % 4]
+                        body = payload_for("order", index)
+                        assert (await router.write(oid(index), body, class_id)).ok
+                    supervisor = ClusterSupervisor(service, router)
+                    walked = []
+                    book = supervisor.ledger.record_rehomed
+
+                    def spy(object_id, class_id, nbytes):
+                        walked.append(class_id)
+                        book(object_id, class_id, nbytes)
+
+                    supervisor.ledger.record_rehomed = spy
+                    await supervisor.condemn(2, "test evacuation")
+                    assert set(walked) == {0, 1, 2, 3}
+                    assert walked == sorted(walked)
 
         run(scenario())
 

@@ -1,6 +1,9 @@
-"""Tests for per-device health monitoring (EWMAs and the verdict machine)."""
+"""Tests for the shared escalation decision and per-device health monitoring."""
 
-from repro.core.health import HealthMonitor, HealthPolicy
+import pytest
+
+from repro.cluster.health import SHARD_HEALTH_POLICY
+from repro.core.health import HealthMonitor, HealthPolicy, HealthRecord, escalate
 from repro.flash.array import ArrayIoResult, DeviceIoSample, FlashArray
 from repro.flash.latency import ZERO_COST
 
@@ -26,6 +29,80 @@ def io_result(device_id, *, reads=1, errors=0, seconds=0.0, bytes_read=0,
             )
         },
     )
+
+
+#: (name, record fields as functions of the policy, state, verdict). ``ops``
+#: counts from the demotion at op 0 unless ``suspect_at_ops`` says otherwise.
+LADDER = [
+    ("warming up", lambda p: dict(ops=p.min_ops - 1, error_ewma=1.0), "online", None),
+    ("healthy", lambda p: dict(ops=p.min_ops), "online", None),
+    (
+        "errors cross the suspect line",
+        lambda p: dict(ops=p.min_ops, error_ewma=p.suspect_error_rate),
+        "online",
+        ("suspect", "errors"),
+    ),
+    (
+        "slowdown crosses the suspect line",
+        lambda p: dict(ops=p.min_ops, slowdown_ewma=p.suspect_slowdown),
+        "online",
+        ("suspect", "slowdown"),
+    ),
+    (
+        "hard error threshold",
+        lambda p: dict(ops=p.min_ops, error_ewma=p.fail_error_rate),
+        "suspect",
+        ("failed", "hard"),
+    ),
+    (
+        "hard slowdown threshold",
+        lambda p: dict(ops=p.min_ops, slowdown_ewma=p.fail_slowdown),
+        "suspect",
+        ("failed", "hard"),
+    ),
+    (
+        "still bad, confirm window open",
+        lambda p: dict(
+            ops=100 + p.confirm_ops - 1,
+            suspect_at_ops=100,
+            error_ewma=p.suspect_error_rate,
+        ),
+        "suspect",
+        None,
+    ),
+    (
+        "persistent after confirm_ops",
+        lambda p: dict(
+            ops=100 + p.confirm_ops,
+            suspect_at_ops=100,
+            error_ewma=p.suspect_error_rate,
+        ),
+        "suspect",
+        ("failed", "persistent"),
+    ),
+    (
+        "recovered after confirm_ops",
+        lambda p: dict(ops=100 + p.confirm_ops, suspect_at_ops=100),
+        "suspect",
+        ("online", "recovered"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "policy", [HealthPolicy(), SHARD_HEALTH_POLICY], ids=["device", "shard"]
+)
+@pytest.mark.parametrize(
+    "fields, state, verdict",
+    [case[1:] for case in LADDER],
+    ids=[case[0] for case in LADDER],
+)
+def test_escalation_ladder(policy, fields, state, verdict):
+    """The one ladder, under both tiers' default thresholds."""
+    record = HealthRecord(**fields(policy))
+    before = HealthRecord(**fields(policy))
+    assert escalate(policy, record, state) == verdict
+    assert record == before  # pure: the monitors apply the verdict
 
 
 class TestEwma:
@@ -98,16 +175,6 @@ class TestEwma:
 
 
 class TestEscalation:
-    def test_persistent_suspect_escalates_after_confirm_ops(self):
-        monitor = make_monitor(confirm_ops=24)
-        for _ in range(400):
-            monitor.ingest(io_result(0, errors=1), now=3.0)
-        kinds = [(t.old, t.new) for t in monitor.transitions]
-        assert ("online", "suspect") in kinds
-        assert ("suspect", "failed") in kinds
-        # The FAILED verdict is emitted exactly once per device generation.
-        assert kinds.count(("suspect", "failed")) == 1
-
     def test_poll_observes_fail_stop_once(self):
         monitor = make_monitor()
         monitor.array.fail_device(1)
@@ -129,6 +196,12 @@ class TestEscalation:
         for _ in range(200):
             monitor.ingest(io_result(0, errors=1), now=0.0)
         assert monitor.health_of(0).error_ewma > 0.0
+        # The monitor applied the ladder's verdicts to the device, and the
+        # FAILED one is emitted exactly once per device generation.
+        assert [(t.old, t.new) for t in monitor.transitions] == [
+            ("online", "suspect"),
+            ("suspect", "failed"),
+        ]
         device = monitor.array.devices[0]
         device.fail()
         monitor.poll(now=1.0)
