@@ -3,7 +3,7 @@
 ``python -m repro.analysis`` checks the project's own invariants — the
 ones generic tools cannot know about.
 
-Per-file rules (one module at a time):
+Every rule sees one module's AST at a time:
 
 - **determinism** — no wall clock / ambient entropy; the simulation core
   takes time from :class:`~repro.sim.clock.SimClock` and randomness from
@@ -16,57 +16,30 @@ Per-file rules (one module at a time):
 - **seed-plumbing** — RNG state enters ``faults/`` and ``sim/`` as an
   explicit parameter, never a ``None`` default.
 
-Whole-program rules (over the project call graph built by
-:mod:`repro.analysis.graph`):
-
-- **transitive-blocking** — no sync helper reachable from an event-loop
-  ``async def`` makes a blocking call, at any call-graph depth;
-- **await-interleaving** — no stale read-modify-write of shared object
-  state across an ``await`` scheduling point;
-- **sense-exhaustive** — every ``SenseCode`` the server tier emits is
-  handled (or visibly declared pass-through) in the client tier;
-- **determinism-taint** — wall-clock/EWMA-derived values never flow into
-  ``DurabilityLedger`` bookings or deterministic artefact fields.
-
-See :mod:`repro.analysis.engine` for the machinery (suppressions,
-baseline, reporters, run stats) and :mod:`repro.analysis.rules` for the
-rule set.
+See :mod:`repro.analysis.engine` for the machinery (file walking,
+reporters) and :mod:`repro.analysis.rules` for the rule set.
 """
 
 from repro.analysis.engine import (
     AnalysisReport,
     Finding,
-    ProjectRule,
     Rule,
     RuleVisitor,
-    RunStats,
     analyze_paths,
     analyze_source,
-    load_baseline,
     render_json,
-    render_stats,
     render_text,
-    write_baseline,
 )
-from repro.analysis.graph import ProjectGraph, SourceFile, build_project_graph
 from repro.analysis.rules import default_rules
 
 __all__ = [
     "AnalysisReport",
     "Finding",
-    "ProjectGraph",
-    "ProjectRule",
     "Rule",
     "RuleVisitor",
-    "RunStats",
-    "SourceFile",
     "analyze_paths",
     "analyze_source",
-    "build_project_graph",
     "default_rules",
-    "load_baseline",
     "render_json",
-    "render_stats",
     "render_text",
-    "write_baseline",
 ]

@@ -1,15 +1,6 @@
 """CLI for the invariant linter: ``python -m repro.analysis``.
 
-Exit codes: 0 = clean (all findings baselined or none), 1 = new findings
-(or stale baseline entries), 2 = usage error (bad path, bad rule id,
-bad baseline).
-
-``--only`` selects a subset of rules by id; ``--paths`` narrows
-*reporting* to files under the given comma-separated paths while the
-whole tree is still analyzed (whole-program rules need the full call
-graph to be sound); ``--stats`` prints run statistics — files parsed,
-graph size, per-rule wall time — to stderr so ``--format json`` stdout
-stays byte-stable.
+Exit codes: 0 = clean, 1 = findings, 2 = usage error (bad path).
 """
 
 from __future__ import annotations
@@ -19,19 +10,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.engine import (
-    BaselineError,
-    analyze_paths,
-    load_baseline,
-    render_json,
-    render_stats,
-    render_text,
-    write_baseline,
-)
+from repro.analysis.engine import analyze_paths, render_json, render_text
 from repro.analysis.rules import default_rules
-
-#: Baseline location probed when ``--baseline`` is not given.
-DEFAULT_BASELINE = Path("tools/analysis-baseline.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,44 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (json output is byte-stable across runs)",
     )
     parser.add_argument(
-        "--only",
-        default=None,
-        metavar="RULE[,RULE...]",
-        help="run only these rule ids (comma-separated; see --list-rules)",
-    )
-    parser.add_argument(
-        "--paths",
-        dest="report_paths",
-        default=None,
-        metavar="PATH[,PATH...]",
-        help="report findings only for files at/under these comma-separated "
-        "paths; the whole tree is still analyzed so whole-program rules "
-        "stay sound",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print run statistics (files parsed, call-graph size, per-rule "
-        "timings) to stderr",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file of grandfathered findings (default: "
-        f"{DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="list rule ids and exit"
     )
     return parser
@@ -104,63 +46,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{rule.rule_id}  [{scope}]\n    {rule.description}")
         return 0
 
-    if args.only is not None:
-        wanted = [part.strip() for part in args.only.split(",") if part.strip()]
-        known = {rule.rule_id: rule for rule in rules}
-        unknown = [rule_id for rule_id in wanted if rule_id not in known]
-        if unknown:
-            print(
-                f"error: unknown rule id(s): {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(known))})",
-                file=sys.stderr,
-            )
-            return 2
-        rules = [known[rule_id] for rule_id in wanted]
-
     paths = args.paths or [Path("src/repro")]
     missing = [p for p in paths if not p.exists()]
     if missing:
         print(f"error: no such path: {', '.join(map(str, missing))}", file=sys.stderr)
         return 2
 
-    report_paths: Optional[List[Path]] = None
-    if args.report_paths is not None:
-        report_paths = [
-            Path(part.strip())
-            for part in args.report_paths.split(",")
-            if part.strip()
-        ]
-
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    baseline = None
-    if not args.no_baseline and not args.write_baseline and baseline_path.exists():
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    report = analyze_paths(
-        paths,
-        rules,
-        root=Path.cwd(),
-        baseline=baseline,
-        report_paths=report_paths,
-    )
-
-    if args.stats:
-        print(render_stats(report), file=sys.stderr)
-
-    if args.write_baseline:
-        write_baseline(report.findings, baseline_path)
-        print(
-            f"wrote {len(report.findings)} finding(s) to {baseline_path}",
-            file=sys.stderr,
-        )
-        return 0
-
+    report = analyze_paths(paths, rules, root=Path.cwd())
     print(render_json(report) if args.format == "json" else render_text(report))
-    return 0 if report.clean and not report.stale_baseline else 1
+    return 0 if report.clean else 1
 
 
 if __name__ == "__main__":

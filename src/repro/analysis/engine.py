@@ -1,4 +1,4 @@
-"""The invariant-lint engine: rules, suppressions, baseline, reporters.
+"""The invariant-lint engine: rules, file walking, reporters.
 
 The codebase rests on invariants that neither ruff nor mypy can see:
 
@@ -13,18 +13,15 @@ The codebase rests on invariants that neither ruff nor mypy can see:
 This module is the project-specific checker that enforces them. It is a
 thin AST pipeline: every rule is an :class:`ast.NodeVisitor` subclass
 registered with an id, each Python file is parsed once and handed to every
-rule whose scope covers it, and the resulting :class:`Finding` list flows
-through inline suppressions (``# repro: allow[rule-id]``) and an optional
-committed baseline before reporting.
+rule whose scope covers it, and the resulting :class:`Finding` list is
+sorted and reported. There is no waiver comment and no baseline file: a
+finding is fixed, or the rule is.
 
 Design points:
 
 - **Scoping is by dotted module path**, derived from the file path (the
   part at and below the last ``repro`` directory), so rules read like
   the invariants they encode: "no wall clock under ``repro.sim``".
-- **Baseline entries are line-independent** — keyed on
-  ``(rule, path, enclosing symbol, message)`` — so unrelated edits above
-  a grandfathered finding do not resurrect it.
 - **Reports are deterministic**: files are walked in sorted order,
   findings are sorted, and the JSON reporter emits sorted keys, so CI
   output is stable across runs and machines.
@@ -34,42 +31,24 @@ from __future__ import annotations
 
 import ast
 import json
-import re
-import time
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.graph import ProjectGraph, SourceFile, build_project_graph
-
 __all__ = [
     "AnalysisReport",
-    "BaselineError",
     "Finding",
-    "ProjectRule",
     "Rule",
     "RuleVisitor",
-    "RunStats",
     "analyze_paths",
     "analyze_source",
     "iter_python_files",
-    "load_baseline",
     "module_of",
     "render_json",
-    "render_stats",
     "render_text",
-    "suppressed_lines",
-    "write_baseline",
 ]
 
-#: Inline suppression syntax. Matches ``# repro: allow[rule-id]`` and
-#: ``# repro: allow[rule-a, rule-b]`` anywhere in a comment; the
-#: suppression covers findings on its own line and on the line below it
-#: (so it can sit as a standalone comment above the offending statement).
-_SUPPRESS_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_\-,\s]+)\]")
-
-_BASELINE_VERSION = 1
+_REPORT_VERSION = 1
 
 
 @dataclass(frozen=True, order=True)
@@ -83,10 +62,6 @@ class Finding:
     message: str
     #: Dotted name of the enclosing class/function, or "" at module level.
     symbol: str = ""
-
-    def key(self) -> Tuple[str, str, str, str]:
-        """Line-number-independent identity used for baseline matching."""
-        return (self.rule_id, self.path, self.symbol, self.message)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -130,37 +105,13 @@ def _matches_any(module: str, prefixes: Sequence[str]) -> bool:
     return any(module == p or module.startswith(p + ".") for p in prefixes)
 
 
-class ProjectRule(Rule):
-    """Base class for whole-program (flow-aware) rules.
-
-    Where a :class:`Rule` sees one file's AST, a ProjectRule sees the
-    :class:`~repro.analysis.graph.ProjectGraph` built over *every* file in
-    the run — symbol table, call edges, type facts — and returns findings
-    anchored to concrete source locations. The engine builds the graph
-    once per run and shares it across all project rules; per-line
-    ``# repro: allow[rule-id]`` suppressions and the committed baseline
-    apply to project findings exactly as they do to per-file ones.
-
-    ``scope``/``exempt`` are not consulted for file dispatch (the rule
-    sees everything); rules scope their *reports* internally.
-    """
-
-    def check(self, module: str, tree: ast.Module, path: str) -> List[Finding]:
-        raise NotImplementedError(
-            f"{self.rule_id} is a whole-program rule; use check_project()"
-        )
-
-    def check_project(self, graph: ProjectGraph) -> List[Finding]:
-        raise NotImplementedError
-
-
 class RuleVisitor(ast.NodeVisitor):
     """Shared visitor base: symbol stack, import-alias map, reporting.
 
     Tracks the enclosing class/function stack so findings carry a stable
-    ``symbol`` (used by baseline matching), and resolves ``import x as y``
-    / ``from x import y`` aliases so rules can match calls by their
-    canonical dotted name regardless of local spelling.
+    ``symbol``, and resolves ``import x as y`` / ``from x import y``
+    aliases so rules can match calls by their canonical dotted name
+    regardless of local spelling.
     """
 
     def __init__(self, rule: Rule, module: str, path: str) -> None:
@@ -289,26 +240,6 @@ def _display_path(path: Path, root: Optional[Path]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Suppressions
-# ----------------------------------------------------------------------
-def suppressed_lines(source: str) -> Dict[int, Set[str]]:
-    """Map line number -> rule ids suppressed there.
-
-    A ``# repro: allow[rule-id]`` comment suppresses matching findings on
-    its own line and on the immediately following line.
-    """
-    suppressed: Dict[int, Set[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _SUPPRESS_RE.search(line)
-        if not match:
-            continue
-        ids = {part.strip() for part in match.group(1).split(",") if part.strip()}
-        for covered in (lineno, lineno + 1):
-            suppressed.setdefault(covered, set()).update(ids)
-    return suppressed
-
-
-# ----------------------------------------------------------------------
 # Analysis
 # ----------------------------------------------------------------------
 def analyze_source(
@@ -334,30 +265,9 @@ def analyze_source(
         ]
     findings: List[Finding] = []
     for rule in rules:
-        if isinstance(rule, ProjectRule):
-            continue  # whole-program rules need analyze_paths
         if rule.applies_to(module):
             findings.extend(rule.check(module, tree, display))
-    allow = suppressed_lines(source)
-    return sorted(
-        f for f in findings if f.rule_id not in allow.get(f.line, set())
-    )
-
-
-@dataclass
-class RunStats:
-    """Instrumentation for one engine run (``--stats``).
-
-    Timings are host wall time and deliberately excluded from the JSON
-    findings payload, which must stay byte-identical across runs.
-    """
-
-    files_parsed: int = 0
-    graph_nodes: int = 0
-    graph_edges: int = 0
-    graph_built: bool = False
-    #: rule id -> cumulative check seconds across all files.
-    rule_seconds: Dict[str, float] = field(default_factory=dict)
+    return findings
 
 
 @dataclass
@@ -365,11 +275,7 @@ class AnalysisReport:
     """Outcome of one engine run."""
 
     findings: List[Finding]
-    baselined: int = 0
-    #: Baseline entries that matched nothing — stale, should be removed.
-    stale_baseline: List[Tuple[str, str, str, str]] = field(default_factory=list)
     files_checked: int = 0
-    stats: RunStats = field(default_factory=RunStats)
 
     @property
     def clean(self) -> bool:
@@ -380,159 +286,15 @@ def analyze_paths(
     paths: Sequence[Path],
     rules: Sequence[Rule],
     root: Optional[Path] = None,
-    baseline: Optional["Counter[Tuple[str, str, str, str]]"] = None,
-    report_paths: Optional[Sequence[Path]] = None,
 ) -> AnalysisReport:
-    """Analyze files/directories, subtracting baselined findings.
-
-    Every file is parsed exactly once: the tree feeds the per-file rules
-    directly and rides into the project graph (built only when the rule
-    set contains :class:`ProjectRule` instances) for the flow rules.
-
-    ``report_paths`` narrows *reporting* without narrowing analysis: the
-    whole input set is still parsed (so the call graph and cross-module
-    rules see the full program), but findings are kept only for files
-    under one of the given paths. This is the CLI's ``--paths`` filter.
-    """
+    """Analyze files/directories; every file is parsed exactly once."""
     files = iter_python_files(paths)
-    per_file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    stats = RunStats(
-        files_parsed=len(files),
-        rule_seconds={r.rule_id: 0.0 for r in rules},
-    )
     findings: List[Finding] = []
-    sources: List[SourceFile] = []
-    suppressions: Dict[str, Dict[int, Set[str]]] = {}
     for file_path in files:
         source = file_path.read_text(encoding="utf-8")
-        display = _display_path(file_path, root)
-        module = module_of(file_path)
-        try:
-            tree = ast.parse(source, filename=str(file_path))
-        except SyntaxError as exc:
-            findings.append(
-                Finding(
-                    path=display,
-                    line=exc.lineno or 0,
-                    col=exc.offset or 0,
-                    rule_id="parse-error",
-                    message=f"cannot parse file: {exc.msg}",
-                )
-            )
-            continue
-        allow = suppressed_lines(source)
-        suppressions[display] = allow
-        sources.append(SourceFile(path=display, module=module, source=source, tree=tree))
-        for rule in per_file_rules:
-            if not rule.applies_to(module):
-                continue
-            started = time.perf_counter()
-            checked = rule.check(module, tree, display)
-            stats.rule_seconds[rule.rule_id] += time.perf_counter() - started
-            findings.extend(
-                f for f in checked if f.rule_id not in allow.get(f.line, set())
-            )
-    if project_rules:
-        graph = build_project_graph(sources)
-        stats.graph_built = True
-        stats.graph_nodes = graph.node_count
-        stats.graph_edges = graph.edge_count
-        for rule in project_rules:
-            started = time.perf_counter()
-            checked = rule.check_project(graph)
-            stats.rule_seconds[rule.rule_id] += time.perf_counter() - started
-            findings.extend(
-                f
-                for f in checked
-                if f.rule_id not in suppressions.get(f.path, {}).get(f.line, set())
-            )
-    if report_paths is not None:
-        keep = {
-            _display_path(f, root)
-            for f in iter_python_files(report_paths)
-        }
-        prefixes = tuple(
-            _display_path(p, root).rstrip("/") + "/"
-            for p in report_paths
-            if Path(p).is_dir()
-        )
-        findings = [
-            f
-            for f in findings
-            if f.path in keep or f.path.startswith(prefixes)
-        ]
+        findings.extend(analyze_source(source, file_path, rules, root))
     findings.sort()
-    if not baseline:
-        return AnalysisReport(
-            findings=findings, files_checked=len(files), stats=stats
-        )
-    remaining = Counter(baseline)
-    fresh: List[Finding] = []
-    baselined = 0
-    for finding in findings:
-        if remaining.get(finding.key(), 0) > 0:
-            remaining[finding.key()] -= 1
-            baselined += 1
-        else:
-            fresh.append(finding)
-    stale = sorted(key for key, count in remaining.items() if count > 0)
-    return AnalysisReport(
-        findings=fresh,
-        baselined=baselined,
-        stale_baseline=stale,
-        files_checked=len(files),
-        stats=stats,
-    )
-
-
-# ----------------------------------------------------------------------
-# Baseline file
-# ----------------------------------------------------------------------
-class BaselineError(ValueError):
-    """Raised when a baseline file is malformed."""
-
-
-def load_baseline(path: Path) -> "Counter[Tuple[str, str, str, str]]":
-    """Load a committed baseline into a key -> count multiset."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise BaselineError(f"malformed baseline {path}: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("version") != _BASELINE_VERSION:
-        raise BaselineError(
-            f"baseline {path} must be a JSON object with version {_BASELINE_VERSION}"
-        )
-    entries = payload.get("findings", [])
-    if not isinstance(entries, list):
-        raise BaselineError(f"baseline {path}: 'findings' must be a list")
-    counter: "Counter[Tuple[str, str, str, str]]" = Counter()
-    for entry in entries:
-        try:
-            counter[
-                (
-                    str(entry["rule"]),
-                    str(entry["path"]),
-                    str(entry.get("symbol", "")),
-                    str(entry["message"]),
-                )
-            ] += 1
-        except (KeyError, TypeError) as exc:
-            raise BaselineError(f"baseline {path}: bad entry {entry!r}: {exc}") from None
-    return counter
-
-
-def write_baseline(findings: Sequence[Finding], path: Path) -> None:
-    """Write the current findings as the new grandfathered baseline."""
-    entries = [
-        dict(zip(("rule", "path", "symbol", "message"), key))
-        for key in sorted(f.key() for f in findings)
-    ]
-    payload = {"version": _BASELINE_VERSION, "findings": entries}
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    return AnalysisReport(findings=findings, files_checked=len(files))
 
 
 # ----------------------------------------------------------------------
@@ -545,52 +307,17 @@ def render_text(report: AnalysisReport) -> str:
         + (f" [{f.symbol}]" if f.symbol else "")
         for f in report.findings
     ]
-    summary = (
+    lines.append(
         f"{len(report.findings)} finding(s) in {report.files_checked} file(s)"
-        f" ({report.baselined} baselined)"
     )
-    if report.stale_baseline:
-        summary += f"; {len(report.stale_baseline)} stale baseline entr(y/ies)"
-        for rule_id, path, symbol, message in report.stale_baseline:
-            lines.append(
-                f"stale baseline entry: {rule_id} at {path}"
-                + (f" [{symbol}]" if symbol else "")
-                + f": {message}"
-            )
-    lines.append(summary)
-    return "\n".join(lines)
-
-
-def render_stats(report: AnalysisReport) -> str:
-    """The ``--stats`` summary: parse/graph sizes and per-rule timings.
-
-    Rendered separately from the findings report (and printed to stderr
-    by the CLI) because it contains wall timings, which must never leak
-    into the byte-stable JSON findings payload.
-    """
-    stats = report.stats
-    lines = [f"files parsed: {stats.files_parsed}"]
-    if stats.graph_built:
-        lines.append(
-            f"call graph: {stats.graph_nodes} nodes, {stats.graph_edges} edges"
-        )
-    else:
-        lines.append("call graph: not built (no whole-program rules in the run)")
-    for rule_id in sorted(stats.rule_seconds):
-        lines.append(f"rule {rule_id}: {stats.rule_seconds[rule_id] * 1000:.1f} ms")
     return "\n".join(lines)
 
 
 def render_json(report: AnalysisReport) -> str:
     """Machine-readable report; byte-stable across runs for identical input."""
     payload = {
-        "version": _BASELINE_VERSION,
+        "version": _REPORT_VERSION,
         "files_checked": report.files_checked,
-        "baselined": report.baselined,
-        "stale_baseline": [
-            {"rule": k[0], "path": k[1], "symbol": k[2], "message": k[3]}
-            for k in report.stale_baseline
-        ],
         "findings": [f.to_dict() for f in report.findings],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

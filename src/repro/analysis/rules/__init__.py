@@ -2,15 +2,13 @@
 
 Each module contributes one or two :class:`~repro.analysis.engine.Rule`
 subclasses; :func:`default_rules` is the registry the CLI and CI run.
-Per-file rules subclass ``Rule`` and see one module at a time;
-whole-program rules subclass :class:`~repro.analysis.engine.ProjectRule`
-and see the :class:`~repro.analysis.graph.ProjectGraph`.
+Every rule sees one module at a time.
 
-Adding a rule: subclass ``Rule`` (or ``ProjectRule``) in a new module
-here, set ``rule_id`` / ``description`` / ``scope``, implement ``check``
-(usually with a :class:`~repro.analysis.engine.RuleVisitor`) or
-``check_project``, add it to :func:`default_rules`, and give it positive
-+ negative fixture tests in ``tests/analysis/``.
+Adding a rule: subclass ``Rule`` in a new module here, set ``rule_id`` /
+``description`` / ``scope``, implement ``check`` (usually with a
+:class:`~repro.analysis.engine.RuleVisitor`), add it to
+:func:`default_rules`, and give it positive + negative fixture tests in
+``tests/analysis/``.
 """
 
 from __future__ import annotations
@@ -21,36 +19,24 @@ from repro.analysis.engine import Rule
 from repro.analysis.rules.async_blocking import AsyncBlockingRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exceptions import BroadExceptRule, SensePolicyRule
-from repro.analysis.rules.flow_async import TransitiveBlockingRule
-from repro.analysis.rules.flow_interleave import AwaitInterleavingRule
-from repro.analysis.rules.flow_sense import SenseExhaustiveRule
-from repro.analysis.rules.flow_taint import DeterminismTaintRule
 from repro.analysis.rules.seed_plumbing import SeedPlumbingRule
 
 __all__ = [
     "AsyncBlockingRule",
-    "AwaitInterleavingRule",
     "BroadExceptRule",
     "DeterminismRule",
-    "DeterminismTaintRule",
     "SeedPlumbingRule",
-    "SenseExhaustiveRule",
     "SensePolicyRule",
-    "TransitiveBlockingRule",
     "default_rules",
 ]
 
 
 def default_rules() -> List[Rule]:
-    """The full rule set, in stable order: per-file, then whole-program."""
+    """The full rule set, in stable order."""
     return [
         DeterminismRule(),
         AsyncBlockingRule(),
         BroadExceptRule(),
         SensePolicyRule(),
         SeedPlumbingRule(),
-        TransitiveBlockingRule(),
-        AwaitInterleavingRule(),
-        SenseExhaustiveRule(),
-        DeterminismTaintRule(),
     ]

@@ -117,6 +117,9 @@ class _AsyncVisitor(RuleVisitor):
         super().__init__(rule, module, path)
         self._async_defs = async_defs
         self._async_depth = 0
+        #: How findings name the enclosing context: a coroutine body, or a
+        #: protocol class's sync method that the loop calls directly.
+        self._where = "async def"
         self._loop_depth = 0
         self._function_depth = 0
         self._class_stack: List[str] = []
@@ -150,22 +153,26 @@ class _AsyncVisitor(RuleVisitor):
             self._async_depth,
             1 if self._is_protocol_callback() else 0,
         )
+        where, self._where = self._where, "event-loop callback"
         loops, self._loop_depth = self._loop_depth, 0
         self._function_depth += 1
         super().visit_FunctionDef(node)
         self._function_depth -= 1
         self._async_depth = depth
+        self._where = where
         self._loop_depth = loops
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         # A nested def's body runs per *call*, not per iteration of any
         # loop that lexically encloses its definition.
         loops, self._loop_depth = self._loop_depth, 0
+        where, self._where = self._where, "async def"
         self._async_depth += 1
         self._function_depth += 1
         super().visit_AsyncFunctionDef(node)
         self._function_depth -= 1
         self._async_depth -= 1
+        self._where = where
         self._loop_depth = loops
 
     def visit_For(self, node: ast.For) -> None:
@@ -192,7 +199,7 @@ class _AsyncVisitor(RuleVisitor):
         if isinstance(node.func, ast.Name) and node.func.id == "open":
             self.report(
                 node,
-                "blocking open() inside async def; move file I/O off the "
+                f"blocking open() inside {self._where}; move file I/O off the "
                 "event loop (run_in_executor)",
             )
             return
@@ -200,7 +207,7 @@ class _AsyncVisitor(RuleVisitor):
         if name is None:
             return
         if name == "asyncio.run":
-            self.report(node, "asyncio.run() inside async def nests event loops")
+            self.report(node, f"asyncio.run() inside {self._where} nests event loops")
             return
         if name in _BLOCKING_CALLS or any(
             name.startswith(prefix) for prefix in _BLOCKING_PREFIXES
@@ -208,7 +215,7 @@ class _AsyncVisitor(RuleVisitor):
             hint = " (use asyncio.sleep)" if name == "time.sleep" else ""
             self.report(
                 node,
-                f"blocking call {name}() inside async def stalls the event "
+                f"blocking call {name}() inside {self._where} stalls the event "
                 f"loop{hint}",
             )
 

@@ -15,16 +15,19 @@ Repo-wide, this rule bans the *always-wrong* sources:
 - module-level ``random.*`` functions (``random.random()``,
   ``random.randint()``, ...) — hidden global RNG state;
 - ``random.Random()`` / ``numpy.random.default_rng()`` (and the numpy bit
-  generators, ``SeedSequence``, ``Generator``) with no seed and
-  ``random.SystemRandom`` — ambient entropy;
+  generators, ``SeedSequence``, ``Generator``) with no seed or an explicit
+  ``None`` seed, and ``random.SystemRandom`` — ambient entropy;
+- ``os.urandom()``, ``uuid.uuid1()`` / ``uuid.uuid4()`` and anything in
+  ``secrets`` — the operating system's entropy pool, by another name;
 - ``numpy.random.seed()`` and the legacy ``numpy.random.<dist>()``
   global-state API.
 
 Inside the simulation core (``repro.sim``, ``repro.core``,
-``repro.faults``, ``repro.cache``, ``repro.erasure``) it additionally bans
+``repro.faults``, ``repro.cache``, ``repro.erasure``, ``repro.flash``,
+``repro.backend``, ``repro.workload``) it additionally bans
 the monotonic host clocks (``time.monotonic``, ``time.perf_counter``,
-``time.process_time``): simulated code must take time from the
-:class:`~repro.sim.clock.SimClock` it is handed, full stop.
+``time.process_time``, ``time.thread_time``): simulated code must take
+time from the :class:`~repro.sim.clock.SimClock` it is handed, full stop.
 ``repro.sim.clock`` itself is exempt — it *is* the sanctioned source.
 
 ``time.perf_counter`` stays legal outside the core because the socket
@@ -50,9 +53,14 @@ _HOST_CLOCKS = {
     "perf_counter_ns",
     "process_time",
     "process_time_ns",
+    "thread_time",
+    "thread_time_ns",
 }
 _DATETIME_CLASSES = {"datetime.datetime", "datetime.date"}
 _DATETIME_FNS = {"now", "utcnow", "today"}
+#: The operating system's entropy pool: banned everywhere, like
+#: ``random.SystemRandom`` (every ``secrets.*`` function draws from it too).
+_OS_ENTROPY = {"os.urandom", "uuid.uuid1", "uuid.uuid4"}
 
 #: numpy.random constructors that hold their own state: deterministic when
 #: given a seed (or, for ``Generator``, a bit generator), ambient entropy
@@ -75,6 +83,9 @@ _STRICT_PREFIXES = (
     "repro.faults",
     "repro.cache",
     "repro.erasure",
+    "repro.flash",
+    "repro.backend",
+    "repro.workload",
 )
 
 
@@ -128,6 +139,13 @@ class _DeterminismVisitor(RuleVisitor):
                 "come from the SimClock",
             )
             return
+        if name in _OS_ENTROPY or name.startswith("secrets."):
+            self.report(
+                node,
+                f"{name}() draws ambient entropy from the operating system; "
+                "derive the value from an explicitly seeded RNG object",
+            )
+            return
         if name.startswith("random."):
             self._check_random(node, name[len("random.") :])
             return
@@ -147,7 +165,7 @@ class _DeterminismVisitor(RuleVisitor):
 
     def _check_random(self, node: ast.Call, fn: str) -> None:
         if fn == "Random":
-            if not node.args and not node.keywords:
+            if _unseeded(node):
                 self.report(
                     node,
                     "random.Random() without a seed draws ambient entropy; "
@@ -167,7 +185,7 @@ class _DeterminismVisitor(RuleVisitor):
 
     def _check_numpy_random(self, node: ast.Call, fn: str) -> None:
         if fn in _NUMPY_OWN_STATE:
-            if not node.args and not node.keywords:
+            if _unseeded(node):
                 self.report(
                     node,
                     f"numpy.random.{fn}() without a seed draws ambient "
@@ -179,6 +197,15 @@ class _DeterminismVisitor(RuleVisitor):
             f"numpy.random.{fn}() touches numpy's global RNG state; use a "
             "seeded numpy.random.default_rng(seed) generator",
         )
+
+
+def _unseeded(node: ast.Call) -> bool:
+    """True for ``Random()`` and for ``Random(None)`` / ``default_rng(seed=None)``:
+    a literal ``None`` seed asks for ambient entropy just like no seed."""
+    values = node.args + [keyword.value for keyword in node.keywords]
+    return all(
+        isinstance(value, ast.Constant) and value.value is None for value in values
+    )
 
 
 def strict_prefixes() -> Tuple[str, ...]:

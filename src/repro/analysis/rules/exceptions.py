@@ -6,8 +6,7 @@ Two related invariants:
   programming errors (the reason :class:`repro.errors.ReproError` exists
   is so library failures can be caught *without* catching ``TypeError``).
   The only legitimate broad catches are rollback sites that re-raise
-  after undoing partial state; those are named in an explicit allowlist
-  or carry a ``# repro: allow[broad-except]`` comment.
+  after undoing partial state; those are named in an explicit allowlist.
 
 - **sense-policy** — the OSD target's command handlers are the last stop
   before the wire: every internal failure must be converted into a T10

@@ -41,7 +41,13 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
 
-from repro.core.health import HealthPolicy, HealthRecord, TransitionLog, escalate
+from repro.core.health import (
+    HealthPolicy,
+    HealthRecord,
+    TransitionLog,
+    _reason,
+    escalate,
+)
 from repro.net.client import OsdServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - imports only for annotations
@@ -93,34 +99,13 @@ class ShardHealth(HealthRecord):
 
 
 class ShardTransition(NamedTuple):
-    """One detector state-machine step for one shard.
-
-    Its own class, not the device tier's ``HealthTransition``: ``reason`` is
-    built here from wall-clock-fed EWMAs, and the determinism-taint rule
-    tracks field taint per class — sharing the tuple would either taint the
-    device tier's seed-deterministic reasons or lose the catch on these.
-    """
+    """One detector state-machine step for one shard."""
 
     shard_id: int
     old: str
     new: str  # "suspect" | "failed" | "online"
     at: float
     reason: str
-
-
-def _reason(cause: str, health: ShardHealth) -> str:
-    if cause == "errors":
-        return f"error_ewma={health.error_ewma:.3f}"
-    if cause == "slowdown":
-        return f"slowdown_ewma={health.slowdown_ewma:.1f}"
-    if cause == "hard":
-        return (
-            f"error_ewma={health.error_ewma:.3f} "
-            f"slowdown_ewma={health.slowdown_ewma:.1f}"
-        )
-    if cause == "persistent":
-        return f"persistent after {health.ops - (health.suspect_at_ops or 0)} ops"
-    return cause  # "recovered"
 
 
 class ShardHealthMonitor(TransitionLog[ShardTransition]):

@@ -27,10 +27,7 @@ The *decision* — thresholds (:class:`HealthPolicy`), the rolling record
 (:class:`HealthRecord`), the listener log (:class:`TransitionLog`) and the
 escalation ladder (:func:`escalate`) — is written once, here, and also
 drives the shard detector of :mod:`repro.cluster.health`. A tier keeps what
-is its own: how evidence is gathered, where the state is stored, and the
-wording of its transition reasons (the determinism-taint rule tells
-seed-deterministic EWMAs from wall-clock-fed ones by the module that reads
-them, so each tier formats its own).
+is its own: how evidence is gathered and where the state is stored.
 """
 
 from __future__ import annotations
@@ -187,6 +184,7 @@ class HealthTransition(NamedTuple):
 
 
 def _reason(cause: str, health: HealthRecord) -> str:
+    """The transition ``reason`` text for one of :func:`escalate`'s causes."""
     if cause == "errors":
         return f"error_ewma={health.error_ewma:.3f}"
     if cause == "slowdown":
@@ -196,7 +194,9 @@ def _reason(cause: str, health: HealthRecord) -> str:
             f"error_ewma={health.error_ewma:.3f} "
             f"slowdown_ewma={health.slowdown_ewma:.1f}"
         )
-    return f"persistent after {health.ops - (health.suspect_at_ops or 0)} ops"
+    if cause == "persistent":
+        return f"persistent after {health.ops - (health.suspect_at_ops or 0)} ops"
+    return cause  # "recovered"
 
 
 class HealthMonitor(TransitionLog[HealthTransition]):

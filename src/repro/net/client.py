@@ -58,7 +58,8 @@ from repro.osd.types import CONTROL_OBJECT, ObjectId, ROOT_OBJECT
 __all__ = ["AsyncOsdClient", "ClientStats", "OsdServiceError"]
 
 #: Sense codes the client deliberately surfaces to callers instead of
-#: branching on (audited by the ``sense-exhaustive`` analysis rule):
+#: branching on (``tests/osd/test_sense_contract.py`` requires every code
+#: the server tier emits to be handled in the client tier or listed here):
 #: the recovery pair is the payload of :meth:`AsyncOsdClient.recovery_status`
 #: — the caller polls until STARTED becomes ENDED — and the two
 #: space-pressure codes are write-admission outcomes the cache manager

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 
 def test_wall_clock_fires_in_core(lint):
     lint.write(
@@ -205,6 +207,92 @@ def test_seeded_string_stream_is_quiet(lint):
 
         def stream(plan_seed, index, device_id):
             return random.Random(f"{plan_seed}:{index}:{device_id}")
+        """,
+    )
+    assert lint.rule_ids() == []
+
+
+@pytest.mark.parametrize(
+    "imports, expression",
+    [
+        ("import os", "os.urandom(8)"),
+        ("from os import urandom", "urandom(8)"),
+        ("import uuid", "uuid.uuid4()"),
+        ("import uuid", "uuid.uuid1()"),
+        ("import secrets", "secrets.token_bytes(4)"),
+        ("from secrets import randbelow", "randbelow(6)"),
+        ("import random", "random.Random(None)"),
+        ("import random", "random.Random(x=None)"),
+        ("import numpy", "numpy.random.default_rng(None)"),
+        ("import numpy as np", "np.random.default_rng(seed=None)"),
+        ("import time", "time.thread_time()"),
+        ("import time", "time.thread_time_ns()"),
+    ],
+)
+def test_ambient_entropy_and_thread_clock_fire_in_core(lint, imports, expression):
+    lint.write(
+        "core/ambient.py",
+        f"""
+        {imports}
+
+        def draw():
+            return {expression}
+        """,
+    )
+    findings = lint.run()
+    assert [(f.rule_id, f.symbol) for f in findings] == [("determinism", "draw")]
+
+
+@pytest.mark.parametrize(
+    "imports, expression",
+    [
+        ("import os", "os.path.join('a', 'b')"),
+        ("import uuid", "uuid.UUID(int=seed)"),
+        ("import uuid", "uuid.uuid5(uuid.NAMESPACE_OID, str(seed))"),
+        ("import random", "random.Random(0)"),
+        ("import random", "random.Random(seed)"),
+        ("import numpy", "numpy.random.default_rng(0)"),
+        ("import numpy as np", "np.random.default_rng(seed=seed)"),
+    ],
+)
+def test_seeded_counterparts_are_quiet_in_core(lint, imports, expression):
+    lint.write(
+        "core/seeded.py",
+        f"""
+        {imports}
+
+        def draw(seed):
+            return {expression}
+        """,
+    )
+    assert lint.rule_ids() == []
+
+
+@pytest.mark.parametrize("area", ["flash", "backend", "workload"])
+def test_engine_and_generator_are_held_to_the_strict_standard(lint, area):
+    # GOLDEN pins the engine's and the generator's output bit for bit.
+    lint.write(
+        f"{area}/bad_timing.py",
+        """
+        import time
+
+        def measure():
+            return time.perf_counter()
+        """,
+    )
+    findings = lint.run()
+    assert [f.rule_id for f in findings] == ["determinism"]
+    assert "host-clock" in findings[0].message
+
+
+def test_thread_clock_stays_legal_outside_the_core(lint):
+    lint.write(
+        "net/cpu_time.py",
+        """
+        import time
+
+        def measure():
+            return time.thread_time()
         """,
     )
     assert lint.rule_ids() == []

@@ -1,19 +1,11 @@
-"""Engine behavior: suppressions, baseline round-trip, report stability."""
+"""Engine behavior: module naming, parse errors, report stability."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-from repro.analysis.engine import (
-    analyze_paths,
-    load_baseline,
-    module_of,
-    render_json,
-    render_text,
-    suppressed_lines,
-    write_baseline,
-)
+from repro.analysis.engine import analyze_paths, module_of, render_json
 from repro.analysis.rules import default_rules
 
 BAD_SIM = """
@@ -28,110 +20,6 @@ def test_module_of_maps_paths_to_dotted_names():
     assert module_of(Path("src/repro/sim/clock.py")) == "repro.sim.clock"
     assert module_of(Path("src/repro/erasure/__init__.py")) == "repro.erasure"
     assert module_of(Path("/abs/elsewhere/thing.py")) == "thing"
-
-
-def test_trailing_suppression_comment_silences(lint):
-    lint.write(
-        "sim/suppressed.py",
-        """
-        import time
-
-        def stamp():
-            return time.time()  # repro: allow[determinism]
-        """,
-    )
-    assert lint.rule_ids() == []
-
-
-def test_preceding_line_suppression_silences(lint):
-    lint.write(
-        "sim/suppressed_above.py",
-        """
-        import time
-
-        def stamp():
-            # repro: allow[determinism]
-            return time.time()
-        """,
-    )
-    assert lint.rule_ids() == []
-
-
-def test_suppression_is_per_rule(lint):
-    # Allowing a different rule id does not silence determinism.
-    lint.write(
-        "sim/wrong_allow.py",
-        """
-        import time
-
-        def stamp():
-            return time.time()  # repro: allow[broad-except]
-        """,
-    )
-    assert lint.rule_ids() == ["determinism"]
-
-
-def test_suppression_accepts_comma_separated_ids():
-    lines = suppressed_lines("x = 1  # repro: allow[determinism, broad-except]\n")
-    assert lines[1] == {"determinism", "broad-except"}
-    assert lines[2] == {"determinism", "broad-except"}
-
-
-def test_baseline_round_trip(lint, tmp_path):
-    lint.write("sim/grandfathered.py", BAD_SIM)
-    report = analyze_paths(
-        [lint.root / "src"], default_rules(), root=lint.root
-    )
-    assert len(report.findings) == 1
-
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(report.findings, baseline_path)
-    baseline = load_baseline(baseline_path)
-
-    rerun = analyze_paths(
-        [lint.root / "src"], default_rules(), root=lint.root, baseline=baseline
-    )
-    assert rerun.findings == []
-    assert rerun.baselined == 1
-    assert rerun.stale_baseline == []
-    assert rerun.clean
-
-
-def test_baseline_survives_line_shifts(lint, tmp_path):
-    path = lint.write("sim/shifty.py", BAD_SIM)
-    report = analyze_paths([lint.root / "src"], default_rules(), root=lint.root)
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(report.findings, baseline_path)
-
-    # Unrelated edits above the finding move its line; it stays baselined.
-    path.write_text("# a new leading comment\n\n" + path.read_text())
-    rerun = analyze_paths(
-        [lint.root / "src"],
-        default_rules(),
-        root=lint.root,
-        baseline=load_baseline(baseline_path),
-    )
-    assert rerun.findings == []
-    assert rerun.baselined == 1
-
-
-def test_stale_baseline_entries_are_reported(lint, tmp_path):
-    lint.write("sim/grandfathered.py", BAD_SIM)
-    report = analyze_paths([lint.root / "src"], default_rules(), root=lint.root)
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(report.findings, baseline_path)
-
-    # Fix the violation: the baseline entry is now stale and not clean.
-    lint.write("sim/grandfathered.py", "def stamp():\n    return 0.0\n")
-    rerun = analyze_paths(
-        [lint.root / "src"],
-        default_rules(),
-        root=lint.root,
-        baseline=load_baseline(baseline_path),
-    )
-    assert rerun.findings == []
-    assert len(rerun.stale_baseline) == 1
-    assert "stale baseline" in render_text(rerun)
 
 
 def test_json_report_is_stable_and_sorted(lint):
@@ -158,28 +46,6 @@ def test_parse_error_is_a_finding_not_a_crash(lint):
     assert [f.rule_id for f in findings] == ["parse-error"]
 
 
-def test_suppression_on_decorated_def(lint):
-    # seed-plumbing anchors on the def line; the allow comment between
-    # the decorator and the def (or trailing on the def line) covers it.
-    lint.write(
-        "faults/decorated.py",
-        """
-        def wrap(fn):
-            return fn
-
-        @wrap
-        # repro: allow[seed-plumbing]
-        def inject(seed=None):
-            return seed
-
-        @wrap
-        def inject2(seed=None):  # repro: allow[seed-plumbing]
-            return seed
-        """,
-    )
-    assert lint.rule_ids() == []
-
-
 def test_module_of_outside_any_repro_tree():
     # No `repro` path component: bare stem, which scoped rules ignore —
     # and the dotted name never accidentally matches a repro.* scope.
@@ -190,22 +56,3 @@ def test_module_of_outside_any_repro_tree():
     assert module_of(Path("/tmp/x/src/repro/net/client.py")) == "repro.net.client"
     # The *last* repro component anchors (vendored copies nest).
     assert module_of(Path("repro/vendor/repro/sim/clock.py")) == "repro.sim.clock"
-
-
-def test_baseline_entry_for_deleted_file_is_stale(lint, tmp_path):
-    doomed = lint.write("sim/doomed.py", BAD_SIM)
-    report = analyze_paths([lint.root / "src"], default_rules(), root=lint.root)
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(report.findings, baseline_path)
-
-    doomed.unlink()
-    rerun = analyze_paths(
-        [lint.root / "src"],
-        default_rules(),
-        root=lint.root,
-        baseline=load_baseline(baseline_path),
-    )
-    assert rerun.findings == []
-    assert len(rerun.stale_baseline) == 1
-    assert not rerun.clean or rerun.stale_baseline  # surfaced, not silent
-    assert "stale baseline" in render_text(rerun)
