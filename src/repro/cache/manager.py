@@ -400,9 +400,18 @@ class CacheManager:
         if lost:
             self.stats.lost_objects += 1
 
-    def drop_lost(self, name: str) -> None:
-        """Purge an object the recovery process found unrecoverable."""
-        self._drop(name, lost=True)
+    def drop_lost(self, object_id: ObjectId) -> None:
+        """Purge an object recovery or a scrub found unrecoverable.
+
+        The one purge above the array: a cached object is dropped and
+        booked as lost; an object the cache has no name for (metadata, or
+        written straight through the initiator) loses its target record.
+        """
+        name = self._by_oid.get(object_id)
+        if name is not None:
+            self._drop(name, lost=True)
+        elif self.target.exists(object_id):
+            self.target.remove_object(object_id)
 
     def evict_lru(self, exclude: Optional[str] = None) -> bool:
         """Evict one LRU victim on behalf of recovery; returns False when

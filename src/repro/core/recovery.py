@@ -3,8 +3,9 @@
 When a failed device is replaced by a spare, the recovery manager scans the
 object table, drops what is irrecoverable, and rebuilds the rest **in class
 order** — metadata, then dirty data, then hot clean, then cold clean — and
-within a class by descending hotness. Object granularity means invalid
-blocks and irrecoverable objects are simply skipped, unlike block-order RAID
+within a class by object id (see :meth:`RecoveryManager._priority` for the
+paper's hotness tie-break). Object granularity means invalid blocks and
+irrecoverable objects are simply skipped, unlike block-order RAID
 reconstruction.
 
 Recovery runs in the gaps between foreground requests: the experiment runner
@@ -19,8 +20,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional
-
-from repro.core.hotness import HotnessTracker
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.cache.manager import CacheManager
@@ -53,13 +52,14 @@ class RecoveryManager:
     def __init__(
         self,
         target: OsdTarget,
-        cache_manager: "Optional[CacheManager]" = None,
-        hotness: Optional[HotnessTracker] = None,
+        cache_manager: "CacheManager",
         prioritized: bool = True,
     ) -> None:
         """
         Args:
-            prioritized: order reconstruction by (class, hotness) — the
+            cache_manager: object names, eviction room for restripes and
+                the one lost-object purge (``CacheManager.drop_lost``).
+            prioritized: order reconstruction by class — the
                 paper's differentiated recovery. False reconstructs in
                 object-id (i.e. insertion) order, the analogue of a
                 traditional block-order rebuild, for the ablation study.
@@ -68,7 +68,6 @@ class RecoveryManager:
         self.target = target
         self.array = target.array
         self.manager = cache_manager
-        self.hotness = hotness or (cache_manager.hotness if cache_manager else None)
         self._queue: Deque[ObjectId] = deque()
         self.active = False
         self.objects_rebuilt = 0
@@ -105,15 +104,13 @@ class RecoveryManager:
         return plan
 
     def _priority(self, class_id: int, object_id: ObjectId):
-        """Sort key: class ascending, then hotness descending (§IV-D)."""
-        if not self.prioritized:
-            return (0, 0.0, object_id)
-        h_value = 0.0
-        if self.hotness is not None and self.manager is not None:
-            name = self.manager.name_for(object_id)
-            if name is not None:
-                h_value = self.hotness.h_value(name)
-        return (class_id, -h_value, object_id)
+        """Sort key: class ascending (§IV-D), then object id.
+
+        Hotness is not consulted: the paper also orders a class by
+        descending hotness, but every seeded recovery result was recorded
+        without that tie-break, and adopting it is a behaviour change.
+        """
+        return (class_id if self.prioritized else 0, object_id)
 
     # ------------------------------------------------------------------
     # Execution
@@ -131,19 +128,6 @@ class RecoveryManager:
     @property
     def pending(self) -> int:
         return len(self._queue)
-
-    @property
-    def decoder_cache_stats(self) -> "dict[str, int]":
-        """Decoder-matrix cache counters for the codecs recovery runs on.
-
-        The rebuild queue is ordered by class, and every object of a class
-        shares one redundancy scheme, hence one ``(k, m)`` codec. A device
-        failure presents the same survivor pattern for every stripe it
-        touched, so a class sweep inverts its decoder matrix once on the
-        first object and replays it from the LRU for the rest; the hit
-        counters here make that reuse observable.
-        """
-        return self.array.decoder_cache_stats()
 
     def step(self) -> Optional[ArrayIoResult]:
         """Reconstruct the next object; returns its I/O cost, or None when done.
@@ -166,7 +150,7 @@ class RecoveryManager:
             object_id = self._queue.popleft()
             if object_id not in self.array:
                 continue
-            missing = self.array.missing_chunks(object_id)
+            missing, _ = self.array.triage_object(object_id)
             if not missing:
                 continue
             online = {device.device_id for device in self.array.online_devices}
@@ -185,11 +169,9 @@ class RecoveryManager:
             self.chunks_rebuilt += result.chunks_written
             self.seconds_spent += result.elapsed
             if self.on_object_rebuilt is not None:
-                self.on_object_rebuilt(object_id, self._class_of(object_id), result)
-            if self.manager is not None:
-                name = self.manager.name_for(object_id)
-                if name is not None:
-                    self.manager.stats.recovered_objects += 1
+                self.on_object_rebuilt(object_id, self.class_of(object_id), result)
+            if self.manager.name_for(object_id) is not None:
+                self.manager.stats.recovered_objects += 1
             if not self._queue:
                 self._finish()
             return result
@@ -212,18 +194,9 @@ class RecoveryManager:
             steps += 1
         return steps
 
-    def run_to_completion(self, advance_clock: bool = True) -> int:
+    def run_to_completion(self) -> int:
         """Drain the whole queue; returns the number of rebuilds."""
-        clock = self.array.clock
-        steps = 0
-        while self.active:
-            result = self.step()
-            if result is None:
-                break
-            if advance_clock:
-                clock.advance(result.elapsed)
-            steps += 1
-        return steps
+        return self.run_until(float("inf"))
 
     def _restripe_with_room(self, object_id: ObjectId) -> Optional[ArrayIoResult]:
         """Restripe an object, evicting LRU victims if the array is full.
@@ -241,8 +214,7 @@ class RecoveryManager:
         try:
             return self.array.restripe_object(object_id, scheme)
         except DeviceFullError:
-            if self.manager is None:
-                return None
+            pass
         protected = self.manager.name_for(object_id)
         needed = self.array.estimate_stored_bytes(
             self.array.object_size(object_id), scheme
@@ -282,7 +254,8 @@ class RecoveryManager:
         self.active = False
         self.target.recovery_active = False
 
-    def _class_of(self, object_id: ObjectId) -> int:
+    def class_of(self, object_id: ObjectId) -> int:
+        """The object's class, or -1 once its record is gone."""
         if self.target.exists(object_id):
             return self.target.get_info(object_id).class_id
         return -1
@@ -291,14 +264,8 @@ class RecoveryManager:
         self.objects_lost += 1
         if self.on_object_lost is not None:
             # Class looked up before the purge removes the object record.
-            self.on_object_lost(object_id, self._class_of(object_id))
-        if self.manager is not None:
-            name = self.manager.name_for(object_id)
-            if name is not None:
-                self.manager.drop_lost(name)
-                return
-        if self.target.exists(object_id):
-            self.target.remove_object(object_id)
+            self.on_object_lost(object_id, self.class_of(object_id))
+        self.manager.drop_lost(object_id)
 
     def __repr__(self) -> str:
         return (

@@ -181,15 +181,14 @@ class ReoCache:
     def scrub(self):
         """Verify every stored chunk and repair silent corruption in place.
 
-        Objects beyond repair are purged from the cache (they remain intact
-        in the backend, so the next access refetches them). Returns the
-        :class:`~repro.flash.array.ScrubReport`.
+        Objects beyond repair are purged like the supervised scrub purges
+        them (:meth:`~repro.cache.manager.CacheManager.drop_lost`); cached
+        ones remain intact in the backend, so the next access refetches
+        them. Returns the :class:`~repro.flash.array.ScrubReport`.
         """
         report = self.array.scrub()
         for key in report.unrecoverable_objects:
-            name = self.manager.name_for(key)
-            if name is not None:
-                self.manager.drop_lost(name)
+            self.manager.drop_lost(key)
         return report
 
     def enable_supervision(

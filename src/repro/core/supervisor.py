@@ -399,15 +399,8 @@ class RecoverySupervisor:
 
     def _purge_unrecoverable(self, object_id) -> None:
         """A scrub found an object beyond repair: purge it, book the loss."""
-        class_id = -1
-        if self.cache.target.exists(object_id):
-            class_id = self.cache.target.get_info(object_id).class_id
-        self.ledger.record_lost(object_id, class_id)
-        name = self.cache.manager.name_for(object_id)
-        if name is not None:
-            self.cache.manager.drop_lost(name)
-        elif self.cache.target.exists(object_id):
-            self.cache.target.remove_object(object_id)
+        self.ledger.record_lost(object_id, self.recovery.class_of(object_id))
+        self.cache.manager.drop_lost(object_id)
 
     def __repr__(self) -> str:
         return (

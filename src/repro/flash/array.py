@@ -16,7 +16,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 from zlib import crc32
 
 import numpy as np
@@ -36,7 +37,6 @@ from repro.errors import (
 from repro.flash.device import DeviceState, FlashDevice
 from repro.flash.latency import INTEL_540S_SSD, ServiceTimeModel
 from repro.flash.stripe import (
-    ChunkKind,
     ChunkLocation,
     RedundancyScheme,
     ReplicationScheme,
@@ -298,12 +298,6 @@ class FlashArray:
     @property
     def available_count(self) -> int:
         return len(self.available_devices)
-
-    @property
-    def suspect_devices(self) -> List[FlashDevice]:
-        return [
-            device for device in self.devices if device.is_available and not device.is_online
-        ]
 
     # Each space property walks the devices once: the cache manager reads
     # them on every admission.
@@ -586,12 +580,23 @@ class FlashArray:
 
         return sorted(available, key=rank)
 
-    def _read_stripe(
+    def _gather(
         self,
         stripe: StripeDescriptor,
         batch: _IoBatch,
         by_id: Dict[int, FlashDevice],
-    ) -> bytes:
+    ) -> Dict[int, bytes]:
+        """Read a stripe's present fragments, trusted first, until it is servable.
+
+        The one place that decides which fragments a degraded read and a
+        rebuild pull, and in what order. Stops at one replica, or at ``k``
+        fragments of a parity stripe; a fragment that fails to read
+        (checksum, transient fault) marks the batch degraded and the next
+        survivor takes its place.
+
+        Raises:
+            UnrecoverableDataError: the readable fragments cannot serve it.
+        """
         available: Dict[int, ChunkLocation] = {}
         trusted = True
         for chunk in stripe.chunks:
@@ -603,39 +608,33 @@ class FlashArray:
         # With every holder ONLINE and free of known-corrupt chunks all
         # fragments rank equal, and trusted-first order *is* index order.
         order = sorted(available) if trusted else self._fragment_order(available, by_id)
-
-        if stripe.replicated:
-            for index in order:
-                chunk = available[index]
-                payload = self._read_fragment(batch, by_id, chunk)
-                if payload is None:
-                    batch.result.degraded = True
-                    continue
-                if chunk.kind is not ChunkKind.DATA:
-                    batch.result.degraded = True
-                return payload[: stripe.payload_bytes]
-            raise UnrecoverableDataError(
-                f"stripe {stripe.stripe_id}: all replicas lost or corrupted"
-            )
-
-        k = stripe.data_count
+        k = stripe.data_count  # 1 for a replicated stripe
         fragments: Dict[int, bytes] = {}
-        # Pull fragments trusted-first (data before parity within a tier); a
-        # checksum failure drops the fragment and the next survivor takes
-        # its place.
         for index in order:
-            if len(fragments) == k:
-                break
             payload = self._read_fragment(batch, by_id, available[index])
             if payload is None:
                 batch.result.degraded = True
                 continue
             fragments[index] = payload
-        if len(fragments) < k:
-            raise UnrecoverableDataError(
-                f"stripe {stripe.stripe_id}: {len(fragments)} readable fragments, "
-                f"{k} needed"
-            )
+            if len(fragments) == k:
+                return fragments
+        raise UnrecoverableDataError(
+            f"stripe {stripe.stripe_id}: {len(fragments)} readable fragments, {k} needed"
+        )
+
+    def _read_stripe(
+        self,
+        stripe: StripeDescriptor,
+        batch: _IoBatch,
+        by_id: Dict[int, FlashDevice],
+    ) -> bytes:
+        fragments = self._gather(stripe, batch, by_id)
+        if stripe.replicated:
+            [(index, payload)] = fragments.items()
+            if index:  # a REPLICA stands in for the DATA copy (index 0)
+                batch.result.degraded = True
+            return payload[: stripe.payload_bytes]
+        k = stripe.data_count
         if max(fragments) < k:  # k distinct indices below k: all the data
             return b"".join([fragments[i] for i in range(k)])[: stripe.payload_bytes]
         batch.result.degraded = True
@@ -810,36 +809,14 @@ class FlashArray:
 
     def object_health(self, key: ObjectKey) -> ObjectHealth:
         """Classify an object as healthy, degraded-but-recoverable, or lost."""
-        extent = self.get_extent(key)
-        by_id = self._devices_by_id
-        health = ObjectHealth.HEALTHY
-        for stripe in extent.stripes:
-            present = [
-                chunk
-                for chunk in stripe.chunks
-                if by_id[chunk.device_id].has_chunk(chunk.address)
-            ]
-            if len(present) == len(stripe.chunks):
-                continue
-            if stripe.replicated:
-                recoverable = bool(present)
-            else:
-                recoverable = len(present) >= stripe.data_count
-            if not recoverable:
-                return ObjectHealth.LOST
-            health = ObjectHealth.DEGRADED
-        return health
-
-    def is_readable(self, key: ObjectKey) -> bool:
-        return self.object_health(key) is not ObjectHealth.LOST
+        return self.triage_object(key)[1]
 
     def triage_object(self, key: ObjectKey) -> Tuple[List[ChunkLocation], ObjectHealth]:
         """Missing chunks and health in one stripe walk.
 
-        The recovery scan needs both; calling :meth:`missing_chunks` and
-        :meth:`object_health` separately walks every stripe twice. A LOST
-        verdict returns immediately (the missing list may then be partial —
-        a lost object is purged, not rebuilt).
+        The missing list holds every chunk whose device cannot serve it
+        (failed, or a spare that does not hold it yet); it is complete even
+        for a LOST object, since every stripe is walked.
         """
         extent = self.get_extent(key)
         by_id = self._devices_by_id
@@ -854,29 +831,16 @@ class FlashArray:
                     missing.append(chunk)
             if present == len(stripe.chunks):
                 continue
-            if stripe.replicated:
-                recoverable = present > 0
-            else:
-                recoverable = present >= stripe.data_count
-            if not recoverable:
-                return missing, ObjectHealth.LOST
-            health = ObjectHealth.DEGRADED
+            # k is 1 for a replicated stripe: any one copy serves it.
+            if present < stripe.data_count:
+                health = ObjectHealth.LOST
+            elif health is ObjectHealth.HEALTHY:
+                health = ObjectHealth.DEGRADED
         return missing, health
 
     # ------------------------------------------------------------------
-    # Rebuild (recovery onto a replacement spare)
+    # Repair (rebuild onto a replacement spare, scrub in place)
     # ------------------------------------------------------------------
-    def missing_chunks(self, key: ObjectKey) -> List[ChunkLocation]:
-        """Chunks of this object absent from their (online) home device."""
-        extent = self.get_extent(key)
-        by_id = self._devices_by_id
-        return [
-            chunk
-            for stripe in extent.stripes
-            for chunk in stripe.chunks
-            if not by_id[chunk.device_id].has_chunk(chunk.address)
-        ]
-
     def rebuild_object(self, key: ObjectKey) -> ArrayIoResult:
         """Reconstruct the object's missing fragments onto online devices.
 
@@ -890,60 +854,54 @@ class FlashArray:
         by_id = self._devices_by_id
         batch = _IoBatch(self.clock.now, op="rebuild")
         for stripe in extent.stripes:
-            available: Dict[int, ChunkLocation] = {}
             missing: List[ChunkLocation] = []
             for chunk in stripe.chunks:
                 device = by_id[chunk.device_id]
-                if device.has_chunk(chunk.address):
-                    available[chunk.fragment_index] = chunk
-                elif device.is_online:
+                if device.is_online and not device.has_chunk(chunk.address):
                     missing.append(chunk)
-            if not missing:
-                continue
-            if stripe.replicated:
-                payload = None
-                for index in self._fragment_order(available, by_id):
-                    source = available[index]
-                    payload = self._read_fragment(batch, by_id, source)
-                    if payload is not None:
-                        break
-                if payload is None:
-                    raise UnrecoverableDataError(
-                        f"stripe {stripe.stripe_id}: all replicas lost or corrupted"
-                    )
-                for chunk in missing:
-                    batch.write(by_id[chunk.device_id], chunk.address, payload)
-                continue
-            k = stripe.data_count
-            fragments: Dict[int, bytes] = {}
-            for index in self._fragment_order(available, by_id):
-                if len(fragments) == k:
-                    break
-                payload = self._read_fragment(batch, by_id, available[index])
-                if payload is not None:
-                    fragments[index] = payload
-            if len(fragments) < k:
-                raise UnrecoverableDataError(
-                    f"stripe {stripe.stripe_id}: {len(fragments)} readable fragments, "
-                    f"{k} needed"
-                )
-            codec = self._codec(k, stripe.parity_count)
-            rebuilt = codec.reconstruct_arrays(
-                fragments, [chunk.fragment_index for chunk in missing]
-            )
-            for chunk in missing:
-                batch.write(
-                    by_id[chunk.device_id],
-                    chunk.address,
-                    rebuilt[chunk.fragment_index].tobytes(),
-                )
+            if missing:
+                fragments = self._gather(stripe, batch, by_id)
+                self._regenerate(stripe, fragments, missing, batch, by_id)
         result = self._finish(batch)
         result.degraded = True
         return result
 
-    # ------------------------------------------------------------------
-    # Scrubbing (silent-corruption repair)
-    # ------------------------------------------------------------------
+    def _regenerate(
+        self,
+        stripe: StripeDescriptor,
+        fragments: Dict[int, bytes],
+        chunks: List[ChunkLocation],
+        batch: _IoBatch,
+        by_id: Dict[int, FlashDevice],
+    ) -> None:
+        """Regenerate ``chunks`` of a stripe from fragments in hand, and program them.
+
+        The one place rebuild and scrub turn survivors into repaired chunks:
+        a replicated stripe copies a replica, a parity stripe decodes its
+        ``k`` fragments once and re-derives just the chunks asked for.
+
+        Raises:
+            UnrecoverableDataError: fewer fragments than the stripe needs.
+        """
+        k = stripe.data_count
+        if len(fragments) < k:
+            raise UnrecoverableDataError(
+                f"stripe {stripe.stripe_id}: {len(fragments)} readable fragments, {k} needed"
+            )
+        if stripe.replicated:
+            payload = next(iter(fragments.values()))
+            for chunk in chunks:
+                batch.write(by_id[chunk.device_id], chunk.address, payload)
+            return
+        codec = self._codec(k, stripe.parity_count)
+        rebuilt = codec.reconstruct_arrays(
+            fragments, [chunk.fragment_index for chunk in chunks]
+        )
+        for chunk in chunks:
+            batch.write(
+                by_id[chunk.device_id], chunk.address, rebuilt[chunk.fragment_index].tobytes()
+            )
+
     def scrub(self, keys: Optional[Iterable[ObjectKey]] = None) -> "ScrubReport":
         """Verify checksums and repair silent corruption in place.
 
@@ -952,7 +910,7 @@ class FlashArray:
         healthy fragments of their stripe (replica copy or Reed-Solomon
         reconstruction) and rewritten in place. Objects whose stripes have
         too few healthy fragments are reported as unrecoverable and left
-        untouched (the cache layer purges them on access).
+        untouched (the caller purges them: ``CacheManager.drop_lost``).
 
         Passing ``keys`` makes incremental, prioritized scrubbing possible:
         the scrub scheduler feeds class-ordered batches (and jumps objects
@@ -973,10 +931,6 @@ class FlashArray:
         report.io = self._finish(batch)
         return report
 
-    def scrub_object(self, key: ObjectKey) -> "ScrubReport":
-        """Scrub a single object (see :meth:`scrub`)."""
-        return self.scrub([key])
-
     def _scrub_extent(
         self,
         key: ObjectKey,
@@ -990,6 +944,7 @@ class FlashArray:
         for stripe in extent.stripes:
             good: Dict[int, bytes] = {}
             bad: List[ChunkLocation] = []
+            # Every present chunk is read: that is how scrub finds corruption.
             for chunk in stripe.chunks:
                 device = by_id[chunk.device_id]
                 if not device.has_chunk(chunk.address):
@@ -1002,35 +957,16 @@ class FlashArray:
                     good[chunk.fragment_index] = payload
             if not bad:
                 continue
-            if stripe.replicated:
-                if not good:
-                    object_ok = False
-                    continue
-                replacement = next(iter(good.values()))
-                for chunk in bad:
-                    batch.write(by_id[chunk.device_id], chunk.address, replacement)
-                    report.chunks_repaired += 1
-                continue
-            k = stripe.data_count
-            if len(good) < k:
+            try:
+                # The first k good fragments in slot order decode the stripe.
+                first_k = dict(islice(good.items(), stripe.data_count))
+                self._regenerate(stripe, first_k, bad, batch, by_id)
+            except UnrecoverableDataError:
                 object_ok = False
                 continue
-            codec = self._codec(k, stripe.parity_count)
-            rebuilt = codec.reconstruct(
-                dict(list(good.items())[:k]),
-                [chunk.fragment_index for chunk in bad],
-            )
-            for chunk in bad:
-                batch.write(
-                    by_id[chunk.device_id], chunk.address, rebuilt[chunk.fragment_index]
-                )
-                report.chunks_repaired += 1
+            report.chunks_repaired += len(bad)
         if not object_ok:
             report.unrecoverable_objects.append(key)
-
-    def owner_of_stripe(self, stripe_id: int) -> Optional[ObjectKey]:
-        """The object a stripe belongs to, or None for a retired stripe."""
-        return self._stripe_owners.get(stripe_id)
 
     def corrupt_object_keys(self) -> List[ObjectKey]:
         """Owners of every chunk currently flagged corrupt on some device.

@@ -236,20 +236,12 @@ class FlashDevice:
             service = injector.scale_time(self, service)
         return payload, service
 
-    def delete_chunk(self, address: ChunkAddress) -> None:
-        """Drop a chunk. Deleting a missing chunk raises; deletes are metadata
-        operations and are billed no simulated time (TRIM is asynchronous)."""
-        if self.state is _FAILED:
-            raise DeviceFailedError(self.device_id)
-        if address not in self._chunks:
-            raise ChunkMissingError(f"device {self.device_id}: no chunk at {address}")
-        self.discard_chunk(address)
-
     def discard_chunk(self, address: ChunkAddress) -> None:
         """Drop a chunk if this device still serves it.
 
-        The array's retire path: a chunk on a FAILED device, or one that is
-        already gone, is simply nothing to do (:meth:`delete_chunk` raises).
+        The one way to retire a chunk: a chunk on a FAILED device, or one
+        that is already gone, is simply nothing to do. Deletes are metadata
+        operations billed no simulated time (TRIM is asynchronous).
         """
         if self.state is _FAILED:
             return
@@ -272,8 +264,9 @@ class FlashDevice:
     def verify_chunk(self, address: ChunkAddress) -> bool:
         """Recompute a stored chunk's checksum without billing an I/O.
 
-        Metadata-only integrity probe used by targeted scrubbing and tests;
-        returns False for corrupt bytes, raises for a missing chunk.
+        A metadata-only integrity oracle for tests (scrubbing reads chunks
+        through :meth:`read_chunk`); returns False for corrupt bytes, raises
+        for a missing chunk.
         """
         self._check_serviceable()
         try:

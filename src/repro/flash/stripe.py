@@ -93,9 +93,6 @@ class StripeDescriptor(NamedTuple):
     def data_chunks(self) -> List[ChunkLocation]:
         return [chunk for chunk in self.chunks if chunk.kind is ChunkKind.DATA]
 
-    def redundant_chunks(self) -> List[ChunkLocation]:
-        return [chunk for chunk in self.chunks if chunk.kind is not ChunkKind.DATA]
-
 
 class RedundancyScheme:
     """Base class for per-object redundancy schemes.

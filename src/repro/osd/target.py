@@ -120,10 +120,6 @@ class OsdTarget:
     def objects_in_class(self, class_id: int) -> List[ObjectInfo]:
         return [info for info in self.user_objects() if info.class_id == class_id]
 
-    @property
-    def object_count(self) -> int:
-        return len(self._objects)
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------

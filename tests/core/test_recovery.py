@@ -160,7 +160,7 @@ class TestInterleaving:
         cache.replace_device(0)
         cache.recovery.start()
         cache.recovery.run_to_completion()
-        stats = cache.recovery.decoder_cache_stats
+        stats = cache.array.decoder_cache_stats()
         assert stats["misses"] >= 1
         assert stats["hits"] > stats["misses"]
         assert stats["entries"] <= stats["misses"]

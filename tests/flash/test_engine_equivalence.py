@@ -29,7 +29,7 @@ from repro.faults import (
     TornWrite,
     TransientReadError,
 )
-from repro.flash.array import FlashArray
+from repro.flash.array import FlashArray, ObjectHealth
 from repro.flash.latency import INTEL_540S_SSD
 from repro.flash.stripe import ParityScheme, ReplicationScheme
 
@@ -167,7 +167,7 @@ class Script:
 
     def drop_lost(self):
         for key in sorted(self.sizes):
-            if not self.array.is_readable(key):
+            if self.array.object_health(key) is ObjectHealth.LOST:
                 self.delete(key)
 
     # -- the script ----------------------------------------------------
@@ -194,7 +194,7 @@ class Script:
         self.mixed(80)
         array.replace_device(1)
         for key in sorted(self.sizes):
-            self.note("missing", key, len(array.missing_chunks(key)))
+            self.note("missing", key, len(array.triage_object(key)[0]))
             self.attempt("rebuild", key, lambda: io_snapshot(array.rebuild_object(key)))
         array.replace_device(3)  # the suspect is swapped out as well
         for key in sorted(self.sizes):

@@ -152,7 +152,7 @@ class TestDeviceIntegration:
         assert device.ftl.mapped_pages == 4
         device.write_chunk((0, 0), b"y" * 100)  # overwrite trims then writes
         assert device.ftl.mapped_pages == 2
-        device.delete_chunk((0, 0))
+        device.discard_chunk((0, 0))
         assert device.ftl.mapped_pages == 0
 
     def test_replace_resets_ftl(self):
