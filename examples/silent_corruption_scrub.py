@@ -3,7 +3,7 @@
 
 Flash wear does not only kill whole devices — the paper's introduction
 calls out "partial data loss" from worn cells. This example injects silent
-bit-flips into stored chunks, shows that checksummed reads transparently
+bit-flips into stored chunks, shows that integrity-checked reads transparently
 decode around them, and runs the scrubber to repair the damage using the
 same Reed-Solomon parity that handles device failures.
 
@@ -45,7 +45,8 @@ def main() -> None:
         cache.array.devices[chunk.device_id].corrupt_chunk(chunk.address)
     print(f"injected silent corruption into {len(victims)} objects")
 
-    # Reads still succeed — checksums catch the rot, parity decodes around it.
+    # Reads still succeed — the integrity check catches the rot, parity
+    # decodes around it.
     degraded = sum(1 for name in victims if cache.read(name).degraded)
     print(f"reads survived: {degraded} of {len(victims)} served via degraded decode")
 

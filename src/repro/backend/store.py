@@ -106,11 +106,10 @@ class BackendStore:
 
     @staticmethod
     def _generate(name: str, version: int, size: int) -> bytes:
-        # Raw 64-bit words, eight payload bytes per draw, little-endian so
-        # the content is the same on every host.
-        words = np.random.default_rng(_seed_for(name, version)).bit_generator.random_raw(
-            (size + 7) // 8
-        )
+        # Raw 64-bit words straight from the PCG64 bit generator (the one
+        # ``default_rng`` wraps), eight payload bytes per draw, little-endian
+        # so the content is the same on every host.
+        words = np.random.PCG64(_seed_for(name, version)).random_raw((size + 7) // 8)
         return words.astype("<u8", copy=False).view(np.uint8)[:size].tobytes()
 
     # ------------------------------------------------------------------

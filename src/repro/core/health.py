@@ -6,7 +6,7 @@ Real arrays do not get a courtesy call when a device starts dying: they
 feeds its :attr:`~repro.flash.array.FlashArray.health` hook from every
 finished batch) and maintains, per device:
 
-- an EWMA of the **error rate** (checksum mismatches and transient I/O
+- an EWMA of the **error rate** (corrupt-chunk reads and transient I/O
   errors per operation), and
 - an EWMA of the **service-time slowdown** — observed service seconds
   divided by what the device's own :class:`ServiceTimeModel` predicts for

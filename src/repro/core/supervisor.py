@@ -189,7 +189,7 @@ class ScrubScheduler:
 
     Two work sources, in strict priority order:
 
-    1. **Targeted** — objects owning chunks that already tripped a checksum
+    1. **Targeted** — objects owning chunks that already failed a read check
        (:meth:`FlashArray.corrupt_object_keys`). Damage reads have found is
        repaired at the next idle moment, not at the next sweep.
     2. **Periodic sweep** — every ``interval`` simulated seconds, the whole

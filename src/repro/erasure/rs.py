@@ -120,7 +120,14 @@ class RSCodec:
         self.m = parity_fragments
         self.n = data_fragments + parity_fragments
         if parity_fragments:
-            self._parity_matrix = cauchy_matrix(parity_fragments, data_fragments, self._field)
+            # Plank and Xu's "good Cauchy" form: scale columns so row 0 is all
+            # ones, then rows so column 0 is. Nonzero scalings keep every
+            # square submatrix invertible (MDS), and P parity becomes an XOR.
+            cauchy = cauchy_matrix(parity_fragments, data_fragments, self._field).array
+            table, inv = self._field.mul_table, self._field.inv
+            cauchy = table[[inv(int(c)) for c in cauchy[0]], cauchy]
+            cauchy = table[[[inv(int(c))] for c in cauchy[:, 0]], cauchy]
+            self._parity_matrix = GFMatrix(cauchy, self._field)
         else:
             self._parity_matrix = GFMatrix(
                 np.zeros((0, data_fragments), dtype=np.uint8), self._field
@@ -149,7 +156,7 @@ class RSCodec:
 
     @property
     def parity_matrix(self) -> npt.NDArray[np.uint8]:
-        """The ``(m, k)`` Cauchy parity rows (read-only by convention)."""
+        """The ``(m, k)`` normalized Cauchy parity rows (read-only by convention)."""
         return self._parity_matrix.array
 
     @property

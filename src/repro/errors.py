@@ -72,7 +72,7 @@ class ChunkMissingError(FlashError):
 
 
 class ChunkCorruptedError(FlashError):
-    """Raised when a chunk's content fails its checksum (silent corruption)."""
+    """Raised when a chunk's stored bytes differ from what was programmed (silent corruption)."""
 
 
 class TransientIoError(FlashError):

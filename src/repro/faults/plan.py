@@ -135,8 +135,8 @@ class LatentErrors:
     """Per-read probabilistic bit-rot (latent sector errors).
 
     Each chunk read flips a stored byte with probability ``uber_rate``
-    (uncorrectable-bit-error-rate analogue), so the device's CRC path
-    catches the damage exactly like real silent corruption: the read raises
+    (uncorrectable-bit-error-rate analogue), so the device's read check
+    (stored bytes vs. programmed bytes) catches the damage exactly like real silent corruption: the read raises
     :class:`~repro.errors.ChunkCorruptedError` and the bad address lands in
     the device's ``corrupt_chunks`` set for targeted scrubbing.
 
@@ -206,9 +206,9 @@ class FailSlow:
 class TornWrite:
     """Writes persist a truncated payload with probability ``rate``.
 
-    The device acknowledges the write (and records the checksum of the
-    *intended* payload) but the stored bytes are cut short — a power-fail
-    torn write. The next read of the chunk trips the CRC.
+    The device acknowledges the write (and keeps the *intended* payload as
+    the programmed bytes) but the stored bytes are cut short — a power-fail
+    torn write. The next read of the chunk trips the integrity check.
     """
 
     rate: float

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
-from zlib import crc32
 
 import numpy as np
 
@@ -94,7 +93,7 @@ class DeviceIoSample:
     bytes_written: int = 0
     #: Service seconds billed to the device during the operation.
     seconds: float = 0.0
-    #: Integrity/soft failures the device produced (checksum, transient).
+    #: Integrity/soft failures the device produced (corruption, transient).
     errors: int = 0
 
     def merge(self, other: "DeviceIoSample") -> None:
@@ -456,13 +455,9 @@ class FlashArray:
                         parity = codec.encode_arrays(pack_fragments(raw, k, chunk_length))
                         fragments += [row.tobytes() for row in parity]
                 offset += stripe_payload
-                # One CRC32 per distinct fragment: a replicated stripe is
-                # one byte string sent to every slot, checksummed once.
+                # A replicated stripe is one byte string sent to every slot.
                 if is_replication:
                     fragments *= stripe_width
-                    checksums = [crc32(fragments[0])] * stripe_width
-                else:
-                    checksums = [crc32(fragment) for fragment in fragments]
                 # Rotate by the *global* stripe id so parity lands evenly
                 # across devices regardless of object sizes (§IV-C.3).
                 chunks = tuple(
@@ -489,9 +484,8 @@ class FlashArray:
                     sample = samples.get(device_id)
                     if sample is None:
                         sample = batch._open(by_id[device_id])
-                    index = chunk.fragment_index
                     sample.seconds += by_id[device_id].write_chunk(
-                        chunk.address, fragments[index], checksums[index]
+                        chunk.address, fragments[chunk.fragment_index]
                     )
                     sample.writes += 1
                     sample.bytes_written += chunk_length
@@ -563,7 +557,7 @@ class FlashArray:
     ) -> List[int]:
         """Fragment indices, trusted fragments first.
 
-        Two demotions: fragments whose address already tripped a checksum
+        Two demotions: fragments whose address already failed a read check
         (in the device's ``corrupt_chunks``, awaiting scrub) go last — they
         *will* fail again, and rereading them just feeds error telemetry
         for damage that is already known. Fragments on SUSPECT devices go
@@ -591,7 +585,7 @@ class FlashArray:
         The one place that decides which fragments a degraded read and a
         rebuild pull, and in what order. Stops at one replica, or at ``k``
         fragments of a parity stripe; a fragment that fails to read
-        (checksum, transient fault) marks the batch degraded and the next
+        (corruption, transient fault) marks the batch degraded and the next
         survivor takes its place.
 
         Raises:
@@ -903,7 +897,7 @@ class FlashArray:
             )
 
     def scrub(self, keys: Optional[Iterable[ObjectKey]] = None) -> "ScrubReport":
-        """Verify checksums and repair silent corruption in place.
+        """Verify stored chunks and repair silent corruption in place.
 
         Walks every stored chunk of the given ``keys`` (default: every
         object — a full sweep). Corrupted fragments are regenerated from the
@@ -971,8 +965,8 @@ class FlashArray:
     def corrupt_object_keys(self) -> List[ObjectKey]:
         """Owners of every chunk currently flagged corrupt on some device.
 
-        Fed by the devices' ``corrupt_chunks`` sets (recorded on checksum
-        mismatch), this is the targeted-scrub worklist: repair exactly what
+        Fed by the devices' ``corrupt_chunks`` sets (recorded on a failed
+        integrity check), this is the targeted-scrub worklist: repair exactly what
         reads have tripped over, without a full sweep. Deterministic order
         (device id, then address) so campaigns replay identically.
         """

@@ -10,14 +10,21 @@ fresh spare that background recovery repopulates.
 A light flash-wear model is included: program and erase counters per device,
 so experiments can report write amplification and wear imbalance even though
 the paper itself does not fail devices by wear-out.
+
+Integrity is checked by provenance, not by a checksum. A stored chunk is an
+immutable ``bytes`` that the device *replaces* and never mutates — only
+:meth:`~FlashDevice.write_chunk`, :meth:`~FlashDevice.corrupt_stored` and
+:meth:`~FlashDevice.tear_stored` put a new object in its slot — so a read
+whose stored object *is* the one programmed there is clean, and any other
+object is compared with the programmed bytes in full. Every corruption the
+fault model produces is caught on the next read, with no collision odds.
 """
 
 from __future__ import annotations
 
 import enum
-import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.errors import (
     ChunkCorruptedError,
@@ -109,11 +116,11 @@ class FlashDevice:
         if self.capacity_bytes <= 0:
             raise ValueError("device capacity must be positive")
         self._chunks: Dict[ChunkAddress, bytes] = {}
-        #: CRC32 recorded at program time, verified on every read — the
-        #: defence against silent (bit-rot) corruption.
-        self._checksums: Dict[ChunkAddress, int] = {}
+        #: The object each address was programmed with, checked on every
+        #: read — the defence against silent (bit-rot) corruption.
+        self._programmed: Dict[ChunkAddress, bytes] = {}
         self._used = 0
-        #: Addresses whose last read failed its checksum, still unrepaired.
+        #: Addresses whose last read failed its integrity check, unrepaired.
         #: Lets the health monitor and the scrub scheduler target the damage
         #: without a full sweep; a successful rewrite clears the entry.
         self.corrupt_chunks: Set[ChunkAddress] = set()
@@ -147,15 +154,11 @@ class FlashDevice:
     # ------------------------------------------------------------------
     # I/O — each call returns the simulated service time in seconds.
     # ------------------------------------------------------------------
-    def write_chunk(
-        self, address: ChunkAddress, payload: bytes, checksum: Optional[int] = None
-    ) -> float:
+    def write_chunk(self, address: ChunkAddress, payload: bytes) -> float:
         """Store (or overwrite) a chunk; returns the simulated service time.
 
-        ``checksum`` is the caller's ``zlib.crc32(payload)`` when it already
-        has it (the array computes it once for the byte string every replica
-        of a stripe shares); it is recorded as given and verified on every
-        read, so a wrong value fails safe as a checksum mismatch.
+        A ``bytes`` payload is stored as is, so the replicas of a stripe
+        share one object; it also becomes the chunk's programmed bytes.
         """
         if self.state is _FAILED:
             raise DeviceFailedError(self.device_id)
@@ -180,8 +183,7 @@ class FlashDevice:
             stats.erases += 1
             if ftl is not None:
                 ftl.trim_extent(address, len(previous))
-        self._chunks[address] = bytes(payload)
-        self._checksums[address] = zlib.crc32(payload) if checksum is None else checksum
+        self._chunks[address] = self._programmed[address] = bytes(payload)
         self._used = new_used
         self.corrupt_chunks.discard(address)
         if ftl is not None:
@@ -202,8 +204,8 @@ class FlashDevice:
 
         Raises:
             ChunkMissingError: no chunk at the address.
-            ChunkCorruptedError: the stored bytes fail their program-time
-                checksum; the address is remembered in :attr:`corrupt_chunks`
+            ChunkCorruptedError: the stored bytes differ from the programmed
+                ones; the address is remembered in :attr:`corrupt_chunks`
                 until a rewrite repairs it.
             TransientIoError: injected soft failure; the chunk is intact.
         """
@@ -212,7 +214,7 @@ class FlashDevice:
         injector = self.fault_injector
         if injector is not None:
             # May raise TransientIoError, rot the stored bytes (caught by
-            # the CRC check below), or fire a due fail-stop on any device.
+            # the integrity check below), or fire a due fail-stop on any device.
             injector.on_read(self, address)
             if self.state is _FAILED:
                 raise DeviceFailedError(self.device_id)
@@ -226,10 +228,11 @@ class FlashDevice:
         stats = self.stats
         stats.reads += 1
         stats.bytes_read += length
-        if zlib.crc32(payload) != self._checksums[address]:
+        programmed = self._programmed[address]
+        if payload is not programmed and payload != programmed:
             self.corrupt_chunks.add(address)
             raise ChunkCorruptedError(
-                f"device {self.device_id}: checksum mismatch at {address}"
+                f"device {self.device_id}: stored bytes differ at {address}"
             )
         service = self.model.read_time(length)
         if injector is not None:
@@ -248,7 +251,7 @@ class FlashDevice:
         payload = self._chunks.pop(address, None)
         if payload is None:
             return
-        self._checksums.pop(address, None)
+        del self._programmed[address]
         self.corrupt_chunks.discard(address)
         self._used -= len(payload)
         stats = self.stats
@@ -262,7 +265,7 @@ class FlashDevice:
         return self.state is not _FAILED and address in self._chunks
 
     def verify_chunk(self, address: ChunkAddress) -> bool:
-        """Recompute a stored chunk's checksum without billing an I/O.
+        """Check a stored chunk's integrity without billing an I/O.
 
         A metadata-only integrity oracle for tests (scrubbing reads chunks
         through :meth:`read_chunk`); returns False for corrupt bytes, raises
@@ -275,7 +278,8 @@ class FlashDevice:
             raise ChunkMissingError(
                 f"device {self.device_id}: no chunk at {address}"
             ) from None
-        return zlib.crc32(payload) == self._checksums[address]
+        programmed = self._programmed[address]
+        return payload is programmed or payload == programmed
 
     # ------------------------------------------------------------------
     # Failure lifecycle
@@ -293,7 +297,7 @@ class FlashDevice:
         """Fault injection: flip bits in a stored chunk (silent corruption).
 
         The chunk stays present and readable-looking; the next read trips
-        the checksum and raises :class:`ChunkCorruptedError`.
+        the integrity check and raises :class:`ChunkCorruptedError`.
         """
         self.corrupt_stored(address, offset=0, flip=0xFF)
 
@@ -301,8 +305,8 @@ class FlashDevice:
         """XOR ``flip`` into stored byte ``offset % len`` (latent bit-rot).
 
         Returns True when bytes actually changed (empty chunks and a zero
-        ``flip`` cannot rot). The program-time checksum is left untouched,
-        so the next read raises :class:`ChunkCorruptedError`.
+        ``flip`` cannot rot). The programmed bytes are left untouched, so
+        the next read raises :class:`ChunkCorruptedError`.
         """
         self._check_serviceable()
         try:
@@ -320,8 +324,8 @@ class FlashDevice:
     def tear_stored(self, address: ChunkAddress, keep_fraction: float) -> bool:
         """Truncate a stored chunk to a prefix (torn-write injection).
 
-        The recorded checksum still describes the *intended* payload, so the
-        next read trips the CRC — the acknowledged-but-not-durable outcome
+        The programmed bytes still hold the *intended* payload, so the next
+        read trips the integrity check — the acknowledged-but-not-durable outcome
         of a power-fail torn write. A fraction that would keep every byte
         flips the final byte instead so the write is still detectably torn.
         Returns True when the stored bytes changed.
@@ -348,7 +352,7 @@ class FlashDevice:
     def replace(self) -> None:
         """Swap in a fresh spare at this slot: empty, online, zero queue."""
         self._chunks.clear()
-        self._checksums.clear()
+        self._programmed.clear()
         self.corrupt_chunks.clear()
         self._used = 0
         self.state = DeviceState.ONLINE

@@ -24,7 +24,9 @@ Reliability model:
 - **Coalescing** — symmetric with the server: requests are enqueued on a
   per-connection :class:`~repro.net.flush.StreamFlusher` as un-copied
   ``[frame prefix, header, payload]`` segments, so pipelined commands
-  issued in the same event-loop tick share one ``writelines``; responses
+  issued in the same event-loop tick share one ``writelines`` (which joins
+  the segments into one copy before CPython 3.12 and sends them with
+  ``sendmsg`` from 3.12); responses
   land straight in the zero-copy
   :class:`~repro.osd.transport.FrameDecoder` via the
   :class:`asyncio.BufferedProtocol` receive path (no StreamReader

@@ -10,7 +10,8 @@ Each PDU travels as a 4-byte big-endian length prefix followed by the PDU
 bytes. The PDU's internal header length does not bound its data segment,
 so the outer frame is what lets a stream receiver know where one PDU ends
 and the next begins. :func:`frame_pdu` / :func:`frame_parts` wrap a PDU
-(joined, or as un-copied segments for ``writelines``);
+(joined, or as un-copied segments for ``writelines``, which joins them
+itself before CPython 3.12 and sends them with ``sendmsg`` from 3.12);
 :func:`frame_length` validates a prefix against the size limit *before*
 the body is buffered; :class:`FrameDecoder` reassembles frames from
 arbitrary chunks, zero-copy, and doubles as the receive buffer of an
@@ -53,8 +54,10 @@ def frame_parts(parts: Sequence[Buffer], max_bytes: int = wire.MAX_PDU_BYTES) ->
     """Frame a PDU given as segments, without concatenating them.
 
     The vectored twin of :func:`frame_pdu`: returns ``[prefix, *parts]``
-    ready for ``StreamWriter.writelines``, so a large payload segment is
-    never copied into a joined frame just to be written.
+    ready for ``StreamWriter.writelines``, so framing never copies a large
+    payload segment. The transport's ``writelines`` still joins the
+    segments once before CPython 3.12; from 3.12 it sends them with
+    ``sendmsg``.
     """
     total = sum(len(part) for part in parts)
     if total > max_bytes:

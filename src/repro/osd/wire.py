@@ -33,8 +33,10 @@ PDU slices straight off its receive buffer without materializing an
 intermediate copy — the data segment is copied exactly once, into the
 command/response payload. On the send side the ``encode_*_parts``
 variants return the PDU as ``[header segment, payload]`` buffers for
-``writelines``-style send paths, so large payloads are never concatenated
-into a fresh PDU bytestring just to be written.
+``writelines``-style send paths, so the encoder never concatenates a
+large payload into a fresh PDU bytestring. (The transport may: before
+CPython 3.12 the selector transport's ``writelines`` is a ``b"".join``
+followed by ``write``; from 3.12 it sends the segments with ``sendmsg``.)
 """
 
 from __future__ import annotations

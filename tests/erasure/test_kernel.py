@@ -13,6 +13,7 @@ Three concerns from the erasure-kernel rework:
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -246,3 +247,48 @@ class TestAsArrayZeroCopy:
     def test_non_uint8_array_rejected(self):
         with pytest.raises(ErasureError):
             _as_array(np.arange(4, dtype=np.int32))
+
+
+# ----------------------------------------------------------------------
+# Normalized ("good Cauchy") parity block
+# ----------------------------------------------------------------------
+GEOMETRIES = [(k, m) for k in range(1, 11) for m in range(1, 5)]
+
+
+@pytest.mark.parametrize("k,m", GEOMETRIES)
+def test_parity_block_is_xor_first_and_mds(k, m):
+    codec = RSCodec(k, m)
+    parity = codec.parity_matrix
+    assert (parity[0] == 1).all() and (parity[:, 0] == 1).all()
+    subsets = itertools.combinations(range(k + m), k)
+    if math.comb(k + m, k) > 5000:
+        rng = np.random.default_rng(k * 100 + m)
+        subsets = (sorted(rng.choice(k + m, size=k, replace=False)) for _ in range(500))
+    for chosen in subsets:
+        codec._generator.select_rows(chosen).invert()  # raises if singular
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    geometry=st.sampled_from(GEOMETRIES),
+    length=st.integers(min_value=1, max_value=200),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_round_trips_match_the_seed_kernel(geometry, length, seed):
+    k, m = geometry
+    codec = RSCodec(k, m)
+    rng = np.random.default_rng(seed)
+    data = make_fragments(k, length, seed=seed)
+    stripe = dict(enumerate(codec.encode_stripe(data)))
+    assert [stripe[k + row] for row in range(m)] == ref.encode_reference(codec, data)
+    erased = rng.choice(k + m, size=int(rng.integers(0, m + 1)), replace=False)
+    survivors = {i: frag for i, frag in stripe.items() if i not in erased}
+    assert codec.decode(survivors) == ref.decode_reference(codec, survivors) == data
+
+
+def test_single_data_erasure_decodes_through_p_by_xor():
+    codec = RSCodec(3, 2)
+    data = make_fragments(3, 64, seed=9)
+    stripe = dict(enumerate(codec.encode_stripe(data)))
+    assert codec.decode({1: stripe[1], 2: stripe[2], 3: stripe[3]}) == data
+    assert (codec._decoder_for((1, 2, 3))[0] == 1).all()

@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ChunkCorruptedError,
@@ -119,7 +121,7 @@ class TestDiscard:
 
     @staticmethod
     def worn_device():
-        """A device with an FTL, two chunks and a tripped checksum on one."""
+        """A device with an FTL, two chunks and a tripped integrity check on one."""
         device = make_device(capacity=4096)
         device.ftl = PageMappedFtl(FtlConfig(page_size=64, pages_per_block=4, num_blocks=16))
         device.write_chunk((0, 0), b"a" * 200)
@@ -136,7 +138,7 @@ class TestDiscard:
             device.used_bytes,
             device.chunk_count,
             set(device.corrupt_chunks),
-            (0, 0) in device._checksums,
+            (0, 0) in device._programmed,
             device.ftl.mapped_pages,
             dataclasses.astuple(device.ftl.stats),
         )
@@ -147,7 +149,7 @@ class TestDiscard:
         assert discarded.stats.deletes == discarded.stats.erases == 1
         assert discarded.used_bytes == 100
         assert discarded.corrupt_chunks == set()
-        assert (0, 0) not in discarded._checksums
+        assert (0, 0) not in discarded._programmed
         assert discarded.ftl.mapped_pages == 2  # the 100-byte chunk's pages
         assert not discarded.has_chunk((0, 0))
 
@@ -295,3 +297,72 @@ class TestCorruptionTracking:
         device.write_chunk((0, 0), b"abcd")
         assert device.tear_stored((0, 0), keep_fraction=1.0)
         assert not device.verify_chunk((0, 0))
+
+
+ADDRESSES = ((0, 0), (0, 1), (1, 0))
+addresses = st.sampled_from(ADDRESSES)
+steps = st.one_of(
+    st.tuples(st.just("write"), addresses, st.binary(max_size=24)),
+    st.tuples(st.just("rewrite"), addresses),
+    st.tuples(st.just("rot"), addresses, st.integers(0, 64), st.integers(0, 255)),
+    st.tuples(st.just("tear"), addresses, st.floats(0.0, 1.0)),
+    st.tuples(st.just("corrupt"), addresses),
+    st.tuples(st.just("swap"), addresses),
+    st.tuples(st.just("discard"), addresses),
+    st.tuples(st.just("replace")),
+)
+
+
+class TestProvenanceIntegrity:
+    """A read fails exactly when the stored bytes differ from the programmed ones."""
+
+    @given(st.lists(steps, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_reads_trip_exactly_on_changed_bytes(self, script):
+        device = make_device(capacity=4096)
+        programmed = {}  # the model: last bytes each address was programmed with
+        corrupt = set()
+        for op, *args in script:
+            address = args[0] if args else None
+            if op == "write":
+                device.write_chunk(address, args[1])
+                programmed[address] = args[1]
+                corrupt.discard(address)
+            elif op == "replace":
+                device.replace()
+                programmed.clear()
+                corrupt.clear()
+            elif op == "discard":
+                device.discard_chunk(address)
+                programmed.pop(address, None)
+                corrupt.discard(address)
+            elif address not in programmed:
+                continue  # nothing stored to damage or rewrite
+            elif op == "rewrite":  # a repair: program the intended bytes again
+                device.write_chunk(address, bytearray(programmed[address]))
+                corrupt.discard(address)
+            elif op == "rot":
+                before = device._chunks[address]
+                changed = device.corrupt_stored(address, offset=args[1], flip=args[2])
+                assert changed == (device._chunks[address] != before)
+            elif op == "tear":
+                device.tear_stored(address, keep_fraction=args[1])
+            elif op == "corrupt":
+                device.corrupt_chunk(address)
+            else:  # swap in an equal copy: the bytes decide, not the object
+                device._chunks[address] = bytes(bytearray(device._chunks[address]))
+
+            for checked in ADDRESSES:
+                if checked not in programmed:
+                    assert not device.has_chunk(checked)
+                    continue
+                damaged = device._chunks[checked] != programmed[checked]
+                assert device.verify_chunk(checked) is not damaged
+                if damaged:
+                    with pytest.raises(ChunkCorruptedError):
+                        device.read_chunk(checked)
+                    corrupt.add(checked)
+                else:
+                    assert device.read_chunk(checked)[0] == programmed[checked]
+            assert device.corrupt_chunks == corrupt
+            assert device.used_bytes == sum(len(device._chunks[a]) for a in programmed)
