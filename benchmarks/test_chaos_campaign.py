@@ -36,12 +36,14 @@ def test_chaos_campaign(emit, tmp_path):
     assert first.rehome["shard_id"] == first.victim_shard
     assert first.detection_latency_s >= 0.0
     assert first.degraded_window_reads > 0
-    assert first.hedged_reads > 0
+    assert first.router.hedged_reads > 0
+    # The window's hedges are a share of the run's, not the whole run.
+    assert first.window_hedged_reads <= first.router.hedged_reads
 
     # Determinism: an identical seed reproduces the ledger byte-for-byte.
     # Wall-clock metrics (detection latency, throughput) legitimately
     # differ; the durability record must not.
     second = run_chaos_campaign(seed=SEED)
-    replay = second.write_ledger_json(tmp_path).read_bytes()
-    assert first.write_ledger_json().read_bytes() == replay == committed
+    replay = second.write_json(tmp_path).read_bytes()
+    assert first.write_json().read_bytes() == replay == committed
 

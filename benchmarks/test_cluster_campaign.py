@@ -30,5 +30,5 @@ def test_cluster_campaign(tmp_path):
     assert first.degraded_reads > 0 and first.mirror_failovers > 0
 
     second = run_cluster_campaign(seed=SEED)
-    replay = second.write_ledger_json(tmp_path).read_bytes()
-    assert first.write_ledger_json().read_bytes() == replay == committed
+    replay = second.write_json(tmp_path).read_bytes()
+    assert first.write_json().read_bytes() == replay == committed

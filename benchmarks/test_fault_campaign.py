@@ -22,7 +22,7 @@ def test_fault_campaign(emit):
     # The committed baseline was produced with exactly this configuration;
     # the campaign is deterministic per (profile, seed).
     result = run_fault_campaign(profile=PROFILES["fast"], seed=20190707)
-    fresh = compare_bench.load(result.write_bench_json())
+    fresh = compare_bench.load(result.write_json())
     emit("fault_campaign", result.format())
 
     # The campaign's contract: no protected-class object may be lost, every

@@ -42,6 +42,10 @@ from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
 
 __all__ = ["AccessResult", "CacheManager", "CachedObject"]
 
+#: Share of the array's capacity kept free; it absorbs per-device imbalance
+#: from rotated parity and uneven tail chunks.
+CAPACITY_MARGIN = 0.02
+
 
 @dataclass
 class CachedObject:
@@ -81,25 +85,14 @@ class CacheManager:
         budget: Optional[RedundancyBudget] = None,
         hotness: Optional[HotnessTracker] = None,
         reclassify_interval: int = 1000,
-        capacity_margin: float = 0.02,
-        partition: int = PARTITION_BASE,
-        admit_while_degraded: bool = False,
         eviction: Optional[EvictionPolicy] = None,
     ) -> None:
         """
         Args:
             eviction: replacement policy; LRU (the paper's) when omitted.
-            admit_while_degraded: whether clean misses may be admitted while
-                the array has failed, un-replaced devices. Off by default:
-                like most degraded arrays, the cache serves what it holds
-                but does not take on new clean data until repaired (dirty
-                writes are still accepted — reliability first). This is what
-                keeps the paper's Fig. 8 hit-ratio levels flat per window.
         """
         if reclassify_interval < 1:
             raise ValueError("reclassify interval must be >= 1")
-        if not 0.0 <= capacity_margin < 0.5:
-            raise ValueError("capacity margin must be in [0, 0.5)")
         self.initiator = initiator
         self.target = initiator.target
         self.array = self.target.array
@@ -108,9 +101,6 @@ class CacheManager:
         self.hotness = hotness or HotnessTracker()
         self.stats = CacheStats()
         self.reclassify_interval = reclassify_interval
-        self.capacity_margin = capacity_margin
-        self.admit_while_degraded = admit_while_degraded
-        self._partition = partition
         self._objects: Dict[str, CachedObject] = {}
         self._by_oid: Dict[ObjectId, str] = {}
         # `is not None`, not `or`: an empty policy is falsy via __len__.
@@ -119,9 +109,6 @@ class CacheManager:
         )
         self._next_oid = FIRST_USER_OID
         self._reads_since_reclassify = 0
-        #: Optional background dirty flusher (set via ReoCache.build or
-        #: directly); stepped after every client write.
-        self.flusher = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -146,12 +133,8 @@ class CacheManager:
 
     @property
     def usable_capacity(self) -> float:
-        """Stored-byte capacity the manager will fill to (margin applied).
-
-        The margin absorbs per-device imbalance from rotated parity and
-        uneven tail chunks.
-        """
-        return self.array.capacity_bytes * (1.0 - self.capacity_margin)
+        """Stored-byte capacity the manager will fill to (margin applied)."""
+        return self.array.capacity_bytes * (1.0 - CAPACITY_MARGIN)
 
     @property
     def dirty_count(self) -> int:
@@ -201,7 +184,11 @@ class CacheManager:
         payload, backend_latency = self.backend.read(name)
         self.stats.bytes_from_backend += len(payload)
         version = self.backend.version_of(name)
-        if self.admit_while_degraded or not self.is_degraded:
+        # Like most degraded arrays, the cache serves what it holds but takes
+        # on no new clean data until repaired (dirty writes are still
+        # accepted). This keeps the paper's Fig. 8 hit-ratio levels flat per
+        # window.
+        if not self.is_degraded:
             self._admit(name, payload, dirty=False, version=version)
         return AccessResult(
             name=name,
@@ -236,8 +223,6 @@ class CacheManager:
             elapsed = self._rewrite_dirty(cached, payload, new_version)
         else:
             elapsed = self._admit(name, payload, dirty=True, version=new_version)
-        if self.flusher is not None:
-            self.flusher.step()
         return AccessResult(
             name=name,
             hit=cached is not None,
@@ -493,25 +478,6 @@ class CacheManager:
         self.target.redundancy_reserve_full = self.budget.is_full
         return changed
 
-    def reclassify_object(self, name: str) -> bool:
-        """Re-evaluate one clean object's class immediately.
-
-        Used after a background flush turns a dirty object clean: it leaves
-        the replicated Class 1 for hot or cold as its H value (and the
-        budget) dictate, releasing replica space without waiting for the
-        next periodic pass. Returns True when the object was re-encoded.
-        """
-        cached = self._objects.get(name)
-        if cached is None or cached.dirty:
-            return False
-        hot = self.hotness.is_hot(name)
-        if hot and self.budget is not None:
-            hot = self.budget.can_afford_hot(cached.size)
-        desired = classify(is_metadata=False, dirty=False, hot=hot)
-        if int(desired) == cached.class_id:
-            return False
-        return bool(self._apply_class_change(name, desired))
-
     def _apply_class_change(self, name: str, desired: ObjectClass) -> int:
         """Re-encode one object under its new class; returns 1 on success.
 
@@ -556,7 +522,7 @@ class CacheManager:
     # Internals
     # ------------------------------------------------------------------
     def _allocate_oid(self) -> ObjectId:
-        object_id = ObjectId(self._partition, self._next_oid)
+        object_id = ObjectId(PARTITION_BASE, self._next_oid)
         self._next_oid += 1
         return object_id
 

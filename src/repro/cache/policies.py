@@ -16,8 +16,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Generic, Iterator, TypeVar
 
-from repro.cache.lru import LruQueue
-
 __all__ = [
     "ArcPolicy",
     "ClockPolicy",
@@ -69,16 +67,20 @@ class LruPolicy(EvictionPolicy[K]):
     name = "lru"
 
     def __init__(self) -> None:
-        self._queue: LruQueue[K] = LruQueue()
+        self._queue: "OrderedDict[K, None]" = OrderedDict()
 
     def touch(self, key: K) -> None:
-        self._queue.touch(key)
+        if key in self._queue:
+            self._queue.move_to_end(key)
+        else:
+            self._queue[key] = None
 
     def discard(self, key: K) -> None:
-        self._queue.discard(key)
+        self._queue.pop(key, None)
 
     def pop_victim(self) -> K:
-        return self._queue.pop_lru()
+        key, _ = self._queue.popitem(last=False)
+        return key
 
     def __iter__(self) -> Iterator[K]:
         return iter(self._queue)
@@ -301,7 +303,7 @@ _POLICIES = {
 
 
 def make_eviction_policy(name: str) -> EvictionPolicy:
-    """Factory by name: ``lru`` (default), ``fifo``, ``lfu``, ``clock``."""
+    """Factory by name: ``lru`` (default), ``fifo``, ``lfu``, ``clock``, ``arc``."""
     try:
         return _POLICIES[name]()
     except KeyError:

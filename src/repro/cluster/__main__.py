@@ -6,15 +6,9 @@ interrupted, printing each shard's endpoint and the epoch-1 map.
 ``--smoke`` runs the CI smoke cycle instead and exits non-zero on any
 failure: write a seeded object population through the router (all three
 redundancy classes), verify every object byte-exact, condemn one shard and
-re-home it, then verify byte-exact again on the shrunken cluster.
-
-``--chaos-smoke`` runs the seeded chaos campaign end to end (partition
-burst + flapping link + fail-slow ramp over a routed workload, on the
-campaign's 4-shard geometry) and exits non-zero unless the fail-slow
-shard was condemned *by the failure detector* — never by the campaign —
-with zero protected-class losses. Like ``--smoke`` it gates only on
-behaviour, never on timing: shared CI runners make latency assertions
-flaky, so those live in the bench suite.
+re-home it, then verify byte-exact again on the shrunken cluster. It
+gates only on behaviour, never on timing: shared CI runners make latency
+assertions flaky, so those live in the bench suite.
 """
 
 from __future__ import annotations
@@ -79,33 +73,6 @@ async def _smoke(shards: int, host: str, seed: int) -> int:
             await router.aclose()
 
 
-def _chaos_smoke(seed: int) -> int:
-    """CI chaos cycle: seeded chaos schedule, automatic condemn asserted."""
-    from repro.experiments.campaign import CampaignLossError
-    from repro.experiments.chaos_campaign import (
-        ChaosCampaignError,
-        run_chaos_campaign,
-    )
-
-    try:
-        result = run_chaos_campaign(seed=seed)
-    except (CampaignLossError, ChaosCampaignError) as exc:
-        print(f"chaos-smoke: FAILED: {exc}")
-        return 1
-    if result.auto_condemns != 1 or result.rehome.get("shard_id") != result.victim_shard:
-        print("chaos-smoke: fail-slow shard was not autonomously condemned")
-        return 1
-    if result.protected_losses:
-        print(f"chaos-smoke: {result.protected_losses} protected objects lost")
-        return 1
-    print(result.format())
-    print(
-        f"chaos-smoke: shard {result.victim_shard} condemned by the "
-        f"detector verdict, 0 protected losses (seed {seed})"
-    )
-    return 0
-
-
 async def _serve(shards: int, host: str) -> None:
     async with ClusterService(shards, host) as service:
         print(f"cluster map epoch {service.cluster_map.epoch}:")  # type: ignore[union-attr]
@@ -131,20 +98,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="run the write/verify/condemn/re-home/verify cycle and exit",
     )
-    parser.add_argument(
-        "--chaos-smoke",
-        action="store_true",
-        help="run the seeded chaos campaign (4-shard geometry, --shards "
-        "ignored) and exit non-zero unless the detector condemned the "
-        "fail-slow shard with zero protected losses",
-    )
     args = parser.parse_args(argv)
-    if args.smoke and args.chaos_smoke:
-        parser.error("--smoke and --chaos-smoke are mutually exclusive")
     if args.shards < 1 or (args.smoke and args.shards < 2):
         parser.error("--shards must be >= 1 (>= 2 for --smoke)")
-    if args.chaos_smoke:
-        return _chaos_smoke(args.seed)
     if args.smoke:
         return asyncio.run(_smoke(args.shards, args.host, args.seed))
     try:

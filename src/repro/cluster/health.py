@@ -87,16 +87,6 @@ class ShardHealth(HealthRecord):
     _baseline_sum: float = field(default=0.0, repr=False)
     _baseline_count: int = field(default=0, repr=False)
 
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "state": self.state,
-            "ops": self.ops,
-            "errors": self.errors,
-            "error_ewma": round(self.error_ewma, 6),
-            "slowdown_ewma": round(self.slowdown_ewma, 6),
-            "baseline": None if self.baseline is None else round(self.baseline, 6),
-        }
-
 
 class ShardTransition(NamedTuple):
     """One detector state-machine step for one shard."""
@@ -182,12 +172,6 @@ class ShardHealthMonitor(TransitionLog[ShardTransition]):
 
     def state_of(self, shard_id: int) -> str:
         return self.health_of(shard_id).state
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        return {
-            str(shard_id): self.shards[shard_id].snapshot()
-            for shard_id in sorted(self.shards)
-        }
 
 
 class ShardProbe:

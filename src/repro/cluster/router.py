@@ -31,13 +31,13 @@ Degraded-mode hardening (the chaos-PR additions):
   shard's breaker and subsequent calls fast-fail locally instead of
   serializing behind timeouts; half-open trials let it recover. Any reply
   (even ``WRONG_SHARD`` or FAIL) closes the breaker.
-- **Per-operation deadline budget** — ``op_deadline`` (or an explicit
-  ``deadline=`` per call) bounds a whole public operation: all retries,
-  redirects, and redundancy legs share one absolute budget.
+- **Per-operation deadline budget** — a ``deadline=`` per call bounds a
+  whole public operation: all retries, redirects, and redundancy legs share
+  one absolute budget.
 - **Hedged reads** — when the health monitor sees the primary mirror
-  running pathologically slow, mirrored reads race both legs and take the
-  first OK answer; the losing leg drains in the background so its latency
-  still feeds the detector.
+  running :data:`HEDGE_SLOWDOWN` times slow, mirrored reads race both legs
+  and take the first OK answer; the losing leg drains in the background so
+  its latency still feeds the detector.
 - **Health feed** — every shard round trip is reported to an attached
   :class:`~repro.cluster.health.ShardHealthMonitor`, making routed traffic
   the passive half of the failure detector.
@@ -57,7 +57,7 @@ from repro.cluster.map import (
     STRIPE_PARTITION_OFFSET,
     fragment_object_id,
 )
-from repro.core.policy import CLASS_LAYOUT
+from repro.core.policy import CLASS_LAYOUT, SHARD_STRIPE
 from repro.erasure.rs import RSCodec
 from repro.errors import OsdError, UnrecoverableDataError
 from repro.net.client import AsyncOsdClient, ClientStats, OsdServiceError
@@ -81,6 +81,8 @@ __all__ = [
 #: (unpadded) parent payload size.
 FRAGMENT_HEADER = struct.Struct(">4sBBBBQ")
 _FRAGMENT_MAGIC = b"RSF1"
+#: Primary-shard slowdown EWMA at which mirrored reads hedge.
+HEDGE_SLOWDOWN = 3.0
 
 
 def encode_fragment(
@@ -129,36 +131,21 @@ class RouterClient:
         self,
         cluster_map: ClusterMap,
         *,
-        pool_size: int = 1,
         timeout: float = 2.0,
         retry: Optional[RetryPolicy] = None,
-        data_fragments: int = 4,
-        parity_fragments: int = 2,
         max_redirects: int = 4,
-        op_deadline: Optional[float] = None,
         breaker_policy: Optional[BreakerPolicy] = None,
         health_monitor: Optional[object] = None,
-        hedge_slowdown: float = 3.0,
     ) -> None:
-        if data_fragments < 1 or parity_fragments < 0:
-            raise ValueError("stripe geometry must have k >= 1, m >= 0")
-        if op_deadline is not None and op_deadline <= 0.0:
-            raise ValueError("op_deadline must be positive seconds")
         self.cluster_map = cluster_map
-        self.pool_size = pool_size
         self.timeout = timeout
         self.retry = retry or RetryPolicy()
-        self.codec = RSCodec(data_fragments, parity_fragments)
+        self.codec = RSCodec(*SHARD_STRIPE)
         self.max_redirects = max_redirects
-        #: Total wall budget per public operation (retries + redirects +
-        #: redundancy legs share it); None disables the budget.
-        self.op_deadline = op_deadline
         #: Duck-typed :class:`~repro.cluster.health.ShardHealthMonitor`:
         #: every shard round trip is reported via ``observe()`` so passive
         #: traffic feeds the failure detector alongside active probes.
         self.health_monitor = health_monitor
-        #: Primary-shard slowdown EWMA at which mirrored reads hedge.
-        self.hedge_slowdown = hedge_slowdown
         self.breakers = BreakerBank(breaker_policy)
         self.router_stats = RouterStats()
         self._clients: Dict[int, AsyncOsdClient] = {}
@@ -167,7 +154,7 @@ class RouterClient:
         #: hedging would starve the very detector that triggers it.
         self._hedge_tasks: set = set()
         #: Object id → layout ("plain" | "mirror" | "stripe") for the read
-        #: path. Unknown objects are read as plain with mirror fallback.
+        #: path. Unknown objects are read as plain: rank 0, healing redirects.
         self._layouts: Dict[ObjectId, str] = {}
         #: Partitions created through this router (plus their stripe
         #: shadows) — the census surface for the rebalance supervisor.
@@ -186,7 +173,7 @@ class RouterClient:
         return True
 
     def client(self, shard_id: int) -> AsyncOsdClient:
-        """The pooled client for one shard (created on first use)."""
+        """The client for one shard (created on first use), one socket each."""
         existing = self._clients.get(shard_id)
         if existing is not None:
             return existing
@@ -194,7 +181,7 @@ class RouterClient:
         created = AsyncOsdClient(
             shard.host,
             shard.port,
-            pool_size=self.pool_size,
+            pool_size=1,
             timeout=self.timeout,
             retry=self.retry,
         )
@@ -269,12 +256,6 @@ class RouterClient:
     # ------------------------------------------------------------------
     # Routed submission
     # ------------------------------------------------------------------
-    def _op_deadline(self) -> Optional[float]:
-        """The absolute deadline for an operation starting now (or None)."""
-        if self.op_deadline is None:
-            return None
-        return asyncio.get_running_loop().time() + self.op_deadline
-
     async def _submit(
         self,
         shard_id: int,
@@ -387,8 +368,6 @@ class RouterClient:
         landed, so no orphan fragment or stale mirror copy outlives it.
         """
         self.known_partitions.add(object_id.pid)
-        if deadline is None:
-            deadline = self._op_deadline()
         previous = self._layouts.get(object_id)
         layout = CLASS_LAYOUT.get(class_id, "plain")
         if layout == "mirror":
@@ -474,8 +453,6 @@ class RouterClient:
     async def read(
         self, object_id: ObjectId, *, deadline: Optional[float] = None
     ) -> Tuple[Optional[bytes], OsdResponse]:
-        if deadline is None:
-            deadline = self._op_deadline()
         layout = self._layouts.get(object_id, "plain")
         if layout == "stripe":
             return await self._read_striped(object_id, deadline)
@@ -492,7 +469,7 @@ class RouterClient:
         health = monitor.health_of(shard_id)
         return (
             health.baseline is not None
-            and health.slowdown_ewma >= self.hedge_slowdown
+            and health.slowdown_ewma >= HEDGE_SLOWDOWN
         )
 
     def _track_hedge(self, task: "asyncio.Task") -> None:
@@ -670,8 +647,6 @@ class RouterClient:
     async def remove(
         self, object_id: ObjectId, *, deadline: Optional[float] = None
     ) -> OsdResponse:
-        if deadline is None:
-            deadline = self._op_deadline()
         layout = self._layouts.pop(object_id, "plain")
         return await self._remove_copies(object_id, layout, deadline)
 
@@ -714,8 +689,6 @@ class RouterClient:
     async def get_attr(
         self, object_id: ObjectId, key: str, *, deadline: Optional[float] = None
     ) -> Tuple[Optional[str], OsdResponse]:
-        if deadline is None:
-            deadline = self._op_deadline()
         response = await self._routed(
             commands.GetAttr(object_id, key), object_id, 0, deadline
         )
@@ -726,16 +699,6 @@ class RouterClient:
     # ------------------------------------------------------------------
     # Cluster-wide fan-out
     # ------------------------------------------------------------------
-    async def query_all(
-        self, object_id: ObjectId, operation: str = "R"
-    ) -> Dict[int, SenseCode]:
-        """Fan a ``#QUERY#`` control message to every readable shard."""
-        senses: Dict[int, SenseCode] = {}
-        for shard_id in self.cluster_map.readable_ids:
-            sense, _ = await self.client(shard_id).query(object_id, operation)
-            senses[shard_id] = sense
-        return senses
-
     async def service_stats_all(self) -> Dict[str, object]:
         """Merged :class:`ServiceStats` across every reachable shard."""
         snapshots: List[Dict[str, object]] = []

@@ -31,6 +31,7 @@ __all__ = [
     "CLASS_LAYOUT",
     "PROTECTED_CLASSES",
     "RECOVERY_ORDER",
+    "SHARD_STRIPE",
     "RedundancyPolicy",
     "ReoPolicy",
     "UniformPolicy",
@@ -143,6 +144,9 @@ CLASS_LAYOUT: Dict[int, str] = {
     int(class_id): _shard_layout(ReoPolicy().scheme_for(class_id))
     for class_id in ObjectClass
 }
+#: RS geometry ``(k, m)`` of a striped class across shards: four data
+#: fragments and the hot-clean parity of :class:`ReoPolicy`.
+SHARD_STRIPE = (4, ReoPolicy().hot_parity)
 #: Classes whose loss fails a campaign (metadata, dirty, hot clean).
 PROTECTED_CLASSES = tuple(
     class_id for class_id, layout in CLASS_LAYOUT.items() if layout != "plain"

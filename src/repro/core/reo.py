@@ -22,7 +22,6 @@ import math
 from typing import Dict, Optional
 
 from repro.backend.store import BackendStore
-from repro.cache.flusher import DirtyFlusher, FlusherConfig
 from repro.cache.manager import AccessResult, CacheManager
 from repro.cache.policies import make_eviction_policy
 from repro.cache.stats import CacheStats
@@ -80,12 +79,9 @@ class ReoCache:
         device_model: ServiceTimeModel = INTEL_540S_SSD,
         backend_model: Optional[ServiceTimeModel] = None,
         reclassify_interval: int = 1000,
-        capacity_margin: float = 0.02,
-        admit_while_degraded: bool = False,
         hotness_size_exponent: float = 1.0,
         prioritized_recovery: bool = True,
         eviction_policy: str = "lru",
-        flusher_config: "Optional[FlusherConfig]" = None,
         backend: Optional[BackendStore] = None,
     ) -> "ReoCache":
         """Assemble a complete cache stack.
@@ -101,7 +97,6 @@ class ReoCache:
             backend_model: backend service-time model (HDD + network hop if
                 omitted).
             reclassify_interval: reads between ``H_hot`` recomputations.
-            capacity_margin: headroom kept free on the array.
         """
         policy = policy or reo_policy(0.10)
         clock = clock or SimClock()
@@ -133,12 +128,8 @@ class ReoCache:
             budget=budget,
             hotness=HotnessTracker(size_exponent=hotness_size_exponent),
             reclassify_interval=reclassify_interval,
-            capacity_margin=capacity_margin,
-            admit_while_degraded=admit_while_degraded,
             eviction=make_eviction_policy(eviction_policy),
         )
-        if flusher_config is not None:
-            manager.flusher = DirtyFlusher(manager, flusher_config)
         recovery = RecoveryManager(
             target, cache_manager=manager, prioritized=prioritized_recovery
         )
@@ -224,13 +215,6 @@ class ReoCache:
             scrub_interval=scrub_interval,
         )
         return self.supervisor
-
-    def fail_and_recover(self, device_id: int) -> None:
-        """Convenience: fail, insert a spare, and run recovery to the end."""
-        self.fail_device(device_id)
-        self.replace_device(device_id)
-        self.recovery.start()
-        self.recovery.run_to_completion()
 
     # ------------------------------------------------------------------
     # Introspection

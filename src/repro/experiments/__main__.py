@@ -59,28 +59,15 @@ def _ablations_text() -> str:
     )
 
 
-def _fault_campaign_text(seed: "int | None") -> str:
-    """Run the supervised fault campaign and persist its BENCH json."""
-    kwargs = {} if seed is None else {"seed": seed}
-    result = run_fault_campaign(**kwargs)
-    result.write_bench_json()
-    return result.format()
+def _seeded_campaign(run):
+    """A campaign artefact: run at ``--seed`` (if given), persist its JSON."""
 
+    def text(seed: "int | None") -> str:
+        result = run() if seed is None else run(seed=seed)
+        result.write_json()
+        return result.format()
 
-def _chaos_campaign_text(seed: "int | None") -> str:
-    """Run the chaos campaign and persist its ledger artefact."""
-    kwargs = {} if seed is None else {"seed": seed}
-    result = run_chaos_campaign(**kwargs)
-    result.write_ledger_json()
-    return result.format()
-
-
-def _cluster_campaign_text(seed: "int | None") -> str:
-    """Run the shard-loss campaign and persist its ledger artefact."""
-    kwargs = {} if seed is None else {"seed": seed}
-    result = run_cluster_campaign(**kwargs)
-    result.write_ledger_json()
-    return result.format()
+    return text
 
 
 ARTEFACTS = {
@@ -92,9 +79,9 @@ ARTEFACTS = {
     "space-table": lambda: run_space_efficiency_table().format(),
     "recovery-timeline": lambda: run_recovery_timeline().format(),
     "concurrency": lambda: run_concurrency_sweep().format(),
-    "fault-campaign": _fault_campaign_text,
-    "cluster-campaign": _cluster_campaign_text,
-    "chaos-campaign": _chaos_campaign_text,
+    "fault-campaign": _seeded_campaign(run_fault_campaign),
+    "cluster-campaign": _seeded_campaign(run_cluster_campaign),
+    "chaos-campaign": _seeded_campaign(run_chaos_campaign),
     "warmup": lambda: run_warmup_experiment().format(),
     "ablations": _ablations_text,
     "endurance": lambda: (

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cluster.health import ShardHealthMonitor, ShardProbe
-from repro.cluster.router import RouterClient
+from repro.cluster.router import RouterClient, RouterStats
 from repro.cluster.service import ClusterService
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.core.health import HealthPolicy
@@ -111,16 +111,20 @@ class ChaosCampaignResult:
     degraded_window_reads: int
     transient_reads: int
     transient_failures: int
-    hedged_reads: int
-    hedge_wins: int
-    hedge_rate: float
-    breaker_fastfails: int
-    mirror_failovers: int
-    degraded_reads: int
-    redirects: int
+    #: Hedged reads issued between fail-slow injection and the condemn.
+    window_hedged_reads: int
     auto_condemns: int
     rehome: Dict[str, object]
     ledger: Dict[str, object]
+    #: The router's counters over the whole run (warm-up to verify).
+    router: RouterStats
+
+    @property
+    def hedge_rate(self) -> float:
+        """Hedged reads per routed read of the degraded window."""
+        if not self.degraded_window_reads:
+            return 0.0
+        return self.window_hedged_reads / self.degraded_window_reads
 
     @property
     def protected_losses(self) -> int:
@@ -137,12 +141,12 @@ class ChaosCampaignResult:
             ["degraded-window reads/s", f"{self.degraded_ops_per_sec:.0f}"],
             ["transient-phase reads", f"{self.transient_reads}"],
             ["transient-phase failures", f"{self.transient_failures}"],
-            ["hedged reads", f"{self.hedged_reads}"],
-            ["hedge wins", f"{self.hedge_wins}"],
+            ["hedged reads", f"{self.router.hedged_reads}"],
+            ["hedge wins", f"{self.router.hedge_wins}"],
             ["hedge rate (degraded window)", f"{self.hedge_rate:.3f}"],
-            ["breaker fast-fails", f"{self.breaker_fastfails}"],
-            ["mirror failovers", f"{self.mirror_failovers}"],
-            ["degraded striped reads", f"{self.degraded_reads}"],
+            ["breaker fast-fails", f"{self.router.breaker_fastfails}"],
+            ["mirror failovers", f"{self.router.mirror_failovers}"],
+            ["degraded striped reads", f"{self.router.degraded_reads}"],
             ["autonomous condemns", f"{self.auto_condemns}"],
             ["objects re-homed", f"{self.rehome['objects_moved']}"],
             ["fragments moved", f"{self.rehome['fragments_moved']}"],
@@ -155,9 +159,7 @@ class ChaosCampaignResult:
             rows,
         )
 
-    def write_ledger_json(
-        self, directory: Optional[pathlib.Path] = None
-    ) -> pathlib.Path:
+    def write_json(self, directory: Optional[pathlib.Path] = None) -> pathlib.Path:
         """The determinism artefact: byte-identical per seed.
 
         Only logical-clock state goes in — no wall-clock measurement.
@@ -237,7 +239,6 @@ async def _run_campaign(seed: int) -> ChaosCampaignResult:
             retry=NO_RETRY,
             timeout=0.5,
             health_monitor=monitor,
-            hedge_slowdown=3.0,
         )
         assert isinstance(router, RouterClient)
         supervisor = ClusterSupervisor(service, router)
@@ -289,12 +290,13 @@ async def _run_campaign(seed: int) -> ChaosCampaignResult:
             if not recovered:
                 raise ChaosCampaignError(
                     "flap/partition shards never recovered to ONLINE: "
-                    f"{monitor.snapshot()}"
+                    f"{monitor.shards}"
                 )
 
             # ---- Fail-slow phase: the cluster is on its own. ----
             chaos = ShardChaos(failslow_plan).install(service)
             injected_at = loop.time()
+            hedges_at_injection = router.router_stats.hedged_reads
             degraded_window_reads = 0
             while (
                 not supervisor.auto_events
@@ -307,11 +309,12 @@ async def _run_campaign(seed: int) -> ChaosCampaignResult:
                 lambda: bool(supervisor.auto_events), timeout=30.0
             )
             window_s = loop.time() - injected_at
+            window_hedged_reads = router.router_stats.hedged_reads - hedges_at_injection
             chaos.uninstall()
             if not healed:
                 raise ChaosCampaignError(
                     "autonomous condemn never fired for the fail-slow shard: "
-                    f"{monitor.snapshot()}"
+                    f"{monitor.shards}"
                 )
             transition, report = supervisor.auto_events[0]
             if transition.shard_id != victim or len(supervisor.auto_events) != 1:
@@ -333,12 +336,6 @@ async def _run_campaign(seed: int) -> ChaosCampaignResult:
                     population.ids[index], population.classes[index]
                 )
 
-            stats = router.router_stats
-            hedge_rate = (
-                stats.hedged_reads / degraded_window_reads
-                if degraded_window_reads
-                else 0.0
-            )
             return ChaosCampaignResult(
                 seed=seed,
                 shards=SHARDS,
@@ -353,16 +350,11 @@ async def _run_campaign(seed: int) -> ChaosCampaignResult:
                 degraded_window_reads=degraded_window_reads,
                 transient_reads=TRANSIENT_READS,
                 transient_failures=transient_failures,
-                hedged_reads=stats.hedged_reads,
-                hedge_wins=stats.hedge_wins,
-                hedge_rate=hedge_rate,
-                breaker_fastfails=stats.breaker_fastfails,
-                mirror_failovers=stats.mirror_failovers,
-                degraded_reads=stats.degraded_reads,
-                redirects=stats.redirects,
+                window_hedged_reads=window_hedged_reads,
                 auto_condemns=len(supervisor.auto_events),
                 rehome=report.to_dict(),
                 ledger=supervisor.ledger.to_dict(),
+                router=router.router_stats,
             )
         finally:
             if chaos is not None:

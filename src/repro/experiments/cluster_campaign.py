@@ -87,7 +87,7 @@ class ClusterCampaignResult:
             rows,
         )
 
-    def write_ledger_json(self, directory: Optional[pathlib.Path] = None) -> pathlib.Path:
+    def write_json(self, directory: Optional[pathlib.Path] = None) -> pathlib.Path:
         """The determinism artefact: byte-identical per seed."""
         payload = {
             "seed": self.seed,

@@ -152,7 +152,7 @@ class FaultCampaignResult:
             },
         }
 
-    def write_bench_json(self, directory: Optional[pathlib.Path] = None) -> pathlib.Path:
+    def write_json(self, directory: Optional[pathlib.Path] = None) -> pathlib.Path:
         return write_artefact(CAMPAIGN_BENCH_NAME, self.to_bench_report(), directory)
 
 

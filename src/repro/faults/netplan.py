@@ -52,6 +52,28 @@ __all__ = [
 ]
 
 
+def _check_window(
+    event: "Union[NetPartition, LinkFailSlow, LinkFlap, LinkNoise]",
+) -> None:
+    """Reject an op window that starts before 0 or ends at or before it starts."""
+    name = type(event).__name__
+    if event.from_op < 0:
+        raise FaultPlanError(f"{name}.from_op must be non-negative")
+    if event.until_op is not None and event.until_op <= event.from_op:
+        raise FaultPlanError(f"{name}.until_op must exceed from_op")
+
+
+def _active(
+    event: "Union[LinkFailSlow, LinkFlap, LinkNoise]", shard_id: int, op: int
+) -> bool:
+    """True when ``event`` targets ``shard_id`` and its window holds ``op``."""
+    return (
+        event.shard == shard_id
+        and event.from_op <= op
+        and (event.until_op is None or op < event.until_op)
+    )
+
+
 @dataclass(frozen=True)
 class NetPartition:
     """Blackhole the listed shards for a window of their operations.
@@ -72,8 +94,7 @@ class NetPartition:
             raise FaultPlanError("NetPartition.shards must name at least one shard")
         if any(shard < 0 for shard in self.shards):
             raise FaultPlanError("NetPartition.shards must be shard ids")
-        if self.from_op < 0 or self.until_op <= self.from_op:
-            raise FaultPlanError("NetPartition window must satisfy 0 <= from < until")
+        _check_window(self)
 
 
 @dataclass(frozen=True)
@@ -97,10 +118,9 @@ class LinkFailSlow:
             raise FaultPlanError("LinkFailSlow.shard must be a shard id")
         if self.delay <= 0.0:
             raise FaultPlanError("LinkFailSlow.delay must be positive seconds")
-        if self.from_op < 0 or self.ramp_ops < 1:
-            raise FaultPlanError("LinkFailSlow needs from_op >= 0 and ramp_ops >= 1")
-        if self.until_op is not None and self.until_op <= self.from_op:
-            raise FaultPlanError("LinkFailSlow.until_op must exceed from_op")
+        if self.ramp_ops < 1:
+            raise FaultPlanError("LinkFailSlow.ramp_ops must be at least 1")
+        _check_window(self)
 
 
 @dataclass(frozen=True)
@@ -127,10 +147,7 @@ class LinkFlap:
             raise FaultPlanError(
                 "LinkFlap needs period_ops >= 1 and 0 < down_ops <= period_ops"
             )
-        if self.from_op < 0:
-            raise FaultPlanError("LinkFlap.from_op must be non-negative")
-        if self.until_op is not None and self.until_op <= self.from_op:
-            raise FaultPlanError("LinkFlap.until_op must exceed from_op")
+        _check_window(self)
 
 
 @dataclass(frozen=True)
@@ -152,10 +169,7 @@ class LinkNoise:
             raise FaultPlanError("LinkNoise.shard must be a shard id")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise FaultPlanError("LinkNoise.drop_rate must be in [0, 1]")
-        if self.from_op < 0:
-            raise FaultPlanError("LinkNoise.from_op must be non-negative")
-        if self.until_op is not None and self.until_op <= self.from_op:
-            raise FaultPlanError("LinkNoise.until_op must exceed from_op")
+        _check_window(self)
 
 
 @dataclass(frozen=True)
@@ -246,19 +260,6 @@ class ShardChaos:
         return hook
 
     # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """Deterministic counters keyed by shard id (JSON-ready)."""
-        shards = sorted(set(self.ops) | self.crashed)
-        return {
-            "ops": {str(s): self.ops.get(s, 0) for s in shards},
-            "drops": {str(s): self.drops.get(s, 0) for s in shards},
-            "delays": {str(s): self.delays.get(s, 0) for s in shards},
-            "crashed": sorted(self.crashed),
-        }
-
-    # ------------------------------------------------------------------
     # The hook body
     # ------------------------------------------------------------------
     def _apply(self, shard_id: int) -> Union[None, str, float]:
@@ -289,27 +290,23 @@ class ShardChaos:
             if shard_id in event.shards and event.from_op <= op < event.until_op:
                 return True
         for _, event in self.plan.of_type(LinkFlap):
-            if event.shard != shard_id or op < event.from_op:
-                continue
-            if event.until_op is not None and op >= event.until_op:
-                continue
-            if (op - event.from_op) % event.period_ops < event.down_ops:
+            if (
+                _active(event, shard_id, op)
+                and (op - event.from_op) % event.period_ops < event.down_ops
+            ):
                 return True
         for index, event in self.plan.of_type(LinkNoise):
-            if event.shard != shard_id or op < event.from_op:
-                continue
-            if event.until_op is not None and op >= event.until_op:
-                continue
-            if self._stream(index, shard_id).random() < event.drop_rate:
+            if (
+                _active(event, shard_id, op)
+                and self._stream(index, shard_id).random() < event.drop_rate
+            ):
                 return True
         return False
 
     def _delay(self, shard_id: int, op: int) -> float:
         total = 0.0
         for _, event in self.plan.of_type(LinkFailSlow):
-            if event.shard != shard_id or op < event.from_op:
-                continue
-            if event.until_op is not None and op >= event.until_op:
+            if not _active(event, shard_id, op):
                 continue
             fraction = min(1.0, (op - event.from_op + 1) / event.ramp_ops)
             total += event.delay * fraction

@@ -117,9 +117,6 @@ class OsdTarget:
             if info.kind in (ObjectKind.USER, ObjectKind.COLLECTION)
         )
 
-    def objects_in_class(self, class_id: int) -> List[ObjectInfo]:
-        return [info for info in self.user_objects() if info.class_id == class_id]
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------

@@ -1,72 +1,56 @@
-"""Tests for the LRU queue."""
+"""Tests for the LRU queue of ``LruPolicy`` (the paper's replacement policy)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cache.lru import LruQueue
+from repro.cache.policies import LruPolicy
 
 
 class TestLruQueue:
     def test_touch_inserts(self):
-        queue = LruQueue()
-        queue.touch("a")
-        assert "a" in queue
-        assert len(queue) == 1
+        policy = LruPolicy()
+        policy.touch("a")
+        assert "a" in policy
+        assert len(policy) == 1
 
     def test_pop_lru_order(self):
-        queue = LruQueue()
+        policy = LruPolicy()
         for key in ("a", "b", "c"):
-            queue.touch(key)
-        assert queue.pop_lru() == "a"
-        assert queue.pop_lru() == "b"
+            policy.touch(key)
+        assert policy.pop_victim() == "a"
+        assert policy.pop_victim() == "b"
 
     def test_touch_moves_to_mru(self):
-        queue = LruQueue()
+        policy = LruPolicy()
         for key in ("a", "b", "c"):
-            queue.touch(key)
-        queue.touch("a")
-        assert queue.pop_lru() == "b"
+            policy.touch(key)
+        policy.touch("a")
+        assert policy.pop_victim() == "b"
 
     def test_pop_empty_raises(self):
         with pytest.raises(KeyError):
-            LruQueue().pop_lru()
-
-    def test_peek_lru(self):
-        queue = LruQueue()
-        assert queue.peek_lru() is None
-        queue.touch("x")
-        queue.touch("y")
-        assert queue.peek_lru() == "x"
-        assert len(queue) == 2  # peek does not remove
-
-    def test_remove(self):
-        queue = LruQueue()
-        queue.touch("a")
-        queue.remove("a")
-        assert "a" not in queue
-        with pytest.raises(KeyError):
-            queue.remove("a")
+            LruPolicy().pop_victim()
 
     def test_discard_missing_ok(self):
-        queue = LruQueue()
-        queue.discard("nope")
+        policy = LruPolicy()
+        policy.discard("nope")
 
     def test_iteration_is_lru_to_mru(self):
-        queue = LruQueue()
+        policy = LruPolicy()
         for key in ("a", "b", "c"):
-            queue.touch(key)
-        queue.touch("b")
-        assert list(queue) == ["a", "c", "b"]
+            policy.touch(key)
+        policy.touch("b")
+        assert list(policy) == ["a", "c", "b"]
 
     @given(st.lists(st.integers(min_value=0, max_value=20)))
     def test_pop_order_matches_reference_model(self, touches):
-        queue = LruQueue()
+        policy = LruPolicy()
         reference = []
         for key in touches:
-            queue.touch(key)
+            policy.touch(key)
             if key in reference:
                 reference.remove(key)
             reference.append(key)
-        popped = [queue.pop_lru() for _ in range(len(queue))]
+        popped = [policy.pop_victim() for _ in range(len(policy))]
         assert popped == reference

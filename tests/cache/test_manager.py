@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.classes import ObjectClass
 from repro.core.policy import full_replication, reo_policy, uniform_parity
-from repro.flash.array import ObjectHealth
 
 from tests.conftest import build_cache, register_uniform_objects
 
@@ -161,18 +160,6 @@ class TestFailureSemantics:
         assert small_cache.stats.lost_objects >= 1
         # Default policy: no clean admissions while the array is degraded.
         assert "obj-0" not in small_cache.manager
-
-    def test_lost_object_refetch_admitted_when_allowed(self):
-        cache = build_cache()
-        cache.manager.admit_while_degraded = True
-        register_uniform_objects(cache, 10, 2_000)
-        cache.read("obj-0")
-        cache.fail_device(0)
-        result = cache.read("obj-0")
-        assert not result.hit
-        # The refetched copy lives on the surviving devices.
-        cached = cache.manager.get_cached("obj-0")
-        assert cache.array.object_health(cached.object_id) is ObjectHealth.HEALTHY
 
     def test_admission_resumes_after_spare_insertion(self, small_cache):
         small_cache.fail_device(0)

@@ -171,7 +171,7 @@ class TestDeadlineBudget:
 
         run(scenario())
 
-    def test_router_op_deadline_bounds_whole_operation(self):
+    def test_router_deadline_bounds_whole_operation(self):
         async def scenario():
             async with ClusterService(2) as service:
                 for server in service.shards.values():
@@ -184,14 +184,15 @@ class TestDeadlineBudget:
                     service,
                     timeout=1.0,
                     retry=RetryPolicy(max_attempts=5, base_delay=0.05, jitter=0.0),
-                    op_deadline=0.25,
                 ) as router:
                     loop = asyncio.get_running_loop()
                     started = loop.time()
                     with pytest.raises(OsdServiceError):
                         # Mirrored write: primary leg + mirror leg + retries
                         # all share the one 0.25s budget.
-                        await router.write(oid(1), b"x" * 64, 0)
+                        await router.write(
+                            oid(1), b"x" * 64, 0, deadline=started + 0.25
+                        )
                     assert loop.time() - started < 1.0
                     # The aggregate carries every ClientStats counter.
                     assert router.stats.deadline_exhausted >= 1
@@ -204,9 +205,7 @@ class TestHedgedReads:
         async def scenario():
             async with ClusterService(3) as service:
                 monitor = ShardHealthMonitor()
-                async with make_router(
-                    service, health_monitor=monitor, hedge_slowdown=3.0
-                ) as router:
+                async with make_router(service, health_monitor=monitor) as router:
                     body = b"hedge me" * 100
                     target = next(
                         oid(i)

@@ -109,14 +109,6 @@ class TestListenersAndReset:
         assert [t.new for t in seen] == ["suspect", "failed"]
         assert seen[0].shard_id == 3
 
-    def test_snapshot_sorted_and_json_shaped(self):
-        monitor = ShardHealthMonitor()
-        warm(monitor, 1)
-        warm(monitor, 0)
-        snap = monitor.snapshot()
-        assert list(snap) == ["0", "1"]
-        assert snap["0"]["state"] == "online"
-
 
 class _StubClient:
     def __init__(self, fail=False):

@@ -87,22 +87,40 @@ class TestPriorityOrder:
         # Metadata (class 0) rebuilds before everything else.
         assert class_sequence[0] == int(ObjectClass.METADATA)
 
-    def test_hotter_objects_first_within_class(self):
+    def test_within_class_order_is_object_id_not_hotness(self):
+        """Known deviation 5: a class rebuilds in object-id order.
+
+        The paper orders a class by descending hotness. Here the hotter
+        object has the higher id, so adopting the paper's order flips the
+        last two assertions.
+        """
         cache = build_cache(policy=reo_policy(0.4), cache_bytes=400_000, reclassify_interval=10**6)
         names = register_uniform_objects(cache, 10, 2_000)
         warm(cache, names)
-        for _ in range(8):
-            cache.read(names[3])
+        colder, hotter = names[3], names[7]
         for _ in range(4):
-            cache.read(names[7])
+            cache.read(colder)
+        for _ in range(8):
+            cache.read(hotter)
         cache.manager.reclassify()
+        colder_id = cache.manager.get_cached(colder).object_id
+        hotter_id = cache.manager.get_cached(hotter).object_id
+        assert colder_id < hotter_id
+        assert cache.manager.hotness.h_value(hotter) > cache.manager.hotness.h_value(colder)
+        hot = int(ObjectClass.HOT_CLEAN)
+        assert cache.target.get_info(colder_id).class_id == hot
+        assert cache.target.get_info(hotter_id).class_id == hot
         cache.fail_device(0)
         cache.replace_device(0)
         plan = cache.recovery.start()
-        rebuilt_names = [cache.manager.name_for(oid) for oid in plan.to_rebuild]
-        user_names = [n for n in rebuilt_names if n is not None]
-        if names[3] in user_names and names[7] in user_names:
-            assert user_names.index(names[3]) < user_names.index(names[7])
+        hot_ids = [
+            object_id
+            for object_id in plan.to_rebuild
+            if cache.target.get_info(object_id).class_id == hot
+        ]
+        assert colder_id in hot_ids and hotter_id in hot_ids
+        assert hot_ids == sorted(hot_ids)
+        assert hot_ids.index(colder_id) < hot_ids.index(hotter_id)
 
 
 class TestInterleaving:
@@ -164,16 +182,3 @@ class TestInterleaving:
         assert stats["misses"] >= 1
         assert stats["hits"] > stats["misses"]
         assert stats["entries"] <= stats["misses"]
-
-
-class TestFacade:
-    def test_fail_and_recover_roundtrip(self):
-        cache = build_cache(policy=reo_policy(0.4), cache_bytes=200_000)
-        names = register_uniform_objects(cache, 10, 2_000)
-        warm(cache, names)
-        cache.write(names[0])
-        cache.fail_and_recover(2)
-        cached = cache.manager.get_cached(names[0])
-        payload, response = cache.initiator.read(cached.object_id)
-        assert response.ok
-        assert cache.array.object_health(cached.object_id) is ObjectHealth.HEALTHY

@@ -78,17 +78,6 @@ class TestConveniences:
         cache.write("obj-1")
         assert cache.flush() == 2
 
-    def test_fail_and_recover_roundtrip(self):
-        cache = build_cache(policy=uniform_parity(1), cache_bytes=300_000)
-        names = register_uniform_objects(cache, 10, 2_000)
-        for name in names:
-            cache.read(name)
-        cache.fail_and_recover(3)
-        cache.stats.reset()
-        for name in names:
-            result = cache.read(name)
-            assert result.hit and not result.degraded
-
     def test_scrub_facade_purges_unrecoverable(self):
         cache = build_cache(policy=uniform_parity(0))
         names = register_uniform_objects(cache, 3, 1_000)

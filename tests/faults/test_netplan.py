@@ -162,7 +162,7 @@ class TestCrash:
 
 
 class TestSnapshot:
-    def test_snapshot_is_json_shaped_and_sorted(self):
+    def test_counters_per_shard(self):
         plan = NetFaultPlan(
             events=(
                 NetPartition(shards=(0,), from_op=0, until_op=2),
@@ -172,10 +172,9 @@ class TestSnapshot:
         chaos = ShardChaos(plan)
         _drive(chaos, 1, 2)
         _drive(chaos, 0, 3)
-        snap = chaos.snapshot()
-        assert snap["ops"] == {"0": 3, "1": 2}
-        assert snap["drops"] == {"0": 2, "1": 0}
-        assert snap["crashed"] == []
+        assert chaos.ops == {0: 3, 1: 2}
+        assert chaos.drops == {0: 2}
+        assert chaos.crashed == set()
 
     def test_describe_lists_events(self):
         plan = NetFaultPlan(

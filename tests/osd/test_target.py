@@ -61,12 +61,6 @@ class TestNamespace:
         assert info.class_id == 2
         assert info.kind is ObjectKind.USER
 
-    def test_objects_in_class(self):
-        target = make_target()
-        target.write_object(USER_A, b"a", class_id=2)
-        target.write_object(USER_B, b"b", class_id=3)
-        assert [i.object_id for i in target.objects_in_class(2)] == [USER_A]
-
 
 class TestDataPath:
     def test_write_read_roundtrip(self):
