@@ -37,7 +37,7 @@ layer and experiment drivers genuinely measure host elapsed time.
 from __future__ import annotations
 
 import ast
-from typing import List, Tuple
+from typing import List
 
 from repro.analysis.engine import Finding, Rule, RuleVisitor, _matches_any
 
@@ -206,8 +206,3 @@ def _unseeded(node: ast.Call) -> bool:
     return all(
         isinstance(value, ast.Constant) and value.value is None for value in values
     )
-
-
-def strict_prefixes() -> Tuple[str, ...]:
-    """The subtrees held to the strict (host-clock) standard, for docs/tests."""
-    return _STRICT_PREFIXES

@@ -88,11 +88,6 @@ class BackendStore:
     # ------------------------------------------------------------------
     # Content
     # ------------------------------------------------------------------
-    def expected_payload(self, name: str) -> bytes:
-        """The bytes a read of ``name`` must return right now (no latency)."""
-        entry = self._entry(name)
-        return self._generate(name, entry.version, entry.size)
-
     def payload_for(self, name: str, version: int) -> bytes:
         """Content of ``name`` at a given version (no latency, no state).
 

@@ -206,10 +206,6 @@ class ClusterMap:
             )
         return ranking(object_id, eligible)
 
-    def primary_for(self, object_id: ObjectId) -> int:
-        """The shard that owns ``object_id`` under this map."""
-        return self.owners_for(object_id, width=1)[0]
-
     def owners_for(self, object_id: ObjectId, width: int = 1) -> List[int]:
         """The ``width`` shards that may legitimately hold ``object_id``.
 

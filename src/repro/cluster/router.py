@@ -709,10 +709,6 @@ class RouterClient:
                 continue
         return merge_snapshots(snapshots)
 
-    def layout_of(self, object_id: ObjectId) -> Optional[str]:
-        """The write-path layout recorded for ``object_id``, if any."""
-        return self._layouts.get(object_id)
-
     def note_layout(self, object_id: ObjectId, layout: str) -> None:
         """Teach the read path an object's layout (supervisor/recovery use)."""
         if layout not in CLASS_LAYOUT.values():

@@ -189,9 +189,5 @@ class HotnessTracker:
             return 1.0
         return float(size) ** self.size_exponent if size > 0 else 1.0
 
-    def hot_keys(self) -> List[Hashable]:
-        """Keys currently at or above the threshold."""
-        return [key for key, heat in self._heat.items() if heat.h_value >= self.threshold]
-
     def __repr__(self) -> str:
         return f"HotnessTracker(objects={len(self._heat)}, threshold={self.threshold})"

@@ -34,7 +34,6 @@ __all__ = ["GF256"]
 
 _PRIMITIVE_POLY = 0x11D
 _FIELD_SIZE = 256
-_GENERATOR = 2
 
 
 def _build_tables() -> "tuple[npt.NDArray[np.uint8], npt.NDArray[np.int32]]":
@@ -129,14 +128,6 @@ class GF256:
             return 0
         return int(self._exp[self._log[a] + self._log[b]])
 
-    def div(self, a: int, b: int) -> int:
-        """Field division ``a / b``; raises on division by zero."""
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(256)")
-        if a == 0:
-            return 0
-        return int(self._exp[self._log[a] - self._log[b] + (_FIELD_SIZE - 1)])
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises on zero."""
         if a == 0:
@@ -154,20 +145,9 @@ class GF256:
         exponent = (self._log[a] * n) % (_FIELD_SIZE - 1)
         return int(self._exp[exponent])
 
-    def generator_pow(self, n: int) -> int:
-        """Return ``g^n`` for the field generator ``g = 2``."""
-        return self.pow(_GENERATOR, n)
-
     # ------------------------------------------------------------------
     # Vectorised arithmetic on uint8 arrays
     # ------------------------------------------------------------------
-    @staticmethod
-    def add_bytes(
-        a: npt.NDArray[np.uint8], b: npt.NDArray[np.uint8]
-    ) -> npt.NDArray[np.uint8]:
-        """Element-wise field addition of two uint8 arrays."""
-        return np.bitwise_xor(a, b)
-
     def mul_bytes(
         self, scalar: int, data: npt.NDArray[np.uint8]
     ) -> npt.NDArray[np.uint8]:

@@ -9,8 +9,8 @@ schedule whose every random decision comes from
   transient read errors, fail-slow, torn writes), executed by a
   :class:`FaultInjector` against a simulated flash array on simulated time;
 - :class:`NetFaultPlan`: shard-grain network chaos (partitions, fail-slow
-  links, flapping, drop noise, crashes), executed by :class:`ShardChaos` as
-  the shard servers' fault hooks on each shard's operation count.
+  links, flapping, drop noise), executed by :class:`ShardChaos` as the shard
+  servers' fault hooks on each shard's operation count.
 
 See :mod:`repro.faults.plan` and :mod:`repro.faults.netplan` for the event
 catalogues.
@@ -25,7 +25,6 @@ from repro.faults.netplan import (
     NetFaultPlan,
     NetPartition,
     ShardChaos,
-    ShardCrash,
 )
 from repro.faults.plan import (
     FailSlow,
@@ -51,7 +50,6 @@ __all__ = [
     "NetFaultPlan",
     "NetPartition",
     "ShardChaos",
-    "ShardCrash",
     "TornWrite",
     "TransientReadError",
 ]

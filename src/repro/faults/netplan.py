@@ -4,8 +4,8 @@ The second event vocabulary over :class:`~repro.faults.plan.SeededPlan`
 (:class:`~repro.faults.plan.FaultPlan` holds the device one): a
 :class:`NetFaultPlan` schedules shard-grain link pathologies — partitions
 (blackholed shards), fail-slow links (injected latency ramps), flapping
-(periodic drop/restore), probabilistic drop noise, and outright crashes —
-and :class:`ShardChaos` adapts it into every shard server's ``fault_hook``.
+(periodic drop/restore) and probabilistic drop noise — and
+:class:`ShardChaos` adapts it into every shard server's ``fault_hook``.
 
 Clock discipline: the net layer runs on wall time, which would make a
 time-anchored schedule non-reproducible. Chaos events are therefore
@@ -13,7 +13,7 @@ anchored to each shard's **operation index** — the count of commands that
 shard has served since the hooks were installed. A campaign that issues a
 deterministic command sequence per shard (the chaos campaign's sequential
 routed workload does) gets a byte-reproducible fault schedule: the same
-ops are dropped, delayed, and crashed on every run with the same seed.
+ops are dropped and delayed on every run with the same seed.
 Stochastic decisions (:class:`LinkNoise`) draw from the
 :func:`~repro.faults.plan.stream` keyed
 ``"{plan.seed}:{event_index}:{shard_id}:net"``.
@@ -29,10 +29,9 @@ degraded paths are built to survive.
 
 from __future__ import annotations
 
-import asyncio
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Awaitable, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.errors import FaultPlanError
 from repro.faults.plan import SeededPlan, stream
@@ -48,7 +47,6 @@ __all__ = [
     "NetFaultPlan",
     "NetPartition",
     "ShardChaos",
-    "ShardCrash",
 ]
 
 
@@ -172,61 +170,34 @@ class LinkNoise:
         _check_window(self)
 
 
-@dataclass(frozen=True)
-class ShardCrash:
-    """Hard-kill one shard the first time its op counter reaches ``at_op``.
-
-    The command that trips the threshold is dropped (executed,
-    unacknowledged) and the shard's server is stopped — the cluster
-    analogue of :class:`~repro.faults.plan.FailStop`.
-    """
-
-    shard: int
-    at_op: int
-
-    def _validate(self) -> None:
-        if self.shard < 0:
-            raise FaultPlanError("ShardCrash.shard must be a shard id")
-        if self.at_op < 0:
-            raise FaultPlanError("ShardCrash.at_op must be non-negative")
-
-
-NetFaultEvent = Union[NetPartition, LinkFailSlow, LinkFlap, LinkNoise, ShardCrash]
+NetFaultEvent = Union[NetPartition, LinkFailSlow, LinkFlap, LinkNoise]
 
 
 class NetFaultPlan(SeededPlan):
     """A seeded schedule of shard-grain network fault events."""
 
-    EVENT_TYPES = (NetPartition, LinkFailSlow, LinkFlap, LinkNoise, ShardCrash)
+    EVENT_TYPES = (NetPartition, LinkFailSlow, LinkFlap, LinkNoise)
 
 
 class ShardChaos:
     """Executes a :class:`NetFaultPlan` as per-shard server fault hooks.
 
-    One instance owns the per-shard operation counters, the seeded noise
-    streams, and the crash bookkeeping; :meth:`install` plugs a hook into
-    every live shard of a :class:`~repro.cluster.service.ClusterService`.
-    Counters (`drops`, `delays`, `delayed_seconds`, `crashed`) make the
-    injected chaos auditable by campaigns and tests.
+    One instance owns the per-shard operation counters and the seeded noise
+    streams; :meth:`install` plugs a hook into every live shard of a
+    :class:`~repro.cluster.service.ClusterService`. Counters (`drops`,
+    `delays`, `delayed_seconds`) make the injected chaos auditable by
+    campaigns and tests.
     """
 
-    def __init__(
-        self,
-        plan: NetFaultPlan,
-        *,
-        on_crash: Optional[Callable[[int], Awaitable[None]]] = None,
-    ) -> None:
+    def __init__(self, plan: NetFaultPlan) -> None:
         self.plan = plan
         #: Commands seen per shard since install — the plan's clock.
         self.ops: Dict[int, int] = {}
         self.drops: Dict[int, int] = {}
         self.delays: Dict[int, int] = {}
         self.delayed_seconds: Dict[int, float] = {}
-        self.crashed: Set[int] = set()
-        self._on_crash = on_crash
         self._service: "Optional[ClusterService]" = None
         self._streams: Dict[Tuple[int, int], random.Random] = {}
-        self._crash_tasks: List[asyncio.Task] = []
 
     # ------------------------------------------------------------------
     # Wiring
@@ -245,12 +216,6 @@ class ShardChaos:
                 server.fault_hook = None
         self._service = None
 
-    async def drain_crashes(self) -> None:
-        """Await any in-flight crash shootdowns (campaign wind-down)."""
-        for task in self._crash_tasks:
-            await task
-        self._crash_tasks.clear()
-
     def hook_for(self, shard_id: int):
         """The server ``fault_hook`` enacting this plan at one shard."""
 
@@ -265,14 +230,6 @@ class ShardChaos:
     def _apply(self, shard_id: int) -> Union[None, str, float]:
         op = self.ops.get(shard_id, 0)
         self.ops[shard_id] = op + 1
-        if shard_id in self.crashed:
-            return "drop"
-        for _, crash in self.plan.of_type(ShardCrash):
-            if crash.shard == shard_id and op >= crash.at_op:
-                self.crashed.add(shard_id)
-                self._schedule_crash(shard_id)
-                self.drops[shard_id] = self.drops.get(shard_id, 0) + 1
-                return "drop"
         if self._dropped(shard_id, op):
             self.drops[shard_id] = self.drops.get(shard_id, 0) + 1
             return "drop"
@@ -312,17 +269,6 @@ class ShardChaos:
             total += event.delay * fraction
         return total
 
-    def _schedule_crash(self, shard_id: int) -> None:
-        service = self._service
-        if self._on_crash is not None:
-            self._crash_tasks.append(
-                asyncio.ensure_future(self._on_crash(shard_id))
-            )
-        elif service is not None:
-            self._crash_tasks.append(
-                asyncio.ensure_future(service.stop_shard(shard_id))
-            )
-
     def _stream(self, event_index: int, shard_id: int) -> random.Random:
         key = (event_index, shard_id)
         if key not in self._streams:
@@ -333,5 +279,5 @@ class ShardChaos:
         return (
             f"ShardChaos(events={len(self.plan)}, seed={self.plan.seed}, "
             f"ops={sum(self.ops.values())}, "
-            f"drops={sum(self.drops.values())}, crashed={sorted(self.crashed)})"
+            f"drops={sum(self.drops.values())})"
         )

@@ -40,7 +40,6 @@ from repro.flash.stripe import (
     RedundancyScheme,
     ReplicationScheme,
     StripeDescriptor,
-    pack_fragments,
     split_payload,
 )
 from repro.sim.clock import SimClock
@@ -452,8 +451,7 @@ class FlashArray:
                         for start in range(0, stripe_bytes, chunk_length)
                     ]
                     if codec is not None:
-                        parity = codec.encode_arrays(pack_fragments(raw, k, chunk_length))
-                        fragments += [row.tobytes() for row in parity]
+                        fragments += codec.encode(fragments)
                 offset += stripe_payload
                 # A replicated stripe is one byte string sent to every slot.
                 if is_replication:

@@ -182,7 +182,9 @@ class FlashDevice:
             # erased by garbage collection, which we bill immediately.
             stats.erases += 1
             if ftl is not None:
-                ftl.trim_extent(address, len(previous))
+                # A torn chunk is stored shorter than it was programmed;
+                # the FTL mapped the programmed length.
+                ftl.trim_extent(address, len(self._programmed[address]))
         self._chunks[address] = self._programmed[address] = bytes(payload)
         self._used = new_used
         self.corrupt_chunks.discard(address)
@@ -251,14 +253,14 @@ class FlashDevice:
         payload = self._chunks.pop(address, None)
         if payload is None:
             return
-        del self._programmed[address]
+        programmed = self._programmed.pop(address)
         self.corrupt_chunks.discard(address)
         self._used -= len(payload)
         stats = self.stats
         stats.deletes += 1
         stats.erases += 1
         if self.ftl is not None:
-            self.ftl.trim_extent(address, len(payload))
+            self.ftl.trim_extent(address, len(programmed))
 
     def has_chunk(self, address: ChunkAddress) -> bool:
         """True if the chunk is present *and* the device can serve it."""

@@ -105,10 +105,6 @@ class PageMappedFtl:
         return len(self._free_blocks)
 
     @property
-    def erase_counts(self) -> List[int]:
-        return list(self._erase_counts)
-
-    @property
     def max_erase_count(self) -> int:
         return max(self._erase_counts)
 

@@ -40,45 +40,19 @@ class ServiceTimeModel:
     read_bandwidth: float
     write_bandwidth: float
 
-    #: Bound on the per-size memo tables below. Real workloads use a
-    #: handful of distinct chunk sizes; the cap only matters for
-    #: adversarial size mixes.
-    _MEMO_LIMIT = 4096
-
     def __post_init__(self) -> None:
         if self.read_overhead < 0 or self.write_overhead < 0:
             raise ValueError("overheads must be non-negative")
         if self.read_bandwidth <= 0 or self.write_bandwidth <= 0:
             raise ValueError("bandwidths must be positive")
-        # Per-size service-time memos (zero-cost billing fast path): the
-        # hot I/O loop asks for the same few chunk sizes millions of
-        # times, so the arithmetic is computed once per distinct size.
-        # Installed via object.__setattr__ because the dataclass is
-        # frozen; not fields, so eq/hash/repr are untouched.
-        object.__setattr__(self, "_read_memo", {})
-        object.__setattr__(self, "_write_memo", {})
 
     def read_time(self, num_bytes: int) -> float:
         """Service time for reading ``num_bytes``."""
-        memo = self._read_memo
-        cached = memo.get(num_bytes)
-        if cached is None:
-            if len(memo) >= self._MEMO_LIMIT:
-                memo.clear()
-            cached = self.read_overhead + num_bytes / self.read_bandwidth
-            memo[num_bytes] = cached
-        return cached
+        return self.read_overhead + num_bytes / self.read_bandwidth
 
     def write_time(self, num_bytes: int) -> float:
         """Service time for writing ``num_bytes``."""
-        memo = self._write_memo
-        cached = memo.get(num_bytes)
-        if cached is None:
-            if len(memo) >= self._MEMO_LIMIT:
-                memo.clear()
-            cached = self.write_overhead + num_bytes / self.write_bandwidth
-            memo[num_bytes] = cached
-        return cached
+        return self.write_overhead + num_bytes / self.write_bandwidth
 
     def combine(self, other: "ServiceTimeModel") -> "ServiceTimeModel":
         """Stack two models in series (e.g. network hop + device)."""

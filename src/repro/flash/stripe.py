@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import StripeLayoutError
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
     "RedundancyScheme",
     "ReplicationScheme",
     "StripeDescriptor",
-    "pack_fragments",
 ]
 
 
@@ -270,28 +267,6 @@ def _layouts(
         tuple(scheme._plan_slots(devices, rotation))
         for rotation in range(scheme._plan_period(len(devices)))
     )
-
-
-def pack_fragments(raw: bytes, count: int, chunk_length: int) -> np.ndarray:
-    """Cut a stripe payload into a ``(count, chunk_length)`` uint8 stack.
-
-    The tail is zero-padded. This is the shape the erasure kernel's fused
-    matvec consumes directly, so the write path encodes a whole stripe with
-    no per-fragment slicing or re-wrapping; row ``i`` of the result is the
-    payload of fragment ``i`` (``stack[i].tobytes()`` when storing).
-    """
-    if count < 1:
-        raise StripeLayoutError("need at least one fragment per stripe")
-    if chunk_length < 1:
-        raise StripeLayoutError("chunk length must be at least one byte")
-    total = count * chunk_length
-    if len(raw) > total:
-        raise StripeLayoutError(
-            f"{len(raw)} payload bytes exceed stripe capacity {total}"
-        )
-    stack = np.zeros(total, dtype=np.uint8)
-    stack[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-    return stack.reshape(count, chunk_length)
 
 
 def split_payload(

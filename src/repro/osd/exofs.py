@@ -210,12 +210,6 @@ class ExofsNamespace:
             raise OsdError(f"file {path!r} unreadable")
         return response.payload
 
-    def write_file(self, path: str, data: bytes) -> None:
-        """Overwrite an existing file's content (class preserved)."""
-        response = self.target.write_object(self.lookup(path), data)
-        if not response.ok:
-            raise OsdError(f"file {path!r} unwritable")
-
     def remove(self, path: str) -> None:
         """Unlink a file or an *empty* directory."""
         parts = self._split(path)

@@ -169,10 +169,6 @@ class FrameDecoder:
         """Commit ``nbytes`` the transport wrote into the last view."""
         self._length += nbytes
 
-    @property
-    def buffered_bytes(self) -> int:
-        return self._length - self._consumed
-
     def frames(self) -> Iterator[memoryview]:
         """Yield every complete PDU currently buffered, as memoryviews."""
         self._reclaim()

@@ -64,20 +64,6 @@ class ObjectId:
         if self.pid < 0 or self.oid < 0:
             raise ValueError("PID and OID must be non-negative")
 
-    def inferred_kind(self) -> ObjectKind:
-        """Best-effort kind from the numbering convention alone.
-
-        Collections and user objects are indistinguishable by ID; the target
-        records the kind declared at creation. IDs below
-        :data:`PARTITION_BASE` (other than the root) are also treated as user
-        objects for lenience.
-        """
-        if self.pid == 0 and self.oid == 0:
-            return ObjectKind.ROOT
-        if self.oid == 0:
-            return ObjectKind.PARTITION
-        return ObjectKind.USER
-
     def __str__(self) -> str:
         return f"{self.pid:#x}/{self.oid:#x}"
 

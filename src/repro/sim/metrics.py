@@ -168,10 +168,6 @@ class MetricsRecorder:
             )
         return result
 
-    @property
-    def request_count(self) -> int:
-        return len(self.samples)
-
     def reset(self) -> None:
         self.samples.clear()
         self._marks.clear()

@@ -80,21 +80,6 @@ class RunResult:
     def mean_latency_ms(self) -> float:
         return self.metrics.mean_latency_ms
 
-    def to_csv(self) -> str:
-        """Per-window metrics as CSV (for plotting outside the library)."""
-        lines = [
-            "window,start_request,end_request,requests,hit_ratio_percent,"
-            "bandwidth_mb_per_sec,mean_latency_ms"
-        ]
-        for window in self.windows:
-            metrics = window.metrics
-            lines.append(
-                f"{window.label},{window.start_request},{window.end_request},"
-                f"{metrics.requests},{metrics.hit_ratio_percent:.3f},"
-                f"{metrics.bandwidth_mb_per_sec:.3f},{metrics.mean_latency_ms:.4f}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 class ExperimentRunner:
     """Replays a trace through a cache, with failure injection."""

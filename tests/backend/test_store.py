@@ -52,10 +52,10 @@ class TestContent:
         store.register("b", 1024)
         assert store.read("a")[0] != store.read("b")[0]
 
-    def test_expected_payload_matches_read(self):
+    def test_payload_for_current_version_matches_read(self):
         store = make_store()
         store.register("a", 512)
-        assert store.expected_payload("a") == store.read("a")[0]
+        assert store.payload_for("a", store.version_of("a")) == store.read("a")[0]
 
     def test_write_changes_content(self):
         store = make_store()

@@ -8,6 +8,11 @@ from repro.core.policy import full_replication, reo_policy, uniform_parity
 from tests.conftest import build_cache, register_uniform_objects
 
 
+def backend_payload(cache, name):
+    """The bytes a backend read of ``name`` returns right now."""
+    return cache.backend.payload_for(name, cache.backend.version_of(name))
+
+
 class TestReadPath:
     def test_cold_miss_then_hit(self, small_cache):
         first = small_cache.read("obj-0")
@@ -26,7 +31,7 @@ class TestReadPath:
         cached = small_cache.manager.get_cached("obj-1")
         payload, response = small_cache.initiator.read(cached.object_id)
         assert response.ok
-        assert payload == small_cache.backend.expected_payload("obj-1")
+        assert payload == backend_payload(small_cache, "obj-1")
 
     def test_lru_touch_on_hit(self, small_cache):
         small_cache.read("obj-0")
@@ -97,7 +102,7 @@ class TestWriteBack:
 
     def test_dirty_content_differs_from_backend(self, small_cache):
         small_cache.read("obj-0")
-        clean_payload = small_cache.backend.expected_payload("obj-0")
+        clean_payload = backend_payload(small_cache, "obj-0")
         small_cache.write("obj-0")
         cached = small_cache.manager.get_cached("obj-0")
         payload, _ = small_cache.initiator.read(cached.object_id)
@@ -109,7 +114,7 @@ class TestWriteBack:
         payload, _ = small_cache.initiator.read(cached.object_id)
         flushed = small_cache.flush()
         assert flushed == 1
-        assert small_cache.backend.expected_payload("obj-0") == payload
+        assert backend_payload(small_cache, "obj-0") == payload
         assert not small_cache.manager.get_cached("obj-0").dirty
 
     def test_dirty_eviction_flushes_first(self):
@@ -123,7 +128,7 @@ class TestWriteBack:
             cache.read(name)
         assert names[0] not in cache.manager  # evicted
         assert cache.stats.flushes >= 1
-        assert cache.backend.expected_payload(names[0]) == dirty_payload
+        assert backend_payload(cache, names[0]) == dirty_payload
 
     def test_dirty_replication_under_reo(self, small_cache):
         small_cache.write("obj-0")

@@ -43,25 +43,3 @@ class TestCacheStats:
         cache.read("obj-1")  # hit on a dirty (class 1) object
         assert cache.stats.hits_by_class.get(3) == 1
         assert cache.stats.hits_by_class.get(1) == 1
-
-
-class TestRunResultCsv:
-    def test_csv_shape(self):
-        from repro.sim.runner import ExperimentRunner
-        from repro.workload.medisyn import Locality, MediSynConfig, generate_workload
-
-        cache = build_cache(cache_bytes=200_000)
-        trace = generate_workload(
-            MediSynConfig(
-                locality=Locality.MEDIUM,
-                num_objects=10,
-                num_requests=50,
-                mean_object_size=2_000,
-            )
-        )
-        result = ExperimentRunner(cache, trace).run()
-        csv = result.to_csv()
-        lines = csv.strip().splitlines()
-        assert lines[0].startswith("window,start_request")
-        assert len(lines) == 1 + len(result.windows)
-        assert lines[1].startswith("start,0,50,50,")

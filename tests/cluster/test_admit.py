@@ -92,8 +92,8 @@ class TestAdmit:
                     primaries_changed = sum(
                         1
                         for object_id in expected
-                        if joined.primary_for(object_id)
-                        != before.primary_for(object_id)
+                        if joined.owners_for(object_id)[0]
+                        != before.owners_for(object_id)[0]
                     )
                     assert primaries_changed / len(expected) <= 1 / 4 + 0.10
 

@@ -86,7 +86,7 @@ class TestBreakerIntegration:
                         if len(router.cluster_map.owners_for(oid(i), width=2)) == 2
                     )
                     assert (await router.write(target, body, 0)).ok
-                    victim = router.cluster_map.primary_for(target)
+                    victim = router.cluster_map.owners_for(target)[0]
                     await service.stop_shard(victim)
                     for _ in range(6):
                         got, response = await router.read(target)
@@ -106,7 +106,7 @@ class TestBreakerIntegration:
         async def scenario():
             async with ClusterService(2) as service:
                 async with make_router(service) as router:
-                    primary = router.cluster_map.primary_for(oid(7))
+                    primary = router.cluster_map.owners_for(oid(7))[0]
                     router.breakers.breakers[primary] = breaker
                     breaker.record_failure(0.0)
                     breaker.record_failure(0.1)
@@ -213,7 +213,7 @@ class TestHedgedReads:
                         if len(router.cluster_map.owners_for(oid(i), width=2)) == 2
                     )
                     assert (await router.write(target, body, 0)).ok
-                    primary = router.cluster_map.primary_for(target)
+                    primary = router.cluster_map.owners_for(target)[0]
 
                     def crawl(command, seq):
                         return 0.25
@@ -249,7 +249,7 @@ class TestHedgedReads:
                     assert response.ok and got == body
                     assert router.router_stats.hedged_reads == 0
                     # Passive traffic fed the monitor.
-                    primary = router.cluster_map.primary_for(oid(9))
+                    primary = router.cluster_map.owners_for(oid(9))[0]
                     assert monitor.health_of(primary).ops > 0
 
         run(scenario())

@@ -112,7 +112,7 @@ class TestPlacement:
         owners = m.owners_for(OID, width=2)
         assert len(owners) == 2
         assert len(set(owners)) == 2
-        assert owners[0] == m.primary_for(OID)
+        assert m.owners_for(OID) == owners[:1]
         # Draining the primary re-homes it; the old mirror order shifts up.
         drained = m.with_shard_state(owners[0], ShardState.DRAINING)
         assert owners[0] not in drained.owners_for(OID, width=2)
@@ -120,7 +120,7 @@ class TestPlacement:
     def test_no_eligible_shards_is_an_error(self):
         m = _map(1).with_shard_state(0, ShardState.CONDEMNED)
         with pytest.raises(ClusterMapError):
-            m.primary_for(OID)
+            m.owners_for(OID)
 
     def test_fragment_ids_round_trip(self):
         for index in (0, 1, 5, 255):
@@ -163,7 +163,6 @@ def _assert_matches_definition(m, object_id, width, fragments):
     if not eligible:
         for ask in (
             lambda: m.owners_for(object_id, width),
-            lambda: m.primary_for(object_id),
             lambda: m.stripe_shards_for(object_id, fragments),
             lambda: m.owners_for(fragment_object_id(object_id, 0)),
         ):
@@ -173,7 +172,6 @@ def _assert_matches_definition(m, object_id, width, fragments):
     ranked = rank_shards(object_id, eligible)
     owners = m.owners_for(object_id, width)
     assert owners == ranked[: max(1, min(width, len(ranked)))]
-    assert m.primary_for(object_id) == ranked[0]
     stripe = m.stripe_shards_for(object_id, fragments)
     assert stripe == [ranked[i % len(ranked)] for i in range(fragments)]
     for index in range(fragments):
@@ -221,7 +219,7 @@ def test_ranking_memo_is_bounded():
     m = _map(1)
     try:
         for index in range(RANKING_MEMO_ENTRIES + 64):
-            m.primary_for(ObjectId(PARTITION_BASE, index))
+            m.owners_for(ObjectId(PARTITION_BASE, index))
         assert ranking.cache_info().currsize == RANKING_MEMO_ENTRIES
     finally:
         ranking.cache_clear()  # do not carry a full memo through the session

@@ -69,7 +69,7 @@ class TestRoutedDataPath:
                         assert response.ok
                         assert got == body
                         layout = {0: "mirror", 1: "mirror", 2: "stripe", 3: "plain"}
-                        assert router.layout_of(object_id) == layout[class_id]
+                        assert router._layouts[object_id] == layout[class_id]
                     assert router.router_stats.mirrors_written == 12
                     assert router.router_stats.stripes_written == 6
                     # Healthy cluster: nothing degraded, nothing redirected.
@@ -231,7 +231,7 @@ class TestStaleMapHealing:
 
                     # An object whose *stale* primary is the drained shard.
                     index = next(
-                        i for i in range(512) if stale_map.primary_for(oid(i)) == 0
+                        i for i in range(512) if stale_map.owners_for(oid(i))[0] == 0
                     )
                     body = payload_for("stale", index)
                     response = await router.write(oid(index), body, 3)
@@ -297,11 +297,11 @@ class TestDoubleCondemnMidReplay:
     @staticmethod
     def _condemn_chain(start_map, object_id):
         """(map1, map2, map3, s1, s2, s3): condemn the primary, twice."""
-        s1 = start_map.primary_for(object_id)
+        s1 = start_map.owners_for(object_id)[0]
         map2 = start_map.with_shard_state(s1, ShardState.CONDEMNED)
-        s2 = map2.primary_for(object_id)
+        s2 = map2.owners_for(object_id)[0]
         map3 = map2.with_shard_state(s2, ShardState.CONDEMNED)
-        s3 = map3.primary_for(object_id)
+        s3 = map3.owners_for(object_id)[0]
         assert len({s1, s2, s3}) == 3  # HRW excludes condemned shards
         return map2, map3, s1, s2, s3
 
@@ -417,7 +417,7 @@ class TestDegradedReads:
                 async with make_router(service) as router:
                     body = payload_for("failover", 0)
                     assert (await router.write(oid(500), body, 1)).ok
-                    primary = router.cluster_map.primary_for(oid(500))
+                    primary = router.cluster_map.owners_for(oid(500))[0]
                     await service.stop_shard(primary)
                     got, response = await router.read(oid(500))
                     assert response.ok

@@ -12,8 +12,8 @@ from repro.faults import (
     LatentErrors,
     LinkNoise,
     NetFaultPlan,
+    NetPartition,
     ShardChaos,
-    ShardCrash,
 )
 from repro.faults.plan import SeededPlan, stream
 
@@ -22,7 +22,7 @@ VOCABULARIES = [
         FaultPlan,
         LatentErrors(uber_rate=0.01),
         FailStop(at_time=9.0, device=0),
-        ShardCrash(shard=0, at_op=1),
+        NetPartition(shards=(0,), from_op=0, until_op=1),
         "FaultPlan(seed=3):\n"
         "  [0] LatentErrors(uber_rate=0.01, seed=0, devices=None, from_time=0.0, "
         "max_events=None)\n"
@@ -32,11 +32,11 @@ VOCABULARIES = [
     pytest.param(
         NetFaultPlan,
         LinkNoise(shard=0, drop_rate=0.5),
-        ShardCrash(shard=1, at_op=3),
+        NetPartition(shards=(1,), from_op=0, until_op=3),
         FailStop(at_time=1.0, device=0),
         "NetFaultPlan(seed=3):\n"
         "  [0] LinkNoise(shard=0, drop_rate=0.5, from_op=0, until_op=None)\n"
-        "  [1] ShardCrash(shard=1, at_op=3)",
+        "  [1] NetPartition(shards=(1,), from_op=0, until_op=3)",
         id="net",
     ),
 ]
@@ -58,6 +58,7 @@ def test_container_behaves_the_same_for_both_vocabularies(
     assert len(plan) == 1 and tuple(grown) == (first, second)
     assert grown.of_type(type(first)) == [(0, first)]
     assert grown.of_type(type(second)) == [(1, second)]
+    assert grown.extended(first).of_type(type(first)) == [(0, first), (2, first)]
     assert grown.describe() == described
 
     # A vocabulary admits its own events only: not a stranger, and not the

@@ -1,6 +1,8 @@
-"""Tests for the shard-grain network chaos vocabulary."""
+"""Tests for the shard-grain network chaos vocabulary.
 
-import asyncio
+The plan container itself is tested under both vocabularies in
+``test_container.py``.
+"""
 
 import pytest
 
@@ -12,7 +14,6 @@ from repro.faults import (
     NetFaultPlan,
     NetPartition,
     ShardChaos,
-    ShardCrash,
 )
 
 
@@ -48,21 +49,6 @@ class TestValidation:
     def test_noise_rate_is_probability(self):
         with pytest.raises(FaultPlanError):
             NetFaultPlan(events=(LinkNoise(shard=0, drop_rate=1.5),))
-
-    def test_crash_needs_non_negative_op(self):
-        with pytest.raises(FaultPlanError):
-            NetFaultPlan(events=(ShardCrash(shard=0, at_op=-1),))
-
-    def test_unknown_event_rejected(self):
-        with pytest.raises(FaultPlanError):
-            NetFaultPlan(events=("boom",))  # type: ignore[arg-type]
-
-    def test_extended_preserves_indices(self):
-        plan = NetFaultPlan(events=(LinkNoise(shard=0, drop_rate=0.5),), seed=7)
-        bigger = plan.extended(ShardCrash(shard=1, at_op=3))
-        assert bigger.seed == 7
-        assert bigger.of_type(LinkNoise)[0][0] == 0
-        assert bigger.of_type(ShardCrash)[0][0] == 1
 
 
 class TestPartition:
@@ -135,32 +121,6 @@ class TestFailSlow:
         assert chaos.delayed_seconds[0] == pytest.approx(0.003)
 
 
-class TestCrash:
-    def test_crash_fires_once_then_drops_forever(self):
-        crashes = []
-
-        async def on_crash(shard_id):
-            crashes.append(shard_id)
-
-        plan = NetFaultPlan(events=(ShardCrash(shard=0, at_op=2),))
-        chaos = ShardChaos(plan, on_crash=on_crash)
-
-        async def run():  # the crash shootdown is a task: it needs a loop
-            verdicts = _drive(chaos, 0, 5)
-            await chaos.drain_crashes()
-            return verdicts
-
-        verdicts = asyncio.run(run())
-        assert verdicts == [None, None, "drop", "drop", "drop"]
-        assert crashes == [0]
-        assert chaos.crashed == {0}
-
-    def test_other_shards_unaffected(self):
-        plan = NetFaultPlan(events=(ShardCrash(shard=0, at_op=0),))
-        chaos = ShardChaos(plan, on_crash=lambda s: asyncio.sleep(0))
-        assert _drive(chaos, 1, 4) == [None] * 4
-
-
 class TestSnapshot:
     def test_counters_per_shard(self):
         plan = NetFaultPlan(
@@ -174,12 +134,3 @@ class TestSnapshot:
         _drive(chaos, 0, 3)
         assert chaos.ops == {0: 3, 1: 2}
         assert chaos.drops == {0: 2}
-        assert chaos.crashed == set()
-
-    def test_describe_lists_events(self):
-        plan = NetFaultPlan(
-            events=(ShardCrash(shard=2, at_op=9),), seed=5
-        )
-        text = plan.describe()
-        assert "seed=5" in text and "ShardCrash" in text
-        assert NetFaultPlan().describe() == "NetFaultPlan(empty)"

@@ -1,4 +1,8 @@
-"""Tests for the declarative fault-plan value type."""
+"""Validation of the device fault-event vocabulary.
+
+The plan container itself is tested under both vocabularies in
+``test_container.py``.
+"""
 
 import pytest
 
@@ -35,51 +39,3 @@ class TestValidation:
     def test_latent_max_events_non_negative(self):
         with pytest.raises(FaultPlanError):
             FaultPlan(events=(LatentErrors(uber_rate=0.1, max_events=-1),))
-
-    def test_unknown_event_type_rejected(self):
-        with pytest.raises(FaultPlanError):
-            FaultPlan(events=("not-an-event",))
-
-
-class TestPlanStructure:
-    def test_iteration_preserves_order(self):
-        events = (
-            LatentErrors(uber_rate=0.01),
-            FailStop(at_time=5.0, device=1),
-            FailSlow(device=2, latency_multiplier=4.0),
-        )
-        plan = FaultPlan(events=events, seed=7)
-        assert tuple(plan) == events
-        assert len(plan) == 3
-
-    def test_of_type_returns_plan_indices(self):
-        plan = FaultPlan(
-            events=(
-                FailStop(at_time=1.0, device=0),
-                LatentErrors(uber_rate=0.01),
-                FailStop(at_time=2.0, device=1),
-            )
-        )
-        stops = plan.of_type(FailStop)
-        assert [index for index, _ in stops] == [0, 2]
-        assert all(isinstance(event, FailStop) for _, event in stops)
-
-    def test_extended_appends_without_reindexing(self):
-        plan = FaultPlan(events=(LatentErrors(uber_rate=0.01),), seed=3)
-        grown = plan.extended(FailStop(at_time=9.0, device=0))
-        # The original plan is immutable; the new one keeps seed and indices.
-        assert len(plan) == 1
-        assert len(grown) == 2
-        assert grown.seed == 3
-        assert grown.of_type(LatentErrors)[0][0] == 0
-        assert grown.of_type(FailStop)[0][0] == 1
-
-    def test_describe_lists_every_event(self):
-        plan = FaultPlan(
-            events=(LatentErrors(uber_rate=0.01), FailStop(at_time=1.0, device=0)),
-            seed=11,
-        )
-        text = plan.describe()
-        assert "seed=11" in text
-        assert "[0]" in text and "[1]" in text
-        assert FaultPlan().describe() == "FaultPlan(empty)"

@@ -1,7 +1,8 @@
 """The admit path does each piece of byte work once, and only the work moves.
 
 ``write_object`` encodes all full stripes of an object in one
-``RSCodec.encode_arrays`` call and hands each distinct fragment to the
+``RSCodec.encode_arrays`` call, and the packed tail stripe in one
+``RSCodec.encode`` call, and hands each distinct fragment to the
 devices once — a replicated stripe is one byte string programmed
 ``stripe_width`` times, and no byte of it is hashed. What is stored and what
 every read verifies must be exactly what the stripe-by-stripe, chunk-by-chunk
@@ -55,16 +56,21 @@ def parity_cases(draw):
 
 @contextlib.contextmanager
 def recorded_encodes():
-    """Log the stack shape of every ``RSCodec.encode_arrays`` call."""
+    """Log the ``(k, length)`` shape of every encode, through either entry."""
     shapes = []
-    original = RSCodec.encode_arrays
+    encode_arrays, encode = RSCodec.encode_arrays, RSCodec.encode
 
-    def recording(self, stacked):
+    def recording_arrays(self, stacked):
         shapes.append(stacked.shape)
-        return original(self, stacked)
+        return encode_arrays(self, stacked)
 
-    with mock.patch.object(RSCodec, "encode_arrays", recording):
-        yield shapes
+    def recording(self, data):
+        shapes.append((len(data), len(data[0])))
+        return encode(self, data)
+
+    with mock.patch.object(RSCodec, "encode_arrays", recording_arrays):
+        with mock.patch.object(RSCodec, "encode", recording):
+            yield shapes
 
 
 class TestOneEncodePerObject:

@@ -1,11 +1,10 @@
 """The billing fast path must be invisible: identical results, less work.
 
-The flash array caches three things that used to be recomputed per
-operation — the id→device map, per-size service times, and validated
-stripe geometry. These tests pin that the caches never change what an
-operation *returns*: :class:`ArrayIoResult` stays byte-identical to the
-uncached arithmetic, and the cached device map tracks in-place
-fail/replace mutations.
+The flash array caches two things that used to be recomputed per
+operation — the id→device map and validated stripe geometry. These tests
+pin that the caches never change what an operation *returns*:
+:class:`ArrayIoResult` stays byte-identical to the uncached arithmetic, and
+the cached device map tracks in-place fail/replace mutations.
 """
 
 import dataclasses
@@ -52,10 +51,10 @@ def result_snapshot(result):
     )
 
 
-class TestServiceTimeMemo:
+class TestServiceTime:
     @given(num_bytes=st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=200, deadline=None)
-    def test_memo_matches_formula_exactly(self, num_bytes):
+    def test_matches_formula_exactly(self, num_bytes):
         model = ServiceTimeModel(
             read_overhead=80e-6,
             write_overhead=100e-6,
@@ -64,34 +63,8 @@ class TestServiceTimeMemo:
         )
         expected_read = model.read_overhead + num_bytes / model.read_bandwidth
         expected_write = model.write_overhead + num_bytes / model.write_bandwidth
-        # First call computes, second answers from the memo: both exact.
-        assert model.read_time(num_bytes) == expected_read
         assert model.read_time(num_bytes) == expected_read
         assert model.write_time(num_bytes) == expected_write
-        assert model.write_time(num_bytes) == expected_write
-
-    def test_memo_is_bounded(self):
-        model = ServiceTimeModel(
-            read_overhead=0.0,
-            write_overhead=0.0,
-            read_bandwidth=1e6,
-            write_bandwidth=1e6,
-        )
-        for size in range(model._MEMO_LIMIT * 2 + 5):
-            model.read_time(size)
-        assert len(model._read_memo) <= model._MEMO_LIMIT + 1
-        # And still correct after the clear.
-        assert model.read_time(123) == 123 / 1e6
-
-    def test_memo_state_does_not_affect_equality_or_hash(self):
-        cold = ServiceTimeModel(1e-6, 1e-6, 1e6, 1e6)
-        warm = ServiceTimeModel(1e-6, 1e-6, 1e6, 1e6)
-        for size in (1, 2, 3, 4096):
-            warm.read_time(size)
-            warm.write_time(size)
-        assert cold == warm
-        assert hash(cold) == hash(warm)
-        assert "memo" not in repr(warm)
 
 
 class TestSchemeGeometryCache:
@@ -183,6 +156,6 @@ class TestBillingIdentity:
         cold = make_array(model=cold_model)
         cold_run = self.run_sequence(cold)
 
-        # Re-run on a fresh array sharing the warm model: every memo hit.
+        # Re-run on a fresh array sharing the warm model: every cache hit.
         rerun = self.run_sequence(make_array(model=warm_model))
         assert rerun == cold_run

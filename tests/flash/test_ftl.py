@@ -155,6 +155,26 @@ class TestDeviceIntegration:
         device.discard_chunk((0, 0))
         assert device.ftl.mapped_pages == 0
 
+    @pytest.mark.parametrize("rewrite", [None, b"y" * 100], ids=["discard", "overwrite"])
+    def test_torn_chunk_frees_every_programmed_page(self, rewrite):
+        from repro.flash.device import FlashDevice
+        from repro.flash.latency import ZERO_COST
+
+        device = FlashDevice(
+            device_id=0,
+            capacity_bytes=10**6,
+            model=ZERO_COST,
+            ftl=small_ftl(num_blocks=64, pages_per_block=8),
+        )
+        device.write_chunk((0, 0), b"x" * 256)  # 4 pages of 64 bytes
+        assert device.tear_stored((0, 0), keep_fraction=0.0)
+        if rewrite is None:
+            device.discard_chunk((0, 0))
+            assert device.ftl.mapped_pages == 0
+        else:
+            device.write_chunk((0, 0), rewrite)
+            assert device.ftl.mapped_pages == 2
+
     def test_replace_resets_ftl(self):
         from repro.flash.device import FlashDevice
         from repro.flash.latency import ZERO_COST

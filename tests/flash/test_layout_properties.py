@@ -1,17 +1,18 @@
 """Layout properties of the array write path and the read order it implies.
 
 The write path slices data fragments straight out of the payload and keeps
-per-extent byte totals as it goes; :func:`pack_fragments` and a walk over
-the chunks stay the definitions those shortcuts must agree with. The read
-path pulls fragments in index order only when every holder of a stripe is
-ONLINE with no known-corrupt chunk — everywhere else it must follow
-:meth:`FlashArray._fragment_order`.
+per-extent byte totals as it goes; the zero-padded ``(k, length)`` stripe
+stack and a walk over the chunks stay the definitions those shortcuts must
+agree with. The read path pulls fragments in index order only when every
+holder of a stripe is ONLINE with no known-corrupt chunk — everywhere else
+it must follow :meth:`FlashArray._fragment_order`.
 """
 
 import contextlib
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,6 @@ from repro.flash.stripe import (
     ChunkKind,
     ParityScheme,
     ReplicationScheme,
-    pack_fragments,
 )
 
 CHUNK = 16
@@ -67,7 +67,7 @@ scheme_and_size = st.sampled_from(SCHEMES).flatmap(
 class TestLayout:
     @given(scheme_and_size, st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=150, deadline=None)
-    def test_stored_fragments_match_pack_fragments(self, case, seed):
+    def test_stored_fragments_match_padded_layout(self, case, seed):
         scheme, size = case
         array = make_array()
         array.write_object("pad", b"x" * 7, ParityScheme(1))  # shifts the rotation
@@ -80,7 +80,11 @@ class TestLayout:
             raw = payload[offset : offset + stripe.payload_bytes]
             offset += stripe.payload_bytes
             length = stripe.chunks[0].length
-            stack = pack_fragments(raw, stripe.data_count, length)
+            # The stripe payload, zero-padded to k fragments of one length.
+            padded = raw.ljust(stripe.data_count * length, b"\0")
+            stack = np.frombuffer(padded, dtype=np.uint8).reshape(
+                stripe.data_count, length
+            )
             parity = RSCodec(stripe.data_count, stripe.parity_count).encode_arrays(stack)
             for chunk in stripe.chunks:
                 stored, _ = array.devices[chunk.device_id].read_chunk(chunk.address)

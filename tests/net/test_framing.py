@@ -72,7 +72,9 @@ class TestFrameDecoder:
             # next feed() invalidates them.
             received.extend(bytes(frame) for frame in decoder.frames())
         assert received == pdus
-        assert decoder.buffered_bytes == 0
+        # Nothing is left over: the next frame comes out alone.
+        decoder.feed(frame_pdu(b"next"))
+        assert [bytes(frame) for frame in decoder.frames()] == [b"next"]
 
     @given(
         pdus=st.lists(st.binary(max_size=200), max_size=8),

@@ -1,11 +1,12 @@
 """The server's one serving path and its one gate.
 
 Commands execute inline in the protocol callback and a reply is either
-sent or held on a timer, so serving creates no asyncio task; the frame
-loop stops (and the socket pauses) while a connection holds
-``max_in_flight`` replies or its transport reports write pressure. These
-tests pin the task count, the strict per-connection bound, half-close,
-shutdown past ``drain_timeout`` and the slow-reader bound.
+sent, held on a timer or dropped with the connection, so serving creates
+no asyncio task, with or without a chaos hook; the frame loop stops (and
+the socket pauses) while a connection holds ``max_in_flight`` replies or
+its transport reports write pressure. These tests pin the task count, the
+strict per-connection bound, half-close, shutdown past ``drain_timeout``
+and the slow-reader bound.
 """
 
 import asyncio
@@ -13,6 +14,7 @@ import socket
 
 import pytest
 
+from repro.faults import LinkFailSlow, NetFaultPlan, NetPartition, ShardChaos
 from repro.net.client import AsyncOsdClient
 from repro.net.server import OsdServer
 from repro.osd import commands, wire
@@ -57,6 +59,44 @@ def test_hook_free_serving_creates_no_task():
                 assert server.stats.connections_active == 2
                 # Two live connections on each end, and nothing runs for them.
                 assert len(asyncio.all_tasks()) == tasks
+
+    run(scenario())
+
+
+def test_chaos_hooked_serving_creates_no_task():
+    chaos = ShardChaos(
+        NetFaultPlan(
+            events=(
+                NetPartition(shards=(0,), from_op=0, until_op=1),
+                LinkFailSlow(shard=0, delay=0.05, from_op=1),
+            )
+        )
+    )
+
+    async def scenario():
+        async with OsdServer(make_target(), fault_hook=chaos.hook_for(0)) as server:
+            tasks = len(asyncio.all_tasks())
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(framed(commands.Write(OIDS[0], b"dropped", 3), 1))
+            assert await reader.read() == b""  # executed, severed unanswered
+            writer.close()
+            assert len(asyncio.all_tasks()) == tasks
+
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(
+                b"".join(
+                    framed(commands.Write(oid, b"held", 3), seq)
+                    for seq, oid in enumerate(OIDS[1:3], start=1)
+                )
+            )
+            await until(lambda: chaos.delays.get(0) == 2)
+            # Both replies are held on timers; nothing runs for them.
+            assert len(asyncio.all_tasks()) == tasks
+            replies = [await read_reply(reader) for _ in range(2)]
+            assert all(response.ok for _, response in replies)
+            writer.close()
+            assert chaos.drops == {0: 1}
+            assert len(asyncio.all_tasks()) == tasks
 
     run(scenario())
 

@@ -50,12 +50,6 @@ class TestFiles:
         with pytest.raises(OsdError):
             fs.create_file("/a", b"2")
 
-    def test_write_overwrites(self):
-        _array, _target, fs = make_namespace()
-        fs.create_file("/a", b"old")
-        fs.write_file("/a", b"new content")
-        assert fs.read_file("/a") == b"new content"
-
     def test_missing_file(self):
         _array, _target, fs = make_namespace()
         with pytest.raises(OsdError):
@@ -125,11 +119,6 @@ class TestErrorPaths:
         fs.create_file("/f", b"x")
         with pytest.raises(OsdError):
             fs.create_file("/f/child", b"y")
-
-    def test_write_missing_file(self):
-        _array, _target, fs = make_namespace()
-        with pytest.raises(OsdError):
-            fs.write_file("/nope", b"x")
 
     def test_remove_missing_entry(self):
         _array, _target, fs = make_namespace()

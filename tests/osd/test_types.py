@@ -5,10 +5,7 @@ import pytest
 from repro.osd.types import (
     CONTROL_OBJECT,
     DEVICE_TABLE,
-    PARTITION_BASE,
-    PARTITION_ZERO,
     ROOT_DIRECTORY,
-    ROOT_OBJECT,
     SUPER_BLOCK,
     ObjectId,
     ObjectInfo,
@@ -34,15 +31,6 @@ class TestObjectId:
 
     def test_str_is_hex(self):
         assert str(ObjectId(0x10000, 0x10005)) == "0x10000/0x10005"
-
-    def test_root_kind(self):
-        assert ROOT_OBJECT.inferred_kind() is ObjectKind.ROOT
-
-    def test_partition_kind(self):
-        assert PARTITION_ZERO.inferred_kind() is ObjectKind.PARTITION
-
-    def test_user_kind(self):
-        assert ObjectId(PARTITION_BASE, 0x20000).inferred_kind() is ObjectKind.USER
 
 
 class TestReservedObjects:

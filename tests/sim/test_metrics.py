@@ -88,5 +88,5 @@ class TestWindows:
         recorder.record(0.0, 0.1, 1, hit=True)
         recorder.mark("m")
         recorder.reset()
-        assert recorder.request_count == 0
+        assert recorder.samples == []
         assert len(recorder.windows()) == 1
