@@ -100,6 +100,11 @@ class ReoPolicy(RedundancyPolicy):
             raise ValueError("reserve fraction must be in (0, 1]")
         if self.hot_parity < 0:
             raise ValueError("hot parity cannot be negative")
+        # The three schemes are immutable values: built once, handed out on
+        # every admission (not fields, so equality and hashing ignore them).
+        object.__setattr__(self, "_replicated", ReplicationScheme())
+        object.__setattr__(self, "_hot", ParityScheme(self.hot_parity))
+        object.__setattr__(self, "_cold", ParityScheme(0))
 
     @property
     def name(self) -> str:
@@ -107,10 +112,10 @@ class ReoPolicy(RedundancyPolicy):
 
     def scheme_for(self, class_id: int) -> RedundancyScheme:
         if class_id in (ObjectClass.METADATA, ObjectClass.DIRTY):
-            return ReplicationScheme()
+            return self._replicated
         if class_id == ObjectClass.HOT_CLEAN:
-            return ParityScheme(self.hot_parity)
-        return ParityScheme(0)
+            return self._hot
+        return self._cold
 
 
 def uniform_parity(parity: int) -> UniformPolicy:

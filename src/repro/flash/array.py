@@ -458,32 +458,26 @@ class FlashArray:
                     fragments *= stripe_width
                 # Rotate by the *global* stripe id so parity lands evenly
                 # across devices regardless of object sizes (§IV-C.3).
-                chunks = tuple(
-                    [
-                        ChunkLocation(
-                            stripe_id, slot.fragment_index, slot.device_id, slot.kind,
-                            chunk_length, (stripe_id, slot.fragment_index),
-                        )
-                        for slot in layouts[stripe_id % period]
-                    ]
-                )
+                slots = layouts[stripe_id % period]
                 # The stripe is on record before its first chunk is
                 # programmed, so a rollback sees the stripe in flight too.
                 stripes.append(
                     StripeDescriptor(
-                        stripe_id, stripe_payload, k, parity_count, chunks, is_replication
+                        stripe_id, stripe_payload, k, parity_count, slots,
+                        chunk_length, is_replication,
                     )
                 )
                 extent.data_bytes += stripe_bytes
                 extent.redundancy_bytes += (stripe_width - k) * chunk_length
                 # ``_IoBatch.write`` in place, chunk by chunk in slot order.
-                for chunk in chunks:
-                    device_id = chunk.device_id
+                for slot in slots:
+                    device_id = slot.device_id
+                    index = slot.fragment_index
                     sample = samples.get(device_id)
                     if sample is None:
                         sample = batch._open(by_id[device_id])
                     sample.seconds += by_id[device_id].write_chunk(
-                        chunk.address, fragments[chunk.fragment_index]
+                        (stripe_id, index), fragments[index]
                     )
                     sample.writes += 1
                     sample.bytes_written += chunk_length
@@ -512,11 +506,21 @@ class FlashArray:
         return self._finish(batch)
 
     def _discard_chunks(self, extent: ObjectExtent) -> None:
-        """Remove an extent's chunks from whichever live devices hold them."""
+        """Remove an extent's chunks from whichever live devices hold them.
+
+        One ``discard_chunks`` call per device, with that device's addresses
+        in stripe order: a discard bills no time and has no fault hook, so
+        only the order within a device is observable (its FTL trims).
+        """
         by_id = self._devices_by_id
+        by_device: Dict[int, List[Tuple[int, int]]] = {device_id: [] for device_id in by_id}
         for stripe in extent.stripes:
-            for chunk in stripe.chunks:
-                by_id[chunk.device_id].discard_chunk(chunk.address)
+            stripe_id = stripe.stripe_id
+            for slot in stripe.slots:
+                by_device[slot.device_id].append((stripe_id, slot.fragment_index))
+        for device_id, addresses in by_device.items():
+            if addresses:
+                by_id[device_id].discard_chunks(addresses)
 
     def _unregister_stripes(self, extent: ObjectExtent) -> None:
         for stripe in extent.stripes:
@@ -550,9 +554,7 @@ class FlashArray:
         return payload, self._finish(batch)
 
     @staticmethod
-    def _fragment_order(
-        available: Dict[int, ChunkLocation], by_id: Dict[int, FlashDevice]
-    ) -> List[int]:
+    def _fragment_order(stripe_id: int, available: Dict[int, FlashDevice]) -> List[int]:
         """Fragment indices, trusted fragments first.
 
         Two demotions: fragments whose address already failed a read check
@@ -566,9 +568,8 @@ class FlashArray:
         """
 
         def rank(index: int) -> Tuple[bool, bool, int]:
-            chunk = available[index]
-            device = by_id[chunk.device_id]
-            return (chunk.address in device.corrupt_chunks, not device.is_online, index)
+            device = available[index]
+            return ((stripe_id, index) in device.corrupt_chunks, not device.is_online, index)
 
         return sorted(available, key=rank)
 
@@ -583,27 +584,30 @@ class FlashArray:
         The one place that decides which fragments a degraded read and a
         rebuild pull, and in what order. Stops at one replica, or at ``k``
         fragments of a parity stripe; a fragment that fails to read
-        (corruption, transient fault) marks the batch degraded and the next
-        survivor takes its place.
+        (corruption, transient fault, a device a fail-stop shot down during
+        this operation) marks the batch degraded and the next survivor
+        takes its place.
 
         Raises:
             UnrecoverableDataError: the readable fragments cannot serve it.
         """
-        available: Dict[int, ChunkLocation] = {}
+        stripe_id = stripe.stripe_id
+        #: fragment index -> the device that can serve it
+        available: Dict[int, FlashDevice] = {}
         trusted = True
-        for chunk in stripe.chunks:
-            device = by_id[chunk.device_id]
-            if device.has_chunk(chunk.address):
-                available[chunk.fragment_index] = chunk
+        for slot in stripe.slots:
+            device = by_id[slot.device_id]
+            if device.has_chunk((stripe_id, slot.fragment_index)):
+                available[slot.fragment_index] = device
             if device.state is not _ONLINE or device.corrupt_chunks:
                 trusted = False
         # With every holder ONLINE and free of known-corrupt chunks all
         # fragments rank equal, and trusted-first order *is* index order.
-        order = sorted(available) if trusted else self._fragment_order(available, by_id)
+        order = sorted(available) if trusted else self._fragment_order(stripe_id, available)
         k = stripe.data_count  # 1 for a replicated stripe
         fragments: Dict[int, bytes] = {}
         for index in order:
-            payload = self._read_fragment(batch, by_id, available[index])
+            payload = self._read_fragment(batch, available[index], (stripe_id, index))
             if payload is None:
                 batch.result.degraded = True
                 continue
@@ -638,19 +642,19 @@ class FlashArray:
 
     @staticmethod
     def _read_fragment(
-        batch: _IoBatch,
-        by_id: Dict[int, FlashDevice],
-        chunk: ChunkLocation,
+        batch: _IoBatch, device: FlashDevice, address: Tuple[int, int]
     ) -> Optional[bytes]:
-        """Read one fragment; corruption or a transient fault returns None.
+        """Read one fragment; an unreadable one returns None.
 
-        Either way the error is recorded in the batch's per-device sample
-        (health-monitor food); corruption additionally lands in the
-        device's ``corrupt_chunks`` set for targeted scrubbing.
+        Corruption and a transient fault are recorded in the batch's
+        per-device sample (health-monitor food); corruption additionally
+        lands in the device's ``corrupt_chunks`` set for targeted scrubbing.
+        A device that failed after the stripe was surveyed (a fail-stop that
+        fired during this operation) cannot serve the fragment either.
         """
         try:
-            return batch.read(by_id[chunk.device_id], chunk.address)
-        except (ChunkCorruptedError, TransientIoError):
+            return batch.read(device, address)
+        except (ChunkCorruptedError, TransientIoError, DeviceFailedError):
             return None
 
     # ------------------------------------------------------------------
@@ -702,23 +706,29 @@ class FlashArray:
     ) -> None:
         local_start = max(0, offset - stripe_start)
         local_end = min(stripe.payload_bytes, offset + len(data) - stripe_start)
-        chunks_by_index = {chunk.fragment_index: chunk for chunk in stripe.chunks}
+        stripe_id = stripe.stripe_id
+        #: fragment index -> (device, address)
+        homes = {
+            slot.fragment_index: (by_id[slot.device_id], (stripe_id, slot.fragment_index))
+            for slot in stripe.slots
+        }
 
         if stripe.replicated:
             # One logical fragment replicated everywhere: read any healthy
             # copy, patch, push the new content to every replica.
-            source = chunks_by_index[min(chunks_by_index)]
-            old = batch.read(by_id[source.device_id], source.address)
+            old = batch.read(*homes[min(homes)])
             patched = bytearray(old)
             patched[local_start:local_end] = data[
                 stripe_start + local_start - offset : stripe_start + local_end - offset
             ]
-            for chunk in stripe.chunks:
-                batch.write(by_id[chunk.device_id], chunk.address, bytes(patched))
+            # One byte string for every replica, as ``write_object`` sends.
+            content = bytes(patched)
+            for device, address in homes.values():
+                batch.write(device, address, content)
             return
 
         k = stripe.data_count
-        chunk_length = chunks_by_index[0].length
+        chunk_length = stripe.chunk_length
         first = local_start // chunk_length
         last = (local_end - 1) // chunk_length
         updated = list(range(first, last + 1))
@@ -729,8 +739,7 @@ class FlashArray:
         old_fragments: Dict[int, bytes] = {}
         new_fragments: Dict[int, bytes] = {}
         for index in updated:
-            chunk = chunks_by_index[index]
-            old = batch.read(by_id[chunk.device_id], chunk.address)
+            old = batch.read(*homes[index])
             patched = bytearray(old)
             frag_start = index * chunk_length
             lo = max(local_start, frag_start)
@@ -745,9 +754,7 @@ class FlashArray:
             parity_payloads: List[bytes] = []
         elif plan.method == "delta":
             parity_payloads = [
-                batch.read(by_id[chunks_by_index[k + row].device_id],
-                           chunks_by_index[k + row].address)
-                for row in range(stripe.parity_count)
+                batch.read(*homes[k + row]) for row in range(stripe.parity_count)
             ]
             for index in updated:
                 parity_payloads = codec.delta_update(
@@ -759,16 +766,13 @@ class FlashArray:
                 if index in new_fragments:
                     full[index] = new_fragments[index]
                 else:
-                    chunk = chunks_by_index[index]
-                    full[index] = batch.read(by_id[chunk.device_id], chunk.address)
+                    full[index] = batch.read(*homes[index])
             parity_payloads = codec.encode([full[index] for index in range(k)])
 
         for index in updated:
-            chunk = chunks_by_index[index]
-            batch.write(by_id[chunk.device_id], chunk.address, new_fragments[index])
+            batch.write(*homes[index], new_fragments[index])
         for row, payload in enumerate(parity_payloads):
-            chunk = chunks_by_index[k + row]
-            batch.write(by_id[chunk.device_id], chunk.address, payload)
+            batch.write(*homes[k + row], payload)
 
     # ------------------------------------------------------------------
     # Delete
@@ -815,13 +819,15 @@ class FlashArray:
         missing: List[ChunkLocation] = []
         health = ObjectHealth.HEALTHY
         for stripe in extent.stripes:
+            stripe_id = stripe.stripe_id
+            slots = stripe.slots
             present = 0
-            for chunk in stripe.chunks:
-                if by_id[chunk.device_id].has_chunk(chunk.address):
+            for slot in slots:
+                if by_id[slot.device_id].has_chunk((stripe_id, slot.fragment_index)):
                     present += 1
                 else:
-                    missing.append(chunk)
-            if present == len(stripe.chunks):
+                    missing.append(stripe.locate(slot))
+            if present == len(slots):
                 continue
             # k is 1 for a replicated stripe: any one copy serves it.
             if present < stripe.data_count:
@@ -846,11 +852,12 @@ class FlashArray:
         by_id = self._devices_by_id
         batch = _IoBatch(self.clock.now, op="rebuild")
         for stripe in extent.stripes:
+            stripe_id = stripe.stripe_id
             missing: List[ChunkLocation] = []
-            for chunk in stripe.chunks:
-                device = by_id[chunk.device_id]
-                if device.is_online and not device.has_chunk(chunk.address):
-                    missing.append(chunk)
+            for slot in stripe.slots:
+                device = by_id[slot.device_id]
+                if device.is_online and not device.has_chunk((stripe_id, slot.fragment_index)):
+                    missing.append(stripe.locate(slot))
             if missing:
                 fragments = self._gather(stripe, batch, by_id)
                 self._regenerate(stripe, fragments, missing, batch, by_id)
@@ -934,19 +941,23 @@ class FlashArray:
         report.objects_checked += 1
         object_ok = True
         for stripe in extent.stripes:
+            stripe_id = stripe.stripe_id
             good: Dict[int, bytes] = {}
             bad: List[ChunkLocation] = []
             # Every present chunk is read: that is how scrub finds corruption.
-            for chunk in stripe.chunks:
-                device = by_id[chunk.device_id]
-                if not device.has_chunk(chunk.address):
+            for slot in stripe.slots:
+                device = by_id[slot.device_id]
+                address = (stripe_id, slot.fragment_index)
+                if not device.has_chunk(address):
                     continue
                 report.chunks_checked += 1
-                payload = self._read_fragment(batch, by_id, chunk)
-                if payload is None:
-                    bad.append(chunk)
-                else:
-                    good[chunk.fragment_index] = payload
+                payload = self._read_fragment(batch, device, address)
+                if payload is not None:
+                    good[slot.fragment_index] = payload
+                elif device.is_available:
+                    # Damaged in place; a device that failed mid-scrub has
+                    # nothing left to repair.
+                    bad.append(stripe.locate(slot))
             if not bad:
                 continue
             try:

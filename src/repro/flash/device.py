@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 from repro.errors import (
     ChunkCorruptedError,
@@ -185,9 +185,13 @@ class FlashDevice:
                 # A torn chunk is stored shorter than it was programmed;
                 # the FTL mapped the programmed length.
                 ftl.trim_extent(address, len(self._programmed[address]))
-        self._chunks[address] = self._programmed[address] = bytes(payload)
+        if type(payload) is not bytes:
+            payload = bytes(payload)
+        self._chunks[address] = self._programmed[address] = payload
         self._used = new_used
-        self.corrupt_chunks.discard(address)
+        corrupt = self.corrupt_chunks
+        if corrupt:
+            corrupt.discard(address)
         if ftl is not None:
             ftl.write_extent(address, length)
         stats.writes += 1
@@ -241,26 +245,40 @@ class FlashDevice:
             service = injector.scale_time(self, service)
         return payload, service
 
-    def discard_chunk(self, address: ChunkAddress) -> None:
-        """Drop a chunk if this device still serves it.
+    def discard_chunks(self, addresses: Iterable[ChunkAddress]) -> None:
+        """Drop the chunks at ``addresses``, in order, if this device still serves them.
 
-        The one way to retire a chunk: a chunk on a FAILED device, or one
-        that is already gone, is simply nothing to do. Deletes are metadata
+        The one way to retire chunks: on a FAILED device, or for an address
+        that holds nothing, there is simply nothing to do. Each dropped
+        chunk frees its bytes, its programmed copy, its corrupt mark and
+        the FTL pages it was programmed with. Deletes are metadata
         operations billed no simulated time (TRIM is asynchronous).
         """
         if self.state is _FAILED:
             return
-        payload = self._chunks.pop(address, None)
-        if payload is None:
-            return
-        programmed = self._programmed.pop(address)
-        self.corrupt_chunks.discard(address)
-        self._used -= len(payload)
+        chunks = self._chunks
+        programmed = self._programmed
+        corrupt = self.corrupt_chunks
+        ftl = self.ftl
+        freed = 0
+        dropped = 0
+        for address in addresses:
+            payload = chunks.pop(address, None)
+            if payload is None:
+                continue
+            intended = programmed.pop(address)
+            if corrupt:
+                corrupt.discard(address)
+            freed += len(payload)
+            dropped += 1
+            if ftl is not None:
+                # A torn chunk is stored shorter than it was programmed;
+                # the FTL mapped the programmed length.
+                ftl.trim_extent(address, len(intended))
+        self._used -= freed
         stats = self.stats
-        stats.deletes += 1
-        stats.erases += 1
-        if self.ftl is not None:
-            self.ftl.trim_extent(address, len(programmed))
+        stats.deletes += dropped
+        stats.erases += dropped
 
     def has_chunk(self, address: ChunkAddress) -> bool:
         """True if the chunk is present *and* the device can serve it."""

@@ -58,9 +58,9 @@ class FragmentSlot:
 class ChunkLocation(NamedTuple):
     """A placed chunk: stripe, fragment, device, role, and size.
 
-    Built once when the stripe is laid out and then only read, one per
-    chunk the array ever stores — hence a tuple that *stores* its address
-    instead of a dataclass that re-derives it on every touch.
+    Derived from a stripe's layout, and built only where a chunk record is
+    handed out (the missing list of a triage, the chunks a repair
+    regenerates); the engine's own loops walk the stripe's slots instead.
     """
 
     stripe_id: int
@@ -68,8 +68,11 @@ class ChunkLocation(NamedTuple):
     device_id: int
     kind: ChunkKind
     length: int
-    #: The on-device address, ``(stripe_id, fragment_index)``.
-    address: Tuple[int, int]
+
+    @property
+    def address(self) -> Tuple[int, int]:
+        """The on-device address, ``(stripe_id, fragment_index)``."""
+        return (self.stripe_id, self.fragment_index)
 
 
 class StripeDescriptor(NamedTuple):
@@ -79,13 +82,28 @@ class StripeDescriptor(NamedTuple):
     payload_bytes: int
     data_count: int
     parity_count: int
-    chunks: Tuple[ChunkLocation, ...]
+    #: The memoized layout the stripe was written with (one slot per chunk,
+    #: in slot order), shared by every stripe of the same rotation.
+    slots: Tuple[FragmentSlot, ...]
+    #: Length of every chunk of the stripe.
+    chunk_length: int
     #: True when the stripe is replica-based rather than parity-based.
     replicated: bool = False
 
     @property
     def width(self) -> int:
-        return len(self.chunks)
+        return len(self.slots)
+
+    def locate(self, slot: FragmentSlot) -> ChunkLocation:
+        """The record of the chunk one of this stripe's slots placed."""
+        return ChunkLocation(
+            self.stripe_id, slot.fragment_index, slot.device_id, slot.kind, self.chunk_length
+        )
+
+    @property
+    def chunks(self) -> Tuple[ChunkLocation, ...]:
+        """The stripe's chunk records, derived from its layout."""
+        return tuple([self.locate(slot) for slot in self.slots])
 
     def data_chunks(self) -> List[ChunkLocation]:
         return [chunk for chunk in self.chunks if chunk.kind is ChunkKind.DATA]

@@ -101,7 +101,7 @@ class TestIo:
     def test_delete_chunk(self):
         device = make_device()
         device.write_chunk((1, 0), b"xyz")
-        device.discard_chunk((1, 0))
+        device.discard_chunks([(1, 0)])
         assert device.used_bytes == 0
         assert not device.has_chunk((1, 0))
 
@@ -117,7 +117,7 @@ class TestIo:
 
 
 class TestDiscard:
-    """``discard_chunk``, the one way to retire a chunk, tolerates absence."""
+    """``discard_chunks``, the one way to retire chunks, tolerates absence."""
 
     @staticmethod
     def worn_device():
@@ -145,7 +145,7 @@ class TestDiscard:
 
     def test_present_chunk_has_delete_chunks_effects(self):
         discarded = self.worn_device()
-        discarded.discard_chunk((0, 0))
+        discarded.discard_chunks([(0, 0)])
         assert discarded.stats.deletes == discarded.stats.erases == 1
         assert discarded.used_bytes == 100
         assert discarded.corrupt_chunks == set()
@@ -156,20 +156,20 @@ class TestDiscard:
     def test_absent_chunk_is_a_noop(self):
         device = self.worn_device()
         before = self.state_of(device)
-        device.discard_chunk((9, 9))
+        device.discard_chunks([(9, 9)])
         assert self.state_of(device) == before
 
     def test_failed_device_is_a_noop(self):
         device = self.worn_device()
         before = self.state_of(device)
         device.fail()
-        device.discard_chunk((0, 0))
+        device.discard_chunks([(0, 0)])
         assert self.state_of(device) == before
 
     def test_suspect_device_still_discards(self):
         device = self.worn_device()
         device.suspect()
-        device.discard_chunk((0, 1))
+        device.discard_chunks([(0, 1)])
         assert device.used_bytes == 200
         assert device.stats.deletes == 1
 
@@ -180,7 +180,7 @@ class TestStats:
         device.write_chunk((0, 0), b"abc")
         device.read_chunk((0, 0))
         device.read_chunk((0, 0))
-        device.discard_chunk((0, 0))
+        device.discard_chunks([(0, 0)])
         assert device.stats.writes == 1
         assert device.stats.reads == 2
         assert device.stats.deletes == 1
@@ -200,7 +200,7 @@ class TestStats:
         device = make_device()
         device.write_chunk((0, 0), b"abc")
         device.write_chunk((0, 0), b"def")  # overwrite = program + erase
-        device.discard_chunk((0, 0))
+        device.discard_chunks([(0, 0)])
         assert device.stats.wear() == (device.stats.programs, device.stats.erases)
         assert device.stats.wear() == (2, 2)
         device.stats.reset()
@@ -257,7 +257,7 @@ class TestCorruptionTracking:
         device.corrupt_chunk((0, 0))
         with pytest.raises(ChunkCorruptedError):
             device.read_chunk((0, 0))
-        device.discard_chunk((0, 0))
+        device.discard_chunks([(0, 0)])
         assert (0, 0) not in device.corrupt_chunks
 
     def test_replace_clears_corrupt_marks(self):
@@ -333,7 +333,7 @@ class TestProvenanceIntegrity:
                 programmed.clear()
                 corrupt.clear()
             elif op == "discard":
-                device.discard_chunk(address)
+                device.discard_chunks([address])
                 programmed.pop(address, None)
                 corrupt.discard(address)
             elif address not in programmed:

@@ -152,7 +152,7 @@ class TestDeviceIntegration:
         assert device.ftl.mapped_pages == 4
         device.write_chunk((0, 0), b"y" * 100)  # overwrite trims then writes
         assert device.ftl.mapped_pages == 2
-        device.discard_chunk((0, 0))
+        device.discard_chunks([(0, 0)])
         assert device.ftl.mapped_pages == 0
 
     @pytest.mark.parametrize("rewrite", [None, b"y" * 100], ids=["discard", "overwrite"])
@@ -169,7 +169,7 @@ class TestDeviceIntegration:
         device.write_chunk((0, 0), b"x" * 256)  # 4 pages of 64 bytes
         assert device.tear_stored((0, 0), keep_fraction=0.0)
         if rewrite is None:
-            device.discard_chunk((0, 0))
+            device.discard_chunks([(0, 0)])
             assert device.ftl.mapped_pages == 0
         else:
             device.write_chunk((0, 0), rewrite)

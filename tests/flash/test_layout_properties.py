@@ -79,7 +79,7 @@ class TestLayout:
         for stripe in extent.stripes:
             raw = payload[offset : offset + stripe.payload_bytes]
             offset += stripe.payload_bytes
-            length = stripe.chunks[0].length
+            length = stripe.chunk_length
             # The stripe payload, zero-padded to k fragments of one length.
             padded = raw.ljust(stripe.data_count * length, b"\0")
             stack = np.frombuffer(padded, dtype=np.uint8).reshape(
@@ -134,18 +134,18 @@ def expected_pulls(array, stripe, rotten):
     """
     by_id = {device.device_id: device for device in array.devices}
     available = {
-        chunk.fragment_index: chunk
+        chunk.fragment_index: by_id[chunk.device_id]
         for chunk in stripe.chunks
         if by_id[chunk.device_id].has_chunk(chunk.address)
     }
     needed = 1 if stripe.replicated else stripe.data_count
     pulls = []
-    for index in FlashArray._fragment_order(available, by_id):
+    for index in FlashArray._fragment_order(stripe.stripe_id, available):
         if needed == 0:
             break
-        chunk = available[index]
-        pulls.append((chunk.device_id, chunk.address))
-        if chunk.address not in rotten:
+        address = (stripe.stripe_id, index)
+        pulls.append((available[index].device_id, address))
+        if address not in rotten:
             needed -= 1
     return pulls
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultInjector, FaultPlan, LatentErrors
+from repro.faults import FailStop, FaultInjector, FaultPlan, LatentErrors
 from repro.flash.array import FlashArray
 from repro.flash.latency import ZERO_COST
 from repro.flash.stripe import ParityScheme, ReplicationScheme
@@ -30,6 +30,22 @@ class TestScrubWithFailures:
         # silently corrupt) and the object is not reported unrecoverable.
         assert not report.unrecoverable_objects
         assert report.chunks_repaired == 0
+
+    @pytest.mark.parametrize("device", range(5))
+    def test_scrub_survives_a_stop_it_triggers(self, device):
+        # The first chunk read fires the stop: a chunk on the newly failed
+        # device is missing, not damaged, so there is nothing to rewrite.
+        array = make_array()
+        data = payload_of(1_000, seed=4)
+        array.write_object("a", data, ParityScheme(2))
+        FaultInjector(
+            FaultPlan(seed=1, events=(FailStop(at_time=0.0, device=device),))
+        ).attach(array)
+        report = array.scrub()
+        assert not array.devices[device].is_available
+        assert report.chunks_repaired == 0
+        assert not report.unrecoverable_objects
+        assert array.read_object("a")[0] == data
 
     def test_scrub_repairs_corruption_despite_failure(self):
         array = make_array()

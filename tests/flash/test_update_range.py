@@ -68,6 +68,21 @@ class TestUpdateRange:
             array.fail_device(device_id)
         assert array.read_object("a")[0] == patched(original, 64, update)
 
+    def test_replicated_update_stores_one_object_per_stripe(self):
+        # As on the write path, a patched stripe is one byte string sent to
+        # every replica, not one copy per replica.
+        array = make_array()
+        original = payload_of(150, seed=5)
+        array.write_object("a", original, ReplicationScheme())
+        array.update_range("a", 10, payload_of(100, seed=6))
+        for stripe in array.get_extent("a").stripes:
+            first, *others = (
+                array.devices[chunk.device_id]._chunks[chunk.address]
+                for chunk in stripe.chunks
+            )
+            assert len(others) == 4
+            assert all(other is first for other in others)
+
     def test_parity_still_consistent_after_update(self):
         array = make_array()
         original = payload_of(192, seed=7)

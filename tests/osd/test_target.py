@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.policy import reo_policy
+from repro.faults import FailStop, FaultInjector, FaultPlan
 from repro.flash.array import FlashArray
 from repro.flash.latency import ZERO_COST
-from repro.flash.stripe import ParityScheme, ReplicationScheme
+from repro.flash.stripe import ChunkKind, ParityScheme, ReplicationScheme
 from repro.osd.control import QueryMessage, SetClassMessage
 from repro.osd.sense import SenseCode
 from repro.osd.target import OsdTarget
@@ -119,6 +121,44 @@ class TestDataPath:
         response = target.read_object(USER_A)
         assert response.ok
         assert response.payload == payload
+
+
+class TestFailStopDuringRead:
+    """A device shot down by a fail-stop that fires mid-read degrades the read.
+
+    The stop fires on the first fragment read; a later fragment of the same
+    stripe on the newly failed device is served by the next survivor (a
+    replica, or parity), never by raising.
+    """
+
+    @pytest.mark.parametrize("device", range(5))
+    @pytest.mark.parametrize("class_id", [1, 2])
+    def test_read_survives_a_stop_it_triggers(self, class_id, device):
+        array = FlashArray(
+            num_devices=5, device_capacity=10**6, chunk_size=256, model=ZERO_COST
+        )
+        target = OsdTarget(array, policy=reo_policy(0.2))
+        target.create_partition(PARTITION_BASE)
+        payload = bytes(range(256)) * 4
+        assert target.write_object(USER_A, payload, class_id=class_id).ok
+        chunks = [
+            chunk for stripe in array.get_extent(USER_A).stripes for chunk in stripe.chunks
+        ]
+        FaultInjector(
+            FaultPlan(seed=1, events=(FailStop(at_time=0.0, device=device),))
+        ).attach(array)
+
+        response = target.read_object(USER_A)
+
+        assert not array.devices[device].is_available
+        assert response.ok
+        assert response.payload == payload
+        # A healthy read pulls exactly the DATA fragments; one of them was
+        # on the stopped device iff the read had to go around it.
+        skipped = any(
+            chunk.kind is ChunkKind.DATA and chunk.device_id == device for chunk in chunks
+        )
+        assert response.io.degraded == skipped
 
 
 class TestClassification:
