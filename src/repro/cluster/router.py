@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
@@ -100,6 +101,34 @@ def _split_fragment(blob: bytes) -> Tuple[tuple, memoryview]:
     if fields[0] != _FRAGMENT_MAGIC:
         raise OsdServiceError(f"bad stripe fragment magic {fields[0]!r}")
     return fields, memoryview(blob)[FRAGMENT_HEADER.size :]
+
+
+#: A fetched stripe fragment: its ``(k, m, parent payload size)`` header and
+#: its payload view.
+_Fetched = Tuple[Tuple[int, int, int], memoryview]
+
+
+def _agreeing(present: Dict[int, _Fetched], k: int) -> Tuple[int, Dict[int, memoryview]]:
+    """The fragments of the stripe version most fetched fragments carry.
+
+    A stripe overwrite that fails part-way (one fragment write hits a dead
+    shard) leaves fragments of two versions behind. Only fragments with the
+    most common ``(k, m, size)`` header and the payload length that header
+    implies may be joined or decoded together. Returns that header's size
+    and the agreeing payloads by fragment index.
+    """
+    if not present:
+        return 0, {}
+    headers = Counter(fragment_header for fragment_header, _ in present.values())
+    header = headers.most_common(1)[0][0]
+    size = header[2]
+    length = max(1, -(-size // k))
+    agreed = {
+        index: view
+        for index, (fragment_header, view) in present.items()
+        if fragment_header == header and len(view) == length
+    }
+    return size, agreed
 
 
 def decode_fragment(blob: bytes) -> Tuple[Dict[str, int], bytes]:
@@ -561,8 +590,8 @@ class RouterClient:
 
     async def _fetch_fragment(
         self, object_id: ObjectId, index: int, deadline: Optional[float] = None
-    ) -> Optional[Tuple[int, memoryview]]:
-        """Fragment ``index`` as ``(parent payload size, payload view)``."""
+    ) -> Optional[_Fetched]:
+        """Fragment ``index`` as ``((k, m, parent payload size), payload view)``."""
         fragment_id = fragment_object_id(object_id, index)
         try:
             response = await self._routed(
@@ -580,7 +609,7 @@ class RouterClient:
             fields, view = _split_fragment(blob)
         except OsdServiceError:
             return None
-        return fields[-1], view
+        return (fields[1], fields[2], fields[-1]), view
 
     async def _sweep_fragment(
         self, fragment_id: ObjectId, deadline: Optional[float]
@@ -617,11 +646,12 @@ class RouterClient:
         present = {
             index: frag for index, frag in enumerate(fetched) if frag is not None
         }
-        if len(present) == k:
-            size = present[0][0]
-            data = b"".join(present[index][1] for index in range(k))
+        size, agreed = _agreeing(present, k)
+        if len(agreed) == k:
+            data = b"".join(agreed[index] for index in range(k))
             return data[:size], OsdResponse(SenseCode.OK)
-        # Degraded: pull parity fragments until k total, then decode.
+        # Degraded (a data fragment is missing or disagrees): pull the parity
+        # fragments, then decode from the fragments that agree.
         self.router_stats.degraded_reads += 1
         parity = await asyncio.gather(
             *(self._fetch_fragment(object_id, k + index, deadline) for index in range(m))
@@ -629,13 +659,11 @@ class RouterClient:
         for index, frag in enumerate(parity):
             if frag is not None:
                 present[k + index] = frag
-        if len(present) < k:
+        size, agreed = _agreeing(present, k)
+        if len(agreed) < k:
             return None, OsdResponse(SenseCode.FAIL)
-        size = next(iter(present.values()))[0]
         try:
-            data_fragments = self.codec.decode(
-                {index: frag for index, (_, frag) in present.items()}
-            )
+            data_fragments = self.codec.decode(agreed)
         except (UnrecoverableDataError, OsdError):
             return None, OsdResponse(SenseCode.FAIL)
         data = b"".join(data_fragments)

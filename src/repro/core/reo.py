@@ -75,7 +75,6 @@ class ReoCache:
         num_devices: int = 5,
         cache_bytes: int = 512 * 1024 * 1024,
         chunk_size: int = 64 * KiB,
-        clock: Optional[SimClock] = None,
         device_model: ServiceTimeModel = INTEL_540S_SSD,
         backend_model: Optional[ServiceTimeModel] = None,
         reclassify_interval: int = 1000,
@@ -92,14 +91,13 @@ class ReoCache:
             cache_bytes: total raw flash capacity across all devices.
             chunk_size: stripe chunk size (64 KB in Figs. 5-7/9, 1 MB in
                 Fig. 8).
-            clock: shared simulated clock (created if omitted).
             device_model: SSD service-time model.
             backend_model: backend service-time model (HDD + network hop if
                 omitted).
             reclassify_interval: reads between ``H_hot`` recomputations.
         """
         policy = policy or reo_policy(0.10)
-        clock = clock or SimClock()
+        clock = SimClock()
         device_capacity = max(1, math.ceil(cache_bytes / num_devices))
         array = FlashArray(
             num_devices=num_devices,

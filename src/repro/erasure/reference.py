@@ -3,7 +3,8 @@
 The fast kernel in :mod:`repro.erasure.galois` (full product table, fused
 matvec) and :mod:`repro.erasure.rs` (cached decoder matrices) replaced the
 original per-scalar masked log/exp path. That original is preserved here,
-bit for bit, for two jobs:
+bit for bit, reading the module tables and scalar helpers of
+:mod:`repro.erasure.galois`, for two jobs:
 
 - **property tests** — the fused kernel must be bit-identical to this one
   on arbitrary matrices and payloads (``tests/erasure``);
@@ -21,7 +22,7 @@ from typing import List, Mapping, Sequence, Union
 import numpy as np
 import numpy.typing as npt
 
-from repro.erasure.galois import GF256
+from repro.erasure.galois import EXP, LOG, inv, mul
 from repro.erasure.rs import RSCodec
 from repro.errors import ErasureError
 
@@ -41,41 +42,37 @@ _FIELD_SIZE = 256
 Fragment = Union[bytes, bytearray, "npt.NDArray[np.uint8]"]
 
 
-def mul_bytes_reference(
-    field: GF256, scalar: int, data: npt.NDArray[np.uint8]
-) -> npt.NDArray[np.uint8]:
-    """Seed ``mul_bytes``: zero mask, two log/exp lookups, fancy-index scatter."""
+def mul_bytes_reference(scalar: int, data: npt.NDArray[np.uint8]) -> npt.NDArray[np.uint8]:
+    """Seed scalar-times-payload: zero mask, two log/exp lookups, fancy-index scatter."""
     if not 0 <= scalar < _FIELD_SIZE:
         raise ErasureError(f"scalar {scalar} outside GF(256)")
     if scalar == 0:
         return np.zeros_like(data)
     if scalar == 1:
         return data.copy()
-    exp, log = field.exp_table, field.log_table
-    log_scalar = int(log[scalar])
+    log_scalar = int(LOG[scalar])
     result = np.zeros_like(data)
     nonzero = data != 0
-    result[nonzero] = exp[log[data[nonzero]] + log_scalar]
+    result[nonzero] = EXP[LOG[data[nonzero]] + log_scalar]
     return result
 
 
 def addmul_bytes_reference(
-    field: GF256,
     accumulator: npt.NDArray[np.uint8],
     scalar: int,
     data: npt.NDArray[np.uint8],
 ) -> None:
-    """Seed ``addmul_bytes``: in-place ``accumulator ^= scalar * data``."""
+    """Seed multiply-accumulate: in-place ``accumulator ^= scalar * data``."""
     if scalar == 0:
         return
     if scalar == 1:
         np.bitwise_xor(accumulator, data, out=accumulator)
         return
-    np.bitwise_xor(accumulator, mul_bytes_reference(field, scalar, data), out=accumulator)
+    np.bitwise_xor(accumulator, mul_bytes_reference(scalar, data), out=accumulator)
 
 
 def matvec_bytes_reference(
-    field: GF256, matrix: npt.NDArray[np.uint8], fragments: npt.NDArray[np.uint8]
+    matrix: npt.NDArray[np.uint8], fragments: npt.NDArray[np.uint8]
 ) -> npt.NDArray[np.uint8]:
     """Seed ``matvec_bytes``: Python double loop of scalar addmuls."""
     rows, cols = matrix.shape
@@ -85,13 +82,11 @@ def matvec_bytes_reference(
     for i in range(rows):
         accumulator = out[i]
         for j in range(cols):
-            addmul_bytes_reference(field, accumulator, int(matrix[i, j]), fragments[j])
+            addmul_bytes_reference(accumulator, int(matrix[i, j]), fragments[j])
     return out
 
 
-def invert_reference(
-    field: GF256, matrix: npt.NDArray[np.uint8]
-) -> npt.NDArray[np.uint8]:
+def invert_reference(matrix: npt.NDArray[np.uint8]) -> npt.NDArray[np.uint8]:
     """Seed Gauss-Jordan inversion: per-element scalar field ops in int32."""
     if matrix.shape[0] != matrix.shape[1]:
         raise ErasureError("only square matrices can be inverted")
@@ -109,17 +104,17 @@ def invert_reference(
         if pivot_row != col:
             work[[col, pivot_row]] = work[[pivot_row, col]]
             inverse[[col, pivot_row]] = inverse[[pivot_row, col]]
-        pivot_inv = field.inv(int(work[col, col]))
+        pivot_inv = inv(int(work[col, col]))
         for j in range(n):
-            work[col, j] = field.mul(int(work[col, j]), pivot_inv)
-            inverse[col, j] = field.mul(int(inverse[col, j]), pivot_inv)
+            work[col, j] = mul(int(work[col, j]), pivot_inv)
+            inverse[col, j] = mul(int(inverse[col, j]), pivot_inv)
         for row in range(n):
             if row == col or work[row, col] == 0:
                 continue
             factor = int(work[row, col])
             for j in range(n):
-                work[row, j] ^= field.mul(factor, int(work[col, j]))
-                inverse[row, j] ^= field.mul(factor, int(inverse[col, j]))
+                work[row, j] ^= mul(factor, int(work[col, j]))
+                inverse[row, j] ^= mul(factor, int(inverse[col, j]))
     return inverse.astype(np.uint8)
 
 
@@ -135,7 +130,7 @@ def encode_reference(codec: RSCodec, data: Sequence[Fragment]) -> List[bytes]:
     if codec.m == 0:
         return []
     stacked = np.vstack(arrays)
-    parity = matvec_bytes_reference(codec.field, codec.parity_matrix, stacked)
+    parity = matvec_bytes_reference(codec.parity_matrix, stacked)
     return [parity[i].tobytes() for i in range(codec.m)]
 
 
@@ -147,9 +142,9 @@ def decode_reference(codec: RSCodec, fragments: Mapping[int, Fragment]) -> List[
     if all(index in fragments for index in range(codec.k)):
         return [bytes(_as_uint8(fragments[i]).tobytes()) for i in range(codec.k)]
     chosen = available[: codec.k]
-    decoder = invert_reference(codec.field, codec.generator_matrix[chosen])
+    decoder = invert_reference(codec.generator_matrix[chosen])
     stacked = np.vstack([_as_uint8(fragments[index]) for index in chosen])
-    data = matvec_bytes_reference(codec.field, decoder, stacked)
+    data = matvec_bytes_reference(decoder, stacked)
     return [data[i].tobytes() for i in range(codec.k)]
 
 
@@ -166,6 +161,6 @@ def delta_update_reference(
     for row in range(codec.m):
         parity = _as_uint8(old_parity[row]).copy()
         coefficient = int(codec.parity_matrix[row, fragment_index])
-        addmul_bytes_reference(codec.field, parity, coefficient, delta)
+        addmul_bytes_reference(parity, coefficient, delta)
         updated.append(parity.tobytes())
     return updated

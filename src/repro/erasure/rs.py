@@ -8,8 +8,8 @@ sub-matrix is invertible, so decoding is always possible when at most ``m``
 fragments are erased.
 
 The hot paths run on the fused GF(256) kernel (:mod:`repro.erasure.galois`):
-encode and decode are each a single :meth:`GF256.matvec_bytes` over a
-``(k, length)`` fragment stack, and the ``*_arrays`` variants let callers
+encode and decode are each a single :func:`~repro.erasure.galois.matvec_fragments`
+over ``k`` fragments, and the ``*_arrays`` variants let callers
 (the flash array) move whole stripes without per-fragment byte rewrapping.
 Decoder matrices are memoized in an LRU keyed by the survivor-index tuple,
 so a device failure — which presents the same survivor pattern for every
@@ -30,13 +30,19 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.erasure.galois import GF256
-from repro.erasure.matrix import GFMatrix, cauchy_matrix, identity_matrix
+from repro.erasure.galois import (
+    MUL_TABLE,
+    cauchy_matrix,
+    inv,
+    invert,
+    matvec_bytes,
+    matvec_fragments,
+)
 from repro.errors import ErasureError, UnrecoverableDataError
 
 __all__ = ["DecoderCacheInfo", "RSCodec", "UpdatePlan"]
@@ -103,19 +109,13 @@ class RSCodec:
     an empty parity list and any erasure is unrecoverable.
     """
 
-    def __init__(
-        self,
-        data_fragments: int,
-        parity_fragments: int,
-        field: Optional[GF256] = None,
-    ) -> None:
+    def __init__(self, data_fragments: int, parity_fragments: int) -> None:
         if data_fragments < 1:
             raise ErasureError("need at least one data fragment")
         if parity_fragments < 0:
             raise ErasureError("parity fragment count cannot be negative")
-        if data_fragments + parity_fragments > GF256.order:
+        if data_fragments + parity_fragments > 256:
             raise ErasureError("k + m must not exceed 256 for GF(256) codes")
-        self._field = field or GF256.default
         self.k = data_fragments
         self.m = parity_fragments
         self.n = data_fragments + parity_fragments
@@ -123,21 +123,14 @@ class RSCodec:
             # Plank and Xu's "good Cauchy" form: scale columns so row 0 is all
             # ones, then rows so column 0 is. Nonzero scalings keep every
             # square submatrix invertible (MDS), and P parity becomes an XOR.
-            cauchy = cauchy_matrix(parity_fragments, data_fragments, self._field).array
-            table, inv = self._field.mul_table, self._field.inv
-            cauchy = table[[inv(int(c)) for c in cauchy[0]], cauchy]
-            cauchy = table[[[inv(int(c))] for c in cauchy[:, 0]], cauchy]
-            self._parity_matrix = GFMatrix(cauchy, self._field)
+            cauchy = cauchy_matrix(parity_fragments, data_fragments)
+            cauchy = MUL_TABLE[[inv(int(c)) for c in cauchy[0]], cauchy]
+            self._parity_matrix = MUL_TABLE[[[inv(int(c))] for c in cauchy[:, 0]], cauchy]
         else:
-            self._parity_matrix = GFMatrix(
-                np.zeros((0, data_fragments), dtype=np.uint8), self._field
-            )
+            self._parity_matrix = np.zeros((0, data_fragments), dtype=np.uint8)
         # Full systematic generator: data rows are the identity.
-        self._generator = GFMatrix(
-            np.vstack(
-                [identity_matrix(data_fragments, self._field).array, self._parity_matrix.array]
-            ),
-            self._field,
+        self._generator = np.vstack(
+            [np.eye(data_fragments, dtype=np.uint8), self._parity_matrix]
         )
         # Memoized decoder matrices, keyed by the survivor-index tuple.
         self._decoders: "OrderedDict[Tuple[int, ...], npt.NDArray[np.uint8]]" = (
@@ -150,19 +143,14 @@ class RSCodec:
     # Introspection (also consumed by the reference kernel and benchmarks)
     # ------------------------------------------------------------------
     @property
-    def field(self) -> GF256:
-        """The GF(256) instance this codec computes in."""
-        return self._field
-
-    @property
     def parity_matrix(self) -> npt.NDArray[np.uint8]:
         """The ``(m, k)`` normalized Cauchy parity rows (read-only by convention)."""
-        return self._parity_matrix.array
+        return self._parity_matrix
 
     @property
     def generator_matrix(self) -> npt.NDArray[np.uint8]:
         """The full ``(n, k)`` systematic generator ``[I ; C]``."""
-        return self._generator.array
+        return self._generator
 
     def decoder_cache_info(self) -> DecoderCacheInfo:
         """Hit/miss counters for the memoized decoder matrices."""
@@ -190,7 +178,7 @@ class RSCodec:
             raise ErasureError(
                 f"expected a ({self.k}, length) fragment stack, got shape {stacked.shape}"
             )
-        return self._field.matvec_bytes(self._parity_matrix.array, stacked)
+        return matvec_bytes(self._parity_matrix, stacked)
 
     def encode(self, data: Sequence[Fragment]) -> List[bytes]:
         """Compute the ``m`` parity fragments for ``k`` data fragments."""
@@ -198,7 +186,7 @@ class RSCodec:
         if self.m == 0:
             return []
         # Byte-string fragments feed the translate kernel directly, no stack.
-        parity = self._field.matvec_fragments(self._parity_matrix.array, list(data))
+        parity = matvec_fragments(self._parity_matrix, list(data))
         return [parity[i].tobytes() for i in range(self.m)]
 
     def encode_stripe(self, data: Sequence[Fragment]) -> List[bytes]:
@@ -218,7 +206,7 @@ class RSCodec:
             decoders.move_to_end(chosen)
             return decoder
         self._decoder_misses += 1
-        decoder = self._generator.select_rows(chosen).invert().array
+        decoder = invert(self._generator[list(chosen)])
         decoder.flags.writeable = False
         decoders[chosen] = decoder
         if len(decoders) > _DECODER_CACHE_SIZE:
@@ -249,9 +237,7 @@ class RSCodec:
         # Survivors go to the kernel as raw byte strings; the memoized
         # decoder is near-identity for surviving data fragments, so those
         # rows cost a copy and only erased rows pay translate passes.
-        return self._field.matvec_fragments(
-            decoder, [fragments[index] for index in chosen]
-        )
+        return matvec_fragments(decoder, [fragments[index] for index in chosen])
 
     def decode(self, fragments: Mapping[int, Fragment]) -> List[bytes]:
         """Recover the ``k`` data fragments from any ``k`` survivors.
@@ -284,8 +270,8 @@ class RSCodec:
         rebuilt: Dict[int, npt.NDArray[np.uint8]] = {}
         parity_rows = sorted({index for index in missing if index >= self.k})
         if parity_rows:
-            rows = self._field.matvec_bytes(
-                self._parity_matrix.array[[index - self.k for index in parity_rows]], data
+            rows = matvec_bytes(
+                self._parity_matrix[[index - self.k for index in parity_rows]], data
             )
             for position, index in enumerate(parity_rows):
                 rebuilt[index] = rows[position]
@@ -344,8 +330,8 @@ class RSCodec:
         if self.m == 0:
             return []
         delta = np.bitwise_xor(_as_array(old_data), _as_array(new_data))
-        coefficients = self._parity_matrix.array[:, fragment_index : fragment_index + 1]
-        scaled = self._field.matvec_bytes(coefficients, delta[None, :])
+        coefficients = self._parity_matrix[:, fragment_index : fragment_index + 1]
+        scaled = matvec_bytes(coefficients, delta[None, :])
         return [
             np.bitwise_xor(_as_array(old_parity[row]), scaled[row]).tobytes()
             for row in range(self.m)

@@ -9,7 +9,6 @@ The hierarchy mirrors the subsystem layout:
 - :class:`ErasureError` — Reed-Solomon / GF(256) failures.
 - :class:`FlashError` — simulated flash device and array failures.
 - :class:`OsdError` — object-storage command and protocol failures.
-- :class:`CacheError` — cache-manager misuse.
 - :class:`WorkloadError` — workload generation / trace parsing failures.
 """
 
@@ -31,10 +30,7 @@ __all__ = [
     "WireError",
     "ObjectNotFoundError",
     "ObjectExistsError",
-    "ObjectCorruptedError",
     "ControlMessageError",
-    "CacheError",
-    "CacheFullError",
     "WorkloadError",
 ]
 
@@ -115,20 +111,8 @@ class ObjectExistsError(OsdError):
     """Raised when creating an object that already exists."""
 
 
-class ObjectCorruptedError(OsdError):
-    """Raised when an object is lost beyond the recovery capability."""
-
-
 class ControlMessageError(OsdError):
     """Raised when a control-object message cannot be parsed."""
-
-
-class CacheError(ReproError):
-    """Base class for cache-manager errors."""
-
-
-class CacheFullError(CacheError):
-    """Raised when an object cannot be admitted even after eviction."""
 
 
 class WorkloadError(ReproError):

@@ -22,8 +22,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.policy import reo_policy
-from repro.core.reo import ReoCache
-from repro.experiments.common import Profile, active_profile, make_trace
+from repro.experiments.common import (
+    Profile,
+    active_profile,
+    build_experiment_cache,
+    make_trace,
+)
 from repro.sim.report import format_table
 from repro.sim.runner import ExperimentRunner, FailureEvent
 from repro.workload.medisyn import Locality
@@ -55,25 +59,6 @@ class AblationResult:
         return format_table(self.title, ["Variant", *metric_names], table_rows)
 
 
-def _build_cache(
-    trace,
-    profile: Profile,
-    cache_percent: int,
-    chunk_size: Optional[int] = None,
-    **build_kwargs,
-) -> ReoCache:
-    return ReoCache.build(
-        policy=reo_policy(0.20),
-        num_devices=5,
-        cache_bytes=int(trace.total_bytes * cache_percent / 100),
-        chunk_size=chunk_size or profile.chunk_size,
-        device_model=profile.scaled_device_model(),
-        backend_model=profile.scaled_backend_model(),
-        reclassify_interval=profile.reclassify_interval,
-        **build_kwargs,
-    )
-
-
 def run_hotness_indicator_ablation(
     profile: Optional[Profile] = None, cache_percent: int = 10
 ) -> AblationResult:
@@ -83,10 +68,11 @@ def run_hotness_indicator_ablation(
         title=f"Ablation: hotness indicator (Reo-20%, one failure) [{profile.name}]"
     )
     trace = make_trace(Locality.MEDIUM, profile)
+    cache_bytes = int(trace.total_bytes * cache_percent / 100)
     midpoint = len(trace) // 2
     for variant, exponent in (("H = Freq/Size (paper)", 1.0), ("H = Freq", 0.0)):
-        cache = _build_cache(
-            trace, profile, cache_percent, hotness_size_exponent=exponent
+        cache = build_experiment_cache(
+            "Reo-20%", cache_bytes, profile, hotness_size_exponent=exponent
         )
         failures = [
             FailureEvent(
@@ -124,10 +110,11 @@ def run_recovery_priority_ablation(
         title=f"Ablation: recovery priority (Reo-20%, one failure) [{profile.name}]"
     )
     trace = make_trace(Locality.MEDIUM, profile)
+    cache_bytes = int(trace.total_bytes * cache_percent / 100)
     midpoint = len(trace) // 2
     for variant, prioritized in (("class+hotness order (paper)", True), ("insertion order", False)):
-        cache = _build_cache(
-            trace, profile, cache_percent, prioritized_recovery=prioritized
+        cache = build_experiment_cache(
+            "Reo-20%", cache_bytes, profile, prioritized_recovery=prioritized
         )
         failures = [
             FailureEvent(
@@ -170,8 +157,11 @@ def run_eviction_policy_ablation(
         title=f"Ablation: eviction policy (Reo-20%, medium workload) [{profile.name}]"
     )
     trace = make_trace(Locality.MEDIUM, profile)
+    cache_bytes = int(trace.total_bytes * cache_percent / 100)
     for name in ("lru", "fifo", "lfu", "clock", "arc"):
-        cache = _build_cache(trace, profile, cache_percent, eviction_policy=name)
+        cache = build_experiment_cache(
+            "Reo-20%", cache_bytes, profile, eviction_policy=name
+        )
         run = ExperimentRunner(
             cache, trace, warmup_fraction=profile.warmup_fraction
         ).run()
@@ -199,16 +189,11 @@ def run_hot_parity_sweep(
         title=f"Ablation: hot-class parity count (reserve 20%) [{profile.name}]"
     )
     trace = make_trace(Locality.MEDIUM, profile)
+    cache_bytes = int(trace.total_bytes * cache_percent / 100)
     midpoint = len(trace) // 2
     for hot_parity in (1, 2, 3):
-        cache = ReoCache.build(
-            policy=reo_policy(0.20, hot_parity=hot_parity),
-            num_devices=5,
-            cache_bytes=int(trace.total_bytes * cache_percent / 100),
-            chunk_size=profile.chunk_size,
-            device_model=profile.scaled_device_model(),
-            backend_model=profile.scaled_backend_model(),
-            reclassify_interval=profile.reclassify_interval,
+        cache = build_experiment_cache(
+            reo_policy(0.20, hot_parity=hot_parity), cache_bytes, profile
         )
         failures = [
             FailureEvent(midpoint, 0, insert_spare=False, start_recovery=False),
@@ -236,8 +221,11 @@ def run_chunk_size_sweep(
         title=f"Ablation: chunk size (Reo-20%, medium workload) [{profile.name}]"
     )
     trace = make_trace(Locality.MEDIUM, profile)
+    cache_bytes = int(trace.total_bytes * cache_percent / 100)
     for chunk_size in chunk_sizes:
-        cache = _build_cache(trace, profile, cache_percent, chunk_size=chunk_size)
+        cache = build_experiment_cache(
+            "Reo-20%", cache_bytes, profile, chunk_size=chunk_size
+        )
         run = ExperimentRunner(
             cache, trace, warmup_fraction=profile.warmup_fraction
         ).run()

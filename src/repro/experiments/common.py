@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 from repro.core.policy import (
     RedundancyPolicy,
@@ -167,18 +167,24 @@ def make_trace(
 
 
 def build_experiment_cache(
-    policy_key: str,
+    policy: Union[str, RedundancyPolicy],
     cache_bytes: int,
     profile: Profile,
     chunk_size: Optional[int] = None,
+    **build_kwargs: Any,
 ) -> ReoCache:
-    """A cache stack configured like the paper's cache server."""
+    """A cache stack configured like the paper's cache server.
+
+    ``policy`` is a scheme name for :func:`make_policy` or a policy object;
+    ``build_kwargs`` go to :meth:`ReoCache.build` unchanged.
+    """
     return ReoCache.build(
-        policy=make_policy(policy_key),
+        policy=make_policy(policy) if isinstance(policy, str) else policy,
         num_devices=5,
         cache_bytes=cache_bytes,
         chunk_size=chunk_size or profile.chunk_size,
         device_model=profile.scaled_device_model(),
         backend_model=profile.scaled_backend_model(),
         reclassify_interval=profile.reclassify_interval,
+        **build_kwargs,
     )

@@ -15,9 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.policy import reo_policy
-from repro.core.reo import ReoCache
-from repro.experiments.common import Profile, active_profile, make_trace
+from repro.experiments.common import (
+    Profile,
+    active_profile,
+    build_experiment_cache,
+    make_trace,
+)
 from repro.sim.report import format_figure_series
 from repro.sim.runner import ExperimentRunner, FailureEvent
 from repro.workload.medisyn import Locality
@@ -60,14 +63,11 @@ def run_recovery_timeline(
         window_labels=["pre-fail", *(f"+{index + 1}" for index in range(windows))],
     )
     for variant, prioritized in (("prioritized", True), ("unordered", False)):
-        cache = ReoCache.build(
-            policy=reo_policy(0.20),
-            num_devices=5,
-            cache_bytes=int(trace.total_bytes * cache_percent / 100),
+        cache = build_experiment_cache(
+            "Reo-20%",
+            int(trace.total_bytes * cache_percent / 100),
+            profile,
             chunk_size=profile.failure_chunk_size,
-            device_model=profile.scaled_device_model(),
-            backend_model=profile.scaled_backend_model(),
-            reclassify_interval=profile.reclassify_interval,
             prioritized_recovery=prioritized,
         )
         runner = ExperimentRunner(

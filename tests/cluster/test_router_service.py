@@ -411,6 +411,65 @@ class TestDegradedReads:
 
         run(scenario())
 
+    @pytest.mark.parametrize("fragment_0_down", [False, True])
+    def test_striped_read_ignores_a_fragment_of_another_version(self, fragment_0_down):
+        """A stripe overwrite that failed part-way leaves one data fragment
+        of another size; reads must neither splice it in nor trip the codec."""
+
+        async def scenario():
+            async with ClusterService(6) as service:
+                async with make_router(service) as router:
+                    body = payload_for("torn-stripe", 0, size=5000)
+                    assert (await router.write(oid(450), body, 2)).ok
+                    cluster_map = router.cluster_map
+                    home = {
+                        index: cluster_map.owners_for(fragment_object_id(oid(450), index))[0]
+                        for index in range(router.codec.n)
+                    }
+                    assert len(set(home.values())) == router.codec.n
+                    # Fragment 1 of a 3000-byte version: 750 bytes, not 1250.
+                    other = payload_for("torn-stripe", 1, size=3000)
+                    stale = encode_fragment(
+                        other[750:1500], k=4, m=2, index=1, class_id=2, size=len(other)
+                    )
+                    response = await router.client(home[1]).write(
+                        fragment_object_id(oid(450), 1), stale, 2
+                    )
+                    assert response.ok
+                    if fragment_0_down:
+                        await service.stop_shard(home[0])
+                    got, response = await router.read(oid(450))
+                    assert response.ok
+                    assert got == body
+                    assert router.router_stats.degraded_reads == 1
+
+        run(scenario())
+
+    def test_striped_read_fails_when_fewer_than_k_fragments_agree(self):
+        async def scenario():
+            async with ClusterService(6) as service:
+                async with make_router(service) as router:
+                    body = payload_for("torn-stripe", 2, size=5000)
+                    assert (await router.write(oid(460), body, 2)).ok
+                    other = payload_for("torn-stripe", 3, size=3000)
+                    for index in (1, 2):
+                        fragment_id = fragment_object_id(oid(460), index)
+                        stale = encode_fragment(
+                            other[index * 750 : (index + 1) * 750],
+                            k=4, m=2, index=index, class_id=2, size=len(other),
+                        )
+                        shard = router.cluster_map.owners_for(fragment_id)[0]
+                        assert (await router.client(shard).write(fragment_id, stale, 2)).ok
+                    # Three fragments of the written version survive; k is 4.
+                    await service.stop_shard(
+                        router.cluster_map.owners_for(fragment_object_id(oid(460), 0))[0]
+                    )
+                    got, response = await router.read(oid(460))
+                    assert not response.ok
+                    assert got is None
+
+        run(scenario())
+
     def test_mirrored_read_fails_over_to_the_mirror(self):
         async def scenario():
             async with ClusterService(3) as service:

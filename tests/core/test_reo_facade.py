@@ -23,11 +23,10 @@ class TestBuild:
         assert cache.array.devices[0].capacity_bytes == 200_000
 
     def test_shared_clock(self):
-        clock = SimClock()
-        cache = ReoCache.build(cache_bytes=10**6, clock=clock, device_model=ZERO_COST)
-        assert cache.clock is clock
-        assert cache.backend.clock is clock
-        assert cache.array.clock is clock
+        cache = ReoCache.build(cache_bytes=10**6, device_model=ZERO_COST)
+        assert isinstance(cache.clock, SimClock)
+        assert cache.backend.clock is cache.clock
+        assert cache.array.clock is cache.clock
 
     def test_uniform_policy_has_no_budget(self):
         cache = ReoCache.build(

@@ -101,6 +101,15 @@ class TestCacheFactory:
         )
         assert cache.array.chunk_size == profile.failure_chunk_size
 
+    def test_policy_object_and_build_options_pass_through(self):
+        profile = PROFILES["smoke"]
+        policy = make_policy("Reo-40%")
+        cache = build_experiment_cache(
+            policy, 1_000_000, profile, prioritized_recovery=False
+        )
+        assert cache.policy is policy
+        assert cache.recovery.prioritized is False
+
 
 class TestCli:
     def test_list(self, capsys):
