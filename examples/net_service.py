@@ -40,7 +40,7 @@ from repro.units import MiB
 
 async def demo(host: str, port: int) -> None:
     oid = ObjectId(PARTITION_BASE, 0x10005)
-    retry = RetryPolicy(max_attempts=4, base_delay=0.05, seed=11)
+    retry = RetryPolicy(max_attempts=4, seed=11)
     async with AsyncOsdClient(host, port, pool_size=4, timeout=2.0, retry=retry) as client:
         # 1. The data path, end to end over TCP.
         print("== Data path ==")

@@ -14,7 +14,7 @@ Modules:
 
 from __future__ import annotations
 
-from repro.cluster.breaker import BreakerPolicy, CircuitBreaker, CircuitOpenError
+from repro.cluster.breaker import CircuitBreaker, CircuitOpenError
 from repro.cluster.health import (
     SHARD_HEALTH_POLICY,
     ShardHealth,
@@ -37,7 +37,6 @@ from repro.cluster.service import ClusterService, ShardServer
 from repro.cluster.supervisor import ClusterSupervisor, RehomeReport
 
 __all__ = [
-    "BreakerPolicy",
     "CircuitBreaker",
     "CircuitOpenError",
     "ClusterMap",

@@ -7,9 +7,9 @@ The breaker converts that into a fast local failure:
 
 - **closed** — traffic flows; consecutive failures are counted (any
   success resets the count — network noise must not accumulate).
-- **open** — after ``threshold`` consecutive failures, requests fast-fail
-  with :class:`CircuitOpenError` without touching the wire, for
-  ``cooldown`` seconds.
+- **open** — after :data:`THRESHOLD` consecutive failures, requests
+  fast-fail with :class:`CircuitOpenError` without touching the wire, for
+  :data:`COOLDOWN_S` seconds.
 - **half-open** — after the cooldown, exactly one trial request is let
   through; success closes the breaker, failure re-opens it (and restarts
   the cooldown from the failure instant).
@@ -28,12 +28,16 @@ keeps the state machine unit-testable without sleeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.net.client import OsdServiceError
 
-__all__ = ["BreakerPolicy", "CircuitBreaker", "CircuitOpenError"]
+__all__ = ["CircuitBreaker", "CircuitOpenError"]
+
+#: Consecutive failures that open a breaker.
+THRESHOLD = 3
+#: Seconds an open breaker rejects traffic before one half-open trial.
+COOLDOWN_S = 0.25
 
 
 class CircuitOpenError(OsdServiceError):
@@ -44,31 +48,10 @@ class CircuitOpenError(OsdServiceError):
         self.shard_id = shard_id
 
 
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """When to trip and how long to back off.
-
-    Attributes:
-        threshold: consecutive failures that open the breaker.
-        cooldown: seconds an open breaker rejects traffic before letting
-            one half-open trial through.
-    """
-
-    threshold: int = 3
-    cooldown: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if self.cooldown <= 0.0:
-            raise ValueError("cooldown must be positive seconds")
-
-
 class CircuitBreaker:
     """One shard's closed/open/half-open state machine."""
 
-    def __init__(self, policy: Optional[BreakerPolicy] = None) -> None:
-        self.policy = policy or BreakerPolicy()
+    def __init__(self) -> None:
         self.state = "closed"  # "closed" | "open" | "half_open"
         self.failures = 0
         self.opened_at: Optional[float] = None
@@ -83,7 +66,7 @@ class CircuitBreaker:
             return True
         if self.state == "open":
             assert self.opened_at is not None
-            if now - self.opened_at < self.policy.cooldown:
+            if now - self.opened_at < COOLDOWN_S:
                 return False
             self.state = "half_open"
             self._probing = True
@@ -106,13 +89,13 @@ class CircuitBreaker:
             self._trip(now)
             return
         self.failures += 1
-        if self.state == "closed" and self.failures >= self.policy.threshold:
+        if self.state == "closed" and self.failures >= THRESHOLD:
             self._trip(now)
 
     def _trip(self, now: float) -> None:
         self.state = "open"
         self.opened_at = now
-        self.failures = self.policy.threshold
+        self.failures = THRESHOLD
         self.opens += 1
 
     def __repr__(self) -> str:
@@ -123,16 +106,15 @@ class CircuitBreaker:
 
 
 class BreakerBank:
-    """Lazy per-shard breakers sharing one policy."""
+    """Lazy per-shard breakers."""
 
-    def __init__(self, policy: Optional[BreakerPolicy] = None) -> None:
-        self.policy = policy or BreakerPolicy()
+    def __init__(self) -> None:
         self.breakers: Dict[int, CircuitBreaker] = {}
 
     def of(self, shard_id: int) -> CircuitBreaker:
         breaker = self.breakers.get(shard_id)
         if breaker is None:
-            breaker = CircuitBreaker(self.policy)
+            breaker = CircuitBreaker()
             self.breakers[shard_id] = breaker
         return breaker
 

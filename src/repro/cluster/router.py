@@ -51,7 +51,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.breaker import BreakerBank, BreakerPolicy, CircuitOpenError
+from repro.cluster.breaker import BreakerBank, CircuitOpenError
 from repro.cluster.map import (
     ClusterMap,
     ClusterMapError,
@@ -84,6 +84,8 @@ FRAGMENT_HEADER = struct.Struct(">4sBBBBQ")
 _FRAGMENT_MAGIC = b"RSF1"
 #: Primary-shard slowdown EWMA at which mirrored reads hedge.
 HEDGE_SLOWDOWN = 3.0
+#: ``WRONG_SHARD`` bounces one routed command may follow before it fails.
+MAX_REDIRECTS = 4
 
 
 def encode_fragment(
@@ -162,20 +164,17 @@ class RouterClient:
         *,
         timeout: float = 2.0,
         retry: Optional[RetryPolicy] = None,
-        max_redirects: int = 4,
-        breaker_policy: Optional[BreakerPolicy] = None,
         health_monitor: Optional[object] = None,
     ) -> None:
         self.cluster_map = cluster_map
         self.timeout = timeout
         self.retry = retry or RetryPolicy()
         self.codec = RSCodec(*SHARD_STRIPE)
-        self.max_redirects = max_redirects
         #: Duck-typed :class:`~repro.cluster.health.ShardHealthMonitor`:
         #: every shard round trip is reported via ``observe()`` so passive
         #: traffic feeds the failure detector alongside active probes.
         self.health_monitor = health_monitor
-        self.breakers = BreakerBank(breaker_policy)
+        self.breakers = BreakerBank()
         self.router_stats = RouterStats()
         self._clients: Dict[int, AsyncOsdClient] = {}
         #: Losing hedge legs left to finish in the background — their
@@ -339,7 +338,7 @@ class RouterClient:
         retries are clipped to it, and a chain that reaches it surfaces a
         deadline error instead of looping.
         """
-        for _ in range(self.max_redirects + 1):
+        for _ in range(MAX_REDIRECTS + 1):
             if deadline is not None:
                 loop = asyncio.get_running_loop()
                 if loop.time() >= deadline:
@@ -361,7 +360,7 @@ class RouterClient:
                         f"no newer map (epoch {self.cluster_map.epoch})"
                     )
         raise OsdServiceError(
-            f"routing did not converge after {self.max_redirects} redirects"
+            f"routing did not converge after {MAX_REDIRECTS} redirects"
         )
 
     # ------------------------------------------------------------------

@@ -8,7 +8,8 @@
 Reliability model:
 
 - **Connection pool** — ``pool_size`` sockets, round-robin dispatch,
-  transparent reconnect of dead connections on the next request.
+  transparent reconnect of dead connections on the next request (one
+  connect per slot at a time; concurrent callers share it).
 - **Pipelining** — each connection keeps an in-flight table keyed by the
   PDU sequence id, so many requests overlap on one socket and responses
   may return out of order.
@@ -73,9 +74,6 @@ SENSE_HANDLED_BY_DEFAULT = (
     SenseCode.REDUNDANCY_FULL,
 )
 
-#: Read-side chunk size: one ``await`` can pull many pipelined responses.
-RECV_CHUNK_BYTES = 256 * 1024
-
 
 class OsdServiceError(OsdError):
     """A command could not be completed within the client's retry budget."""
@@ -108,9 +106,8 @@ class _Connection(asyncio.BufferedProtocol):
     no per-chunk copy.
     """
 
-    def __init__(self, max_pdu_bytes: int) -> None:
-        self.max_pdu_bytes = max_pdu_bytes
-        self.decoder = FrameDecoder(max_pdu_bytes)
+    def __init__(self) -> None:
+        self.decoder = FrameDecoder()
         self.pending: Dict[int, asyncio.Future] = {}
         self.closed = False
         self.transport: Optional[asyncio.Transport] = None
@@ -130,7 +127,7 @@ class _Connection(asyncio.BufferedProtocol):
         self.flusher = StreamFlusher(transport)
 
     def get_buffer(self, sizehint: int) -> memoryview:
-        return self.decoder.get_buffer(max(sizehint, RECV_CHUNK_BYTES))
+        return self.decoder.get_buffer(sizehint)
 
     def buffer_updated(self, nbytes: int) -> None:
         self.decoder.buffer_updated(nbytes)
@@ -180,10 +177,7 @@ class _Connection(asyncio.BufferedProtocol):
             raise _ConnectionLostError("connection already closed")
         # Encode before registering: a WireError (e.g. oversized PDU) must
         # surface to the caller, not strand a pending future.
-        parts = frame_parts(
-            wire.encode_command_parts(command, seq=seq, retry=retry),
-            max_bytes=self.max_pdu_bytes,
-        )
+        parts = frame_parts(wire.encode_command_parts(command, seq=seq, retry=retry))
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self.pending[seq] = future
@@ -234,7 +228,6 @@ class AsyncOsdClient:
         pool_size: int = 4,
         timeout: float = 2.0,
         retry: Optional[RetryPolicy] = None,
-        max_pdu_bytes: int = wire.MAX_PDU_BYTES,
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
@@ -243,9 +236,11 @@ class AsyncOsdClient:
         self.pool_size = pool_size
         self.timeout = timeout
         self.retry = retry or RetryPolicy()
-        self.max_pdu_bytes = max_pdu_bytes
         self.stats = ClientStats()
         self._pool: List[Optional[_Connection]] = [None] * pool_size
+        #: One connect in flight per slot, so concurrent callers share one
+        #: new socket instead of each opening (and leaking) their own.
+        self._connecting: Dict[int, asyncio.Lock] = {}
         self._dispatch = itertools.count()
         self._seq = itertools.count(1)
 
@@ -258,16 +253,18 @@ class AsyncOsdClient:
             await self._connection(slot)
 
     async def _connection(self, slot: int) -> _Connection:
-        conn = self._pool[slot]
-        if conn is None or conn.closed:
-            loop = asyncio.get_running_loop()
-            _transport, conn = await loop.create_connection(
-                lambda: _Connection(self.max_pdu_bytes),
-                self.host,
-                self.port,
-            )
-            self._pool[slot] = conn
-        return conn
+        lock = self._connecting.get(slot)
+        if lock is None:
+            lock = self._connecting[slot] = asyncio.Lock()
+        async with lock:
+            conn = self._pool[slot]
+            if conn is None or conn.closed:
+                loop = asyncio.get_running_loop()
+                _transport, conn = await loop.create_connection(
+                    _Connection, self.host, self.port
+                )
+                self._pool[slot] = conn
+            return conn
 
     async def aclose(self) -> None:
         for conn in self._pool:

@@ -7,9 +7,11 @@ buffer *segments* (no concatenation), and the first ``send`` of an
 event-loop tick schedules one ``call_soon`` callback that ships
 everything enqueued in that tick with a single ``writelines``.
 
-Memory stays bounded by a high-water mark: once the outbox reaches it,
-``send`` pushes the buffered segments into the transport immediately, so
-the flusher itself never holds more than the mark plus one PDU.
+Memory stays bounded by :data:`HIGH_WATER_BYTES`: once the outbox
+reaches it, ``send`` pushes the buffered segments into the transport
+immediately, so the flusher itself never holds more than the mark plus
+one PDU. Every ``writelines`` — an early push, the end-of-tick batch or
+the last push of :meth:`StreamFlusher.close` — counts as one flush.
 
 The flusher is a list and a callback — no task, nothing awaited. It
 applies no back-pressure of its own: past the outbox the bytes sit in the
@@ -27,8 +29,8 @@ from repro.osd.wire import Buffer
 
 __all__ = ["StreamFlusher"]
 
-#: Default outbox bound before segments are pushed to the transport early.
-DEFAULT_HIGH_WATER_BYTES = 256 * 1024
+#: Outbox bound before segments are pushed to the transport early.
+HIGH_WATER_BYTES = 256 * 1024
 
 
 class StreamFlusher:
@@ -36,22 +38,18 @@ class StreamFlusher:
 
     Args:
         transport: the connection's :class:`asyncio.Transport`.
-        high_water_bytes: outbox size that triggers an early push into
-            the transport.
-        on_flush: called after every end-of-tick batch (stats hooks).
+        on_flush: called after every ``writelines`` (stats hooks).
     """
 
     def __init__(
         self,
         transport: asyncio.Transport,
         *,
-        high_water_bytes: int = DEFAULT_HIGH_WATER_BYTES,
         on_flush: Optional[Callable[[], None]] = None,
     ) -> None:
         self.transport = transport
-        self.high_water_bytes = high_water_bytes
         self.on_flush = on_flush
-        #: Completed end-of-tick batches (one ``writelines`` each).
+        #: ``writelines`` calls made so far.
         self.flushes = 0
         #: Frames accepted via :meth:`send`.
         self.sends = 0
@@ -69,28 +67,27 @@ class StreamFlusher:
         self._outbox.extend(parts)
         for part in parts:
             self._outbox_bytes += len(part)
-        if self._outbox_bytes >= self.high_water_bytes:
+        if self._outbox_bytes >= HIGH_WATER_BYTES:
             self._push()
         if not self._flush_scheduled:
             self._flush_scheduled = True
             self._loop.call_soon(self._flush_batch)
 
     def _push(self) -> None:
-        """Move the outbox into the transport's write buffer."""
+        """Move the outbox into the transport's write buffer: one flush."""
         buffers, self._outbox = self._outbox, []
         self._outbox_bytes = 0
         if buffers and not self.transport.is_closing():
             self.transport.writelines(buffers)
+            self.flushes += 1
+            if self.on_flush is not None:
+                self.on_flush()
 
     def _flush_batch(self) -> None:
-        """End-of-tick flush: one ``writelines`` for the whole batch."""
+        """End-of-tick flush: one ``writelines`` for what is left of the batch."""
         self._flush_scheduled = False
-        if self._closed:
-            return
-        self._push()
-        self.flushes += 1
-        if self.on_flush is not None:
-            self.on_flush()
+        if not self._closed:
+            self._push()
 
     def close(self) -> None:
         """Push what is queued and refuse further sends.

@@ -23,6 +23,13 @@ from repro.osd import commands
 
 __all__ = ["IDEMPOTENT_COMMANDS", "RetryPolicy", "is_idempotent"]
 
+#: Retry ``n`` (0-based) waits ``d = min(MAX_DELAY_S, BASE_DELAY_S *
+#: MULTIPLIER**n)`` seconds less a uniform ``[0, JITTER]`` share of ``d``.
+BASE_DELAY_S = 0.02
+MULTIPLIER = 2.0
+MAX_DELAY_S = 1.0
+JITTER = 0.5
+
 IDEMPOTENT_COMMANDS = (
     commands.Read,
     commands.Write,
@@ -40,33 +47,25 @@ def is_idempotent(command: commands.OsdCommand) -> bool:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with full jitter.
+    """Exponential backoff with jitter (see :data:`BASE_DELAY_S`).
 
-    Attempt ``n`` (0-based) sleeps ``min(max_delay, base_delay *
-    multiplier**n)`` scaled by a uniform jitter in ``[1 - jitter, 1]`` —
-    jitter spreads synchronized retry storms from many clients hitting one
-    overloaded server.
+    Jitter spreads synchronized retry storms from many clients hitting one
+    overloaded server; ``seed`` makes it reproducible.
     """
 
     max_attempts: int = 3
-    base_delay: float = 0.02
-    multiplier: float = 2.0
-    max_delay: float = 1.0
-    jitter: float = 0.5
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
 
     def delays(self) -> Iterator[float]:
         """Backoff delays between attempts (``max_attempts - 1`` of them)."""
         rng = random.Random(self.seed)
         for attempt in range(self.max_attempts - 1):
-            delay = min(self.max_delay, self.base_delay * self.multiplier**attempt)
-            yield delay * (1.0 - self.jitter * rng.random())
+            delay = min(MAX_DELAY_S, BASE_DELAY_S * MULTIPLIER**attempt)
+            yield delay * (1.0 - JITTER * rng.random())
 
 
 #: Retry disabled: one attempt, surface the first failure.

@@ -4,7 +4,7 @@
 flash array; library users embed :class:`OsdServer` directly.
 
 Protocol: each TCP connection carries framed PDUs
-(:func:`repro.osd.transport.frame_pdu`): a 4-byte length prefix, then a
+(:func:`repro.osd.transport.frame_parts`): a 4-byte length prefix, then a
 command PDU (:mod:`repro.osd.wire`). Requests carry a ``seq`` id; the
 response echoes it, so a connection is fully pipelined.
 
@@ -36,9 +36,10 @@ Robustness model:
   ``SERVER_BUSY`` instead of executing: overload is a retryable status.
 - **Half-close** — EOF with replies held or frames gated finishes them,
   then closes.
-- **Graceful shutdown** — stop accepting, wait up to ``drain_timeout`` for
-  held replies to go out, then close connections; replies still held are
-  abandoned (timers cancelled, commands booked) before ``shutdown`` returns.
+- **Graceful shutdown** — stop accepting, wait up to :data:`DRAIN_TIMEOUT_S`
+  for held replies to go out, then close connections; replies still held
+  are abandoned (timers cancelled, commands booked) before ``shutdown``
+  returns.
 - **Stats endpoint** — a ``#QUERY#`` control write naming
   :data:`~repro.osd.types.SERVICE_STATS_OBJECT` is answered by the server
   with a JSON :class:`~repro.net.stats.ServiceStats` snapshot (connections,
@@ -67,11 +68,10 @@ from repro.osd.target import OsdResponse, OsdTarget
 from repro.osd.transport import FrameDecoder, frame_parts
 from repro.osd.types import CONTROL_OBJECT, SERVICE_STATS_OBJECT, ObjectId
 
-__all__ = ["ControlReadProvider", "FaultHook", "OsdServer", "RECV_CHUNK_BYTES"]
+__all__ = ["ControlReadProvider", "FaultHook", "OsdServer"]
 
-#: Read-side chunk size: the floor on the writable buffer tail handed to
-#: the transport, so one ``recv_into`` can land many pipelined frames.
-RECV_CHUNK_BYTES = 256 * 1024
+#: How long :meth:`OsdServer.shutdown` waits for held replies to go out.
+DRAIN_TIMEOUT_S = 5.0
 
 #: Test/chaos hook, a plain function called after a command executes and
 #: before its response is sent. Its verdict: ``None`` for normal service;
@@ -106,7 +106,7 @@ class _Connection(asyncio.BufferedProtocol):
     def __init__(self, server: "OsdServer") -> None:
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
-        self.decoder = FrameDecoder(server.max_pdu_bytes)
+        self.decoder = FrameDecoder()
         self.dropped = False
         self.flusher: Optional[StreamFlusher] = None
         #: Executed-but-unanswered replies: token -> (release timer, start).
@@ -130,7 +130,7 @@ class _Connection(asyncio.BufferedProtocol):
         self.server._register(self)
 
     def get_buffer(self, sizehint: int) -> memoryview:
-        return self.decoder.get_buffer(max(sizehint, RECV_CHUNK_BYTES))
+        return self.decoder.get_buffer(sizehint)
 
     def buffer_updated(self, nbytes: int) -> None:
         self.decoder.buffer_updated(nbytes)
@@ -256,8 +256,6 @@ class OsdServer:
         *,
         max_in_flight: int = 32,
         max_total_in_flight: Optional[int] = None,
-        max_pdu_bytes: int = wire.MAX_PDU_BYTES,
-        drain_timeout: float = 5.0,
         fault_hook: Optional[FaultHook] = None,
     ) -> None:
         """
@@ -265,7 +263,6 @@ class OsdServer:
             max_in_flight: held replies at which one connection's gate closes.
             max_total_in_flight: held replies, server-wide, past which
                 commands are answered ``SERVER_BUSY`` unexecuted.
-            drain_timeout: how long :meth:`shutdown` waits for held replies.
             fault_hook: chaos hook (see :data:`FaultHook`).
         """
         self.target = target
@@ -273,8 +270,6 @@ class OsdServer:
         self.port = port
         self.max_in_flight = max_in_flight
         self.max_total_in_flight = max_total_in_flight
-        self.max_pdu_bytes = max_pdu_bytes
-        self.drain_timeout = drain_timeout
         self.fault_hook = fault_hook
         self.stats = ServiceStats()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -316,7 +311,7 @@ class OsdServer:
         if self.stats.in_flight:
             self._idle = asyncio.get_running_loop().create_future()
             try:
-                await asyncio.wait_for(self._idle, self.drain_timeout)
+                await asyncio.wait_for(self._idle, DRAIN_TIMEOUT_S)
             except asyncio.TimeoutError:
                 pass  # drop() below abandons what is still held
         for conn in list(self._connections):

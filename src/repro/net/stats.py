@@ -3,7 +3,9 @@
 The server aggregates these and answers ``#QUERY#`` control writes naming
 :data:`~repro.osd.types.SERVICE_STATS_OBJECT` with a JSON snapshot —
 mirroring the paper's OID 0x10004 control-object semantics, but answered by
-the service layer itself rather than the target.
+the service layer itself rather than the target. Its p50/p99 come from the
+last :data:`LATENCY_WINDOW` service times; its count and mean cover every
+command since the server started.
 """
 
 from __future__ import annotations
@@ -12,20 +14,20 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+#: Service times a :class:`LatencyReservoir` keeps for its percentiles.
+LATENCY_WINDOW = 4096
+
 
 class LatencyReservoir:
     """Bounded sample of recent service times for percentile estimates.
 
-    Keeps the last ``capacity`` observations (a sliding window rather than a
-    decaying reservoir: the stats endpoint is about *current* service
-    quality, and a window of a few thousand commands smooths noise without
-    remembering cold-start latencies forever).
+    Keeps the last :data:`LATENCY_WINDOW` observations (a sliding window
+    rather than a decaying reservoir: the stats endpoint is about *current*
+    service quality, and a window of a few thousand commands smooths noise
+    without remembering cold-start latencies forever).
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self._window: List[float] = []
@@ -34,11 +36,11 @@ class LatencyReservoir:
     def record(self, seconds: float) -> None:
         self.count += 1
         self.total += seconds
-        if len(self._window) < self.capacity:
+        if len(self._window) < LATENCY_WINDOW:
             self._window.append(seconds)
         else:
             self._window[self._cursor] = seconds
-            self._cursor = (self._cursor + 1) % self.capacity
+            self._cursor = (self._cursor + 1) % LATENCY_WINDOW
 
     def percentiles(self, *fractions: float) -> List[float]:
         """Latency at each of ``fractions`` (0..1) of the current window.
@@ -70,7 +72,7 @@ class ServiceStats:
     busy_rejections: int = 0
     timeouts: int = 0
     retries_seen: int = 0
-    #: Coalesced write batches shipped (one writelines + one drain each);
+    #: ``writelines`` calls the connections' flushers made;
     #: ``commands / flushes`` is the realized coalescing factor.
     flushes: int = 0
     latency: LatencyReservoir = field(default_factory=LatencyReservoir)

@@ -31,12 +31,12 @@ Zero-copy: every decode path accepts any buffer-protocol object
 (``bytes``/``bytearray``/``memoryview``), so a stream decoder can hand
 PDU slices straight off its receive buffer without materializing an
 intermediate copy — the data segment is copied exactly once, into the
-command/response payload. On the send side the ``encode_*_parts``
-variants return the PDU as ``[header segment, payload]`` buffers for
-``writelines``-style send paths, so the encoder never concatenates a
-large payload into a fresh PDU bytestring. (The transport may: before
-CPython 3.12 the selector transport's ``writelines`` is a ``b"".join``
-followed by ``write``; from 3.12 it sends the segments with ``sendmsg``.)
+command/response payload. On the send side the encoders return the PDU
+as ``[header segment, payload]`` buffers for ``writelines``-style send
+paths, so the encoder never concatenates a large payload into a fresh
+PDU bytestring. (The transport may: before CPython 3.12 the selector
+transport's ``writelines`` is a ``b"".join`` followed by ``write``; from
+3.12 it sends the segments with ``sendmsg``.)
 """
 
 from __future__ import annotations
@@ -58,13 +58,9 @@ __all__ = [
     "MAGIC",
     "MAX_PDU_BYTES",
     "VERSION",
-    "decode_command",
     "decode_command_pdu",
-    "decode_response",
     "decode_response_pdu",
-    "encode_command",
     "encode_command_parts",
-    "encode_response",
     "encode_response_parts",
     "salvage_seq",
 ]
@@ -235,10 +231,13 @@ def salvage_seq(pdu: Buffer) -> Optional[int]:
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
-def encode_command(
+def encode_command_parts(
     command: commands.OsdCommand, seq: Optional[int] = None, retry: int = 0
-) -> bytes:
-    """Serialize a command to its PDU.
+) -> List[Buffer]:
+    """Serialize a command to its PDU, as ``[header segment, payload]`` buffers.
+
+    The write/update payload rides along un-copied, for ``writelines``-style
+    send paths.
 
     Args:
         command: the command to serialize.
@@ -246,17 +245,6 @@ def encode_command(
             the matching response so it can be demultiplexed.
         retry: retransmission attempt number (0 = first send). Lets the
             server count retried commands in its service stats.
-    """
-    return b"".join(encode_command_parts(command, seq, retry))
-
-
-def encode_command_parts(
-    command: commands.OsdCommand, seq: Optional[int] = None, retry: int = 0
-) -> List[Buffer]:
-    """Serialize a command as ``[header segment, payload]`` buffers.
-
-    The vectored twin of :func:`encode_command` — the write/update payload
-    rides along un-copied, for ``writelines``-style send paths.
     """
     opcode = _OPCODES.get(type(command))
     if opcode is None:
@@ -293,11 +281,6 @@ def encode_command_parts(
         seq or 0, retry, pid, oid, aux, len(data),
     )
     return _assemble(head + ext, data)
-
-
-def decode_command(pdu: Buffer) -> commands.OsdCommand:
-    """Parse a command PDU back into a command object."""
-    return decode_command_pdu(pdu).command
 
 
 class CommandPdu(NamedTuple):
@@ -341,21 +324,14 @@ def decode_command_pdu(pdu: Buffer) -> CommandPdu:
 # ----------------------------------------------------------------------
 # Responses
 # ----------------------------------------------------------------------
-def encode_response(response: OsdResponse, seq: Optional[int] = None) -> bytes:
-    """Serialize a response to its PDU (sense + io summary + payload).
-
-    ``seq`` echoes the request's sequence id so pipelined connections can
-    match out-of-order responses to in-flight requests.
-    """
-    return b"".join(encode_response_parts(response, seq))
-
-
 def encode_response_parts(
     response: OsdResponse, seq: Optional[int] = None
 ) -> List[Buffer]:
-    """Serialize a response as ``[header segment, payload]`` buffers.
+    """Serialize a response (sense + io summary + payload) to its PDU, as
+    ``[header segment, payload]`` buffers.
 
-    The vectored twin of :func:`encode_response` — a read payload is
+    ``seq`` echoes the request's sequence id so pipelined connections can
+    match out-of-order responses to in-flight requests. A read payload is
     written straight from the object store's bytes, never copied into a
     concatenated PDU.
     """
@@ -372,11 +348,6 @@ def encode_response_parts(
         io.chunks_read, io.chunks_written, io.bytes_read, io.bytes_written, len(data),
     )
     return _assemble(head, data)
-
-
-def decode_response(pdu: Buffer) -> OsdResponse:
-    """Parse a response PDU."""
-    return decode_response_pdu(pdu)[1]
 
 
 def decode_response_pdu(pdu: Buffer) -> Tuple[Optional[int], OsdResponse]:

@@ -4,7 +4,8 @@ import asyncio
 
 import pytest
 
-from repro.cluster.breaker import BreakerPolicy, CircuitBreaker, CircuitOpenError
+from repro.cluster import breaker as breaker_module
+from repro.cluster.breaker import COOLDOWN_S, THRESHOLD, CircuitBreaker
 from repro.cluster.health import ShardHealthMonitor
 from repro.cluster.router import RouterClient
 from repro.cluster.service import ClusterService
@@ -32,7 +33,8 @@ def make_router(service, **kwargs):
 
 class TestCircuitBreakerUnit:
     def test_opens_after_consecutive_failures_only(self):
-        breaker = CircuitBreaker(BreakerPolicy(threshold=3, cooldown=1.0))
+        assert (THRESHOLD, COOLDOWN_S) == (3, 0.25)
+        breaker = CircuitBreaker()
         breaker.record_failure(0.0)
         breaker.record_failure(0.1)
         breaker.record_success()  # resets the streak
@@ -44,41 +46,38 @@ class TestCircuitBreakerUnit:
         assert not breaker.allow(0.5)
 
     def test_half_open_single_probe_then_close(self):
-        breaker = CircuitBreaker(BreakerPolicy(threshold=1, cooldown=0.5))
-        breaker.record_failure(0.0)
-        assert not breaker.allow(0.4)
-        assert breaker.allow(0.6)  # cooldown elapsed: one trial allowed
+        breaker = CircuitBreaker()
+        for _ in range(THRESHOLD):
+            breaker.record_failure(0.0)
+        assert not breaker.allow(0.2)
+        assert breaker.allow(0.3)  # cooldown elapsed: one trial allowed
         assert breaker.state == "half_open"
-        assert not breaker.allow(0.6)  # second concurrent trial rejected
+        assert not breaker.allow(0.3)  # second concurrent trial rejected
         breaker.record_success()
         assert breaker.state == "closed"
-        assert breaker.allow(0.7)
+        assert breaker.allow(0.4)
 
     def test_half_open_failure_reopens_with_fresh_cooldown(self):
-        breaker = CircuitBreaker(BreakerPolicy(threshold=1, cooldown=0.5))
-        breaker.record_failure(0.0)
-        assert breaker.allow(0.6)
-        breaker.record_failure(0.6)
+        breaker = CircuitBreaker()
+        for _ in range(THRESHOLD):
+            breaker.record_failure(0.0)
+        assert breaker.allow(0.3)
+        breaker.record_failure(0.3)  # one failed trial re-opens it
         assert breaker.state == "open"
-        assert not breaker.allow(1.0)  # 0.6 + 0.5 not yet reached
-        assert breaker.allow(1.2)
+        assert not breaker.allow(0.5)  # 0.3 + 0.25 not yet reached
+        assert breaker.allow(0.6)
         assert breaker.opens == 2
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            BreakerPolicy(threshold=0)
-        with pytest.raises(ValueError):
-            BreakerPolicy(cooldown=0.0)
 
 
 class TestBreakerIntegration:
-    def test_dead_shard_trips_breaker_and_reads_fail_over(self):
+    def test_dead_shard_trips_breaker_and_reads_fail_over(self, monkeypatch):
+        # A long cooldown keeps the breaker open for the whole test however
+        # slowly the reads run; the breaker reads the constant per call.
+        monkeypatch.setattr(breaker_module, "COOLDOWN_S", 30.0)
+
         async def scenario():
             async with ClusterService(3) as service:
-                async with make_router(
-                    service,
-                    breaker_policy=BreakerPolicy(threshold=2, cooldown=30.0),
-                ) as router:
+                async with make_router(service) as router:
                     body = b"mirrored payload" * 50
                     target = next(
                         oid(i)
@@ -132,7 +131,7 @@ class TestDeadlineBudget:
                 async with make_router(
                     service,
                     timeout=0.05,
-                    retry=RetryPolicy(max_attempts=10, base_delay=0.05, jitter=0.0),
+                    retry=RetryPolicy(max_attempts=10, seed=1),
                 ) as router:
                     loop = asyncio.get_running_loop()
                     client = router.client(0)
@@ -183,7 +182,7 @@ class TestDeadlineBudget:
                 async with make_router(
                     service,
                     timeout=1.0,
-                    retry=RetryPolicy(max_attempts=5, base_delay=0.05, jitter=0.0),
+                    retry=RetryPolicy(max_attempts=5, seed=1),
                 ) as router:
                     loop = asyncio.get_running_loop()
                     started = loop.time()

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.cluster import router as router_module
 from repro.cluster.map import ShardState, fragment_object_id
 from repro.cluster.router import RouterClient, decode_fragment, encode_fragment
 from repro.net.client import OsdServiceError
@@ -363,7 +364,11 @@ class TestDoubleCondemnMidReplay:
 
         run(scenario())
 
-    def test_redirect_budget_bounds_the_chase(self):
+    def test_redirect_budget_bounds_the_chase(self, monkeypatch):
+        # Outrunning the real budget of four would take a chain five
+        # condemns deep; the router reads the constant per routed call.
+        monkeypatch.setattr(router_module, "MAX_REDIRECTS", 1)
+
         async def scenario():
             async with ClusterService(4) as service:
                 map1 = service.cluster_map
@@ -375,9 +380,7 @@ class TestDoubleCondemnMidReplay:
                 # capped at one must fail loudly instead of looping.
                 from repro.net.client import OsdServiceError
 
-                async with RouterClient(
-                    map1, retry=NO_RETRY, max_redirects=1
-                ) as capped:
+                async with RouterClient(map1, retry=NO_RETRY) as capped:
                     with pytest.raises(OsdServiceError, match="did not converge"):
                         await capped.read(target)
                     assert capped.router_stats.redirects == 2

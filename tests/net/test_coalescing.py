@@ -14,7 +14,7 @@ from repro.flash.array import FlashArray
 from repro.flash.latency import ZERO_COST
 from repro.flash.stripe import ParityScheme
 from repro.net.client import AsyncOsdClient
-from repro.net.flush import StreamFlusher
+from repro.net.flush import HIGH_WATER_BYTES, StreamFlusher
 from repro.net.server import OsdServer
 from repro.osd.target import OsdTarget
 from repro.osd.types import PARTITION_BASE, ObjectId
@@ -69,14 +69,34 @@ class TestStreamFlusher:
     def test_high_water_pushes_early(self):
         async def scenario():
             transport = _RecordingTransport()
-            flusher = StreamFlusher(transport, high_water_bytes=64)
-            payload = b"x" * 48
+            flusher = StreamFlusher(transport)
+            payload = bytes(HIGH_WATER_BYTES * 3 // 4)
             flusher.send([payload])
             assert transport.batches == []
-            flusher.send([payload])  # crosses 64 B: pushed immediately,
+            flusher.send([payload])  # crosses the mark: pushed immediately,
             assert transport.batches == [[payload, payload]]  # not at end of tick
             await asyncio.sleep(0)
             assert transport.batches == [[payload, payload]]  # and only once
+            assert flusher.flushes == 1
+
+        run(scenario())
+
+    def test_every_writelines_counts_as_one_flush(self):
+        """Early pushes are flushes too: three sends at the mark in one tick
+        make three writelines and three flushes; small sends still share one."""
+
+        async def scenario():
+            transport = _RecordingTransport()
+            flushed = []
+            flusher = StreamFlusher(transport, on_flush=lambda: flushed.append(1))
+            for index in range(3):
+                flusher.send([bytes([index]) * HIGH_WATER_BYTES])
+            await asyncio.sleep(0)
+            assert flusher.flushes == 3 == len(transport.batches) == len(flushed)
+            for index in range(5):
+                flusher.send([b"part-%d" % index])
+            await asyncio.sleep(0)
+            assert flusher.flushes == 4 == len(transport.batches) == len(flushed)
 
         run(scenario())
 
@@ -93,7 +113,7 @@ class TestStreamFlusher:
             await asyncio.sleep(0)  # the scheduled tick finds the flusher closed
             assert transport.batches == [[b"queued"]]
             assert flusher.sends == 1
-            assert flushed == []
+            assert flushed == [1]  # the push on close was the one writelines
 
         run(scenario())
 

@@ -5,7 +5,7 @@ sent, held on a timer or dropped with the connection, so serving creates
 no asyncio task, with or without a chaos hook; the frame loop stops (and
 the socket pauses) while a connection holds ``max_in_flight`` replies or
 its transport reports write pressure. These tests pin the task count, the
-strict per-connection bound, half-close, shutdown past ``drain_timeout``
+strict per-connection bound, half-close, shutdown past the drain timeout
 and the slow-reader bound.
 """
 
@@ -15,34 +15,23 @@ import socket
 import pytest
 
 from repro.faults import LinkFailSlow, NetFaultPlan, NetPartition, ShardChaos
+from repro.net import server as server_module
 from repro.net.client import AsyncOsdClient
 from repro.net.server import OsdServer
 from repro.osd import commands, wire
-from repro.osd.transport import FRAME_PREFIX_BYTES, frame_length, frame_pdu
+from repro.osd.transport import FRAME_PREFIX_BYTES, frame_length
 from repro.osd.types import PARTITION_BASE, ObjectId
 
-from tests.net.test_server_client import make_target, run
+from tests.net.test_server_client import framed, make_target, run, until
 
 pytestmark = pytest.mark.net
 
 OIDS = [ObjectId(PARTITION_BASE, 0x20000 + index) for index in range(8)]
 
 
-def framed(command, seq):
-    return frame_pdu(wire.encode_command(command, seq=seq))
-
-
 async def read_reply(reader):
     prefix = await reader.readexactly(FRAME_PREFIX_BYTES)
     return wire.decode_response_pdu(await reader.readexactly(frame_length(prefix)))
-
-
-async def until(predicate, timeout=5.0):
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout
-    while not predicate():
-        assert loop.time() < deadline, "condition never became true"
-        await asyncio.sleep(0.005)
 
 
 def test_hook_free_serving_creates_no_task():
@@ -149,11 +138,13 @@ def test_half_close_finishes_gated_frames_then_closes():
     run(scenario())
 
 
-def test_shutdown_past_drain_timeout_abandons_held_replies():
+def test_shutdown_past_drain_timeout_abandons_held_replies(monkeypatch):
+    # The real 5 s drain would only slow the test down; the server reads
+    # the constant when it shuts down.
+    monkeypatch.setattr(server_module, "DRAIN_TIMEOUT_S", 0.05)
+
     async def scenario():
-        server = OsdServer(
-            make_target(), drain_timeout=0.05, fault_hook=lambda _c, _s: 5.0
-        )
+        server = OsdServer(make_target(), fault_hook=lambda _c, _s: 5.0)
         await server.start()
         reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
         writer.write(framed(commands.Write(OIDS[0], b"never acknowledged", 3), 1))

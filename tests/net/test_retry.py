@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.net.retry import NO_RETRY, RetryPolicy, is_idempotent
+from repro.net.retry import (
+    BASE_DELAY_S,
+    JITTER,
+    MAX_DELAY_S,
+    MULTIPLIER,
+    NO_RETRY,
+    RetryPolicy,
+    is_idempotent,
+)
 from repro.osd import commands
 from repro.osd.types import PARTITION_BASE, ObjectId
 
@@ -13,29 +21,27 @@ OID = ObjectId(PARTITION_BASE, 0x10005)
 
 class TestRetryPolicy:
     def test_delay_count_is_attempts_minus_one(self):
-        policy = RetryPolicy(max_attempts=4, jitter=0.0)
+        policy = RetryPolicy(max_attempts=4)
         assert len(list(policy.delays())) == 3
 
     def test_exponential_growth_capped(self):
-        policy = RetryPolicy(
-            max_attempts=8, base_delay=0.1, multiplier=2.0, max_delay=0.5, jitter=0.0
-        )
-        delays = list(policy.delays())
-        assert delays[0] == pytest.approx(0.1)
-        assert delays[1] == pytest.approx(0.2)
-        assert delays[2] == pytest.approx(0.4)
-        assert all(delay <= 0.5 for delay in delays)
-        assert delays[-1] == pytest.approx(0.5)
+        # 20 ms, doubling, capped at 1 s: 20, 40, ..., 640 ms, then 1 s.
+        assert (BASE_DELAY_S, MULTIPLIER, MAX_DELAY_S) == (0.02, 2.0, 1.0)
+        ceilings = [0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.0, 1.0]
+        delays = list(RetryPolicy(max_attempts=len(ceilings) + 1, seed=3).delays())
+        for delay, ceiling in zip(delays, ceilings):
+            assert ceiling * (1.0 - JITTER) <= delay <= ceiling
+        assert max(delays) <= MAX_DELAY_S
 
     def test_jitter_stays_within_band_and_is_seeded(self):
-        policy = RetryPolicy(max_attempts=6, base_delay=0.1, jitter=0.5, seed=42)
+        assert JITTER == 0.5
+        policy = RetryPolicy(max_attempts=6, seed=42)
         first = list(policy.delays())
         second = list(policy.delays())
         assert first == second  # seeded jitter is reproducible
-        unjittered = list(
-            RetryPolicy(max_attempts=6, base_delay=0.1, jitter=0.0).delays()
-        )
-        for jittered, full in zip(first, unjittered):
+        assert first != list(RetryPolicy(max_attempts=6, seed=43).delays())
+        for attempt, jittered in enumerate(first):
+            full = BASE_DELAY_S * MULTIPLIER**attempt
             assert full * 0.5 <= jittered <= full
 
     def test_no_retry_policy(self):
@@ -45,8 +51,6 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
 
 
 class TestIdempotency:

@@ -8,6 +8,7 @@ retry path without surfacing errors for idempotent commands.
 """
 
 import asyncio
+import mmap
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.net.server import OsdServer
 from repro.osd import commands, wire
 from repro.osd.sense import SenseCode
 from repro.osd.target import OsdTarget
-from repro.osd.transport import FRAME_PREFIX_BYTES, frame_length, frame_pdu
+from repro.osd.transport import FRAME_PREFIX_BYTES, frame_length, frame_parts
 from repro.osd.types import PARTITION_BASE, ObjectId
 
 from tests.closed_loop import run_closed_loop
@@ -46,6 +47,19 @@ def make_target():
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def framed(command, seq):
+    """A command framed the way the client's send path frames it."""
+    return b"".join(frame_parts(wire.encode_command_parts(command, seq=seq)))
+
+
+async def until(predicate, timeout=5.0):
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, "condition never became true"
+        await asyncio.sleep(0.005)
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +192,7 @@ class TestConcurrentLoad:
                 return None
 
             async with OsdServer(make_target(), fault_hook=chaotic) as server:
-                retry = RetryPolicy(max_attempts=6, base_delay=0.05, seed=7)
+                retry = RetryPolicy(max_attempts=6, seed=7)
                 report = await run_closed_loop(
                     [
                         AsyncOsdClient(
@@ -220,7 +234,7 @@ class TestFaultRecovery:
                     "127.0.0.1",
                     server.port,
                     timeout=0.1,
-                    retry=RetryPolicy(max_attempts=3, base_delay=0.02, seed=1),
+                    retry=RetryPolicy(max_attempts=3, seed=1),
                 ) as client:
                     await client.write(OID_A, b"delayed but not lost", class_id=3)
                     payload, response = await client.read(OID_A)
@@ -246,7 +260,7 @@ class TestFaultRecovery:
                     server.port,
                     pool_size=1,
                     timeout=1.0,
-                    retry=RetryPolicy(max_attempts=3, base_delay=0.02, seed=1),
+                    retry=RetryPolicy(max_attempts=3, seed=1),
                 ) as client:
                     await client.write(OID_A, b"survives a dead socket", class_id=3)
                     payload, response = await client.read(OID_A)
@@ -272,7 +286,7 @@ class TestFaultRecovery:
                     server.port,
                     pool_size=1,
                     timeout=1.0,
-                    retry=RetryPolicy(max_attempts=3, base_delay=0.02, seed=1),
+                    retry=RetryPolicy(max_attempts=3, seed=1),
                 ) as client:
                     await client.write(OID_A, b"doomed", class_id=3)
                     with pytest.raises(OsdServiceError):
@@ -294,7 +308,7 @@ class TestFaultRecovery:
                     server.port,
                     pool_size=2,
                     timeout=2.0,
-                    retry=RetryPolicy(max_attempts=5, base_delay=0.1, seed=3),
+                    retry=RetryPolicy(max_attempts=6, seed=3),
                 ) as client:
                     write_task = asyncio.ensure_future(
                         client.write(OID_A, b"occupies the server", class_id=3)
@@ -308,6 +322,35 @@ class TestFaultRecovery:
 
         run(scenario())
 
+    def test_concurrent_reconnects_share_one_socket(self):
+        """Four reads in flight on a dropped socket retry together and
+        reconnect once; closing the client leaves no socket open."""
+
+        async def scenario():
+            sabotage = {"pending": True}
+
+            def drop_first_read(command, _seq):
+                if isinstance(command, commands.Read) and sabotage.pop("pending", None):
+                    return "drop"
+                return None
+
+            async with OsdServer(make_target(), fault_hook=drop_first_read) as server:
+                client = AsyncOsdClient(
+                    "127.0.0.1",
+                    server.port,
+                    pool_size=1,
+                    retry=RetryPolicy(max_attempts=3, seed=1),
+                )
+                await client.write(OID_A, b"read four times", class_id=3)
+                reads = await asyncio.gather(*(client.read(OID_A) for _ in range(4)))
+                assert [payload for payload, _ in reads] == [b"read four times"] * 4
+                assert client.stats.connection_errors == 4
+                assert server.stats.connections_total == 2
+                await client.aclose()
+                await until(lambda: server.stats.connections_active == 0)
+
+        run(scenario())
+
     def test_retry_budget_exhaustion_raises_service_error(self):
         async def scenario():
             def always_drop(_command, _seq):
@@ -318,7 +361,7 @@ class TestFaultRecovery:
                     "127.0.0.1",
                     server.port,
                     timeout=0.5,
-                    retry=RetryPolicy(max_attempts=3, base_delay=0.01, seed=5),
+                    retry=RetryPolicy(max_attempts=3, seed=5),
                 ) as client:
                     with pytest.raises(OsdServiceError):
                         await client.read(OID_A)
@@ -341,7 +384,7 @@ class TestServerRobustness:
                 reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
                 try:
                     for garbage in (b"\x00\x00\x00\x02{}garbage", json_pdu):
-                        writer.write(frame_pdu(garbage))
+                        writer.write(b"".join(frame_parts([garbage])))
                         await writer.drain()
                         prefix = await reader.readexactly(FRAME_PREFIX_BYTES)
                         pdu = await reader.readexactly(frame_length(prefix))
@@ -350,7 +393,7 @@ class TestServerRobustness:
                         assert response.sense is SenseCode.FAIL
                     # The framing held, so the connection keeps serving.
                     good = commands.Read(OID_A)
-                    writer.write(frame_pdu(wire.encode_command(good, seq=9)))
+                    writer.write(framed(good, seq=9))
                     await writer.drain()
                     prefix = await reader.readexactly(FRAME_PREFIX_BYTES)
                     pdu = await reader.readexactly(frame_length(prefix))
@@ -405,15 +448,20 @@ class TestServerRobustness:
         run(scenario())
 
     def test_oversized_command_rejected_client_side(self):
-        async def scenario():
-            async with OsdServer(make_target()) as server:
-                async with AsyncOsdClient(
-                    "127.0.0.1", server.port, max_pdu_bytes=4096, retry=NO_RETRY
-                ) as client:
-                    with pytest.raises(WireError):
-                        await client.write(OID_A, b"x" * 8192, class_id=3)
+        # One byte past the 64 MiB PDU limit, in never-touched anonymous
+        # pages: the encoder refuses on the length alone.
+        with mmap.mmap(-1, wire.MAX_PDU_BYTES + 1) as oversized:
 
-        run(scenario())
+            async def scenario():
+                async with OsdServer(make_target()) as server:
+                    async with AsyncOsdClient(
+                        "127.0.0.1", server.port, retry=NO_RETRY
+                    ) as client:
+                        with pytest.raises(WireError, match="limit"):
+                            await client.write(OID_A, oversized, class_id=3)
+                        assert server.stats.commands == 0
+
+            run(scenario())
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ cross-shard :func:`~repro.net.stats.merge_snapshots`."""
 
 import pytest
 
-from repro.net.stats import ServiceStats, merge_snapshots
+from repro.net.stats import LATENCY_WINDOW, ServiceStats, merge_snapshots
 
 
 def snapshot(wire_errors, max_in_flight, latencies):
@@ -51,3 +51,24 @@ def test_snapshot_percentiles_of_a_known_window():
         [0.001, 0.051, 0.100, 0.100]
     )
     assert ServiceStats().latency.percentiles(0.5, 0.99) == [0.0, 0.0]
+
+
+def test_latency_window_overwrites_its_oldest_samples():
+    # k outliers first, then a full window of fast commands: the outliers
+    # fall out of the percentiles but stay in the count and the mean.
+    outliers = 7
+    stats = ServiceStats()
+    for seconds in [1.0] * outliers + [0.001] * LATENCY_WINDOW:
+        stats.begin_command()
+        stats.end_command(seconds, ok=True)
+    latency = stats.snapshot()["latency"]
+    assert LATENCY_WINDOW == 4096
+    assert latency["p99_ms"] == pytest.approx(1.0)
+    assert stats.latency.percentiles(1.0) == pytest.approx([0.001])
+    assert latency["count"] == LATENCY_WINDOW + outliers
+    total = outliers * 1.0 + LATENCY_WINDOW * 0.001
+    assert latency["mean_ms"] == pytest.approx(total / (LATENCY_WINDOW + outliers) * 1e3)
+    # One more outlier lands in the window again.
+    stats.begin_command()
+    stats.end_command(2.0, ok=True)
+    assert stats.latency.percentiles(1.0) == pytest.approx([2.0])

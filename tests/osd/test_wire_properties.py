@@ -24,6 +24,17 @@ from repro.osd.types import PARTITION_BASE, ObjectId, ObjectKind
 OID = ObjectId(PARTITION_BASE, 0x10005)
 U64 = 2**64 - 1
 
+
+def command_pdu(command, seq=None, retry=0):
+    """A command's whole PDU, as the send path's segments joined."""
+    return b"".join(wire.encode_command_parts(command, seq, retry))
+
+
+def response_pdu(response, seq=None):
+    """A response's whole PDU, as the send path's segments joined."""
+    return b"".join(wire.encode_response_parts(response, seq))
+
+
 # ----------------------------------------------------------------------
 # Strategies: one per command type, then the union of all of them
 # ----------------------------------------------------------------------
@@ -170,12 +181,12 @@ def exported_command_types():
 class TestGoldenBytes:
     @pytest.mark.parametrize("golden,seq,retry,command", GOLDEN_COMMANDS, ids=command_ids)
     def test_command_bytes_pinned_both_ways(self, golden, seq, retry, command):
-        assert wire.encode_command(command, seq=seq, retry=retry).hex() == golden
+        assert command_pdu(command, seq=seq, retry=retry).hex() == golden
         assert wire.decode_command_pdu(bytes.fromhex(golden)) == (seq, retry, command)
 
     @pytest.mark.parametrize("golden,seq,response", GOLDEN_RESPONSES, ids=response_ids)
     def test_response_bytes_pinned_both_ways(self, golden, seq, response):
-        assert wire.encode_response(response, seq=seq).hex() == golden
+        assert response_pdu(response, seq=seq).hex() == golden
         assert wire.decode_response_pdu(bytes.fromhex(golden)) == (seq, response)
 
     def test_every_command_type_has_a_golden_pdu(self):
@@ -185,17 +196,16 @@ class TestGoldenBytes:
 class TestCommandRoundTrips:
     @given(command=command_strategies, seq=seqs, retry=retries)
     def test_every_command_seq_and_retry_round_trips(self, command, seq, retry):
-        pdu = wire.encode_command(command, seq=seq, retry=retry)
+        pdu = command_pdu(command, seq=seq, retry=retry)
         envelope = wire.decode_command_pdu(pdu)
         assert envelope.seq == seq
         assert envelope.retry == retry
         assert envelope.command == command
-        assert wire.decode_command(pdu) == command
 
     @given(command=command_strategies, seq=seqs)
     def test_parts_are_the_pdu_with_the_payload_uncopied(self, command, seq):
         parts = wire.encode_command_parts(command, seq=seq)
-        assert b"".join(parts) == wire.encode_command(command, seq=seq)
+        assert wire.decode_command_pdu(b"".join(parts)) == (seq, 0, command)
         payload = getattr(command, "payload", b"")
         if payload:
             assert parts[-1] is payload
@@ -217,22 +227,21 @@ class TestCommandRoundTrips:
 
     def test_decoders_accept_any_buffer(self):
         command = commands.Write(OID, b"payload", 3)
-        pdu = wire.encode_command(command, seq=1)
+        pdu = command_pdu(command, seq=1)
         for view in (bytearray(pdu), memoryview(pdu)):
-            assert wire.decode_command(view) == command
+            assert wire.decode_command_pdu(view).command == command
 
 
 class TestResponseRoundTrips:
     @given(response=responses, seq=seqs)
     def test_every_sense_and_payload_round_trips(self, response, seq):
-        pdu = wire.encode_response(response, seq=seq)
+        pdu = response_pdu(response, seq=seq)
         assert wire.decode_response_pdu(pdu) == (seq, response)
-        assert wire.decode_response(pdu) == response
 
     def test_hot_path_headers_are_fixed_width(self):
         """The point of the binary header: no JSON on the hot path."""
-        assert len(wire.encode_command(commands.Read(OID), seq=12345)) == 44
-        assert len(wire.encode_response(OsdResponse(SenseCode.OK), seq=1)) == 50
+        assert len(command_pdu(commands.Read(OID), seq=12345)) == 44
+        assert len(response_pdu(OsdResponse(SenseCode.OK), seq=1)) == 50
 
 
 class TestEncoderLimits:
@@ -251,36 +260,36 @@ class TestEncoderLimits:
     )
     def test_out_of_range_field_is_a_wire_error(self, command):
         with pytest.raises(WireError, match="fit"):
-            wire.encode_command(command)
+            command_pdu(command)
 
     @pytest.mark.parametrize("seq", [U64 + 1, -1])
     def test_out_of_range_seq_is_a_wire_error(self, seq):
         with pytest.raises(WireError, match="fit"):
-            wire.encode_command(commands.Read(OID), seq=seq)
+            command_pdu(commands.Read(OID), seq=seq)
         with pytest.raises(WireError, match="fit"):
-            wire.encode_response(OsdResponse(SenseCode.OK), seq=seq)
+            response_pdu(OsdResponse(SenseCode.OK), seq=seq)
 
     def test_out_of_range_retry_and_io_counters_are_wire_errors(self):
         with pytest.raises(WireError, match="fit"):
-            wire.encode_command(commands.Read(OID), retry=2**32)
+            command_pdu(commands.Read(OID), retry=2**32)
         response = OsdResponse(SenseCode.OK, io=ArrayIoResult(chunks_read=2**32))
         with pytest.raises(WireError, match="fit"):
-            wire.encode_response(response)
+            response_pdu(response)
 
     def test_oversized_attribute_is_a_wire_error(self):
         with pytest.raises(WireError, match="fit"):
-            wire.encode_command(commands.GetAttr(OID, "k" * 0x10000))
+            command_pdu(commands.GetAttr(OID, "k" * 0x10000))
 
     def test_oversized_pdu_rejected_by_encoders(self, monkeypatch):
         monkeypatch.setattr(wire, "MAX_PDU_BYTES", 1024)
         with pytest.raises(WireError, match="limit"):
-            wire.encode_command(commands.Write(OID, b"x" * 1024, None))
+            command_pdu(commands.Write(OID, b"x" * 1024, None))
         with pytest.raises(WireError, match="limit"):
-            wire.encode_response(OsdResponse(SenseCode.OK, payload=b"x" * 1024))
+            response_pdu(OsdResponse(SenseCode.OK, payload=b"x" * 1024))
 
     def test_foreign_command_rejected(self):
         with pytest.raises(WireError, match="cannot encode"):
-            wire.encode_command(commands.OsdCommand())
+            command_pdu(commands.OsdCommand())
 
 
 def with_ext(pdu: bytes, ext: bytes) -> bytes:
@@ -319,7 +328,7 @@ class TestDecoderFuzzing:
 
     @given(command=command_strategies, seq=seqs, data=st.data())
     def test_truncated_or_padded_command_rejected(self, command, seq, data):
-        pdu = wire.encode_command(command, seq=seq)
+        pdu = command_pdu(command, seq=seq)
         cut = data.draw(st.integers(min_value=0, max_value=len(pdu) - 1))
         with pytest.raises(WireError):
             wire.decode_command_pdu(pdu[:cut])
@@ -333,7 +342,7 @@ class TestDecoderFuzzing:
     @settings(max_examples=300)
     def test_byte_flipped_command_header_never_escapes_wire_error(self, index, value):
         for command in (commands.Write(OID, b"x" * 32, 3), commands.SetAttr(OID, "k", "v")):
-            pdu = bytearray(wire.encode_command(command, seq=9))
+            pdu = bytearray(command_pdu(command, seq=9))
             pdu[index] = value
             try:
                 wire.decode_command_pdu(bytes(pdu))
@@ -346,7 +355,7 @@ class TestDecoderFuzzing:
     )
     @settings(max_examples=300)
     def test_byte_flipped_response_header_never_escapes_wire_error(self, index, value):
-        pdu = bytearray(wire.encode_response(OsdResponse(SenseCode.OK, payload=b"x" * 32), 9))
+        pdu = bytearray(response_pdu(OsdResponse(SenseCode.OK, payload=b"x" * 32), 9))
         pdu[index] = value
         try:
             wire.decode_response_pdu(bytes(pdu))
@@ -355,11 +364,11 @@ class TestDecoderFuzzing:
 
     def test_wire_error_is_typed(self):
         with pytest.raises(WireError):
-            wire.decode_command(b"\x00\x00")
+            wire.decode_command_pdu(b"\x00\x00")
         assert issubclass(WireError, OsdError)
 
     def test_bad_magic_version_and_opcode_rejected(self):
-        pdu = wire.encode_command(commands.Read(OID), seq=1)
+        pdu = command_pdu(commands.Read(OID), seq=1)
         for index, value, message in ((0, 0x00, "magic"), (1, 3, "version"), (2, 0x7F, "opcode")):
             broken = bytearray(pdu)
             broken[index] = value
@@ -376,43 +385,43 @@ class TestDecoderFuzzing:
 
     def test_command_decoder_rejects_response_kind_and_the_reverse(self):
         with pytest.raises(WireError, match="command"):
-            wire.decode_command_pdu(wire.encode_response(OsdResponse(SenseCode.OK), seq=1))
+            wire.decode_command_pdu(response_pdu(OsdResponse(SenseCode.OK), seq=1))
         with pytest.raises(WireError, match="response"):
-            wire.decode_response_pdu(wire.encode_command(commands.Read(OID)))
+            wire.decode_response_pdu(command_pdu(commands.Read(OID)))
 
     def test_oversized_declared_data_rejected(self):
-        pdu = bytearray(wire.encode_command(commands.Write(OID, b"abc", None)))
+        pdu = bytearray(command_pdu(commands.Write(OID, b"abc", None)))
         # Last 4 fixed-header bytes are the data length; declare > MAX_PDU.
         pdu[40:44] = (wire.MAX_PDU_BYTES + 1).to_bytes(4, "big")
         with pytest.raises(WireError, match="data segment"):
             wire.decode_command_pdu(bytes(pdu))
 
     def test_oversized_pdu_rejected_by_decoders(self, monkeypatch):
-        command_pdu = wire.encode_command(commands.Write(OID, b"x" * 1024, None))
-        response_pdu = wire.encode_response(OsdResponse(SenseCode.OK, payload=b"x" * 1024))
+        command = command_pdu(commands.Write(OID, b"x" * 1024, None))
+        response = response_pdu(OsdResponse(SenseCode.OK, payload=b"x" * 1024))
         monkeypatch.setattr(wire, "MAX_PDU_BYTES", 1024)
         with pytest.raises(WireError, match="limit"):
-            wire.decode_command_pdu(command_pdu)
+            wire.decode_command_pdu(command)
         with pytest.raises(WireError, match="limit"):
-            wire.decode_response_pdu(response_pdu)
+            wire.decode_response_pdu(response)
 
     def test_unknown_sense_rejected(self):
-        pdu = bytearray(wire.encode_response(OsdResponse(SenseCode.OK)))
+        pdu = bytearray(response_pdu(OsdResponse(SenseCode.OK)))
         pdu[12:14] = (9999).to_bytes(2, "big")
         with pytest.raises(WireError, match="sense"):
             wire.decode_response_pdu(bytes(pdu))
 
     def test_unknown_object_kind_rejected(self):
-        pdu = bytearray(wire.encode_command(commands.CreateObject(OID, ObjectKind.USER)))
+        pdu = bytearray(command_pdu(commands.CreateObject(OID, ObjectKind.USER)))
         pdu[32:40] = (len(ObjectKind)).to_bytes(8, "big")
         with pytest.raises(WireError, match="kind"):
             wire.decode_command_pdu(bytes(pdu))
 
     def test_salvage_seq(self):
-        pdu = wire.encode_command(commands.Read(OID), seq=4242)
+        pdu = command_pdu(commands.Read(OID), seq=4242)
         assert wire.salvage_seq(pdu) == 4242
-        assert wire.salvage_seq(wire.encode_response(OsdResponse(SenseCode.OK), seq=7)) == 7
-        assert wire.salvage_seq(wire.encode_command(commands.Read(OID))) is None
+        assert wire.salvage_seq(response_pdu(OsdResponse(SenseCode.OK), seq=7)) == 7
+        assert wire.salvage_seq(command_pdu(commands.Read(OID))) is None
         assert wire.salvage_seq(pdu[:3]) is None
         assert wire.salvage_seq(b"") is None
         assert wire.salvage_seq(b"\x00" + pdu[1:]) is None
@@ -421,13 +430,13 @@ class TestDecoderFuzzing:
     # The extended header carries the attribute strings and nothing else.
     # ------------------------------------------------------------------
     def test_ext_cannot_override_the_opcode(self):
-        pdu = with_ext(wire.encode_command(commands.Read(OID), seq=7), b'{"op":"remove"}')
+        pdu = with_ext(command_pdu(commands.Read(OID), seq=7), b'{"op":"remove"}')
         with pytest.raises(WireError, match="extended header"):
             wire.decode_command_pdu(pdu)
 
     def test_ext_cannot_override_seq_retry_or_pid(self):
         pdu = with_ext(
-            wire.encode_command(commands.Read(OID), seq=7), b'{"seq":99,"retry":5,"pid":1}'
+            command_pdu(commands.Read(OID), seq=7), b'{"seq":99,"retry":5,"pid":1}'
         )
         with pytest.raises(WireError, match="extended header"):
             wire.decode_command_pdu(pdu)
@@ -448,12 +457,12 @@ class TestDecoderFuzzing:
             wire.decode_command_pdu(pdu)
 
     def test_ext_on_a_response_rejected(self):
-        pdu = with_ext(wire.encode_response(OsdResponse(SenseCode.OK), seq=1), b'{"sense":-1}')
+        pdu = with_ext(response_pdu(OsdResponse(SenseCode.OK), seq=1), b'{"sense":-1}')
         with pytest.raises(WireError, match="extended header"):
             wire.decode_response_pdu(pdu)
 
     def test_attr_command_without_ext_rejected(self):
-        pdu = bytearray(wire.encode_command(commands.Read(OID), seq=1))
+        pdu = bytearray(command_pdu(commands.Read(OID), seq=1))
         pdu[2] = 0x08  # GetAttr's opcode on a PDU with no extended header
         with pytest.raises(WireError, match="extended header"):
             wire.decode_command_pdu(bytes(pdu))
@@ -478,7 +487,7 @@ class TestDecoderFuzzing:
         ],
     )
     def test_bad_ext_on_an_attr_command_rejected(self, ext):
-        pdu = bytearray(wire.encode_command(commands.Read(OID), seq=1))
+        pdu = bytearray(command_pdu(commands.Read(OID), seq=1))
         pdu[2] = 0x08  # GetAttr
         with pytest.raises(WireError, match="extended header"):
             wire.decode_command_pdu(with_ext(bytes(pdu), ext))
