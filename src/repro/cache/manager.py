@@ -1,6 +1,7 @@
 """The object-based cache manager (paper §V, initiator side).
 
-Implements the paper's cache-server behaviour on top of the OSD initiator:
+Implements the paper's cache-server behaviour on top of the OSD initiator,
+its only way to storage (the target owns Reo's redundancy reserve):
 
 - **LRU replacement at object granularity**, with admission control against
   the array's projected stored bytes (data + redundancy for the object's
@@ -34,7 +35,6 @@ from repro.cache.policies import EvictionPolicy, LruPolicy
 from repro.cache.stats import CacheStats
 from repro.core.classes import ObjectClass, classify
 from repro.core.hotness import HotnessTracker
-from repro.core.redundancy import RedundancyBudget
 from repro.errors import DeviceFullError, ObjectNotFoundError
 from repro.osd.initiator import OsdInitiator
 from repro.osd.sense import SenseCode
@@ -82,7 +82,6 @@ class CacheManager:
         self,
         initiator: OsdInitiator,
         backend: BackendStore,
-        budget: Optional[RedundancyBudget] = None,
         hotness: Optional[HotnessTracker] = None,
         reclassify_interval: int = 1000,
         eviction: Optional[EvictionPolicy] = None,
@@ -94,10 +93,7 @@ class CacheManager:
         if reclassify_interval < 1:
             raise ValueError("reclassify interval must be >= 1")
         self.initiator = initiator
-        self.target = initiator.target
-        self.array = self.target.array
         self.backend = backend
-        self.budget = budget
         self.hotness = hotness or HotnessTracker()
         self.stats = CacheStats()
         self.reclassify_interval = reclassify_interval
@@ -134,20 +130,11 @@ class CacheManager:
     @property
     def usable_capacity(self) -> float:
         """Stored-byte capacity the manager will fill to (margin applied)."""
-        return self.array.capacity_bytes * (1.0 - CAPACITY_MARGIN)
+        return self.initiator.capacity_bytes() * (1.0 - CAPACITY_MARGIN)
 
     @property
     def dirty_count(self) -> int:
         return sum(1 for obj in self._objects.values() if obj.dirty)
-
-    @property
-    def is_degraded(self) -> bool:
-        """True while the array has failed devices that were not replaced.
-
-        SUSPECT devices do not count: they still serve reads, and placement
-        simply routes around them, so admission continues normally.
-        """
-        return self.array.available_count < self.array.width
 
     # ------------------------------------------------------------------
     # Client read path
@@ -188,7 +175,7 @@ class CacheManager:
         # on no new clean data until repaired (dirty writes are still
         # accepted). This keeps the paper's Fig. 8 hit-ratio levels flat per
         # window.
-        if not self.is_degraded:
+        if not self.initiator.degraded():
             self._admit(name, payload, dirty=False, version=version)
         return AccessResult(
             name=name,
@@ -215,7 +202,7 @@ class CacheManager:
         else:
             new_version = self.backend.version_of(name) + 1
         payload = self.backend.payload_for(name, new_version)
-        if cached is not None and not self.target.exists(cached.object_id):
+        if cached is not None and not self.initiator.exists(cached.object_id):
             # Lost to a failure; treat as a fresh insert.
             self._drop(name, lost=True)
             cached = None
@@ -234,11 +221,7 @@ class CacheManager:
     def _rewrite_dirty(self, cached: CachedObject, payload: bytes, version: int) -> float:
         # The transactional overwrite holds old + new simultaneously, so
         # room is made for the new copy on top of the old one.
-        old_stored = (
-            self.array.stored_bytes_for(cached.object_id)
-            if cached.object_id in self.array
-            else 0
-        )
+        old_stored = self.initiator.stored_bytes(cached.object_id)
         self._make_room(
             len(payload), ObjectClass.DIRTY, exclude=cached.name, extra_bytes=old_stored
         )
@@ -249,7 +232,7 @@ class CacheManager:
                 )
                 break
             except DeviceFullError:
-                if self._evict_one(exclude=cached.name):
+                if self.evict_one(exclude=cached.name):
                     continue
                 # Nothing left to evict: give up transactionality and
                 # replace the object outright (the new content supersedes
@@ -278,8 +261,7 @@ class CacheManager:
         """
         size = len(payload)
         class_id = self._initial_class(name, size, dirty)
-        scheme = self.target.policy(int(class_id))
-        projected = self.array.estimate_stored_bytes(size, scheme)
+        projected = self.initiator.projected_bytes(size, int(class_id))
         if projected > self.usable_capacity:
             # The object cannot fit even in an empty cache. Clean objects are
             # simply not admitted; dirty writes go straight through to the
@@ -295,7 +277,7 @@ class CacheManager:
                 response = self.initiator.write(object_id, payload, class_id=int(class_id))
                 break
             except DeviceFullError:
-                if not self._evict_one():
+                if not self.evict_one():
                     # Nothing left to evict and the object still cannot be
                     # placed (per-device imbalance, a shrunken width after
                     # failures). Same contract as the estimate bypass above:
@@ -321,11 +303,11 @@ class CacheManager:
         return response.io.elapsed
 
     def _initial_class(self, name: str, size: int, dirty: bool) -> ObjectClass:
-        hot = False
-        if not dirty:
-            hot = self.hotness.would_be_hot(name, size)
-            if hot and self.budget is not None:
-                hot = self.budget.can_afford_hot(size)
+        hot = (
+            not dirty
+            and self.hotness.would_be_hot(name, size)
+            and self.initiator.can_afford_hot(size)
+        )
         return classify(is_metadata=False, dirty=dirty, hot=hot)
 
     def _make_room(
@@ -335,24 +317,23 @@ class CacheManager:
         exclude: Optional[str] = None,
         extra_bytes: int = 0,
     ) -> None:
-        scheme = self.target.policy(int(class_id))
-        projected = self.array.estimate_stored_bytes(size, scheme) + extra_bytes
+        projected = self.initiator.projected_bytes(size, int(class_id)) + extra_bytes
         guard = len(self._objects) + 1
-        while (
-            self.array.used_bytes + projected > self.usable_capacity and guard > 0
-        ):
-            if not self._evict_one(exclude=exclude):
+        while guard > 0 and self.initiator.used_bytes() + projected > self.usable_capacity:
+            if not self.evict_one(exclude=exclude):
                 break
             guard -= 1
 
-    def _evict_one(self, exclude: Optional[str] = None) -> bool:
-        """Evict the LRU object (flushing it first if dirty)."""
-        victim = None
-        for candidate in self._eviction:
-            if candidate != exclude:
-                victim = candidate
-                break
-        if victim is None:
+    def evict_one(self, exclude: Optional[str] = None) -> bool:
+        """Evict the policy's victim, flushing it first if dirty.
+
+        Returns False when nothing other than ``exclude`` is left. Recovery
+        calls it too, trading unimportant cached data for room to restripe
+        important objects on a shrunken array.
+        """
+        try:
+            victim = self._eviction.pop_victim(exclude)
+        except KeyError:
             return False
         self._flush_if_dirty(victim)
         self._drop(victim, lost=False)
@@ -380,8 +361,7 @@ class CacheManager:
         self._by_oid.pop(cached.object_id, None)
         self._eviction.discard(name)
         self.hotness.forget(name)
-        if self.target.exists(cached.object_id):
-            self.target.remove_object(cached.object_id)
+        self.initiator.remove(cached.object_id)  # FAIL when already gone
         if lost:
             self.stats.lost_objects += 1
 
@@ -395,17 +375,8 @@ class CacheManager:
         name = self._by_oid.get(object_id)
         if name is not None:
             self._drop(name, lost=True)
-        elif self.target.exists(object_id):
-            self.target.remove_object(object_id)
-
-    def evict_lru(self, exclude: Optional[str] = None) -> bool:
-        """Evict one LRU victim on behalf of recovery; returns False when
-        nothing (other than ``exclude``) is left to evict.
-
-        Lets differentiated recovery trade unimportant cached data for room
-        to restripe important objects on a shrunken array.
-        """
-        return self._evict_one(exclude=exclude)
+        else:
+            self.initiator.remove(object_id)
 
     # ------------------------------------------------------------------
     # Write-back sync
@@ -433,19 +404,18 @@ class CacheManager:
         """Recompute ``H_hot`` and re-encode objects whose class changed.
 
         Returns the number of objects reclassified. Requires a redundancy
-        budget (uniform policies have nothing to differentiate).
+        reserve (uniform policies have nothing to differentiate).
         """
         self._reads_since_reclassify = 0
-        if self.budget is None or not self.budget.enabled:
-            return 0
-        if self.is_degraded:
+        if self.initiator.degraded():
             # Re-encoding healthy objects mid-failure would compete with
             # recovery for the surviving devices; classification resumes
             # once the array is whole again.
             return 0
-        mandatory = self._mandatory_redundancy_bytes()
-        available = self.budget.budget_bytes - mandatory
-        overhead = self.budget.hot_overhead_per_byte()
+        reserve = self.initiator.hot_reserve()
+        if reserve is None:
+            return 0
+        available, overhead = reserve
         self.hotness.update_threshold(available, overhead)
         # Decide the hot set hottest-first so H-value ties cannot blow past
         # the reserve, then apply demotions before promotions so freed space
@@ -475,7 +445,6 @@ class CacheManager:
         for name, desired in demotions + promotions:
             changed += self._apply_class_change(name, desired)
         self.stats.reclassifications += changed
-        self.target.redundancy_reserve_full = self.budget.is_full
         return changed
 
     def _apply_class_change(self, name: str, desired: ObjectClass) -> int:
@@ -489,12 +458,8 @@ class CacheManager:
         if cached is None:  # evicted while making room for an earlier change
             return 0
         if desired is ObjectClass.HOT_CLEAN:
-            scheme = self.target.policy(int(desired))
-            extra = self.array.estimate_stored_bytes(cached.size, scheme) - (
-                self.array.stored_bytes_for(cached.object_id)
-                if cached.object_id in self.array
-                else 0
-            )
+            extra = self.initiator.projected_bytes(cached.size, int(desired))
+            extra -= self.initiator.stored_bytes(cached.object_id)
             if extra > 0:
                 self._make_room(0, desired, exclude=name, extra_bytes=extra)
         try:
@@ -508,15 +473,6 @@ class CacheManager:
             cached.class_id = int(desired)
             return 1
         return 0
-
-    def _mandatory_redundancy_bytes(self) -> int:
-        """Redundancy consumed by classes that bypass the budget (0 and 1)."""
-        total = 0
-        for info in self.target.user_objects():
-            if info.class_id in (int(ObjectClass.METADATA), int(ObjectClass.DIRTY)):
-                if info.object_id in self.array:
-                    total += self.array.get_extent(info.object_id).redundancy_bytes
-        return total
 
     # ------------------------------------------------------------------
     # Internals

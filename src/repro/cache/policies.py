@@ -7,14 +7,15 @@ protocol; the alternatives here (FIFO, LFU, CLOCK) exist to demonstrate that
 orthogonality in the ablation harness.
 
 Protocol: ``touch`` records an access (inserting the key if new), ``discard``
-drops a key, iteration yields keys in *eviction order* (best victim first),
-and ``pop_victim`` removes and returns the best victim.
+drops a resident key, and ``pop_victim`` removes and returns the best victim,
+running the policy's own eviction step (CLOCK clears reference bits, ARC
+records ghosts and adapts).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Generic, Iterator, TypeVar
+from typing import Dict, Generic, Optional, TypeVar
 
 __all__ = [
     "ArcPolicy",
@@ -29,6 +30,15 @@ __all__ = [
 K = TypeVar("K")
 
 
+def _pop_oldest(queue: "OrderedDict[K, None]", exclude: Optional[K]) -> K:
+    """Remove and return the first key of ``queue`` other than ``exclude``."""
+    for key in queue:
+        if key != exclude:
+            del queue[key]
+            return key
+    raise KeyError("no victim")
+
+
 class EvictionPolicy(Generic[K]):
     """Interface the cache manager drives."""
 
@@ -39,19 +49,15 @@ class EvictionPolicy(Generic[K]):
         raise NotImplementedError
 
     def discard(self, key: K) -> None:
-        """Forget a key if present."""
+        """Forget a resident key if present."""
         raise NotImplementedError
 
-    def pop_victim(self) -> K:
-        """Remove and return the best eviction victim.
+    def pop_victim(self, exclude: Optional[K] = None) -> K:
+        """Remove and return the best eviction victim other than ``exclude``.
 
         Raises:
-            KeyError: the policy tracks no keys.
+            KeyError: the policy tracks no key but ``exclude``.
         """
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator[K]:
-        """Keys in eviction order (best victim first)."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -78,12 +84,8 @@ class LruPolicy(EvictionPolicy[K]):
     def discard(self, key: K) -> None:
         self._queue.pop(key, None)
 
-    def pop_victim(self) -> K:
-        key, _ = self._queue.popitem(last=False)
-        return key
-
-    def __iter__(self) -> Iterator[K]:
-        return iter(self._queue)
+    def pop_victim(self, exclude: Optional[K] = None) -> K:
+        return _pop_oldest(self._queue, exclude)
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -92,33 +94,14 @@ class LruPolicy(EvictionPolicy[K]):
         return key in self._queue
 
 
-class FifoPolicy(EvictionPolicy[K]):
-    """First-in-first-out: age since admission, accesses ignored."""
+class FifoPolicy(LruPolicy[K]):
+    """First-in-first-out: LRU's queue, but an access does not promote."""
 
     name = "fifo"
-
-    def __init__(self) -> None:
-        self._queue: "OrderedDict[K, None]" = OrderedDict()
 
     def touch(self, key: K) -> None:
         if key not in self._queue:
             self._queue[key] = None
-
-    def discard(self, key: K) -> None:
-        self._queue.pop(key, None)
-
-    def pop_victim(self) -> K:
-        key, _ = self._queue.popitem(last=False)
-        return key
-
-    def __iter__(self) -> Iterator[K]:
-        return iter(self._queue)
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._queue
 
 
 class LfuPolicy(EvictionPolicy[K]):
@@ -141,17 +124,14 @@ class LfuPolicy(EvictionPolicy[K]):
         self._freq.pop(key, None)
         self._recency.pop(key, None)
 
-    def pop_victim(self) -> K:
-        victim = next(iter(self))
+    def pop_victim(self, exclude: Optional[K] = None) -> K:
+        candidates = [key for key in self._recency if key != exclude]
+        if not candidates:
+            raise KeyError("lfu is empty")
+        # min keeps the first of equals: the oldest of the least frequent.
+        victim = min(candidates, key=self._freq.__getitem__)
         self.discard(victim)
         return victim
-
-    def __iter__(self) -> Iterator[K]:
-        recency_rank = {key: rank for rank, key in enumerate(self._recency)}
-        ordered = sorted(
-            self._freq, key=lambda key: (self._freq[key], recency_rank[key])
-        )
-        return iter(ordered)
 
     def __len__(self) -> int:
         return len(self._freq)
@@ -181,25 +161,20 @@ class ClockPolicy(EvictionPolicy[K]):
     def discard(self, key: K) -> None:
         self._referenced.pop(key, None)
 
-    def pop_victim(self) -> K:
-        if not self._referenced:
+    def pop_victim(self, exclude: Optional[K] = None) -> K:
+        if all(key == exclude for key in self._referenced):
             raise KeyError("clock is empty")
         while True:
             key, referenced = next(iter(self._referenced.items()))
-            if referenced:
+            if key == exclude:
+                self._referenced.move_to_end(key)  # the hand passes it by
+            elif referenced:
                 # Second chance: clear the bit, move behind the hand.
                 self._referenced[key] = False
                 self._referenced.move_to_end(key)
             else:
                 del self._referenced[key]
                 return key
-
-    def __iter__(self) -> Iterator[K]:
-        # Victim preference: unreferenced in hand order, then referenced.
-        unreferenced = (k for k, bit in self._referenced.items() if not bit)
-        referenced = (k for k, bit in self._referenced.items() if bit)
-        yield from unreferenced
-        yield from referenced
 
     def __len__(self) -> int:
         return len(self._referenced)
@@ -255,20 +230,24 @@ class ArcPolicy(EvictionPolicy[K]):
         self._trim_ghosts()
 
     def discard(self, key: K) -> None:
-        for queue in (self._t1, self._t2, self._b1, self._b2):
-            queue.pop(key, None)
+        # Residents only: the ghost an eviction just recorded must survive
+        # the cache manager dropping the victim.
+        self._t1.pop(key, None)
+        self._t2.pop(key, None)
 
-    def pop_victim(self) -> K:
-        if not self._t1 and not self._t2:
-            raise KeyError("ARC is empty")
-        if self._t1 and (len(self._t1) > self._p or not self._t2):
-            key, _ = self._t1.popitem(last=False)
-            self._b1[key] = None
-        else:
-            key, _ = self._t2.popitem(last=False)
-            self._b2[key] = None
-        self._trim_ghosts()
-        return key
+    def pop_victim(self, exclude: Optional[K] = None) -> K:
+        sides = [(self._t1, self._b1), (self._t2, self._b2)]
+        if not (self._t1 and (len(self._t1) > self._p or not self._t2)):
+            sides.reverse()
+        for resident, ghosts in sides:
+            try:
+                key = _pop_oldest(resident, exclude)
+            except KeyError:
+                continue
+            ghosts[key] = None
+            self._trim_ghosts()
+            return key
+        raise KeyError("ARC is empty")
 
     def _trim_ghosts(self) -> None:
         limit = self._c
@@ -276,15 +255,6 @@ class ArcPolicy(EvictionPolicy[K]):
             self._b1.popitem(last=False)
         while len(self._b2) > limit:
             self._b2.popitem(last=False)
-
-    def __iter__(self) -> Iterator[K]:
-        # Victim preference mirrors pop_victim's side choice.
-        if self._t1 and (len(self._t1) > self._p or not self._t2):
-            yield from self._t1
-            yield from self._t2
-        else:
-            yield from self._t2
-            yield from self._t1
 
     def __len__(self) -> int:
         return len(self._t1) + len(self._t2)

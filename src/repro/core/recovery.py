@@ -221,7 +221,7 @@ class RecoveryManager:
         )
         # Small headroom for per-device imbalance.
         while self.array.free_bytes < needed * 1.1:
-            if not self.manager.evict_lru(exclude=protected):
+            if not self.manager.evict_one(exclude=protected):
                 break
         try:
             return self.array.restripe_object(object_id, scheme)

@@ -6,16 +6,27 @@ manager watches the array's live accounting and answers two questions:
 - how many redundancy bytes remain for promoting clean objects to the hot
   scheme (metadata and dirty replicas are mandatory and are charged first);
 - whether the reserve is exhausted — surfaced to initiators as sense 0x67.
+
+The :class:`~repro.osd.target.OsdTarget` whose policy declares a reserve owns
+its budget.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.policy import RedundancyPolicy
 from repro.core.classes import ObjectClass
 from repro.errors import StripeLayoutError
 from repro.flash.array import FlashArray
 
+if TYPE_CHECKING:  # repro.osd imports this module through the target
+    from repro.osd.types import ObjectInfo
+
 __all__ = ["RedundancyBudget"]
+
+#: Classes whose redundancy is mandatory, charged to the reserve first.
+_MANDATORY = (int(ObjectClass.METADATA), int(ObjectClass.DIRTY))
 
 
 class RedundancyBudget:
@@ -70,6 +81,14 @@ class RedundancyBudget:
         if not self.enabled:
             return True
         return size * self.hot_overhead_per_byte() <= self.available_bytes
+
+    def mandatory_bytes(self, objects: Iterable[ObjectInfo]) -> int:
+        """Redundancy held by the mandatory classes among ``objects``."""
+        return sum(
+            self.array.get_extent(info.object_id).redundancy_bytes
+            for info in objects
+            if info.class_id in _MANDATORY and info.object_id in self.array
+        )
 
     def __repr__(self) -> str:
         return (

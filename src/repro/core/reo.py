@@ -29,7 +29,6 @@ from repro.core.health import HealthMonitor, HealthPolicy
 from repro.core.hotness import HotnessTracker
 from repro.core.policy import RedundancyPolicy, reo_policy
 from repro.core.recovery import RecoveryManager
-from repro.core.redundancy import RedundancyBudget
 from repro.core.supervisor import RecoverySupervisor
 from repro.flash.array import FlashArray
 from repro.flash.latency import INTEL_540S_SSD, ServiceTimeModel
@@ -115,15 +114,9 @@ class ReoCache:
             # Shared storage server (e.g. a cache-server restart scenario):
             # keep a single timeline across the stacks.
             backend.clock = clock
-        budget = (
-            RedundancyBudget(array, policy)
-            if policy.reserve_fraction is not None
-            else None
-        )
         manager = CacheManager(
             initiator=initiator,
             backend=backend,
-            budget=budget,
             hotness=HotnessTracker(size_exponent=hotness_size_exponent),
             reclassify_interval=reclassify_interval,
             eviction=make_eviction_policy(eviction_policy),

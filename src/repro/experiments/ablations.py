@@ -144,12 +144,12 @@ def run_eviction_policy_ablation(
     """LRU (the paper's choice) vs FIFO/LFU/CLOCK/ARC replacement.
 
     Replacement is orthogonal to Reo's redundancy machinery; this quantifies
-    how much the choice matters on the medium workload. Expect LFU, CLOCK,
-    and ARC to (near-)coincide here: on a miss-heavy Zipf stream their
-    victims are overwhelmingly the oldest once-accessed objects, which all
-    three order identically; they beat LRU because a single re-access grants
-    durable protection (a frequency count, a reference bit, T2 residency)
-    rather than a one-LRU-cycle reprieve, and FIFO trails because re-access
+    how much the choice matters on the medium workload. Every policy runs its
+    own eviction step. Expect CLOCK just above LRU: its hand clears the bit a
+    re-access set, so a re-access buys one sweep's reprieve, much like one
+    LRU cycle. LFU and ARC protect a re-accessed object durably (a frequency
+    count; T2 residency, with ghost hits steering ARC's target size), so
+    they lead on a miss-heavy Zipf stream, and FIFO trails because re-access
     grants nothing at all.
     """
     profile = profile or active_profile()

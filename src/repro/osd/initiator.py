@@ -8,6 +8,10 @@ the open-osd/iSCSI split of the paper's prototype.
 Crucially for Reo, classification and query messages travel through the
 reserved control object exactly as the paper describes: synchronous writes
 to OID ``0x10004`` (§IV-C.2).
+
+It is also the cache manager's only way to storage: in process, its space,
+health and reserve answers read the target and bill nothing, and each
+docstring names the OSD traffic a socket-backed initiator would send.
 """
 
 from __future__ import annotations
@@ -52,10 +56,57 @@ class OsdInitiator:
         return self._execute(commands.Update(object_id, offset, data))
 
     def remove(self, object_id: ObjectId) -> OsdResponse:
+        """Remove an object; FAIL when it is absent."""
         return self._execute(commands.Remove(object_id))
 
     def exists(self, object_id: ObjectId) -> bool:
-        return self.target.exists(object_id)
+        """Is ``object_id`` stored? A GetAttr of ``reo.class_id``, set on write."""
+        return self._execute(commands.GetAttr(object_id, "reo.class_id")).ok
+
+    # ------------------------------------------------------------------
+    # Space, health and reserve questions (a #QUERY# each over a socket)
+    # ------------------------------------------------------------------
+    def capacity_bytes(self) -> int:
+        """Online stored-byte capacity; shrinks when devices fail."""
+        return self.target.array.capacity_bytes
+
+    def used_bytes(self) -> int:
+        """Stored bytes, data and redundancy."""
+        return self.target.array.used_bytes
+
+    def degraded(self) -> bool:
+        """True while the array has failed devices that were not replaced.
+
+        SUSPECT devices do not count: they still serve reads.
+        """
+        array = self.target.array
+        return array.available_count < array.width
+
+    def stored_bytes(self, object_id: ObjectId) -> int:
+        """Bytes ``object_id`` occupies with its redundancy; 0 when absent."""
+        array = self.target.array
+        return array.stored_bytes_for(object_id) if object_id in array else 0
+
+    def projected_bytes(self, size: int, class_id: int) -> int:
+        """Bytes a ``size``-byte object of ``class_id`` would occupy."""
+        return self.target.array.estimate_stored_bytes(size, self.target.policy(class_id))
+
+    def can_afford_hot(self, size: int) -> bool:
+        """Would ``size`` hot bytes fit in the reserve? True without one."""
+        budget = self.target.budget
+        return budget is None or budget.can_afford_hot(size)
+
+    def hot_reserve(self) -> Optional[Tuple[float, float]]:
+        """``(reserve left after mandatory redundancy, hot overhead per byte)``.
+
+        None without a reserve. The census of mandatory (class 0 and 1)
+        redundancy is a ListPartition and a GetAttr of ``reo.class_id`` each.
+        """
+        budget = self.target.budget
+        if budget is None:
+            return None
+        mandatory = budget.mandatory_bytes(self.target.user_objects())
+        return budget.budget_bytes - mandatory, budget.hot_overhead_per_byte()
 
     # ------------------------------------------------------------------
     # Control messages (paper §IV-C.2)

@@ -11,6 +11,8 @@ The target is policy-agnostic: it maps an object's *class id* to a
 uniform baselines (paper §VI) are both implemented in
 :mod:`repro.core.policy` and injected here, so every experiment runs the
 same target code and varies only the policy.
+The target also owns the policy's redundancy reserve, if it declares one,
+and answers write queries with sense 0x67 while the reserve is exhausted.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
+from repro.core.redundancy import RedundancyBudget
 from repro.errors import (
     ControlMessageError,
     FlashError,
@@ -71,9 +74,12 @@ class OsdTarget:
         self.recovery_active = False
         #: True once a recovery pass has completed (drives sense 0x66).
         self.recovery_completed = False
-        #: Set by the redundancy budget manager when the parity reserve is
-        #: exhausted; surfaces as sense 0x67.
-        self.redundancy_reserve_full = False
+        #: Reo's redundancy reserve; None when the policy declares none.
+        self.budget: Optional[RedundancyBudget] = (
+            RedundancyBudget(array, policy)
+            if getattr(policy, "reserve_fraction", None) is not None
+            else None
+        )
 
     # ------------------------------------------------------------------
     # Namespace
@@ -285,7 +291,7 @@ class OsdTarget:
         return SenseCode.OK
 
     def _query_write_admission(self, size: int) -> SenseCode:
-        if self.redundancy_reserve_full:
+        if self.budget is not None and self.budget.is_full:
             return SenseCode.REDUNDANCY_FULL
         if size > self.array.free_bytes:
             return SenseCode.CACHE_FULL

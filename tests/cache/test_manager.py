@@ -37,8 +37,9 @@ class TestReadPath:
         small_cache.read("obj-0")
         small_cache.read("obj-1")
         small_cache.read("obj-0")  # obj-0 becomes MRU again
-        lru_order = list(small_cache.manager._eviction)
-        assert lru_order.index("obj-1") < lru_order.index("obj-0")
+        assert small_cache.manager.evict_one()
+        assert "obj-1" not in small_cache.manager
+        assert "obj-0" in small_cache.manager
 
     def test_miss_latency_is_backend_latency(self):
         from repro.flash.latency import ServiceTimeModel

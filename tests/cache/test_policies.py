@@ -44,10 +44,14 @@ class TestCommonBehaviour:
             policy_cls().pop_victim()
 
     def test_iteration_covers_all_keys(self, policy_cls):
+        # Drawing victims past an excluded key yields every other key once.
         policy = policy_cls()
         for key in ("a", "b", "c"):
             policy.touch(key)
-        assert set(policy) == {"a", "b", "c"}
+        assert {policy.pop_victim(exclude="b") for _ in range(2)} == {"a", "c"}
+        assert "b" in policy
+        with pytest.raises(KeyError):
+            policy.pop_victim(exclude="b")
 
     @given(st.lists(st.integers(min_value=0, max_value=10), max_size=50))
     def test_pop_until_empty_never_duplicates(self, policy_cls, touches):
@@ -182,3 +186,31 @@ class TestManagerIntegration:
             cache.read("obj-0")
             assert cache.stats.evictions > 0, name
             assert cache.array.used_bytes <= cache.manager.usable_capacity, name
+
+    @staticmethod
+    def _churned(name):
+        """A policy after manager-driven evictions of twice-read objects."""
+        from tests.conftest import register_uniform_objects
+        from repro.core.reo import ReoCache
+        from repro.flash.latency import ZERO_COST
+
+        cache = ReoCache.build(
+            cache_bytes=30_000,
+            chunk_size=64,
+            device_model=ZERO_COST,
+            backend_model=ZERO_COST,
+            eviction_policy=name,
+        )
+        for obj in register_uniform_objects(cache, 30, 2_000):
+            cache.read(obj)
+            cache.read(obj)
+        assert cache.stats.evictions > 0
+        return cache.manager._eviction
+
+    def test_manager_evictions_record_arc_ghosts(self):
+        policy = self._churned("arc")
+        assert policy._b1 or policy._b2
+
+    def test_manager_evictions_clear_clock_bits(self):
+        policy = self._churned("clock")
+        assert not all(policy._referenced.values())

@@ -32,14 +32,14 @@ class TestBuild:
         cache = ReoCache.build(
             policy=uniform_parity(1), cache_bytes=10**6, device_model=ZERO_COST
         )
-        assert cache.manager.budget is None
+        assert cache.target.budget is None
 
     def test_reo_policy_has_budget(self):
         cache = ReoCache.build(
             policy=reo_policy(0.2), cache_bytes=10**6, device_model=ZERO_COST
         )
-        assert cache.manager.budget is not None
-        assert cache.manager.budget.enabled
+        assert cache.target.budget is not None
+        assert cache.target.budget.enabled
 
     def test_volume_formatted(self):
         from repro.osd.types import SUPER_BLOCK

@@ -48,7 +48,7 @@ class TestDifferentiatedRedundancy:
             cache.read(name)
             cache.read(name)
         cache.manager.reclassify()
-        budget = cache.manager.budget
+        budget = cache.target.budget
         assert budget.used_bytes <= budget.budget_bytes * 1.05 + 10_000
 
     def test_uniform_policy_never_reclassifies(self):

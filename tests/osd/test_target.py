@@ -8,6 +8,7 @@ from repro.flash.array import FlashArray
 from repro.flash.latency import ZERO_COST
 from repro.flash.stripe import ChunkKind, ParityScheme, ReplicationScheme
 from repro.osd.control import QueryMessage, SetClassMessage
+from repro.osd.initiator import OsdInitiator
 from repro.osd.sense import SenseCode
 from repro.osd.target import OsdTarget
 from repro.osd.types import CONTROL_OBJECT, PARTITION_BASE, ObjectId, ObjectKind
@@ -259,10 +260,23 @@ class TestControlObject:
         assert sense is SenseCode.CACHE_FULL
 
     def test_query_write_admission_redundancy_full(self):
-        target = make_target()
-        target.redundancy_reserve_full = True
-        sense = target.query(QueryMessage(USER_B, "W", 0, 10))
-        assert sense is SenseCode.REDUNDANCY_FULL
+        # A 1% reserve of 5 MB; fully replicated dirty writes fill it with
+        # no cache manager involved, and removing them frees it again.
+        target = make_target(policy=reo_policy(0.01))
+        initiator = OsdInitiator(target)
+        query = QueryMessage(USER_B, "W", 0, 10)
+        assert target.query(query) is SenseCode.OK
+        written = []
+        for oid in range(0x10010, 0x10030):
+            if target.array.redundancy_bytes >= target.budget.budget_bytes:
+                break
+            written.append(ObjectId(PARTITION_BASE, oid))
+            initiator.write(written[-1], b"d" * 4096, class_id=1)
+        assert target.query(query) is SenseCode.REDUNDANCY_FULL
+        for object_id in written:
+            assert initiator.remove(object_id).ok
+            assert not initiator.exists(object_id)
+        assert target.query(query) is SenseCode.OK
 
     def test_query_write_admission_ok(self):
         target = make_target()
