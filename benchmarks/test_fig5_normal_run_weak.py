@@ -6,6 +6,7 @@ space (0-parity > 1-parity ≈ Reo-20% > 2-parity ≲ Reo-40%), bandwidth
 tracking hit ratio, latency tracking miss ratio.
 """
 
+from repro.experiments.common import HIT
 from repro.experiments.normal_run import run_normal_run_figure
 from repro.workload.medisyn import Locality
 
@@ -15,7 +16,7 @@ def test_fig5_normal_run_weak(benchmark, emit):
         run_normal_run_figure, args=(Locality.WEAK,), rounds=1, iterations=1
     )
     emit("fig5_normal_run_weak", figure.format())
-    hit = figure.series("hit_ratio_percent")
+    hit = figure.series[HIT]
     for policy, values in hit.items():
         # Hit ratio must grow with cache size for every scheme.
         assert values == sorted(values), f"{policy} hit ratio not monotonic"

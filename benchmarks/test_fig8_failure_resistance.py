@@ -9,13 +9,14 @@ Headline assertions (paper §VI-C):
   least one device lives.
 """
 
+from repro.experiments.common import HIT
 from repro.experiments.failure import run_failure_resistance
 
 
 def test_fig8_failure_resistance(benchmark, emit):
     figure = benchmark.pedantic(run_failure_resistance, rounds=1, iterations=1)
     emit("fig8_failure_resistance", figure.format())
-    hit = figure.hit_ratio_percent
+    hit = figure.series[HIT]
 
     assert hit["0-parity"][0] > 20.0
     for window in range(1, 5):

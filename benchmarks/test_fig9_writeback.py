@@ -6,14 +6,15 @@ dirty); Reo beats it across the sweep and degrades gracefully as the write
 ratio grows, while giving dirty data the same replication-level protection.
 """
 
+from repro.experiments.common import BANDWIDTH, HIT
 from repro.experiments.writeback import run_writeback_figure
 
 
 def test_fig9_writeback(benchmark, emit):
     figure = benchmark.pedantic(run_writeback_figure, rounds=1, iterations=1)
     emit("fig9_writeback", figure.format())
-    full = figure.hit_ratio_percent["full-replication"]
-    reo = figure.hit_ratio_percent["Reo-10%"]
+    full = figure.series[HIT]["full-replication"]
+    reo = figure.series[HIT]["Reo-10%"]
 
     # Full replication: flat (write ratio does not change its footprint).
     assert max(full) - min(full) < 8.0
@@ -25,6 +26,6 @@ def test_fig9_writeback(benchmark, emit):
     assert reo[-1] < reo[0]
     # Bandwidth advantage follows the hit-ratio advantage.
     assert (
-        figure.bandwidth_mb_per_sec["Reo-10%"][0]
-        > figure.bandwidth_mb_per_sec["full-replication"][0]
+        figure.series[BANDWIDTH]["Reo-10%"][0]
+        > figure.series[BANDWIDTH]["full-replication"][0]
     )

@@ -5,13 +5,14 @@ failure and climbs back toward the pre-failure level as the prioritized
 rebuild drains.
 """
 
+from repro.experiments.common import HIT
 from repro.experiments.recovery_timeline import run_recovery_timeline
 
 
 def test_recovery_timeline(benchmark, emit):
     timeline = benchmark.pedantic(run_recovery_timeline, rounds=1, iterations=1)
     emit("recovery_timeline", timeline.format())
-    series = timeline.hit_ratio_percent["prioritized"]
+    series = timeline.series[HIT]["prioritized"]
     pre_failure = series[0]
     assert pre_failure > 20.0
     # The failure depresses service, then recovery + re-warming climb back:
@@ -21,4 +22,4 @@ def test_recovery_timeline(benchmark, emit):
     assert min(post_failure) > 0.0
     assert series[-1] >= min(post_failure)
     # Recovery actually rebuilt objects.
-    assert timeline.rebuilt["prioritized"] > 0
+    assert timeline.counts["prioritized objects rebuilt"] > 0

@@ -12,9 +12,9 @@ def test_space_efficiency_table(benchmark, emit):
     table = benchmark.pedantic(run_space_efficiency_table, rounds=1, iterations=1)
     emit("space_efficiency_table", table.format())
     for locality in ("weak", "medium", "strong"):
-        reo10 = table.values["Reo-10%"][locality]
-        reo20 = table.values["Reo-20%"][locality]
-        reo40 = table.values["Reo-40%"][locality]
+        reo10 = table.rows["Reo-10%"][locality]
+        reo20 = table.rows["Reo-20%"][locality]
+        reo40 = table.rows["Reo-40%"][locality]
         # Close to the specified parity percentage (paper: ~90/80/60 +- a few).
         assert 84.0 <= reo10 <= 97.0, f"Reo-10% {locality}: {reo10}"
         assert 74.0 <= reo20 <= 92.0, f"Reo-20% {locality}: {reo20}"

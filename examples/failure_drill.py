@@ -10,9 +10,9 @@ while a single device survives.
 Run:  python examples/failure_drill.py
 """
 
-from repro.experiments.common import PROFILES, build_experiment_cache, make_trace
+from repro.experiments.common import PROFILES, make_policy, make_trace, replay
 from repro.sim.report import format_figure_series
-from repro.sim.runner import ExperimentRunner, FailureEvent
+from repro.sim.runner import FailureEvent
 from repro.workload.medisyn import Locality
 
 SCHEMES = ("0-parity", "1-parity", "2-parity", "Reo-20%")
@@ -21,28 +21,29 @@ SCHEMES = ("0-parity", "1-parity", "2-parity", "Reo-20%")
 def main() -> None:
     profile = PROFILES["smoke"]
     trace = make_trace(Locality.MEDIUM, profile)
-    cache_bytes = int(trace.total_bytes * 0.10)
     quarter = len(trace) // 5
 
     series = {}
     for policy_key in SCHEMES:
-        cache = build_experiment_cache(
-            policy_key, cache_bytes, profile, chunk_size=profile.failure_chunk_size
-        )
+        differentiated = make_policy(policy_key).differentiates
         failures = [
             FailureEvent(
                 request_index=quarter * (index + 1),
                 device_id=index,
                 insert_spare=False,
-                start_recovery=cache.policy.differentiates,
+                start_recovery=differentiated,
             )
             for index in range(4)
         ]
-        runner = ExperimentRunner(
-            cache, trace, failures=failures, prewarm=True,
-            recovery_share=profile.recovery_share,
+        # With failures, replay() warms the whole cache first (§VI-C).
+        cache, result = replay(
+            policy_key,
+            trace,
+            profile,
+            10,
+            failures=failures,
+            chunk_size=profile.failure_chunk_size,
         )
-        result = runner.run()
         series[policy_key] = [
             window.metrics.hit_ratio_percent for window in result.windows
         ]

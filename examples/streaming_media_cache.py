@@ -10,20 +10,11 @@ middle columns of Fig. 6, at a size that runs in seconds.
 Run:  python examples/streaming_media_cache.py
 """
 
-from repro.experiments.common import PROFILES, build_experiment_cache, make_trace
+from repro.experiments.common import PROFILES, make_trace, measures, replay
 from repro.sim.report import format_table
-from repro.sim.runner import ExperimentRunner
 from repro.workload.medisyn import Locality
 
 CACHE_PERCENT = 10
-
-
-def replay(policy_key: str, trace, profile):
-    cache_bytes = int(trace.total_bytes * CACHE_PERCENT / 100)
-    cache = build_experiment_cache(policy_key, cache_bytes, profile)
-    runner = ExperimentRunner(cache, trace, warmup_fraction=profile.warmup_fraction)
-    result = runner.run()
-    return cache, result
 
 
 def main() -> None:
@@ -36,13 +27,11 @@ def main() -> None:
 
     rows = []
     for policy_key in ("1-parity", "Reo-20%"):
-        cache, result = replay(policy_key, trace, profile)
+        cache, result = replay(policy_key, trace, profile, CACHE_PERCENT)
         rows.append(
             [
                 policy_key,
-                f"{result.metrics.hit_ratio_percent:.1f}",
-                f"{result.metrics.bandwidth_mb_per_sec:.1f}",
-                f"{result.metrics.mean_latency_ms * profile.size_scale:.1f}",
+                *(f"{value:.1f}" for value in measures(result.metrics, profile)),
                 f"{100 * cache.space_efficiency:.1f}",
                 str(cache.stats.reclassifications),
             ]

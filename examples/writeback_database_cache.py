@@ -15,9 +15,8 @@ Fig. 9, §VI-D).
 Run:  python examples/writeback_database_cache.py
 """
 
-from repro.experiments.common import PROFILES, build_experiment_cache, make_trace
+from repro.experiments.common import PROFILES, make_trace, replay
 from repro.sim.report import format_table
-from repro.sim.runner import ExperimentRunner
 from repro.workload.medisyn import Locality
 
 WRITE_RATIO = 0.3
@@ -25,11 +24,7 @@ WRITE_RATIO = 0.3
 
 def drill(policy_key: str, profile):
     trace = make_trace(Locality.MEDIUM, profile, write_ratio=WRITE_RATIO)
-    cache_bytes = int(trace.total_bytes * 0.10)
-    cache = build_experiment_cache(policy_key, cache_bytes, profile)
-    result = ExperimentRunner(
-        cache, trace, warmup_fraction=profile.warmup_fraction
-    ).run()
+    cache, result = replay(policy_key, trace, profile, 10)
 
     # Catastrophe: four of five devices die at once.
     for device_id in range(4):

@@ -30,22 +30,19 @@ _MANDATORY = (int(ObjectClass.METADATA), int(ObjectClass.DIRTY))
 
 
 class RedundancyBudget:
-    """Tracks the reserved redundancy space of an array under a policy."""
+    """Tracks the reserved redundancy space of an array under a policy.
+
+    ``policy`` must declare a ``reserve_fraction``; a target whose policy
+    declares none builds no budget.
+    """
 
     def __init__(self, array: FlashArray, policy: RedundancyPolicy) -> None:
         self.array = array
         self.policy = policy
 
     @property
-    def enabled(self) -> bool:
-        """Budgeting only applies to policies that declare a reserve."""
-        return self.policy.reserve_fraction is not None
-
-    @property
     def budget_bytes(self) -> float:
         """The reserve, against the *online* capacity (shrinks on failures)."""
-        if not self.enabled:
-            return float("inf")
         return self.policy.reserve_fraction * self.array.capacity_bytes
 
     @property
@@ -59,7 +56,7 @@ class RedundancyBudget:
 
     @property
     def is_full(self) -> bool:
-        return self.enabled and self.used_bytes >= self.budget_bytes
+        return self.used_bytes >= self.budget_bytes
 
     def hot_overhead_per_byte(self) -> float:
         """Extra stored bytes per logical byte of a hot-class object.
@@ -78,8 +75,6 @@ class RedundancyBudget:
 
     def can_afford_hot(self, size: int) -> bool:
         """Would promoting ``size`` logical bytes stay inside the reserve?"""
-        if not self.enabled:
-            return True
         return size * self.hot_overhead_per_byte() <= self.available_bytes
 
     def mandatory_bytes(self, objects: Iterable[ObjectInfo]) -> int:

@@ -1,9 +1,9 @@
 """Experiment drivers: one module per paper table/figure (DESIGN.md §4).
 
-Each driver exposes a ``run_*`` function returning structured results and a
-``format_*`` helper rendering them in the shape of the corresponding figure.
-The benchmark harness under ``benchmarks/`` and the examples both call these
-drivers, so a figure is regenerated the same way everywhere.
+Each driver's ``run_*`` function replays its traces through ``common.replay``
+and returns a ``common.Figure`` or ``common.Table``, whose ``format()`` renders
+the paper's shape. The benchmarks under ``benchmarks/`` and the examples call
+the same drivers and helper, so a figure is regenerated the same way everywhere.
 
 Scale profiles (``REPRO_PROFILE`` environment variable):
 

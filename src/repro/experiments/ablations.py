@@ -1,6 +1,6 @@
 """Ablation studies for the design choices DESIGN.md §6 calls out.
 
-Three studies, each isolating one design decision of Reo:
+Five studies, each isolating one design decision of Reo:
 
 - **Hotness indicator** — the paper's ``H = Freq/Size`` vs a size-blind
   ``H = Freq``. Per redundancy byte, protecting small-but-popular objects
@@ -11,6 +11,10 @@ Three studies, each isolating one design decision of Reo:
   With a bounded recovery share, prioritization restores the
   likely-to-be-accessed data sooner, so the post-failure window sees more
   hits.
+- **Eviction policy** — LRU (the paper's choice) against FIFO, LFU, CLOCK
+  and ARC replacement on the same workload.
+- **Hot-class parity** — the hot class's parity count (the paper fixes
+  two): more parity per stripe protects fewer objects within the reserve.
 - **Chunk size** — the stripe chunk-size knob the paper sets to 64 KB
   (normal run) and 1 MB (failure runs): smaller chunks mean more
   per-operation overheads, larger chunks mean coarser parity.
@@ -18,22 +22,22 @@ Three studies, each isolating one design decision of Reo:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.policy import reo_policy
 from repro.experiments.common import (
     Profile,
+    Table,
     active_profile,
-    build_experiment_cache,
     make_trace,
+    measures,
+    replay,
 )
-from repro.sim.report import format_table
-from repro.sim.runner import ExperimentRunner, FailureEvent
+from repro.sim.runner import FailureEvent
 from repro.workload.medisyn import Locality
+from repro.workload.trace import Trace
 
 __all__ = [
-    "AblationResult",
     "run_chunk_size_sweep",
     "run_eviction_policy_ablation",
     "run_hot_parity_sweep",
@@ -42,53 +46,32 @@ __all__ = [
 ]
 
 
-@dataclass
-class AblationResult:
-    """Rows of (variant name -> metric dict), plus a formatted table."""
-
-    title: str
-    rows: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def format(self) -> str:
-        metric_names = list(next(iter(self.rows.values())).keys()) if self.rows else []
-        table_rows: List[List[object]] = []
-        for variant, metrics in self.rows.items():
-            table_rows.append(
-                [variant, *(f"{metrics[name]:.1f}" for name in metric_names)]
-            )
-        return format_table(self.title, ["Variant", *metric_names], table_rows)
+def _fail_at_midpoint(trace: Trace, *devices: int, recover: bool = True) -> List[FailureEvent]:
+    """Fail ``devices`` without spares halfway through ``trace``."""
+    return [
+        FailureEvent(len(trace) // 2, device, insert_spare=False, start_recovery=recover)
+        for device in devices
+    ]
 
 
 def run_hotness_indicator_ablation(
     profile: Optional[Profile] = None, cache_percent: int = 10
-) -> AblationResult:
+) -> Table:
     """``H = Freq/Size`` vs size-blind ``H = Freq`` through one failure."""
     profile = profile or active_profile()
-    result = AblationResult(
+    result = Table(
         title=f"Ablation: hotness indicator (Reo-20%, one failure) [{profile.name}]"
     )
     trace = make_trace(Locality.MEDIUM, profile)
-    cache_bytes = int(trace.total_bytes * cache_percent / 100)
-    midpoint = len(trace) // 2
     for variant, exponent in (("H = Freq/Size (paper)", 1.0), ("H = Freq", 0.0)):
-        cache = build_experiment_cache(
-            "Reo-20%", cache_bytes, profile, hotness_size_exponent=exponent
-        )
-        failures = [
-            FailureEvent(
-                request_index=midpoint,
-                device_id=0,
-                insert_spare=False,
-                start_recovery=True,
-            )
-        ]
-        run = ExperimentRunner(
-            cache,
+        _, run = replay(
+            "Reo-20%",
             trace,
-            failures=failures,
-            prewarm=True,
-            recovery_share=profile.recovery_share,
-        ).run()
+            profile,
+            cache_percent,
+            failures=_fail_at_midpoint(trace, 0),
+            hotness_size_exponent=exponent,
+        )
         result.rows[variant] = {
             "hit% before": run.windows[0].metrics.hit_ratio_percent,
             "hit% after": run.windows[1].metrics.hit_ratio_percent,
@@ -98,7 +81,7 @@ def run_hotness_indicator_ablation(
 
 def run_recovery_priority_ablation(
     profile: Optional[Profile] = None, cache_percent: int = 10
-) -> AblationResult:
+) -> Table:
     """Class/hotness-ordered recovery vs insertion-order reconstruction.
 
     Measures the window right after a failure with a throttled recovery
@@ -106,31 +89,20 @@ def run_recovery_priority_ablation(
     first, so the same amount of rebuild work yields more hits.
     """
     profile = profile or active_profile()
-    result = AblationResult(
+    result = Table(
         title=f"Ablation: recovery priority (Reo-20%, one failure) [{profile.name}]"
     )
     trace = make_trace(Locality.MEDIUM, profile)
-    cache_bytes = int(trace.total_bytes * cache_percent / 100)
-    midpoint = len(trace) // 2
     for variant, prioritized in (("class+hotness order (paper)", True), ("insertion order", False)):
-        cache = build_experiment_cache(
-            "Reo-20%", cache_bytes, profile, prioritized_recovery=prioritized
-        )
-        failures = [
-            FailureEvent(
-                request_index=midpoint,
-                device_id=0,
-                insert_spare=False,
-                start_recovery=True,
-            )
-        ]
-        run = ExperimentRunner(
-            cache,
+        cache, run = replay(
+            "Reo-20%",
             trace,
-            failures=failures,
-            prewarm=True,
+            profile,
+            cache_percent,
+            failures=_fail_at_midpoint(trace, 0),
             recovery_share=0.05,  # throttle hard so ordering matters
-        ).run()
+            prioritized_recovery=prioritized,
+        )
         result.rows[variant] = {
             "hit% after failure": run.windows[1].metrics.hit_ratio_percent,
             "objects rebuilt": float(cache.recovery.objects_rebuilt),
@@ -140,7 +112,7 @@ def run_recovery_priority_ablation(
 
 def run_eviction_policy_ablation(
     profile: Optional[Profile] = None, cache_percent: int = 10
-) -> AblationResult:
+) -> Table:
     """LRU (the paper's choice) vs FIFO/LFU/CLOCK/ARC replacement.
 
     Replacement is orthogonal to Reo's redundancy machinery; this quantifies
@@ -153,18 +125,12 @@ def run_eviction_policy_ablation(
     grants nothing at all.
     """
     profile = profile or active_profile()
-    result = AblationResult(
+    result = Table(
         title=f"Ablation: eviction policy (Reo-20%, medium workload) [{profile.name}]"
     )
     trace = make_trace(Locality.MEDIUM, profile)
-    cache_bytes = int(trace.total_bytes * cache_percent / 100)
     for name in ("lru", "fifo", "lfu", "clock", "arc"):
-        cache = build_experiment_cache(
-            "Reo-20%", cache_bytes, profile, eviction_policy=name
-        )
-        run = ExperimentRunner(
-            cache, trace, warmup_fraction=profile.warmup_fraction
-        ).run()
+        _, run = replay("Reo-20%", trace, profile, cache_percent, eviction_policy=name)
         result.rows[name] = {
             "hit%": run.metrics.hit_ratio_percent,
             "MB/sec": run.metrics.bandwidth_mb_per_sec,
@@ -175,7 +141,7 @@ def run_eviction_policy_ablation(
 
 def run_hot_parity_sweep(
     profile: Optional[Profile] = None, cache_percent: int = 10
-) -> AblationResult:
+) -> Table:
     """Sweep the hot class's parity count (the paper fixes it at 2).
 
     More parity per hot stripe buys failure tolerance at the cost of
@@ -185,21 +151,18 @@ def run_hot_parity_sweep(
     two-device failure.
     """
     profile = profile or active_profile()
-    result = AblationResult(
+    result = Table(
         title=f"Ablation: hot-class parity count (reserve 20%) [{profile.name}]"
     )
     trace = make_trace(Locality.MEDIUM, profile)
-    cache_bytes = int(trace.total_bytes * cache_percent / 100)
-    midpoint = len(trace) // 2
     for hot_parity in (1, 2, 3):
-        cache = build_experiment_cache(
-            reo_policy(0.20, hot_parity=hot_parity), cache_bytes, profile
+        _, run = replay(
+            reo_policy(0.20, hot_parity=hot_parity),
+            trace,
+            profile,
+            cache_percent,
+            failures=_fail_at_midpoint(trace, 0, 1, recover=False),
         )
-        failures = [
-            FailureEvent(midpoint, 0, insert_spare=False, start_recovery=False),
-            FailureEvent(midpoint, 1, insert_spare=False, start_recovery=False),
-        ]
-        run = ExperimentRunner(cache, trace, failures=failures, prewarm=True).run()
         result.rows[f"{hot_parity}-parity hot"] = {
             "hit% before": run.windows[0].metrics.hit_ratio_percent,
             "hit% after 2 failures": run.windows[-1].metrics.hit_ratio_percent,
@@ -211,27 +174,19 @@ def run_chunk_size_sweep(
     profile: Optional[Profile] = None,
     cache_percent: int = 10,
     chunk_sizes: Sequence[int] = (),
-) -> AblationResult:
+) -> Table:
     """Normal-run metrics across stripe chunk sizes."""
     profile = profile or active_profile()
     if not chunk_sizes:
         base = profile.chunk_size
         chunk_sizes = (base // 4, base, base * 4)
-    result = AblationResult(
+    result = Table(
         title=f"Ablation: chunk size (Reo-20%, medium workload) [{profile.name}]"
     )
     trace = make_trace(Locality.MEDIUM, profile)
-    cache_bytes = int(trace.total_bytes * cache_percent / 100)
     for chunk_size in chunk_sizes:
-        cache = build_experiment_cache(
-            "Reo-20%", cache_bytes, profile, chunk_size=chunk_size
+        _, run = replay("Reo-20%", trace, profile, cache_percent, chunk_size=chunk_size)
+        result.rows[f"chunk={chunk_size}B"] = dict(
+            zip(("hit%", "MB/sec", "latency ms"), measures(run.metrics, profile))
         )
-        run = ExperimentRunner(
-            cache, trace, warmup_fraction=profile.warmup_fraction
-        ).run()
-        result.rows[f"chunk={chunk_size}B"] = {
-            "hit%": run.metrics.hit_ratio_percent,
-            "MB/sec": run.metrics.bandwidth_mb_per_sec,
-            "latency ms": run.metrics.mean_latency_ms * profile.size_scale,
-        }
     return result

@@ -6,6 +6,11 @@ experiments, cache sized as a percentage of the workload data set, and the
 six compared schemes (0/1/2-parity uniform protection, Reo-10/20/40%), plus
 full replication for §VI-D.
 
+Every driver replays its trace through :func:`replay` and returns one of two
+result types: a :class:`Figure` (a row per x value, a column per scheme, a
+block per metric) or a :class:`Table` (a row per variant, a column per
+metric).
+
 Scaling: a profile divides object sizes *and device fixed costs* by the same
 factor, which leaves bandwidths (bytes / time) and all capacity ratios
 unchanged while shrinking runtimes by orders of magnitude. Reported
@@ -16,8 +21,8 @@ comparable to the paper's milliseconds.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.policy import (
     RedundancyPolicy,
@@ -27,18 +32,29 @@ from repro.core.policy import (
 )
 from repro.core.reo import ReoCache
 from repro.flash.latency import HDD_7200RPM, INTEL_540S_SSD, NETWORK_10GBE, ServiceTimeModel
+from repro.sim.metrics import RunMetrics
+from repro.sim.plotting import ascii_chart
+from repro.sim.report import format_figure_series, format_table
+from repro.sim.runner import ExperimentRunner, FailureEvent, RunResult
 from repro.units import KiB
 from repro.workload.medisyn import Locality, MediSynConfig, generate_workload
 from repro.workload.trace import Trace
 
 __all__ = [
+    "BANDWIDTH",
+    "Figure",
+    "HIT",
+    "LATENCY",
     "NORMAL_RUN_POLICIES",
     "Profile",
     "PROFILES",
+    "Table",
     "active_profile",
     "build_experiment_cache",
     "make_policy",
     "make_trace",
+    "measures",
+    "replay",
 ]
 
 #: The six schemes of Figs. 5-8, in the paper's legend order.
@@ -188,3 +204,107 @@ def build_experiment_cache(
         reclassify_interval=profile.reclassify_interval,
         **build_kwargs,
     )
+
+
+def replay(
+    policy: Union[str, RedundancyPolicy],
+    trace: Trace,
+    profile: Profile,
+    cache_percent: int,
+    failures: Sequence[FailureEvent] = (),
+    recovery_share: Optional[float] = None,
+    concurrency: int = 1,
+    **build: Any,
+) -> Tuple[ReoCache, RunResult]:
+    """Replay ``trace`` through a cache of ``cache_percent`` of its data set.
+
+    A run with failures follows §VI-C: the cache is fully warmed first and
+    every request is recorded. A run without failures instead excludes the
+    profile's leading ``warmup_fraction`` of requests from the metrics.
+    ``recovery_share`` defaults to the profile's; ``build`` goes to
+    :func:`build_experiment_cache`.
+    """
+    cache = build_experiment_cache(
+        policy, int(trace.total_bytes * cache_percent / 100), profile, **build
+    )
+    result = ExperimentRunner(
+        cache,
+        trace,
+        failures=failures,
+        recovery_share=profile.recovery_share if recovery_share is None else recovery_share,
+        warmup_fraction=0.0 if failures else profile.warmup_fraction,
+        prewarm=bool(failures),
+        concurrency=concurrency,
+    ).run()
+    return cache, result
+
+
+#: The paper's three metrics, in the order :func:`measures` returns them.
+HIT, BANDWIDTH, LATENCY = "Hit Ratio (%)", "Bandwidth (MB/sec)", "Latency (ms)"
+
+
+def measures(metrics: RunMetrics, profile: Profile) -> Tuple[float, float, float]:
+    """Hit ratio (%), bandwidth (MB/sec) and latency (ms) of a span.
+
+    Times were divided by the profile's scale factor; latency is multiplied
+    back so it compares with the paper's milliseconds.
+    """
+    return (
+        metrics.hit_ratio_percent,
+        metrics.bandwidth_mb_per_sec,
+        metrics.mean_latency_ms * profile.size_scale,
+    )
+
+
+@dataclass
+class Figure:
+    """A paper figure: a row per x value, a column per scheme, a block per metric.
+
+    ``title`` heads every block, with ``{}`` standing for the metric;
+    ``chart``, when set, titles an ASCII chart of the hit-ratio block.
+    """
+
+    title: str
+    x_label: str
+    x_values: Sequence[object]
+    chart: Optional[str] = None
+    #: metric -> scheme -> one value per x value.
+    series: Dict[str, Dict[str, Sequence[float]]] = field(default_factory=dict)
+    #: Named totals the figure does not plot (e.g. objects rebuilt).
+    counts: Dict[str, int] = field(default_factory=dict)
+
+    def add(self, scheme: str, points: Sequence[Sequence[float]]) -> None:
+        """Add ``scheme``'s column: a :func:`measures` tuple (or its head) per x value."""
+        for metric, values in zip((HIT, BANDWIDTH, LATENCY), zip(*points)):
+            self.series.setdefault(metric, {})[scheme] = list(values)
+
+    def format(self) -> str:
+        blocks = [
+            format_figure_series(self.title.format(metric), self.x_label, self.x_values, series)
+            for metric, series in self.series.items()
+        ]
+        if self.chart:
+            hit = self.series[HIT]
+            blocks.append(ascii_chart(self.chart, self.x_values, hit, y_label="hit %"))
+        return "\n\n".join(blocks)
+
+
+@dataclass
+class Table:
+    """A table: a row per variant, a column per metric."""
+
+    title: str
+    variant_label: str = "Variant"
+    #: variant -> metric -> value; every row has the first row's metrics.
+    rows: Dict[object, Dict[str, float]] = field(default_factory=dict)
+
+    def format(self) -> str:
+        metrics = list(next(iter(self.rows.values()), {}))
+        return format_table(
+            self.title,
+            [self.variant_label, *metrics],
+            [
+                [variant, *(f"{values[name]:.1f}" for name in metrics)]
+                for variant, values in self.rows.items()
+            ],
+        )

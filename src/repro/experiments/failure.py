@@ -18,69 +18,32 @@ Expected shapes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.common import (
     NORMAL_RUN_POLICIES,
+    Figure,
     Profile,
     active_profile,
-    build_experiment_cache,
+    make_policy,
     make_trace,
+    measures,
+    replay,
 )
-from repro.sim.plotting import ascii_chart
-from repro.sim.report import format_figure_series
-from repro.sim.runner import ExperimentRunner, FailureEvent
+from repro.sim.runner import FailureEvent
 from repro.workload.medisyn import Locality
 
-__all__ = ["FailureFigure", "run_failure_resistance"]
+__all__ = ["run_failure_resistance"]
 
 #: Request indices of the paper's four failure points (before scaling).
 PAPER_FAILURE_POINTS = (10_000, 20_000, 30_000, 40_000)
-
-
-@dataclass
-class FailureFigure:
-    """Per-scheme series indexed by number of failed devices (0..4)."""
-
-    profile_name: str
-    failed_devices: List[int]
-    hit_ratio_percent: Dict[str, List[float]] = field(default_factory=dict)
-    bandwidth_mb_per_sec: Dict[str, List[float]] = field(default_factory=dict)
-    latency_ms: Dict[str, List[float]] = field(default_factory=dict)
-
-    def format(self) -> str:
-        blocks = []
-        for series, label, unit in (
-            (self.hit_ratio_percent, "Hit Ratio", "%"),
-            (self.bandwidth_mb_per_sec, "Bandwidth", "MB/sec"),
-            (self.latency_ms, "Latency", "ms"),
-        ):
-            blocks.append(
-                format_figure_series(
-                    f"Fig 8: {label} ({unit}) vs failed devices "
-                    f"[{self.profile_name}]",
-                    "Failed Devices",
-                    self.failed_devices,
-                    series,
-                )
-            )
-        blocks.append(
-            ascii_chart(
-                "Fig 8a (chart): hit ratio (%) vs failed devices",
-                self.failed_devices,
-                self.hit_ratio_percent,
-                y_label="hit %",
-            )
-        )
-        return "\n\n".join(blocks)
 
 
 def run_failure_resistance(
     profile: Optional[Profile] = None,
     policy_keys: Sequence[str] = NORMAL_RUN_POLICIES,
     cache_percent: int = 10,
-) -> FailureFigure:
+) -> Figure:
     """Regenerate Fig. 8 across the six schemes."""
     profile = profile or active_profile()
     trace = make_trace(Locality.MEDIUM, profile)
@@ -88,23 +51,18 @@ def run_failure_resistance(
         max(2, int(point * profile.request_fraction))
         for point in PAPER_FAILURE_POINTS
     ]
-    figure = FailureFigure(
-        profile_name=profile.name,
-        failed_devices=list(range(len(points) + 1)),
+    figure = Figure(
+        title=f"Fig 8: {{}} vs failed devices [{profile.name}]",
+        x_label="Failed Devices",
+        x_values=list(range(len(points) + 1)),
+        chart="Fig 8a (chart): hit ratio (%) vs failed devices",
     )
     for policy_key in policy_keys:
-        cache_bytes = int(trace.total_bytes * cache_percent / 100)
-        cache = build_experiment_cache(
-            policy_key,
-            cache_bytes,
-            profile,
-            chunk_size=profile.failure_chunk_size,
-        )
         # Prioritized recovery without a spare (restriping survivors) is part
         # of Reo's object-aware, differentiated recovery; the uniform
         # baselines model traditional reconstruction, which needs a spare
         # (§IV-D) — hence they only have their fixed parity to lean on.
-        differentiated = cache.policy.differentiates
+        differentiated = make_policy(policy_key).differentiates
         failures = [
             FailureEvent(
                 request_index=index,
@@ -114,20 +72,13 @@ def run_failure_resistance(
             )
             for device, index in enumerate(points)
         ]
-        runner = ExperimentRunner(
-            cache,
+        _, result = replay(
+            policy_key,
             trace,
+            profile,
+            cache_percent,
             failures=failures,
-            recovery_share=profile.recovery_share,
-            prewarm=True,
+            chunk_size=profile.failure_chunk_size,
         )
-        result = runner.run()
-        hit, bandwidth, latency = [], [], []
-        for window in result.windows:
-            hit.append(window.metrics.hit_ratio_percent)
-            bandwidth.append(window.metrics.bandwidth_mb_per_sec)
-            latency.append(window.metrics.mean_latency_ms * profile.size_scale)
-        figure.hit_ratio_percent[policy_key] = hit
-        figure.bandwidth_mb_per_sec[policy_key] = bandwidth
-        figure.latency_ms[policy_key] = latency
+        figure.add(policy_key, [measures(window.metrics, profile) for window in result.windows])
     return figure

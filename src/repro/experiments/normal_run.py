@@ -12,114 +12,23 @@ under the weak-, medium-, and strong-locality workloads. Expected shapes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.common import (
     NORMAL_RUN_POLICIES,
+    Figure,
     Profile,
     active_profile,
-    build_experiment_cache,
     make_trace,
+    measures,
+    replay,
 )
-from repro.sim.plotting import ascii_chart
-from repro.sim.report import format_figure_series
-from repro.sim.runner import ExperimentRunner
 from repro.workload.medisyn import Locality
 
-__all__ = ["NormalRunCell", "NormalRunFigure", "run_normal_run_cell", "run_normal_run_figure"]
+__all__ = ["run_normal_run_figure"]
 
 #: The paper's x-axis: cache size as a percent of the data set.
 CACHE_PERCENTS = (4, 6, 8, 10, 12)
-
-
-@dataclass(frozen=True)
-class NormalRunCell:
-    """One (scheme, cache size) measurement."""
-
-    policy: str
-    cache_percent: int
-    hit_ratio_percent: float
-    bandwidth_mb_per_sec: float
-    latency_ms: float
-    space_efficiency: float
-
-
-@dataclass
-class NormalRunFigure:
-    """All series for one locality (one paper figure)."""
-
-    locality: Locality
-    profile_name: str
-    cache_percents: Sequence[int]
-    cells: List[NormalRunCell] = field(default_factory=list)
-
-    def series(self, metric: str) -> Dict[str, List[float]]:
-        """Per-policy value lists, ordered by cache percent."""
-        by_policy: Dict[str, List[float]] = {}
-        for policy in dict.fromkeys(cell.policy for cell in self.cells):
-            values = [
-                getattr(cell, metric)
-                for percent in self.cache_percents
-                for cell in self.cells
-                if cell.policy == policy and cell.cache_percent == percent
-            ]
-            by_policy[policy] = values
-        return by_policy
-
-    def format(self) -> str:
-        """Three paper-shaped tables: hit ratio, bandwidth, latency."""
-        figure_number = {"weak": 5, "medium": 6, "strong": 7}[self.locality.value]
-        blocks = []
-        for metric, label, unit in (
-            ("hit_ratio_percent", "Hit Ratio", "%"),
-            ("bandwidth_mb_per_sec", "Bandwidth", "MB/sec"),
-            ("latency_ms", "Latency", "ms"),
-        ):
-            blocks.append(
-                format_figure_series(
-                    f"Fig {figure_number}: {label} ({unit}) — "
-                    f"{self.locality.value}-locality workload [{self.profile_name}]",
-                    "Cache Size (%)",
-                    list(self.cache_percents),
-                    self.series(metric),
-                )
-            )
-        blocks.append(
-            ascii_chart(
-                f"Fig {figure_number}a (chart): hit ratio (%) vs cache size",
-                list(self.cache_percents),
-                self.series("hit_ratio_percent"),
-                y_label="hit %",
-            )
-        )
-        return "\n\n".join(blocks)
-
-
-def run_normal_run_cell(
-    locality: Locality,
-    policy_key: str,
-    cache_percent: int,
-    profile: Optional[Profile] = None,
-) -> NormalRunCell:
-    """Run one scheme at one cache size under one workload."""
-    profile = profile or active_profile()
-    trace = make_trace(locality, profile)
-    cache_bytes = int(trace.total_bytes * cache_percent / 100)
-    cache = build_experiment_cache(policy_key, cache_bytes, profile)
-    runner = ExperimentRunner(
-        cache, trace, warmup_fraction=profile.warmup_fraction
-    )
-    result = runner.run()
-    return NormalRunCell(
-        policy=policy_key,
-        cache_percent=cache_percent,
-        hit_ratio_percent=result.metrics.hit_ratio_percent,
-        bandwidth_mb_per_sec=result.metrics.bandwidth_mb_per_sec,
-        # Times were divided by the scale factor; restore paper-comparable ms.
-        latency_ms=result.metrics.mean_latency_ms * profile.size_scale,
-        space_efficiency=result.space_efficiency,
-    )
 
 
 def run_normal_run_figure(
@@ -127,17 +36,18 @@ def run_normal_run_figure(
     profile: Optional[Profile] = None,
     cache_percents: Sequence[int] = CACHE_PERCENTS,
     policy_keys: Sequence[str] = NORMAL_RUN_POLICIES,
-) -> NormalRunFigure:
+) -> Figure:
     """Regenerate one of Figs. 5/6/7 (all schemes, all cache sizes)."""
     profile = profile or active_profile()
-    figure = NormalRunFigure(
-        locality=locality,
-        profile_name=profile.name,
-        cache_percents=list(cache_percents),
+    number = {"weak": 5, "medium": 6, "strong": 7}[locality.value]
+    figure = Figure(
+        title=f"Fig {number}: {{}} — {locality.value}-locality workload [{profile.name}]",
+        x_label="Cache Size (%)",
+        x_values=list(cache_percents),
+        chart=f"Fig {number}a (chart): hit ratio (%) vs cache size",
     )
+    trace = make_trace(locality, profile)
     for policy_key in policy_keys:
-        for percent in cache_percents:
-            figure.cells.append(
-                run_normal_run_cell(locality, policy_key, percent, profile)
-            )
+        runs = [replay(policy_key, trace, profile, percent)[1] for percent in cache_percents]
+        figure.add(policy_key, [measures(run.metrics, profile) for run in runs])
     return figure

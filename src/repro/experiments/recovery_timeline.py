@@ -12,39 +12,19 @@ same throttle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.experiments.common import (
+    Figure,
     Profile,
     active_profile,
-    build_experiment_cache,
     make_trace,
+    replay,
 )
-from repro.sim.report import format_figure_series
-from repro.sim.runner import ExperimentRunner, FailureEvent
+from repro.sim.runner import FailureEvent
 from repro.workload.medisyn import Locality
 
-__all__ = ["RecoveryTimeline", "run_recovery_timeline"]
-
-
-@dataclass
-class RecoveryTimeline:
-    """Hit ratio per post-failure window, per recovery ordering."""
-
-    profile_name: str
-    window_labels: List[str]
-    hit_ratio_percent: Dict[str, List[float]] = field(default_factory=dict)
-    rebuilt: Dict[str, int] = field(default_factory=dict)
-
-    def format(self) -> str:
-        return format_figure_series(
-            f"Recovery timeline: hit ratio (%) per window after spare insertion "
-            f"[{self.profile_name}]",
-            "Window",
-            self.window_labels,
-            self.hit_ratio_percent,
-        )
+__all__ = ["run_recovery_timeline"]
 
 
 def run_recovery_timeline(
@@ -52,38 +32,31 @@ def run_recovery_timeline(
     cache_percent: int = 10,
     windows: int = 4,
     recovery_share: float = 0.05,
-) -> RecoveryTimeline:
+) -> Figure:
     """Measure service restoration under throttled, prioritized recovery."""
     profile = profile or active_profile()
     trace = make_trace(Locality.MEDIUM, profile)
     failure_at = len(trace) // (windows + 1)
     window_size = (len(trace) - failure_at) // windows
-    timeline = RecoveryTimeline(
-        profile_name=profile.name,
-        window_labels=["pre-fail", *(f"+{index + 1}" for index in range(windows))],
+    edges = [0] + [failure_at + index * window_size for index in range(windows + 1)]
+    timeline = Figure(
+        title=f"Recovery timeline: hit ratio (%) per window after spare insertion "
+        f"[{profile.name}]",
+        x_label="Window",
+        x_values=["pre-fail", *(f"+{index + 1}" for index in range(windows))],
     )
     for variant, prioritized in (("prioritized", True), ("unordered", False)):
-        cache = build_experiment_cache(
+        cache, result = replay(
             "Reo-20%",
-            int(trace.total_bytes * cache_percent / 100),
+            trace,
             profile,
+            cache_percent,
+            failures=[FailureEvent(request_index=failure_at, device_id=0)],
+            recovery_share=recovery_share,
             chunk_size=profile.failure_chunk_size,
             prioritized_recovery=prioritized,
         )
-        runner = ExperimentRunner(
-            cache,
-            trace,
-            failures=[FailureEvent(request_index=failure_at, device_id=0)],
-            recovery_share=recovery_share,
-            prewarm=True,
-        )
-        result = runner.run()
-        recorder = result.recorder
-        series = [recorder.summarize(0, failure_at).hit_ratio_percent]
-        for index in range(windows):
-            start = failure_at + index * window_size
-            end = failure_at + (index + 1) * window_size
-            series.append(recorder.summarize(start, end).hit_ratio_percent)
-        timeline.hit_ratio_percent[variant] = series
-        timeline.rebuilt[variant] = cache.recovery.objects_rebuilt
+        spans = [result.recorder.summarize(start, end) for start, end in zip(edges, edges[1:])]
+        timeline.add(variant, [(span.hit_ratio_percent,) for span in spans])
+        timeline.counts[f"{variant} objects rebuilt"] = cache.recovery.objects_rebuilt
     return timeline

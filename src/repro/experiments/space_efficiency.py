@@ -12,19 +12,19 @@ matching the paper's "average space efficiency".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.experiments.common import (
     Profile,
+    Table,
     active_profile,
     build_experiment_cache,
     make_trace,
 )
-from repro.sim.report import format_table
 from repro.workload.medisyn import Locality
+from repro.workload.trace import Trace
 
-__all__ = ["SpaceEfficiencyTable", "run_space_efficiency_table"]
+__all__ = ["run_space_efficiency_table"]
 
 #: §VI-B quotes Reo-10%'s average space efficiency per workload.
 PAPER_REO10 = {"weak": 90.5, "medium": 91.0, "strong": 90.0}
@@ -32,37 +32,13 @@ PAPER_REO10 = {"weak": 90.5, "medium": 91.0, "strong": 90.0}
 REO_POLICIES = ("Reo-10%", "Reo-20%", "Reo-40%")
 
 
-@dataclass
-class SpaceEfficiencyTable:
-    """Average space efficiency (%) per policy and locality."""
-
-    profile_name: str
-    cache_percent: int
-    values: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def format(self) -> str:
-        localities = ["weak", "medium", "strong"]
-        rows = []
-        for policy, per_locality in self.values.items():
-            rows.append(
-                [policy] + [f"{per_locality[name]:.1f}" for name in localities]
-            )
-        rows.append(
-            ["paper Reo-10%"] + [f"{PAPER_REO10[name]:.1f}" for name in localities]
-        )
-        return format_table(
-            f"Space efficiency (%), cache={self.cache_percent}% "
-            f"[{self.profile_name}]",
-            ["Scheme", "weak", "medium", "strong"],
-            rows,
-        )
-
-
-def _average_space_efficiency(cache, trace, profile: Profile, samples: int = 40) -> float:
+def _average_space_efficiency(
+    policy_key: str, trace: Trace, profile: Profile, cache_percent: int, samples: int = 40
+) -> float:
     """Replay the trace, sampling space efficiency at regular intervals."""
-    for name, size in trace.catalog.items():
-        if name not in cache.backend:
-            cache.backend.register(name, size)
+    cache_bytes = int(trace.total_bytes * cache_percent / 100)
+    cache = build_experiment_cache(policy_key, cache_bytes, profile)
+    cache.register_objects(trace.catalog)
     interval = max(1, len(trace) // samples)
     observations: List[float] = []
     for index, record in enumerate(trace):
@@ -79,17 +55,21 @@ def run_space_efficiency_table(
     profile: Optional[Profile] = None,
     cache_percent: int = 10,
     policy_keys: Sequence[str] = REO_POLICIES,
-) -> SpaceEfficiencyTable:
-    """Regenerate the §VI-B numbers for the Reo configurations."""
+) -> Table:
+    """Regenerate the §VI-B numbers for the Reo configurations.
+
+    The last row quotes the paper's Reo-10% figures.
+    """
     profile = profile or active_profile()
-    table = SpaceEfficiencyTable(profile_name=profile.name, cache_percent=cache_percent)
+    table = Table(
+        title=f"Space efficiency (%), cache={cache_percent}% [{profile.name}]",
+        variant_label="Scheme",
+    )
+    traces = {locality.value: make_trace(locality, profile) for locality in Locality}
     for policy_key in policy_keys:
-        table.values[policy_key] = {}
-        for locality in (Locality.WEAK, Locality.MEDIUM, Locality.STRONG):
-            trace = make_trace(locality, profile)
-            cache_bytes = int(trace.total_bytes * cache_percent / 100)
-            cache = build_experiment_cache(policy_key, cache_bytes, profile)
-            table.values[policy_key][locality.value] = _average_space_efficiency(
-                cache, trace, profile
-            )
+        table.rows[policy_key] = {
+            name: _average_space_efficiency(policy_key, trace, profile, cache_percent)
+            for name, trace in traces.items()
+        }
+    table.rows["paper Reo-10%"] = dict(PAPER_REO10)
     return table

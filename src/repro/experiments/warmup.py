@@ -10,92 +10,54 @@ cold restart against a preloaded restart over the next slice of traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Optional
 
-from repro.core.policy import reo_policy
-from repro.core.reo import ReoCache
 from repro.core.warmup import WarmupAdvisor
-from repro.experiments.common import Profile, active_profile, make_trace
-from repro.sim.report import format_figure_series
+from repro.experiments.common import (
+    Figure,
+    Profile,
+    active_profile,
+    build_experiment_cache,
+    make_trace,
+)
+from repro.sim.runner import ExperimentRunner
 from repro.workload.medisyn import Locality
-from repro.workload.trace import Trace
 
-__all__ = ["WarmupExperiment", "run_warmup_experiment"]
-
-
-@dataclass
-class WarmupExperiment:
-    """Hit ratio per post-restart window, cold vs preloaded."""
-
-    profile_name: str
-    window_labels: List[str]
-    hit_ratio_percent: Dict[str, List[float]] = field(default_factory=dict)
-    preloaded_objects: int = 0
-
-    def format(self) -> str:
-        return format_figure_series(
-            f"Cache restart: hit ratio (%) per window, cold vs preloaded "
-            f"[{self.profile_name}]",
-            "Window",
-            self.window_labels,
-            self.hit_ratio_percent,
-        )
-
-
-def _build(profile: Profile, trace: Trace, cache_percent: int, backend=None) -> ReoCache:
-    return ReoCache.build(
-        policy=reo_policy(0.20),
-        num_devices=5,
-        cache_bytes=int(trace.total_bytes * cache_percent / 100),
-        chunk_size=profile.chunk_size,
-        device_model=profile.scaled_device_model(),
-        backend_model=profile.scaled_backend_model(),
-        reclassify_interval=profile.reclassify_interval,
-        backend=backend,
-    )
-
-
-def _replay(cache: ReoCache, records) -> List[bool]:
-    hits = []
-    for record in records:
-        result = cache.write(record.name) if record.is_write else cache.read(record.name)
-        cache.clock.advance(result.latency)
-        if not record.is_write:
-            hits.append(result.hit)
-    return hits
+__all__ = ["run_warmup_experiment"]
 
 
 def run_warmup_experiment(
     profile: Optional[Profile] = None,
     cache_percent: int = 10,
     windows: int = 4,
-) -> WarmupExperiment:
+) -> Figure:
     """Cold vs preloaded restart over the medium workload."""
     profile = profile or active_profile()
     trace = make_trace(Locality.MEDIUM, profile)
     half = len(trace) // 2
-    history, measured = trace.records[:half], trace.records[half:]
+    history = replace(trace, records=trace.records[:half])
+    measured = replace(trace, records=trace.records[half:])
     window = max(1, len(measured) // windows)
-    experiment = WarmupExperiment(
-        profile_name=profile.name,
-        window_labels=[f"+{index + 1}" for index in range(windows)],
+    starts = range(0, windows * window, window)
+    cache_bytes = int(trace.total_bytes * cache_percent / 100)
+    experiment = Figure(
+        title=f"Cache restart: hit ratio (%) per window, cold vs preloaded [{profile.name}]",
+        x_label="Window",
+        x_values=[f"+{index + 1}" for index in range(windows)],
     )
     for variant in ("cold restart", "preloaded restart"):
         # Phase 1: the original cache serves history, building server stats.
-        first = _build(profile, trace, cache_percent)
-        first.register_objects(trace.catalog)
-        _replay(first, history)
-        backend = first.backend
+        first = build_experiment_cache("Reo-20%", cache_bytes, profile)
+        ExperimentRunner(first, history).run()
         # Phase 2: the cache server restarts empty, sharing the backend.
-        restarted = _build(profile, trace, cache_percent, backend=backend)
+        restarted = build_experiment_cache(
+            "Reo-20%", cache_bytes, profile, backend=first.backend
+        )
         if variant == "preloaded restart":
-            report = WarmupAdvisor(backend).preload(restarted, min_accesses=1)
-            experiment.preloaded_objects = report.objects_loaded
-        hits = _replay(restarted, measured)
-        series = []
-        for index in range(windows):
-            chunk = hits[index * window : (index + 1) * window]
-            series.append(100.0 * sum(chunk) / len(chunk) if chunk else 0.0)
-        experiment.hit_ratio_percent[variant] = series
+            report = WarmupAdvisor(first.backend).preload(restarted, min_accesses=1)
+            experiment.counts["objects preloaded"] = report.objects_loaded
+        recorder = ExperimentRunner(restarted, measured).run().recorder
+        hits = [recorder.summarize(start, start + window).hit_ratio_percent for start in starts]
+        experiment.add(variant, [(hit,) for hit in hits])
     return experiment

@@ -12,20 +12,19 @@ replication (it survives any four of five device failures).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.common import (
+    Figure,
     Profile,
     active_profile,
-    build_experiment_cache,
     make_trace,
+    measures,
+    replay,
 )
-from repro.sim.report import format_figure_series
-from repro.sim.runner import ExperimentRunner
 from repro.workload.medisyn import Locality
 
-__all__ = ["WritebackFigure", "run_writeback_figure"]
+__all__ = ["run_writeback_figure"]
 
 #: The paper's write-ratio sweep.
 WRITE_RATIOS = (10, 20, 30, 40, 50)
@@ -34,61 +33,24 @@ WRITE_RATIOS = (10, 20, 30, 40, 50)
 POLICIES = ("full-replication", "Reo-10%")
 
 
-@dataclass
-class WritebackFigure:
-    """Per-scheme series indexed by write ratio (%)."""
-
-    profile_name: str
-    write_ratios: List[int]
-    hit_ratio_percent: Dict[str, List[float]] = field(default_factory=dict)
-    bandwidth_mb_per_sec: Dict[str, List[float]] = field(default_factory=dict)
-    latency_ms: Dict[str, List[float]] = field(default_factory=dict)
-
-    def format(self) -> str:
-        blocks = []
-        for series, label, unit in (
-            (self.hit_ratio_percent, "Hit Ratio", "%"),
-            (self.bandwidth_mb_per_sec, "Bandwidth", "MB/sec"),
-            (self.latency_ms, "Latency", "ms"),
-        ):
-            blocks.append(
-                format_figure_series(
-                    f"Fig 9: {label} ({unit}) vs write ratio [{self.profile_name}]",
-                    "Write Ratio (%)",
-                    self.write_ratios,
-                    series,
-                )
-            )
-        return "\n\n".join(blocks)
-
-
 def run_writeback_figure(
     profile: Optional[Profile] = None,
     write_ratios: Sequence[int] = WRITE_RATIOS,
     policy_keys: Sequence[str] = POLICIES,
     cache_percent: int = 10,
-) -> WritebackFigure:
+) -> Figure:
     """Regenerate Fig. 9 (read hit ratio over the write-intensive sweep)."""
     profile = profile or active_profile()
-    figure = WritebackFigure(
-        profile_name=profile.name, write_ratios=list(write_ratios)
+    figure = Figure(
+        title=f"Fig 9: {{}} vs write ratio [{profile.name}]",
+        x_label="Write Ratio (%)",
+        x_values=list(write_ratios),
     )
+    traces = [
+        make_trace(Locality.MEDIUM, profile, write_ratio=ratio / 100.0)
+        for ratio in write_ratios
+    ]
     for policy_key in policy_keys:
-        hit, bandwidth, latency = [], [], []
-        for ratio in write_ratios:
-            trace = make_trace(
-                Locality.MEDIUM, profile, write_ratio=ratio / 100.0
-            )
-            cache_bytes = int(trace.total_bytes * cache_percent / 100)
-            cache = build_experiment_cache(policy_key, cache_bytes, profile)
-            runner = ExperimentRunner(
-                cache, trace, warmup_fraction=profile.warmup_fraction
-            )
-            result = runner.run()
-            hit.append(result.metrics.hit_ratio_percent)
-            bandwidth.append(result.metrics.bandwidth_mb_per_sec)
-            latency.append(result.metrics.mean_latency_ms * profile.size_scale)
-        figure.hit_ratio_percent[policy_key] = hit
-        figure.bandwidth_mb_per_sec[policy_key] = bandwidth
-        figure.latency_ms[policy_key] = latency
+        runs = [replay(policy_key, trace, profile, cache_percent)[1] for trace in traces]
+        figure.add(policy_key, [measures(run.metrics, profile) for run in runs])
     return figure

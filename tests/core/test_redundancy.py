@@ -9,6 +9,7 @@ from repro.core.redundancy import RedundancyBudget
 from repro.flash.array import FlashArray
 from repro.flash.latency import ZERO_COST
 from repro.flash.stripe import ParityScheme, ReplicationScheme
+from repro.osd.target import OsdTarget
 
 
 def make_array(num_devices=5, capacity=100_000):
@@ -27,11 +28,9 @@ class TestBudget:
         assert budget.budget_bytes == pytest.approx(0.2 * 500_000)
 
     def test_uniform_policy_disables_budgeting(self):
-        budget = RedundancyBudget(make_array(), uniform_parity(1))
-        assert not budget.enabled
-        assert budget.budget_bytes == math.inf
-        assert not budget.is_full
-        assert budget.can_afford_hot(10**12)
+        # A target builds a budget only for a policy that declares a reserve.
+        assert OsdTarget(make_array(), uniform_parity(1)).budget is None
+        assert OsdTarget(make_array(), reo_policy(0.2)).budget is not None
 
     def test_used_bytes_tracks_array(self):
         array = make_array()

@@ -38,8 +38,7 @@ class TestBuild:
         cache = ReoCache.build(
             policy=reo_policy(0.2), cache_bytes=10**6, device_model=ZERO_COST
         )
-        assert cache.target.budget is not None
-        assert cache.target.budget.enabled
+        assert cache.target.budget.budget_bytes == 0.2 * cache.array.capacity_bytes
 
     def test_volume_formatted(self):
         from repro.osd.types import SUPER_BLOCK
