@@ -35,8 +35,8 @@ from repro.cache.policies import EvictionPolicy, LruPolicy
 from repro.cache.stats import CacheStats
 from repro.core.classes import ObjectClass, classify
 from repro.core.hotness import HotnessTracker
-from repro.errors import DeviceFullError, ObjectNotFoundError
-from repro.osd.initiator import OsdInitiator
+from repro.errors import ObjectNotFoundError
+from repro.osd.initiator import OsdInitiator, OsdResponse
 from repro.osd.sense import SenseCode
 from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
 
@@ -225,23 +225,12 @@ class CacheManager:
         self._make_room(
             len(payload), ObjectClass.DIRTY, exclude=cached.name, extra_bytes=old_stored
         )
-        while True:
-            try:
-                response = self.initiator.write(
-                    cached.object_id, payload, class_id=int(ObjectClass.DIRTY)
-                )
-                break
-            except DeviceFullError:
-                if self.evict_one(exclude=cached.name):
-                    continue
-                # Nothing left to evict: give up transactionality and
-                # replace the object outright (the new content supersedes
-                # the old dirty copy anyway).
-                self._drop(cached.name, lost=False)
-                return self._admit(cached.name, payload, dirty=True, version=version)
-        if response.sense is SenseCode.DATA_CORRUPTED:
-            # The old copy was lost mid-failure; insert fresh.
-            self._drop(cached.name, lost=True)
+        response = self._store(cached.object_id, payload, ObjectClass.DIRTY, cached.name)
+        if response.sense in (SenseCode.CACHE_FULL, SenseCode.DATA_CORRUPTED):
+            # Full with nothing left to evict, or the old copy was lost
+            # mid-failure: replace the object outright (the new content
+            # supersedes the old dirty copy anyway).
+            self._drop(cached.name, lost=response.sense is SenseCode.DATA_CORRUPTED)
             return self._admit(cached.name, payload, dirty=True, version=version)
         cached.dirty = True
         cached.size = len(payload)
@@ -261,32 +250,21 @@ class CacheManager:
         """
         size = len(payload)
         class_id = self._initial_class(name, size, dirty)
-        projected = self.initiator.projected_bytes(size, int(class_id))
-        if projected > self.usable_capacity:
-            # The object cannot fit even in an empty cache. Clean objects are
+        response: Optional[OsdResponse] = None
+        if self.initiator.projected_bytes(size, int(class_id)) <= self.usable_capacity:
+            self._make_room(size, class_id)
+            object_id = self._allocate_oid()
+            response = self._store(object_id, payload, class_id)
+        if response is None or response.sense is SenseCode.CACHE_FULL:
+            # The object cannot fit even in an empty cache, or nothing is
+            # left to evict and it still cannot be placed (per-device
+            # imbalance, a shrunken width after failures). Clean objects are
             # simply not admitted; dirty writes go straight through to the
             # backend so no update is ever dropped.
             self.stats.admission_bypasses += 1
             if dirty:
                 return self.backend.write(name, payload, version=version)
             return 0.0
-        self._make_room(size, class_id)
-        object_id = self._allocate_oid()
-        while True:
-            try:
-                response = self.initiator.write(object_id, payload, class_id=int(class_id))
-                break
-            except DeviceFullError:
-                if not self.evict_one():
-                    # Nothing left to evict and the object still cannot be
-                    # placed (per-device imbalance, a shrunken width after
-                    # failures). Same contract as the estimate bypass above:
-                    # a dirty write goes straight through to the backend so
-                    # no update is dropped; a clean object is not admitted.
-                    self.stats.admission_bypasses += 1
-                    if dirty:
-                        return self.backend.write(name, payload, version=version)
-                    return 0.0
         entry = CachedObject(
             name=name,
             object_id=object_id,
@@ -301,6 +279,18 @@ class CacheManager:
         self.hotness.register(name, size)
         self.stats.insertions += 1
         return response.io.elapsed
+
+    def _store(
+        self, object_id: ObjectId, payload: bytes, class_id: int, exclude: Optional[str] = None
+    ) -> OsdResponse:
+        """Write an object; while the target answers 0x64, evict and retry.
+
+        0x64 comes back only once nothing other than ``exclude`` is left.
+        """
+        while True:
+            response = self.initiator.write(object_id, payload, class_id=int(class_id))
+            if response.sense is not SenseCode.CACHE_FULL or not self.evict_one(exclude):
+                return response
 
     def _initial_class(self, name: str, size: int, dirty: bool) -> ObjectClass:
         hot = (
@@ -451,8 +441,9 @@ class CacheManager:
         """Re-encode one object under its new class; returns 1 on success.
 
         A promotion enlarges the object's footprint, so room is made first;
-        if the array still cannot fit the re-encode (eviction exhausted),
-        the promotion is skipped — the object simply stays cold.
+        if the array still cannot fit the re-encode (eviction exhausted), the
+        target answers 0x64 and the promotion is skipped — the object simply
+        stays cold.
         """
         cached = self._objects.get(name)
         if cached is None:  # evicted while making room for an earlier change
@@ -462,10 +453,7 @@ class CacheManager:
             extra -= self.initiator.stored_bytes(cached.object_id)
             if extra > 0:
                 self._make_room(0, desired, exclude=name, extra_bytes=extra)
-        try:
-            response = self.initiator.set_class(cached.object_id, int(desired))
-        except DeviceFullError:
-            return 0
+        response = self.initiator.set_class(cached.object_id, int(desired))
         if response.sense is SenseCode.DATA_CORRUPTED:
             self._drop(name, lost=True)
             return 0

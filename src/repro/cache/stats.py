@@ -30,8 +30,6 @@ class CacheStats:
     reclassifications: int = 0
     #: Cache objects dropped because a failure made them unrecoverable.
     lost_objects: int = 0
-    #: Objects the recovery process reconstructed.
-    recovered_objects: int = 0
     #: Misses that found the object present but unreadable (degraded miss).
     corruption_misses: int = 0
     #: Objects never admitted because they exceed the cache capacity.

@@ -58,7 +58,7 @@ class RecoveryManager:
         """
         Args:
             cache_manager: object names, eviction room for restripes and
-                the one lost-object purge (``CacheManager.drop_lost``).
+                the lost-object purge behind :meth:`purge`.
             prioritized: order reconstruction by class — the
                 paper's differentiated recovery. False reconstructs in
                 object-id (i.e. insertion) order, the analogue of a
@@ -169,9 +169,7 @@ class RecoveryManager:
             self.chunks_rebuilt += result.chunks_written
             self.seconds_spent += result.elapsed
             if self.on_object_rebuilt is not None:
-                self.on_object_rebuilt(object_id, self.class_of(object_id), result)
-            if self.manager.name_for(object_id) is not None:
-                self.manager.stats.recovered_objects += 1
+                self.on_object_rebuilt(object_id, self._class_of(object_id), result)
             if not self._queue:
                 self._finish()
             return result
@@ -254,18 +252,22 @@ class RecoveryManager:
         self.active = False
         self.target.recovery_active = False
 
-    def class_of(self, object_id: ObjectId) -> int:
+    def _class_of(self, object_id: ObjectId) -> int:
         """The object's class, or -1 once its record is gone."""
         if self.target.exists(object_id):
             return self.target.get_info(object_id).class_id
         return -1
 
-    def _purge(self, object_id: ObjectId) -> None:
-        self.objects_lost += 1
+    def purge(self, object_id: ObjectId) -> None:
+        """The one purge of an unrecoverable object: report it, then drop it."""
         if self.on_object_lost is not None:
             # Class looked up before the purge removes the object record.
-            self.on_object_lost(object_id, self.class_of(object_id))
+            self.on_object_lost(object_id, self._class_of(object_id))
         self.manager.drop_lost(object_id)
+
+    def _purge(self, object_id: ObjectId) -> None:
+        self.objects_lost += 1
+        self.purge(object_id)
 
     def __repr__(self) -> str:
         return (

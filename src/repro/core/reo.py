@@ -164,13 +164,14 @@ class ReoCache:
         """Verify every stored chunk and repair silent corruption in place.
 
         Objects beyond repair are purged like the supervised scrub purges
-        them (:meth:`~repro.cache.manager.CacheManager.drop_lost`); cached
-        ones remain intact in the backend, so the next access refetches
-        them. Returns the :class:`~repro.flash.array.ScrubReport`.
+        them (:meth:`~repro.core.recovery.RecoveryManager.purge`, which books
+        the loss in a supervised cache's ledger); cached ones remain intact
+        in the backend, so the next access refetches them. Returns the
+        :class:`~repro.flash.array.ScrubReport`.
         """
         report = self.array.scrub()
         for key in report.unrecoverable_objects:
-            self.manager.drop_lost(key)
+            self.recovery.purge(key)
         return report
 
     def enable_supervision(

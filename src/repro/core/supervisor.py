@@ -318,7 +318,7 @@ class RecoverySupervisor:
             cache,
             interval=scrub_interval,
             ledger=self.ledger,
-            on_unrecoverable=self._purge_unrecoverable,
+            on_unrecoverable=self.recovery.purge,
         )
         self._recovering = False
         self.monitor.listeners.append(self._on_transition)
@@ -396,11 +396,6 @@ class RecoverySupervisor:
 
     def _on_rebuilt(self, object_id, class_id: int, result) -> None:
         self.ledger.record_rebuilt(object_id, class_id, result)
-
-    def _purge_unrecoverable(self, object_id) -> None:
-        """A scrub found an object beyond repair: purge it, book the loss."""
-        self.ledger.record_lost(object_id, self.recovery.class_of(object_id))
-        self.cache.manager.drop_lost(object_id)
 
     def __repr__(self) -> str:
         return (

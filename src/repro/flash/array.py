@@ -909,7 +909,7 @@ class FlashArray:
         healthy fragments of their stripe (replica copy or Reed-Solomon
         reconstruction) and rewritten in place. Objects whose stripes have
         too few healthy fragments are reported as unrecoverable and left
-        untouched (the caller purges them: ``CacheManager.drop_lost``).
+        untouched (the caller purges them: ``RecoveryManager.purge``).
 
         Passing ``keys`` makes incremental, prioritized scrubbing possible:
         the scrub scheduler feeds class-ordered batches (and jumps objects

@@ -25,7 +25,7 @@ from repro.osd.sense import SenseCode
 from repro.osd.target import OsdResponse, OsdTarget
 from repro.osd.types import CONTROL_OBJECT, ROOT_OBJECT, ObjectId
 
-__all__ = ["OsdInitiator"]
+__all__ = ["OsdInitiator", "OsdResponse"]
 
 
 class OsdInitiator:

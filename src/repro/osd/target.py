@@ -12,7 +12,8 @@ uniform baselines (paper §VI) are both implemented in
 :mod:`repro.core.policy` and injected here, so every experiment runs the
 same target code and varies only the policy.
 The target also owns the policy's redundancy reserve, if it declares one,
-and answers write queries with sense 0x67 while the reserve is exhausted.
+and answers write queries with sense 0x67 while the reserve is exhausted; a
+write or re-encode that does not fit on the devices is answered with 0x64.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 from repro.core.redundancy import RedundancyBudget
 from repro.errors import (
     ControlMessageError,
+    DeviceFullError,
     FlashError,
     ObjectNotFoundError,
     UnrecoverableDataError,
@@ -152,6 +154,8 @@ class OsdTarget:
             io = self.array.write_object(object_id, payload, scheme, overwrite=True)
         except UnrecoverableDataError:
             return OsdResponse(SenseCode.DATA_CORRUPTED)
+        except DeviceFullError:
+            return OsdResponse(SenseCode.CACHE_FULL)
         info = existing
         if info is None:
             info = ObjectInfo(
@@ -219,26 +223,27 @@ class OsdTarget:
 
         Re-encoding reads the object (degraded reads allowed) and rewrites it
         under the new scheme; a lost object cannot be reclassified and
-        returns sense 0x63.
+        returns sense 0x63, and a re-encode that does not fit returns 0x64.
+        Either way the object keeps its old class and layout.
         """
         info = self._objects.get(object_id)
         if info is None:
             return OsdResponse(SenseCode.FAIL)
-        old_scheme = self.policy(info.class_id)
         new_scheme = self.policy(class_id)
+        io = ArrayIoResult()
+        if new_scheme != self.policy(info.class_id) and object_id in self.array:
+            try:
+                payload, io = self.array.read_object(object_id)
+                io.merge(self.array.write_object(object_id, payload, new_scheme, overwrite=True))
+            except UnrecoverableDataError:
+                return OsdResponse(SenseCode.DATA_CORRUPTED)
+            except DeviceFullError:
+                return OsdResponse(SenseCode.CACHE_FULL)
         info.class_id = class_id
         # The classifier is "a label ... in effect a semantic hint" attached
         # to the object (§IV-B); mirror it on the OSD attributes page.
         info.attributes["reo.class_id"] = str(class_id)
-        if old_scheme == new_scheme or object_id not in self.array:
-            return OsdResponse(SenseCode.OK)
-        try:
-            payload, read_io = self.array.read_object(object_id)
-        except UnrecoverableDataError:
-            return OsdResponse(SenseCode.DATA_CORRUPTED)
-        write_io = self.array.write_object(object_id, payload, new_scheme, overwrite=True)
-        read_io.merge(write_io)
-        return OsdResponse(SenseCode.OK, io=read_io)
+        return OsdResponse(SenseCode.OK, io=io)
 
     # ------------------------------------------------------------------
     # Control object (paper §IV-C.2)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.classes import ObjectClass
 from repro.core.policy import full_replication, reo_policy, uniform_parity
+from repro.osd.sense import SenseCode
+from repro.osd.target import OsdResponse
 
 from tests.conftest import build_cache, register_uniform_objects
 
@@ -153,6 +155,65 @@ class TestWriteBack:
         cache.write("huge")
         assert cache.backend.version_of("huge") == before + 1
         assert "huge" not in cache.manager
+
+
+class TestDeviceFull:
+    """The target answers a write that does not fit with sense 0x64."""
+
+    @staticmethod
+    def full_from(monkeypatch, cache, count):
+        """Answer 0x64 to every write while ``count`` or more objects are cached."""
+        write = cache.initiator.write
+
+        def write_unless_full(object_id, payload, class_id=None):
+            if len(cache.manager) >= count:
+                return OsdResponse(SenseCode.CACHE_FULL)
+            return write(object_id, payload, class_id)
+
+        monkeypatch.setattr(cache.initiator, "write", write_unless_full)
+
+    def test_admission_evicts_until_the_write_fits(self, monkeypatch):
+        cache = build_cache(policy=uniform_parity(0))
+        names = register_uniform_objects(cache, 5, 2_000)
+        for name in names[:4]:
+            cache.read(name)
+        self.full_from(monkeypatch, cache, 3)
+        cache.read(names[4])
+        assert list(cache.manager.cached_names()) == names[2:]
+        assert cache.stats.evictions == 2
+        assert cache.stats.admission_bypasses == 0
+
+    def test_clean_object_not_admitted_once_nothing_is_left(self, monkeypatch):
+        cache = build_cache(policy=uniform_parity(0))
+        names = register_uniform_objects(cache, 3, 2_000)
+        cache.read(names[0])
+        self.full_from(monkeypatch, cache, 0)
+        cache.read(names[1])
+        assert len(cache.manager) == 0
+        assert cache.stats.admission_bypasses == 1
+
+    def test_dirty_write_goes_to_backend_once_nothing_is_left(self, monkeypatch):
+        cache = build_cache(policy=uniform_parity(0))
+        names = register_uniform_objects(cache, 1, 2_000)
+        self.full_from(monkeypatch, cache, 0)
+        before = cache.backend.version_of(names[0])
+        cache.write(names[0])
+        assert cache.backend.version_of(names[0]) == before + 1
+        assert names[0] not in cache.manager
+
+    def test_dirty_rewrite_replaces_the_object_once_nothing_else_is_left(self, monkeypatch):
+        cache = build_cache(policy=uniform_parity(0))
+        names = register_uniform_objects(cache, 1, 2_000)
+        cache.write(names[0])
+        old_id = cache.manager.get_cached(names[0]).object_id
+        self.full_from(monkeypatch, cache, 1)
+        cache.write(names[0])
+        cached = cache.manager.get_cached(names[0])
+        assert cached.object_id != old_id
+        assert not cache.initiator.exists(old_id)
+        assert cached.dirty and cached.version == 2
+        assert cache.stats.lost_objects == 0
+        assert cache.stats.evictions == 0
 
 
 class TestFailureSemantics:

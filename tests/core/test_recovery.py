@@ -164,7 +164,6 @@ class TestInterleaving:
         cache.recovery.run_to_completion()
         assert cache.recovery.objects_rebuilt > 0
         assert cache.recovery.chunks_rebuilt >= cache.recovery.objects_rebuilt
-        assert cache.stats.recovered_objects > 0
 
     def test_recovery_sweep_reuses_decoder_matrices(self):
         # One failed device presents the same survivor pattern to every

@@ -97,7 +97,7 @@ class TestConveniences:
 
 
 class TestScrubPurge:
-    """Both scrub entry points purge through ``CacheManager.drop_lost``."""
+    """Both scrub entry points purge through ``RecoveryManager.purge``."""
 
     @staticmethod
     def uncached_unrecoverable(cache):
@@ -119,3 +119,10 @@ class TestScrubPurge:
             cache.enable_supervision().scrubber.force_sweep()
         assert not cache.target.exists(object_id)
         assert object_id not in cache.array
+
+    def test_facade_scrub_books_the_loss_in_a_supervised_ledger(self):
+        cache = build_cache()
+        ledger = cache.enable_supervision().ledger
+        self.uncached_unrecoverable(cache)
+        cache.scrub()
+        assert ledger.lost_by_class == {3: 1}

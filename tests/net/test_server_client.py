@@ -463,6 +463,31 @@ class TestServerRobustness:
 
             run(scenario())
 
+    def test_full_device_answers_0x64_and_the_connection_stays_up(self):
+        # Five 8 KiB devices hold thirteen 3,000-byte unprotected objects.
+        array = FlashArray(num_devices=5, device_capacity=8192, chunk_size=512, model=ZERO_COST)
+        target = OsdTarget(array, policy=lambda _cid: ParityScheme(0))
+        target.create_partition(PARTITION_BASE)
+        oids = [ObjectId(PARTITION_BASE, 0x10005 + i) for i in range(20)]
+
+        async def scenario():
+            async with OsdServer(target) as server:
+                async with AsyncOsdClient(
+                    "127.0.0.1", server.port, pool_size=1, retry=NO_RETRY
+                ) as client:
+                    senses = []
+                    for oid in oids:
+                        response = await client.write(oid, bytes([oid.oid & 0xFF]) * 3000)
+                        senses.append(response.sense)
+                        if not response.ok:
+                            break
+                    assert senses == [SenseCode.OK] * 13 + [SenseCode.CACHE_FULL]
+                    payload, response = await client.read(oids[0])
+                    assert response.ok and payload == bytes([oids[0].oid & 0xFF]) * 3000
+                    assert client.stats.connection_errors == 0
+
+        run(scenario())
+
 
 # ----------------------------------------------------------------------
 # Graceful shutdown

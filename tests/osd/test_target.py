@@ -222,6 +222,53 @@ class TestClassification:
         assert target.read_object(USER_A).payload == payload
 
 
+def make_full_target():
+    """Five 8 KiB devices holding thirteen 3,000-byte class-3 objects.
+
+    About 2 KB stay free: no further object fits, and neither does a
+    re-encode of a stored one under a redundant scheme.
+    """
+    array = FlashArray(num_devices=5, device_capacity=8192, chunk_size=512, model=ZERO_COST)
+    target = OsdTarget(array, policy=reo_like_policy)
+    target.create_partition(PARTITION_BASE)
+    oids = [ObjectId(PARTITION_BASE, 0x10005 + i) for i in range(14)]
+    for oid in oids[:13]:
+        assert target.write_object(oid, bytes([oid.oid & 0xFF]) * 3000, class_id=3).ok
+    return target, oids
+
+
+class TestDeviceFull:
+    """A full device is answered with sense 0x64; nothing is left half done."""
+
+    def test_new_object_that_does_not_fit(self):
+        target, oids = make_full_target()
+        response = target.write_object(oids[13], bytes(3000), class_id=3)
+        assert response.sense is SenseCode.CACHE_FULL
+        assert not target.exists(oids[13])
+        assert oids[13] not in target.array
+
+    def test_overwrite_that_does_not_fit_keeps_the_old_copy(self):
+        target, oids = make_full_target()
+        response = target.write_object(oids[0], bytes(9000))
+        assert response.sense is SenseCode.CACHE_FULL
+        assert target.get_info(oids[0]).size == 3000
+        assert target.read_object(oids[0]).payload == bytes([oids[0].oid & 0xFF]) * 3000
+
+    @pytest.mark.parametrize("class_id", [1, 2])
+    @pytest.mark.parametrize("entry", ["target", "setid"])
+    def test_reencode_that_does_not_fit_keeps_the_class(self, class_id, entry):
+        target, oids = make_full_target()
+        if entry == "target":
+            response = target.set_class(oids[0], class_id)
+        else:
+            response = OsdInitiator(target).set_class(oids[0], class_id)
+        assert response.sense is SenseCode.CACHE_FULL
+        info = target.get_info(oids[0])
+        assert info.class_id == 3
+        assert info.attributes["reo.class_id"] == "3"
+        assert target.array.get_extent(oids[0]).scheme == ParityScheme(0)
+
+
 class TestControlObject:
     def test_setid_message(self):
         target = make_target()
