@@ -25,9 +25,9 @@ def test_cluster_campaign(tmp_path):
     print(first.format())
 
     assert first.protected_losses == 0
-    assert first.rehome["shard_id"] == first.victim_shard
+    assert first.record["rehome"]["shard_id"] == first.record["victim_shard"]
     # The degraded window did exercise both redundancy paths.
-    assert first.degraded_reads > 0 and first.mirror_failovers > 0
+    assert first.counts["degraded_reads"] > 0 and first.counts["mirror_failovers"] > 0
 
     second = run_cluster_campaign(seed=SEED)
     replay = second.write_json(tmp_path).read_bytes()

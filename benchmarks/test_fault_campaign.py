@@ -34,8 +34,8 @@ def test_fault_campaign(emit):
         incident["recovered_at"] is not None
         for incident in result.ledger["incidents"]
     )
-    assert "fail_slow" in result.detection_latency_s
-    assert "fail_stop" in result.detection_latency_s
+    assert "fail_slow_detection_latency_s" in result.counts
+    assert "fail_stop_detection_latency_s" in result.counts
 
     # Simulated time is reproducible to the last digit: the fresh run must
     # *equal* the committed baseline, not merely stay within a tolerance.

@@ -226,10 +226,11 @@ class CacheManager:
             len(payload), ObjectClass.DIRTY, exclude=cached.name, extra_bytes=old_stored
         )
         response = self._store(cached.object_id, payload, ObjectClass.DIRTY, cached.name)
-        if response.sense in (SenseCode.CACHE_FULL, SenseCode.DATA_CORRUPTED):
-            # Full with nothing left to evict, or the old copy was lost
-            # mid-failure: replace the object outright (the new content
-            # supersedes the old dirty copy anyway).
+        if not response.ok:
+            # Full with nothing left to evict, too few devices for the dirty
+            # scheme, or the old copy was lost mid-failure: replace the
+            # object outright (the new content supersedes the old dirty copy
+            # anyway).
             self._drop(cached.name, lost=response.sense is SenseCode.DATA_CORRUPTED)
             return self._admit(cached.name, payload, dirty=True, version=version)
         cached.dirty = True
@@ -251,16 +252,18 @@ class CacheManager:
         size = len(payload)
         class_id = self._initial_class(name, size, dirty)
         response: Optional[OsdResponse] = None
-        if self.initiator.projected_bytes(size, int(class_id)) <= self.usable_capacity:
+        projected = self.initiator.projected_bytes(size, int(class_id))
+        if projected is not None and projected <= self.usable_capacity:
             self._make_room(size, class_id)
             object_id = self._allocate_oid()
             response = self._store(object_id, payload, class_id)
-        if response is None or response.sense is SenseCode.CACHE_FULL:
-            # The object cannot fit even in an empty cache, or nothing is
-            # left to evict and it still cannot be placed (per-device
-            # imbalance, a shrunken width after failures). Clean objects are
-            # simply not admitted; dirty writes go straight through to the
-            # backend so no update is ever dropped.
+        if response is None or not response.ok:
+            # The object cannot fit even in an empty cache, its class cannot
+            # be laid out on the online devices, or nothing is left to evict
+            # and it still cannot be placed (per-device imbalance, a shrunken
+            # width after failures). Clean objects are simply not admitted;
+            # dirty writes go straight through to the backend so no update
+            # is ever dropped.
             self.stats.admission_bypasses += 1
             if dirty:
                 return self.backend.write(name, payload, version=version)
@@ -307,7 +310,10 @@ class CacheManager:
         exclude: Optional[str] = None,
         extra_bytes: int = 0,
     ) -> None:
-        projected = self.initiator.projected_bytes(size, int(class_id)) + extra_bytes
+        projected = self.initiator.projected_bytes(size, int(class_id))
+        if projected is None:  # the write will fail whatever is evicted
+            return
+        projected += extra_bytes
         guard = len(self._objects) + 1
         while guard > 0 and self.initiator.used_bytes() + projected > self.usable_capacity:
             if not self.evict_one(exclude=exclude):
@@ -449,8 +455,10 @@ class CacheManager:
         if cached is None:  # evicted while making room for an earlier change
             return 0
         if desired is ObjectClass.HOT_CLEAN:
-            extra = self.initiator.projected_bytes(cached.size, int(desired))
-            extra -= self.initiator.stored_bytes(cached.object_id)
+            projected = self.initiator.projected_bytes(cached.size, int(desired))
+            if projected is None:  # the target would answer FAIL
+                return 0
+            extra = projected - self.initiator.stored_bytes(cached.object_id)
             if extra > 0:
                 self._make_room(0, desired, exclude=name, extra_bytes=extra)
         response = self.initiator.set_class(cached.object_id, int(desired))

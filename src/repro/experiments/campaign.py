@@ -4,10 +4,12 @@ A campaign injects faults, lets the failure plane repair, and then holds
 the outcome against one contract — no object of a protected class (see
 :data:`repro.core.policy.PROTECTED_CLASSES`) may be lost — before writing a
 seed-deterministic artefact under ``benchmarks/results/``. This module is
-the one home of that contract, of the results directory and artefact
-format, and of the routed campaigns' seeded object :class:`Population`
-(payload oracle, populate loop, byte-exact verify loop). The fault
-campaign, the cluster campaign, the chaos campaign and
+the one home of that contract, of the results directory, of the one
+result type every campaign returns (:class:`Campaign`: a printed table of
+measures, the JSON artefact that holds the durability ledger, and the
+counts the gates read), and of the routed campaigns' seeded object
+:class:`Population` (payload oracle, populate loop, byte-exact verify
+loop). The fault campaign, the cluster campaign, the chaos campaign and
 ``python -m repro.cluster --smoke`` differ only in the faults they inject.
 """
 
@@ -17,23 +19,19 @@ import asyncio
 import json
 import pathlib
 import random
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.core.policy import PROTECTED_CLASSES
 from repro.net.client import OsdServiceError
 from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
+from repro.sim.report import format_table
 
 if TYPE_CHECKING:  # pragma: no cover - imports only for annotations
     from repro.cluster.router import RouterClient
     from repro.osd.target import OsdResponse
 
-__all__ = [
-    "CampaignLossError",
-    "Population",
-    "RESULTS_DIR",
-    "protected_losses",
-    "write_artefact",
-]
+__all__ = ["Campaign", "CampaignLossError", "Population", "RESULTS_DIR"]
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
@@ -42,27 +40,49 @@ class CampaignLossError(RuntimeError):
     """A protected class lost data — the failure plane broke its contract."""
 
 
-def protected_losses(lost_by_class: Mapping) -> Dict[int, int]:
-    """The protected-class entries of a ledger's ``lost_by_class``.
+@dataclass
+class Campaign:
+    """What one campaign produced: a table to print and an artefact to publish.
 
-    Accepts the live ledger's int keys and its JSON form's string keys.
+    ``record`` is the artefact's JSON content and holds the durability
+    ``ledger``; it is written with sorted keys, so its bytes follow its
+    content and identical seeds give identical files.
     """
-    return {
-        int(class_id): count
-        for class_id, count in lost_by_class.items()
-        if int(class_id) in PROTECTED_CLASSES and count
-    }
 
+    title: str
+    #: File name of the artefact under the results directory.
+    artefact: str
+    record: Dict[str, Any]
+    #: Printed measure -> its text, in print order.
+    rows: Dict[str, str] = field(default_factory=dict)
+    #: Numbers the gates read that the artefact does not hold.
+    counts: Dict[str, float] = field(default_factory=dict)
+    #: A block printed under the table.
+    notes: Optional[str] = None
 
-def write_artefact(
-    name: str, payload: Dict[str, object], directory: Optional[pathlib.Path] = None
-) -> pathlib.Path:
-    """Write one deterministic artefact: sorted keys, so bytes follow content."""
-    directory = directory or RESULTS_DIR
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / name
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    @property
+    def ledger(self) -> Dict[str, Any]:
+        return self.record["ledger"]
+
+    @property
+    def protected_losses(self) -> int:
+        """Objects of a protected class the ledger books as lost."""
+        return sum(
+            count
+            for class_id, count in self.ledger["lost_by_class"].items()
+            if int(class_id) in PROTECTED_CLASSES
+        )
+
+    def format(self) -> str:
+        table = format_table(self.title, ["Measure", "Value"], list(self.rows.items()))
+        return table if self.notes is None else f"{table}\n{self.notes}"
+
+    def write_json(self, directory: Optional[pathlib.Path] = None) -> pathlib.Path:
+        directory = directory or RESULTS_DIR
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / self.artefact
+        path.write_text(json.dumps(self.record, indent=2, sort_keys=True) + "\n")
+        return path
 
 
 class Population:

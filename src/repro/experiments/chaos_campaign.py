@@ -25,7 +25,7 @@ condemn time — and therefore the :class:`DurabilityLedger` — is a pure
 function of the seed: identical seeds produce byte-identical ledger
 artefacts despite wall-clock noise. Wall-clock numbers (detection
 latency, degraded-window throughput, hedge rate) are reported by
-:meth:`ChaosCampaignResult.format`, not persisted and not gated.
+the campaign's printed table, not persisted and not gated.
 
 Losing any protected-class object (0-2) raises
 :class:`~repro.experiments.campaign.CampaignLossError`; condemning the
@@ -35,26 +35,22 @@ wrong shard, or none, raises :class:`ChaosCampaignError`.
 from __future__ import annotations
 
 import asyncio
-import pathlib
 import random
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cluster.health import ShardHealthMonitor, ShardProbe
-from repro.cluster.router import RouterClient, RouterStats
+from repro.cluster.router import RouterClient
 from repro.cluster.service import ClusterService
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.core.health import HealthPolicy
-from repro.experiments.campaign import Population, protected_losses, write_artefact
+from repro.experiments.campaign import Campaign, Population
 from repro.faults import LinkFailSlow, LinkFlap, NetFaultPlan, NetPartition, ShardChaos
 from repro.net.retry import NO_RETRY
 from repro.osd.types import PARTITION_BASE
-from repro.sim.report import format_table
 
 __all__ = [
     "CHAOS_POLICY",
     "ChaosCampaignError",
-    "ChaosCampaignResult",
     "run_chaos_campaign",
 ]
 
@@ -93,89 +89,6 @@ class ChaosCampaignError(RuntimeError):
     """The cluster failed to heal itself (wrong condemn, no condemn)."""
 
 
-@dataclass
-class ChaosCampaignResult:
-    """Everything one chaos campaign produced."""
-
-    seed: int
-    shards: int
-    objects: int
-    victim_shard: int
-    flap_shard: int
-    partition_shard: int
-    #: Wall seconds from fail-slow injection to the FAILED verdict.
-    detection_latency_s: float
-    #: Routed reads completed per wall second between fail-slow injection
-    #: and the autonomous condemn finishing (the reduced-redundancy window).
-    degraded_ops_per_sec: float
-    degraded_window_reads: int
-    transient_reads: int
-    transient_failures: int
-    #: Hedged reads issued between fail-slow injection and the condemn.
-    window_hedged_reads: int
-    auto_condemns: int
-    rehome: Dict[str, object]
-    ledger: Dict[str, object]
-    #: The router's counters over the whole run (warm-up to verify).
-    router: RouterStats
-
-    @property
-    def hedge_rate(self) -> float:
-        """Hedged reads per routed read of the degraded window."""
-        if not self.degraded_window_reads:
-            return 0.0
-        return self.window_hedged_reads / self.degraded_window_reads
-
-    @property
-    def protected_losses(self) -> int:
-        lost = self.ledger.get("lost_by_class", {})
-        return sum(protected_losses(lost).values())  # type: ignore[arg-type]
-
-    def format(self) -> str:
-        rows = [
-            ["objects populated", f"{self.objects}"],
-            ["fail-slow victim (auto-condemned)", f"{self.victim_shard}"],
-            ["flapping shard (recovered)", f"{self.flap_shard}"],
-            ["partitioned shard (recovered)", f"{self.partition_shard}"],
-            ["detection latency (s)", f"{self.detection_latency_s:.3f}"],
-            ["degraded-window reads/s", f"{self.degraded_ops_per_sec:.0f}"],
-            ["transient-phase reads", f"{self.transient_reads}"],
-            ["transient-phase failures", f"{self.transient_failures}"],
-            ["hedged reads", f"{self.router.hedged_reads}"],
-            ["hedge wins", f"{self.router.hedge_wins}"],
-            ["hedge rate (degraded window)", f"{self.hedge_rate:.3f}"],
-            ["breaker fast-fails", f"{self.router.breaker_fastfails}"],
-            ["mirror failovers", f"{self.router.mirror_failovers}"],
-            ["degraded striped reads", f"{self.router.degraded_reads}"],
-            ["autonomous condemns", f"{self.auto_condemns}"],
-            ["objects re-homed", f"{self.rehome['objects_moved']}"],
-            ["fragments moved", f"{self.rehome['fragments_moved']}"],
-            ["protected losses (classes 0-2)", f"{self.protected_losses}"],
-        ]
-        return format_table(
-            f"Chaos campaign [seed {self.seed}]: partition + flap + fail-slow "
-            f"over {self.shards} shards -> autonomous condemn",
-            ["Measure", "Value"],
-            rows,
-        )
-
-    def write_json(self, directory: Optional[pathlib.Path] = None) -> pathlib.Path:
-        """The determinism artefact: byte-identical per seed.
-
-        Only logical-clock state goes in — no wall-clock measurement.
-        """
-        payload = {
-            "seed": self.seed,
-            "shards": self.shards,
-            "victim_shard": self.victim_shard,
-            "flap_shard": self.flap_shard,
-            "partition_shard": self.partition_shard,
-            "rehome": self.rehome,
-            "ledger": self.ledger,
-        }
-        return write_artefact(CHAOS_LEDGER_NAME, payload, directory)
-
-
 def _cast(seed: int) -> Dict[str, int]:
     """Seed-deterministic fault assignment: three distinct shards."""
     rng = random.Random(f"chaos-campaign-cast/{seed}")
@@ -193,7 +106,7 @@ async def _wait_for(predicate, timeout: float, interval: float = 0.01) -> bool:
     return False
 
 
-async def _run_campaign(seed: int) -> ChaosCampaignResult:
+async def _run_campaign(seed: int) -> Campaign:
     cast = _cast(seed)
     victim = cast["victim"]
     transient_plan = NetFaultPlan(
@@ -336,26 +249,56 @@ async def _run_campaign(seed: int) -> ChaosCampaignResult:
                     population.ids[index], population.classes[index]
                 )
 
-            return ChaosCampaignResult(
-                seed=seed,
-                shards=SHARDS,
-                objects=OBJECTS,
-                victim_shard=victim,
-                flap_shard=cast["flap"],
-                partition_shard=cast["partition"],
-                detection_latency_s=max(0.0, failed_at - injected_at),
-                degraded_ops_per_sec=(
-                    degraded_window_reads / window_s if window_s > 0 else 0.0
-                ),
-                degraded_window_reads=degraded_window_reads,
-                transient_reads=TRANSIENT_READS,
-                transient_failures=transient_failures,
-                window_hedged_reads=window_hedged_reads,
-                auto_condemns=len(supervisor.auto_events),
-                rehome=report.to_dict(),
-                ledger=supervisor.ledger.to_dict(),
-                router=router.router_stats,
+            stats = router.router_stats
+            rehome = report.to_dict()
+            detection_latency_s = max(0.0, failed_at - injected_at)
+            campaign = Campaign(
+                title=f"Chaos campaign [seed {seed}]: partition + flap + fail-slow "
+                f"over {SHARDS} shards -> autonomous condemn",
+                artefact=CHAOS_LEDGER_NAME,
+                record={
+                    "seed": seed,
+                    "shards": SHARDS,
+                    "victim_shard": victim,
+                    "flap_shard": cast["flap"],
+                    "partition_shard": cast["partition"],
+                    "rehome": rehome,
+                    "ledger": supervisor.ledger.to_dict(),
+                },
+                rows={
+                    "objects populated": f"{OBJECTS}",
+                    "fail-slow victim (auto-condemned)": f"{victim}",
+                    "flapping shard (recovered)": f"{cast['flap']}",
+                    "partitioned shard (recovered)": f"{cast['partition']}",
+                    "detection latency (s)": f"{detection_latency_s:.3f}",
+                    "degraded-window reads/s": (
+                        f"{degraded_window_reads / window_s if window_s > 0 else 0.0:.0f}"
+                    ),
+                    "transient-phase reads": f"{TRANSIENT_READS}",
+                    "transient-phase failures": f"{transient_failures}",
+                    "hedged reads": f"{stats.hedged_reads}",
+                    "hedge wins": f"{stats.hedge_wins}",
+                    # Hedged reads per routed read of the degraded window.
+                    "hedge rate (degraded window)": (
+                        f"{window_hedged_reads / max(1, degraded_window_reads):.3f}"
+                    ),
+                    "breaker fast-fails": f"{stats.breaker_fastfails}",
+                    "mirror failovers": f"{stats.mirror_failovers}",
+                    "degraded striped reads": f"{stats.degraded_reads}",
+                    "autonomous condemns": f"{len(supervisor.auto_events)}",
+                    "objects re-homed": f"{rehome['objects_moved']}",
+                    "fragments moved": f"{rehome['fragments_moved']}",
+                },
+                counts={
+                    "auto_condemns": len(supervisor.auto_events),
+                    "detection_latency_s": detection_latency_s,
+                    "degraded_window_reads": degraded_window_reads,
+                    "window_hedged_reads": window_hedged_reads,
+                    "hedged_reads": stats.hedged_reads,
+                },
             )
+            campaign.rows["protected losses (classes 0-2)"] = f"{campaign.protected_losses}"
+            return campaign
         finally:
             if chaos is not None:
                 chaos.uninstall()
@@ -367,6 +310,11 @@ async def _run_campaign(seed: int) -> ChaosCampaignResult:
             await asyncio.sleep(0.02)
 
 
-def run_chaos_campaign(seed: int = 1234) -> ChaosCampaignResult:
-    """Run the chaos campaign; raises unless the cluster heals itself."""
+def run_chaos_campaign(seed: int = 1234) -> Campaign:
+    """Run the chaos campaign; raises unless the cluster heals itself.
+
+    Its ``record`` is the byte-identical-per-seed ledger artefact (logical
+    state only); ``counts`` holds the wall-clock and router readings the
+    behaviour gate checks.
+    """
     return asyncio.run(_run_campaign(seed))

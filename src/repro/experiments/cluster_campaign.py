@@ -21,85 +21,23 @@ Routed throughput and latency are not measured here: that is the
 from __future__ import annotations
 
 import asyncio
-import pathlib
 import random
-from dataclasses import dataclass
-from typing import Dict, Optional
 
 from repro.cluster.router import RouterClient
 from repro.cluster.service import ClusterService
 from repro.cluster.supervisor import ClusterSupervisor
-from repro.experiments.campaign import Population, protected_losses, write_artefact
+from repro.experiments.campaign import Campaign, Population
 from repro.net.retry import RetryPolicy
 from repro.osd.types import PARTITION_BASE
-from repro.sim.report import format_table
 
-__all__ = ["ClusterCampaignResult", "run_cluster_campaign"]
+__all__ = ["run_cluster_campaign"]
 
 CLUSTER_LEDGER_NAME = "cluster_campaign_ledger.json"
 #: The campaign's geometry: what the committed ledger was recorded with.
 SHARDS, OBJECTS, PAYLOAD_BYTES, OPS = 3, 48, 2048, 120
 
 
-@dataclass
-class ClusterCampaignResult:
-    """Everything one shard-loss campaign produced."""
-
-    seed: int
-    shards: int
-    objects: int
-    victim_shard: int
-    degraded_reads: int
-    mirror_failovers: int
-    redirects: int
-    map_refreshes: int
-    rehome: Dict[str, object]
-    ledger: Dict[str, object]
-    class3_losses: int
-
-    @property
-    def protected_losses(self) -> int:
-        lost = self.ledger.get("lost_by_class", {})
-        return sum(protected_losses(lost).values())  # type: ignore[arg-type]
-
-    def format(self) -> str:
-        rows = [
-            ["objects populated", f"{self.objects}"],
-            ["victim shard (hard-killed)", f"{self.victim_shard}"],
-            ["degraded striped reads (reconstructed)", f"{self.degraded_reads}"],
-            ["mirror failovers", f"{self.mirror_failovers}"],
-            ["router redirects (WRONG_SHARD)", f"{self.redirects}"],
-            ["map refreshes", f"{self.map_refreshes}"],
-            ["objects re-homed", f"{self.rehome['objects_moved']}"],
-            ["fragments moved", f"{self.rehome['fragments_moved']}"],
-            [
-                "fragments reconstructed",
-                f"{self.rehome['fragments_reconstructed']}",
-            ],
-            ["bytes moved", f"{self.rehome['bytes_moved']}"],
-            ["protected losses (classes 0-2)", f"{self.protected_losses}"],
-            ["class-3 losses (cache misses)", f"{self.class3_losses}"],
-        ]
-        return format_table(
-            f"Cluster shard-loss campaign [seed {self.seed}]: hard-kill 1 of "
-            f"{self.shards} shards -> degraded reads -> condemn + re-home",
-            ["Measure", "Value"],
-            rows,
-        )
-
-    def write_json(self, directory: Optional[pathlib.Path] = None) -> pathlib.Path:
-        """The determinism artefact: byte-identical per seed."""
-        payload = {
-            "seed": self.seed,
-            "shards": self.shards,
-            "victim_shard": self.victim_shard,
-            "rehome": self.rehome,
-            "ledger": self.ledger,
-        }
-        return write_artefact(CLUSTER_LEDGER_NAME, payload, directory)
-
-
-async def _run_campaign(seed: int) -> ClusterCampaignResult:
+async def _run_campaign(seed: int) -> Campaign:
     async with ClusterService(SHARDS) as service:
         router = service.router(retry=RetryPolicy(seed=seed))
         assert isinstance(router, RouterClient)
@@ -149,23 +87,47 @@ async def _run_campaign(seed: int) -> ClusterCampaignResult:
                     population.ids[index], population.classes[index]
                 )
 
-            return ClusterCampaignResult(
-                seed=seed,
-                shards=SHARDS,
-                objects=OBJECTS,
-                victim_shard=victim,
-                degraded_reads=router.router_stats.degraded_reads,
-                mirror_failovers=router.router_stats.mirror_failovers,
-                redirects=router.router_stats.redirects,
-                map_refreshes=router.router_stats.map_refreshes,
-                rehome=report.to_dict(),
-                ledger=supervisor.ledger.to_dict(),
-                class3_losses=len(class3_lost),
+            stats = router.router_stats
+            rehome = report.to_dict()
+            campaign = Campaign(
+                title=f"Cluster shard-loss campaign [seed {seed}]: hard-kill 1 of "
+                f"{SHARDS} shards -> degraded reads -> condemn + re-home",
+                artefact=CLUSTER_LEDGER_NAME,
+                record={
+                    "seed": seed,
+                    "shards": SHARDS,
+                    "victim_shard": victim,
+                    "rehome": rehome,
+                    "ledger": supervisor.ledger.to_dict(),
+                },
+                rows={
+                    "objects populated": f"{OBJECTS}",
+                    "victim shard (hard-killed)": f"{victim}",
+                    "degraded striped reads (reconstructed)": f"{stats.degraded_reads}",
+                    "mirror failovers": f"{stats.mirror_failovers}",
+                    "router redirects (WRONG_SHARD)": f"{stats.redirects}",
+                    "map refreshes": f"{stats.map_refreshes}",
+                    "objects re-homed": f"{rehome['objects_moved']}",
+                    "fragments moved": f"{rehome['fragments_moved']}",
+                    "fragments reconstructed": f"{rehome['fragments_reconstructed']}",
+                    "bytes moved": f"{rehome['bytes_moved']}",
+                },
+                counts={
+                    "degraded_reads": stats.degraded_reads,
+                    "mirror_failovers": stats.mirror_failovers,
+                },
             )
+            campaign.rows["protected losses (classes 0-2)"] = f"{campaign.protected_losses}"
+            campaign.rows["class-3 losses (cache misses)"] = f"{len(class3_lost)}"
+            return campaign
         finally:
             await router.aclose()
 
 
-def run_cluster_campaign(seed: int = 1234) -> ClusterCampaignResult:
-    """Run the shard-loss campaign; raises on any protected-class loss."""
+def run_cluster_campaign(seed: int = 1234) -> Campaign:
+    """Run the shard-loss campaign; raises on any protected-class loss.
+
+    Its ``record`` is the byte-identical-per-seed ledger artefact;
+    ``counts`` holds the router's degraded reads and mirror failovers.
+    """
     return asyncio.run(_run_campaign(seed))

@@ -28,20 +28,17 @@ spares, Reo's protected classes must ride through.
 from __future__ import annotations
 
 import json
-import pathlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.health import HealthPolicy
-from repro.experiments.campaign import CampaignLossError, protected_losses, write_artefact
+from repro.experiments.campaign import Campaign, CampaignLossError
 from repro.experiments.common import Profile, active_profile, build_experiment_cache
 from repro.faults import FailSlow, FailStop, FaultInjector, FaultPlan, LatentErrors
-from repro.sim.report import format_table
 from repro.sim.runner import ExperimentRunner
 from repro.workload.medisyn import Locality, MediSynConfig, generate_workload
 from repro.workload.trace import Trace
 
-__all__ = ["FaultCampaignResult", "run_fault_campaign"]
+__all__ = ["run_fault_campaign"]
 
 CAMPAIGN_BENCH_NAME = "BENCH_fault_campaign.json"
 #: The configuration the committed baseline was recorded with.
@@ -52,108 +49,6 @@ CACHE_PERCENT = 10  # of the data set
 UBER_RATE = 0.002
 LATENCY_MULTIPLIER = 8.0  # the fail-slow device's service-time factor
 SPARES = 2  # replacement devices the supervisor may auto-swap
-
-
-@dataclass
-class FaultCampaignResult:
-    """Everything one campaign produced, ready to print or publish."""
-
-    profile_name: str
-    seed: int
-    requests: int
-    injected: Dict[str, int]
-    #: Fault kind → seconds from injection to first monitor reaction.
-    detection_latency_s: Dict[str, float]
-    time_to_full_redundancy_s: float
-    degraded_read_p99_ms: float
-    hit_ratio_percent: float
-    ledger: Dict[str, object]
-    transitions: List[Dict[str, object]] = field(default_factory=list)
-
-    @property
-    def lost_by_class(self) -> Dict[str, int]:
-        return dict(self.ledger.get("lost_by_class", {}))
-
-    @property
-    def protected_losses(self) -> int:
-        return sum(protected_losses(self.lost_by_class).values())
-
-    @property
-    def worst_detection_latency_s(self) -> float:
-        return max(self.detection_latency_s.values(), default=0.0)
-
-    def format(self) -> str:
-        rows = [
-            ["requests replayed", f"{self.requests}"],
-            ["hit ratio", f"{self.hit_ratio_percent:.1f} %"],
-            [
-                "injected faults",
-                ", ".join(f"{kind}={count}" for kind, count in self.injected.items()),
-            ],
-        ]
-        for kind, latency in self.detection_latency_s.items():
-            rows.append([f"detection latency ({kind})", f"{latency * 1000:.2f} ms"])
-        rows += [
-            [
-                "time to full redundancy",
-                f"{self.time_to_full_redundancy_s * 1000:.2f} ms",
-            ],
-            ["degraded read p99", f"{self.degraded_read_p99_ms:.3f} ms"],
-            ["objects rebuilt", f"{self.ledger['objects_rebuilt']}"],
-            ["chunks repaired by scrub", f"{self.ledger['chunks_repaired_by_scrub']}"],
-            [
-                "lost by class",
-                json.dumps(self.lost_by_class) if self.lost_by_class else "none",
-            ],
-            [
-                "reduced-redundancy time",
-                f"{float(self.ledger['reduced_redundancy_seconds']) * 1000:.2f} ms",
-            ],
-        ]
-        table = format_table(
-            f"Fault campaign [{self.profile_name}, seed {self.seed}]: "
-            "latent bit-rot + fail-slow + fail-stop under supervised recovery",
-            ["Measure", "Value"],
-            rows,
-        )
-        lines = [
-            f"  {t['device_id']}: {t['old']} -> {t['new']} at "
-            f"{t['at']:.6f}s ({t['reason']})"
-            for t in self.transitions
-        ]
-        return table + "\n health transitions:\n" + "\n".join(lines)
-
-    def to_bench_report(self) -> Dict:
-        """The BENCH_fault_campaign.json shape for ``compare_bench.py``."""
-        return {
-            "schema": 1,
-            "profile": self.profile_name,
-            "seed": self.seed,
-            "requests": self.requests,
-            "injected": dict(self.injected),
-            "protected_losses": self.protected_losses,
-            "ledger": self.ledger,
-            "metrics": {
-                "detection_latency_s": {
-                    "label": "worst fault detection latency (sim s)",
-                    "value": round(self.worst_detection_latency_s, 9),
-                    "higher_is_better": False,
-                },
-                "time_to_full_redundancy_s": {
-                    "label": "detection to restored redundancy (sim s)",
-                    "value": round(self.time_to_full_redundancy_s, 9),
-                    "higher_is_better": False,
-                },
-                "degraded_read_p99_ms": {
-                    "label": "degraded foreground read p99 (ms, rescaled)",
-                    "value": round(self.degraded_read_p99_ms, 6),
-                    "higher_is_better": False,
-                },
-            },
-        }
-
-    def write_json(self, directory: Optional[pathlib.Path] = None) -> pathlib.Path:
-        return write_artefact(CAMPAIGN_BENCH_NAME, self.to_bench_report(), directory)
 
 
 def _campaign_trace(
@@ -189,8 +84,12 @@ def run_fault_campaign(
     seed: int = 20190707,
     num_objects: Optional[int] = None,
     num_requests: Optional[int] = None,
-) -> FaultCampaignResult:
+) -> Campaign:
     """Run the composed-fault campaign; raises on protected-class loss.
+
+    Its ``record`` is the ``BENCH_fault_campaign.json`` shape that
+    ``compare_bench.py`` reads; ``counts`` holds the detection latency of
+    each detected fault kind.
 
     Args:
         seed: drives the workload *and* every injected-fault stream —
@@ -256,14 +155,6 @@ def run_fault_campaign(
         )
     supervisor.drain()
 
-    ledger = supervisor.ledger.to_dict()
-    losses = protected_losses(supervisor.ledger.lost_by_class)
-    if losses:
-        raise CampaignLossError(
-            f"protected classes lost objects: {losses} "
-            f"(seed {seed}, profile {profile.name})"
-        )
-
     detection: Dict[str, float] = {}
     slow_latency = supervisor.ledger.detection_latency(fail_slow_from, slow_device)
     if slow_latency is not None:
@@ -271,46 +162,96 @@ def run_fault_campaign(
     stop_latency = supervisor.ledger.detection_latency(stop_at, stop_device)
     if stop_latency is not None:
         detection["fail_stop"] = stop_latency
-    redundancy_times = [
-        incident.time_to_full_redundancy()
-        for incident in supervisor.ledger.incidents
-        if incident.time_to_full_redundancy() is not None
-    ]
+    time_to_full_redundancy = max(
+        (
+            incident.time_to_full_redundancy()
+            for incident in supervisor.ledger.incidents
+            if incident.time_to_full_redundancy() is not None
+        ),
+        default=0.0,
+    )
+    # Latencies are reported like the paper's: rescaled by the profile.
+    degraded_read_p99_ms = (
+        supervisor.monitor.degraded_read_percentile(0.99) * 1000.0 * profile.size_scale
+    )
     requests = len(phase_a) + len(phase_b)
     hits_weighted = (
         result_a.metrics.hit_ratio_percent * len(phase_a)
         + result_b.metrics.hit_ratio_percent * len(phase_b)
     ) / max(1, requests)
-    return FaultCampaignResult(
-        profile_name=profile.name,
-        seed=seed,
-        requests=requests,
-        injected={
-            "corruptions": injector.injected_corruptions,
-            "transients": injector.injected_transients,
-            "torn_writes": injector.injected_torn_writes,
-            "fail_slow": 1,
-            "fail_stop": 1,
+    injected = {
+        "corruptions": injector.injected_corruptions,
+        "transients": injector.injected_transients,
+        "torn_writes": injector.injected_torn_writes,
+        "fail_slow": 1,
+        "fail_stop": 1,
+    }
+    ledger = supervisor.ledger.to_dict()
+    lost_by_class = ledger["lost_by_class"]
+    campaign = Campaign(
+        title=f"Fault campaign [{profile.name}, seed {seed}]: "
+        "latent bit-rot + fail-slow + fail-stop under supervised recovery",
+        artefact=CAMPAIGN_BENCH_NAME,
+        record={
+            "schema": 1,
+            "profile": profile.name,
+            "seed": seed,
+            "requests": requests,
+            "injected": injected,
+            "ledger": ledger,
+            "metrics": {
+                "detection_latency_s": {
+                    "label": "worst fault detection latency (sim s)",
+                    "value": round(max(detection.values(), default=0.0), 9),
+                    "higher_is_better": False,
+                },
+                "time_to_full_redundancy_s": {
+                    "label": "detection to restored redundancy (sim s)",
+                    "value": round(time_to_full_redundancy, 9),
+                    "higher_is_better": False,
+                },
+                "degraded_read_p99_ms": {
+                    "label": "degraded foreground read p99 (ms, rescaled)",
+                    "value": round(degraded_read_p99_ms, 6),
+                    "higher_is_better": False,
+                },
+            },
         },
-        detection_latency_s=detection,
-        time_to_full_redundancy_s=max(redundancy_times, default=0.0),
-        # Latencies are reported like the paper's: rescaled by the profile.
-        degraded_read_p99_ms=supervisor.monitor.degraded_read_percentile(0.99)
-        * 1000.0
-        * profile.size_scale,
-        hit_ratio_percent=hits_weighted,
-        ledger=ledger,
-        transitions=[
-            {
-                "device_id": t.device_id,
-                "old": t.old,
-                "new": t.new,
-                "at": round(t.at, 9),
-                "reason": t.reason,
-            }
+        rows={
+            "requests replayed": f"{requests}",
+            "hit ratio": f"{hits_weighted:.1f} %",
+            "injected faults": ", ".join(
+                f"{kind}={count}" for kind, count in injected.items()
+            ),
+            **{
+                f"detection latency ({kind})": f"{latency * 1000:.2f} ms"
+                for kind, latency in detection.items()
+            },
+            "time to full redundancy": f"{time_to_full_redundancy * 1000:.2f} ms",
+            "degraded read p99": f"{degraded_read_p99_ms:.3f} ms",
+            "objects rebuilt": f"{ledger['objects_rebuilt']}",
+            "chunks repaired by scrub": f"{ledger['chunks_repaired_by_scrub']}",
+            "lost by class": json.dumps(lost_by_class) if lost_by_class else "none",
+            "reduced-redundancy time": (
+                f"{float(ledger['reduced_redundancy_seconds']) * 1000:.2f} ms"
+            ),
+        },
+        counts={
+            f"{kind}_detection_latency_s": latency for kind, latency in detection.items()
+        },
+        notes=" health transitions:\n"
+        + "\n".join(
+            f"  {t.device_id}: {t.old} -> {t.new} at {round(t.at, 9):.6f}s ({t.reason})"
             for t in supervisor.monitor.transitions
-        ],
+        ),
     )
+    campaign.record["protected_losses"] = campaign.protected_losses
+    if campaign.protected_losses:
+        raise CampaignLossError(
+            f"protected classes lost objects: {lost_by_class} "
+            f"(seed {seed}, profile {profile.name})"
+        )
+    return campaign
 
 
 def _scrub_interval(profile: Profile) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.errors import StripeLayoutError
 from repro.flash.array import ArrayIoResult
 from repro.osd import commands
 from repro.osd.control import QueryMessage, SetClassMessage
@@ -87,9 +88,16 @@ class OsdInitiator:
         array = self.target.array
         return array.stored_bytes_for(object_id) if object_id in array else 0
 
-    def projected_bytes(self, size: int, class_id: int) -> int:
-        """Bytes a ``size``-byte object of ``class_id`` would occupy."""
-        return self.target.array.estimate_stored_bytes(size, self.target.policy(class_id))
+    def projected_bytes(self, size: int, class_id: int) -> Optional[int]:
+        """Bytes a ``size``-byte object of ``class_id`` would occupy.
+
+        None when the class's scheme does not fit the online devices: a
+        write of that class would answer FAIL.
+        """
+        try:
+            return self.target.array.estimate_stored_bytes(size, self.target.policy(class_id))
+        except StripeLayoutError:
+            return None
 
     def can_afford_hot(self, size: int) -> bool:
         """Would ``size`` hot bytes fit in the reserve? True without one."""

@@ -27,6 +27,7 @@ from repro.errors import (
     DeviceFullError,
     FlashError,
     ObjectNotFoundError,
+    StripeLayoutError,
     UnrecoverableDataError,
 )
 from repro.flash.array import ArrayIoResult, FlashArray, ObjectHealth
@@ -156,6 +157,9 @@ class OsdTarget:
             return OsdResponse(SenseCode.DATA_CORRUPTED)
         except DeviceFullError:
             return OsdResponse(SenseCode.CACHE_FULL)
+        except StripeLayoutError:
+            # Too few online devices for the class's scheme: no eviction helps.
+            return OsdResponse(SenseCode.FAIL)
         info = existing
         if info is None:
             info = ObjectInfo(
@@ -223,8 +227,9 @@ class OsdTarget:
 
         Re-encoding reads the object (degraded reads allowed) and rewrites it
         under the new scheme; a lost object cannot be reclassified and
-        returns sense 0x63, and a re-encode that does not fit returns 0x64.
-        Either way the object keeps its old class and layout.
+        returns sense 0x63, a re-encode that does not fit returns 0x64, and
+        a scheme wider than the online devices returns FAIL. Either way the
+        object keeps its old class and layout.
         """
         info = self._objects.get(object_id)
         if info is None:
@@ -239,6 +244,8 @@ class OsdTarget:
                 return OsdResponse(SenseCode.DATA_CORRUPTED)
             except DeviceFullError:
                 return OsdResponse(SenseCode.CACHE_FULL)
+            except StripeLayoutError:
+                return OsdResponse(SenseCode.FAIL)
         info.class_id = class_id
         # The classifier is "a label ... in effect a semantic hint" attached
         # to the object (§IV-B); mirror it on the OSD attributes page.

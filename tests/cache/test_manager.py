@@ -244,6 +244,30 @@ class TestFailureSemantics:
         cached = small_cache.manager.get_cached("obj-0")
         assert cached.dirty
 
+    @pytest.mark.parametrize("name", ["obj-0", "obj-1"])
+    def test_write_with_every_device_failed_goes_to_the_backend(self, small_cache, name):
+        small_cache.read("obj-0")
+        for device_id in range(5):
+            small_cache.fail_device(device_id)
+        before = small_cache.backend.version_of(name)
+        small_cache.write(name)
+        assert small_cache.backend.version_of(name) == before + 1
+        assert name not in small_cache.manager
+        assert small_cache.stats.admission_bypasses == 1
+
+    def test_store_answering_fail_records_no_entry(self, monkeypatch, small_cache):
+        monkeypatch.setattr(
+            small_cache.initiator,
+            "write",
+            lambda object_id, payload, class_id=None: OsdResponse(SenseCode.FAIL),
+        )
+        before = small_cache.backend.version_of("obj-0")
+        small_cache.read("obj-1")
+        small_cache.write("obj-0")
+        assert len(small_cache.manager) == 0
+        assert small_cache.backend.version_of("obj-0") == before + 1
+        assert small_cache.stats.admission_bypasses == 2
+
     def test_uniform_one_parity_survives_one_failure(self):
         cache = build_cache(policy=uniform_parity(1))
         register_uniform_objects(cache, 20, 2_000)

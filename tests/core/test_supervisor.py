@@ -80,18 +80,18 @@ class TestClosedLoop:
     def test_no_protected_class_loss(self, result):
         assert result.protected_losses == 0
         for class_id in ("0", "1", "2"):
-            assert result.lost_by_class.get(class_id, 0) == 0
+            assert result.ledger["lost_by_class"].get(class_id, 0) == 0
 
     def test_every_injected_fault_detected(self, result):
-        assert "fail_slow" in result.detection_latency_s
-        assert "fail_stop" in result.detection_latency_s
-        assert all(v >= 0.0 for v in result.detection_latency_s.values())
+        assert "fail_slow_detection_latency_s" in result.counts
+        assert "fail_stop_detection_latency_s" in result.counts
+        assert all(v >= 0.0 for v in result.counts.values())
 
     def test_all_incidents_closed(self, result):
         incidents = result.ledger["incidents"]
         assert incidents, "campaign produced no incidents"
         assert all(i["recovered_at"] is not None for i in incidents)
-        assert result.time_to_full_redundancy_s > 0.0
+        assert result.record["metrics"]["time_to_full_redundancy_s"]["value"] > 0.0
 
     def test_degraded_windows_are_bounded(self, result):
         # Reduced redundancy opened when a device fell and closed when the
@@ -108,8 +108,8 @@ class TestClosedLoop:
         rerun = run_fault_campaign(**self.CAMPAIGN)
         dumps = lambda r: json.dumps(r.ledger, sort_keys=True)  # noqa: E731
         assert dumps(rerun) == dumps(result)
-        assert json.dumps(rerun.to_bench_report(), sort_keys=True) == json.dumps(
-            result.to_bench_report(), sort_keys=True
+        assert json.dumps(rerun.record, sort_keys=True) == json.dumps(
+            result.record, sort_keys=True
         )
 
     def test_different_seed_different_campaign(self, result):

@@ -488,6 +488,31 @@ class TestServerRobustness:
 
         run(scenario())
 
+    def test_class_wider_than_the_online_devices_answers_fail_on_one_connection(self):
+        # Two of five devices online: a two-parity class cannot be laid out.
+        array = FlashArray(num_devices=5, device_capacity=10**6, chunk_size=64, model=ZERO_COST)
+        target = OsdTarget(array, policy=lambda cid: ParityScheme(2 if cid == 2 else 0))
+        target.create_partition(PARTITION_BASE)
+        for device in range(3):
+            array.fail_device(device)
+
+        async def scenario():
+            async with OsdServer(target) as server:
+                async with AsyncOsdClient(
+                    "127.0.0.1", server.port, pool_size=1, retry=NO_RETRY
+                ) as client:
+                    response = await client.write(OID_A, b"x" * 10000, class_id=2)
+                    assert response.sense is SenseCode.FAIL
+                    assert (await client.write(OID_A, b"x" * 10000, class_id=3)).ok
+                    response = await client.set_class(OID_A, 2)
+                    assert response.sense is SenseCode.FAIL
+                    payload, response = await client.read(OID_A)
+                    assert response.ok and payload == b"x" * 10000
+                    assert server.stats.connections_total == 1
+                    assert client.stats.connection_errors == 0
+
+        run(scenario())
+
 
 # ----------------------------------------------------------------------
 # Graceful shutdown

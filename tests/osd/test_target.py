@@ -269,6 +269,49 @@ class TestDeviceFull:
         assert target.array.get_extent(oids[0]).scheme == ParityScheme(0)
 
 
+
+class TestTooFewDevices:
+    """A scheme wider than the online devices is answered with FAIL, not 0x64.
+
+    Eviction cannot fix a layout, so the caller must not be told to evict.
+    """
+
+    @staticmethod
+    def degraded_target(failed):
+        target = make_target()
+        assert target.write_object(USER_A, b"m" * 640, class_id=1).ok
+        for device in failed:
+            target.array.fail_device(device)
+        return target
+
+    def test_write_of_a_class_wider_than_the_online_devices(self):
+        target = self.degraded_target(range(3))
+        response = target.write_object(USER_B, b"x" * 10000, class_id=2)
+        assert response.sense is SenseCode.FAIL
+        assert not target.exists(USER_B)
+        assert USER_B not in target.array
+
+    def test_write_with_every_device_failed(self):
+        target = self.degraded_target(range(5))
+        response = target.write_object(USER_B, b"x" * 100, class_id=3)
+        assert response.sense is SenseCode.FAIL
+        assert not target.exists(USER_B)
+
+    @pytest.mark.parametrize("entry", ["target", "setid"])
+    def test_reencode_wider_than_the_online_devices_keeps_the_class(self, entry):
+        target = self.degraded_target(range(3))
+        if entry == "target":
+            response = target.set_class(USER_A, 2)
+        else:
+            response = OsdInitiator(target).set_class(USER_A, 2)
+        assert response.sense is SenseCode.FAIL
+        info = target.get_info(USER_A)
+        assert info.class_id == 1
+        assert info.attributes["reo.class_id"] == "1"
+        assert target.array.get_extent(USER_A).scheme == ReplicationScheme()
+        assert target.read_object(USER_A).payload == b"m" * 640
+
+
 class TestControlObject:
     def test_setid_message(self):
         target = make_target()
