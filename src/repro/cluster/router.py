@@ -21,9 +21,12 @@ per shard and routes every addressed command by the epoch-versioned
   fragments and reconstruct through :class:`~repro.erasure.rs.RSCodec`;
   mirrored reads fail over to the mirror shard.
 
-Stripe fragments are self-describing: each carries a 16-byte header
-(magic, k, m, fragment index, class id, true payload size) so recovery can
-rebuild a stripe from whatever fragments survive, with no central manifest.
+Stripe fragments are self-describing: each carries a 20-byte header
+(magic, fragment index, k, m, class id, true payload size, CRC32 of the
+payload). All but the magic and index form the fragment's
+:class:`StripeKey`, which names the write it came from; :func:`agreeing_fragments` is the one rule,
+for reads here and for the supervisor's re-homes, that joins or decodes
+only fragments of one write, with no central manifest.
 
 Degraded-mode hardening (the chaos-PR additions):
 
@@ -47,9 +50,9 @@ from __future__ import annotations
 
 import asyncio
 import struct
-from collections import Counter
+import zlib
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cluster.breaker import BreakerBank, CircuitOpenError
 from repro.cluster.map import (
@@ -58,7 +61,7 @@ from repro.cluster.map import (
     STRIPE_PARTITION_OFFSET,
     fragment_object_id,
 )
-from repro.core.policy import CLASS_LAYOUT, SHARD_STRIPE
+from repro.core.policy import CLASS_LAYOUT, MIRROR_WIDTH, SHARD_STRIPE
 from repro.erasure.rs import RSCodec
 from repro.errors import OsdError, UnrecoverableDataError
 from repro.net.client import AsyncOsdClient, ClientStats, OsdServiceError
@@ -74,70 +77,76 @@ __all__ = [
     "FRAGMENT_HEADER",
     "RouterClient",
     "RouterStats",
+    "StripeKey",
+    "agreeing_fragments",
     "decode_fragment",
     "encode_fragment",
 ]
 
-#: Stripe-fragment header: magic, k, m, fragment index, class id, true
-#: (unpadded) parent payload size.
-FRAGMENT_HEADER = struct.Struct(">4sBBBBQ")
-_FRAGMENT_MAGIC = b"RSF1"
+#: Stripe-fragment header: magic, fragment index, then the stripe key: k, m,
+#: class id, true (unpadded) parent payload size, CRC32 of the parent payload.
+FRAGMENT_HEADER = struct.Struct(">4sBBBBQI")
+_FRAGMENT_MAGIC = b"RSF2"
 #: Primary-shard slowdown EWMA at which mirrored reads hedge.
 HEDGE_SLOWDOWN = 3.0
 #: ``WRONG_SHARD`` bounces one routed command may follow before it fails.
 MAX_REDIRECTS = 4
 
 
-def encode_fragment(
-    payload: bytes, *, k: int, m: int, index: int, class_id: int, size: int
-) -> bytes:
+class StripeKey(NamedTuple):
+    """The write a fragment came from. The CRC tells two writes of one size
+    apart with no version counter for routers and the supervisor to share."""
+
+    k: int
+    m: int
+    class_id: int
+    size: int
+    crc: int
+
+    @property
+    def fragment_length(self) -> int:
+        """Payload bytes per fragment: ``ceil(size / k)``, at least one."""
+        return max(1, -(-self.size // self.k))
+
+
+def encode_fragment(payload: bytes, key: StripeKey, index: int) -> bytes:
     """One self-describing stripe fragment: header + fragment payload."""
-    return FRAGMENT_HEADER.pack(_FRAGMENT_MAGIC, k, m, index, class_id, size) + payload
+    return FRAGMENT_HEADER.pack(_FRAGMENT_MAGIC, index, *key) + payload
 
 
-def _split_fragment(blob: bytes) -> Tuple[tuple, memoryview]:
-    """A checked fragment as ``(FRAGMENT_HEADER fields, payload view)``."""
+def decode_fragment(blob: bytes) -> Tuple[StripeKey, memoryview]:
+    """A checked fragment as ``(stripe key, payload view)``."""
     if len(blob) < FRAGMENT_HEADER.size:
         raise OsdServiceError("stripe fragment shorter than its header")
     fields = FRAGMENT_HEADER.unpack_from(blob)
     if fields[0] != _FRAGMENT_MAGIC:
         raise OsdServiceError(f"bad stripe fragment magic {fields[0]!r}")
-    return fields, memoryview(blob)[FRAGMENT_HEADER.size :]
+    if not fields[2]:
+        raise OsdServiceError("stripe fragment header has k = 0")
+    return StripeKey._make(fields[2:]), memoryview(blob)[FRAGMENT_HEADER.size :]
 
 
-#: A fetched stripe fragment: its ``(k, m, parent payload size)`` header and
-#: its payload view.
-_Fetched = Tuple[Tuple[int, int, int], memoryview]
+def agreeing_fragments(
+    present: Dict[int, Tuple[StripeKey, memoryview]],
+) -> Tuple[Optional[StripeKey], Dict[int, memoryview]]:
+    """The fragments of the one write most present fragments carry.
 
-
-def _agreeing(present: Dict[int, _Fetched], k: int) -> Tuple[int, Dict[int, memoryview]]:
-    """The fragments of the stripe version most fetched fragments carry.
-
-    A stripe overwrite that fails part-way (one fragment write hits a dead
-    shard) leaves fragments of two versions behind. Only fragments with the
-    most common ``(k, m, size)`` header and the payload length that header
-    implies may be joined or decoded together. Returns that header's size
-    and the agreeing payloads by fragment index.
+    A stripe overwrite that fails part-way leaves fragments of two writes
+    behind, of the same size or not. Only fragments with one stripe key,
+    and the payload length that key implies, may be joined, decoded or
+    rebuilt from together. Returns that key (None when nothing is present)
+    and its fragments' payloads by index.
     """
-    if not present:
-        return 0, {}
-    headers = Counter(fragment_header for fragment_header, _ in present.values())
-    header = headers.most_common(1)[0][0]
-    size = header[2]
-    length = max(1, -(-size // k))
-    agreed = {
-        index: view
-        for index, (fragment_header, view) in present.items()
-        if fragment_header == header and len(view) == length
+    sound = {
+        index: (key, view)
+        for index, (key, view) in present.items()
+        if len(view) == key.fragment_length
     }
-    return size, agreed
-
-
-def decode_fragment(blob: bytes) -> Tuple[Dict[str, int], bytes]:
-    """Split a stripe fragment into its header fields and payload."""
-    (_magic, k, m, index, class_id, size), payload = _split_fragment(blob)
-    header = {"k": k, "m": m, "index": index, "class_id": class_id, "size": size}
-    return header, bytes(payload)
+    if not sound:
+        return None, {}
+    keys = [key for key, _ in sound.values()]
+    key = max(dict.fromkeys(keys), key=keys.count)  # the first most common
+    return key, {index: view for index, (other, view) in sound.items() if other == key}
 
 
 @dataclass
@@ -443,7 +452,8 @@ class RouterClient:
     ) -> OsdResponse:
         await self._ensure_stripe_partition(object_id.pid)
         k, m = self.codec.k, self.codec.m
-        frag_len = max(1, -(-len(payload) // k))  # ceil; >=1 so RS has width
+        key = StripeKey(k, m, class_id, len(payload), zlib.crc32(payload))
+        frag_len = key.fragment_length  # >=1 so RS has width
         padded = payload.ljust(frag_len * k, b"\0")
         data = [padded[i * frag_len : (i + 1) * frag_len] for i in range(k)]
         fragments = self.codec.encode_stripe(data)
@@ -452,14 +462,7 @@ class RouterClient:
                 self._routed(
                     commands.Write(
                         fragment_object_id(object_id, index),
-                        encode_fragment(
-                            fragment,
-                            k=k,
-                            m=m,
-                            index=index,
-                            class_id=class_id,
-                            size=len(payload),
-                        ),
+                        encode_fragment(fragment, key, index),
                         class_id,
                     ),
                     object_id,
@@ -519,7 +522,7 @@ class RouterClient:
     async def _read_mirrored(
         self, object_id: ObjectId, deadline: Optional[float] = None
     ) -> Tuple[Optional[bytes], OsdResponse]:
-        owners = self.cluster_map.owners_for(object_id, width=2)
+        owners = self.cluster_map.owners_for(object_id, width=MIRROR_WIDTH)
         if len(owners) > 1 and self._should_hedge(owners[0]):
             return await self._read_hedged(object_id, owners, deadline)
         last: Optional[OsdResponse] = None
@@ -556,7 +559,7 @@ class RouterClient:
             asyncio.ensure_future(
                 self._submit(shard_id, commands.Read(object_id), deadline)
             ): rank
-            for rank, shard_id in enumerate(owners[:2])
+            for rank, shard_id in enumerate(owners)
         }
         pending = set(tasks)
         last: Optional[OsdResponse] = None
@@ -589,8 +592,8 @@ class RouterClient:
 
     async def _fetch_fragment(
         self, object_id: ObjectId, index: int, deadline: Optional[float] = None
-    ) -> Optional[_Fetched]:
-        """Fragment ``index`` as ``((k, m, parent payload size), payload view)``."""
+    ) -> Optional[Tuple[StripeKey, memoryview]]:
+        """Fragment ``index`` as ``(stripe key, payload view)``."""
         fragment_id = fragment_object_id(object_id, index)
         try:
             response = await self._routed(
@@ -605,10 +608,9 @@ class RouterClient:
         if blob is None:
             return None
         try:
-            fields, view = _split_fragment(blob)
+            return decode_fragment(blob)
         except OsdServiceError:
             return None
-        return (fields[1], fields[2], fields[-1]), view
 
     async def _sweep_fragment(
         self, fragment_id: ObjectId, deadline: Optional[float]
@@ -645,10 +647,10 @@ class RouterClient:
         present = {
             index: frag for index, frag in enumerate(fetched) if frag is not None
         }
-        size, agreed = _agreeing(present, k)
+        key, agreed = agreeing_fragments(present)
         if len(agreed) == k:
             data = b"".join(agreed[index] for index in range(k))
-            return data[:size], OsdResponse(SenseCode.OK)
+            return data[: key.size], OsdResponse(SenseCode.OK)
         # Degraded (a data fragment is missing or disagrees): pull the parity
         # fragments, then decode from the fragments that agree.
         self.router_stats.degraded_reads += 1
@@ -658,7 +660,7 @@ class RouterClient:
         for index, frag in enumerate(parity):
             if frag is not None:
                 present[k + index] = frag
-        size, agreed = _agreeing(present, k)
+        key, agreed = agreeing_fragments(present)
         if len(agreed) < k:
             return None, OsdResponse(SenseCode.FAIL)
         try:
@@ -666,7 +668,7 @@ class RouterClient:
         except (UnrecoverableDataError, OsdError):
             return None, OsdResponse(SenseCode.FAIL)
         data = b"".join(data_fragments)
-        return data[:size], OsdResponse(SenseCode.OK)
+        return data[: key.size], OsdResponse(SenseCode.OK)
 
     # ------------------------------------------------------------------
     # Remove / attributes
@@ -705,7 +707,7 @@ class RouterClient:
             return OsdResponse(SenseCode.OK)
         copies = 1
         if layout == "mirror":
-            copies = min(2, len(self.cluster_map.ranking_for(object_id)))
+            copies = min(MIRROR_WIDTH, len(self.cluster_map.ranking_for(object_id)))
         response = OsdResponse(SenseCode.OK)
         for rank in range(first_rank, copies):
             response = await self._routed(

@@ -40,6 +40,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.cluster.map import ClusterMap, ShardInfo, ShardState
+from repro.core.policy import MIRROR_WIDTH
 from repro.net.server import OsdServer
 from repro.osd.commands import (
     CreateObject,
@@ -55,13 +56,7 @@ from repro.osd.sense import SenseCode
 from repro.osd.target import OsdResponse, OsdTarget
 from repro.osd.types import CLUSTER_MAP_OBJECT, CONTROL_OBJECT, ObjectId
 
-__all__ = ["ClusterService", "MIRROR_WIDTH", "ShardServer"]
-
-#: Owner-set width for plain (non-fragment) objects: primary + one mirror
-#: slot. Class-0/1 objects are written to both; class-2/3 only to the
-#: primary, but accepting the mirror slot keeps the server check agnostic
-#: of a class it may not know yet.
-MIRROR_WIDTH = 2
+__all__ = ["ClusterService", "ShardServer"]
 
 #: Replies one router connection may have held on a shard (chaos delays)
 #: before that connection's frame loop stops.
@@ -123,6 +118,8 @@ class ShardServer(OsdServer):
             # CreatePartition/ListPartition, or control/introspection
             # traffic addressed to this server.
             return None
+        # Any object may sit in the mirror slot: the check need not know
+        # the class, and a class-2/3 write simply lands on the primary.
         if isinstance(command, _MUTATIONS):
             me = cluster_map.shard(self.shard_id)
             if me is None or me.state is not ShardState.ONLINE:

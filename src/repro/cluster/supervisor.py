@@ -23,11 +23,15 @@ Re-home flow (``condemn``):
    then, in class order 0 → 1 → 2 → 3 — the paper's differentiated
    recovery — and by object id within a class (deterministic ledger):
    - **plain / mirrored objects** — copy to any new owner that lacks them,
-     reading from a surviving holder (mirrored classes keep width 2);
-   - **stripe fragments** — fragments held by the draining shard are
-     copied out; fragments lost with a crashed shard are *reconstructed*
-     from any ``k`` survivors through the erasure codec and written to
-     their new home.
+     reading from a surviving holder (mirrored classes keep
+     ``MIRROR_WIDTH`` copies);
+   - **stripe fragments** — only fragments of one write count
+     (:func:`~repro.cluster.router.agreeing_fragments`, the router's read
+     rule): those away from home (the draining shard's) are copied there,
+     and the rest — lost with a crashed shard, or left behind by a write
+     that failed part-way — are *reconstructed* from ``k`` of them through
+     the erasure codec and written home. Fewer than ``k`` books the stripe
+     lost.
 4. Flip the shard to ``CONDEMNED``, stop it, and close the incident.
 
 Everything is timestamped with a logical step clock (one tick per booked
@@ -48,10 +52,16 @@ from repro.cluster.map import (
     is_fragment,
     parent_of_fragment,
 )
-from repro.cluster.router import RouterClient, decode_fragment, encode_fragment
+from repro.cluster.router import (
+    RouterClient,
+    StripeKey,
+    agreeing_fragments,
+    decode_fragment,
+    encode_fragment,
+)
 from repro.cluster.service import ClusterService
 from repro.core.classes import ObjectClass
-from repro.core.policy import CLASS_LAYOUT, RECOVERY_ORDER
+from repro.core.policy import CLASS_LAYOUT, MIRROR_WIDTH, RECOVERY_ORDER
 from repro.core.supervisor import DurabilityLedger
 from repro.net.client import OsdServiceError
 from repro.osd.types import ObjectId
@@ -402,7 +412,7 @@ class ClusterSupervisor:
         cluster_map: ClusterMap,
         report: RehomeReport,
     ) -> None:
-        width = 2 if CLASS_LAYOUT[class_id] == "mirror" else 1
+        width = MIRROR_WIDTH if CLASS_LAYOUT[class_id] == "mirror" else 1
         desired = cluster_map.owners_for(object_id, width=width)
         missing = [owner for owner in desired if owner not in held_by]
         if not missing:
@@ -430,64 +440,42 @@ class ClusterSupervisor:
         cluster_map: ClusterMap,
         report: RehomeReport,
     ) -> None:
-        # Pull every surviving fragment once: movement and reconstruction
-        # both need them, and k survivors are required either way.
-        survivors: Dict[int, Tuple[Dict[str, int], bytes]] = {}
-        for index in sorted(fragment_holders):
+        codec = self.router.codec
+        plan = cluster_map.stripe_shards_for(parent, codec.n)
+        # One copy of each surviving fragment, read from its home first: a
+        # copy already home stays put unless it belongs to another write.
+        present: Dict[int, Tuple[StripeKey, memoryview]] = {}
+        source: Dict[int, int] = {}
+        for index, held_by in sorted(fragment_holders.items()):
             fragment_id = fragment_object_id(parent, index)
-            for holder in fragment_holders[index]:
+            for holder in sorted(held_by, key=plan[index].__ne__):
                 blob = await self._read_from(holder, fragment_id)
                 if blob is None:
                     continue
                 try:
-                    survivors[index] = decode_fragment(blob)
+                    present[index] = decode_fragment(blob)
                 except OsdServiceError:
                     continue
+                source[index] = holder
                 break
-        if not survivors:
+        key, agreed = agreeing_fragments(present)
+        if key is None or len(agreed) < codec.k:
             self._book_lost(report, parent, class_id)
             return
-        header = next(iter(survivors.values()))[0]
-        k, m = header["k"], header["m"]
-        class_id = header["class_id"]
-        plan = cluster_map.stripe_shards_for(parent, k + m)
-        needed: Dict[int, bytes] = {}
-        for index in range(k + m):
-            held_by = fragment_holders.get(index, [])
-            if plan[index] in held_by:
+        missing = [index for index in range(codec.n) if index not in agreed]
+        fragments = {**agreed, **codec.reconstruct(agreed, missing)} if missing else agreed
+        for index, home in enumerate(plan):
+            if index in agreed and source[index] == home:
                 continue
-            if index in survivors:
-                # Survives elsewhere (the draining shard): plain copy.
-                needed[index] = survivors[index][1]
+            fragment_id = fragment_object_id(parent, index)
+            payload = fragments[index]
+            blob = encode_fragment(payload, key, index)
+            await self.router.client(home).write(fragment_id, blob, key.class_id)
+            self.ledger.record_rehomed(fragment_id, key.class_id, len(payload))
+            if index in agreed:
                 report.fragments_moved += 1
             else:
-                # b"" marks "reconstruct": written fragments are never
-                # empty (the router pads stripes to >= 1 byte/fragment).
-                needed[index] = b""
-        to_rebuild = sorted(i for i, frag in needed.items() if frag == b"")
-        if to_rebuild:
-            if len(survivors) < k:
-                self._book_lost(report, parent, class_id)
-                return
-            rebuilt = self.router.codec.reconstruct(
-                {index: frag for index, (_, frag) in survivors.items()},
-                to_rebuild,
-            )
-            for index, frag in rebuilt.items():
-                needed[index] = frag
                 report.fragments_reconstructed += 1
-        for index in sorted(needed):
-            fragment_id = fragment_object_id(parent, index)
-            blob = encode_fragment(
-                needed[index],
-                k=k,
-                m=m,
-                index=index,
-                class_id=class_id,
-                size=header["size"],
-            )
-            await self.router.client(plan[index]).write(fragment_id, blob, class_id)
-            self.ledger.record_rehomed(fragment_id, class_id, len(needed[index]))
-            report.bytes_moved += len(needed[index])
+            report.bytes_moved += len(payload)
             self._tick()
         self.router.note_layout(parent, "stripe")

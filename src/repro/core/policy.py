@@ -12,11 +12,13 @@ calls the policy with an object's class id and gets back the
   every class (0-parity, 1-parity, 2-parity, or full replication).
 
 The module also holds the one **class table** the failure plane reads:
-:data:`CLASS_LAYOUT` (how the shard tier lays a class out across shards),
+:data:`CLASS_LAYOUT` (how the shard tier lays a class out across shards,
+with :data:`MIRROR_WIDTH` and :data:`SHARD_STRIPE` its two widths),
 :data:`PROTECTED_CLASSES` (classes that carry redundancy, so losing one of
 their objects is a durability failure, not a cache miss) and
-:data:`RECOVERY_ORDER` (§IV-D: rebuild class 0, then 1, 2, 3). All three are
-derived once, at import, from :meth:`ReoPolicy.scheme_for`.
+:data:`RECOVERY_ORDER` (§IV-D: rebuild class 0, then 1, 2, 3). The layout
+and both class tuples are derived once, at import, from
+:meth:`ReoPolicy.scheme_for`.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.flash.stripe import ParityScheme, RedundancyScheme, ReplicationScheme
 
 __all__ = [
     "CLASS_LAYOUT",
+    "MIRROR_WIDTH",
     "PROTECTED_CLASSES",
     "RECOVERY_ORDER",
     "SHARD_STRIPE",
@@ -141,14 +144,16 @@ def _shard_layout(scheme: RedundancyScheme) -> str:
     return "plain"
 
 
-#: Class id → shard-tier layout: a replicated class is mirrored on its top-2
-#: HRW shards, a parity-protected class is RS-striped across shards, a class
-#: with no redundancy is one plain copy. A plain dict so the router's
-#: per-write dispatch stays one constant-time probe.
+#: Class id → shard-tier layout: a replicated class is mirrored on its top
+#: :data:`MIRROR_WIDTH` HRW shards, a parity-protected class is RS-striped
+#: across shards, a class with no redundancy is one plain copy. A plain dict
+#: so the router's per-write dispatch stays one constant-time probe.
 CLASS_LAYOUT: Dict[int, str] = {
     int(class_id): _shard_layout(ReoPolicy().scheme_for(class_id))
     for class_id in ObjectClass
 }
+#: Copies of a mirrored class across shards: the primary and one mirror.
+MIRROR_WIDTH = 2
 #: RS geometry ``(k, m)`` of a striped class across shards: four data
 #: fragments and the hot-clean parity of :class:`ReoPolicy`.
 SHARD_STRIPE = (4, ReoPolicy().hot_parity)

@@ -12,12 +12,19 @@ ledgers per seed.
 import asyncio
 import itertools
 import random
+import zlib
 
 import pytest
 
 from repro.cluster import router as router_module
 from repro.cluster.map import ShardState, fragment_object_id
-from repro.cluster.router import RouterClient, decode_fragment, encode_fragment
+from repro.cluster.router import (
+    FRAGMENT_HEADER,
+    RouterClient,
+    StripeKey,
+    decode_fragment,
+    encode_fragment,
+)
 from repro.net.client import OsdServiceError
 from repro.cluster.service import ClusterService, ShardServer
 from repro.cluster.supervisor import ClusterSupervisor
@@ -129,15 +136,24 @@ class TestRoutedDataPath:
         run(scenario())
 
 
+def _key_of(body):
+    """The stripe key the router writes class-2 ``body`` under."""
+    return StripeKey(4, 2, 2, len(body), zlib.crc32(body))
+
+
 def test_fragment_header_round_trip_and_rejections():
-    blob = encode_fragment(b"abcdef", k=4, m=2, index=5, class_id=2, size=21)
-    header, payload = decode_fragment(blob)
-    assert header == {"k": 4, "m": 2, "index": 5, "class_id": 2, "size": 21}
-    assert payload == b"abcdef" and type(payload) is bytes
+    key = StripeKey(k=4, m=2, class_id=2, size=21, crc=0xDEADBEEF)
+    blob = encode_fragment(b"abcdef", key, 5)
+    assert FRAGMENT_HEADER.size == 20 and len(blob) == 26
+    decoded, payload = decode_fragment(blob)
+    assert decoded == key
+    assert payload == b"abcdef" and type(payload) is memoryview
     with pytest.raises(OsdServiceError, match="shorter than its header"):
-        decode_fragment(blob[:15])
+        decode_fragment(blob[:19])
     with pytest.raises(OsdServiceError, match="bad stripe fragment magic"):
         decode_fragment(b"XXXX" + blob[4:])
+    with pytest.raises(OsdServiceError, match="k = 0"):
+        decode_fragment(encode_fragment(b"abcdef", key._replace(k=0), 5))
 
 
 def _holders(service):
@@ -393,6 +409,23 @@ class TestDoubleCondemnMidReplay:
 # ----------------------------------------------------------------------
 # Degraded reads (shard down, map stale)
 # ----------------------------------------------------------------------
+async def _rewrite_stripe(router, object_id, first, body, stale):
+    """Write ``first`` then ``body`` as class 2, then put ``first``'s
+    fragments ``stale`` back on their homes: what a write of ``body`` that
+    failed on those homes leaves behind."""
+    assert (await router.write(object_id, first, 2)).ok
+    saved = []
+    for index in stale:
+        fragment_id = fragment_object_id(object_id, index)
+        home = router.cluster_map.owners_for(fragment_id)[0]
+        blob, response = await router.client(home).read(fragment_id)
+        assert response.ok
+        saved.append((home, fragment_id, blob))
+    assert (await router.write(object_id, body, 2)).ok
+    for home, fragment_id, blob in saved:
+        assert (await router.client(home).write(fragment_id, blob, 2)).ok
+
+
 class TestDegradedReads:
     def test_striped_read_reconstructs_with_a_shard_down(self):
         async def scenario():
@@ -432,9 +465,7 @@ class TestDegradedReads:
                     assert len(set(home.values())) == router.codec.n
                     # Fragment 1 of a 3000-byte version: 750 bytes, not 1250.
                     other = payload_for("torn-stripe", 1, size=3000)
-                    stale = encode_fragment(
-                        other[750:1500], k=4, m=2, index=1, class_id=2, size=len(other)
-                    )
+                    stale = encode_fragment(other[750:1500], _key_of(other), 1)
                     response = await router.client(home[1]).write(
                         fragment_object_id(oid(450), 1), stale, 2
                     )
@@ -442,6 +473,23 @@ class TestDegradedReads:
                     if fragment_0_down:
                         await service.stop_shard(home[0])
                     got, response = await router.read(oid(450))
+                    assert response.ok
+                    assert got == body
+                    assert router.router_stats.degraded_reads == 1
+
+        run(scenario())
+
+    def test_striped_read_ignores_a_same_size_fragment_of_another_write(self):
+        """Two writes of one size differ only in their CRC: a fragment the
+        second write failed to replace must not be spliced into it."""
+
+        async def scenario():
+            async with ClusterService(6) as service:
+                async with make_router(service) as router:
+                    first = payload_for("same-size", 0, size=4096)
+                    body = payload_for("same-size", 1, size=4096)
+                    await _rewrite_stripe(router, oid(455), first, body, stale=(1,))
+                    got, response = await router.read(oid(455))
                     assert response.ok
                     assert got == body
                     assert router.router_stats.degraded_reads == 1
@@ -458,8 +506,7 @@ class TestDegradedReads:
                     for index in (1, 2):
                         fragment_id = fragment_object_id(oid(460), index)
                         stale = encode_fragment(
-                            other[index * 750 : (index + 1) * 750],
-                            k=4, m=2, index=index, class_id=2, size=len(other),
+                            other[index * 750 : (index + 1) * 750], _key_of(other), index
                         )
                         shard = router.cluster_map.owners_for(fragment_id)[0]
                         assert (await router.client(shard).write(fragment_id, stale, 2)).ok
@@ -545,6 +592,76 @@ class TestCondemnRehome:
                         assert got == body
                     # Crash recovery rebuilt at least one lost fragment.
                     assert report.fragments_reconstructed > 0
+
+        run(scenario())
+
+    @pytest.mark.parametrize("first_size", [2048, 4096], ids=["other-size", "same-size"])
+    def test_rehome_books_a_stripe_lost_when_fewer_than_k_fragments_agree(self, first_size):
+        """Two fragments of an older write and two of the newer survive a
+        crash: no four agree, so the stripe is lost, not spliced."""
+
+        async def scenario():
+            async with ClusterService(3) as service:
+                async with make_router(service) as router:
+                    router.known_partitions.add(PARTITION_BASE)
+                    target = oid(920)
+                    first = payload_for("torn-rehome", 0, size=first_size)
+                    body = payload_for("torn-rehome", 1, size=4096)
+                    # Three shards: rank 1 is home to fragments 1 and 4.
+                    await _rewrite_stripe(router, target, first, body, stale=(1, 4))
+                    victim = router.cluster_map.ranking_for(target)[2]
+                    await service.stop_shard(victim)
+                    supervisor = ClusterSupervisor(service, router)
+                    report = await supervisor.condemn(victim, "test crash", evacuate=False)
+                    assert report.lost_by_class == {2: 1}
+                    assert report.fragments_moved == report.fragments_reconstructed == 0
+                    assert supervisor.ledger.to_dict()["objects_lost"] == 1
+                    got, response = await router.read(target)
+                    assert not response.ok and got is None
+
+        run(scenario())
+
+    def test_rehome_rewrites_a_stale_fragment_on_its_home(self):
+        async def scenario():
+            async with ClusterService(4) as service:
+                async with make_router(service) as router:
+                    router.known_partitions.add(PARTITION_BASE)
+                    target = oid(930)
+                    first = payload_for("stale-home", 0, size=4096)
+                    body = payload_for("stale-home", 1, size=4096)
+                    await _rewrite_stripe(router, target, first, body, stale=(1,))
+                    # Fragment 3's home dies; 0, 2, 4 and 5 agree on the write.
+                    victim = router.cluster_map.ranking_for(target)[3]
+                    await service.stop_shard(victim)
+                    supervisor = ClusterSupervisor(service, router)
+                    report = await supervisor.condemn(victim, "test crash", evacuate=False)
+                    assert report.objects_lost == 0
+                    # Fragments 1 (stale) and 3 (lost) rebuilt; 4 and 5 moved.
+                    assert report.fragments_reconstructed == 2
+                    assert report.fragments_moved == 2
+                    got, response = await router.read(target)
+                    assert response.ok and got == body
+                    assert router.router_stats.degraded_reads == 0
+
+        run(scenario())
+
+    def test_rehome_report_counts_only_issued_writes(self):
+        async def scenario():
+            async with ClusterService(5) as service:
+                async with make_router(service) as router:
+                    router.known_partitions.add(PARTITION_BASE)
+                    target = oid(940)
+                    assert (await router.write(target, payload_for("count", 0, 4096), 2)).ok
+                    # Ranks 0 and 1 hold fragments 0, 5 and 1: three of six.
+                    ranked = router.cluster_map.ranking_for(target)
+                    for shard_id in ranked[:2]:
+                        await service.stop_shard(shard_id)
+                    supervisor = ClusterSupervisor(service, router)
+                    report = await supervisor.condemn(ranked[0], "test crash", evacuate=False)
+                    assert report.to_dict()["lost_by_class"] == {"2": 1}
+                    assert report.fragments_moved == 0
+                    assert report.fragments_reconstructed == 0
+                    assert report.bytes_moved == 0
 
         run(scenario())
 
