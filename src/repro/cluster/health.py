@@ -227,7 +227,7 @@ class ShardProbe:
             started = loop.time()
             try:
                 await self.router.client(shard_id).service_stats()
-            except (OsdServiceError, ConnectionError, OSError):
+            except OsdServiceError:
                 self.failures += 1
                 self.monitor.observe(shard_id, None, ok=False, now=loop.time())
             else:

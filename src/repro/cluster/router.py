@@ -235,7 +235,7 @@ class RouterClient:
             task.cancel()
             try:
                 await task
-            except (asyncio.CancelledError, OsdServiceError, ConnectionError, OSError):
+            except (asyncio.CancelledError, OsdServiceError):
                 pass
         self._hedge_tasks.clear()
         for shard_id in sorted(self._clients):
@@ -264,7 +264,7 @@ class RouterClient:
         for shard_id in self.cluster_map.readable_ids:
             try:
                 fetched = await self._fetch_map(shard_id)
-            except (OsdServiceError, ConnectionError, OSError):
+            except OsdServiceError:
                 continue
             if fetched is not None and (best is None or fetched.epoch > best.epoch):
                 best = fetched
@@ -315,7 +315,7 @@ class RouterClient:
         started = loop.time()
         try:
             response = await self.client(shard_id).submit(command, deadline=deadline)
-        except (OsdServiceError, ConnectionError, OSError):
+        except OsdServiceError:
             now = loop.time()
             breaker.record_failure(now)
             if self.health_monitor is not None:
@@ -531,7 +531,7 @@ class RouterClient:
                 response = await self._submit(
                     shard_id, commands.Read(object_id), deadline
                 )
-            except (OsdServiceError, ConnectionError, OSError):
+            except OsdServiceError:
                 continue
             if response.ok:
                 if rank:
@@ -599,7 +599,7 @@ class RouterClient:
             response = await self._routed(
                 commands.Read(fragment_id), object_id, index, deadline
             )
-        except (OsdServiceError, ConnectionError, OSError):
+        except OsdServiceError:
             response = None
         if response is not None and response.ok and response.payload is not None:
             blob: Optional[bytes] = response.payload
@@ -631,7 +631,7 @@ class RouterClient:
                 response = await self._submit(
                     shard_id, commands.Read(fragment_id), deadline
                 )
-            except (OsdServiceError, ConnectionError, OSError):
+            except OsdServiceError:
                 continue
             if response.ok and response.payload is not None:
                 return response.payload
@@ -715,16 +715,6 @@ class RouterClient:
             )
         return response
 
-    async def get_attr(
-        self, object_id: ObjectId, key: str, *, deadline: Optional[float] = None
-    ) -> Tuple[Optional[str], OsdResponse]:
-        response = await self._routed(
-            commands.GetAttr(object_id, key), object_id, 0, deadline
-        )
-        if not response.ok or response.payload is None:
-            return None, response
-        return response.payload.decode("utf-8"), response
-
     # ------------------------------------------------------------------
     # Cluster-wide fan-out
     # ------------------------------------------------------------------
@@ -734,7 +724,7 @@ class RouterClient:
         for shard_id in self.cluster_map.readable_ids:
             try:
                 snapshots.append(await self.client(shard_id).service_stats())
-            except (OsdServiceError, ConnectionError, OSError):
+            except OsdServiceError:
                 continue
         return merge_snapshots(snapshots)
 

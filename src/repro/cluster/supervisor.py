@@ -19,12 +19,14 @@ Re-home flow (``condemn``):
    exclusion map *first* is load-bearing — the re-home writes below must
    pass the new owners' route checks.
 3. Census every known partition across the still-readable shards and ask
-   the holders for each object's class (the ``reo.class_id`` attribute),
+   the holders of each plain object for its class (the ``reo.class_id``
+   attribute; the table stripes one class, so stripes need no query),
    then, in class order 0 → 1 → 2 → 3 — the paper's differentiated
    recovery — and by object id within a class (deterministic ledger):
    - **plain / mirrored objects** — copy to any new owner that lacks them,
      reading from a surviving holder (mirrored classes keep
-     ``MIRROR_WIDTH`` copies);
+     ``MIRROR_WIDTH`` copies). An object none of whose copies lands and
+     none of whose new owners already holds it is booked lost;
    - **stripe fragments** — only fragments of one write count
      (:func:`~repro.cluster.router.agreeing_fragments`, the router's read
      rule): those away from home (the draining shard's) are copied there,
@@ -32,6 +34,9 @@ Re-home flow (``condemn``):
      that failed part-way — are *reconstructed* from ``k`` of them through
      the erasure codec and written home. Fewer than ``k`` books the stripe
      lost.
+
+   Only a write its new home answers OK is booked: a home that is down
+   costs redundancy, never the incident's closing.
 4. Flip the shard to ``CONDEMNED``, stop it, and close the incident.
 
 Everything is timestamped with a logical step clock (one tick per booked
@@ -64,6 +69,8 @@ from repro.core.classes import ObjectClass
 from repro.core.policy import CLASS_LAYOUT, MIRROR_WIDTH, RECOVERY_ORDER
 from repro.core.supervisor import DurabilityLedger
 from repro.net.client import OsdServiceError
+from repro.osd import commands
+from repro.osd.target import OsdResponse
 from repro.osd.types import ObjectId
 
 if TYPE_CHECKING:  # pragma: no cover - imports only for annotations
@@ -71,10 +78,9 @@ if TYPE_CHECKING:  # pragma: no cover - imports only for annotations
 
 __all__ = ["ClusterSupervisor", "RehomeReport"]
 
-#: ``reo.class_id`` attribute text → class id, for the classes the table knows.
-_CLASS_OF_ATTRIBUTE = {str(class_id): class_id for class_id in CLASS_LAYOUT}
-#: The one class the table stripes: what a stripe is taken for when no
-#: holder states its class and no fragment survives to carry it.
+#: ``reo.class_id`` attribute bytes → class id, for the classes the table knows.
+_CLASS_OF_ATTRIBUTE: Dict[Optional[bytes], int] = {str(c).encode(): c for c in CLASS_LAYOUT}
+#: The one class the table stripes: the class every stripe is re-homed under.
 _STRIPED_CLASS = next(
     class_id for class_id, layout in CLASS_LAYOUT.items() if layout == "stripe"
 )
@@ -301,7 +307,7 @@ class ClusterSupervisor:
         # Partitions exist on every shard: create them before anything
         # routes to the newcomer.
         for pid in sorted(self.router.known_partitions):
-            await self.router.client(shard_id).create_partition(pid)
+            await self._call(shard_id, commands.CreatePartition(pid))
         await self._rehome(joined, report)
         return report
 
@@ -318,7 +324,7 @@ class ClusterSupervisor:
             for pid in sorted(self.router.known_partitions):
                 try:
                     members, response = await client.list_partition(pid)
-                except (OsdServiceError, ConnectionError, OSError):
+                except OsdServiceError:
                     break  # the shard is unreachable: nothing to list
                 if not response.ok:
                     continue
@@ -342,62 +348,48 @@ class ClusterSupervisor:
         # restores metadata and dirty data before hot clean before cold.
         queue: List[Tuple[int, ObjectId, bool]] = []
         for object_id in sorted(plain):
-            class_id = await self._class_of(
-                plain[object_id], object_id, ObjectClass.DIRTY
-            )
+            class_id = await self._class_of(plain[object_id], object_id)
             queue.append((class_id, object_id, False))
         for parent in sorted(stripes):
-            index = min(stripes[parent])
-            class_id = await self._class_of(
-                stripes[parent][index], fragment_object_id(parent, index), _STRIPED_CLASS
-            )
-            queue.append((class_id, parent, True))
+            queue.append((_STRIPED_CLASS, parent, True))
         queue.sort(key=lambda item: (RECOVERY_ORDER.index(item[0]), item[1]))
         for class_id, object_id, striped in queue:
             report.objects_examined += 1
             if striped:
-                await self._rehome_stripe(
-                    object_id, class_id, stripes[object_id], cluster_map, report
-                )
+                await self._rehome_stripe(object_id, stripes[object_id], cluster_map, report)
             else:
                 await self._rehome_plain(
                     object_id, class_id, plain[object_id], cluster_map, report
                 )
 
-    async def _read_from(
-        self, shard_id: int, object_id: ObjectId
-    ) -> Optional[bytes]:
+    async def _call(
+        self, shard_id: int, command: commands.OsdCommand
+    ) -> Optional[OsdResponse]:
+        """Send one command to a shard: its OK answer, or None when the
+        shard refused the command or could not be reached."""
         try:
-            payload, response = await self.router.client(shard_id).read(object_id)
-        except (OsdServiceError, ConnectionError, OSError):
+            response = await self.router.client(shard_id).submit(command)
+        except OsdServiceError:
             return None
-        if not response.ok:
-            return None
-        return payload if payload is not None else b""
+        return response if response.ok else None
 
-    async def _class_of(
-        self, held_by: List[int], object_id: ObjectId, unknown: int
-    ) -> int:
+    async def _class_of(self, held_by: List[int], object_id: ObjectId) -> int:
         """The object's class, from the first holder that states one.
 
         Every holder is asked in turn: one dropped ``GetAttr`` must not
         decide an object's redundancy. When none answers with a class the
-        table knows, the object is taken for ``unknown`` — and callers fail
-        safe toward protection, passing :attr:`ObjectClass.DIRTY` for a
-        plain-held object: it is re-homed at mirror width and tagged dirty.
-        Over-protecting clean data costs a spare copy; taking dirty data for
-        cold would leave the only valid copy of it unmirrored.
+        table knows, the object fails safe toward protection: it is taken
+        for :attr:`ObjectClass.DIRTY`, re-homed at mirror width and tagged
+        dirty. Over-protecting clean data costs a spare copy; taking dirty
+        data for cold would leave the only valid copy of it unmirrored.
         """
         for shard_id in held_by:
-            try:
-                value, response = await self.router.client(shard_id).get_attr(
-                    object_id, "reo.class_id"
-                )
-            except (OsdServiceError, ConnectionError, OSError):
-                continue
-            if response.ok and value in _CLASS_OF_ATTRIBUTE:
-                return _CLASS_OF_ATTRIBUTE[value]
-        return int(unknown)
+            response = await self._call(
+                shard_id, commands.GetAttr(object_id, "reo.class_id")
+            )
+            if response is not None and response.payload in _CLASS_OF_ATTRIBUTE:
+                return _CLASS_OF_ATTRIBUTE[response.payload]
+        return int(ObjectClass.DIRTY)
 
     def _book_lost(self, report: RehomeReport, object_id: ObjectId, class_id: int) -> None:
         self.ledger.record_lost(object_id, class_id)
@@ -417,25 +409,29 @@ class ClusterSupervisor:
         missing = [owner for owner in desired if owner not in held_by]
         if not missing:
             return
-        payload: Optional[bytes] = None
+        read: Optional[OsdResponse] = None
         for holder in held_by:
-            payload = await self._read_from(holder, object_id)
-            if payload is not None:
+            read = await self._call(holder, commands.Read(object_id))
+            if read is not None:
                 break
-        if payload is None:
+        landed = False
+        if read is not None:
+            payload = read.payload or b""
+            write = commands.Write(object_id, payload, class_id)
+            for owner in missing:
+                if await self._call(owner, write) is not None:
+                    landed = True
+                    self.ledger.record_rehomed(object_id, class_id, len(payload))
+                    report.objects_moved += 1
+                    report.bytes_moved += len(payload)
+                    self._tick()
+        # A copy already on a new owner survives the leaving shard.
+        if not landed and len(missing) == len(desired):
             self._book_lost(report, object_id, class_id)
-            return
-        for owner in missing:
-            await self.router.client(owner).write(object_id, payload, class_id)
-            self.ledger.record_rehomed(object_id, class_id, len(payload))
-            report.objects_moved += 1
-            report.bytes_moved += len(payload)
-            self._tick()
 
     async def _rehome_stripe(
         self,
         parent: ObjectId,
-        class_id: int,
         fragment_holders: Dict[int, List[int]],
         cluster_map: ClusterMap,
         report: RehomeReport,
@@ -449,18 +445,18 @@ class ClusterSupervisor:
         for index, held_by in sorted(fragment_holders.items()):
             fragment_id = fragment_object_id(parent, index)
             for holder in sorted(held_by, key=plan[index].__ne__):
-                blob = await self._read_from(holder, fragment_id)
-                if blob is None:
+                read = await self._call(holder, commands.Read(fragment_id))
+                if read is None:
                     continue
                 try:
-                    present[index] = decode_fragment(blob)
+                    present[index] = decode_fragment(read.payload or b"")
                 except OsdServiceError:
                     continue
                 source[index] = holder
                 break
         key, agreed = agreeing_fragments(present)
         if key is None or len(agreed) < codec.k:
-            self._book_lost(report, parent, class_id)
+            self._book_lost(report, parent, _STRIPED_CLASS)
             return
         missing = [index for index in range(codec.n) if index not in agreed]
         fragments = {**agreed, **codec.reconstruct(agreed, missing)} if missing else agreed
@@ -470,7 +466,9 @@ class ClusterSupervisor:
             fragment_id = fragment_object_id(parent, index)
             payload = fragments[index]
             blob = encode_fragment(payload, key, index)
-            await self.router.client(home).write(fragment_id, blob, key.class_id)
+            write = commands.Write(fragment_id, blob, key.class_id)
+            if await self._call(home, write) is None:
+                continue  # not booked: the home is down or refused it
             self.ledger.record_rehomed(fragment_id, key.class_id, len(payload))
             if index in agreed:
                 report.fragments_moved += 1

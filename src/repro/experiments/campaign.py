@@ -148,7 +148,7 @@ class Population:
                 await asyncio.sleep(0.05)
             try:
                 payload, response = await router.read(object_id)
-            except (OsdServiceError, ConnectionError, OSError):
+            except OsdServiceError:
                 continue
             if response.ok and payload == self.payload(index):
                 return True

@@ -80,7 +80,8 @@ class OsdServiceError(OsdError):
 
 
 class _ConnectionLostError(OsdServiceError):
-    """The socket died while requests were in flight (internal, retryable)."""
+    """The socket could not be opened, or died while requests were in
+    flight (retryable inside :meth:`AsyncOsdClient.submit`)."""
 
 
 @dataclass
@@ -248,7 +249,10 @@ class AsyncOsdClient:
     # Pool management
     # ------------------------------------------------------------------
     async def connect(self) -> None:
-        """Open the whole pool eagerly (optional; submit reconnects lazily)."""
+        """Open the whole pool eagerly (optional; submit reconnects lazily).
+
+        Raises :class:`OsdServiceError` when a socket cannot be opened.
+        """
         for slot in range(self.pool_size):
             await self._connection(slot)
 
@@ -260,9 +264,12 @@ class AsyncOsdClient:
             conn = self._pool[slot]
             if conn is None or conn.closed:
                 loop = asyncio.get_running_loop()
-                _transport, conn = await loop.create_connection(
-                    _Connection, self.host, self.port
-                )
+                try:
+                    _transport, conn = await loop.create_connection(
+                        _Connection, self.host, self.port
+                    )
+                except OSError as exc:
+                    raise _ConnectionLostError(str(exc)) from exc
                 self._pool[slot] = conn
             return conn
 
@@ -331,7 +338,7 @@ class AsyncOsdClient:
                 if not is_idempotent(command):
                     break
                 continue
-            except (_ConnectionLostError, ConnectionError, OSError) as exc:
+            except _ConnectionLostError as exc:
                 self.stats.connection_errors += 1
                 failure = OsdServiceError(f"connection failed: {exc}")
                 failure.__cause__ = exc

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster.health import SHARD_HEALTH_POLICY, ShardHealthMonitor, ShardProbe
 from repro.core.health import HealthPolicy
+from repro.net.client import OsdServiceError
 
 BASE = 0.001  # healthy round-trip used to warm baselines
 
@@ -118,7 +119,7 @@ class _StubClient:
     async def service_stats(self):
         self.calls += 1
         if self.fail:
-            raise ConnectionError("down")
+            raise OsdServiceError("down")
         return {}
 
 

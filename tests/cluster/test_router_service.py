@@ -17,7 +17,12 @@ import zlib
 import pytest
 
 from repro.cluster import router as router_module
-from repro.cluster.map import ShardState, fragment_object_id
+from repro.cluster.map import (
+    ShardState,
+    fragment_object_id,
+    is_fragment,
+    parent_of_fragment,
+)
 from repro.cluster.router import (
     FRAGMENT_HEADER,
     RouterClient,
@@ -26,11 +31,15 @@ from repro.cluster.router import (
     encode_fragment,
 )
 from repro.net.client import OsdServiceError
-from repro.cluster.service import ClusterService, ShardServer
+from repro.cluster.service import ClusterService, ShardServer, default_target_factory
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.core.policy import ReoPolicy
+from repro.flash.array import FlashArray
+from repro.flash.latency import ZERO_COST
+from repro.flash.stripe import ParityScheme
 from repro.net.retry import NO_RETRY
 from repro.osd import commands
+from repro.osd.target import OsdTarget
 from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
 
 from tests.closed_loop import run_closed_loop
@@ -662,6 +671,98 @@ class TestCondemnRehome:
                     assert report.fragments_moved == 0
                     assert report.fragments_reconstructed == 0
                     assert report.bytes_moved == 0
+
+        run(scenario())
+
+    def test_condemn_closes_its_incident_when_a_new_home_is_down(self):
+        async def scenario():
+            async with ClusterService(6) as service:
+                async with make_router(service) as router:
+                    router.known_partitions.add(PARTITION_BASE)
+                    target = oid(945)
+                    assert (await router.write(target, payload_for("down-home", 0, 4096), 2)).ok
+                    # Rank 1 is stopped but stays ONLINE in the map: it is
+                    # still a new home for the fragments rank 0 held.
+                    ranked = router.cluster_map.ranking_for(target)
+                    for shard_id in ranked[:2]:
+                        await service.stop_shard(shard_id)
+                    supervisor = ClusterSupervisor(service, router)
+                    booked = []
+                    book = supervisor.ledger.record_rehomed
+
+                    def spy(object_id, class_id, nbytes):
+                        booked.append(object_id)
+                        book(object_id, class_id, nbytes)
+
+                    supervisor.ledger.record_rehomed = spy
+                    report = await supervisor.condemn(ranked[0], "test crash", evacuate=False)
+                    (incident,) = supervisor.ledger.incidents
+                    assert incident.recovered_at is not None
+                    assert len(supervisor.ledger.reduced_redundancy_windows) == 1
+                    plan = router.cluster_map.stripe_shards_for(target, router.codec.n)
+                    assert booked
+                    for fragment_id in booked:
+                        assert plan[parent_of_fragment(fragment_id)[1]] != ranked[1]
+                    assert report.fragments_moved == 3
+                    assert report.fragments_reconstructed == 1
+                    assert report.bytes_moved == 4096
+                    assert report.objects_lost == 0
+
+        run(scenario())
+
+    def test_refused_rehome_write_is_booked_lost_not_moved(self):
+        def target_factory(shard_id):
+            if shard_id != 2:
+                return default_target_factory(shard_id)
+            # Ten 256-byte chunks in all: a 4,096-byte object cannot fit.
+            array = FlashArray(
+                num_devices=5, device_capacity=512, chunk_size=256, model=ZERO_COST
+            )
+            small = OsdTarget(array, policy=lambda _cid: ParityScheme(1))
+            small.create_partition(PARTITION_BASE)
+            return small
+
+        async def scenario():
+            async with ClusterService(3, target_factory=target_factory) as service:
+                async with make_router(service) as router:
+                    router.known_partitions.add(PARTITION_BASE)
+                    target = next(
+                        oid(index)
+                        for index in itertools.count(950)
+                        if router.cluster_map.ranking_for(oid(index))[:2] == (0, 2)
+                    )
+                    assert (await router.write(target, payload_for("refused", 0, 4096), 3)).ok
+                    supervisor = ClusterSupervisor(service, router)
+                    report = await supervisor.condemn(0, "test evacuation")
+                    assert report.objects_moved == 0
+                    assert report.bytes_moved == 0
+                    assert report.to_dict()["lost_by_class"] == {"3": 1}
+                    assert supervisor.ledger.objects_rebuilt == 0
+                    assert _holding(service, target) == []
+
+        run(scenario())
+
+    def test_census_sends_no_class_query_to_a_fragment(self):
+        queried = []
+
+        def record(command, seq):
+            if isinstance(command, commands.GetAttr):
+                queried.append(command.object_id)
+            return None
+
+        async def scenario():
+            async with ClusterService(4) as service:
+                async with make_router(service) as router:
+                    await _populate(router, 12, "class-query")
+                    for server in service.shards.values():
+                        server.fault_hook = record
+                    supervisor = ClusterSupervisor(service, router)
+                    report = await supervisor.condemn(3, "test evacuation")
+                    assert report.objects_lost == 0
+                    assert report.fragments_moved > 0
+                    # Plain objects are still asked; fragments never are.
+                    assert queried
+                    assert not [oid_ for oid_ in queried if is_fragment(oid_)]
 
         run(scenario())
 

@@ -9,6 +9,7 @@ retry path without surfacing errors for idempotent commands.
 
 import asyncio
 import mmap
+import socket
 
 import pytest
 
@@ -366,6 +367,22 @@ class TestFaultRecovery:
                     with pytest.raises(OsdServiceError):
                         await client.read(OID_A)
                     assert client.stats.exhausted == 1
+
+        run(scenario())
+
+    def test_connect_to_a_closed_port_raises_service_error(self):
+        async def scenario():
+            # A port that was just bound and released: nothing listens.
+            with socket.socket() as probe:
+                probe.bind(("127.0.0.1", 0))
+                port = probe.getsockname()[1]
+            client = AsyncOsdClient("127.0.0.1", port, retry=NO_RETRY)
+            with pytest.raises(OsdServiceError):
+                await client.connect()
+            with pytest.raises(OsdServiceError):
+                await client.read(OID_A)
+            assert client.stats.connection_errors == 1
+            await client.aclose()
 
         run(scenario())
 
