@@ -35,9 +35,11 @@ Re-home flow (``condemn``):
      the erasure codec and written home. Fewer than ``k`` books the stripe
      lost.
 
-   Only a write its new home answers OK is booked: a home that is down
-   costs redundancy, never the incident's closing.
-4. Flip the shard to ``CONDEMNED``, stop it, and close the incident.
+   Only a write its new home answers OK is booked.
+4. Flip the shard to ``CONDEMNED``, stop it, and close the incident if every
+   write planned for a surviving object landed. A home that is down keeps
+   the incident and the reduced-redundancy window open until a later
+   condemn lands the missing writes and closes every open incident.
 
 Everything is timestamped with a logical step clock (one tick per booked
 action), not wall time: two runs with the same seed produce byte-identical
@@ -99,6 +101,9 @@ class RehomeReport:
     fragments_reconstructed: int = 0
     bytes_moved: int = 0
     lost_by_class: Dict[int, int] = field(default_factory=dict)
+    #: Writes planned for a surviving object that no new home took. Not in
+    #: :meth:`to_dict`, which the committed campaign ledgers embed.
+    writes_missed: int = 0
 
     @property
     def objects_lost(self) -> int:
@@ -276,7 +281,8 @@ class ClusterSupervisor:
                 self.router.install_map(final)
             await self.service.stop_shard(shard_id)
             report.epoch_after = final.epoch
-            self.ledger.mark_recovered(self._tick())
+            if not report.writes_missed:
+                self.ledger.mark_recovered(self._tick())
             return report
         finally:
             self._condemning.discard(shard_id)
@@ -414,13 +420,13 @@ class ClusterSupervisor:
             read = await self._call(holder, commands.Read(object_id))
             if read is not None:
                 break
-        landed = False
+        landed = 0
         if read is not None:
             payload = read.payload or b""
             write = commands.Write(object_id, payload, class_id)
             for owner in missing:
                 if await self._call(owner, write) is not None:
-                    landed = True
+                    landed += 1
                     self.ledger.record_rehomed(object_id, class_id, len(payload))
                     report.objects_moved += 1
                     report.bytes_moved += len(payload)
@@ -428,6 +434,8 @@ class ClusterSupervisor:
         # A copy already on a new owner survives the leaving shard.
         if not landed and len(missing) == len(desired):
             self._book_lost(report, object_id, class_id)
+        else:
+            report.writes_missed += len(missing) - landed
 
     async def _rehome_stripe(
         self,
@@ -468,7 +476,8 @@ class ClusterSupervisor:
             blob = encode_fragment(payload, key, index)
             write = commands.Write(fragment_id, blob, key.class_id)
             if await self._call(home, write) is None:
-                continue  # not booked: the home is down or refused it
+                report.writes_missed += 1  # not booked: the home is down or refused it
+                continue
             self.ledger.record_rehomed(fragment_id, key.class_id, len(payload))
             if index in agreed:
                 report.fragments_moved += 1

@@ -1,6 +1,8 @@
 """Command-line workload tooling.
 
-Generate MediSyn-like traces and profile existing ones::
+Generate MediSyn-like traces and profile existing ones: popularity skew,
+and from one O(N log N) LRU stack pass the median reuse distance in bytes
+and the exact LRU hit ratio at 4-12% cache::
 
     python -m repro.workload generate medium /tmp/medium.jsonl --scale 100
     python -m repro.workload generate strong out.jsonl --write-ratio 0.3
@@ -37,7 +39,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_profile(args) -> int:
     trace = Trace.load(args.trace)
-    print(profile_trace(trace, with_reuse=not args.no_reuse).format())
+    print(profile_trace(trace).format())
     return 0
 
 
@@ -60,9 +62,6 @@ def main(argv=None) -> int:
 
     profile = subparsers.add_parser("profile", help="summarize an existing trace")
     profile.add_argument("trace", help="trace path (JSON lines)")
-    profile.add_argument(
-        "--no-reuse", action="store_true", help="skip the O(N·d) reuse-distance pass"
-    )
     profile.set_defaults(func=_cmd_profile)
 
     args = parser.parse_args(argv)

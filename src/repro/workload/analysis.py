@@ -3,17 +3,17 @@
 Characterizes a :class:`~repro.workload.trace.Trace` the way the paper's
 §VI-A characterizes its workloads — request counts, footprint, accessed
 bytes — plus the derived properties that explain the measured hit ratios:
-popularity skew, reuse distances, and the footprint curve (what hit ratio a
-given cache fraction *could* achieve under perfect object caching — an upper
-bound for any replacement policy, the simulation's analogue of Mattson stack
-analysis).
+popularity skew, and one exact Mattson pass giving every request's LRU
+stack distance in bytes, from which the hit ratio of a byte-capacity LRU
+cache of any size is a count. Under a uniform scheme the cache manager is
+such a cache: its usable capacity over the scheme's storage multiplier.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.report import format_table
 from repro.workload.trace import Trace
@@ -42,9 +42,9 @@ class TraceProfile:
     #: Fraction of requests landing on the top 1% / 10% of objects.
     top_1pct_share: float
     top_10pct_share: float
-    #: Median LRU reuse distance, in distinct objects (None if no reuse).
+    #: Median LRU stack distance of the reuses, in bytes (None if no reuse).
     median_reuse_distance: "float | None"
-    #: (cache fraction of data set, ideal hit ratio) samples.
+    #: (cache fraction of data set, LRU hit ratio) samples.
     footprint: List[Tuple[float, float]] = field(default_factory=list)
 
     def format(self) -> str:
@@ -59,12 +59,12 @@ class TraceProfile:
             ["top 1% objects' request share", f"{100 * self.top_1pct_share:.1f}%"],
             ["top 10% objects' request share", f"{100 * self.top_10pct_share:.1f}%"],
             [
-                "median reuse distance",
+                "median reuse distance (bytes)",
                 "-" if self.median_reuse_distance is None else f"{self.median_reuse_distance:.0f}",
             ],
         ]
         footprint_rows = [
-            [f"ideal hit ratio @ {100 * fraction:.0f}% cache", f"{100 * ratio:.1f}%"]
+            [f"LRU hit ratio @ {100 * fraction:.0f}% cache", f"{100 * ratio:.1f}%"]
             for fraction, ratio in self.footprint
         ]
         return format_table(
@@ -72,50 +72,64 @@ class TraceProfile:
         )
 
 
-def reuse_distances(trace: Trace) -> List[int]:
-    """LRU stack distances (distinct objects between reuses), per reuse.
+def reuse_distances(trace: Trace) -> List[Optional[int]]:
+    """Each request's LRU stack distance in bytes; None for a first request.
 
-    First accesses yield no distance. O(N · distinct) worst case, fine for
-    simulation-scale traces.
+    The distance is the bytes of the distinct objects requested since the
+    object's previous request, itself included. A byte-capacity LRU cache of
+    ``C`` bytes, with no requested object larger than ``C``, hits exactly the
+    requests at distance <= ``C``: evicting until the new object fits keeps
+    the largest recent stack prefix that fits. One pass, O(N log N), over a
+    Fenwick tree of sizes at latest requests.
     """
-    stack: List[str] = []
-    positions: Dict[str, int] = {}
-    distances: List[int] = []
-    for record in trace:
-        name = record.name
-        if name in positions:
-            index = stack.index(name)
-            distances.append(len(stack) - 1 - index)
-            stack.pop(index)
-        stack.append(name)
-        positions[name] = 1
+    tree = [0] * (len(trace) + 1)
+
+    def add(index: int, delta: int) -> None:
+        while index < len(tree):
+            tree[index] += delta
+            index += index & -index
+
+    latest: Dict[str, int] = {}
+    resident = 0  # bytes of the distinct objects requested so far
+    distances: List[Optional[int]] = []
+    for position, record in enumerate(trace, 1):
+        size = trace.catalog[record.name]
+        previous = latest.get(record.name)
+        if previous is None:
+            distances.append(None)
+            resident += size
+        else:
+            index, below = previous, 0  # bytes last requested at or before ``previous``
+            while index:
+                below += tree[index]
+                index &= index - 1
+            distances.append(resident - below + size)
+            add(previous, -size)
+        add(position, size)
+        latest[record.name] = position
     return distances
 
 
 def footprint_curve(
     trace: Trace, fractions: Tuple[float, ...] = (0.04, 0.06, 0.08, 0.10, 0.12)
 ) -> List[Tuple[float, float]]:
-    """Ideal hit ratio at cache sizes given as fractions of the data set.
+    """Exact LRU hit ratio at cache sizes given as fractions of the data set.
 
-    Upper bound: assume the cache magically holds the most-requested objects
-    that fit in the given byte budget. This mirrors the paper's x-axis
-    (cache size 4-12% of the workload data set).
+    The paper's x-axis (cache size 4-12% of the workload data set). An
+    object larger than the cache is never admitted: its requests miss and
+    take no stack room, so such a capacity gets its own pass without them.
     """
-    counts = Counter(record.name for record in trace)
-    ranked = sorted(counts, key=lambda name: counts[name], reverse=True)
-    total_requests = sum(counts.values())
+    distances = reuse_distances(trace)
+    largest = max((trace.catalog[record.name] for record in trace), default=0)
     curve: List[Tuple[float, float]] = []
     for fraction in fractions:
-        budget = fraction * trace.total_bytes
-        used = 0.0
-        hits = 0
-        for name in ranked:
-            size = trace.catalog[name]
-            if used + size > budget:
-                continue
-            used += size
-            hits += counts[name] - 1  # the first access is a cold miss
-        curve.append((fraction, hits / total_requests if total_requests else 0.0))
+        capacity = fraction * trace.total_bytes
+        fitting = distances
+        if largest > capacity:
+            kept = [record for record in trace if trace.catalog[record.name] <= capacity]
+            fitting = reuse_distances(Trace(trace.name, trace.catalog, kept))
+        hits = sum(1 for distance in fitting if distance is not None and distance <= capacity)
+        curve.append((fraction, hits / max(1, len(trace))))
     return curve
 
 
@@ -141,7 +155,7 @@ def estimate_zipf_alpha(trace: Trace, head_fraction: float = 0.5) -> float:
     return float(max(0.0, -slope))
 
 
-def profile_trace(trace: Trace, with_reuse: bool = True) -> TraceProfile:
+def profile_trace(trace: Trace) -> TraceProfile:
     """Compute the full profile of a trace."""
     counts = Counter(record.name for record in trace)
     ranked_counts = sorted(counts.values(), reverse=True)
@@ -151,11 +165,8 @@ def profile_trace(trace: Trace, with_reuse: bool = True) -> TraceProfile:
         top_n = max(1, int(len(ranked_counts) * fraction))
         return sum(ranked_counts[:top_n]) / total_requests if total_requests else 0.0
 
-    if with_reuse:
-        distances = sorted(reuse_distances(trace))
-        median = float(distances[len(distances) // 2]) if distances else None
-    else:
-        median = None
+    distances = sorted(d for d in reuse_distances(trace) if d is not None)
+    median = float(distances[len(distances) // 2]) if distances else None
     return TraceProfile(
         name=trace.name,
         requests=total_requests,

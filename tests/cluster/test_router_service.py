@@ -674,39 +674,99 @@ class TestCondemnRehome:
 
         run(scenario())
 
-    def test_condemn_closes_its_incident_when_a_new_home_is_down(self):
+    async def _condemn_with_a_new_home_down(self, service, router):
+        """Crash-condemn HRW rank 0 of a 4,096-byte stripe while rank 1, a new
+        home for two of its fragments, is stopped but still ONLINE."""
+        router.known_partitions.add(PARTITION_BASE)
+        target = oid(945)
+        assert (await router.write(target, payload_for("down-home", 0, 4096), 2)).ok
+        ranked = router.cluster_map.ranking_for(target)
+        for shard_id in ranked[:2]:
+            await service.stop_shard(shard_id)
+        supervisor = ClusterSupervisor(service, router)
+        booked = []
+        book = supervisor.ledger.record_rehomed
+
+        def spy(object_id, class_id, nbytes):
+            booked.append(object_id)
+            book(object_id, class_id, nbytes)
+
+        supervisor.ledger.record_rehomed = spy
+        report = await supervisor.condemn(ranked[0], "test crash", evacuate=False)
+        plan = router.cluster_map.stripe_shards_for(target, router.codec.n)
+        assert booked
+        for fragment_id in booked:
+            assert plan[parent_of_fragment(fragment_id)[1]] != ranked[1]
+        assert report.fragments_moved == 3
+        assert report.fragments_reconstructed == 1
+        assert report.bytes_moved == 4096
+        assert report.objects_lost == 0
+        assert report.writes_missed == 2  # the two fragments planned for rank 1
+        return supervisor, target, ranked
+
+    def test_condemn_keeps_its_incident_open_while_a_rehome_write_is_missing(self):
         async def scenario():
             async with ClusterService(6) as service:
                 async with make_router(service) as router:
-                    router.known_partitions.add(PARTITION_BASE)
-                    target = oid(945)
-                    assert (await router.write(target, payload_for("down-home", 0, 4096), 2)).ok
-                    # Rank 1 is stopped but stays ONLINE in the map: it is
-                    # still a new home for the fragments rank 0 held.
-                    ranked = router.cluster_map.ranking_for(target)
-                    for shard_id in ranked[:2]:
-                        await service.stop_shard(shard_id)
-                    supervisor = ClusterSupervisor(service, router)
-                    booked = []
-                    book = supervisor.ledger.record_rehomed
-
-                    def spy(object_id, class_id, nbytes):
-                        booked.append(object_id)
-                        book(object_id, class_id, nbytes)
-
-                    supervisor.ledger.record_rehomed = spy
-                    report = await supervisor.condemn(ranked[0], "test crash", evacuate=False)
+                    supervisor, target, _ = await self._condemn_with_a_new_home_down(
+                        service, router
+                    )
                     (incident,) = supervisor.ledger.incidents
-                    assert incident.recovered_at is not None
-                    assert len(supervisor.ledger.reduced_redundancy_windows) == 1
-                    plan = router.cluster_map.stripe_shards_for(target, router.codec.n)
-                    assert booked
-                    for fragment_id in booked:
-                        assert plan[parent_of_fragment(fragment_id)[1]] != ranked[1]
-                    assert report.fragments_moved == 3
+                    assert incident.recovered_at is None
+                    assert supervisor.ledger.reduced_redundancy_windows == []
+                    # Two fragments are still missing: the read is degraded.
+                    body, response = await router.read(target)
+                    assert response.ok and body == payload_for("down-home", 0, 4096)
+                    assert router.router_stats.degraded_reads == 1
+
+        run(scenario())
+
+    def test_a_later_condemn_that_lands_every_write_closes_both_incidents(self):
+        async def scenario():
+            async with ClusterService(6) as service:
+                async with make_router(service) as router:
+                    supervisor, target, ranked = await self._condemn_with_a_new_home_down(
+                        service, router
+                    )
+                    first_failed = supervisor.ledger.incidents[0].failed_at
+                    report = await supervisor.condemn(ranked[1], "test crash", evacuate=False)
+                    # The four shards left are every fragment's home now.
+                    assert report.fragments_moved == 5
                     assert report.fragments_reconstructed == 1
-                    assert report.bytes_moved == 4096
                     assert report.objects_lost == 0
+                    assert report.writes_missed == 0
+                    first, second = supervisor.ledger.incidents
+                    assert first.recovered_at == second.recovered_at is not None
+                    # One window, from the first failure to the closing.
+                    assert supervisor.ledger.reduced_redundancy_windows == [
+                        [first_failed, first.recovered_at]
+                    ]
+                    body, response = await router.read(target)
+                    assert response.ok and body == payload_for("down-home", 0, 4096)
+                    assert router.router_stats.degraded_reads == 0
+
+        run(scenario())
+
+    def test_condemn_keeps_its_incident_open_while_a_mirror_copy_is_missing(self):
+        async def scenario():
+            async with ClusterService(4) as service:
+                async with make_router(service) as router:
+                    router.known_partitions.add(PARTITION_BASE)
+                    target = oid(946)
+                    assert (await router.write(target, payload_for("mirror", 0), 1)).ok
+                    ranked = router.cluster_map.ranking_for(target)
+                    # Rank 0 crashes; rank 2, the mirror's new second home, is
+                    # stopped but still ONLINE. Rank 1 keeps the other copy.
+                    await service.stop_shard(ranked[0])
+                    await service.stop_shard(ranked[2])
+                    supervisor = ClusterSupervisor(service, router)
+                    report = await supervisor.condemn(ranked[0], "test crash", evacuate=False)
+                    assert report.objects_moved == 0
+                    assert report.objects_lost == 0
+                    assert report.writes_missed == 1
+                    (incident,) = supervisor.ledger.incidents
+                    assert incident.recovered_at is None
+                    assert supervisor.ledger.reduced_redundancy_windows == []
 
         run(scenario())
 
