@@ -301,7 +301,7 @@ class CacheManager:
             and self.hotness.would_be_hot(name, size)
             and self.initiator.can_afford_hot(size)
         )
-        return classify(is_metadata=False, dirty=dirty, hot=hot)
+        return classify(metadata=False, dirty=dirty, hot=hot)
 
     def _make_room(
         self,
@@ -433,7 +433,7 @@ class CacheManager:
             )
             if wants_hot:
                 spent += cost
-            desired = classify(is_metadata=False, dirty=False, hot=wants_hot)
+            desired = classify(metadata=False, dirty=False, hot=wants_hot)
             if int(desired) != cached.class_id:
                 target_list = promotions if desired is ObjectClass.HOT_CLEAN else demotions
                 target_list.append((name, desired))

@@ -12,12 +12,11 @@ Route enforcement rules (the contract the router relies on):
 
 - **No map installed** → no enforcement. A shard boots map-less; the
   cluster harness installs epoch 1 once every shard has bound its port.
-- **Mutations** (``Write``/``Update``/``Remove``/``CreateObject``/
-  ``SetAttr``) bounce unless this shard is ONLINE *and* among the object's
-  legitimate owners (top-2 HRW for plain objects — covering the mirror
-  slot — or the stripe slot for fragments). A DRAINING shard therefore
-  refuses new writes outright: accepting one would fork state against the
-  object's new home.
+- **Mutations** (``Write``/``Update``/``Remove``) bounce unless this
+  shard is ONLINE *and* among the object's legitimate owners (top-2 HRW
+  for plain objects — covering the mirror slot — or the stripe slot for
+  fragments). A DRAINING shard therefore refuses new writes outright:
+  accepting one would fork state against the object's new home.
 - **Reads** (``Read``/``GetAttr``) are served whenever the shard actually
   holds the object — this is what lets a DRAINING shard be evacuated and
   lets stragglers drain after a rebalance. A miss on a legitimate owner is
@@ -42,16 +41,7 @@ from typing import Callable, Dict, List, Optional
 from repro.cluster.map import ClusterMap, ShardInfo, ShardState
 from repro.core.policy import MIRROR_WIDTH
 from repro.net.server import OsdServer
-from repro.osd.commands import (
-    CreateObject,
-    GetAttr,
-    OsdCommand,
-    Read,
-    Remove,
-    SetAttr,
-    Update,
-    Write,
-)
+from repro.osd.commands import OsdCommand, Remove, Update, Write
 from repro.osd.sense import SenseCode
 from repro.osd.target import OsdResponse, OsdTarget
 from repro.osd.types import CLUSTER_MAP_OBJECT, CONTROL_OBJECT, ObjectId
@@ -62,8 +52,7 @@ __all__ = ["ClusterService", "ShardServer"]
 #: before that connection's frame loop stops.
 SHARD_MAX_IN_FLIGHT = 64
 
-_MUTATIONS = (Write, Update, Remove, CreateObject, SetAttr)
-_READS = (Read, GetAttr)
+_MUTATIONS = (Write, Update, Remove)
 
 
 class ShardServer(OsdServer):
@@ -127,13 +116,12 @@ class ShardServer(OsdServer):
             if self.shard_id not in cluster_map.owners_for(object_id, MIRROR_WIDTH):
                 return self._wrong_shard()
             return None
-        if isinstance(command, _READS):
-            if self.target.exists(object_id):
-                return None  # held here: serve it (drain reads, stragglers)
-            if self.shard_id in cluster_map.owners_for(object_id, MIRROR_WIDTH):
-                return None  # legitimate owner without the object: honest FAIL
-            return self._wrong_shard()
-        return None
+        # Read or GetAttr.
+        if self.target.exists(object_id):
+            return None  # held here: serve it (drain reads, stragglers)
+        if self.shard_id in cluster_map.owners_for(object_id, MIRROR_WIDTH):
+            return None  # legitimate owner without the object: honest FAIL
+        return self._wrong_shard()
 
     def __repr__(self) -> str:
         epoch = self.cluster_map.epoch if self.cluster_map is not None else 0

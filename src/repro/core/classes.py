@@ -46,9 +46,9 @@ _DESCRIPTIONS = {
 }
 
 
-def classify(is_metadata: bool, dirty: bool, hot: bool) -> ObjectClass:
+def classify(metadata: bool, dirty: bool, hot: bool) -> ObjectClass:
     """Apply Table II: metadata beats dirty beats hot beats cold."""
-    if is_metadata:
+    if metadata:
         return ObjectClass.METADATA
     if dirty:
         return ObjectClass.DIRTY

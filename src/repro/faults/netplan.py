@@ -19,8 +19,9 @@ Stochastic decisions (:class:`LinkNoise`) draw from the
 ``"{plan.seed}:{event_index}:{shard_id}:net"``.
 
 Fault semantics ride the server's :data:`~repro.net.server.FaultHook`
-protocol — a plain function returning a verdict (``None``, ``"drop"``, or
-the seconds to hold the reply; the server owns the clock) — so every
+protocol — a plain function returning one of the server's three verdicts
+(``None``, ``"drop"``, or the seconds to hold the reply; the server owns
+the clock) — so every
 injected failure lands *after* execution and before the reply: a dropped
 write is the real-world ambiguous outcome (executed but unacknowledged),
 exactly the case the client's idempotent-only retry and the router's

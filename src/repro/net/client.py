@@ -16,12 +16,11 @@ Reliability model:
 - **Timeouts** — every request carries a deadline; a late response is
   abandoned (and ignored if it eventually arrives).
 - **Retry** — idempotent commands (see :mod:`repro.net.retry`) are retried
-  with exponential backoff + jitter after timeouts, connection failures,
-  and ``SERVER_TIMEOUT`` sense data. ``SERVER_BUSY`` means the server
-  *did not execute* the command, so busy replies are retried for every
-  command type. Non-idempotent commands surface the failure instead —
-  replaying them could turn an executed-but-unacknowledged success into a
-  phantom error.
+  with exponential backoff + jitter after timeouts and connection failures.
+  ``SERVER_BUSY`` means the server *did not execute* the command, so busy
+  replies are retried for every command type. Non-idempotent commands
+  surface the failure instead — replaying them could turn an
+  executed-but-unacknowledged success into a phantom error.
 - **Coalescing** — symmetric with the server: requests are enqueued on a
   per-connection :class:`~repro.net.flush.StreamFlusher` as un-copied
   ``[frame prefix, header, payload]`` segments, so pipelined commands
@@ -93,7 +92,6 @@ class ClientStats:
     timeouts: int = 0
     connection_errors: int = 0
     busy_replies: int = 0
-    server_timeouts: int = 0
     exhausted: int = 0
     deadline_exhausted: int = 0
 
@@ -350,12 +348,6 @@ class AsyncOsdClient:
                 self.stats.busy_replies += 1
                 failure = OsdServiceError("server busy after all retries")
                 continue
-            if response.sense is SenseCode.SERVER_TIMEOUT:
-                self.stats.server_timeouts += 1
-                failure = OsdServiceError("server timed out serving the command")
-                if not is_idempotent(command):
-                    break
-                continue
             return response
         self.stats.exhausted += 1
         if failure is None:
@@ -395,15 +387,6 @@ class AsyncOsdClient:
 
     async def remove(self, object_id: ObjectId) -> OsdResponse:
         return await self.submit(commands.Remove(object_id))
-
-    async def get_attr(
-        self, object_id: ObjectId, key: str
-    ) -> Tuple[Optional[str], OsdResponse]:
-        """Fetch one attribute-page entry; ``(None, response)`` on FAIL."""
-        response = await self.submit(commands.GetAttr(object_id, key))
-        if not response.ok or response.payload is None:
-            return None, response
-        return response.payload.decode("utf-8"), response
 
     async def list_partition(self, pid: int) -> Tuple[List[ObjectId], OsdResponse]:
         """Member object ids of one partition; ``([], response)`` on FAIL."""

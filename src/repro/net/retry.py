@@ -5,10 +5,10 @@ attempt may have already executed is safe exactly when executing it twice
 leaves the target in the same state and returns the same answer:
 
 - ``Read``/``GetAttr``/``ListPartition`` never mutate anything;
-- ``Write`` is a whole-object overwrite, ``Update`` rewrites the same byte
-  range with the same bytes, ``SetAttr`` stores the same value — replaying
-  any of them converges to the identical state;
-- ``CreatePartition``/``CreateObject``/``Remove`` are NOT idempotent: a
+- ``Write`` is a whole-object overwrite and ``Update`` rewrites the same
+  byte range with the same bytes — replaying either converges to the
+  identical state;
+- ``CreatePartition``/``Remove`` are NOT idempotent: a
   replay after a success that the client never saw answers ``FAIL``
   (already exists / already gone), which would surface a phantom error.
 """
@@ -34,7 +34,6 @@ IDEMPOTENT_COMMANDS = (
     commands.Read,
     commands.Write,
     commands.Update,
-    commands.SetAttr,
     commands.GetAttr,
     commands.ListPartition,
 )

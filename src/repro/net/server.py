@@ -43,7 +43,7 @@ Robustness model:
 - **Stats endpoint** — a ``#QUERY#`` control write naming
   :data:`~repro.osd.types.SERVICE_STATS_OBJECT` is answered by the server
   with a JSON :class:`~repro.net.stats.ServiceStats` snapshot (connections,
-  in-flight depth, retries seen, timeouts, p50/p99 service latency).
+  in-flight depth, retries seen, busy rejections, p50/p99 service latency).
 
 One server is one process and one event loop; :mod:`repro.cluster`
 (``python -m repro.cluster --shards N``) serves more than one shard.
@@ -76,12 +76,11 @@ DRAIN_TIMEOUT_S = 5.0
 #: Test/chaos hook, a plain function called after a command executes and
 #: before its response is sent. Its verdict: ``None`` for normal service;
 #: a number of seconds to *hold* the response that long (the server owns
-#: the clock — past the client's timeout, say); ``"drop"`` to sever the
+#: the clock — past the client's timeout, say); or ``"drop"`` to sever the
 #: connection without replying (executed but unacknowledged — the
-#: ambiguous case that makes non-idempotent retries unsafe); or
-#: ``"timeout"`` to answer ``SERVER_TIMEOUT`` sense data instead of the
-#: real response. Faults land *after* execution so an abandoned attempt
-#: can never execute late and clobber a newer write.
+#: ambiguous case that makes non-idempotent retries unsafe). Faults land
+#: *after* execution so an abandoned attempt can never execute late and
+#: clobber a newer write.
 FaultHook = Callable[[OsdCommand, Optional[int]], Union[None, str, float]]
 
 #: A server-side read endpoint: called with no arguments when a ``#QUERY#``
@@ -388,9 +387,6 @@ class OsdServer:
                 conn.send(response, seq=seq)
             elif verdict == "drop":
                 conn.drop()
-            elif verdict == "timeout":
-                stats.timeouts += 1
-                conn.send(OsdResponse(SenseCode.SERVER_TIMEOUT), seq=seq)
             else:
                 conn.hold(verdict, started, response, seq)
                 held = True

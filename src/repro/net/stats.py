@@ -70,7 +70,6 @@ class ServiceStats:
     sense_errors: int = 0
     wire_errors: int = 0
     busy_rejections: int = 0
-    timeouts: int = 0
     retries_seen: int = 0
     #: ``writelines`` calls the connections' flushers made;
     #: ``commands / flushes`` is the realized coalescing factor.
@@ -100,7 +99,6 @@ class ServiceStats:
             "sense_errors": self.sense_errors,
             "wire_errors": self.wire_errors,
             "busy_rejections": self.busy_rejections,
-            "timeouts": self.timeouts,
             "retries_seen": self.retries_seen,
             "flushes": self.flushes,
             "latency": {
@@ -132,7 +130,6 @@ _ADDITIVE_KEYS = (
     "sense_errors",
     "wire_errors",
     "busy_rejections",
-    "timeouts",
     "retries_seen",
     "flushes",
 )

@@ -16,7 +16,6 @@ from repro.osd.types import (
     CONTROL_OBJECT,
     DEVICE_TABLE,
     FIRST_USER_OID,
-    PARTITION_ZERO,
     ROOT_DIRECTORY,
     ROOT_OBJECT,
     SUPER_BLOCK,
@@ -34,7 +33,6 @@ __all__ = [
     "ObjectKind",
     "OsdInitiator",
     "OsdTarget",
-    "PARTITION_ZERO",
     "QueryMessage",
     "ROOT_DIRECTORY",
     "ROOT_OBJECT",

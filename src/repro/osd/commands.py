@@ -18,14 +18,12 @@ from repro.osd.sense import SenseCode
 from repro.osd.types import ObjectId, ObjectKind
 
 __all__ = [
-    "CreateObject",
     "CreatePartition",
     "GetAttr",
     "ListPartition",
     "OsdCommand",
     "Read",
     "Remove",
-    "SetAttr",
     "Update",
     "Write",
 ]
@@ -46,19 +44,6 @@ class CreatePartition(OsdCommand):
 
     def apply(self, target: OsdTarget) -> OsdResponse:
         return target.create_partition(self.pid)
-
-
-@dataclass(frozen=True)
-class CreateObject(OsdCommand):
-    """CREATE service action — an empty user or collection object."""
-
-    object_id: ObjectId
-    kind: ObjectKind = ObjectKind.USER
-
-    def apply(self, target: OsdTarget) -> OsdResponse:
-        if target.exists(self.object_id):
-            return OsdResponse(SenseCode.FAIL)
-        return target.write_object(self.object_id, b"", kind=self.kind)
 
 
 @dataclass(frozen=True)
@@ -106,34 +91,24 @@ class Remove(OsdCommand):
 
 
 @dataclass(frozen=True)
-class SetAttr(OsdCommand):
-    """SET ATTRIBUTES service action (one page entry)."""
-
-    object_id: ObjectId
-    key: str
-    value: str
-
-    def apply(self, target: OsdTarget) -> OsdResponse:
-        if not target.exists(self.object_id):
-            return OsdResponse(SenseCode.FAIL)
-        target.get_info(self.object_id).attributes[self.key] = self.value
-        return OsdResponse(SenseCode.OK)
-
-
-@dataclass(frozen=True)
 class GetAttr(OsdCommand):
-    """GET ATTRIBUTES service action; value returned as the payload."""
+    """GET ATTRIBUTES service action; value returned as the payload.
+
+    The one attribute a stored object has is its class label,
+    ``reo.class_id`` (the §IV-B "semantic hint"); a partition object has
+    none.
+    """
 
     object_id: ObjectId
     key: str
 
     def apply(self, target: OsdTarget) -> OsdResponse:
-        if not target.exists(self.object_id):
+        if self.key != "reo.class_id" or not target.exists(self.object_id):
             return OsdResponse(SenseCode.FAIL)
-        value = target.get_info(self.object_id).attributes.get(self.key)
-        if value is None:
+        info = target.get_info(self.object_id)
+        if info.kind is ObjectKind.PARTITION:
             return OsdResponse(SenseCode.FAIL)
-        return OsdResponse(SenseCode.OK, payload=value.encode("utf-8"))
+        return OsdResponse(SenseCode.OK, payload=str(info.class_id).encode("ascii"))
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ class OsdInitiator:
         return self._execute(commands.Remove(object_id))
 
     def exists(self, object_id: ObjectId) -> bool:
-        """Is ``object_id`` stored? A GetAttr of ``reo.class_id``, set on write."""
+        """Is ``object_id`` stored? A GetAttr of ``reo.class_id``, its class label."""
         return self._execute(commands.GetAttr(object_id, "reo.class_id")).ok
 
     # ------------------------------------------------------------------

@@ -31,13 +31,11 @@ class SenseCode(enum.IntEnum):
     # -- Service-layer extension (repro.net) -------------------------------
     # The paper's Table III stops at 0x67; the networked service tier keeps
     # its error channel in the same vocabulary rather than inventing a second
-    # mechanism, so overload and deadline misses surface to initiators as
-    # sense data on a healthy connection instead of dropped sockets.
+    # mechanism, so overload and misroutes surface to initiators as sense
+    # data on a healthy connection instead of dropped sockets.
 
     #: The server is at its in-flight capacity; retry after backoff.
     SERVER_BUSY = 0x68
-    #: The server abandoned the command past its service deadline.
-    SERVER_TIMEOUT = 0x69
     #: The addressed shard does not own this object under the current
     #: cluster map; the reply carries the shard's map (JSON payload) so the
     #: initiator can refresh its routing and replay. Like ``SERVER_BUSY``,
@@ -59,6 +57,5 @@ _DESCRIPTIONS = {
     SenseCode.RECOVERY_ENDED: "Recovery ends",
     SenseCode.REDUNDANCY_FULL: "The allocated space for data redundancy is full",
     SenseCode.SERVER_BUSY: "The server is overloaded; retry after backoff",
-    SenseCode.SERVER_TIMEOUT: "The server timed out serving the command",
     SenseCode.WRONG_SHARD: "Another shard owns this object under the current cluster map",
 }

@@ -97,7 +97,6 @@ class OsdTarget:
             object_id=partition_id,
             kind=ObjectKind.PARTITION,
             class_id=0,
-            created_at=self.array.clock.now,
         )
         return OsdResponse(SenseCode.OK)
 
@@ -139,13 +138,16 @@ class OsdTarget:
         """Create or overwrite an object, encoding it per its class's scheme.
 
         Writes to the control object are intercepted and interpreted as
-        control messages (paper §IV-C.2).
+        control messages (paper §IV-C.2). A partition object holds no data:
+        a write naming one answers FAIL.
         """
         if object_id == CONTROL_OBJECT:
             return self._handle_control_write(payload)
         if object_id.pid not in self._partitions:
             return OsdResponse(SenseCode.FAIL)
         existing = self._objects.get(object_id)
+        if existing is not None and existing.kind is ObjectKind.PARTITION:
+            return OsdResponse(SenseCode.FAIL)
         if existing is not None:
             effective_class = class_id if class_id is not None else existing.class_id
         else:
@@ -167,16 +169,12 @@ class OsdTarget:
                 kind=kind,
                 size=len(payload),
                 class_id=effective_class,
-                created_at=self.array.clock.now,
             )
             self._objects[object_id] = info
             self._partitions[object_id.pid].add(object_id)
         else:
             info.size = len(payload)
             info.class_id = effective_class
-        # The label on the attributes page follows the class on every write:
-        # the cluster supervisor reads it to pick a re-home width.
-        info.attributes["reo.class_id"] = str(effective_class)
         return OsdResponse(SenseCode.OK, io=io)
 
     def update_object(self, object_id: ObjectId, offset: int, data: bytes) -> OsdResponse:
@@ -209,9 +207,11 @@ class OsdTarget:
         return OsdResponse(SenseCode.OK, io=io, payload=payload)
 
     def remove_object(self, object_id: ObjectId) -> OsdResponse:
-        info = self._objects.pop(object_id, None)
-        if info is None:
+        """Remove a user or collection object; a partition object stays."""
+        info = self._objects.get(object_id)
+        if info is None or info.kind is ObjectKind.PARTITION:
             return OsdResponse(SenseCode.FAIL)
+        del self._objects[object_id]
         self._partitions.get(object_id.pid, set()).discard(object_id)
         if object_id in self.array:
             io = self.array.delete_object(object_id)
@@ -247,9 +247,6 @@ class OsdTarget:
             except StripeLayoutError:
                 return OsdResponse(SenseCode.FAIL)
         info.class_id = class_id
-        # The classifier is "a label ... in effect a semantic hint" attached
-        # to the object (§IV-B); mirror it on the OSD attributes page.
-        info.attributes["reo.class_id"] = str(class_id)
         return OsdResponse(SenseCode.OK, io=io)
 
     # ------------------------------------------------------------------

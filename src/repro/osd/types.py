@@ -15,8 +15,7 @@ object taxonomy reproduced here:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 __all__ = [
     "CLUSTER_MAP_OBJECT",
@@ -27,7 +26,6 @@ __all__ = [
     "ObjectInfo",
     "ObjectKind",
     "PARTITION_BASE",
-    "PARTITION_ZERO",
     "ROOT_DIRECTORY",
     "ROOT_OBJECT",
     "SERVICE_STATS_OBJECT",
@@ -70,8 +68,6 @@ class ObjectId:
 
 #: The root object: global OSD information.
 ROOT_OBJECT = ObjectId(0x0, 0x0)
-#: The first (and, in exofs, only) partition.
-PARTITION_ZERO = ObjectId(PARTITION_BASE, 0x0)
 #: exofs super block object.
 SUPER_BLOCK = ObjectId(PARTITION_BASE, 0x10000)
 #: exofs device table object.
@@ -89,9 +85,6 @@ SERVICE_STATS_OBJECT = ObjectId(PARTITION_BASE, 0x10006)
 #: epoch-versioned :class:`~repro.cluster.map.ClusterMap` as a JSON payload.
 CLUSTER_MAP_OBJECT = ObjectId(PARTITION_BASE, 0x10007)
 
-#: Objects that exist from format time and are Class-0 system metadata.
-RESERVED_METADATA = (SUPER_BLOCK, DEVICE_TABLE, ROOT_DIRECTORY)
-
 
 @dataclass
 class ObjectInfo:
@@ -102,10 +95,3 @@ class ObjectInfo:
     size: int = 0
     #: Reo class id (0 metadata, 1 dirty, 2 hot clean, 3 cold clean).
     class_id: int = 3
-    created_at: float = 0.0
-    #: Free-form OSD attributes page (application metadata).
-    attributes: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def is_metadata(self) -> bool:
-        return self.class_id == 0

@@ -7,9 +7,8 @@ response serializes to one PDU of
 - a fixed-width binary header packed by ``struct`` (magic + version byte,
   command opcode or response kind, flags, sequence id, then the
   kind-specific fields and the data-segment length),
-- for ``SetAttr``/``GetAttr`` only, an *extended header* — a
-  length-prefixed JSON object holding the attribute strings, gated by a
-  flag bit — and
+- for ``GetAttr`` only, an *extended header* — a length-prefixed JSON
+  object holding the attribute key, gated by a flag bit — and
 - an opaque binary data segment (write payloads, read results).
 
 Round-tripping through real bytes keeps the initiator/target boundary
@@ -50,7 +49,7 @@ from repro.flash.array import ArrayIoResult
 from repro.osd import commands
 from repro.osd.sense import SenseCode
 from repro.osd.target import OsdResponse
-from repro.osd.types import ObjectId, ObjectKind
+from repro.osd.types import ObjectId
 
 __all__ = [
     "Buffer",
@@ -82,7 +81,7 @@ VERSION = 2
 _PREFIX = struct.Struct(">BBBBQ")
 _RESPONSE_KIND = 0x80
 #: Command fixed header: the prefix, then retry, pid, oid, aux (op-specific:
-#: update offset / write class_id / create kind index), data length. 44 bytes.
+#: update offset / write class_id), data length. 44 bytes.
 _COMMAND = struct.Struct(">BBBBQIQQqI")
 #: Response fixed header: the prefix, then sense (signed — FAIL is -1),
 #: elapsed, chunks read/written, bytes read/written, data length. 50 bytes.
@@ -101,12 +100,10 @@ _FLAG_DEGRADED = 0x08
 
 _OPCODES: Dict[type, int] = {
     commands.CreatePartition: 0x01,
-    commands.CreateObject: 0x02,
     commands.Write: 0x03,
     commands.Update: 0x04,
     commands.Read: 0x05,
     commands.Remove: 0x06,
-    commands.SetAttr: 0x07,
     commands.GetAttr: 0x08,
     commands.ListPartition: 0x09,
 }
@@ -114,21 +111,14 @@ _COMMAND_TYPES = {opcode: kind for kind, opcode in _OPCODES.items()}
 #: Commands addressed by a partition id alone; the rest name an object.
 _PARTITION_COMMANDS = (commands.CreatePartition, commands.ListPartition)
 _OBJECT_COMMANDS = (
-    commands.CreateObject,
     commands.Write,
     commands.Update,
     commands.Read,
     commands.Remove,
-    commands.SetAttr,
     commands.GetAttr,
 )
-#: The attribute strings each opcode's extended header holds; an opcode
-#: not listed here has no extended header.
-_EXT_KEYS: Dict[type, Tuple[str, ...]] = {
-    commands.SetAttr: ("key", "value"),
-    commands.GetAttr: ("key",),
-}
-_KINDS = tuple(ObjectKind)
+#: What ``GetAttr``'s extended header holds; no other opcode has one.
+_GETATTR_KEYS = ("key",)
 
 
 def _pack(layout: struct.Struct, *fields: object) -> bytes:
@@ -256,10 +246,8 @@ def encode_command_parts(
     elif isinstance(command, _OBJECT_COMMANDS):
         pid, oid = command.object_id.pid, command.object_id.oid
     data: Buffer = b""
-    strings: Dict[str, str] = {}
-    if isinstance(command, commands.CreateObject):
-        aux = _KINDS.index(command.kind)
-    elif isinstance(command, commands.Write):
+    ext = b""
+    if isinstance(command, commands.Write):
         data = command.payload
         if command.class_id is not None:
             flags |= _FLAG_AUX
@@ -267,14 +255,9 @@ def encode_command_parts(
     elif isinstance(command, commands.Update):
         data = command.payload
         aux = command.offset
-    elif isinstance(command, commands.SetAttr):
-        strings = {"key": command.key, "value": command.value}
     elif isinstance(command, commands.GetAttr):
-        strings = {"key": command.key}
-    ext = b""
-    if strings:
         flags |= _FLAG_EXT
-        ext = json.dumps(strings, sort_keys=True, separators=(",", ":")).encode("ascii")
+        ext = json.dumps({"key": command.key}, separators=(",", ":")).encode("ascii")
         ext = _pack(_EXT_LEN, len(ext)) + ext
     head = _pack(
         _COMMAND, MAGIC, VERSION, opcode, flags,
@@ -302,21 +285,18 @@ def decode_command_pdu(pdu: Buffer) -> CommandPdu:
     if len(pdu) < _COMMAND.size:
         raise WireError("truncated PDU: command header cut short")
     _, _, _, _, seq, retry, pid, oid, aux, data_length = _COMMAND.unpack_from(pdu)
-    strings, data = _tail(pdu, _COMMAND.size, flags, _EXT_KEYS.get(kind, ()), data_length)
+    keys = _GETATTR_KEYS if kind is commands.GetAttr else ()
+    strings, data = _tail(pdu, _COMMAND.size, flags, keys, data_length)
     command: commands.OsdCommand
     if kind in (commands.CreatePartition, commands.ListPartition):
         command = kind(pid)
-    elif kind is commands.CreateObject:
-        if not 0 <= aux < len(_KINDS):
-            raise WireError(f"unknown object kind index {aux}")
-        command = commands.CreateObject(ObjectId(pid, oid), _KINDS[aux])
     elif kind is commands.Write:
         command = commands.Write(
             ObjectId(pid, oid), _materialize(data), aux if flags & _FLAG_AUX else None
         )
     elif kind is commands.Update:
         command = commands.Update(ObjectId(pid, oid), aux, _materialize(data))
-    else:  # Read, Remove, SetAttr, GetAttr: the object id, then the strings
+    else:  # Read, Remove, GetAttr: the object id, then the key
         command = kind(ObjectId(pid, oid), *strings)
     return CommandPdu(seq if flags & _FLAG_SEQ else None, retry, command)
 

@@ -884,7 +884,8 @@ class TestCondemnRehome:
                     )
                     for shard_id in holders:
                         stored = service.shards[shard_id].target
-                        assert stored.get_info(target).attributes["reo.class_id"] == "1"
+                        label = commands.GetAttr(target, "reo.class_id").apply(stored)
+                        assert label.payload == b"1"
                         assert stored.read_object(target).payload == body
 
         run(scenario())

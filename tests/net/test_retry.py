@@ -59,7 +59,6 @@ class TestIdempotency:
             commands.Read(OID),
             commands.Write(OID, b"same bytes", 3),
             commands.Update(OID, 8, b"same bytes"),
-            commands.SetAttr(OID, "k", "v"),
             commands.GetAttr(OID, "k"),
             commands.ListPartition(PARTITION_BASE),
         ):
@@ -68,7 +67,6 @@ class TestIdempotency:
     def test_unsafe_commands(self):
         for command in (
             commands.CreatePartition(PARTITION_BASE),
-            commands.CreateObject(OID),
             commands.Remove(OID),
         ):
             assert not is_idempotent(command)

@@ -27,6 +27,7 @@ from repro.osd.transport import FRAME_PREFIX_BYTES, frame_length, frame_parts
 from repro.osd.types import PARTITION_BASE, ObjectId
 
 from tests.closed_loop import run_closed_loop
+from tests.osd.test_wire_properties import RETIRED_COMMANDS
 
 pytestmark = pytest.mark.net
 
@@ -79,9 +80,8 @@ class TestBasicService:
                     assert update.ok
                     payload, _ = await client.read(OID_A)
                     assert payload == b"object over TCP"
-                    assert (await client.submit(commands.SetAttr(OID_A, "kéy", "väl"))).ok
-                    value, got = await client.get_attr(OID_A, "kéy")
-                    assert got.ok and value == "väl"
+                    got = await client.submit(commands.GetAttr(OID_A, "reo.class_id"))
+                    assert got.ok and got.payload == b"2"
                     remove = await client.remove(OID_A)
                     assert remove.ok
                     _, gone = await client.read(OID_A)
@@ -417,6 +417,40 @@ class TestServerRobustness:
                     seq, response = wire.decode_response_pdu(pdu)
                     assert seq == 9
                     assert response.sense is SenseCode.FAIL  # no such object
+                    assert server.stats.wire_errors == 2
+                finally:
+                    writer.close()
+
+        run(scenario())
+
+    def test_retired_opcode_gets_fail_and_the_connection_lives(self):
+        async def scenario():
+            target = make_target()
+            async with OsdServer(target) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+
+                async def reply():
+                    prefix = await reader.readexactly(FRAME_PREFIX_BYTES)
+                    return wire.decode_response_pdu(
+                        await reader.readexactly(frame_length(prefix))
+                    )
+
+                try:
+                    # CreateObject (seq 2), then SetAttr (seq 7), on OID_A.
+                    for golden, expected_seq in zip(RETIRED_COMMANDS, (2, 7)):
+                        writer.write(b"".join(frame_parts([bytes.fromhex(golden)])))
+                        await writer.drain()
+                        seq, response = await reply()
+                        assert seq == expected_seq
+                        assert response.sense is SenseCode.FAIL
+                    assert not target.exists(OID_A)
+                    writer.write(framed(commands.Write(OID_A, b"after"), seq=9))
+                    await writer.drain()
+                    assert (await reply())[0] == 9
+                    writer.write(framed(commands.Read(OID_A), seq=10))
+                    await writer.drain()
+                    seq, response = await reply()
+                    assert seq == 10 and response.payload == b"after"
                     assert server.stats.wire_errors == 2
                 finally:
                     writer.close()

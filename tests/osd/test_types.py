@@ -49,8 +49,3 @@ class TestObjectInfo:
     def test_defaults(self):
         info = ObjectInfo(ObjectId(1, 1), ObjectKind.USER)
         assert info.class_id == 3
-        assert not info.is_metadata
-
-    def test_metadata_flag(self):
-        info = ObjectInfo(ObjectId(1, 1), ObjectKind.COLLECTION, class_id=0)
-        assert info.is_metadata

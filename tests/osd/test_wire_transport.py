@@ -8,7 +8,7 @@ from repro.errors import OsdError
 from repro.osd import commands, wire
 from repro.osd.sense import SenseCode
 from repro.osd.target import OsdResponse
-from repro.osd.types import PARTITION_BASE, ObjectId, ObjectKind
+from repro.osd.types import PARTITION_BASE, ObjectId
 
 from tests.osd.test_wire_properties import command_pdu, response_pdu
 
@@ -16,13 +16,11 @@ USER_A = ObjectId(PARTITION_BASE, 0x10005)
 
 ALL_COMMANDS = [
     commands.CreatePartition(PARTITION_BASE),
-    commands.CreateObject(USER_A, ObjectKind.COLLECTION),
     commands.Write(USER_A, b"\x00\x01payload\xff", 2),
     commands.Write(USER_A, b"", None),
     commands.Update(USER_A, 128, b"delta-bytes"),
     commands.Read(USER_A),
     commands.Remove(USER_A),
-    commands.SetAttr(USER_A, "app", "medisyn"),
     commands.GetAttr(USER_A, "app"),
     commands.ListPartition(PARTITION_BASE),
 ]

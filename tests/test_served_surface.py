@@ -20,6 +20,7 @@ from repro.net.flush import StreamFlusher
 from repro.net.retry import RetryPolicy
 from repro.net.server import OsdServer
 from repro.net.stats import LatencyReservoir
+from repro.osd import commands
 from repro.osd.transport import FrameDecoder
 
 SURFACE = {
@@ -37,7 +38,19 @@ SURFACE = {
 }
 
 
+#: The service actions a product component sends, and nothing else: each
+#: one is a case for the wire codec, the retry table and the shard route
+#: check to cover.
+SERVED_COMMANDS = [
+    "CreatePartition", "GetAttr", "ListPartition", "Read", "Remove", "Update", "Write",
+]
+
+
 @pytest.mark.parametrize("cls", list(SURFACE), ids=lambda cls: cls.__name__)
 def test_served_tier_accepts_only_its_product_parameters(cls):
     # A dataclass's signature is its fields, so RetryPolicy is pinned too.
     assert tuple(inspect.signature(cls).parameters) == SURFACE[cls]
+
+
+def test_served_tier_accepts_only_the_commands_products_send():
+    assert sorted(commands.__all__) == sorted(SERVED_COMMANDS + ["OsdCommand"])
