@@ -44,10 +44,10 @@ class BackendStore:
 
     def __init__(
         self,
-        clock: Optional[SimClock] = None,
+        clock: SimClock,
         model: Optional[ServiceTimeModel] = None,
     ) -> None:
-        self.clock = clock or SimClock()
+        self.clock = clock
         #: HDD behind one network hop, matching the testbed topology.
         self.model = model or HDD_7200RPM.combine(NETWORK_10GBE)
         self._catalog: Dict[str, _CatalogEntry] = {}

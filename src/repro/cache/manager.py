@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.backend.store import BackendStore
-from repro.cache.policies import EvictionPolicy, LruPolicy
+from repro.cache.policies import EvictionPolicy
 from repro.cache.stats import CacheStats
 from repro.core.classes import ObjectClass, classify
 from repro.core.hotness import HotnessTracker
@@ -76,33 +76,36 @@ class AccessResult:
 
 
 class CacheManager:
-    """Object cache with LRU replacement, write-back, and classification."""
+    """Object cache with LRU replacement, write-back, and classification.
+
+    Every argument is required: :meth:`~repro.core.reo.ReoCache.build` holds
+    the defaults, so none can be swapped for a fallback here.
+    """
 
     def __init__(
         self,
         initiator: OsdInitiator,
         backend: BackendStore,
-        hotness: Optional[HotnessTracker] = None,
-        reclassify_interval: int = 1000,
-        eviction: Optional[EvictionPolicy] = None,
+        hotness: HotnessTracker,
+        reclassify_interval: int,
+        eviction: EvictionPolicy,
     ) -> None:
         """
         Args:
-            eviction: replacement policy; LRU (the paper's) when omitted.
+            hotness: the ``H = Freq / Size`` tracker and its ``H_hot``.
+            reclassify_interval: reads between ``H_hot`` recomputations.
+            eviction: replacement policy (LRU is the paper's).
         """
         if reclassify_interval < 1:
             raise ValueError("reclassify interval must be >= 1")
         self.initiator = initiator
         self.backend = backend
-        self.hotness = hotness or HotnessTracker()
+        self.hotness = hotness
         self.stats = CacheStats()
         self.reclassify_interval = reclassify_interval
         self._objects: Dict[str, CachedObject] = {}
         self._by_oid: Dict[ObjectId, str] = {}
-        # `is not None`, not `or`: an empty policy is falsy via __len__.
-        self._eviction: EvictionPolicy[str] = (
-            eviction if eviction is not None else LruPolicy()
-        )
+        self._eviction: EvictionPolicy[str] = eviction
         self._next_oid = FIRST_USER_OID
         self._reads_since_reclassify = 0
 

@@ -21,6 +21,9 @@ from typing import Dict, Hashable, List, Tuple
 
 __all__ = ["HotnessTracker"]
 
+#: Evicted-object histories the tracker remembers (0 disables the ghosts).
+GHOST_CAPACITY = 16_384
+
 
 @dataclass
 class _Heat:
@@ -42,27 +45,24 @@ class HotnessTracker:
     The paper counts ``Freq`` "since [the object] enters the cache". Under
     heavy LRU churn that would reset a popular object's history on every
     re-admission and make the hot set oscillate, so the tracker keeps a
-    bounded *ghost* history: an evicted object's frequency is remembered
-    (and halved, as an aging step) and restored when it re-enters the cache.
-    DESIGN.md records this as an engineering deviation.
+    bounded *ghost* history (:data:`GHOST_CAPACITY` entries): an evicted
+    object's frequency is remembered (and halved, as an aging step) and
+    restored when it re-enters the cache. DESIGN.md records this as an
+    engineering deviation.
     """
 
-    def __init__(self, ghost_capacity: int = 16_384, size_exponent: float = 1.0) -> None:
+    def __init__(self, size_exponent: float = 1.0) -> None:
         """
         Args:
-            ghost_capacity: evicted-object histories to remember.
             size_exponent: exponent on the size term of ``H = Freq/Size``.
                 1.0 is the paper's indicator; 0.0 gives the size-blind
                 ``H = Freq`` variant used by the ablation study.
         """
-        if ghost_capacity < 0:
-            raise ValueError("ghost capacity cannot be negative")
         if size_exponent < 0:
             raise ValueError("size exponent cannot be negative")
         self.size_exponent = size_exponent
         self._heat: Dict[Hashable, _Heat] = {}
         self._ghosts: "OrderedDict[Hashable, int]" = OrderedDict()
-        self.ghost_capacity = ghost_capacity
         #: Nothing is hot until the first threshold update runs.
         self.threshold: float = math.inf
         self.updates = 0
@@ -70,8 +70,8 @@ class HotnessTracker:
     # ------------------------------------------------------------------
     # Tracking
     # ------------------------------------------------------------------
-    def register(self, key: Hashable, size: int, initial_freq: int = 1) -> None:
-        """Start tracking an object that just entered the cache.
+    def register(self, key: Hashable, size: int) -> None:
+        """Start tracking an object that just entered the cache, at ``Freq = 1``.
 
         A ghost entry (from a prior eviction) seeds the frequency, so
         popular objects regain their hot standing immediately.
@@ -81,20 +81,20 @@ class HotnessTracker:
         remembered = self._ghosts.pop(key, 0)
         self._heat[key] = _Heat(
             size=size,
-            freq=remembered + initial_freq,
+            freq=remembered + 1,
             weight=self._weight(size),
         )
 
     def forget(self, key: Hashable) -> None:
         """Stop tracking an evicted or lost object, keeping a decayed ghost."""
         heat = self._heat.pop(key, None)
-        if heat is None or self.ghost_capacity == 0:
+        if heat is None or GHOST_CAPACITY == 0:
             return
         decayed = heat.freq // 2
         if decayed > 0:
             self._ghosts[key] = decayed
             self._ghosts.move_to_end(key)
-            while len(self._ghosts) > self.ghost_capacity:
+            while len(self._ghosts) > GHOST_CAPACITY:
                 self._ghosts.popitem(last=False)
 
     def record_read(self, key: Hashable) -> None:
@@ -125,7 +125,7 @@ class HotnessTracker:
             return False
         return heat.h_value >= self.threshold
 
-    def projected_h(self, key: Hashable, size: int, initial_freq: int = 1) -> float:
+    def projected_h(self, key: Hashable, size: int) -> float:
         """The H value the object would have right after (re-)admission.
 
         Consults the ghost history, so a popular object about to re-enter
@@ -134,7 +134,7 @@ class HotnessTracker:
         """
         if size <= 0:
             return 0.0
-        return (self._ghosts.get(key, 0) + initial_freq) / self._weight(size)
+        return (self._ghosts.get(key, 0) + 1) / self._weight(size)
 
     def would_be_hot(self, key: Hashable, size: int) -> bool:
         """Insert-time hot check against the current threshold."""

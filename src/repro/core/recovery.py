@@ -8,6 +8,10 @@ paper's hotness tie-break). Object granularity means invalid blocks and
 irrecoverable objects are simply skipped, unlike block-order RAID
 reconstruction.
 
+The manager owns the cache's :class:`~repro.core.supervisor.DurabilityLedger`
+and books every rebuild and purge in it, supervised or not; the supervisor
+adds incidents and scrub passes to the same ledger.
+
 Recovery runs in the gaps between foreground requests: the experiment runner
 calls :meth:`RecoveryManager.run_until` with the next request's arrival time
 as the deadline, so reconstruction consumes idle device time and contends
@@ -19,10 +23,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Deque, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.cache.manager import CacheManager
+from repro.core.supervisor import DurabilityLedger
 from repro.errors import DeviceFullError, StripeLayoutError, UnrecoverableDataError
 from repro.flash.array import ArrayIoResult, ObjectHealth
 from repro.flash.stripe import ParityScheme, RedundancyScheme
@@ -53,7 +58,7 @@ class RecoveryManager:
         self,
         target: OsdTarget,
         cache_manager: "CacheManager",
-        prioritized: bool = True,
+        prioritized: bool,
     ) -> None:
         """
         Args:
@@ -70,15 +75,10 @@ class RecoveryManager:
         self.manager = cache_manager
         self._queue: Deque[ObjectId] = deque()
         self.active = False
-        self.objects_rebuilt = 0
-        self.objects_lost = 0
+        #: The cache's durability books: every rebuild and purge lands here.
+        self.ledger = DurabilityLedger()
         self.chunks_rebuilt = 0
         self.seconds_spent = 0.0
-        #: Durability-ledger hooks: ``(object_id, class_id, result)`` after a
-        #: successful reconstruction, ``(object_id, class_id)`` when an
-        #: object is purged as unrecoverable. Set by the supervisor.
-        self.on_object_rebuilt: Optional[Callable[[ObjectId, int, ArrayIoResult], None]] = None
-        self.on_object_lost: Optional[Callable[[ObjectId, int], None]] = None
 
     # ------------------------------------------------------------------
     # Planning
@@ -119,7 +119,7 @@ class RecoveryManager:
         """Scan, purge the lost, enqueue the rest, raise the 0x65 flag."""
         plan = self.scan()
         for object_id in plan.lost:
-            self._purge(object_id)
+            self.purge(object_id)
         self._queue = deque(plan.to_rebuild)
         self.active = bool(self._queue)
         self.target.recovery_active = self.active
@@ -128,6 +128,14 @@ class RecoveryManager:
     @property
     def pending(self) -> int:
         return len(self._queue)
+
+    @property
+    def objects_rebuilt(self) -> int:
+        return self.ledger.objects_rebuilt
+
+    @property
+    def objects_lost(self) -> int:
+        return self.ledger.objects_lost
 
     def step(self) -> Optional[ArrayIoResult]:
         """Reconstruct the next object; returns its I/O cost, or None when done.
@@ -163,13 +171,11 @@ class RecoveryManager:
                     if result is None:
                         continue
             except UnrecoverableDataError:
-                self._purge(object_id)
+                self.purge(object_id)
                 continue
-            self.objects_rebuilt += 1
+            self.ledger.record_rebuilt(result)
             self.chunks_rebuilt += result.chunks_written
             self.seconds_spent += result.elapsed
-            if self.on_object_rebuilt is not None:
-                self.on_object_rebuilt(object_id, self._class_of(object_id), result)
             if not self._queue:
                 self._finish()
             return result
@@ -252,22 +258,12 @@ class RecoveryManager:
         self.active = False
         self.target.recovery_active = False
 
-    def _class_of(self, object_id: ObjectId) -> int:
-        """The object's class, or -1 once its record is gone."""
-        if self.target.exists(object_id):
-            return self.target.get_info(object_id).class_id
-        return -1
-
     def purge(self, object_id: ObjectId) -> None:
-        """The one purge of an unrecoverable object: report it, then drop it."""
-        if self.on_object_lost is not None:
-            # Class looked up before the purge removes the object record.
-            self.on_object_lost(object_id, self._class_of(object_id))
+        """The one purge of an unrecoverable object: book it, then drop it."""
+        # Class read before the purge removes the record; -1 once it is gone.
+        info = self.target.get_info(object_id) if self.target.exists(object_id) else None
+        self.ledger.record_lost(object_id, -1 if info is None else info.class_id)
         self.manager.drop_lost(object_id)
-
-    def _purge(self, object_id: ObjectId) -> None:
-        self.objects_lost += 1
-        self.purge(object_id)
 
     def __repr__(self) -> str:
         return (

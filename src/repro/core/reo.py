@@ -165,7 +165,7 @@ class ReoCache:
 
         Objects beyond repair are purged like the supervised scrub purges
         them (:meth:`~repro.core.recovery.RecoveryManager.purge`, which books
-        the loss in a supervised cache's ledger); cached ones remain intact
+        the loss in the recovery manager's ledger); cached ones remain intact
         in the backend, so the next access refetches them. Returns the
         :class:`~repro.flash.array.ScrubReport`.
         """

@@ -9,7 +9,9 @@ class-ordered reconstruction, and keeps a periodic, class-prioritized scrub
 running in the idle gaps — all on the simulated clock, so campaigns replay
 byte-identically under a fixed seed.
 
-Every durability-relevant event lands in the :class:`DurabilityLedger`:
+Every durability-relevant event lands in the :class:`DurabilityLedger` the
+cache's :class:`~repro.core.recovery.RecoveryManager` owns (it books rebuilds
+and purges itself; the supervisor adds incidents and scrub passes):
 per-incident detection/swap/recovery timestamps (hence detection latency and
 time-to-full-redundancy), reduced-redundancy windows, bytes repaired, and
 data loss broken down by object class. ``to_dict()`` is deterministic and
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from repro.core.health import HealthMonitor, HealthTransition
 
@@ -125,9 +127,9 @@ class DurabilityLedger:
         return sum(end - start for start, end in self.reduced_redundancy_windows)
 
     # ------------------------------------------------------------------
-    # Repair accounting (wired as RecoveryManager / scrub callbacks)
+    # Repair accounting (booked by the recovery manager and the scrubber)
     # ------------------------------------------------------------------
-    def record_rebuilt(self, object_id, class_id: int, result: "ArrayIoResult") -> None:
+    def record_rebuilt(self, result: "ArrayIoResult") -> None:
         self.objects_rebuilt += 1
         self.bytes_repaired += result.bytes_written
 
@@ -202,21 +204,13 @@ class ScrubScheduler:
     deadline; the clock advances by each step's simulated I/O time.
     """
 
-    def __init__(
-        self,
-        cache: "ReoCache",
-        interval: float = 300.0,
-        ledger: Optional[DurabilityLedger] = None,
-        on_unrecoverable: Optional[Callable[[object], None]] = None,
-    ) -> None:
+    def __init__(self, cache: "ReoCache", interval: float) -> None:
         if interval <= 0:
             raise ValueError("scrub interval must be positive")
-        self.cache = cache
         self.array = cache.array
         self.target = cache.target
+        self.recovery = cache.recovery
         self.interval = interval
-        self.ledger = ledger
-        self.on_unrecoverable = on_unrecoverable
         self._sweep_queue: Deque[object] = deque()
         self._sweep_open = False
         self._next_sweep_at = self.array.clock.now + interval
@@ -257,8 +251,7 @@ class ScrubScheduler:
                 # The queued sweep just drained: one pass is complete.
                 self._sweep_open = False
                 self._next_sweep_at = now + self.interval
-                if self.ledger is not None:
-                    self.ledger.scrub_passes += 1
+                self.recovery.ledger.scrub_passes += 1
             if now >= self._next_sweep_at:
                 self._queue_sweep()
         if self._sweep_queue:
@@ -276,11 +269,9 @@ class ScrubScheduler:
         self._sweep_open = bool(self._sweep_queue)
 
     def _account(self, report: "ScrubReport") -> None:
-        if self.ledger is not None:
-            self.ledger.record_scrub(report)
-        if self.on_unrecoverable is not None:
-            for key in report.unrecoverable_objects:
-                self.on_unrecoverable(key)
+        self.recovery.ledger.record_scrub(report)
+        for key in report.unrecoverable_objects:
+            self.recovery.purge(key)
 
 
 class RecoverySupervisor:
@@ -296,34 +287,27 @@ class RecoverySupervisor:
       observe them, so every failure shape enters through one path;
     - :meth:`run_until` spends the idle gap between foreground requests on
       reconstruction first, then on prioritized scrubbing;
-    - every step is booked in the :class:`DurabilityLedger`.
+    - every step is booked in the recovery manager's
+      :class:`DurabilityLedger`, which :attr:`ledger` names.
     """
 
     def __init__(
         self,
         cache: "ReoCache",
-        monitor: Optional[HealthMonitor] = None,
-        injector: "object | None" = None,
-        spares: int = 1,
-        scrub_interval: float = 300.0,
+        monitor: HealthMonitor,
+        injector: "object | None",
+        spares: int,
+        scrub_interval: float,
     ) -> None:
-        self.cache = cache
         self.array = cache.array
         self.recovery = cache.recovery
-        self.monitor = monitor or HealthMonitor(cache.array)
+        self.monitor = monitor
         self.injector = injector
         self.spares_remaining = spares
-        self.ledger = DurabilityLedger()
-        self.scrubber = ScrubScheduler(
-            cache,
-            interval=scrub_interval,
-            ledger=self.ledger,
-            on_unrecoverable=self.recovery.purge,
-        )
+        self.ledger = cache.recovery.ledger
+        self.scrubber = ScrubScheduler(cache, scrub_interval)
         self._recovering = False
         self.monitor.listeners.append(self._on_transition)
-        self.recovery.on_object_rebuilt = self._on_rebuilt
-        self.recovery.on_object_lost = self.ledger.record_lost
 
     # ------------------------------------------------------------------
     # Event intake
@@ -393,9 +377,6 @@ class RecoverySupervisor:
         if self._recovering and not self.recovery.active:
             self._recovering = False
             self.ledger.mark_recovered(now)
-
-    def _on_rebuilt(self, object_id, class_id: int, result) -> None:
-        self.ledger.record_rebuilt(object_id, class_id, result)
 
     def __repr__(self) -> str:
         return (

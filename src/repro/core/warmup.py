@@ -24,6 +24,9 @@ from repro.core.reo import ReoCache
 
 __all__ = ["PreloadReport", "WarmupAdvisor"]
 
+#: Share of the cache's usable capacity a preload fills.
+PRELOAD_FRACTION = 0.9
+
 
 @dataclass
 class PreloadReport:
@@ -41,20 +44,16 @@ class WarmupAdvisor:
     def __init__(self, backend: BackendStore) -> None:
         self.backend = backend
 
-    def plan(self, budget_bytes: float, min_accesses: int = 1) -> List[str]:
+    def plan(self, budget_bytes: float) -> List[str]:
         """Warmest objects first, greedily packed into ``budget_bytes``.
 
-        Objects read fewer than ``min_accesses`` times are ignored — cold
-        data is exactly what warm-up should not waste time on.
+        Only objects the backend has served are candidates: cold data is
+        exactly what warm-up should not waste time on.
         """
         if budget_bytes <= 0:
             return []
         candidates = sorted(
-            (
-                name
-                for name, count in self.backend.access_counts.items()
-                if count >= min_accesses and name in self.backend
-            ),
+            (name for name in self.backend.access_counts if name in self.backend),
             key=lambda name: self.backend.access_counts[name],
             reverse=True,
         )
@@ -68,23 +67,15 @@ class WarmupAdvisor:
             chosen.append(name)
         return chosen
 
-    def preload(
-        self,
-        cache: ReoCache,
-        budget_fraction: float = 0.9,
-        min_accesses: int = 1,
-    ) -> PreloadReport:
+    def preload(self, cache: ReoCache) -> PreloadReport:
         """Bulk-load the plan into a (typically fresh) cache.
 
-        The budget defaults to 90% of the cache's usable capacity, leaving
-        headroom for demand fills. Loads run coldest-first so the warmest
-        objects end at the MRU side of the replacement order.
+        The budget is :data:`PRELOAD_FRACTION` of the cache's usable
+        capacity, leaving headroom for demand fills. Loads run coldest-first
+        so the warmest objects end at the MRU side of the replacement order.
         """
-        if not 0.0 < budget_fraction <= 1.0:
-            raise ValueError("budget fraction must be in (0, 1]")
         report = PreloadReport()
-        budget = budget_fraction * cache.manager.usable_capacity
-        names = self.plan(budget, min_accesses=min_accesses)
+        names = self.plan(PRELOAD_FRACTION * cache.manager.usable_capacity)
         start = cache.clock.now
         for name in reversed(names):  # coldest first, warmest last (MRU)
             result = cache.read(name)

@@ -285,7 +285,7 @@ class Figure:
         ]
         if self.chart:
             hit = self.series[HIT]
-            blocks.append(ascii_chart(self.chart, self.x_values, hit, y_label="hit %"))
+            blocks.append(ascii_chart(self.chart, self.x_values, hit))
         return "\n\n".join(blocks)
 
 

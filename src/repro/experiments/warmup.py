@@ -55,7 +55,7 @@ def run_warmup_experiment(
             "Reo-20%", cache_bytes, profile, backend=first.backend
         )
         if variant == "preloaded restart":
-            report = WarmupAdvisor(first.backend).preload(restarted, min_accesses=1)
+            report = WarmupAdvisor(first.backend).preload(restarted)
             experiment.counts["objects preloaded"] = report.objects_loaded
         recorder = ExperimentRunner(restarted, measured).run().recorder
         hits = [recorder.summarize(start, start + window).hit_ratio_percent for start in starts]

@@ -246,7 +246,7 @@ class FlashArray:
             raise StripeLayoutError("an array needs at least one device")
         if chunk_size < 1:
             raise StripeLayoutError("chunk size must be positive")
-        self.clock = clock or SimClock()
+        self.clock = SimClock() if clock is None else clock
         self.chunk_size = chunk_size
         self.devices: List[FlashDevice] = [
             FlashDevice(device_id=i, capacity_bytes=device_capacity, model=model)

@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.osd.target import OsdResponse, OsdTarget
 from repro.osd.sense import SenseCode
-from repro.osd.types import ObjectId, ObjectKind
+from repro.osd.types import ObjectId
 
 __all__ = [
     "CreatePartition",
@@ -95,8 +95,8 @@ class GetAttr(OsdCommand):
     """GET ATTRIBUTES service action; value returned as the payload.
 
     The one attribute a stored object has is its class label,
-    ``reo.class_id`` (the §IV-B "semantic hint"); a partition object has
-    none.
+    ``reo.class_id`` (the §IV-B "semantic hint"); a partition is not a
+    stored object and has none.
     """
 
     object_id: ObjectId
@@ -105,10 +105,8 @@ class GetAttr(OsdCommand):
     def apply(self, target: OsdTarget) -> OsdResponse:
         if self.key != "reo.class_id" or not target.exists(self.object_id):
             return OsdResponse(SenseCode.FAIL)
-        info = target.get_info(self.object_id)
-        if info.kind is ObjectKind.PARTITION:
-            return OsdResponse(SenseCode.FAIL)
-        return OsdResponse(SenseCode.OK, payload=str(info.class_id).encode("ascii"))
+        class_id = target.get_info(self.object_id).class_id
+        return OsdResponse(SenseCode.OK, payload=str(class_id).encode("ascii"))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ __all__ = [
 
 _EXOFS_MAGIC = "exofs-reo"
 _VERSION = 1
+#: OID of the first directory or file a namespace allocates.
+FIRST_FILE_OID = 0x100000
 
 
 def _super_block_payload(target: OsdTarget) -> bytes:
@@ -107,11 +109,11 @@ class ExofsNamespace:
     objects, so every lookup is a real OSD read.
     """
 
-    def __init__(self, target: OsdTarget, first_oid: int = 0x100000) -> None:
+    def __init__(self, target: OsdTarget) -> None:
         if not target.has_partition(PARTITION_BASE):
             raise OsdError("volume is not formatted; call format_volume first")
         self.target = target
-        self._next_oid = first_oid
+        self._next_oid = FIRST_FILE_OID
 
     # ------------------------------------------------------------------
     # Path plumbing

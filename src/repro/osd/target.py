@@ -5,12 +5,16 @@ paper's prototype — where the stock osd-target's host file system and SQLite
 metadata were replaced by the flash array and a hash table — object metadata
 here is a plain dict keyed by :class:`~repro.osd.types.ObjectId`.
 
+Partitions are a namespace (``pid`` → member ids): a partition's own id,
+OID 0, names no stored object and answers FAIL to reads, writes, removes,
+GetAttr and ``#SETID#``.
+
 The target is policy-agnostic: it maps an object's *class id* to a
-:class:`~repro.flash.stripe.RedundancyScheme` through a pluggable
-``scheme_for(class_id)`` callable. Reo's differentiated policy and the
-uniform baselines (paper §VI) are both implemented in
-:mod:`repro.core.policy` and injected here, so every experiment runs the
-same target code and varies only the policy.
+:class:`~repro.flash.stripe.RedundancyScheme` through the
+``policy(class_id)`` callable every constructor passes. Reo's
+differentiated policy and the uniform baselines (paper §VI) are both
+implemented in :mod:`repro.core.policy` and injected here, so every
+experiment runs the same target code and varies only the policy.
 The target also owns the policy's redundancy reserve, if it declares one,
 and answers write queries with sense 0x67 while the reserve is exhausted; a
 write or re-encode that does not fit on the devices is answered with 0x64.
@@ -31,7 +35,7 @@ from repro.errors import (
     UnrecoverableDataError,
 )
 from repro.flash.array import ArrayIoResult, FlashArray, ObjectHealth
-from repro.flash.stripe import ParityScheme, RedundancyScheme
+from repro.flash.stripe import RedundancyScheme
 from repro.osd.control import QueryMessage, SetClassMessage, parse_control_message
 from repro.osd.sense import SenseCode
 from repro.osd.types import CONTROL_OBJECT, ROOT_OBJECT, ObjectId, ObjectInfo, ObjectKind
@@ -40,11 +44,6 @@ __all__ = ["OsdResponse", "OsdTarget", "SchemePolicy"]
 
 #: Maps a Reo class id to the redundancy scheme objects of that class get.
 SchemePolicy = Callable[[int], RedundancyScheme]
-
-
-def _default_policy(_class_id: int) -> RedundancyScheme:
-    """Uniform no-redundancy policy used when none is injected."""
-    return ParityScheme(0)
 
 
 @dataclass
@@ -63,13 +62,11 @@ class OsdResponse:
 class OsdTarget:
     """Executes object commands against a flash array."""
 
-    def __init__(
-        self,
-        array: FlashArray,
-        policy: Optional[SchemePolicy] = None,
-    ) -> None:
+    def __init__(self, array: FlashArray, policy: SchemePolicy) -> None:
         self.array = array
-        self.policy: SchemePolicy = policy or _default_policy
+        self.policy = policy
+        #: Stored (user and collection) objects; a partition is only a key
+        #: of ``_partitions``, holding no data and no attributes.
         self._objects: Dict[ObjectId, ObjectInfo] = {}
         self._partitions: Dict[int, Set[ObjectId]] = {}
         #: Set by the recovery manager while reconstruction is in progress;
@@ -88,16 +85,14 @@ class OsdTarget:
     # Namespace
     # ------------------------------------------------------------------
     def create_partition(self, pid: int) -> OsdResponse:
-        """Create a partition object (OID 0) for ``pid``."""
-        partition_id = ObjectId(pid, 0)
+        """Create partition ``pid``: a namespace, not a stored object.
+
+        Its object id (``pid``, OID 0) answers FAIL to every data and
+        control command.
+        """
         if pid in self._partitions:
             return OsdResponse(SenseCode.FAIL)
         self._partitions[pid] = set()
-        self._objects[partition_id] = ObjectInfo(
-            object_id=partition_id,
-            kind=ObjectKind.PARTITION,
-            class_id=0,
-        )
         return OsdResponse(SenseCode.OK)
 
     def has_partition(self, pid: int) -> bool:
@@ -119,11 +114,7 @@ class OsdTarget:
         return sorted(self._partitions[pid])
 
     def user_objects(self) -> Iterable[ObjectInfo]:
-        return (
-            info
-            for info in self._objects.values()
-            if info.kind in (ObjectKind.USER, ObjectKind.COLLECTION)
-        )
+        return self._objects.values()
 
     # ------------------------------------------------------------------
     # Data path
@@ -138,16 +129,14 @@ class OsdTarget:
         """Create or overwrite an object, encoding it per its class's scheme.
 
         Writes to the control object are intercepted and interpreted as
-        control messages (paper §IV-C.2). A partition object holds no data:
-        a write naming one answers FAIL.
+        control messages (paper §IV-C.2). A partition object (OID 0) holds
+        no data: a write naming one answers FAIL.
         """
         if object_id == CONTROL_OBJECT:
             return self._handle_control_write(payload)
-        if object_id.pid not in self._partitions:
+        if object_id.pid not in self._partitions or object_id.oid == 0:
             return OsdResponse(SenseCode.FAIL)
         existing = self._objects.get(object_id)
-        if existing is not None and existing.kind is ObjectKind.PARTITION:
-            return OsdResponse(SenseCode.FAIL)
         if existing is not None:
             effective_class = class_id if class_id is not None else existing.class_id
         else:
@@ -186,8 +175,6 @@ class OsdTarget:
         """
         if object_id not in self._objects:
             return OsdResponse(SenseCode.FAIL)
-        if object_id not in self.array:
-            return OsdResponse(SenseCode.FAIL)
         if self.array.object_health(object_id) is not ObjectHealth.HEALTHY:
             return OsdResponse(SenseCode.DATA_CORRUPTED)
         try:
@@ -202,22 +189,17 @@ class OsdTarget:
             return OsdResponse(SenseCode.FAIL)
         try:
             payload, io = self.array.read_object(object_id)
-        except (UnrecoverableDataError, ObjectNotFoundError):
+        except UnrecoverableDataError:
             return OsdResponse(SenseCode.DATA_CORRUPTED)
         return OsdResponse(SenseCode.OK, io=io, payload=payload)
 
     def remove_object(self, object_id: ObjectId) -> OsdResponse:
-        """Remove a user or collection object; a partition object stays."""
-        info = self._objects.get(object_id)
-        if info is None or info.kind is ObjectKind.PARTITION:
+        """Remove a user or collection object; a partition is not one."""
+        if object_id not in self._objects:
             return OsdResponse(SenseCode.FAIL)
         del self._objects[object_id]
-        self._partitions.get(object_id.pid, set()).discard(object_id)
-        if object_id in self.array:
-            io = self.array.delete_object(object_id)
-        else:
-            io = ArrayIoResult()
-        return OsdResponse(SenseCode.OK, io=io)
+        self._partitions[object_id.pid].discard(object_id)
+        return OsdResponse(SenseCode.OK, io=self.array.delete_object(object_id))
 
     # ------------------------------------------------------------------
     # Classification (differentiated redundancy hookup)
@@ -236,7 +218,7 @@ class OsdTarget:
             return OsdResponse(SenseCode.FAIL)
         new_scheme = self.policy(class_id)
         io = ArrayIoResult()
-        if new_scheme != self.policy(info.class_id) and object_id in self.array:
+        if new_scheme != self.policy(info.class_id):
             try:
                 payload, io = self.array.read_object(object_id)
                 io.merge(self.array.write_object(object_id, payload, new_scheme, overwrite=True))
@@ -289,9 +271,6 @@ class OsdTarget:
             if message.operation == "W":
                 return self._query_write_admission(message.size)
             return SenseCode.FAIL
-        if message.object_id not in self.array:
-            # Metadata-only object (e.g. partition object): always fine.
-            return SenseCode.OK
         health = self.array.object_health(message.object_id)
         if health is ObjectHealth.LOST:
             return SenseCode.DATA_CORRUPTED

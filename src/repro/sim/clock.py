@@ -13,12 +13,10 @@ __all__ = ["SimClock"]
 
 
 class SimClock:
-    """Monotonically advancing simulated time, in seconds."""
+    """Monotonically advancing simulated time, in seconds, from zero."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ValueError("clock cannot start before time zero")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

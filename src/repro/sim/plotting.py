@@ -15,14 +15,17 @@ __all__ = ["ascii_chart"]
 #: Per-series plot marks, assigned in insertion order.
 _MARKS = "ox+*#@%&"
 
+#: Plot rows and columns.
+HEIGHT = 12
+WIDTH = 60
+#: Unit annotation on the y-axis: every chart plots a hit ratio.
+Y_LABEL = "hit %"
+
 
 def ascii_chart(
     title: str,
     x_values: Sequence[object],
     series: Dict[str, Sequence[float]],
-    height: int = 12,
-    width: int = 60,
-    y_label: str = "",
 ) -> str:
     """Render series as an ASCII chart with a legend.
 
@@ -30,12 +33,8 @@ def ascii_chart(
         title: chart heading.
         x_values: x-axis labels (evenly spaced along the width).
         series: name -> y values (same length as ``x_values``).
-        height: plot rows.
-        width: plot columns.
-        y_label: unit annotation for the y-axis.
     """
-    if height < 2 or width < 8:
-        raise ValueError("chart needs at least 2 rows and 8 columns")
+    height, width = HEIGHT, WIDTH
     values = [v for ys in series.values() for v in ys if v is not None]
     if not values:
         return f"{title}\n(no data)"
@@ -65,15 +64,15 @@ def ascii_chart(
 
     top_label = f"{y_max:.1f}"
     bottom_label = f"{y_min:.1f}"
-    gutter = max(len(top_label), len(bottom_label), len(y_label)) + 1
+    gutter = max(len(top_label), len(bottom_label), len(Y_LABEL)) + 1
     lines = [title]
     for row_index, row in enumerate(grid):
         if row_index == 0:
             label = top_label
         elif row_index == height - 1:
             label = bottom_label
-        elif row_index == height // 2 and y_label:
-            label = y_label
+        elif row_index == height // 2:
+            label = Y_LABEL
         else:
             label = ""
         lines.append(f"{label:>{gutter}} |" + "".join(row))

@@ -37,16 +37,15 @@ def format_figure_series(
     x_label: str,
     x_values: Sequence[object],
     series: Dict[str, Sequence[float]],
-    value_format: str = "{:.1f}",
 ) -> str:
-    """Render figure-style data: x down the rows, one column per scheme."""
+    """Render figure-style data: x down the rows, one column per scheme, one decimal."""
     headers = [x_label, *series]
     rows: List[List[object]] = []
     for index, x_value in enumerate(x_values):
         row: List[object] = [x_value]
         for name in series:
             values = series[name]
-            row.append(value_format.format(values[index]) if index < len(values) else "-")
+            row.append(f"{values[index]:.1f}" if index < len(values) else "-")
         rows.append(row)
     return format_table(title, headers, rows)
 

@@ -26,6 +26,9 @@ __all__ = [
     "reuse_distances",
 ]
 
+#: Share of the rank-frequency curve, most popular first, the Zipf fit uses.
+ZIPF_HEAD_FRACTION = 0.5
+
 
 @dataclass
 class TraceProfile:
@@ -133,13 +136,14 @@ def footprint_curve(
     return curve
 
 
-def estimate_zipf_alpha(trace: Trace, head_fraction: float = 0.5) -> float:
+def estimate_zipf_alpha(trace: Trace) -> float:
     """Estimate the Zipf exponent from the rank-frequency curve.
 
     Fits a line to ``log(frequency)`` vs ``log(rank)`` over the head of the
-    distribution (the tail of a finite sample bends away from the power
-    law); the negated slope is the exponent. Lets a trace of unknown origin
-    be placed on the paper's weak/medium/strong locality axis.
+    distribution, its :data:`ZIPF_HEAD_FRACTION` most popular objects (the
+    tail of a finite sample bends away from the power law); the negated
+    slope is the exponent. Lets a trace of unknown origin be placed on the
+    paper's weak/medium/strong locality axis.
     """
     import numpy as np
 
@@ -148,7 +152,7 @@ def estimate_zipf_alpha(trace: Trace, head_fraction: float = 0.5) -> float:
     )
     if len(counts) < 3:
         return 0.0
-    head = max(3, int(len(counts) * head_fraction))
+    head = max(3, int(len(counts) * ZIPF_HEAD_FRACTION))
     ranks = np.arange(1, head + 1, dtype=np.float64)
     frequencies = np.asarray(counts[:head], dtype=np.float64)
     slope, _intercept = np.polyfit(np.log(ranks), np.log(frequencies), 1)

@@ -97,8 +97,11 @@ class TestAdaptiveThreshold:
         assert not tracker.is_hot("a")
 
     def test_zero_frequency_objects_never_hot(self):
+        # Freq starts at 1 on registration, so H = 0 comes from a zero size:
+        # such an object is never hot, however often it is read.
         tracker = HotnessTracker()
-        tracker.register("a", size=10, initial_freq=0)
+        tracker.register("a", size=0)
+        tracker.record_read("a")
         tracker.update_threshold(budget_bytes=10**9, overhead_per_byte=0.1)
         assert not tracker.is_hot("a")
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import hotness
 from repro.core.hotness import HotnessTracker
 
 
@@ -34,8 +35,9 @@ class TestGhostHistory:
         tracker.register("once", size=10)
         assert tracker.freq("once") == 1
 
-    def test_ghost_capacity_bounds_memory(self):
-        tracker = HotnessTracker(ghost_capacity=2)
+    def test_ghost_capacity_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(hotness, "GHOST_CAPACITY", 2)
+        tracker = HotnessTracker()
         for name in ("a", "b", "c"):
             tracker.register(name, size=10)
             tracker.record_read(name)
@@ -44,18 +46,15 @@ class TestGhostHistory:
         assert tracker.projected_h("a", 10) == pytest.approx(1 / 10)
         assert tracker.projected_h("c", 10) == pytest.approx(2 / 10)
 
-    def test_zero_capacity_disables_ghosts(self):
-        tracker = HotnessTracker(ghost_capacity=0)
+    def test_zero_capacity_disables_ghosts(self, monkeypatch):
+        monkeypatch.setattr(hotness, "GHOST_CAPACITY", 0)
+        tracker = HotnessTracker()
         tracker.register("a", size=10)
         for _ in range(9):
             tracker.record_read("a")
         tracker.forget("a")
         tracker.register("a", size=10)
         assert tracker.freq("a") == 1
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            HotnessTracker(ghost_capacity=-1)
 
 
 class TestInsertTimeHotness:

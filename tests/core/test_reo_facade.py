@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache.policies import ClockPolicy
 from repro.core.policy import reo_policy, uniform_parity
 from repro.core.reo import ReoCache
 from repro.errors import ObjectNotFoundError
@@ -27,6 +28,22 @@ class TestBuild:
         assert isinstance(cache.clock, SimClock)
         assert cache.backend.clock is cache.clock
         assert cache.array.clock is cache.clock
+
+    def test_every_knob_reaches_its_component(self):
+        # Each non-default build value must arrive; none may be replaced by a
+        # component's own fallback (an empty tracker is falsy via __len__).
+        cache = ReoCache.build(
+            cache_bytes=10**6,
+            device_model=ZERO_COST,
+            hotness_size_exponent=0.0,
+            eviction_policy="clock",
+            prioritized_recovery=False,
+            reclassify_interval=7,
+        )
+        assert cache.manager.hotness.size_exponent == 0.0
+        assert isinstance(cache.manager._eviction, ClockPolicy)
+        assert cache.recovery.prioritized is False
+        assert cache.manager.reclassify_interval == 7
 
     def test_uniform_policy_has_no_budget(self):
         cache = ReoCache.build(
@@ -126,3 +143,13 @@ class TestScrubPurge:
         self.uncached_unrecoverable(cache)
         cache.scrub()
         assert ledger.lost_by_class == {3: 1}
+
+    def test_a_loss_before_supervision_is_booked(self):
+        # The ledger belongs to the cache's recovery manager, not to the
+        # supervision session: enabling supervision later keeps the entry.
+        cache = build_cache()
+        self.uncached_unrecoverable(cache)
+        cache.scrub()
+        assert cache.recovery.ledger.lost_by_class == {3: 1}
+        assert cache.recovery.objects_lost == 1
+        assert cache.enable_supervision().ledger.lost_by_class == {3: 1}

@@ -1,7 +1,5 @@
 """Tests for the Bonfire-style warm-up advisor."""
 
-import pytest
-
 from repro.core.policy import reo_policy
 from repro.core.reo import ReoCache
 from repro.core.warmup import WarmupAdvisor
@@ -38,13 +36,6 @@ class TestPlan:
     def test_zero_budget(self):
         backend = backend_with_history()
         assert WarmupAdvisor(backend).plan(0) == []
-
-    def test_min_accesses_filters_cold(self):
-        backend = backend_with_history()
-        advisor = WarmupAdvisor(backend)
-        plan = advisor.plan(budget_bytes=10**9, min_accesses=10)
-        # Objects 0..10 were accessed >= 10 times.
-        assert set(plan) == {f"obj-{i}" for i in range(11)}
 
 
 class TestPreload:
@@ -86,9 +77,3 @@ class TestPreload:
                 cache.read(f"obj-{index}")
         assert warm.stats.hit_ratio > cold.stats.hit_ratio
         assert warm.stats.hit_ratio == 1.0
-
-    def test_invalid_budget_fraction(self):
-        backend = backend_with_history()
-        cache = self._fresh_cache(backend)
-        with pytest.raises(ValueError):
-            WarmupAdvisor(backend).preload(cache, budget_fraction=0.0)

@@ -2,15 +2,20 @@
 
 from repro.flash.array import FlashArray
 from repro.flash.latency import ZERO_COST
+from repro.flash.stripe import ParityScheme
 from repro.osd import commands
 from repro.osd.sense import SenseCode
 from repro.osd.target import OsdTarget
 from repro.osd.types import PARTITION_BASE, ObjectId, ObjectKind
 
 
+def no_redundancy(_class_id):
+    return ParityScheme(0)
+
+
 def make_target():
     array = FlashArray(num_devices=5, device_capacity=10**6, chunk_size=64, model=ZERO_COST)
-    target = OsdTarget(array)
+    target = OsdTarget(array, policy=no_redundancy)
     target.create_partition(PARTITION_BASE)
     return target
 
@@ -21,7 +26,7 @@ USER_A = ObjectId(PARTITION_BASE, 0x10005)
 class TestCommands:
     def test_create_partition(self):
         array = FlashArray(num_devices=5, device_capacity=10**6, chunk_size=64, model=ZERO_COST)
-        target = OsdTarget(array)
+        target = OsdTarget(array, policy=no_redundancy)
         assert commands.CreatePartition(PARTITION_BASE).apply(target).ok
         assert commands.CreatePartition(PARTITION_BASE).apply(target).sense is SenseCode.FAIL
 

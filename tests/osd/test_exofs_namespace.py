@@ -28,7 +28,7 @@ def make_namespace():
 class TestSetup:
     def test_requires_formatted_volume(self):
         array = FlashArray(num_devices=5, device_capacity=10**6, chunk_size=64, model=ZERO_COST)
-        target = OsdTarget(array)
+        target = OsdTarget(array, policy=reo_like_policy)
         with pytest.raises(OsdError):
             ExofsNamespace(target)
 

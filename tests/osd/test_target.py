@@ -82,9 +82,23 @@ class TestNamespace:
         target = make_target()
         partition = ObjectId(PARTITION_BASE, 0)
         assert target.remove_object(partition).sense is SenseCode.FAIL
-        assert target.exists(partition) and target.has_partition(PARTITION_BASE)
+        assert target.has_partition(PARTITION_BASE)
         assert target.create_partition(PARTITION_BASE).sense is SenseCode.FAIL
         assert target.write_object(USER_A, b"a").ok
+
+    def test_partition_object_is_not_a_stored_object(self):
+        # A READ names no stored data (FAIL, not 0x63 data lost), and a
+        # #SETID# cannot label a partition.
+        target = make_target()
+        partition = ObjectId(PARTITION_BASE, 0)
+        assert not target.exists(partition)
+        assert target.read_object(partition).sense is SenseCode.FAIL
+        setid = SetClassMessage(partition, 2).encode()
+        assert target.write_object(CONTROL_OBJECT, setid).sense is SenseCode.FAIL
+        assert target.set_class(partition, 2).sense is SenseCode.FAIL
+        assert class_label(target, partition) is None
+        assert target.query(QueryMessage(partition, "R", 0, 0)) is SenseCode.FAIL
+        assert list(target.user_objects()) == []
 
 
 class TestDataPath:

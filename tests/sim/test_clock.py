@@ -9,13 +9,6 @@ class TestSimClock:
     def test_starts_at_zero(self):
         assert SimClock().now == 0.0
 
-    def test_custom_start(self):
-        assert SimClock(5.0).now == 5.0
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock(-1.0)
-
     def test_advance(self):
         clock = SimClock()
         assert clock.advance(1.5) == 1.5
@@ -23,7 +16,8 @@ class TestSimClock:
         assert clock.now == 2.0
 
     def test_advance_zero_ok(self):
-        clock = SimClock(3.0)
+        clock = SimClock()
+        clock.advance_to(3.0)
         clock.advance(0.0)
         assert clock.now == 3.0
 
@@ -38,7 +32,8 @@ class TestSimClock:
         assert clock.now == 10.0
 
     def test_advance_to_past_is_noop(self):
-        clock = SimClock(10.0)
+        clock = SimClock()
+        clock.advance_to(10.0)
         clock.advance_to(4.0)
         assert clock.now == 10.0
 
