@@ -27,8 +27,8 @@ def test_ablation_hotness_indicator(benchmark, emit):
 def test_ablation_recovery_priority(benchmark, emit):
     result = benchmark.pedantic(run_recovery_priority_ablation, rounds=1, iterations=1)
     emit("ablation_recovery_priority", result.format())
-    ordered = result.rows["class+hotness order (paper)"]
-    unordered = result.rows["insertion order"]
+    ordered = result.rows["class order, object id within"]
+    unordered = result.rows["object-id order"]
     assert ordered["hit% after failure"] > 0
     # Prioritized recovery is at least as good in the post-failure window.
     assert ordered["hit% after failure"] >= unordered["hit% after failure"] - 3.0

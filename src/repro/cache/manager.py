@@ -3,9 +3,9 @@
 Implements the paper's cache-server behaviour on top of the OSD initiator,
 its only way to storage (the target owns Reo's redundancy reserve):
 
-- **LRU replacement at object granularity**, with admission control against
-  the array's projected stored bytes (data + redundancy for the object's
-  class).
+- **LRU replacement at object granularity**. Admission is the target's
+  answer: a write or re-encode it refuses with sense 0x64 evicts the LRU
+  victim and is retried; one it refuses with FAIL bypasses the cache.
 - **Write-back**: client writes land in cache as Class-1 (dirty) objects;
   dirty objects are flushed to the backend only on eviction or explicit
   sync, so their replicas keep occupying flash — the effect Fig. 9 measures.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.backend.store import BackendStore
 from repro.cache.policies import EvictionPolicy
@@ -41,10 +41,6 @@ from repro.osd.sense import SenseCode
 from repro.osd.types import FIRST_USER_OID, PARTITION_BASE, ObjectId
 
 __all__ = ["AccessResult", "CacheManager", "CachedObject"]
-
-#: Share of the array's capacity kept free; it absorbs per-device imbalance
-#: from rotated parity and uneven tail chunks.
-CAPACITY_MARGIN = 0.02
 
 
 @dataclass
@@ -129,11 +125,6 @@ class CacheManager:
 
     def name_for(self, object_id: ObjectId) -> Optional[str]:
         return self._by_oid.get(object_id)
-
-    @property
-    def usable_capacity(self) -> float:
-        """Stored-byte capacity the manager will fill to (margin applied)."""
-        return self.initiator.capacity_bytes() * (1.0 - CAPACITY_MARGIN)
 
     @property
     def dirty_count(self) -> int:
@@ -222,13 +213,10 @@ class CacheManager:
         )
 
     def _rewrite_dirty(self, cached: CachedObject, payload: bytes, version: int) -> float:
-        # The transactional overwrite holds old + new simultaneously, so
-        # room is made for the new copy on top of the old one.
-        old_stored = self.initiator.stored_bytes(cached.object_id)
-        self._make_room(
-            len(payload), ObjectClass.DIRTY, exclude=cached.name, extra_bytes=old_stored
+        response = self._until_room(
+            lambda: self.initiator.write(cached.object_id, payload, int(ObjectClass.DIRTY)),
+            exclude=cached.name,
         )
-        response = self._store(cached.object_id, payload, ObjectClass.DIRTY, cached.name)
         if not response.ok:
             # Full with nothing left to evict, too few devices for the dirty
             # scheme, or the old copy was lost mid-failure: replace the
@@ -253,31 +241,29 @@ class CacheManager:
         whether it is on the request's critical path).
         """
         size = len(payload)
-        class_id = self._initial_class(name, size, dirty)
-        response: Optional[OsdResponse] = None
-        projected = self.initiator.projected_bytes(size, int(class_id))
-        if projected is not None and projected <= self.usable_capacity:
-            self._make_room(size, class_id)
-            object_id = self._allocate_oid()
-            response = self._store(object_id, payload, class_id)
-        if response is None or not response.ok:
-            # The object cannot fit even in an empty cache, its class cannot
-            # be laid out on the online devices, or nothing is left to evict
-            # and it still cannot be placed (per-device imbalance, a shrunken
-            # width after failures). Clean objects are simply not admitted;
-            # dirty writes go straight through to the backend so no update
-            # is ever dropped.
+        class_id = int(self._initial_class(name, size, dirty))
+        object_id = ObjectId(PARTITION_BASE, self._next_oid)
+        response = self._until_room(
+            lambda: self.initiator.write(object_id, payload, class_id)
+        )
+        if not response.ok:
+            # The target answered FAIL (the object cannot fit even in an
+            # empty cache, or its class cannot be laid out on the online
+            # devices), or 0x64 with nothing left to evict. Clean objects
+            # are simply not admitted; dirty writes go straight through to
+            # the backend so no update is ever dropped.
             self.stats.admission_bypasses += 1
             if dirty:
                 return self.backend.write(name, payload, version=version)
             return 0.0
+        self._next_oid += 1
         entry = CachedObject(
             name=name,
             object_id=object_id,
             size=size,
             dirty=dirty,
             version=version,
-            class_id=int(class_id),
+            class_id=class_id,
         )
         self._objects[name] = entry
         self._by_oid[object_id] = name
@@ -286,15 +272,17 @@ class CacheManager:
         self.stats.insertions += 1
         return response.io.elapsed
 
-    def _store(
-        self, object_id: ObjectId, payload: bytes, class_id: int, exclude: Optional[str] = None
+    def _until_room(
+        self, command: Callable[[], OsdResponse], exclude: Optional[str] = None
     ) -> OsdResponse:
-        """Write an object; while the target answers 0x64, evict and retry.
+        """Send a write or re-encode; while the target answers 0x64, evict and retry.
 
-        0x64 comes back only once nothing other than ``exclude`` is left.
+        The manager's only way to make room: the refused command is the
+        question. 0x64 comes back only once nothing other than ``exclude``
+        is left.
         """
         while True:
-            response = self.initiator.write(object_id, payload, class_id=int(class_id))
+            response = command()
             if response.sense is not SenseCode.CACHE_FULL or not self.evict_one(exclude):
                 return response
 
@@ -305,23 +293,6 @@ class CacheManager:
             and self.initiator.can_afford_hot(size)
         )
         return classify(metadata=False, dirty=dirty, hot=hot)
-
-    def _make_room(
-        self,
-        size: int,
-        class_id: ObjectClass,
-        exclude: Optional[str] = None,
-        extra_bytes: int = 0,
-    ) -> None:
-        projected = self.initiator.projected_bytes(size, int(class_id))
-        if projected is None:  # the write will fail whatever is evicted
-            return
-        projected += extra_bytes
-        guard = len(self._objects) + 1
-        while guard > 0 and self.initiator.used_bytes() + projected > self.usable_capacity:
-            if not self.evict_one(exclude=exclude):
-                break
-            guard -= 1
 
     def evict_one(self, exclude: Optional[str] = None) -> bool:
         """Evict the policy's victim, flushing it first if dirty.
@@ -449,22 +420,16 @@ class CacheManager:
     def _apply_class_change(self, name: str, desired: ObjectClass) -> int:
         """Re-encode one object under its new class; returns 1 on success.
 
-        A promotion enlarges the object's footprint, so room is made first;
-        if the array still cannot fit the re-encode (eviction exhausted), the
-        target answers 0x64 and the promotion is skipped — the object simply
-        stays cold.
+        A re-encode the target refuses with 0x64 evicts and retries like a
+        write; if eviction is exhausted, or the target answers FAIL, the
+        change is skipped and the object keeps its class.
         """
         cached = self._objects.get(name)
         if cached is None:  # evicted while making room for an earlier change
             return 0
-        if desired is ObjectClass.HOT_CLEAN:
-            projected = self.initiator.projected_bytes(cached.size, int(desired))
-            if projected is None:  # the target would answer FAIL
-                return 0
-            extra = projected - self.initiator.stored_bytes(cached.object_id)
-            if extra > 0:
-                self._make_room(0, desired, exclude=name, extra_bytes=extra)
-        response = self.initiator.set_class(cached.object_id, int(desired))
+        response = self._until_room(
+            lambda: self.initiator.set_class(cached.object_id, int(desired)), exclude=name
+        )
         if response.sense is SenseCode.DATA_CORRUPTED:
             self._drop(name, lost=True)
             return 0
@@ -472,14 +437,6 @@ class CacheManager:
             cached.class_id = int(desired)
             return 1
         return 0
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _allocate_oid(self) -> ObjectId:
-        object_id = ObjectId(PARTITION_BASE, self._next_oid)
-        self._next_oid += 1
-        return object_id
 
     def __repr__(self) -> str:
         return (

@@ -397,8 +397,8 @@ class ClusterSupervisor:
                 return _CLASS_OF_ATTRIBUTE[response.payload]
         return int(ObjectClass.DIRTY)
 
-    def _book_lost(self, report: RehomeReport, object_id: ObjectId, class_id: int) -> None:
-        self.ledger.record_lost(object_id, class_id)
+    def _book_lost(self, report: RehomeReport, class_id: int) -> None:
+        self.ledger.record_lost(class_id)
         report.lost_by_class[class_id] = report.lost_by_class.get(class_id, 0) + 1
         self._tick()
 
@@ -427,13 +427,13 @@ class ClusterSupervisor:
             for owner in missing:
                 if await self._call(owner, write) is not None:
                     landed += 1
-                    self.ledger.record_rehomed(object_id, class_id, len(payload))
+                    self.ledger.record_rehomed(len(payload))
                     report.objects_moved += 1
                     report.bytes_moved += len(payload)
                     self._tick()
         # A copy already on a new owner survives the leaving shard.
         if not landed and len(missing) == len(desired):
-            self._book_lost(report, object_id, class_id)
+            self._book_lost(report, class_id)
         else:
             report.writes_missed += len(missing) - landed
 
@@ -464,7 +464,7 @@ class ClusterSupervisor:
                 break
         key, agreed = agreeing_fragments(present)
         if key is None or len(agreed) < codec.k:
-            self._book_lost(report, parent, _STRIPED_CLASS)
+            self._book_lost(report, _STRIPED_CLASS)
             return
         missing = [index for index in range(codec.n) if index not in agreed]
         fragments = {**agreed, **codec.reconstruct(agreed, missing)} if missing else agreed
@@ -478,7 +478,7 @@ class ClusterSupervisor:
             if await self._call(home, write) is None:
                 report.writes_missed += 1  # not booked: the home is down or refused it
                 continue
-            self.ledger.record_rehomed(fragment_id, key.class_id, len(payload))
+            self.ledger.record_rehomed(len(payload))
             if index in agreed:
                 report.fragments_moved += 1
             else:

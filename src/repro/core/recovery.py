@@ -262,7 +262,7 @@ class RecoveryManager:
         """The one purge of an unrecoverable object: book it, then drop it."""
         # Class read before the purge removes the record; -1 once it is gone.
         info = self.target.get_info(object_id) if self.target.exists(object_id) else None
-        self.ledger.record_lost(object_id, -1 if info is None else info.class_id)
+        self.ledger.record_lost(-1 if info is None else info.class_id)
         self.manager.drop_lost(object_id)
 
     def __repr__(self) -> str:

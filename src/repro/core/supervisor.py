@@ -133,10 +133,10 @@ class DurabilityLedger:
         self.objects_rebuilt += 1
         self.bytes_repaired += result.bytes_written
 
-    def record_lost(self, object_id, class_id: int) -> None:
+    def record_lost(self, class_id: int) -> None:
         self.lost_by_class[class_id] = self.lost_by_class.get(class_id, 0) + 1
 
-    def record_rehomed(self, object_id, class_id: int, nbytes: int) -> None:
+    def record_rehomed(self, nbytes: int) -> None:
         """A shard evacuation/reconstruction moved one object's bytes.
 
         Re-homing is rebuild work at cluster granularity, so it lands in

@@ -75,7 +75,7 @@ class WarmupAdvisor:
         so the warmest objects end at the MRU side of the replacement order.
         """
         report = PreloadReport()
-        names = self.plan(PRELOAD_FRACTION * cache.manager.usable_capacity)
+        names = self.plan(PRELOAD_FRACTION * cache.target.usable_bytes)
         start = cache.clock.now
         for name in reversed(names):  # coldest first, warmest last (MRU)
             result = cache.read(name)

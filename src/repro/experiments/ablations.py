@@ -82,18 +82,19 @@ def run_hotness_indicator_ablation(
 def run_recovery_priority_ablation(
     profile: Optional[Profile] = None, cache_percent: int = 10
 ) -> Table:
-    """Class/hotness-ordered recovery vs insertion-order reconstruction.
+    """Class-ordered recovery vs object-id-ordered reconstruction.
 
     Measures the window right after a failure with a throttled recovery
-    share: prioritized recovery restores likely-to-be-accessed objects
-    first, so the same amount of rebuild work yields more hits.
+    share. Both orders sort by object id; the first sorts by class before
+    it (``RecoveryManager._priority`` reads no hotness).
     """
     profile = profile or active_profile()
     result = Table(
         title=f"Ablation: recovery priority (Reo-20%, one failure) [{profile.name}]"
     )
     trace = make_trace(Locality.MEDIUM, profile)
-    for variant, prioritized in (("class+hotness order (paper)", True), ("insertion order", False)):
+    variants = (("class order, object id within", True), ("object-id order", False))
+    for variant, prioritized in variants:
         cache, run = replay(
             "Reo-20%",
             trace,

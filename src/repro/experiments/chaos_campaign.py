@@ -245,9 +245,7 @@ async def _run_campaign(seed: int) -> Campaign:
             await probe.aclose()
             await supervisor.stop_autonomous()
             for index in await population.verify(router, "verify", READ_ATTEMPTS):
-                supervisor.ledger.record_lost(
-                    population.ids[index], population.classes[index]
-                )
+                supervisor.ledger.record_lost(population.classes[index])
 
             stats = router.router_stats
             rehome = report.to_dict()

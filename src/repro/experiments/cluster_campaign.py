@@ -83,9 +83,7 @@ async def _run_campaign(seed: int) -> Campaign:
             # be byte-exact; class-3 sole copies that died are booked lost.
             class3_lost = await population.verify(router, "after the shard loss")
             for index in class3_lost:
-                supervisor.ledger.record_lost(
-                    population.ids[index], population.classes[index]
-                )
+                supervisor.ledger.record_lost(population.classes[index])
 
             stats = router.router_stats
             rehome = report.to_dict()

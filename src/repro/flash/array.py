@@ -297,8 +297,8 @@ class FlashArray:
     def available_count(self) -> int:
         return len(self.available_devices)
 
-    # Each space property walks the devices once: the cache manager reads
-    # them on every admission.
+    # Each space property walks the devices once: the OSD target reads
+    # them on every write it admits.
     @property
     def capacity_bytes(self) -> int:
         """Capacity of the online devices."""

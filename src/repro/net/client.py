@@ -64,8 +64,8 @@ __all__ = ["AsyncOsdClient", "ClientStats", "OsdServiceError"]
 #: the server tier emits to be handled in the client tier or listed here):
 #: the recovery pair is the payload of :meth:`AsyncOsdClient.recovery_status`
 #: — the caller polls until STARTED becomes ENDED — and the two
-#: space-pressure codes are write-admission outcomes the cache manager
-#: turns into eviction/placement decisions at the call site.
+#: space-pressure codes are the target's write-admission answers, which the
+#: cache manager turns into evictions at the call site.
 SENSE_HANDLED_BY_DEFAULT = (
     SenseCode.RECOVERY_STARTED,
     SenseCode.RECOVERY_ENDED,

@@ -9,16 +9,17 @@ Crucially for Reo, classification and query messages travel through the
 reserved control object exactly as the paper describes: synchronous writes
 to OID ``0x10004`` (§IV-C.2).
 
-It is also the cache manager's only way to storage: in process, its space,
-health and reserve answers read the target and bill nothing, and each
-docstring names the OSD traffic a socket-backed initiator would send.
+It is also the cache manager's only way to storage. Room is not asked for:
+a write or ``#SETID#`` the target refuses with sense 0x64 is the answer.
+In process, the health and reserve answers read the target and bill
+nothing, and each docstring names the OSD traffic a socket-backed
+initiator would send.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.errors import StripeLayoutError
 from repro.flash.array import ArrayIoResult
 from repro.osd import commands
 from repro.osd.control import QueryMessage, SetClassMessage
@@ -65,16 +66,8 @@ class OsdInitiator:
         return self._execute(commands.GetAttr(object_id, "reo.class_id")).ok
 
     # ------------------------------------------------------------------
-    # Space, health and reserve questions (a #QUERY# each over a socket)
+    # Health and reserve questions (a #QUERY# each over a socket)
     # ------------------------------------------------------------------
-    def capacity_bytes(self) -> int:
-        """Online stored-byte capacity; shrinks when devices fail."""
-        return self.target.array.capacity_bytes
-
-    def used_bytes(self) -> int:
-        """Stored bytes, data and redundancy."""
-        return self.target.array.used_bytes
-
     def degraded(self) -> bool:
         """True while the array has failed devices that were not replaced.
 
@@ -82,22 +75,6 @@ class OsdInitiator:
         """
         array = self.target.array
         return array.available_count < array.width
-
-    def stored_bytes(self, object_id: ObjectId) -> int:
-        """Bytes ``object_id`` occupies with its redundancy; 0 when absent."""
-        array = self.target.array
-        return array.stored_bytes_for(object_id) if object_id in array else 0
-
-    def projected_bytes(self, size: int, class_id: int) -> Optional[int]:
-        """Bytes a ``size``-byte object of ``class_id`` would occupy.
-
-        None when the class's scheme does not fit the online devices: a
-        write of that class would answer FAIL.
-        """
-        try:
-            return self.target.array.estimate_stored_bytes(size, self.target.policy(class_id))
-        except StripeLayoutError:
-            return None
 
     def can_afford_hot(self, size: int) -> bool:
         """Would ``size`` hot bytes fit in the reserve? True without one."""

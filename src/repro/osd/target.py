@@ -16,8 +16,13 @@ differentiated policy and the uniform baselines (paper §VI) are both
 implemented in :mod:`repro.core.policy` and injected here, so every
 experiment runs the same target code and varies only the policy.
 The target also owns the policy's redundancy reserve, if it declares one,
-and answers write queries with sense 0x67 while the reserve is exhausted; a
-write or re-encode that does not fit on the devices is answered with 0x64.
+and answers write queries with sense 0x67 while the reserve is exhausted.
+
+Admission is the target's too: a write or re-encode that would carry the
+stored bytes past :attr:`OsdTarget.usable_bytes` is answered with 0x64, so
+the initiator evicts and retries; one that could not fit in an empty array,
+or whose scheme is wider than the online devices, is answered with FAIL,
+since no eviction helps.
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ __all__ = ["OsdResponse", "OsdTarget", "SchemePolicy"]
 
 #: Maps a Reo class id to the redundancy scheme objects of that class get.
 SchemePolicy = Callable[[int], RedundancyScheme]
+
+#: Share of the online capacity kept free; it absorbs per-device imbalance
+#: from rotated parity and uneven tail chunks.
+CAPACITY_MARGIN = 0.02
 
 
 @dataclass
@@ -116,6 +125,37 @@ class OsdTarget:
     def user_objects(self) -> Iterable[ObjectInfo]:
         return self._objects.values()
 
+    @property
+    def usable_bytes(self) -> float:
+        """Stored bytes the target admits up to: online capacity less the margin."""
+        return self.array.capacity_bytes * (1.0 - CAPACITY_MARGIN)
+
+    def _room_for(self, object_id: ObjectId, size: int, scheme: RedundancyScheme) -> SenseCode:
+        """Admission of ``size`` bytes under ``scheme`` in place of ``object_id``'s copy.
+
+        FAIL when no eviction helps (the scheme is wider than the online
+        devices, or the object alone exceeds the usable bytes), 0x64 when
+        the stored bytes, with the old copy counted once, would cross them.
+        An overwrite lays the new copy down before it drops the old one, so
+        it also answers 0x64 when the new copy exceeds the free bytes: the
+        array would program it only to roll it back.
+        """
+        usable = self.usable_bytes
+        try:
+            projected = self.array.estimate_stored_bytes(size, scheme)
+        except StripeLayoutError:
+            return SenseCode.FAIL
+        if projected > usable:
+            return SenseCode.FAIL
+        old = 0
+        if object_id in self.array:
+            if projected > self.array.free_bytes:
+                return SenseCode.CACHE_FULL
+            old = self.array.stored_bytes_for(object_id)
+        if self.array.used_bytes - old + projected > usable:
+            return SenseCode.CACHE_FULL
+        return SenseCode.OK
+
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
@@ -142,15 +182,15 @@ class OsdTarget:
         else:
             effective_class = class_id if class_id is not None else 3
         scheme = self.policy(effective_class)
+        room = self._room_for(object_id, len(payload), scheme)
+        if room is not SenseCode.OK:
+            return OsdResponse(room)
         try:
             io = self.array.write_object(object_id, payload, scheme, overwrite=True)
         except UnrecoverableDataError:
             return OsdResponse(SenseCode.DATA_CORRUPTED)
         except DeviceFullError:
             return OsdResponse(SenseCode.CACHE_FULL)
-        except StripeLayoutError:
-            # Too few online devices for the class's scheme: no eviction helps.
-            return OsdResponse(SenseCode.FAIL)
         info = existing
         if info is None:
             info = ObjectInfo(
@@ -208,10 +248,9 @@ class OsdTarget:
         """Reclassify an object, re-encoding it if its scheme changes.
 
         Re-encoding reads the object (degraded reads allowed) and rewrites it
-        under the new scheme; a lost object cannot be reclassified and
-        returns sense 0x63, a re-encode that does not fit returns 0x64, and
-        a scheme wider than the online devices returns FAIL. Either way the
-        object keeps its old class and layout.
+        under the new scheme, admitted like a write; a lost object cannot be
+        reclassified and returns sense 0x63. Whatever the answer other than
+        OK, the object keeps its old class and layout.
         """
         info = self._objects.get(object_id)
         if info is None:
@@ -219,6 +258,9 @@ class OsdTarget:
         new_scheme = self.policy(class_id)
         io = ArrayIoResult()
         if new_scheme != self.policy(info.class_id):
+            room = self._room_for(object_id, info.size, new_scheme)
+            if room is not SenseCode.OK:
+                return OsdResponse(room)
             try:
                 payload, io = self.array.read_object(object_id)
                 io.merge(self.array.write_object(object_id, payload, new_scheme, overwrite=True))
@@ -226,8 +268,6 @@ class OsdTarget:
                 return OsdResponse(SenseCode.DATA_CORRUPTED)
             except DeviceFullError:
                 return OsdResponse(SenseCode.CACHE_FULL)
-            except StripeLayoutError:
-                return OsdResponse(SenseCode.FAIL)
         info.class_id = class_id
         return OsdResponse(SenseCode.OK, io=io)
 
@@ -268,21 +308,19 @@ class OsdTarget:
                 return SenseCode.RECOVERY_ENDED
             return SenseCode.OK
         if message.object_id not in self._objects:
-            if message.operation == "W":
-                return self._query_write_admission(message.size)
-            return SenseCode.FAIL
+            if message.operation != "W":
+                return SenseCode.FAIL
+            if self.budget is not None and self.budget.is_full:
+                return SenseCode.REDUNDANCY_FULL
+            # A new object of the default class; a refused write of any
+            # kind reads as no room.
+            room = self._room_for(message.object_id, message.size, self.policy(3))
+            return SenseCode.OK if room is SenseCode.OK else SenseCode.CACHE_FULL
         health = self.array.object_health(message.object_id)
         if health is ObjectHealth.LOST:
             return SenseCode.DATA_CORRUPTED
         if health is ObjectHealth.DEGRADED and self.recovery_active:
             return SenseCode.RECOVERY_STARTED
-        return SenseCode.OK
-
-    def _query_write_admission(self, size: int) -> SenseCode:
-        if self.budget is not None and self.budget.is_full:
-            return SenseCode.REDUNDANCY_FULL
-        if size > self.array.free_bytes:
-            return SenseCode.CACHE_FULL
         return SenseCode.OK
 
     def __repr__(self) -> str:

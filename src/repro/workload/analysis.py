@@ -6,7 +6,8 @@ bytes — plus the derived properties that explain the measured hit ratios:
 popularity skew, and one exact Mattson pass giving every request's LRU
 stack distance in bytes, from which the hit ratio of a byte-capacity LRU
 cache of any size is a count. Under a uniform scheme the cache manager is
-such a cache: its usable capacity over the scheme's storage multiplier.
+such a cache: the target's usable bytes over the scheme's storage
+multiplier.
 """
 
 from __future__ import annotations

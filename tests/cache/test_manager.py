@@ -59,7 +59,7 @@ class TestEviction:
         names = register_uniform_objects(cache, 100, 2_000)
         for name in names:
             cache.read(name)
-        assert cache.array.used_bytes <= cache.manager.usable_capacity
+        assert cache.array.used_bytes <= cache.target.usable_bytes
         assert cache.stats.evictions > 0
 
     def test_lru_victim_is_evicted(self):
@@ -78,6 +78,17 @@ class TestEviction:
         result = cache.read("huge")
         assert not result.hit
         assert "huge" not in cache.manager
+        assert cache.stats.admission_bypasses == 1
+
+    def test_object_larger_than_the_usable_bytes_evicts_nothing(self):
+        cache = build_cache(cache_bytes=10_000, policy=uniform_parity(0))
+        names = register_uniform_objects(cache, 3, 1_000)
+        for name in names:
+            cache.read(name)
+        cache.register_objects({"huge": int(cache.target.usable_bytes) + 1})
+        assert not cache.read("huge").hit
+        assert list(cache.manager.cached_names()) == names
+        assert cache.stats.evictions == 0
         assert cache.stats.admission_bypasses == 1
 
     def test_repeated_reads_of_bypassed_object_always_miss(self):
@@ -147,6 +158,24 @@ class TestWriteBack:
         payload, response = small_cache.initiator.read(cached.object_id)
         assert response.ok
         assert payload is not None
+
+    def test_same_size_dirty_rewrite_near_the_watermark_evicts_nothing(self):
+        # Fully replicated 2,000-byte objects store 10,000 bytes each. With
+        # four cached, the old copy and the new one fit on the devices
+        # together, but reserving room for the old copy a second time
+        # would cross the usable bytes.
+        cache = build_cache(cache_bytes=60_000, policy=full_replication())
+        names = register_uniform_objects(cache, 4, 2_000)
+        cache.write(names[0])
+        for name in names[1:]:
+            cache.read(name)
+        stored = cache.array.stored_bytes_for(cache.manager.get_cached(names[0]).object_id)
+        assert cache.array.used_bytes + stored <= cache.array.capacity_bytes
+        assert cache.array.used_bytes + 2 * stored > cache.target.usable_bytes
+        cache.write(names[0])
+        assert cache.stats.evictions == 0
+        assert sorted(cache.manager.cached_names()) == names
+        assert cache.manager.get_cached(names[0]).version == 2
 
     def test_oversized_dirty_write_goes_straight_to_backend(self):
         cache = build_cache(cache_bytes=10_000)

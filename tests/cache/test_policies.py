@@ -185,7 +185,7 @@ class TestManagerIntegration:
                 cache.read(f"obj-{index}")
             cache.read("obj-0")
             assert cache.stats.evictions > 0, name
-            assert cache.array.used_bytes <= cache.manager.usable_capacity, name
+            assert cache.array.used_bytes <= cache.target.usable_bytes, name
 
     @staticmethod
     def _churned(name):

@@ -685,13 +685,16 @@ class TestCondemnRehome:
             await service.stop_shard(shard_id)
         supervisor = ClusterSupervisor(service, router)
         booked = []
-        book = supervisor.ledger.record_rehomed
+        call = supervisor._call
 
-        def spy(object_id, class_id, nbytes):
-            booked.append(object_id)
-            book(object_id, class_id, nbytes)
+        async def spy(shard_id, command):
+            # A re-home write that lands is booked on the ledger.
+            response = await call(shard_id, command)
+            if response is not None and isinstance(command, commands.Write):
+                booked.append(command.object_id)
+            return response
 
-        supervisor.ledger.record_rehomed = spy
+        supervisor._call = spy
         report = await supervisor.condemn(ranked[0], "test crash", evacuate=False)
         plan = router.cluster_map.stripe_shards_for(target, router.codec.n)
         assert booked
@@ -903,13 +906,15 @@ class TestCondemnRehome:
                         assert (await router.write(oid(index), body, class_id)).ok
                     supervisor = ClusterSupervisor(service, router)
                     walked = []
-                    book = supervisor.ledger.record_rehomed
+                    call = supervisor._call
 
-                    def spy(object_id, class_id, nbytes):
-                        walked.append(class_id)
-                        book(object_id, class_id, nbytes)
+                    async def spy(shard_id, command):
+                        response = await call(shard_id, command)
+                        if response is not None and isinstance(command, commands.Write):
+                            walked.append(command.class_id)
+                        return response
 
-                    supervisor.ledger.record_rehomed = spy
+                    supervisor._call = spy
                     await supervisor.condemn(2, "test evacuation")
                     assert set(walked) == {0, 1, 2, 3}
                     assert walked == sorted(walked)

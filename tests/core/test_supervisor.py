@@ -52,9 +52,9 @@ class TestDurabilityLedger:
 
     def test_loss_accounting_by_class(self):
         ledger = DurabilityLedger()
-        ledger.record_lost("a", 3)
-        ledger.record_lost("b", 3)
-        ledger.record_lost("c", 1)
+        ledger.record_lost(3)
+        ledger.record_lost(3)
+        ledger.record_lost(1)
         assert ledger.objects_lost == 3
         assert ledger.to_dict()["lost_by_class"] == {"1": 1, "3": 2}
 

@@ -309,6 +309,72 @@ class TestDeviceFull:
 
 
 
+class TestWatermark:
+    """The target admits stored bytes up to ``usable_bytes``, not to full devices.
+
+    0x64 asks the initiator to evict; FAIL says no eviction helps.
+    """
+
+    @staticmethod
+    def near_the_watermark():
+        """10,000 bytes below the usable bytes, 110,000 below full devices."""
+        target = make_target()
+        oids = [ObjectId(PARTITION_BASE, 0x10100 + i) for i in range(51)]
+        for oid in oids[:48]:
+            assert target.write_object(oid, bytes(100_000), class_id=3).ok
+        assert target.write_object(oids[48], bytes(85_000), class_id=3).ok
+        assert target.write_object(oids[49], bytes(5_000), class_id=3).ok
+        assert target.usable_bytes - target.array.used_bytes == 10_000
+        assert target.array.free_bytes == 110_000
+        return target, oids
+
+    def test_write_past_the_watermark_answers_0x64(self):
+        target, oids = self.near_the_watermark()
+        response = target.write_object(oids[50], bytes(20_000), class_id=3)
+        assert response.sense is SenseCode.CACHE_FULL
+        assert not target.exists(oids[50])
+        assert oids[50] not in target.array
+
+    def test_same_size_overwrite_at_the_watermark_counts_the_old_copy_once(self):
+        target, oids = self.near_the_watermark()
+        assert target.write_object(oids[0], b"\1" * 100_000).ok
+        assert target.usable_bytes - target.array.used_bytes == 10_000
+
+    def test_overwrite_larger_than_the_free_bytes_answers_0x64_untouched(self):
+        # Counted once, the old copy leaves room under the watermark, but
+        # the new copy must land before the old one is dropped.
+        target = make_target()
+        assert target.write_object(USER_A, bytes(2_450_000), class_id=3).ok
+        assert target.write_object(USER_B, bytes(2_400_000), class_id=3).ok
+        writes = sum(device.stats.writes for device in target.array.devices)
+        response = target.write_object(USER_A, b"\1" * 2_450_000)
+        assert response.sense is SenseCode.CACHE_FULL
+        assert sum(device.stats.writes for device in target.array.devices) == writes
+        assert target.read_object(USER_A).payload == bytes(2_450_000)
+
+    def test_reencode_past_the_watermark_answers_0x64(self):
+        target, oids = self.near_the_watermark()
+        response = target.set_class(oids[49], 1)
+        assert response.sense is SenseCode.CACHE_FULL
+        assert target.get_info(oids[49]).class_id == 3
+        assert target.array.get_extent(oids[49]).scheme == ParityScheme(0)
+
+    def test_object_larger_than_the_usable_bytes_fails(self):
+        target = make_target()
+        response = target.write_object(USER_A, bytes(int(target.usable_bytes) + 1), class_id=3)
+        assert response.sense is SenseCode.FAIL
+        assert not target.exists(USER_A)
+
+    def test_reencode_larger_than_the_usable_bytes_fails(self):
+        # Fully replicated, 1.5 MB stores 7.5 MB on five 1 MB devices.
+        target = make_target()
+        assert target.write_object(USER_A, bytes(1_500_000), class_id=3).ok
+        response = target.set_class(USER_A, 1)
+        assert response.sense is SenseCode.FAIL
+        assert target.get_info(USER_A).class_id == 3
+        assert target.array.get_extent(USER_A).scheme == ParityScheme(0)
+
+
 class TestTooFewDevices:
     """A scheme wider than the online devices is answered with FAIL, not 0x64.
 

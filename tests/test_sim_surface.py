@@ -20,6 +20,7 @@ from repro.core.recovery import RecoveryManager
 from repro.core.reo import ReoCache
 from repro.core.supervisor import RecoverySupervisor, ScrubScheduler
 from repro.core.warmup import WarmupAdvisor
+from repro.osd.initiator import OsdInitiator
 from repro.osd.target import OsdTarget
 from repro.sim.clock import SimClock
 
@@ -53,6 +54,16 @@ DEFAULTED = {
 }
 
 
+#: The initiator's public calls: the data commands, the control messages
+#: and three health and reserve questions. Room is the target's answer to a
+#: write, so no space question belongs here.
+INITIATOR_CALLS = {
+    "write", "read", "update", "remove", "exists",
+    "set_class", "query", "recovery_status",
+    "degraded", "can_afford_hot", "hot_reserve",
+}
+
+
 def parameters(target):
     return [
         parameter
@@ -74,3 +85,8 @@ def test_assembled_components_default_no_collaborator(cls):
         if parameter.default is not inspect.Parameter.empty
     ]
     assert defaulted == DEFAULTED[cls]
+
+
+def test_initiator_offers_only_commands_and_three_questions():
+    public = {name for name in vars(OsdInitiator) if not name.startswith("_")}
+    assert public == INITIATOR_CALLS

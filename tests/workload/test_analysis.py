@@ -13,6 +13,7 @@ from repro.experiments.common import (
     make_policy,
     make_trace,
 )
+from repro.experiments.writeback import POLICIES as WRITEBACK_POLICIES, WRITE_RATIOS
 from repro.workload.analysis import footprint_curve, profile_trace, reuse_distances
 from repro.workload.medisyn import Locality, MediSynConfig, generate_workload
 from repro.workload.trace import Trace, TraceRecord
@@ -178,9 +179,9 @@ class TestCli:
 
 
 class TestNormalRunOracle:
-    """The uniform-parity hit ratios of Figs. 5-7 are byte-capacity LRU.
+    """The uniform-scheme hit ratios of Figs. 5-7 and 9 are byte-capacity LRU.
 
-    Each cell's cache holds the manager's usable capacity over the scheme's
+    Each cell's cache holds the target's usable bytes over the scheme's
     storage multiplier in logical bytes, and hits count after the warm-up
     cutoff, so one stack pass per trace reproduces the committed text.
     """
@@ -209,7 +210,28 @@ class TestNormalRunOracle:
                     key, int(trace.total_bytes * int(percent) / 100), profile
                 )
                 multiplier = make_policy(key).scheme_for(3).storage_multiplier(5)
-                capacity = cache.manager.usable_capacity / multiplier
+                capacity = cache.target.usable_bytes / multiplier
                 assert largest <= capacity  # no object bypasses admission
                 hits = sum(1 for d in distances if d is not None and d <= capacity)
                 assert f"{100 * hits / len(distances):.1f}" == printed[key], (percent, key)
+
+    @pytest.mark.parametrize("ratio", WRITE_RATIOS)
+    def test_full_replication_column_of_fig9(self, ratio):
+        # Clean and dirty objects are both fully replicated, so a write is
+        # one more reference to the object; hits count over every request.
+        profile = PROFILES["fast"]
+        trace = make_trace(Locality.MEDIUM, profile, write_ratio=ratio / 100)
+        cutoff = int(len(trace) * profile.warmup_fraction)
+        distances = reuse_distances(trace)[cutoff:]
+        hit_block = (RESULTS / "fig9_writeback.txt").read_text().split("\n\n")[0].splitlines()
+        assert hit_block[2].split()[-len(WRITEBACK_POLICIES):] == list(WRITEBACK_POLICIES)
+        rows = {int(row.split()[0]): row.split()[1:] for row in hit_block[4:]}
+        printed = dict(zip(WRITEBACK_POLICIES, rows[ratio]))["full-replication"]
+        cache = build_experiment_cache(
+            "full-replication", int(trace.total_bytes * 10 / 100), profile
+        )
+        multiplier = make_policy("full-replication").scheme_for(3).storage_multiplier(5)
+        capacity = cache.target.usable_bytes / multiplier
+        assert max(trace.catalog.values()) <= capacity
+        hits = sum(1 for d in distances if d is not None and d <= capacity)
+        assert f"{100 * hits / len(distances):.1f}" == printed
