@@ -16,7 +16,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
+from operator import getitem
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.flash.device import DeviceState, FlashDevice
 from repro.flash.latency import INTEL_540S_SSD, ServiceTimeModel
 from repro.flash.stripe import (
     ChunkLocation,
+    FragmentSlot,
     RedundancyScheme,
     ReplicationScheme,
     StripeDescriptor,
@@ -69,6 +71,41 @@ def _scheme_geometry(scheme: RedundancyScheme, width: int) -> Tuple[int, bool]:
     """
     scheme.validate(width)
     return scheme.data_chunks_per_stripe(width), isinstance(scheme, ReplicationScheme)
+
+
+#: One device's part in the placement of stripes from one rotation on: its
+#: id, its fragment index in each of the ``period`` stripes from there (None
+#: where it has no slot), and whether it has a slot in all of them.
+_RunPlan = Tuple[int, Tuple[Optional[int], ...], bool]
+
+
+@lru_cache(maxsize=1024)
+def _placement(scheme: RedundancyScheme, devices: Tuple[int, ...]) -> Tuple[
+    int, bool, Tuple[Tuple[FragmentSlot, ...], ...], Tuple[Tuple[_RunPlan, ...], ...]
+]:
+    """Everything a write over ``devices`` fixes before it sees a payload.
+
+    The scheme's geometry (``k``, replicated or not), the stripe layouts
+    and, per starting rotation, the run plan of every device in the order
+    stripes from there touch them — the order chunk-by-chunk programming
+    opens the devices' samples in. The run path lays an object's runs out
+    from these: the device that stripe ``s`` puts fragment ``i`` on holds
+    ``(s, i)``. An invalid width raises every time (errors are not cached).
+    """
+    k, replicated = _scheme_geometry(scheme, len(devices))
+    layouts = scheme.layouts(devices)
+    period = len(layouts)
+    plans = []
+    for start in range(period):
+        cycled = layouts[start:] + layouts[:start]
+        indices: Dict[int, List[Optional[int]]] = {}
+        for step, slots in enumerate(cycled):
+            for slot in slots:
+                indices.setdefault(slot.device_id, [None] * period)[step] = slot.fragment_index
+        plans.append(tuple(
+            (device_id, tuple(picks), None not in picks) for device_id, picks in indices.items()
+        ))
+    return k, replicated, layouts, tuple(plans)
 
 
 class ObjectHealth(enum.Enum):
@@ -160,6 +197,10 @@ class ObjectExtent:
     #: the stripes are laid out (chunk lengths never change afterwards).
     data_bytes: int = 0
     redundancy_bytes: int = 0
+    #: Each device's chunk addresses, in stripe order: the run a write
+    #: programs there, a healthy read pulls its data fragments from and a
+    #: delete retires. Keyed in the order the write first touched them.
+    runs: Dict[int, List[Tuple[int, int]]] = field(default_factory=dict)
 
     @property
     def stored_bytes(self) -> int:
@@ -185,9 +226,16 @@ class _IoBatch:
 
     def _open(self, device: FlashDevice) -> DeviceIoSample:
         """First touch of a device: note its queueing delay, open its sample."""
-        self._wait[device.device_id] = max(0.0, device.busy_until - self._start)
         sample = self._samples[device.device_id] = DeviceIoSample()
+        wait = device.busy_until - self._start
+        self._wait[device.device_id] = wait if wait > 0.0 else 0.0
         return sample
+
+    def add(self, device: FlashDevice, sample: DeviceIoSample) -> None:
+        """A device's sample, at its first touch; a run comes in one sample."""
+        wait = device.busy_until - self._start
+        self._wait[device.device_id] = wait if wait > 0.0 else 0.0
+        self._samples[device.device_id] = sample
 
     def read(self, device: FlashDevice, address: Tuple[int, int]) -> bytes:
         sample = self._samples.get(device.device_id)
@@ -225,7 +273,8 @@ class _IoBatch:
         elapsed = 0.0
         for device_id, sample in self._samples.items():
             completion = self._wait[device_id] + sample.seconds
-            elapsed = max(elapsed, completion)
+            if completion > elapsed:
+                elapsed = completion
             by_id[device_id].busy_until = self._start + completion
         self.result.elapsed = elapsed
         return self.result
@@ -378,6 +427,13 @@ class FlashArray:
     ) -> ArrayIoResult:
         """Stripe, encode, and store an object across the online devices.
 
+        The whole object is laid out first — descriptors, fragments and
+        each device's run — and then programmed: each device's run in one
+        call (``_program_runs``), or chunk by chunk in stripe-major order
+        (``_program_chunks``) when the object is one stripe, a device of
+        the layout has a fault injector or an FTL, or a run would overflow
+        its device. Both bill and store exactly the same.
+
         Overwrites are transactional: the new stripes are written first and
         the old copy is only deleted after they all land, so a mid-write
         failure (e.g. :class:`DeviceFullError`) rolls back and leaves the
@@ -386,109 +442,121 @@ class FlashArray:
         previous = self._objects.get(key)
         if previous is not None and not overwrite:
             raise ObjectExistsError(f"object {key!r} already stored")
-        online = self.online_devices
-        k, is_replication = _scheme_geometry(scheme, len(online))
+        if type(payload) is not bytes:
+            payload = bytes(payload)  # fragments are slices: stored chunks are immutable
         # Everything below that does not depend on the payload is fixed
-        # here, once per object: the slot tuples of every rotation, the
-        # stripe width, the parity count and its codec.
-        layouts = scheme.layouts(tuple(device.device_id for device in online))
+        # here, once per object: the geometry, the slot tuples of every
+        # rotation and each device's fragment index in them, the stripe
+        # width, the parity count and its codec.
+        k, is_replication, layouts, run_plans = _placement(
+            scheme,
+            tuple([device.device_id for device in self.devices if device.state is _ONLINE]),
+        )
         period = len(layouts)
         stripe_width = len(layouts[0])
         parity_count = 0 if is_replication else stripe_width - k
         codec = self._codec(k, parity_count) if parity_count else None
-        by_id = self._devices_by_id
 
         size = len(payload)
         chunk_size = self.chunk_size
         full_bytes = k * chunk_size
-        full = size // full_bytes
         # Leading stripes laid out straight from the payload: all the full
         # ones, except a lone full stripe that needs parity — batching one
         # stripe saves nothing, so it is packed and encoded like the tail.
-        direct = full if codec is None or full > 1 else 0
-        extent = ObjectExtent(key=key, size=size, scheme=scheme)
-        stripes = extent.stripes
-        batch = _IoBatch(self.clock.now, op="write")
-        result = batch.result
-        samples = result.device_io
-        offset = 0
-        try:
-            parity_rows: List[bytes] = []
-            if codec is not None and direct:
-                # One encode per object: GF(256) parity is column-wise, so
-                # fragment i of every full stripe laid side by side encodes
-                # to every stripe's parity side by side, byte for byte.
-                stacked = (
-                    np.frombuffer(payload, dtype=np.uint8, count=direct * full_bytes)
-                    .reshape(direct, k, chunk_size)
-                    .transpose(1, 0, 2)
-                    .reshape(k, direct * chunk_size)
+        direct = size // full_bytes
+        if codec is not None and direct == 1:
+            direct = 0
+        plan = split_payload(size, chunk_size, k)
+        count = len(plan)
+        first = self._next_stripe_id
+        self._next_stripe_id = first + count
+        # Every stripe but the last is full, so each device that holds a
+        # chunk of every stripe holds this many bytes of the object.
+        lengths = chunk_size * (count - 1) + plan[-1][1] if count else 0
+        # The whole object is laid out before its first chunk is programmed,
+        # so a rollback sees every stripe of it. Rotate by the *global*
+        # stripe id so parity lands evenly across devices regardless of
+        # object sizes (§IV-C.3).
+        extent = ObjectExtent(
+            key, size, scheme,
+            [
+                StripeDescriptor(
+                    stripe_id, stripe_payload, k, parity_count,
+                    layouts[stripe_id % period], chunk_length, is_replication,
                 )
-                parity_rows = [row.tobytes() for row in codec.encode_arrays(stacked)]
-            for number, (stripe_payload, chunk_length) in enumerate(
-                split_payload(size, chunk_size, k)
-            ):
-                stripe_id = self._next_stripe_id
-                self._next_stripe_id += 1
+                for stripe_id, (stripe_payload, chunk_length) in zip(
+                    range(first, first + count), plan
+                )
+            ],
+            k * lengths,
+            (stripe_width - k) * lengths,
+        )
+
+        # Data fragments of the direct stripes are slices of the payload.
+        data = [
+            payload[start : start + chunk_size]
+            for start in range(0, direct * full_bytes, chunk_size)
+        ] if direct else []
+        fragments: List
+        if is_replication:
+            # One byte string per stripe, sent to every slot of it; k is 1,
+            # so the tail stripe is the rest of the payload, unpadded.
+            if count > direct:
+                data.append(payload[direct * chunk_size :])
+            fragments = data
+        else:
+            # fragments[n][i]: fragment i of stripe n.
+            fragments = []
+            if direct:
+                columns = [data[index::k] for index in range(k)]
+                if codec is not None:
+                    # One encode per object: GF(256) parity is column-wise,
+                    # so fragment i of every full stripe laid side by side
+                    # encodes to every stripe's parity side by side, byte
+                    # for byte.
+                    stacked = (
+                        np.frombuffer(payload, dtype=np.uint8, count=direct * full_bytes)
+                        .reshape(direct, k, chunk_size)
+                        .transpose(1, 0, 2)
+                        .reshape(k, direct * chunk_size)
+                    )
+                    for row in codec.encode_arrays(stacked):
+                        parity = row.tobytes()
+                        columns.append([
+                            parity[column : column + chunk_size]
+                            for column in range(0, direct * chunk_size, chunk_size)
+                        ])
+                fragments += zip(*columns)
+            for number in range(direct, count):
+                # A stripe packed and encoded alone: the partial tail,
+                # zero-padded, or a lone full stripe.
+                stripe_payload, chunk_length = plan[number]
                 stripe_bytes = k * chunk_length
-                if number < direct:
-                    # Data fragments are slices of the payload, parity is
-                    # this stripe's columns of the object-wide encode.
-                    fragments = [
-                        payload[start : start + chunk_size]
-                        for start in range(offset, offset + full_bytes, chunk_size)
-                    ]
-                    column = number * chunk_size
-                    fragments += [row[column : column + chunk_size] for row in parity_rows]
-                else:
-                    # A stripe packed and encoded alone: the partial tail,
-                    # zero-padded, or a lone full stripe.
-                    raw = payload[offset : offset + stripe_payload]
-                    if stripe_payload < stripe_bytes:
-                        raw = raw.ljust(stripe_bytes, b"\0")
-                    fragments = [
-                        raw[start : start + chunk_length]
-                        for start in range(0, stripe_bytes, chunk_length)
-                    ]
-                    if codec is not None:
-                        fragments += codec.encode(fragments)
-                offset += stripe_payload
-                # A replicated stripe is one byte string sent to every slot.
-                if is_replication:
-                    fragments *= stripe_width
-                # Rotate by the *global* stripe id so parity lands evenly
-                # across devices regardless of object sizes (§IV-C.3).
-                slots = layouts[stripe_id % period]
-                # The stripe is on record before its first chunk is
-                # programmed, so a rollback sees the stripe in flight too.
-                stripes.append(
-                    StripeDescriptor(
-                        stripe_id, stripe_payload, k, parity_count, slots,
-                        chunk_length, is_replication,
-                    )
-                )
-                extent.data_bytes += stripe_bytes
-                extent.redundancy_bytes += (stripe_width - k) * chunk_length
-                # ``_IoBatch.write`` in place, chunk by chunk in slot order.
-                for slot in slots:
-                    device_id = slot.device_id
-                    index = slot.fragment_index
-                    sample = samples.get(device_id)
-                    if sample is None:
-                        sample = batch._open(by_id[device_id])
-                    sample.seconds += by_id[device_id].write_chunk(
-                        (stripe_id, index), fragments[index]
-                    )
-                    sample.writes += 1
-                    sample.bytes_written += chunk_length
-                result.chunks_written += stripe_width
-                result.bytes_written += stripe_width * chunk_length
+                offset = number * full_bytes
+                raw = payload[offset : offset + stripe_payload]
+                if stripe_payload < stripe_bytes:
+                    raw = raw.ljust(stripe_bytes, b"\0")
+                packed = [
+                    raw[start : start + chunk_length]
+                    for start in range(0, stripe_bytes, chunk_length)
+                ]
+                if codec is not None:
+                    packed += codec.encode(packed)
+                fragments.append(packed)
+
+        batch = _IoBatch(self.clock.now, op="write")
+        try:
+            # A one-stripe object's runs are single chunks: nothing to gain.
+            if count < 2 or not self._program_runs(
+                extent, fragments, run_plans[first % period], lengths, batch
+            ):
+                self._program_chunks(extent, fragments, batch)
         except (FlashError, ErasureError):
-            # Roll back on storage/encoding failures (device full, failed
-            # mid-write, infeasible layout): drop the partially written new
-            # chunks so the previous copy (if any) remains authoritative.
-            # Non-storage exceptions propagate untouched — injected faults
-            # and programming errors must never be silently swallowed here.
+            # Roll back on storage failures (device full, failed
+            # mid-write): drop the partially written new chunks so the
+            # previous copy (if any) remains authoritative. Non-storage
+            # exceptions propagate untouched — injected faults and
+            # programming errors must never be silently swallowed here.
             self._discard_chunks(extent)
             raise
         if previous is not None:
@@ -498,29 +566,125 @@ class FlashArray:
             self._data_bytes -= previous.data_bytes
             self._redundancy_bytes -= previous.redundancy_bytes
         self._objects[key] = extent
-        for stripe in stripes:
-            self._stripe_owners[stripe.stripe_id] = key
+        owners = self._stripe_owners
+        for stripe_id in range(first, first + count):
+            owners[stripe_id] = key
         self._logical_bytes += extent.size
         self._data_bytes += extent.data_bytes
         self._redundancy_bytes += extent.redundancy_bytes
         return self._finish(batch)
 
+    def _program_runs(
+        self,
+        extent: ObjectExtent,
+        fragments: List,
+        plans: Tuple[_RunPlan, ...],
+        lengths: int,
+        batch: _IoBatch,
+    ) -> bool:
+        """Program each device's run of a laid-out object in one call.
+
+        Each run is the device's address and fragment in every stripe it
+        holds, in stripe order, and the device's sample is its run: chunk by
+        chunk would bill the same chunks in the same order. False, with
+        nothing written, when a device has a fault injector or an FTL
+        attached (their hooks see chunks one by one, in stripe-major order)
+        or a run would overflow its device (so ``DeviceFullError`` and the
+        wear counters land on the same chunk as chunk by chunk).
+        """
+        stripes = extent.stripes
+        count = len(stripes)
+        first = stripes[0].stripe_id
+        stripe_ids = range(first, first + count)
+        replicated = stripes[0].replicated
+        repeats = count // len(plans[0][1]) + 1
+        by_id = self._devices_by_id
+        laid = []
+        for device_id, cycled, everywhere in plans:
+            device = by_id[device_id]
+            if device.fault_injector is not None or device.ftl is not None:
+                return False
+            picks = (cycled * repeats)[:count]
+            if everywhere:
+                run = list(zip(stripe_ids, picks))
+                held = fragments if replicated else list(map(getitem, fragments, picks))
+                total = lengths
+            else:
+                # A device without a slot in some rotations (fewer copies
+                # than devices) holds only the stripes it has one in.
+                keep = [index is not None for index in picks]
+                if not any(keep):
+                    continue
+                picks = tuple(compress(picks, keep))
+                run = list(zip(compress(stripe_ids, keep), picks))
+                held = list(compress(fragments, keep))
+                if not replicated:
+                    held = list(map(getitem, held, picks))
+                total = sum(map(len, held))
+            if total > device.free_bytes:
+                return False
+            laid.append((device, run, held, total))
+        runs = extent.runs
+        chunks = written = 0
+        for device, run, held, total in laid:
+            seconds = device.write_run(run, held)
+            batch.add(device, DeviceIoSample(0, len(run), 0, total, seconds))
+            runs[device.device_id] = run
+            chunks += len(run)
+            written += total
+        result = batch.result
+        result.chunks_written = chunks
+        result.bytes_written = written
+        return True
+
+    def _program_chunks(self, extent: ObjectExtent, fragments: List, batch: _IoBatch) -> None:
+        """Program a laid-out object chunk by chunk: stripe-major, slot order within a stripe.
+
+        Each device's run is recorded as its chunks go out. If a chunk
+        fails, the stripe ids after the one in flight are handed out again,
+        as laying out stripe by stripe did.
+        """
+        by_id = self._devices_by_id
+        runs = extent.runs
+        result = batch.result
+        samples = result.device_io
+        for stripe, stripe_fragments in zip(extent.stripes, fragments):
+            stripe_id = stripe.stripe_id
+            chunk_length = stripe.chunk_length
+            if stripe.replicated:  # one byte string for every slot
+                stripe_fragments = (stripe_fragments,) * stripe.width
+            try:
+                # ``_IoBatch.write`` in place, chunk by chunk in slot order.
+                for slot in stripe.slots:
+                    device_id = slot.device_id
+                    index = slot.fragment_index
+                    address = (stripe_id, index)
+                    device = by_id[device_id]
+                    sample = samples.get(device_id)
+                    if sample is None:  # the device's first chunk: its run starts
+                        sample = batch._open(device)
+                        runs[device_id] = [address]
+                    else:
+                        runs[device_id].append(address)
+                    sample.seconds += device.write_chunk(address, stripe_fragments[index])
+                    sample.writes += 1
+                    sample.bytes_written += chunk_length
+            except FlashError:
+                self._next_stripe_id = stripe_id + 1
+                raise
+            result.chunks_written += stripe.width
+            result.bytes_written += stripe.width * chunk_length
+
     def _discard_chunks(self, extent: ObjectExtent) -> None:
         """Remove an extent's chunks from whichever live devices hold them.
 
-        One ``discard_chunks`` call per device, with that device's addresses
-        in stripe order: a discard bills no time and has no fault hook, so
-        only the order within a device is observable (its FTL trims).
+        One ``discard_chunks`` call per device, with its run: a discard
+        bills no time and has no fault hook, so only the order within a
+        device is observable (its FTL trims), and a run is in stripe order.
         """
         by_id = self._devices_by_id
-        by_device: Dict[int, List[Tuple[int, int]]] = {device_id: [] for device_id in by_id}
-        for stripe in extent.stripes:
-            stripe_id = stripe.stripe_id
-            for slot in stripe.slots:
-                by_device[slot.device_id].append((stripe_id, slot.fragment_index))
-        for device_id, addresses in by_device.items():
-            if addresses:
-                by_id[device_id].discard_chunks(addresses)
+        for device_id, addresses in extent.runs.items():
+            by_id[device_id].discard_chunks(addresses)
 
     def _unregister_stripes(self, extent: ObjectExtent) -> None:
         for stripe in extent.stripes:
@@ -546,12 +710,69 @@ class FlashArray:
         """
         extent = self.get_extent(key)
         batch = _IoBatch(self.clock.now, op="read")
-        by_id = self._devices_by_id
-        pieces: List[bytes] = []
-        for stripe in extent.stripes:
-            pieces.append(self._read_stripe(stripe, batch, by_id))
-        payload = b"".join(pieces)[: extent.size]
+        # A one-stripe object is one chunk per device: its stripe is its runs.
+        payload = self._read_runs(extent, batch) if len(extent.stripes) > 1 else None
+        if payload is None:
+            by_id = self._devices_by_id
+            pieces = [self._read_stripe(stripe, batch, by_id) for stripe in extent.stripes]
+            payload = b"".join(pieces)[: extent.size]
         return payload, self._finish(batch)
+
+    def _read_runs(self, extent: ObjectExtent, batch: _IoBatch) -> Optional[bytes]:
+        """A healthy object's bytes, read as one run of data fragments per device.
+
+        None, with nothing read or billed, when a holder is not ONLINE, has
+        known-corrupt chunks or a fault injector, or when a data fragment is
+        missing or damaged: that object is read stripe by stripe through
+        ``_gather``. Otherwise ``_gather`` would read exactly these
+        fragments — every stripe trusted, data fragments in index order —
+        and the run read bills them the same: each device's chunks in
+        stripe order, the devices opened in the order of their first read.
+        """
+        stripes = extent.stripes
+        k = stripes[0].data_count  # 1 for a replicated object
+        all_data = k == stripes[0].width  # no parity, no replicas
+        by_id = self._devices_by_id
+        held = []
+        for device_id, run in extent.runs.items():
+            device = by_id[device_id]
+            if (
+                device.state is not _ONLINE
+                or device.corrupt_chunks
+                or device.fault_injector is not None
+            ):
+                return None
+            wanted = run if all_data else [address for address in run if address[1] < k]
+            if wanted:
+                payloads = device.stored_run(wanted)
+                if payloads is None:
+                    return None
+                held.append((wanted, device, payloads))
+        chunks = nbytes = 0
+        held.sort(key=lambda entry: entry[0][0])  # by first read
+        for wanted, device, payloads in held:
+            seconds, length = device.read_run(payloads)
+            batch.add(device, DeviceIoSample(len(payloads), 0, length, 0, seconds))
+            chunks += len(payloads)
+            nbytes += length
+        result = batch.result
+        result.chunks_read = chunks
+        result.bytes_read = nbytes
+        # Object order is address order: stripe ids rise along the object,
+        # data fragments within a stripe by index.
+        fetched: Dict[Tuple[int, int], bytes] = {}
+        for wanted, _, payloads in held:
+            fetched.update(zip(wanted, payloads))
+        pieces = list(map(fetched.__getitem__, sorted(fetched)))
+        # The tail stripe's zero padding is cut off its last fragments, so
+        # the object is copied once, by the join.
+        excess = nbytes - extent.size
+        while excess > 0:
+            last = pieces.pop()
+            if len(last) > excess:
+                pieces.append(last[: len(last) - excess])
+            excess -= len(last)
+        return b"".join(pieces)
 
     @staticmethod
     def _fragment_order(stripe_id: int, available: Dict[int, FlashDevice]) -> List[int]:

@@ -12,19 +12,30 @@ so experiments can report write amplification and wear imbalance even though
 the paper itself does not fail devices by wear-out.
 
 Integrity is checked by provenance, not by a checksum. A stored chunk is an
-immutable ``bytes`` that the device *replaces* and never mutates — only
-:meth:`~FlashDevice.write_chunk`, :meth:`~FlashDevice.corrupt_stored` and
-:meth:`~FlashDevice.tear_stored` put a new object in its slot — so a read
-whose stored object *is* the one programmed there is clean, and any other
-object is compared with the programmed bytes in full. Every corruption the
-fault model produces is caught on the next read, with no collision odds.
+immutable ``bytes`` that the device *replaces* and never mutates — only the
+write paths, :meth:`~FlashDevice.corrupt_stored` and
+:meth:`~FlashDevice.tear_stored` put a new object in its slot. The two
+damage injectors keep the bytes they replaced (the *intended* bytes), so a
+read compares only an address that holds damage, and compares it with its
+intended bytes in full. Every corruption the fault model produces is caught
+on the next read, with no collision odds, and a clean chunk is stored once.
+
+The unit of work is the *run*: every chunk one array operation sends to one
+device. :meth:`~FlashDevice.write_run` programs a run of fresh chunks, and
+:meth:`~FlashDevice.stored_run` with :meth:`~FlashDevice.read_run` reads
+one, with one state test, one capacity test and one counter update per run.
+Their billing is per chunk, summed in run order, so a run costs the same
+simulated time as its chunks one by one. A device with a fault injector or
+an FTL attached is only ever driven chunk by chunk
+(:meth:`~FlashDevice.write_chunk`, :meth:`~FlashDevice.read_chunk`), where
+every hook sees every chunk.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import (
     ChunkCorruptedError,
@@ -86,6 +97,27 @@ class DeviceStats:
         return (self.programs, self.erases)
 
 
+def _billed(service_time, payloads: List[bytes]) -> Tuple[float, int]:
+    """A run's service time and bytes.
+
+    The time is ``service_time(len(p))`` of every payload, added to ``0.0``
+    one chunk at a time in run order: float addition is not associative,
+    and this is the sum the per-chunk path's callers form. The model is
+    asked once per stretch of equal lengths.
+    """
+    seconds = 0.0
+    total = 0
+    length = -1
+    each = 0.0
+    for payload in payloads:
+        if len(payload) != length:
+            length = len(payload)
+            each = service_time(length)
+        seconds += each
+        total += length
+    return seconds, total
+
+
 @dataclass
 class FlashDevice:
     """One simulated SSD in the array.
@@ -116,9 +148,11 @@ class FlashDevice:
         if self.capacity_bytes <= 0:
             raise ValueError("device capacity must be positive")
         self._chunks: Dict[ChunkAddress, bytes] = {}
-        #: The object each address was programmed with, checked on every
-        #: read — the defence against silent (bit-rot) corruption.
-        self._programmed: Dict[ChunkAddress, bytes] = {}
+        #: The bytes a damaged address was programmed with, kept only for
+        #: the addresses ``corrupt_stored`` or ``tear_stored`` replaced: a
+        #: read compares exactly those (the defence against silent bit-rot),
+        #: and a rewrite or a discard drops the entry.
+        self._intended: Dict[ChunkAddress, bytes] = {}
         self._used = 0
         #: Addresses whose last read failed its integrity check, unrepaired.
         #: Lets the health monitor and the scrub scheduler target the damage
@@ -158,7 +192,8 @@ class FlashDevice:
         """Store (or overwrite) a chunk; returns the simulated service time.
 
         A ``bytes`` payload is stored as is, so the replicas of a stripe
-        share one object; it also becomes the chunk's programmed bytes.
+        share one object. The per-chunk path: every fault-injector hook and
+        the FTL see this chunk alone.
         """
         if self.state is _FAILED:
             raise DeviceFailedError(self.device_id)
@@ -177,17 +212,20 @@ class FlashDevice:
             )
         stats = self.stats
         ftl = self.ftl
+        intended = self._intended
         if previous is not None:
             # Overwriting flash means programming new pages; the old ones are
             # erased by garbage collection, which we bill immediately.
             stats.erases += 1
+            if intended:
+                previous = intended.pop(address, previous)
             if ftl is not None:
                 # A torn chunk is stored shorter than it was programmed;
-                # the FTL mapped the programmed length.
-                ftl.trim_extent(address, len(self._programmed[address]))
+                # the FTL mapped the intended length.
+                ftl.trim_extent(address, len(previous))
         if type(payload) is not bytes:
             payload = bytes(payload)
-        self._chunks[address] = self._programmed[address] = payload
+        self._chunks[address] = payload
         self._used = new_used
         corrupt = self.corrupt_chunks
         if corrupt:
@@ -210,7 +248,7 @@ class FlashDevice:
 
         Raises:
             ChunkMissingError: no chunk at the address.
-            ChunkCorruptedError: the stored bytes differ from the programmed
+            ChunkCorruptedError: the stored bytes differ from the intended
                 ones; the address is remembered in :attr:`corrupt_chunks`
                 until a rewrite repairs it.
             TransientIoError: injected soft failure; the chunk is intact.
@@ -234,8 +272,8 @@ class FlashDevice:
         stats = self.stats
         stats.reads += 1
         stats.bytes_read += length
-        programmed = self._programmed[address]
-        if payload is not programmed and payload != programmed:
+        intended = self._intended
+        if intended and address in intended and payload != intended[address]:
             self.corrupt_chunks.add(address)
             raise ChunkCorruptedError(
                 f"device {self.device_id}: stored bytes differ at {address}"
@@ -245,19 +283,85 @@ class FlashDevice:
             service = injector.scale_time(self, service)
         return payload, service
 
+    def write_run(self, addresses: List[ChunkAddress], payloads: List[bytes]) -> float:
+        """Program a run of fresh chunks; returns its simulated service time.
+
+        The run path of a write: ``payloads[i]`` (a ``bytes``) lands at
+        ``addresses[i]``, with one FAILED test, one capacity test on the
+        run's total and one counter update. The addresses must be fresh —
+        the array's stripe ids are monotonic, so a write never overwrites —
+        and the device must have no fault injector and no FTL: hooks see
+        chunks one by one, through :meth:`write_chunk`. The service time is
+        each chunk's ``write_time`` summed from ``0.0`` in run order, the
+        same float :meth:`write_chunk` calls would add up.
+
+        Raises:
+            DeviceFullError: the run does not fit; nothing is stored.
+        """
+        if self.state is _FAILED:
+            raise DeviceFailedError(self.device_id)
+        seconds, total = _billed(self.model.write_time, payloads)
+        if self._used + total > self.capacity_bytes:
+            raise DeviceFullError(
+                f"device {self.device_id}: run of {total} bytes does not fit "
+                f"({self.free_bytes} free)"
+            )
+        self._chunks.update(zip(addresses, payloads))
+        self._used += total
+        count = len(payloads)
+        stats = self.stats
+        stats.writes += count
+        stats.programs += count
+        stats.bytes_written += total
+        return seconds
+
+    def stored_run(self, addresses: List[ChunkAddress]) -> Optional[List[bytes]]:
+        """The stored chunks of a run, or None when one is missing or damaged.
+
+        The first half of a run read: a lookup like :meth:`has_chunk`, which
+        counts and bills nothing, so the array can try every device of an
+        object before it commits to the run path. A damaged chunk is one
+        :meth:`corrupt_stored` or :meth:`tear_stored` replaced and no write
+        has repaired since.
+        """
+        if self.state is _FAILED:
+            return None
+        chunks = self._chunks
+        try:
+            payloads = [chunks[address] for address in addresses]
+        except KeyError:
+            return None
+        intended = self._intended
+        if intended and not intended.keys().isdisjoint(addresses):
+            return None
+        return payloads
+
+    def read_run(self, payloads: List[bytes]) -> Tuple[float, int]:
+        """Count the read of a run :meth:`stored_run` returned.
+
+        Returns its service time — each chunk's ``read_time`` summed from
+        ``0.0`` in run order, as :meth:`read_chunk` calls would bill them —
+        and its bytes.
+        """
+        seconds, total = _billed(self.model.read_time, payloads)
+        stats = self.stats
+        stats.reads += len(payloads)
+        stats.bytes_read += total
+        return seconds, total
+
     def discard_chunks(self, addresses: Iterable[ChunkAddress]) -> None:
         """Drop the chunks at ``addresses``, in order, if this device still serves them.
 
         The one way to retire chunks: on a FAILED device, or for an address
         that holds nothing, there is simply nothing to do. Each dropped
-        chunk frees its bytes, its programmed copy, its corrupt mark and
-        the FTL pages it was programmed with. Deletes are metadata
-        operations billed no simulated time (TRIM is asynchronous).
+        chunk frees its bytes, its intended copy, its corrupt mark and the
+        FTL pages it was programmed with. Deletes are metadata operations
+        billed no simulated time (TRIM is asynchronous).
         """
         if self.state is _FAILED:
             return
         chunks = self._chunks
-        programmed = self._programmed
+        intended = self._intended
         corrupt = self.corrupt_chunks
         ftl = self.ftl
         freed = 0
@@ -266,15 +370,16 @@ class FlashDevice:
             payload = chunks.pop(address, None)
             if payload is None:
                 continue
-            intended = programmed.pop(address)
-            if corrupt:
-                corrupt.discard(address)
             freed += len(payload)
             dropped += 1
+            if corrupt:
+                corrupt.discard(address)
+            if intended:
+                payload = intended.pop(address, payload)
             if ftl is not None:
                 # A torn chunk is stored shorter than it was programmed;
-                # the FTL mapped the programmed length.
-                ftl.trim_extent(address, len(intended))
+                # the FTL mapped the intended length.
+                ftl.trim_extent(address, len(payload))
         self._used -= freed
         stats = self.stats
         stats.deletes += dropped
@@ -298,8 +403,8 @@ class FlashDevice:
             raise ChunkMissingError(
                 f"device {self.device_id}: no chunk at {address}"
             ) from None
-        programmed = self._programmed[address]
-        return payload is programmed or payload == programmed
+        intended = self._intended.get(address)
+        return intended is None or payload == intended
 
     # ------------------------------------------------------------------
     # Failure lifecycle
@@ -325,8 +430,8 @@ class FlashDevice:
         """XOR ``flip`` into stored byte ``offset % len`` (latent bit-rot).
 
         Returns True when bytes actually changed (empty chunks and a zero
-        ``flip`` cannot rot). The programmed bytes are left untouched, so
-        the next read raises :class:`ChunkCorruptedError`.
+        ``flip`` cannot rot). The intended bytes are kept, so the next read
+        raises :class:`ChunkCorruptedError`.
         """
         self._check_serviceable()
         try:
@@ -338,14 +443,15 @@ class FlashDevice:
         if not payload or not flip & 0xFF:
             return False
         payload[offset % len(payload)] ^= flip & 0xFF
+        self._intended.setdefault(address, self._chunks[address])
         self._chunks[address] = bytes(payload)
         return True
 
     def tear_stored(self, address: ChunkAddress, keep_fraction: float) -> bool:
         """Truncate a stored chunk to a prefix (torn-write injection).
 
-        The programmed bytes still hold the *intended* payload, so the next
-        read trips the integrity check — the acknowledged-but-not-durable outcome
+        The device keeps the *intended* payload, so the next read trips the
+        integrity check — the acknowledged-but-not-durable outcome
         of a power-fail torn write. A fraction that would keep every byte
         flips the final byte instead so the write is still detectably torn.
         Returns True when the stored bytes changed.
@@ -365,6 +471,7 @@ class FlashDevice:
         torn = payload[:keep] if keep else b""
         if keep == len(payload) - 1:
             torn = payload[:-1] + bytes([payload[-1] ^ 0xFF])
+        self._intended.setdefault(address, payload)
         self._chunks[address] = torn
         self._used -= len(payload) - len(torn)
         return True
@@ -372,7 +479,7 @@ class FlashDevice:
     def replace(self) -> None:
         """Swap in a fresh spare at this slot: empty, online, zero queue."""
         self._chunks.clear()
-        self._programmed.clear()
+        self._intended.clear()
         self.corrupt_chunks.clear()
         self._used = 0
         self.state = DeviceState.ONLINE

@@ -1,10 +1,39 @@
-"""Shared test fixtures and builders."""
+"""Shared test fixtures and builders, and the ``deep`` Hypothesis profile."""
 
 import pytest
+from hypothesis import settings
 
 from repro.core.policy import reo_policy
 from repro.core.reo import ReoCache
 from repro.flash.latency import ZERO_COST
+
+#: How many times its usual examples a property test runs under ``deep``.
+DEEP_EXAMPLES = 5
+
+#: ``--hypothesis-profile=deep``: every property test runs ``DEEP_EXAMPLES``
+#: times the examples it runs by default (CI runs ``tests/flash`` this way).
+#: The default profile is Hypothesis's own.
+settings.register_profile("deep", deadline=None)
+
+
+def pytest_collection_modifyitems(items):
+    """Scale each property test's own ``max_examples`` under the deep profile.
+
+    A ``@settings(max_examples=...)`` decorator outranks any profile, so the
+    profile cannot scale it; this does, once per test function.
+    """
+    if settings.default is not settings.get_profile("deep"):
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(item, "function", None)
+        if not getattr(test, "is_hypothesis_test", False) or id(test) in scaled:
+            continue
+        scaled.add(id(test))
+        own = test._hypothesis_internal_use_settings
+        test._hypothesis_internal_use_settings = settings(
+            own, max_examples=DEEP_EXAMPLES * own.max_examples
+        )
 
 
 def build_cache(

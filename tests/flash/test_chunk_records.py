@@ -201,7 +201,7 @@ def state_of(device):
         device.chunk_count,
         dataclasses.astuple(device.stats),
         set(device.corrupt_chunks),
-        dict(device._programmed),
+        dict(device._intended),
         device.ftl.mapped_pages,
         dataclasses.astuple(device.ftl.stats),
     )
@@ -235,7 +235,8 @@ class TestDiscardChunks:
         assert batched.chunk_count == before[1] - len(dropped)
         assert not dropped & batched.corrupt_chunks
         # The FTL keeps exactly the pages of the chunks still programmed,
-        # at their programmed (not torn) length.
+        # at their intended (not torn) length.
         assert batched.ftl.mapped_pages == sum(
-            batched.ftl.pages_for(len(payload)) for payload in batched._programmed.values()
+            batched.ftl.pages_for(len(batched._intended.get(address, payload)))
+            for address, payload in batched._chunks.items()
         )

@@ -138,7 +138,7 @@ class TestDiscard:
             device.used_bytes,
             device.chunk_count,
             set(device.corrupt_chunks),
-            (0, 0) in device._programmed,
+            (0, 0) in device._intended,
             device.ftl.mapped_pages,
             dataclasses.astuple(device.ftl.stats),
         )
@@ -149,7 +149,7 @@ class TestDiscard:
         assert discarded.stats.deletes == discarded.stats.erases == 1
         assert discarded.used_bytes == 100
         assert discarded.corrupt_chunks == set()
-        assert (0, 0) not in discarded._programmed
+        assert (0, 0) not in discarded._intended
         assert discarded.ftl.mapped_pages == 2  # the 100-byte chunk's pages
         assert not discarded.has_chunk((0, 0))
 

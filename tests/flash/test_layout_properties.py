@@ -4,8 +4,10 @@ The write path slices data fragments straight out of the payload and keeps
 per-extent byte totals as it goes; the zero-padded ``(k, length)`` stripe
 stack and a walk over the chunks stay the definitions those shortcuts must
 agree with. The read path pulls fragments in index order only when every
-holder of a stripe is ONLINE with no known-corrupt chunk — everywhere else
-it must follow :meth:`FlashArray._fragment_order`.
+holder of a stripe is ONLINE with no known-corrupt chunk — a healthy object
+is then read as one run per device, each device's fragments in stripe
+order — and everywhere else it must follow
+:meth:`FlashArray._fragment_order`, fragment by fragment.
 """
 
 import contextlib
@@ -113,16 +115,44 @@ class TestLayout:
 
 @contextlib.contextmanager
 def recorded_reads():
-    """Log every ``FlashDevice.read_chunk`` call as ``(device_id, address)``."""
+    """Log every chunk a device reads as ``(device_id, address)``.
+
+    A ``read_chunk`` call logs its address; a run read logs the addresses
+    ``stored_run`` looked up, in run order, when ``read_run`` reads them.
+    A run that is looked up but never read logs nothing.
+    """
     log = []
-    original = FlashDevice.read_chunk
+    looked_up = {}
+    read_chunk = FlashDevice.read_chunk
+    stored_run = FlashDevice.stored_run
+    read_run = FlashDevice.read_run
 
-    def recording(self, address):
+    def recording_chunk(self, address):
         log.append((self.device_id, address))
-        return original(self, address)
+        return read_chunk(self, address)
 
-    with mock.patch.object(FlashDevice, "read_chunk", recording):
+    def recording_lookup(self, addresses):
+        payloads = stored_run(self, addresses)
+        if payloads is not None:
+            looked_up[self.device_id] = list(addresses)
+        return payloads
+
+    def recording_run(self, payloads):
+        log.extend((self.device_id, address) for address in looked_up.pop(self.device_id))
+        return read_run(self, payloads)
+
+    with mock.patch.object(FlashDevice, "read_chunk", recording_chunk), mock.patch.object(
+        FlashDevice, "stored_run", recording_lookup
+    ), mock.patch.object(FlashDevice, "read_run", recording_run):
         yield log
+
+
+def per_device(pulls):
+    """``(device_id, address)`` pulls as each device's addresses, in order."""
+    grouped = {}
+    for device_id, address in pulls:
+        grouped.setdefault(device_id, []).append(address)
+    return grouped
 
 
 def expected_pulls(array, stripe, rotten):
@@ -233,5 +263,6 @@ class TestReadOrder:
             with recorded_reads() as read_log:
                 data, result = array.read_object("obj")
             assert data == payload and not result.degraded
-            assert read_log == expected
+            # One run per device: each device's pulls in stripe order.
+            assert per_device(read_log) == per_device(expected)
             assert all(address[1] < k for _, address in read_log)
