@@ -15,7 +15,9 @@ finished batch) and maintains, per device:
   multiplier regardless of payload sizes.
 
 Policy thresholds move a device ONLINE → SUSPECT (placement stops, reads
-prefer peers/parity) → FAILED. The monitor demotes to SUSPECT itself; the
+prefer peers/parity) → FAILED. The monitor demotes to SUSPECT itself; a
+device it demoted for errors returns to ONLINE once ``suspect_grace`` has
+passed and scrub has left none of its chunks known-corrupt. The
 FAILED verdict is emitted as a transition for the
 :class:`~repro.core.supervisor.RecoverySupervisor` to act on (spare swap,
 prioritized rebuild), keeping detection separate from repair policy.
@@ -77,7 +79,12 @@ class HealthPolicy:
             so a parked device may see no further I/O and the ops-based
             escalation would starve; the grace period is the time-based
             backstop (a real array would either rehabilitate the device
-            with probes or evict it).
+            with probes or evict it). A device the monitor demoted for
+            *errors* is rehabilitated instead: past the grace period it
+            returns to ONLINE as soon as its ``corrupt_chunks`` set is
+            empty, because scrub has repaired the damage that demoted it.
+            Devices suspected for slowdown, or set SUSPECT directly, keep
+            the backstop.
         baseline_floor: (shard tier only) lower bound, in seconds, on the
             learned healthy round-trip baseline, so loopback's
             sub-millisecond round trips cannot make scheduler jitter
@@ -171,6 +178,9 @@ class DeviceHealth(HealthRecord):
     """One device's record; a swapped-in spare starts a fresh one."""
 
     generation: int = 0
+    #: Why the monitor demoted the device ("errors" or "slowdown"); None
+    #: while ONLINE, or when it was set SUSPECT from outside.
+    suspect_cause: Optional[str] = None
 
 
 class HealthTransition(NamedTuple):
@@ -178,7 +188,7 @@ class HealthTransition(NamedTuple):
 
     device_id: int
     old: str
-    new: str  # "suspect" | "failed"
+    new: str  # "suspect" | "failed" | "online" (repaired)
     at: float
     reason: str
 
@@ -265,10 +275,14 @@ class HealthMonitor(TransitionLog[HealthTransition]):
                 # is the time-based backstop.
                 if health.suspect_since is None:
                     health.suspect_since = now
-                elif (
-                    now - health.suspect_since >= self.policy.suspect_grace
-                    and self._first_failure(device)
-                ):
+                elif now - health.suspect_since < self.policy.suspect_grace:
+                    continue
+                elif health.suspect_cause == "errors":
+                    # Errors are damage that scrub repairs: once none is
+                    # left, nothing is wrong with the device.
+                    if not device.corrupt_chunks:
+                        emitted.append(self._reinstate(device, health, now))
+                elif self._first_failure(device):
                     verdict = HealthTransition(
                         device.device_id, "suspect", "failed", now,
                         f"suspect for {now - health.suspect_since:.3f}s",
@@ -319,6 +333,18 @@ class HealthMonitor(TransitionLog[HealthTransition]):
         self._failed_seen[device.device_id] = device.generation
         return True
 
+    def _reinstate(
+        self, device: "FlashDevice", health: DeviceHealth, now: float
+    ) -> HealthTransition:
+        """Return a repaired device to ONLINE; the errors it was demoted
+        for are repaired, so its error average starts afresh."""
+        device.reinstate()
+        health.error_ewma = 0.0
+        health.suspect_at_ops = health.suspect_since = health.suspect_cause = None
+        return self._emit(
+            HealthTransition(device.device_id, "suspect", "online", now, "repaired")
+        )
+
     def _evaluate(self, device: "FlashDevice", health: DeviceHealth, now: float) -> None:
         if not device.is_available:
             return
@@ -335,6 +361,7 @@ class HealthMonitor(TransitionLog[HealthTransition]):
             device.suspect()
             health.suspect_at_ops = health.ops
             health.suspect_since = now
+            health.suspect_cause = cause
         elif not self._first_failure(device):
             return
         self._emit(

@@ -105,6 +105,12 @@ class DurabilityLedger:
             self.incidents.append(incident)
         return incident
 
+    def close_incident(self, device_id: int, generation: int, now: float) -> None:
+        """One device's incident ends at ``now``, its redundancy restored."""
+        incident = self._open.pop((device_id, generation), None)
+        if incident is not None and incident.recovered_at is None:
+            incident.recovered_at = now
+
     def mark_recovered(self, now: float) -> None:
         """Redundancy is fully restored: close every open incident."""
         for incident in self._open.values():
@@ -327,7 +333,10 @@ class RecoverySupervisor:
         if transition.new == "suspect":
             incident.suspected_at = transition.at
             return
-        if transition.new != "failed":
+        if transition.new == "online":
+            # Scrub repaired the damage it was demoted for: the incident
+            # ends without a failure.
+            self.ledger.close_incident(device.device_id, device.generation, transition.at)
             return
         incident.failed_at = transition.at
         self.ledger.begin_degraded(transition.at)

@@ -418,6 +418,11 @@ class FlashDevice:
         if self.state is DeviceState.ONLINE:
             self.state = DeviceState.SUSPECT
 
+    def reinstate(self) -> None:
+        """Return a SUSPECT device to ONLINE (health-monitor verdict)."""
+        if self.state is DeviceState.SUSPECT:
+            self.state = DeviceState.ONLINE
+
     def corrupt_chunk(self, address: ChunkAddress) -> None:
         """Fault injection: flip bits in a stored chunk (silent corruption).
 

@@ -191,6 +191,56 @@ class TestEscalation:
         assert [(t.old, t.new) for t in escalated] == [("suspect", "failed")]
         assert monitor.poll(now=200.0) == []  # dedup per generation
 
+    def demoted_for_errors(self):
+        """A monitor whose device 0 it demoted for read errors at t=100."""
+        monitor = make_monitor(suspect_grace=10.0)
+        device = monitor.array.devices[0]
+        device.corrupt_chunks.add((7, 0))  # what a tripped read leaves
+        for _ in range(monitor.policy.min_ops):
+            monitor.ingest(io_result(0, errors=1), now=100.0)
+        assert [(t.new, t.reason[:10]) for t in monitor.transitions] == [
+            ("suspect", "error_ewma")
+        ]
+        return monitor, device
+
+    def test_device_demoted_for_errors_returns_once_repaired(self):
+        monitor, device = self.demoted_for_errors()
+        assert monitor.poll(now=105.0) == []  # within grace
+        assert monitor.poll(now=111.0) == []  # past it, but still damaged
+        assert monitor.poll(now=500.0) == []  # and it is never failed for it
+        assert not device.is_online
+        device.corrupt_chunks.clear()  # scrub rewrote the chunk
+        back = monitor.poll(now=501.0)
+        assert [(t.old, t.new, t.reason) for t in back] == [("suspect", "online", "repaired")]
+        assert device.is_online
+        health = monitor.health_of(0)
+        assert health.error_ewma == 0.0 and health.suspect_since is None
+        # Clean reads keep it online; new errors can demote it again.
+        monitor.ingest(io_result(0, reads=8), now=502.0)
+        assert device.is_online and monitor.poll(now=600.0) == []
+
+    def test_device_repaired_within_grace_returns_when_grace_ends(self):
+        monitor, device = self.demoted_for_errors()
+        device.corrupt_chunks.clear()
+        assert monitor.poll(now=105.0) == []  # parked for the grace period
+        back = monitor.poll(now=110.0)
+        assert [(t.old, t.new) for t in back] == [("suspect", "online")]
+
+    def test_device_demoted_for_slowdown_keeps_the_backstop(self):
+        from repro.flash.latency import ServiceTimeModel
+
+        model = ServiceTimeModel(0.001, 0.001, 1e6, 1e6)
+        array = FlashArray(num_devices=4, device_capacity=10**6, chunk_size=64, model=model)
+        monitor = HealthMonitor(array, policy=HealthPolicy(suspect_grace=10.0))
+        for _ in range(400):
+            monitor.ingest(io_result(0, bytes_read=64, seconds=0.005), now=100.0)
+            if not array.devices[0].is_online:
+                break
+        assert [t.new for t in monitor.transitions] == ["suspect"]
+        assert "slowdown" in monitor.transitions[0].reason
+        escalated = monitor.poll(now=111.0)
+        assert [(t.old, t.new) for t in escalated] == [("suspect", "failed")]
+
     def test_generation_change_resets_record(self):
         monitor = make_monitor()
         for _ in range(200):

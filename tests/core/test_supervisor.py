@@ -32,6 +32,20 @@ class TestDurabilityLedger:
         # A later incident for the *next* generation opens a fresh record.
         assert ledger.incident_for(2, 1) is not incident
 
+    def test_a_repaired_suspect_closes_its_incident_alone(self):
+        ledger = DurabilityLedger()
+        repaired = ledger.incident_for(0, 0)
+        repaired.suspected_at = 1.0
+        failed = ledger.incident_for(1, 0)
+        failed.failed_at = 1.5
+        ledger.close_incident(0, 0, now=1.25)
+        assert repaired.recovered_at == 1.25 and repaired.failed_at is None
+        assert repaired.time_to_full_redundancy() == pytest.approx(0.25)
+        assert ledger.incident_for(0, 0) is not repaired  # a new symptom, a new record
+        assert failed.recovered_at is None
+        ledger.mark_recovered(3.0)
+        assert failed.recovered_at == 3.0 and repaired.recovered_at == 1.25
+
     def test_degraded_windows_accumulate(self):
         ledger = DurabilityLedger()
         ledger.begin_degraded(1.0)
