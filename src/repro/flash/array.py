@@ -729,12 +729,9 @@ class FlashArray:
         and the run read bills them the same: each device's chunks in
         stripe order, the devices opened in the order of their first read.
         """
-        stripes = extent.stripes
-        k = stripes[0].data_count  # 1 for a replicated object
-        all_data = k == stripes[0].width  # no parity, no replicas
+        runs = extent.runs
         by_id = self._devices_by_id
-        held = []
-        for device_id, run in extent.runs.items():
+        for device_id in runs:
             device = by_id[device_id]
             if (
                 device.state is not _ONLINE
@@ -742,8 +739,14 @@ class FlashArray:
                 or device.fault_injector is not None
             ):
                 return None
+        stripes = extent.stripes
+        k = stripes[0].data_count  # 1 for a replicated object
+        all_data = k == stripes[0].width  # no parity, no replicas
+        held = []
+        for device_id, run in runs.items():
             wanted = run if all_data else [address for address in run if address[1] < k]
             if wanted:
+                device = by_id[device_id]
                 payloads = device.stored_run(wanted)
                 if payloads is None:
                     return None
