@@ -364,6 +364,8 @@ class HealthMonitor(TransitionLog[HealthTransition]):
             health.suspect_cause = cause
         elif not self._first_failure(device):
             return
+        else:
+            health.suspect_cause = None  # a FAILED verdict has no way back
         self._emit(
             HealthTransition(device.device_id, state, new, now, _reason(cause, health))
         )

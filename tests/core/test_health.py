@@ -219,6 +219,15 @@ class TestEscalation:
         monitor.ingest(io_result(0, reads=8), now=502.0)
         assert device.is_online and monitor.poll(now=600.0) == []
 
+    def test_a_device_failed_while_suspect_does_not_return(self):
+        monitor, device = self.demoted_for_errors()
+        for _ in range(monitor.policy.confirm_ops):  # errors persist
+            monitor.ingest(io_result(0, errors=1), now=101.0)
+        assert [t.new for t in monitor.transitions] == ["suspect", "failed"]
+        device.corrupt_chunks.clear()
+        assert monitor.poll(now=200.0) == []
+        assert not device.is_online
+
     def test_device_repaired_within_grace_returns_when_grace_ends(self):
         monitor, device = self.demoted_for_errors()
         device.corrupt_chunks.clear()
