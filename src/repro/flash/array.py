@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import islice
 from operator import getitem
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
@@ -74,9 +74,8 @@ def _scheme_geometry(scheme: RedundancyScheme, width: int) -> Tuple[int, bool]:
 
 
 #: One device's part in the placement of stripes from one rotation on: its
-#: id, its fragment index in each of the ``period`` stripes from there (None
-#: where it has no slot), and whether it has a slot in all of them.
-_RunPlan = Tuple[int, Tuple[Optional[int], ...], bool]
+#: id and its fragment index in each of the ``period`` stripes from there.
+_RunPlan = Tuple[int, Tuple[int, ...]]
 
 
 @lru_cache(maxsize=1024)
@@ -86,25 +85,27 @@ def _placement(scheme: RedundancyScheme, devices: Tuple[int, ...]) -> Tuple[
     """Everything a write over ``devices`` fixes before it sees a payload.
 
     The scheme's geometry (``k``, replicated or not), the stripe layouts
-    and, per starting rotation, the run plan of every device in the order
-    stripes from there touch them — the order chunk-by-chunk programming
-    opens the devices' samples in. The run path lays an object's runs out
-    from these: the device that stripe ``s`` puts fragment ``i`` on holds
-    ``(s, i)``. An invalid width raises every time (errors are not cached).
+    and, when every stripe spans every device, the run plans: per starting
+    rotation, each device's fragment index in the stripes from there, in
+    the order those stripes first touch the devices — the order
+    chunk-by-chunk programming opens the devices' samples in. The device
+    that stripe ``s`` puts fragment ``i`` on holds ``(s, i)``. A layout
+    narrower than the devices (fewer replicas than devices) has no run
+    plans. An invalid width raises every time (errors are not cached).
     """
     k, replicated = _scheme_geometry(scheme, len(devices))
     layouts = scheme.layouts(devices)
+    if len(layouts[0]) < len(devices):
+        return k, replicated, layouts, ()
     period = len(layouts)
     plans = []
     for start in range(period):
         cycled = layouts[start:] + layouts[:start]
-        indices: Dict[int, List[Optional[int]]] = {}
+        indices: Dict[int, List[int]] = {}
         for step, slots in enumerate(cycled):
             for slot in slots:
-                indices.setdefault(slot.device_id, [None] * period)[step] = slot.fragment_index
-        plans.append(tuple(
-            (device_id, tuple(picks), None not in picks) for device_id, picks in indices.items()
-        ))
+                indices.setdefault(slot.device_id, [0] * period)[step] = slot.fragment_index
+        plans.append(tuple((device_id, tuple(picks)) for device_id, picks in indices.items()))
     return k, replicated, layouts, tuple(plans)
 
 
@@ -430,9 +431,10 @@ class FlashArray:
         The whole object is laid out first — descriptors, fragments and
         each device's run — and then programmed: each device's run in one
         call (``_program_runs``), or chunk by chunk in stripe-major order
-        (``_program_chunks``) when the object is one stripe, a device of
-        the layout has a fault injector or an FTL, or a run would overflow
-        its device. Both bill and store exactly the same.
+        (``_program_chunks``) when the object is one stripe, its stripes
+        are narrower than the online devices, a device has a fault
+        injector or an FTL, or a run would overflow its device. Both bill
+        and store exactly the same.
 
         Overwrites are transactional: the new stripes are written first and
         the old copy is only deleted after they all land, so a mid-write
@@ -547,7 +549,7 @@ class FlashArray:
         batch = _IoBatch(self.clock.now, op="write")
         try:
             # A one-stripe object's runs are single chunks: nothing to gain.
-            if count < 2 or not self._program_runs(
+            if count < 2 or not run_plans or not self._program_runs(
                 extent, fragments, run_plans[first % period], lengths, batch
             ):
                 self._program_chunks(extent, fragments, batch)
@@ -584,13 +586,14 @@ class FlashArray:
     ) -> bool:
         """Program each device's run of a laid-out object in one call.
 
-        Each run is the device's address and fragment in every stripe it
-        holds, in stripe order, and the device's sample is its run: chunk by
-        chunk would bill the same chunks in the same order. False, with
-        nothing written, when a device has a fault injector or an FTL
-        attached (their hooks see chunks one by one, in stripe-major order)
-        or a run would overflow its device (so ``DeviceFullError`` and the
-        wear counters land on the same chunk as chunk by chunk).
+        Every stripe spans every device, so each run is the device's
+        address and fragment in every stripe, in stripe order, ``lengths``
+        bytes; the device's sample is its run, as chunk by chunk would bill
+        the same chunks in the same order. False, with nothing written, when
+        a device has a fault injector or an FTL attached (their hooks see
+        chunks one by one, in stripe-major order) or the run would overflow
+        it (so ``DeviceFullError`` and the wear counters land on the same
+        chunk as chunk by chunk).
         """
         stripes = extent.stripes
         count = len(stripes)
@@ -600,41 +603,25 @@ class FlashArray:
         repeats = count // len(plans[0][1]) + 1
         by_id = self._devices_by_id
         laid = []
-        for device_id, cycled, everywhere in plans:
+        for device_id, cycled in plans:
             device = by_id[device_id]
-            if device.fault_injector is not None or device.ftl is not None:
+            if (
+                device.fault_injector is not None
+                or device.ftl is not None
+                or lengths > device.free_bytes
+            ):
                 return False
             picks = (cycled * repeats)[:count]
-            if everywhere:
-                run = list(zip(stripe_ids, picks))
-                held = fragments if replicated else list(map(getitem, fragments, picks))
-                total = lengths
-            else:
-                # A device without a slot in some rotations (fewer copies
-                # than devices) holds only the stripes it has one in.
-                keep = [index is not None for index in picks]
-                if not any(keep):
-                    continue
-                picks = tuple(compress(picks, keep))
-                run = list(zip(compress(stripe_ids, keep), picks))
-                held = list(compress(fragments, keep))
-                if not replicated:
-                    held = list(map(getitem, held, picks))
-                total = sum(map(len, held))
-            if total > device.free_bytes:
-                return False
-            laid.append((device, run, held, total))
+            held = fragments if replicated else list(map(getitem, fragments, picks))
+            laid.append((device, list(zip(stripe_ids, picks)), held))
         runs = extent.runs
-        chunks = written = 0
-        for device, run, held, total in laid:
+        for device, run, held in laid:
             seconds = device.write_run(run, held)
-            batch.add(device, DeviceIoSample(0, len(run), 0, total, seconds))
+            batch.add(device, DeviceIoSample(0, count, 0, lengths, seconds))
             runs[device.device_id] = run
-            chunks += len(run)
-            written += total
         result = batch.result
-        result.chunks_written = chunks
-        result.bytes_written = written
+        result.chunks_written = count * len(laid)
+        result.bytes_written = lengths * len(laid)
         return True
 
     def _program_chunks(self, extent: ObjectExtent, fragments: List, batch: _IoBatch) -> None:
