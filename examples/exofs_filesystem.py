@@ -11,9 +11,9 @@ the bulk data.
 Run:  python examples/exofs_filesystem.py
 """
 
+from repro.core.policy import reo_policy
 from repro.errors import OsdError
 from repro.flash.array import FlashArray
-from repro.core.policy import reo_policy
 from repro.osd.exofs import ExofsNamespace, format_volume, read_super_block
 from repro.osd.target import OsdTarget
 from repro.units import KiB, MiB

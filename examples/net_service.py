@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The networked service layer: OSD commands over real TCP sockets.
 
-Connects an :class:`~repro.net.AsyncOsdClient` to an OSD server and walks
+Connects an :class:`~repro.net.client.AsyncOsdClient` to an OSD server and walks
 the service end to end:
 
 1. write, read back (byte-exact), partially update, and remove an object;
@@ -32,7 +32,9 @@ import asyncio
 from repro.flash.array import FlashArray
 from repro.flash.latency import ZERO_COST
 from repro.flash.stripe import ParityScheme
-from repro.net import AsyncOsdClient, OsdServer, OsdServiceError, RetryPolicy
+from repro.net.client import AsyncOsdClient, OsdServiceError
+from repro.net.retry import RetryPolicy
+from repro.net.server import OsdServer
 from repro.osd.target import OsdTarget
 from repro.osd.types import PARTITION_BASE, ObjectId
 from repro.units import MiB
@@ -80,7 +82,9 @@ async def demo(host: str, port: int) -> None:
 
 async def cluster_demo() -> None:
     """Router failover live: kill a shard mid-demo, then condemn it."""
-    from repro.cluster import ClusterService, ClusterSupervisor, RouterClient
+    from repro.cluster.router import RouterClient
+    from repro.cluster.service import ClusterService
+    from repro.cluster.supervisor import ClusterSupervisor
 
     ids = [ObjectId(PARTITION_BASE, 0x20000 + index) for index in range(9)]
     bodies = [f"cluster object {index}".encode() * 4 for index in range(9)]

@@ -12,7 +12,8 @@ Walks the library's public API end to end:
 Run:  python examples/quickstart.py
 """
 
-from repro import ReoCache, reo_policy
+from repro.core.policy import reo_policy
+from repro.core.reo import ReoCache
 from repro.units import KiB, MiB, format_duration
 
 

@@ -10,7 +10,8 @@ same Reed-Solomon parity that handles device failures.
 Run:  python examples/silent_corruption_scrub.py
 """
 
-from repro import ReoCache, reo_policy
+from repro.core.policy import reo_policy
+from repro.core.reo import ReoCache
 from repro.units import KiB, MiB
 
 

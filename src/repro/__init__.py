@@ -11,73 +11,18 @@ workload generator used in the evaluation.
 
 Quickstart::
 
-    from repro import ReoCache, reo_policy
+    from repro.core.policy import reo_policy
+    from repro.core.reo import ReoCache
 
     cache = ReoCache.build(policy=reo_policy(0.20), cache_bytes=64 << 20)
     cache.register_objects({"obj-1": 1 << 20})
     print(cache.read("obj-1").hit)   # False (cold miss)
     print(cache.read("obj-1").hit)   # True
 
+Every name is imported from the module that defines it; no package
+``__init__`` re-exports anything, so importing one module loads only what
+that module needs (a served process never loads the simulator).
+
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced table and figure.
 """
-
-from repro.backend.store import BackendStore
-from repro.cache.manager import AccessResult, CacheManager
-from repro.cache.stats import CacheStats
-from repro.core.classes import ObjectClass, classify
-from repro.core.hotness import HotnessTracker
-from repro.core.policy import (
-    RedundancyPolicy,
-    ReoPolicy,
-    UniformPolicy,
-    full_replication,
-    reo_policy,
-    uniform_parity,
-)
-from repro.core.recovery import RecoveryManager
-from repro.core.redundancy import RedundancyBudget
-from repro.core.reo import ReoCache
-from repro.erasure.rs import RSCodec
-from repro.flash.array import FlashArray, ObjectHealth
-from repro.flash.device import FlashDevice
-from repro.flash.stripe import ParityScheme, RedundancyScheme, ReplicationScheme
-from repro.osd.initiator import OsdInitiator
-from repro.osd.sense import SenseCode
-from repro.osd.target import OsdTarget
-from repro.sim.clock import SimClock
-from repro.sim.metrics import MetricsRecorder, RunMetrics
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AccessResult",
-    "BackendStore",
-    "CacheManager",
-    "CacheStats",
-    "FlashArray",
-    "FlashDevice",
-    "HotnessTracker",
-    "MetricsRecorder",
-    "ObjectClass",
-    "ObjectHealth",
-    "OsdInitiator",
-    "OsdTarget",
-    "ParityScheme",
-    "RSCodec",
-    "RecoveryManager",
-    "RedundancyBudget",
-    "RedundancyPolicy",
-    "RedundancyScheme",
-    "ReoCache",
-    "ReoPolicy",
-    "ReplicationScheme",
-    "RunMetrics",
-    "SenseCode",
-    "SimClock",
-    "UniformPolicy",
-    "classify",
-    "full_replication",
-    "reo_policy",
-    "uniform_parity",
-]

@@ -19,27 +19,3 @@ Every rule sees one module's AST at a time:
 See :mod:`repro.analysis.engine` for the machinery (file walking,
 reporters) and :mod:`repro.analysis.rules` for the rule set.
 """
-
-from repro.analysis.engine import (
-    AnalysisReport,
-    Finding,
-    Rule,
-    RuleVisitor,
-    analyze_paths,
-    analyze_source,
-    render_json,
-    render_text,
-)
-from repro.analysis.rules import default_rules
-
-__all__ = [
-    "AnalysisReport",
-    "Finding",
-    "Rule",
-    "RuleVisitor",
-    "analyze_paths",
-    "analyze_source",
-    "default_rules",
-    "render_json",
-    "render_text",
-]

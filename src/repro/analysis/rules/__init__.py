@@ -21,16 +21,6 @@ from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exceptions import BroadExceptRule, SensePolicyRule
 from repro.analysis.rules.seed_plumbing import SeedPlumbingRule
 
-__all__ = [
-    "AsyncBlockingRule",
-    "BroadExceptRule",
-    "DeterminismRule",
-    "SeedPlumbingRule",
-    "SensePolicyRule",
-    "default_rules",
-]
-
-
 def default_rules() -> List[Rule]:
     """The full rule set, in stable order."""
     return [

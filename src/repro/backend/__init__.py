@@ -1,5 +1,1 @@
 """The backend data store the cache fronts (paper's storage server)."""
-
-from repro.backend.store import BackendStore
-
-__all__ = ["BackendStore"]

@@ -13,48 +13,3 @@ This package is the paper's primary contribution (§IV):
 - :mod:`repro.core.reo` — the :class:`~repro.core.reo.ReoCache` facade that
   wires the full stack together.
 """
-
-from repro.core.classes import ObjectClass, classify
-from repro.core.hotness import HotnessTracker
-from repro.core.policy import (
-    RedundancyPolicy,
-    ReoPolicy,
-    UniformPolicy,
-    full_replication,
-    reo_policy,
-    uniform_parity,
-)
-from repro.core.redundancy import RedundancyBudget
-
-
-def __getattr__(name):
-    """Lazily resolve the facade classes (PEP 562).
-
-    ``repro.core.reo`` and ``repro.core.recovery`` import the cache manager,
-    which in turn imports the leaf modules of this package; loading them
-    eagerly here would close an import cycle.
-    """
-    if name == "ReoCache":
-        from repro.core.reo import ReoCache
-
-        return ReoCache
-    if name == "RecoveryManager":
-        from repro.core.recovery import RecoveryManager
-
-        return RecoveryManager
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "HotnessTracker",
-    "ObjectClass",
-    "RecoveryManager",
-    "RedundancyBudget",
-    "RedundancyPolicy",
-    "ReoCache",
-    "ReoPolicy",
-    "UniformPolicy",
-    "classify",
-    "full_replication",
-    "reo_policy",
-    "uniform_parity",
-]

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.core.policy import RedundancyPolicy
 from repro.core.classes import ObjectClass
+from repro.core.policy import RedundancyPolicy
 from repro.errors import StripeLayoutError
 from repro.flash.array import FlashArray
 

@@ -195,7 +195,7 @@ class ReoCache:
             health_policy: detection thresholds (defaults are conservative).
             spares: replacement devices available for auto-swap.
             scrub_interval: simulated seconds between full scrub sweeps.
-            injector: optional :class:`~repro.faults.FaultInjector` whose
+            injector: optional :class:`~repro.faults.injector.FaultInjector` whose
                 timed events the supervisor's poll should fire.
         """
         monitor = HealthMonitor(self.array, policy=health_policy)

@@ -13,7 +13,3 @@ rides on (paper §II-B and §IV-C). It provides:
 - :mod:`repro.erasure.reference` — the seed kernel, kept verbatim for
   property tests and before/after benchmarks.
 """
-
-from repro.erasure.rs import RSCodec
-
-__all__ = ["RSCodec"]

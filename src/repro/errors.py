@@ -75,7 +75,7 @@ class TransientIoError(FlashError):
     """Raised when a device operation fails transiently.
 
     The stored chunk is intact; a retry (or a read through peers/parity)
-    succeeds. Injected by :class:`repro.faults.TransientReadError` events and
+    succeeds. Injected by :class:`repro.faults.plan.TransientReadError` events and
     counted by the health monitor as a soft error.
     """
 

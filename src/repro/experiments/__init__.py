@@ -12,29 +12,3 @@ Scale profiles (``REPRO_PROFILE`` environment variable):
   ratio the paper's shapes depend on.
 - ``full`` — paper-scale request counts and finer chunking; slow.
 """
-
-from repro.experiments.common import (
-    NORMAL_RUN_POLICIES,
-    Profile,
-    active_profile,
-    build_experiment_cache,
-    make_policy,
-    make_trace,
-)
-from repro.experiments.failure import run_failure_resistance
-from repro.experiments.normal_run import run_normal_run_figure
-from repro.experiments.space_efficiency import run_space_efficiency_table
-from repro.experiments.writeback import run_writeback_figure
-
-__all__ = [
-    "NORMAL_RUN_POLICIES",
-    "Profile",
-    "active_profile",
-    "build_experiment_cache",
-    "make_policy",
-    "make_trace",
-    "run_failure_resistance",
-    "run_normal_run_figure",
-    "run_space_efficiency_table",
-    "run_writeback_figure",
-]

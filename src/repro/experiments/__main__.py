@@ -26,22 +26,22 @@ from repro.experiments.ablations import (
     run_hotness_indicator_ablation,
     run_recovery_priority_ablation,
 )
+from repro.experiments.campaign import RESULTS_DIR
+from repro.experiments.chaos_campaign import run_chaos_campaign
+from repro.experiments.cluster_campaign import run_cluster_campaign
+from repro.experiments.common import active_profile
+from repro.experiments.concurrency import run_concurrency_sweep
 from repro.experiments.endurance import (
     format_write_amplification,
     run_parity_placement_wear,
     run_write_amplification_sweep,
 )
-from repro.experiments.concurrency import run_concurrency_sweep
-from repro.experiments.campaign import RESULTS_DIR
-from repro.experiments.cluster_campaign import run_cluster_campaign
-from repro.experiments.chaos_campaign import run_chaos_campaign
-from repro.experiments.fault_campaign import run_fault_campaign
-from repro.experiments.recovery_timeline import run_recovery_timeline
-from repro.experiments.warmup import run_warmup_experiment
-from repro.experiments.common import active_profile
 from repro.experiments.failure import run_failure_resistance
+from repro.experiments.fault_campaign import run_fault_campaign
 from repro.experiments.normal_run import run_normal_run_figure
+from repro.experiments.recovery_timeline import run_recovery_timeline
 from repro.experiments.space_efficiency import run_space_efficiency_table
+from repro.experiments.warmup import run_warmup_experiment
 from repro.experiments.writeback import run_writeback_figure
 from repro.workload.medisyn import Locality
 

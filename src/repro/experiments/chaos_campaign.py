@@ -3,7 +3,7 @@
 Where :func:`~repro.experiments.cluster_campaign.run_cluster_campaign`
 hard-kills a shard and *asks* the supervisor to condemn it, this campaign
 never tells the control plane anything. It injects a seeded
-:class:`~repro.faults.NetFaultPlan` — a partition burst, a flapping link,
+:class:`~repro.faults.netplan.NetFaultPlan` — a partition burst, a flapping link,
 and a fail-slow latency ramp — under a routed read workload and requires
 the cluster to save itself:
 
@@ -44,7 +44,7 @@ from repro.cluster.service import ClusterService
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.core.health import HealthPolicy
 from repro.experiments.campaign import Campaign, Population
-from repro.faults import LinkFailSlow, LinkFlap, NetFaultPlan, NetPartition, ShardChaos
+from repro.faults.netplan import LinkFailSlow, LinkFlap, NetFaultPlan, NetPartition, ShardChaos
 from repro.net.retry import NO_RETRY
 from repro.osd.types import PARTITION_BASE
 

@@ -33,7 +33,8 @@ from typing import Dict, Optional
 from repro.core.health import HealthPolicy
 from repro.experiments.campaign import Campaign, CampaignLossError
 from repro.experiments.common import Profile, active_profile, build_experiment_cache
-from repro.faults import FailSlow, FailStop, FaultInjector, FaultPlan, LatentErrors
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FailSlow, FailStop, FaultPlan, LatentErrors
 from repro.sim.runner import ExperimentRunner
 from repro.workload.medisyn import Locality, MediSynConfig, generate_workload
 from repro.workload.trace import Trace

@@ -7,7 +7,7 @@ retry, fail-slow devices whose service times quietly balloon, and torn
 writes that persist a truncated payload. A :class:`FaultPlan` composes any
 number of these as data, so a whole campaign is one value that can be
 logged, replayed, and driven through the storage layer by a
-:class:`repro.faults.FaultInjector` hooked into
+:class:`repro.faults.injector.FaultInjector` hooked into
 :meth:`repro.flash.device.FlashDevice.read_chunk` / ``write_chunk``. (The
 socket service layer has its own vocabulary, :mod:`repro.faults.netplan`.)
 
@@ -227,7 +227,7 @@ class FaultPlan(SeededPlan):
     """A seeded schedule of device fault events.
 
     One plan drives a whole campaign: attach it to an array through a
-    :class:`~repro.faults.FaultInjector`.
+    :class:`~repro.faults.injector.FaultInjector`.
     """
 
     EVENT_TYPES = (FailStop, LatentErrors, TransientReadError, FailSlow, TornWrite)

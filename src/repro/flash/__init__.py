@@ -6,43 +6,3 @@ in RAID-like stripes with a per-object redundancy scheme (variable parity
 count, rotated parity placement, or full replication — paper §IV-C.3), and
 accounts simulated service time through a calibrated latency model.
 """
-
-from repro.flash.array import ArrayIoResult, FlashArray, ObjectHealth, ScrubReport
-from repro.flash.device import DeviceState, FlashDevice
-from repro.flash.ftl import FtlConfig, FtlStats, PageMappedFtl
-from repro.flash.latency import (
-    HDD_7200RPM,
-    INTEL_540S_SSD,
-    NETWORK_10GBE,
-    ServiceTimeModel,
-)
-from repro.flash.stripe import (
-    ChunkKind,
-    ChunkLocation,
-    ParityScheme,
-    RedundancyScheme,
-    ReplicationScheme,
-    StripeDescriptor,
-)
-
-__all__ = [
-    "ArrayIoResult",
-    "ChunkKind",
-    "ChunkLocation",
-    "DeviceState",
-    "FlashArray",
-    "FlashDevice",
-    "FtlConfig",
-    "FtlStats",
-    "HDD_7200RPM",
-    "PageMappedFtl",
-    "INTEL_540S_SSD",
-    "NETWORK_10GBE",
-    "ObjectHealth",
-    "ParityScheme",
-    "RedundancyScheme",
-    "ReplicationScheme",
-    "ScrubReport",
-    "ServiceTimeModel",
-    "StripeDescriptor",
-]

@@ -109,6 +109,20 @@ def _placement(scheme: RedundancyScheme, devices: Tuple[int, ...]) -> Tuple[
     return k, replicated, layouts, tuple(plans)
 
 
+def _join_unpadded(pieces: List[bytes], excess: int) -> bytes:
+    """An object's pieces, in object order, joined without their last ``excess`` bytes.
+
+    Only the tail stripe is padded, so the padding is cut off the last
+    pieces before the join and the object is copied once, by the join.
+    """
+    while excess > 0:
+        last = pieces.pop()
+        if len(last) > excess:
+            pieces.append(last[: len(last) - excess])
+        excess -= len(last)
+    return b"".join(pieces)
+
+
 class ObjectHealth(enum.Enum):
     """Availability of an object given the current device states."""
 
@@ -701,8 +715,10 @@ class FlashArray:
         payload = self._read_runs(extent, batch) if len(extent.stripes) > 1 else None
         if payload is None:
             by_id = self._devices_by_id
-            pieces = [self._read_stripe(stripe, batch, by_id) for stripe in extent.stripes]
-            payload = b"".join(pieces)[: extent.size]
+            pieces: List[bytes] = []
+            for stripe in extent.stripes:
+                pieces += self._read_stripe(stripe, batch, by_id)
+            payload = _join_unpadded(pieces, sum(map(len, pieces)) - extent.size)
         return payload, self._finish(batch)
 
     def _read_runs(self, extent: ObjectExtent, batch: _IoBatch) -> Optional[bytes]:
@@ -754,15 +770,7 @@ class FlashArray:
         for wanted, _, payloads in held:
             fetched.update(zip(wanted, payloads))
         pieces = list(map(fetched.__getitem__, sorted(fetched)))
-        # The tail stripe's zero padding is cut off its last fragments, so
-        # the object is copied once, by the join.
-        excess = nbytes - extent.size
-        while excess > 0:
-            last = pieces.pop()
-            if len(last) > excess:
-                pieces.append(last[: len(last) - excess])
-            excess -= len(last)
-        return b"".join(pieces)
+        return _join_unpadded(pieces, nbytes - extent.size)
 
     @staticmethod
     def _fragment_order(stripe_id: int, available: Dict[int, FlashDevice]) -> List[int]:
@@ -834,22 +842,22 @@ class FlashArray:
         stripe: StripeDescriptor,
         batch: _IoBatch,
         by_id: Dict[int, FlashDevice],
-    ) -> bytes:
+    ) -> List[bytes]:
+        """A stripe's data, in pieces that join to it with its padding."""
         fragments = self._gather(stripe, batch, by_id)
         if stripe.replicated:
             [(index, payload)] = fragments.items()
             if index:  # a REPLICA stands in for the DATA copy (index 0)
                 batch.result.degraded = True
-            return payload[: stripe.payload_bytes]
+            return [payload]
         k = stripe.data_count
         if max(fragments) < k:  # k distinct indices below k: all the data
-            return b"".join([fragments[i] for i in range(k)])[: stripe.payload_bytes]
+            return [fragments[i] for i in range(k)]
         batch.result.degraded = True
         codec = self._codec(k, stripe.parity_count)
         # decode_arrays returns a contiguous (k, length) stack, so the
-        # stripe payload is its raw row-major bytes — one copy, no joins.
-        data = codec.decode_arrays(fragments)
-        return data.tobytes()[: stripe.payload_bytes]
+        # stripe payload is its raw row-major bytes.
+        return [codec.decode_arrays(fragments).tobytes()]
 
     @staticmethod
     def _read_fragment(

@@ -140,7 +140,7 @@ class FlashDevice:
     #: Optional flash-translation-layer accounting (GC, wear, write
     #: amplification); attach a :class:`~repro.flash.ftl.PageMappedFtl`.
     ftl: "object | None" = None
-    #: Optional fault injector (:class:`repro.faults.FaultInjector`); the
+    #: Optional fault injector (:class:`repro.faults.injector.FaultInjector`); the
     #: read/write paths call back into it when set.
     fault_injector: "object | None" = None
 

@@ -69,7 +69,7 @@ class ServiceTimeModel:
         Overheads grow and bandwidths shrink by the same factor, so every
         operation takes ``multiplier`` times longer regardless of size — the
         service-time shape of a fail-slow device
-        (:class:`repro.faults.FailSlow`).
+        (:class:`repro.faults.plan.FailSlow`).
         """
         if multiplier <= 0:
             raise ValueError("slowdown multiplier must be positive")

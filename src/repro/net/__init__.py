@@ -18,22 +18,3 @@ Modules:
 - :mod:`repro.net.retry` — retry/backoff policy and idempotency rules.
 - :mod:`repro.net.stats` — service counters and latency percentiles.
 """
-
-from repro.net.client import AsyncOsdClient, ClientStats, OsdServiceError
-from repro.net.flush import StreamFlusher
-from repro.net.retry import RetryPolicy, is_idempotent
-from repro.net.server import OsdServer
-from repro.net.stats import LatencyReservoir, ServiceStats, merge_snapshots
-
-__all__ = [
-    "AsyncOsdClient",
-    "ClientStats",
-    "LatencyReservoir",
-    "OsdServer",
-    "OsdServiceError",
-    "RetryPolicy",
-    "ServiceStats",
-    "StreamFlusher",
-    "is_idempotent",
-    "merge_snapshots",
-]

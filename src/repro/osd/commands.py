@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.osd.target import OsdResponse, OsdTarget
 from repro.osd.sense import SenseCode
+from repro.osd.target import OsdResponse, OsdTarget
 from repro.osd.types import ObjectId
 
 __all__ = [

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from typing import Dict
 
+from repro.errors import OsdError
 from repro.osd.sense import SenseCode
 from repro.osd.target import OsdTarget
 from repro.osd.types import (
@@ -23,7 +24,6 @@ from repro.osd.types import (
     ObjectId,
     ObjectKind,
 )
-from repro.errors import OsdError
 
 __all__ = [
     "ExofsNamespace",

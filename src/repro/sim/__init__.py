@@ -1,25 +1,1 @@
 """Simulation engine: clock, metrics, experiment runner, reporting."""
-
-from repro.sim.clock import SimClock
-from repro.sim.metrics import MetricsRecorder, RunMetrics, WindowMetrics
-from repro.sim.plotting import ascii_chart
-from repro.sim.report import format_figure_series, format_table
-
-__all__ = [
-    "MetricsRecorder",
-    "RunMetrics",
-    "SimClock",
-    "WindowMetrics",
-    "ascii_chart",
-    "format_figure_series",
-    "format_table",
-]
-
-
-def __getattr__(name):
-    """Lazily expose the runner (it imports the core facade — PEP 562)."""
-    if name in ("ExperimentRunner", "FailureEvent", "RunResult"):
-        from repro.sim import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,19 +1,1 @@
 """MediSyn-like synthetic workload generation and analysis (paper §VI-A)."""
-
-from repro.workload.analysis import TraceProfile, footprint_curve, profile_trace
-from repro.workload.distributions import LognormalSizeSampler, ZipfSampler
-from repro.workload.medisyn import Locality, MediSynConfig, generate_workload
-from repro.workload.trace import Trace, TraceRecord
-
-__all__ = [
-    "Locality",
-    "LognormalSizeSampler",
-    "MediSynConfig",
-    "Trace",
-    "TraceProfile",
-    "TraceRecord",
-    "ZipfSampler",
-    "footprint_curve",
-    "generate_workload",
-    "profile_trace",
-]

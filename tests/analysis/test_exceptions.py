@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.rules import BroadExceptRule
+from repro.analysis.rules.exceptions import BroadExceptRule
 
 
 def test_bare_except_fires(lint):

@@ -166,10 +166,11 @@ class TestFactory:
 
 class TestManagerIntegration:
     def test_manager_runs_with_each_policy(self):
-        from tests.conftest import build_cache, register_uniform_objects
-        from repro.core.reo import ReoCache
         from repro.core.policy import reo_policy
+        from repro.core.reo import ReoCache
         from repro.flash.latency import ZERO_COST
+
+        from tests.conftest import build_cache, register_uniform_objects
 
         for name in ("lru", "fifo", "lfu", "clock", "arc"):
             cache = ReoCache.build(

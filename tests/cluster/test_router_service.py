@@ -30,13 +30,13 @@ from repro.cluster.router import (
     decode_fragment,
     encode_fragment,
 )
-from repro.net.client import OsdServiceError
 from repro.cluster.service import ClusterService, ShardServer, default_target_factory
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.core.policy import ReoPolicy
 from repro.flash.array import FlashArray
 from repro.flash.latency import ZERO_COST
 from repro.flash.stripe import ParityScheme
+from repro.net.client import OsdServiceError
 from repro.net.retry import NO_RETRY
 from repro.osd import commands
 from repro.osd.target import OsdTarget

@@ -5,17 +5,9 @@ import random
 import pytest
 
 from repro.errors import FaultPlanError
-from repro.faults import (
-    FailStop,
-    FaultInjector,
-    FaultPlan,
-    LatentErrors,
-    LinkNoise,
-    NetFaultPlan,
-    NetPartition,
-    ShardChaos,
-)
-from repro.faults.plan import SeededPlan, stream
+from repro.faults.injector import FaultInjector
+from repro.faults.netplan import LinkNoise, NetFaultPlan, NetPartition, ShardChaos
+from repro.faults.plan import FailStop, FaultPlan, LatentErrors, SeededPlan, stream
 
 VOCABULARIES = [
     pytest.param(

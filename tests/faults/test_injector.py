@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ChunkCorruptedError, TransientIoError
-from repro.faults import (
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import (
     FailSlow,
     FailStop,
-    FaultInjector,
     FaultPlan,
     LatentErrors,
     TornWrite,

@@ -7,7 +7,7 @@ The plan container itself is tested under both vocabularies in
 import pytest
 
 from repro.errors import FaultPlanError
-from repro.faults import (
+from repro.faults.plan import (
     FailSlow,
     FailStop,
     FaultPlan,

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 from repro.erasure.reference import encode_reference
 from repro.erasure.rs import RSCodec
-from repro.faults import FaultInjector, FaultPlan, TornWrite
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, TornWrite
 from repro.flash.array import FlashArray
 from repro.flash.latency import ZERO_COST
 from repro.flash.stripe import ChunkKind, ParityScheme, ReplicationScheme

@@ -21,14 +21,8 @@ import random
 import zlib
 
 from repro.errors import ReproError
-from repro.faults import (
-    FailSlow,
-    FaultInjector,
-    FaultPlan,
-    LatentErrors,
-    TornWrite,
-    TransientReadError,
-)
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FailSlow, FaultPlan, LatentErrors, TornWrite, TransientReadError
 from repro.flash.array import FlashArray, ObjectHealth
 from repro.flash.latency import INTEL_540S_SSD
 from repro.flash.stripe import ParityScheme, ReplicationScheme

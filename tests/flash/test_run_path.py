@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.flash.array import FlashArray
 from repro.flash.device import FlashDevice
 from repro.flash.latency import INTEL_540S_SSD

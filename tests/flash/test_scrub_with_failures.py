@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FailStop, FaultInjector, FaultPlan, LatentErrors
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FailStop, FaultPlan, LatentErrors
 from repro.flash.array import FlashArray
 from repro.flash.latency import ZERO_COST
 from repro.flash.stripe import ParityScheme, ReplicationScheme

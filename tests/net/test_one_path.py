@@ -14,7 +14,7 @@ import socket
 
 import pytest
 
-from repro.faults import LinkFailSlow, NetFaultPlan, NetPartition, ShardChaos
+from repro.faults.netplan import LinkFailSlow, NetFaultPlan, NetPartition, ShardChaos
 from repro.net import server as server_module
 from repro.net.client import AsyncOsdClient
 from repro.net.server import OsdServer

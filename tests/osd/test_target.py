@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.policy import reo_policy
-from repro.faults import FailStop, FaultInjector, FaultPlan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FailStop, FaultPlan
 from repro.flash.array import FlashArray
 from repro.flash.latency import ZERO_COST
 from repro.flash.stripe import ChunkKind, ParityScheme, ReplicationScheme
