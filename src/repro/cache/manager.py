@@ -196,10 +196,6 @@ class CacheManager:
         else:
             new_version = self.backend.version_of(name) + 1
         payload = self.backend.payload_for(name, new_version)
-        if cached is not None and not self.initiator.exists(cached.object_id):
-            # Lost to a failure; treat as a fresh insert.
-            self._drop(name, lost=True)
-            cached = None
         if cached is not None:
             elapsed = self._rewrite_dirty(cached, payload, new_version)
         else:

@@ -19,8 +19,9 @@ Re-home flow (``condemn``):
    exclusion map *first* is load-bearing — the re-home writes below must
    pass the new owners' route checks.
 3. Census every known partition across the still-readable shards and ask
-   the holders of each plain object for its class (the ``reo.class_id``
-   attribute; the table stripes one class, so stripes need no query),
+   the holders of each plain object for its class (a ``GetAttr``, which
+   answers the class label; the table stripes one class, so stripes need
+   no query),
    then, in class order 0 → 1 → 2 → 3 — the paper's differentiated
    recovery — and by object id within a class (deterministic ledger):
    - **plain / mirrored objects** — copy to any new owner that lacks them,
@@ -80,7 +81,7 @@ if TYPE_CHECKING:  # pragma: no cover - imports only for annotations
 
 __all__ = ["ClusterSupervisor", "RehomeReport"]
 
-#: ``reo.class_id`` attribute bytes → class id, for the classes the table knows.
+#: ``GetAttr`` answer bytes → class id, for the classes the table knows.
 _CLASS_OF_ATTRIBUTE: Dict[Optional[bytes], int] = {str(c).encode(): c for c in CLASS_LAYOUT}
 #: The one class the table stripes: the class every stripe is re-homed under.
 _STRIPED_CLASS = next(
@@ -390,9 +391,7 @@ class ClusterSupervisor:
         data for cold would leave the only valid copy of it unmirrored.
         """
         for shard_id in held_by:
-            response = await self._call(
-                shard_id, commands.GetAttr(object_id, "reo.class_id")
-            )
+            response = await self._call(shard_id, commands.GetAttr(object_id))
             if response is not None and response.payload in _CLASS_OF_ATTRIBUTE:
                 return _CLASS_OF_ATTRIBUTE[response.payload]
         return int(ObjectClass.DIRTY)

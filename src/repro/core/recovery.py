@@ -237,7 +237,7 @@ class RecoveryManager:
 
         Uses the target's policy for the object's current class; a parity
         count that no longer fits the online width is reduced (replication
-        self-adjusts through ``resolved_copies``).
+        spans whatever width is online).
         """
         info = self.target.get_info(object_id)
         scheme = self.target.policy(info.class_id)

@@ -22,10 +22,11 @@ Five studies, each isolating one design decision of Reo:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.policy import reo_policy
 from repro.experiments.common import (
+    CACHE_PERCENT,
     Profile,
     Table,
     active_profile,
@@ -54,9 +55,7 @@ def _fail_at_midpoint(trace: Trace, *devices: int, recover: bool = True) -> List
     ]
 
 
-def run_hotness_indicator_ablation(
-    profile: Optional[Profile] = None, cache_percent: int = 10
-) -> Table:
+def run_hotness_indicator_ablation(profile: Optional[Profile] = None) -> Table:
     """``H = Freq/Size`` vs size-blind ``H = Freq`` through one failure."""
     profile = profile or active_profile()
     result = Table(
@@ -68,7 +67,7 @@ def run_hotness_indicator_ablation(
             "Reo-20%",
             trace,
             profile,
-            cache_percent,
+            CACHE_PERCENT,
             failures=_fail_at_midpoint(trace, 0),
             hotness_size_exponent=exponent,
         )
@@ -79,9 +78,7 @@ def run_hotness_indicator_ablation(
     return result
 
 
-def run_recovery_priority_ablation(
-    profile: Optional[Profile] = None, cache_percent: int = 10
-) -> Table:
+def run_recovery_priority_ablation(profile: Optional[Profile] = None) -> Table:
     """Class-ordered recovery vs object-id-ordered reconstruction.
 
     Measures the window right after a failure with a throttled recovery
@@ -99,7 +96,7 @@ def run_recovery_priority_ablation(
             "Reo-20%",
             trace,
             profile,
-            cache_percent,
+            CACHE_PERCENT,
             failures=_fail_at_midpoint(trace, 0),
             recovery_share=0.05,  # throttle hard so ordering matters
             prioritized_recovery=prioritized,
@@ -111,9 +108,7 @@ def run_recovery_priority_ablation(
     return result
 
 
-def run_eviction_policy_ablation(
-    profile: Optional[Profile] = None, cache_percent: int = 10
-) -> Table:
+def run_eviction_policy_ablation(profile: Optional[Profile] = None) -> Table:
     """LRU (the paper's choice) vs FIFO/LFU/CLOCK/ARC replacement.
 
     Replacement is orthogonal to Reo's redundancy machinery; this quantifies
@@ -131,7 +126,7 @@ def run_eviction_policy_ablation(
     )
     trace = make_trace(Locality.MEDIUM, profile)
     for name in ("lru", "fifo", "lfu", "clock", "arc"):
-        _, run = replay("Reo-20%", trace, profile, cache_percent, eviction_policy=name)
+        _, run = replay("Reo-20%", trace, profile, CACHE_PERCENT, eviction_policy=name)
         result.rows[name] = {
             "hit%": run.metrics.hit_ratio_percent,
             "MB/sec": run.metrics.bandwidth_mb_per_sec,
@@ -140,9 +135,7 @@ def run_eviction_policy_ablation(
     return result
 
 
-def run_hot_parity_sweep(
-    profile: Optional[Profile] = None, cache_percent: int = 10
-) -> Table:
+def run_hot_parity_sweep(profile: Optional[Profile] = None) -> Table:
     """Sweep the hot class's parity count (the paper fixes it at 2).
 
     More parity per hot stripe buys failure tolerance at the cost of
@@ -161,7 +154,7 @@ def run_hot_parity_sweep(
             reo_policy(0.20, hot_parity=hot_parity),
             trace,
             profile,
-            cache_percent,
+            CACHE_PERCENT,
             failures=_fail_at_midpoint(trace, 0, 1, recover=False),
         )
         result.rows[f"{hot_parity}-parity hot"] = {
@@ -171,22 +164,17 @@ def run_hot_parity_sweep(
     return result
 
 
-def run_chunk_size_sweep(
-    profile: Optional[Profile] = None,
-    cache_percent: int = 10,
-    chunk_sizes: Sequence[int] = (),
-) -> Table:
-    """Normal-run metrics across stripe chunk sizes."""
+def run_chunk_size_sweep(profile: Optional[Profile] = None) -> Table:
+    """Normal-run metrics at a quarter of, at, and at four times the
+    profile's chunk size."""
     profile = profile or active_profile()
-    if not chunk_sizes:
-        base = profile.chunk_size
-        chunk_sizes = (base // 4, base, base * 4)
+    base = profile.chunk_size
     result = Table(
         title=f"Ablation: chunk size (Reo-20%, medium workload) [{profile.name}]"
     )
     trace = make_trace(Locality.MEDIUM, profile)
-    for chunk_size in chunk_sizes:
-        _, run = replay("Reo-20%", trace, profile, cache_percent, chunk_size=chunk_size)
+    for chunk_size in (base // 4, base, base * 4):
+        _, run = replay("Reo-20%", trace, profile, CACHE_PERCENT, chunk_size=chunk_size)
         result.rows[f"chunk={chunk_size}B"] = dict(
             zip(("hit%", "MB/sec", "latency ms"), measures(run.metrics, profile))
         )

@@ -42,6 +42,7 @@ from repro.workload.trace import Trace
 
 __all__ = [
     "BANDWIDTH",
+    "CACHE_PERCENT",
     "Figure",
     "HIT",
     "LATENCY",
@@ -66,6 +67,10 @@ NORMAL_RUN_POLICIES = (
     "Reo-20%",
     "Reo-40%",
 )
+
+#: Cache size, in percent of the data set, of every driver that does not
+#: sweep it (the paper's Figs. 8 and 9 run at 10 %).
+CACHE_PERCENT = 10
 
 
 @dataclass(frozen=True)

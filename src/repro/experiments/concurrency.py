@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.common import (
+    CACHE_PERCENT,
     Profile,
     Table,
     active_profile,
@@ -32,7 +33,6 @@ __all__ = ["run_concurrency_sweep"]
 def run_concurrency_sweep(
     profile: Optional[Profile] = None,
     clients: Sequence[int] = (1, 2, 4, 8),
-    cache_percent: int = 10,
 ) -> Table:
     """Replay the medium workload at several client counts."""
     profile = profile or active_profile()
@@ -42,7 +42,7 @@ def run_concurrency_sweep(
     )
     trace = make_trace(Locality.MEDIUM, profile)
     for count in clients:
-        _, result = replay("Reo-20%", trace, profile, cache_percent, concurrency=count)
+        _, result = replay("Reo-20%", trace, profile, CACHE_PERCENT, concurrency=count)
         hit, bandwidth, latency = measures(result.metrics, profile)
         sweep.rows[count] = {"MB/sec": bandwidth, "Latency (ms)": latency, "Hit %": hit}
     return sweep

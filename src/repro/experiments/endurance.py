@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -38,6 +38,21 @@ __all__ = [
 ]
 
 
+#: The write-amplification sweep: the utilizations it visits, the random
+#: overwrites it times at each, and their seed.
+WA_UTILIZATIONS = (0.5, 0.7, 0.85, 0.95)
+WA_OVERWRITES = 20_000
+WA_SEED = 11
+
+#: The parity-placement study: objects written, each one's size, the
+#: random partial updates applied to them, each one's size, and the seed.
+WEAR_OBJECTS = 40
+WEAR_OBJECT_SIZE = 8 * KiB
+WEAR_UPDATES = 1_500
+WEAR_UPDATE_SIZE = 256
+WEAR_SEED = 13
+
+
 @dataclass(frozen=True)
 class WriteAmplificationPoint:
     """One utilization sample of the WA sweep."""
@@ -47,14 +62,10 @@ class WriteAmplificationPoint:
     gc_page_moves: int
 
 
-def run_write_amplification_sweep(
-    utilizations: Tuple[float, ...] = (0.5, 0.7, 0.85, 0.95),
-    overwrites: int = 20_000,
-    seed: int = 11,
-) -> List[WriteAmplificationPoint]:
+def run_write_amplification_sweep() -> List[WriteAmplificationPoint]:
     """WA vs utilization for one FTL device under random overwrites."""
     points: List[WriteAmplificationPoint] = []
-    for utilization in utilizations:
+    for utilization in WA_UTILIZATIONS:
         ftl = PageMappedFtl(
             FtlConfig(
                 page_size=4 * KiB,
@@ -67,10 +78,10 @@ def run_write_amplification_sweep(
         for index in range(live_pages):
             ftl.write(("data", index))
         # Random-overwrite steady state: the regime where GC hurts.
-        rng = random.Random(seed)
+        rng = random.Random(WA_SEED)
         baseline = ftl.stats.nand_pages_written
         host = 0
-        for _ in range(overwrites):
+        for _ in range(WA_OVERWRITES):
             ftl.write(("data", rng.randrange(live_pages)))
             host += 1
         nand = ftl.stats.nand_pages_written - baseline
@@ -132,13 +143,7 @@ class ParityWearResult:
         )
 
 
-def run_parity_placement_wear(
-    num_objects: int = 40,
-    object_size: int = 8 * KiB,
-    updates: int = 1_500,
-    update_size: int = 256,
-    seed: int = 13,
-) -> ParityWearResult:
+def run_parity_placement_wear() -> ParityWearResult:
     """Rotated vs pinned parity under random partial updates (§IV-C.3)."""
     result = ParityWearResult()
     for layout, rotate in (("rotated (paper)", True), ("fixed (RAID-4 style)", False)):
@@ -153,16 +158,16 @@ def run_parity_placement_wear(
                 FtlConfig(page_size=1 * KiB, pages_per_block=32, num_blocks=512)
             )
         scheme = ParityScheme(1, rotate=rotate)
-        rng = np.random.default_rng(seed)
-        for index in range(num_objects):
-            payload = rng.integers(0, 256, object_size, dtype=np.uint8).tobytes()
+        rng = np.random.default_rng(WEAR_SEED)
+        for index in range(WEAR_OBJECTS):
+            payload = rng.integers(0, 256, WEAR_OBJECT_SIZE, dtype=np.uint8).tobytes()
             array.write_object(f"o{index}", payload, scheme)
-        update_rng = random.Random(seed)
-        for _ in range(updates):
-            name = f"o{update_rng.randrange(num_objects)}"
-            offset = update_rng.randrange(object_size - update_size)
+        update_rng = random.Random(WEAR_SEED)
+        for _ in range(WEAR_UPDATES):
+            name = f"o{update_rng.randrange(WEAR_OBJECTS)}"
+            offset = update_rng.randrange(WEAR_OBJECT_SIZE - WEAR_UPDATE_SIZE)
             data = bytes(update_rng.getrandbits(8) for _ in range(64)) * (
-                update_size // 64
+                WEAR_UPDATE_SIZE // 64
             )
             array.update_range(name, offset, data)
         result.nand_writes[layout] = [

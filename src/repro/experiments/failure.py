@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.common import (
+    CACHE_PERCENT,
     NORMAL_RUN_POLICIES,
     Figure,
     Profile,
@@ -42,7 +43,6 @@ PAPER_FAILURE_POINTS = (10_000, 20_000, 30_000, 40_000)
 def run_failure_resistance(
     profile: Optional[Profile] = None,
     policy_keys: Sequence[str] = NORMAL_RUN_POLICIES,
-    cache_percent: int = 10,
 ) -> Figure:
     """Regenerate Fig. 8 across the six schemes."""
     profile = profile or active_profile()
@@ -76,7 +76,7 @@ def run_failure_resistance(
             policy_key,
             trace,
             profile,
-            cache_percent,
+            CACHE_PERCENT,
             failures=failures,
             chunk_size=profile.failure_chunk_size,
         )

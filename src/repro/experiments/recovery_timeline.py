@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.experiments.common import (
+    CACHE_PERCENT,
     Figure,
     Profile,
     active_profile,
@@ -29,7 +30,7 @@ __all__ = ["run_recovery_timeline"]
 
 def run_recovery_timeline(
     profile: Optional[Profile] = None,
-    cache_percent: int = 10,
+    cache_percent: int = CACHE_PERCENT,
     windows: int = 4,
     recovery_share: float = 0.05,
 ) -> Figure:

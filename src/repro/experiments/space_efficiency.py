@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.experiments.common import (
+    CACHE_PERCENT,
     Profile,
     Table,
     active_profile,
@@ -31,15 +32,16 @@ PAPER_REO10 = {"weak": 90.5, "medium": 91.0, "strong": 90.0}
 
 REO_POLICIES = ("Reo-10%", "Reo-20%", "Reo-40%")
 
+#: Space-efficiency samples taken over one replay.
+SAMPLES = 40
 
-def _average_space_efficiency(
-    policy_key: str, trace: Trace, profile: Profile, cache_percent: int, samples: int = 40
-) -> float:
+
+def _average_space_efficiency(policy_key: str, trace: Trace, profile: Profile) -> float:
     """Replay the trace, sampling space efficiency at regular intervals."""
-    cache_bytes = int(trace.total_bytes * cache_percent / 100)
+    cache_bytes = int(trace.total_bytes * CACHE_PERCENT / 100)
     cache = build_experiment_cache(policy_key, cache_bytes, profile)
     cache.register_objects(trace.catalog)
-    interval = max(1, len(trace) // samples)
+    interval = max(1, len(trace) // SAMPLES)
     observations: List[float] = []
     for index, record in enumerate(trace):
         result = cache.write(record.name) if record.is_write else cache.read(record.name)
@@ -53,7 +55,6 @@ def _average_space_efficiency(
 
 def run_space_efficiency_table(
     profile: Optional[Profile] = None,
-    cache_percent: int = 10,
     policy_keys: Sequence[str] = REO_POLICIES,
 ) -> Table:
     """Regenerate the §VI-B numbers for the Reo configurations.
@@ -62,13 +63,13 @@ def run_space_efficiency_table(
     """
     profile = profile or active_profile()
     table = Table(
-        title=f"Space efficiency (%), cache={cache_percent}% [{profile.name}]",
+        title=f"Space efficiency (%), cache={CACHE_PERCENT}% [{profile.name}]",
         variant_label="Scheme",
     )
     traces = {locality.value: make_trace(locality, profile) for locality in Locality}
     for policy_key in policy_keys:
         table.rows[policy_key] = {
-            name: _average_space_efficiency(policy_key, trace, profile, cache_percent)
+            name: _average_space_efficiency(policy_key, trace, profile)
             for name, trace in traces.items()
         }
     table.rows["paper Reo-10%"] = dict(PAPER_REO10)

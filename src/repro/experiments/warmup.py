@@ -15,6 +15,7 @@ from typing import Optional
 
 from repro.core.warmup import WarmupAdvisor
 from repro.experiments.common import (
+    CACHE_PERCENT,
     Figure,
     Profile,
     active_profile,
@@ -26,25 +27,24 @@ from repro.workload.medisyn import Locality
 
 __all__ = ["run_warmup_experiment"]
 
+#: Equal windows the post-restart traffic is measured in.
+WINDOWS = 4
 
-def run_warmup_experiment(
-    profile: Optional[Profile] = None,
-    cache_percent: int = 10,
-    windows: int = 4,
-) -> Figure:
+
+def run_warmup_experiment(profile: Optional[Profile] = None) -> Figure:
     """Cold vs preloaded restart over the medium workload."""
     profile = profile or active_profile()
     trace = make_trace(Locality.MEDIUM, profile)
     half = len(trace) // 2
     history = replace(trace, records=trace.records[:half])
     measured = replace(trace, records=trace.records[half:])
-    window = max(1, len(measured) // windows)
-    starts = range(0, windows * window, window)
-    cache_bytes = int(trace.total_bytes * cache_percent / 100)
+    window = max(1, len(measured) // WINDOWS)
+    starts = range(0, WINDOWS * window, window)
+    cache_bytes = int(trace.total_bytes * CACHE_PERCENT / 100)
     experiment = Figure(
         title=f"Cache restart: hit ratio (%) per window, cold vs preloaded [{profile.name}]",
         x_label="Window",
-        x_values=[f"+{index + 1}" for index in range(windows)],
+        x_values=[f"+{index + 1}" for index in range(WINDOWS)],
     )
     for variant in ("cold restart", "preloaded restart"):
         # Phase 1: the original cache serves history, building server stats.

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.common import (
+    CACHE_PERCENT,
     Figure,
     Profile,
     active_profile,
@@ -37,7 +38,6 @@ def run_writeback_figure(
     profile: Optional[Profile] = None,
     write_ratios: Sequence[int] = WRITE_RATIOS,
     policy_keys: Sequence[str] = POLICIES,
-    cache_percent: int = 10,
 ) -> Figure:
     """Regenerate Fig. 9 (read hit ratio over the write-intensive sweep)."""
     profile = profile or active_profile()
@@ -51,6 +51,6 @@ def run_writeback_figure(
         for ratio in write_ratios
     ]
     for policy_key in policy_keys:
-        runs = [replay(policy_key, trace, profile, cache_percent)[1] for trace in traces]
+        runs = [replay(policy_key, trace, profile, CACHE_PERCENT)[1] for trace in traces]
         figure.add(policy_key, [measures(run.metrics, profile) for run in runs])
     return figure

@@ -85,18 +85,15 @@ def _placement(scheme: RedundancyScheme, devices: Tuple[int, ...]) -> Tuple[
     """Everything a write over ``devices`` fixes before it sees a payload.
 
     The scheme's geometry (``k``, replicated or not), the stripe layouts
-    and, when every stripe spans every device, the run plans: per starting
+    and the run plans: every stripe spans every device, so per starting
     rotation, each device's fragment index in the stripes from there, in
     the order those stripes first touch the devices — the order
     chunk-by-chunk programming opens the devices' samples in. The device
-    that stripe ``s`` puts fragment ``i`` on holds ``(s, i)``. A layout
-    narrower than the devices (fewer replicas than devices) has no run
-    plans. An invalid width raises every time (errors are not cached).
+    that stripe ``s`` puts fragment ``i`` on holds ``(s, i)``. An invalid
+    width raises every time (errors are not cached).
     """
     k, replicated = _scheme_geometry(scheme, len(devices))
     layouts = scheme.layouts(devices)
-    if len(layouts[0]) < len(devices):
-        return k, replicated, layouts, ()
     period = len(layouts)
     plans = []
     for start in range(period):
@@ -445,10 +442,9 @@ class FlashArray:
         The whole object is laid out first — descriptors, fragments and
         each device's run — and then programmed: each device's run in one
         call (``_program_runs``), or chunk by chunk in stripe-major order
-        (``_program_chunks``) when the object is one stripe, its stripes
-        are narrower than the online devices, a device has a fault
-        injector or an FTL, or a run would overflow its device. Both bill
-        and store exactly the same.
+        (``_program_chunks``) when the object is one stripe, a device has
+        a fault injector or an FTL, or a run would overflow its device.
+        Both bill and store exactly the same.
 
         Overwrites are transactional: the new stripes are written first and
         the old copy is only deleted after they all land, so a mid-write
@@ -563,7 +559,7 @@ class FlashArray:
         batch = _IoBatch(self.clock.now, op="write")
         try:
             # A one-stripe object's runs are single chunks: nothing to gain.
-            if count < 2 or not run_plans or not self._program_runs(
+            if count < 2 or not self._program_runs(
                 extent, fragments, run_plans[first % period], lengths, batch
             ):
                 self._program_chunks(extent, fragments, batch)

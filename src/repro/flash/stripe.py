@@ -14,7 +14,7 @@ vocabulary:
 - :class:`ParityScheme` — ``m`` parity chunks per stripe (``m = 0`` means no
   redundancy, the paper's "0-parity");
 - :class:`ReplicationScheme` — every chunk replicated across the stripe
-  ("full replication"), or to a fixed number of copies.
+  ("full replication").
 """
 
 from __future__ import annotations
@@ -230,31 +230,20 @@ class ParityScheme(RedundancyScheme):
 
 @dataclass(frozen=True)
 class ReplicationScheme(RedundancyScheme):
-    """Replicate each chunk; ``copies=None`` means across the whole stripe."""
+    """Replicate each chunk across the whole stripe: one copy per device."""
 
-    copies: "int | None" = None
-
-    def __post_init__(self) -> None:
-        if self.copies is not None and self.copies < 1:
-            raise StripeLayoutError("replication needs at least one copy")
-
-    @property
-    def name(self) -> str:
-        return "full-replication" if self.copies is None else f"{self.copies}-replication"
-
-    def resolved_copies(self, width: int) -> int:
-        return width if self.copies is None else min(self.copies, width)
+    name = "full-replication"
 
     def data_chunks_per_stripe(self, width: int) -> int:
         self.validate(width)
         return 1
 
     def tolerable_failures(self, width: int) -> int:
-        return self.resolved_copies(width) - 1
+        return width - 1
 
     def storage_multiplier(self, width: int) -> float:
         self.validate(width)
-        return float(self.resolved_copies(width))
+        return float(width)
 
     def validate(self, width: int) -> None:
         if width < 1:
@@ -264,12 +253,11 @@ class ReplicationScheme(RedundancyScheme):
         self, devices: Tuple[int, ...], rotation: int
     ) -> List[FragmentSlot]:
         width = len(devices)
-        copies = self.resolved_copies(width)
         primary_slot = rotation % width
         slots: List[FragmentSlot] = [
             FragmentSlot(devices[primary_slot], 0, ChunkKind.DATA)
         ]
-        for offset in range(1, copies):
+        for offset in range(1, width):
             slot = (primary_slot + offset) % width
             slots.append(FragmentSlot(devices[slot], offset, ChunkKind.REPLICA))
         return slots

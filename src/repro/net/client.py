@@ -290,20 +290,19 @@ class AsyncOsdClient:
     async def submit(
         self,
         command: commands.OsdCommand,
-        timeout: Optional[float] = None,
         *,
         deadline: Optional[float] = None,
     ) -> OsdResponse:
         """Execute one command with pipelining, timeout, and retry.
 
-        ``timeout`` bounds each *attempt*; ``deadline`` (an absolute
-        ``loop.time()`` instant) bounds the whole call — backoff sleeps and
-        retry attempts together can never overrun it. Attempt timeouts are
-        clipped to the remaining budget, and a retry whose backoff would
-        land past the deadline is abandoned instead of slept.
+        The client's ``timeout`` bounds each *attempt*; ``deadline`` (an
+        absolute ``loop.time()`` instant) bounds the whole call — backoff
+        sleeps and retry attempts together can never overrun it. Attempt
+        timeouts are clipped to the remaining budget, and a retry whose
+        backoff would land past the deadline is abandoned instead of slept.
         """
         self.stats.requests += 1
-        timeout = self.timeout if timeout is None else timeout
+        timeout = self.timeout
         loop = asyncio.get_running_loop() if deadline is not None else None
         delays: Optional[List[float]] = None  # built on first retry only
         attempts = self.retry.max_attempts

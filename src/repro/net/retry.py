@@ -4,7 +4,8 @@ Only *idempotent* commands are retried. Re-sending a command whose first
 attempt may have already executed is safe exactly when executing it twice
 leaves the target in the same state and returns the same answer:
 
-- ``Read``/``GetAttr``/``ListPartition`` never mutate anything;
+- ``Read``, ``GetAttr`` (the class label) and ``ListPartition`` never
+  mutate anything;
 - ``Write`` is a whole-object overwrite and ``Update`` rewrites the same
   byte range with the same bytes — replaying either converges to the
   identical state;

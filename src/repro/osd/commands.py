@@ -92,18 +92,17 @@ class Remove(OsdCommand):
 
 @dataclass(frozen=True)
 class GetAttr(OsdCommand):
-    """GET ATTRIBUTES service action; value returned as the payload.
+    """GET ATTRIBUTES service action: the object's class label as the payload.
 
-    The one attribute a stored object has is its class label,
-    ``reo.class_id`` (the §IV-B "semantic hint"); a partition is not a
-    stored object and has none.
+    The one attribute a stored object has is its class (the §IV-B
+    "semantic hint", set by ``#SETID#``); a partition is not a stored
+    object and has none.
     """
 
     object_id: ObjectId
-    key: str
 
     def apply(self, target: OsdTarget) -> OsdResponse:
-        if self.key != "reo.class_id" or not target.exists(self.object_id):
+        if not target.exists(self.object_id):
             return OsdResponse(SenseCode.FAIL)
         class_id = target.get_info(self.object_id).class_id
         return OsdResponse(SenseCode.OK, payload=str(class_id).encode("ascii"))

@@ -61,10 +61,6 @@ class OsdInitiator:
         """Remove an object; FAIL when it is absent."""
         return self._execute(commands.Remove(object_id))
 
-    def exists(self, object_id: ObjectId) -> bool:
-        """Is ``object_id`` stored? A GetAttr of ``reo.class_id``, its class label."""
-        return self._execute(commands.GetAttr(object_id, "reo.class_id")).ok
-
     # ------------------------------------------------------------------
     # Health and reserve questions (a #QUERY# each over a socket)
     # ------------------------------------------------------------------
@@ -85,7 +81,7 @@ class OsdInitiator:
         """``(reserve left after mandatory redundancy, hot overhead per byte)``.
 
         None without a reserve. The census of mandatory (class 0 and 1)
-        redundancy is a ListPartition and a GetAttr of ``reo.class_id`` each.
+        redundancy is a ListPartition and a GetAttr (the class label) each.
         """
         budget = self.target.budget
         if budget is None:

@@ -6,9 +6,7 @@ response serializes to one PDU of
 
 - a fixed-width binary header packed by ``struct`` (magic + version byte,
   command opcode or response kind, flags, sequence id, then the
-  kind-specific fields and the data-segment length),
-- for ``GetAttr`` only, an *extended header* — a length-prefixed JSON
-  object holding the attribute key, gated by a flag bit — and
+  kind-specific fields and the data-segment length), then
 - an opaque binary data segment (write payloads, read results).
 
 Round-tripping through real bytes keeps the initiator/target boundary
@@ -16,9 +14,8 @@ honest — nothing crosses it except what the wire format can carry — and
 gives the transport layer true payload sizes to bill.
 
 Hardening: whole PDUs have an explicit size limit, every field a decoder
-reads is checked (magic, version, opcode, truncation, declared against
-actual data length, sense code, and that the extended header appears
-exactly where the opcode defines one and holds exactly its keys), and
+reads is checked (magic, version, opcode, flag bits the PDU kind does not
+define, truncation, declared against actual data length, sense code), and
 every protocol-level failure raises :class:`~repro.errors.WireError` (an
 :class:`OsdError` subclass) so transports can tell stream corruption from
 target errors. Encoders raise it too for a value its fixed-width field
@@ -40,7 +37,6 @@ transport's ``writelines`` is a ``b"".join`` followed by ``write``; from
 
 from __future__ import annotations
 
-import json
 import struct
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -86,17 +82,17 @@ _COMMAND = struct.Struct(">BBBBQIQQqI")
 #: Response fixed header: the prefix, then sense (signed — FAIL is -1),
 #: elapsed, chunks read/written, bytes read/written, data length. 50 bytes.
 _RESPONSE = struct.Struct(">BBBBQhdIIQQI")
-#: Length prefix of the extended JSON header.
-_EXT_LEN = struct.Struct(">H")
 
-#: Flag bits shared by both PDU kinds.
-_FLAG_EXT = 0x01  # extended JSON header follows the fixed header
+#: Flag bits shared by both PDU kinds. Bit 0x01 is retired and refused.
 _FLAG_SEQ = 0x02  # seq field is meaningful (None otherwise)
 #: Command-only: the aux field carries a Write class_id.
 _FLAG_AUX = 0x04
 #: Response-only.
 _FLAG_PAYLOAD = 0x04
 _FLAG_DEGRADED = 0x08
+#: Every bit each PDU kind defines; a decoder refuses any other.
+_COMMAND_FLAGS = _FLAG_SEQ | _FLAG_AUX
+_RESPONSE_FLAGS = _FLAG_SEQ | _FLAG_PAYLOAD | _FLAG_DEGRADED
 
 _OPCODES: Dict[type, int] = {
     commands.CreatePartition: 0x01,
@@ -117,8 +113,6 @@ _OBJECT_COMMANDS = (
     commands.Remove,
     commands.GetAttr,
 )
-#: What ``GetAttr``'s extended header holds; no other opcode has one.
-_GETATTR_KEYS = ("key",)
 
 
 def _pack(layout: struct.Struct, *fields: object) -> bytes:
@@ -154,50 +148,16 @@ def _kind_and_flags(pdu: Buffer) -> Tuple[int, int]:
     return kind, flags
 
 
-def _tail(
-    pdu: Buffer, offset: int, flags: int, keys: Tuple[str, ...], data_length: int
-) -> Tuple[List[str], Buffer]:
-    """Parse what follows the fixed header: extended header, then data.
-
-    The extended header must be present exactly when the PDU kind defines
-    one (``keys`` non-empty) and hold exactly those keys with string
-    values — it can never restate a field of the fixed header. The data
-    segment is returned as a slice of the input, not copied.
-    """
-    if bool(flags & _FLAG_EXT) != bool(keys):
-        raise WireError(
-            "extended header missing" if keys else "unexpected extended header"
-        )
-    values: List[str] = []
-    if keys:
-        if len(pdu) < offset + _EXT_LEN.size:
-            raise WireError("truncated PDU: missing extended header length")
-        (ext_length,) = _EXT_LEN.unpack_from(pdu, offset)
-        offset += _EXT_LEN.size
-        if len(pdu) < offset + ext_length:
-            raise WireError("truncated PDU: extended header shorter than declared")
-        try:
-            ext = json.loads(bytes(pdu[offset : offset + ext_length]).decode("ascii"))
-        except (ValueError, RecursionError) as exc:
-            raise WireError(f"malformed extended header: {exc}") from None
-        if not isinstance(ext, dict):
-            raise WireError(
-                f"extended header must be a JSON object, got {type(ext).__name__}"
-            )
-        values = [ext.get(key) for key in keys]
-        if len(ext) != len(keys) or not all(isinstance(v, str) for v in values):
-            raise WireError(
-                f"extended header must hold exactly the strings {keys}, "
-                f"got keys {sorted(ext)}"
-            )
-        offset += ext_length
+def _data(pdu: Buffer, offset: int, data_length: int) -> Buffer:
+    """The data segment after the fixed header, as a slice of the input
+    (not copied), checked against its declared length."""
     data = pdu[offset:]
     if len(data) != data_length:
         raise WireError(
             f"data segment of {len(data)} bytes does not match the "
             f"declared {data_length}"
         )
-    return values, data
+    return data
 
 
 def _materialize(data: Buffer) -> bytes:
@@ -246,7 +206,6 @@ def encode_command_parts(
     elif isinstance(command, _OBJECT_COMMANDS):
         pid, oid = command.object_id.pid, command.object_id.oid
     data: Buffer = b""
-    ext = b""
     if isinstance(command, commands.Write):
         data = command.payload
         if command.class_id is not None:
@@ -255,15 +214,11 @@ def encode_command_parts(
     elif isinstance(command, commands.Update):
         data = command.payload
         aux = command.offset
-    elif isinstance(command, commands.GetAttr):
-        flags |= _FLAG_EXT
-        ext = json.dumps({"key": command.key}, separators=(",", ":")).encode("ascii")
-        ext = _pack(_EXT_LEN, len(ext)) + ext
     head = _pack(
         _COMMAND, MAGIC, VERSION, opcode, flags,
         seq or 0, retry, pid, oid, aux, len(data),
     )
-    return _assemble(head + ext, data)
+    return _assemble(head, data)
 
 
 class CommandPdu(NamedTuple):
@@ -282,11 +237,12 @@ def decode_command_pdu(pdu: Buffer) -> CommandPdu:
     kind = _COMMAND_TYPES.get(opcode)
     if kind is None:
         raise WireError(f"unknown command opcode 0x{opcode:02x}")
+    if flags & ~_COMMAND_FLAGS:
+        raise WireError(f"undefined command flag bits 0x{flags & ~_COMMAND_FLAGS:02x}")
     if len(pdu) < _COMMAND.size:
         raise WireError("truncated PDU: command header cut short")
     _, _, _, _, seq, retry, pid, oid, aux, data_length = _COMMAND.unpack_from(pdu)
-    keys = _GETATTR_KEYS if kind is commands.GetAttr else ()
-    strings, data = _tail(pdu, _COMMAND.size, flags, keys, data_length)
+    data = _data(pdu, _COMMAND.size, data_length)
     command: commands.OsdCommand
     if kind in (commands.CreatePartition, commands.ListPartition):
         command = kind(pid)
@@ -296,8 +252,8 @@ def decode_command_pdu(pdu: Buffer) -> CommandPdu:
         )
     elif kind is commands.Update:
         command = commands.Update(ObjectId(pid, oid), aux, _materialize(data))
-    else:  # Read, Remove, GetAttr: the object id, then the key
-        command = kind(ObjectId(pid, oid), *strings)
+    else:  # Read, Remove, GetAttr: the object id alone
+        command = kind(ObjectId(pid, oid))
     return CommandPdu(seq if flags & _FLAG_SEQ else None, retry, command)
 
 
@@ -335,13 +291,15 @@ def decode_response_pdu(pdu: Buffer) -> Tuple[Optional[int], OsdResponse]:
     kind, flags = _kind_and_flags(pdu)
     if kind != _RESPONSE_KIND:
         raise WireError("expected a response PDU, got a command")
+    if flags & ~_RESPONSE_FLAGS:
+        raise WireError(f"undefined response flag bits 0x{flags & ~_RESPONSE_FLAGS:02x}")
     if len(pdu) < _RESPONSE.size:
         raise WireError("truncated PDU: response header cut short")
     (
         _, _, _, _, seq, sense_value, elapsed,
         chunks_read, chunks_written, bytes_read, bytes_written, data_length,
     ) = _RESPONSE.unpack_from(pdu)
-    _, data = _tail(pdu, _RESPONSE.size, flags, (), data_length)
+    data = _data(pdu, _RESPONSE.size, data_length)
     try:
         sense = SenseCode(sense_value)
     except ValueError:

@@ -239,7 +239,7 @@ class TestDeviceFull:
         cache.write(names[0])
         cached = cache.manager.get_cached(names[0])
         assert cached.object_id != old_id
-        assert not cache.initiator.exists(old_id)
+        assert not cache.target.exists(old_id)
         assert cached.dirty and cached.version == 2
         assert cache.stats.lost_objects == 0
         assert cache.stats.evictions == 0

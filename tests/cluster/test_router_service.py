@@ -887,7 +887,7 @@ class TestCondemnRehome:
                     )
                     for shard_id in holders:
                         stored = service.shards[shard_id].target
-                        label = commands.GetAttr(target, "reo.class_id").apply(stored)
+                        label = commands.GetAttr(target).apply(stored)
                         assert label.payload == b"1"
                         assert stored.read_object(target).payload == body
 

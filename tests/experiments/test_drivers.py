@@ -1,6 +1,12 @@
 """Smoke-level tests of the experiment drivers (full runs live in benchmarks/)."""
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
+
+import repro.experiments
 
 from repro.experiments.ablations import run_chunk_size_sweep
 from repro.experiments.common import HIT, PROFILES, make_trace, replay
@@ -15,6 +21,51 @@ from repro.sim.runner import FailureEvent
 from repro.workload.medisyn import Locality
 
 SMOKE = PROFILES["smoke"]
+
+#: Every driver's parameters. A value no caller sets is a module constant
+#: (``CACHE_PERCENT``, ``endurance.WA_SEED``, ...); a parameter is what a
+#: test varies or a ROADMAP item plans to vary.
+DRIVER_PARAMETERS = {
+    "ablations.run_chunk_size_sweep": ("profile",),
+    "ablations.run_eviction_policy_ablation": ("profile",),
+    "ablations.run_hot_parity_sweep": ("profile",),
+    "ablations.run_hotness_indicator_ablation": ("profile",),
+    "ablations.run_recovery_priority_ablation": ("profile",),
+    "chaos_campaign.run_chaos_campaign": ("seed",),
+    "cluster_campaign.run_cluster_campaign": ("seed",),
+    "concurrency.run_concurrency_sweep": ("profile", "clients"),
+    "endurance.run_parity_placement_wear": (),
+    "endurance.run_write_amplification_sweep": (),
+    "failure.run_failure_resistance": ("profile", "policy_keys"),
+    "fault_campaign.run_fault_campaign": ("profile", "seed", "num_objects", "num_requests"),
+    "normal_run.run_normal_run_figure": ("locality", "profile", "cache_percents", "policy_keys"),
+    "recovery_timeline.run_recovery_timeline": (
+        "profile", "cache_percent", "windows", "recovery_share",
+    ),
+    "space_efficiency.run_space_efficiency_table": ("profile", "policy_keys"),
+    "warmup.run_warmup_experiment": ("profile",),
+    "writeback.run_writeback_figure": ("profile", "write_ratios", "policy_keys"),
+}
+
+
+def drivers():
+    """``{"module.run_name": function}`` for every driver the package defines."""
+    found = {}
+    for info in pkgutil.iter_modules(repro.experiments.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"repro.experiments.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("run_") and getattr(value, "__module__", None) == module.__name__:
+                found[f"{info.name}.{name}"] = value
+    return found
+
+
+def test_every_driver_accepts_only_its_pinned_parameters():
+    found = drivers()
+    assert sorted(found) == sorted(DRIVER_PARAMETERS)
+    for key, driver in found.items():
+        assert tuple(inspect.signature(driver).parameters) == DRIVER_PARAMETERS[key], key
 
 
 class TestReplay:

@@ -69,7 +69,7 @@ class TestServiceTime:
 
 class TestSchemeGeometryCache:
     def test_matches_direct_calls(self):
-        for scheme in (ParityScheme(2), ParityScheme(0), ReplicationScheme(3)):
+        for scheme in (ParityScheme(2), ParityScheme(0), ReplicationScheme()):
             for width in (4, 5, 8):
                 data, is_repl = _scheme_geometry(scheme, width)
                 assert data == scheme.data_chunks_per_stripe(width)
@@ -114,7 +114,7 @@ class TestDeviceMapCache:
 class TestBillingIdentity:
     """The same operation sequence bills identically on cold and warm caches."""
 
-    SCHEMES = [ParityScheme(2), ParityScheme(1), ReplicationScheme(3)]
+    SCHEMES = [ParityScheme(2), ParityScheme(1), ReplicationScheme()]
 
     def run_sequence(self, array):
         snapshots = []

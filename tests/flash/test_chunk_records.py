@@ -30,7 +30,6 @@ from repro.flash.stripe import (
 CHUNK = 16
 SCHEMES = [
     ReplicationScheme(),
-    ReplicationScheme(2),
     ParityScheme(0),
     ParityScheme(1),
     ParityScheme(2),
@@ -44,16 +43,15 @@ def prescribed_slots(scheme, devices, stripe_id):
     Parity rotates round-robin by the *global* stripe id (pinned to the
     first slots without rotation); data fragments take the other slots in
     order. A replicated stripe puts its DATA copy at slot ``stripe_id %
-    width`` and its replicas on the slots that follow.
+    width`` and a replica on every slot that follows, around the stripe.
     """
     width = len(devices)
     if isinstance(scheme, ReplicationScheme):
-        copies = width if scheme.copies is None else min(scheme.copies, width)
         primary = stripe_id % width
         return [
             (devices[(primary + offset) % width], offset,
              ChunkKind.REPLICA if offset else ChunkKind.DATA)
-            for offset in range(copies)
+            for offset in range(width)
         ]
     k = width - scheme.parity
     rotation = stripe_id % width if scheme.rotate else 0

@@ -34,7 +34,6 @@ CHUNK = 16
 WIDTH = 5
 SCHEMES = [
     ReplicationScheme(),
-    ReplicationScheme(2),
     ParityScheme(0),
     ParityScheme(1),
     ParityScheme(2),

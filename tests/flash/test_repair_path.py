@@ -17,7 +17,7 @@ from repro.flash.stripe import ParityScheme, ReplicationScheme
 CHUNK = 64
 #: The schemes the engine-equivalence script drives, minus 0-parity, which
 #: has nothing to repair from (``test_zero_parity_*`` covers it).
-REDUNDANT = (ReplicationScheme(), ParityScheme(1), ParityScheme(2), ReplicationScheme(2))
+REDUNDANT = (ReplicationScheme(), ParityScheme(1), ParityScheme(2))
 #: Multi-stripe under every scheme on five devices, one with a short tail.
 SIZES = (12 * CHUNK, 9 * CHUNK + 37)
 FAILED = 1

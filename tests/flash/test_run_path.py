@@ -32,7 +32,6 @@ SCHEMES = (
     ParityScheme(0),
     ParityScheme(1),
     ParityScheme(2),
-    ReplicationScheme(2),
 )
 
 

@@ -86,24 +86,12 @@ class TestParityScheme:
 class TestReplicationScheme:
     def test_full_replication_name(self):
         assert ReplicationScheme().name == "full-replication"
-        assert ReplicationScheme(3).name == "3-replication"
-
-    def test_zero_copies_rejected(self):
-        with pytest.raises(StripeLayoutError):
-            ReplicationScheme(0)
-
-    def test_resolved_copies(self):
-        assert ReplicationScheme().resolved_copies(5) == 5
-        assert ReplicationScheme(3).resolved_copies(5) == 3
-        assert ReplicationScheme(9).resolved_copies(5) == 5
 
     def test_tolerable_failures(self):
         assert ReplicationScheme().tolerable_failures(5) == 4
-        assert ReplicationScheme(2).tolerable_failures(5) == 1
 
     def test_storage_multiplier(self):
         assert ReplicationScheme().storage_multiplier(5) == 5.0
-        assert ReplicationScheme(2).storage_multiplier(5) == 2.0
 
     def test_plan_full(self):
         plan = ReplicationScheme().plan([0, 1, 2, 3, 4], rotation=0)
@@ -117,10 +105,6 @@ class TestReplicationScheme:
             ReplicationScheme().plan([0, 1, 2], rotation=r)[0].device_id for r in range(3)
         }
         assert primaries == {0, 1, 2}
-
-    def test_partial_replication_plan(self):
-        plan = ReplicationScheme(2).plan([0, 1, 2, 3, 4], rotation=0)
-        assert len(plan) == 2
 
 
 class TestSplitPayload:

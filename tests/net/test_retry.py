@@ -59,7 +59,7 @@ class TestIdempotency:
             commands.Read(OID),
             commands.Write(OID, b"same bytes", 3),
             commands.Update(OID, 8, b"same bytes"),
-            commands.GetAttr(OID, "k"),
+            commands.GetAttr(OID),
             commands.ListPartition(PARTITION_BASE),
         ):
             assert is_idempotent(command)

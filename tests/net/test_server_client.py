@@ -80,7 +80,7 @@ class TestBasicService:
                     assert update.ok
                     payload, _ = await client.read(OID_A)
                     assert payload == b"object over TCP"
-                    got = await client.submit(commands.GetAttr(OID_A, "reo.class_id"))
+                    got = await client.submit(commands.GetAttr(OID_A))
                     assert got.ok and got.payload == b"2"
                     remove = await client.remove(OID_A)
                     assert remove.ok

@@ -38,7 +38,7 @@ class TestCommands:
         assert target.write_object(collection, b"{}", class_id=0, kind=ObjectKind.COLLECTION).ok
         assert target.get_info(collection).kind is ObjectKind.COLLECTION
         assert commands.Read(collection).apply(target).payload == b"{}"
-        assert commands.GetAttr(collection, "reo.class_id").apply(target).payload == b"0"
+        assert commands.GetAttr(collection).apply(target).payload == b"0"
         listing = commands.ListPartition(PARTITION_BASE).apply(target).payload.decode()
         assert str(collection) in listing.split("\n")
 
@@ -53,19 +53,14 @@ class TestCommands:
     def test_attributes(self):
         target = make_target()
         commands.Write(USER_A, b"x").apply(target)
-        assert commands.GetAttr(USER_A, "reo.class_id").apply(target).payload == b"3"
+        assert commands.GetAttr(USER_A).apply(target).payload == b"3"
         commands.Write(USER_A, b"y", class_id=2).apply(target)
-        response = commands.GetAttr(USER_A, "reo.class_id").apply(target)
+        response = commands.GetAttr(USER_A).apply(target)
         assert response.ok and response.payload == b"2"
-
-    def test_get_missing_attribute(self):
-        target = make_target()
-        commands.Write(USER_A, b"x").apply(target)
-        assert commands.GetAttr(USER_A, "nope").apply(target).sense is SenseCode.FAIL
 
     def test_attr_on_missing_object(self):
         target = make_target()
-        assert commands.GetAttr(USER_A, "reo.class_id").apply(target).sense is SenseCode.FAIL
+        assert commands.GetAttr(USER_A).apply(target).sense is SenseCode.FAIL
 
     def test_list_partition(self):
         target = make_target()

@@ -84,11 +84,11 @@ class TestInitiator:
         assert response.ok
 
     def test_exists_and_remove(self):
-        _array, _target, initiator = make_stack()
+        _array, target, initiator = make_stack()
         initiator.write(USER_A, b"hello")
-        assert initiator.exists(USER_A)
+        assert target.exists(USER_A)
         initiator.remove(USER_A)
-        assert not initiator.exists(USER_A)
+        assert not target.exists(USER_A)
 
     def test_set_class_via_control_object(self):
         array, target, initiator = make_stack()

@@ -43,7 +43,7 @@ USER_B = ObjectId(PARTITION_BASE, 0x10006)
 
 def class_label(target, object_id):
     """The label the cluster supervisor's class query reads, or None on FAIL."""
-    response = commands.GetAttr(object_id, "reo.class_id").apply(target)
+    response = commands.GetAttr(object_id).apply(target)
     return response.payload.decode("ascii") if response.ok else None
 
 
@@ -471,7 +471,7 @@ class TestControlObject:
         assert target.query(query) is SenseCode.REDUNDANCY_FULL
         for object_id in written:
             assert initiator.remove(object_id).ok
-            assert not initiator.exists(object_id)
+            assert not target.exists(object_id)
         assert target.query(query) is SenseCode.OK
 
     def test_query_write_admission_ok(self):

@@ -45,9 +45,6 @@ payloads = st.one_of(
     st.binary(max_size=256),
     st.just(b"\xff" * 65536),  # large payload without slowing hypothesis down
 )
-attr_text = st.text(
-    alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FFF), max_size=40
-)
 
 command_strategies = st.one_of(
     st.builds(commands.CreatePartition, u64s),
@@ -62,7 +59,7 @@ command_strategies = st.one_of(
     ),
     st.builds(commands.Read, object_ids),
     st.builds(commands.Remove, object_ids),
-    st.builds(commands.GetAttr, object_ids, attr_text),
+    st.builds(commands.GetAttr, object_ids),
     st.builds(commands.ListPartition, u64s),
 )
 
@@ -87,6 +84,7 @@ retries = st.integers(min_value=0, max_value=2**32 - 1)
 # ----------------------------------------------------------------------
 # Golden bytes, recorded at the commit before the JSON codec was deleted
 # (with ``version=WIRE_V2``): the bytes on the wire must never move.
+# GetAttr's was re-recorded when it lost its key: the fixed header alone.
 # ----------------------------------------------------------------------
 GOLDEN_COMMANDS = [
     # (hex PDU, seq, retry, command)
@@ -116,9 +114,9 @@ GOLDEN_COMMANDS = [
         None, 0, commands.Remove(OID),
     ),
     (
-        "b2020803000000000000000800000002000000000001000000000000000100050000000000000000"
-        "00000000000f7b226b6579223a226f776e6572227d",
-        8, 2, commands.GetAttr(OID, "owner"),
+        "b2020802000000000000000800000002000000000001000000000000000100050000000000000000"
+        "00000000",
+        8, 2, commands.GetAttr(OID),
     ),
     (
         "b2020902ffffffffffffffff00000000000000000001000000000000000000000000000000000000"
@@ -167,6 +165,17 @@ RETIRED_COMMANDS = [
 ]
 
 RETIRED_IDS = ["CreateObject", "SetAttr"]
+
+#: A GetAttr PDU of the retired keyed format, as the same recording encoded
+#: it: flag 0x01, then the key in a length-prefixed JSON header.
+KEYED_GETATTR = (
+    "b2020803000000000000000800000002000000000001000000000000000100050000000000000000"
+    "00000000000f7b226b6579223a226f776e6572227d"
+)
+
+#: The flag bits each PDU kind leaves undefined (0x01 among them, retired).
+UNDEFINED_COMMAND_FLAGS = [0x01, 0x08, 0x10, 0x20, 0x40, 0x80]
+UNDEFINED_RESPONSE_FLAGS = [0x01, 0x10, 0x20, 0x40, 0x80]
 
 command_ids = [type(case[3]).__name__ for case in GOLDEN_COMMANDS]
 response_ids = ["ok-payload", "ok-no-payload", "fail"]
@@ -274,10 +283,6 @@ class TestEncoderLimits:
         with pytest.raises(WireError, match="fit"):
             response_pdu(response)
 
-    def test_oversized_attribute_is_a_wire_error(self):
-        with pytest.raises(WireError, match="fit"):
-            command_pdu(commands.GetAttr(OID, "k" * 0x10000))
-
     def test_oversized_pdu_rejected_by_encoders(self, monkeypatch):
         monkeypatch.setattr(wire, "MAX_PDU_BYTES", 1024)
         with pytest.raises(WireError, match="limit"):
@@ -291,7 +296,8 @@ class TestEncoderLimits:
 
 
 def with_ext(pdu: bytes, ext: bytes) -> bytes:
-    """Set the extended-header flag on a no-payload PDU and append ``ext``."""
+    """Set the retired extended-header flag on a no-payload PDU and append
+    ``ext``, as the keyed GetAttr format did."""
     flagged = bytearray(pdu)
     flagged[3] |= 0x01
     return bytes(flagged) + struct.pack(">H", len(ext)) + ext
@@ -343,7 +349,7 @@ class TestDecoderFuzzing:
     )
     @settings(max_examples=300)
     def test_byte_flipped_command_header_never_escapes_wire_error(self, index, value):
-        for command in (commands.Write(OID, b"x" * 32, 3), commands.GetAttr(OID, "k")):
+        for command in (commands.Write(OID, b"x" * 32, 3), commands.GetAttr(OID)):
             pdu = bytearray(command_pdu(command, seq=9))
             pdu[index] = value
             try:
@@ -434,18 +440,41 @@ class TestDecoderFuzzing:
         assert wire.salvage_seq(b"\x00" + pdu[1:]) is None
 
     # ------------------------------------------------------------------
-    # The extended header carries the attribute key and nothing else.
+    # Flags: a decoder refuses every bit its PDU kind does not define.
+    # ------------------------------------------------------------------
+    @pytest.mark.parametrize("bit", UNDEFINED_COMMAND_FLAGS, ids=hex)
+    @pytest.mark.parametrize("golden", [case[0] for case in GOLDEN_COMMANDS], ids=command_ids)
+    def test_undefined_command_flag_rejected(self, golden, bit):
+        pdu = bytearray.fromhex(golden)
+        pdu[3] |= bit
+        with pytest.raises(WireError, match="flag"):
+            wire.decode_command_pdu(bytes(pdu))
+
+    @pytest.mark.parametrize("bit", UNDEFINED_RESPONSE_FLAGS, ids=hex)
+    @pytest.mark.parametrize("golden", [case[0] for case in GOLDEN_RESPONSES], ids=response_ids)
+    def test_undefined_response_flag_rejected(self, golden, bit):
+        pdu = bytearray.fromhex(golden)
+        pdu[3] |= bit
+        with pytest.raises(WireError, match="flag"):
+            wire.decode_response_pdu(bytes(pdu))
+
+    def test_keyed_getattr_pdu_rejected(self):
+        with pytest.raises(WireError, match="flag"):
+            wire.decode_command_pdu(bytes.fromhex(KEYED_GETATTR))
+
+    # ------------------------------------------------------------------
+    # The retired extended header: refused by its flag, whatever follows.
     # ------------------------------------------------------------------
     def test_ext_cannot_override_the_opcode(self):
         pdu = with_ext(command_pdu(commands.Read(OID), seq=7), b'{"op":"remove"}')
-        with pytest.raises(WireError, match="extended header"):
+        with pytest.raises(WireError, match="flag"):
             wire.decode_command_pdu(pdu)
 
     def test_ext_cannot_override_seq_retry_or_pid(self):
         pdu = with_ext(
             command_pdu(commands.Read(OID), seq=7), b'{"seq":99,"retry":5,"pid":1}'
         )
-        with pytest.raises(WireError, match="extended header"):
+        with pytest.raises(WireError, match="flag"):
             wire.decode_command_pdu(pdu)
 
     @pytest.mark.parametrize(
@@ -460,19 +489,13 @@ class TestDecoderFuzzing:
     def test_ext_on_an_opcode_that_has_none_rejected(self, command):
         with_payload = wire.encode_command_parts(command, seq=1)
         pdu = with_ext(with_payload[0], b"{}") + b"".join(with_payload[1:])
-        with pytest.raises(WireError, match="extended header"):
+        with pytest.raises(WireError, match="flag"):
             wire.decode_command_pdu(pdu)
 
     def test_ext_on_a_response_rejected(self):
         pdu = with_ext(response_pdu(OsdResponse(SenseCode.OK), seq=1), b'{"sense":-1}')
-        with pytest.raises(WireError, match="extended header"):
+        with pytest.raises(WireError, match="flag"):
             wire.decode_response_pdu(pdu)
-
-    def test_attr_command_without_ext_rejected(self):
-        pdu = bytearray(command_pdu(commands.Read(OID), seq=1))
-        pdu[2] = 0x08  # GetAttr's opcode on a PDU with no extended header
-        with pytest.raises(WireError, match="extended header"):
-            wire.decode_command_pdu(bytes(pdu))
 
     @pytest.mark.parametrize(
         "ext",
@@ -480,13 +503,13 @@ class TestDecoderFuzzing:
             b"[1,2,3]",  # valid JSON, not an object
             b'"key"',
             b"{}",  # missing key
-            b'{"key":"k","value":"v"}',  # a key GetAttr does not define
+            b'{"key":"k","value":"v"}',  # a key GetAttr did not define
             b'{"key":"k","oid":1}',
             b'{"key":7}',  # not a string
             b'{"key":null}',
             b'{"key":"k"',  # not JSON
             b'{"key":"\xff"}',  # not ASCII
-            b"[" * 40000,  # nested past the parser's recursion limit
+            b"[" * 40000,  # nested past a JSON parser's recursion limit
         ],
         ids=[
             "array", "string", "empty", "extra-value", "extra-oid", "number", "null",
@@ -494,7 +517,6 @@ class TestDecoderFuzzing:
         ],
     )
     def test_bad_ext_on_an_attr_command_rejected(self, ext):
-        pdu = bytearray(command_pdu(commands.Read(OID), seq=1))
-        pdu[2] = 0x08  # GetAttr
-        with pytest.raises(WireError, match="extended header"):
-            wire.decode_command_pdu(with_ext(bytes(pdu), ext))
+        pdu = command_pdu(commands.GetAttr(OID), seq=1)
+        with pytest.raises(WireError, match="flag"):
+            wire.decode_command_pdu(with_ext(pdu, ext))

@@ -21,7 +21,7 @@ ALL_COMMANDS = [
     commands.Update(USER_A, 128, b"delta-bytes"),
     commands.Read(USER_A),
     commands.Remove(USER_A),
-    commands.GetAttr(USER_A, "app"),
+    commands.GetAttr(USER_A),
     commands.ListPartition(PARTITION_BASE),
 ]
 

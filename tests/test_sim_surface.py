@@ -58,7 +58,7 @@ DEFAULTED = {
 #: and three health and reserve questions. Room is the target's answer to a
 #: write, so no space question belongs here.
 INITIATOR_CALLS = {
-    "write", "read", "update", "remove", "exists",
+    "write", "read", "update", "remove",
     "set_class", "query", "recovery_status",
     "degraded", "can_afford_hot", "hot_reserve",
 }
