@@ -24,7 +24,7 @@ class ZipfSampler:
     most popular objects. ``alpha = 0`` degenerates to uniform.
     """
 
-    def __init__(self, num_items: int, alpha: float, seed: Optional[int] = None) -> None:
+    def __init__(self, num_items: int, alpha: float, seed: int) -> None:
         if num_items < 1:
             raise WorkloadError("need at least one item to sample")
         if alpha < 0:
@@ -68,7 +68,8 @@ class LognormalSizeSampler:
         sigma: float = 0.6,
         min_size: int = 1,
         max_size: Optional[int] = None,
-        seed: Optional[int] = None,
+        *,
+        seed: int,
     ) -> None:
         if mean_size <= 0:
             raise WorkloadError("mean size must be positive")

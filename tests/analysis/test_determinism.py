@@ -1,215 +1,164 @@
-"""Positive/negative fixtures for the determinism rule."""
-
-from __future__ import annotations
+"""Positive/negative cases for the determinism check."""
 
 import pytest
 
+from tests.test_invariants import check, flagged
 
-def test_wall_clock_fires_in_core(lint):
-    lint.write(
-        "sim/bad_clock.py",
-        """
-        import time
+WALL_CLOCK = """
+import time
 
-        def stamp():
-            return time.time()
-        """,
-    )
-    assert lint.rule_ids() == ["determinism"]
+def stamp():
+    return time.time()
+"""
 
+PERF_COUNTER = """
+import time
 
-def test_wall_clock_fires_outside_core_too(lint):
-    lint.write(
-        "experiments/bad_wall.py",
-        """
-        import time
-
-        def stamp():
-            return time.time()
-        """,
-    )
-    assert lint.rule_ids() == ["determinism"]
+def measure():
+    return time.perf_counter()
+"""
 
 
-def test_perf_counter_allowed_outside_core_banned_inside(lint):
-    lint.write(
-        "net/timing.py",
-        """
-        import time
-
-        def measure():
-            return time.perf_counter()
-        """,
-    )
-    lint.write(
-        "core/bad_timing.py",
-        """
-        import time
-
-        def measure():
-            return time.perf_counter()
-        """,
-    )
-    findings = lint.run()
-    assert [f.path for f in findings] == ["src/repro/core/bad_timing.py"]
-    assert findings[0].rule_id == "determinism"
-    assert "host-clock" in findings[0].message
+def test_wall_clock_fires_in_core():
+    assert flagged("repro.sim.bad_clock", WALL_CLOCK) == [(5, "determinism")]
 
 
-def test_datetime_now_fires(lint):
-    lint.write(
-        "core/bad_datetime.py",
-        """
-        from datetime import datetime
-
-        def stamp():
-            return datetime.now()
-        """,
-    )
-    lint.write(
-        "faults/bad_date.py",
-        """
-        import datetime
-
-        def today():
-            return datetime.date.today()
-        """,
-    )
-    assert lint.rule_ids() == ["determinism", "determinism"]
+def test_wall_clock_fires_outside_core_too():
+    assert flagged("repro.experiments.bad_wall", WALL_CLOCK) == [(5, "determinism")]
 
 
-def test_module_level_random_fires(lint):
-    lint.write(
-        "faults/bad_random.py",
-        """
-        import random
-
-        def roll():
-            return random.random()
-        """,
-    )
-    ids = lint.rule_ids()
-    assert ids == ["determinism"]
+def test_perf_counter_allowed_outside_core_banned_inside():
+    assert flagged("repro.net.timing", PERF_COUNTER) == []
+    ((line, name, message),) = check("repro.core.bad_timing", PERF_COUNTER)
+    assert (line, name) == (5, "determinism")
+    assert "host-clock" in message
 
 
-def test_from_import_random_function_fires(lint):
-    lint.write(
-        "cache/bad_from_import.py",
-        """
-        from random import randint
+def test_datetime_now_fires():
+    core = """
+    from datetime import datetime
 
-        def roll():
-            return randint(1, 6)
-        """,
-    )
-    assert lint.rule_ids() == ["determinism"]
+    def stamp():
+        return datetime.now()
+    """
+    faults = """
+    import datetime
 
-
-def test_unseeded_random_fires_seeded_is_quiet(lint):
-    lint.write(
-        "erasure/rng_use.py",
-        """
-        import random
-
-        def good(seed):
-            return random.Random(seed)
-
-        def bad():
-            return random.Random()
-        """,
-    )
-    findings = lint.run()
-    assert [f.symbol for f in findings] == ["bad"]
-    assert "without a seed" in findings[0].message
+    def today():
+        return datetime.date.today()
+    """
+    assert flagged("repro.core.bad_datetime", core) == [(5, "determinism")]
+    assert flagged("repro.faults.bad_date", faults) == [(5, "determinism")]
 
 
-def test_numpy_global_state_fires_default_rng_quiet(lint):
-    lint.write(
-        "core/np_rng.py",
-        """
-        import numpy as np
+def test_module_level_random_fires():
+    source = """
+    import random
 
-        def good(seed):
-            return np.random.default_rng(seed)
-
-        def bad_seed():
-            np.random.seed(0)
-
-        def bad_unseeded():
-            return np.random.default_rng()
-
-        def bad_dist():
-            return np.random.normal()
-        """,
-    )
-    findings = lint.run()
-    assert [f.symbol for f in findings] == ["bad_seed", "bad_unseeded", "bad_dist"]
-    assert all(f.rule_id == "determinism" for f in findings)
+    def roll():
+        return random.random()
+    """
+    assert flagged("repro.faults.bad_random", source) == [(5, "determinism")]
 
 
-def test_numpy_bit_generators_hold_their_own_state(lint):
-    lint.write(
-        "backend/np_bits.py",
-        """
-        import numpy as np
-        from numpy.random import PCG64, Generator, SeedSequence
+def test_from_import_random_function_fires():
+    source = """
+    from random import randint
 
-        def good_words(seed, count):
-            return np.random.PCG64(seed).random_raw(count)
+    def roll():
+        return randint(1, 6)
+    """
+    assert flagged("repro.cache.bad_from_import", source) == [(5, "determinism")]
 
-        def good_generator(seed):
-            return Generator(PCG64(SeedSequence(seed)))
 
-        def good_others(seed):
-            return (np.random.PCG64DXSM(seed), np.random.Philox(key=seed),
-                    np.random.SFC64(seed), np.random.MT19937(seed))
+def test_unseeded_random_fires_seeded_is_quiet():
+    source = """
+    import random
 
-        def bad_bits():
-            return np.random.PCG64()
+    def good(seed):
+        return random.Random(seed)
 
-        def bad_sequence():
-            return SeedSequence()
+    def bad():
+        return random.Random()
+    """
+    ((line, name, message),) = check("repro.erasure.rng_use", source)
+    assert (line, name) == (8, "determinism")
+    assert "without a seed" in message
 
-        def bad_generator():
-            return Generator()
 
-        def bad_nested():
-            return Generator(np.random.Philox())
-        """,
-    )
-    findings = lint.run()
-    assert [f.symbol for f in findings] == [
-        "bad_bits", "bad_sequence", "bad_generator", "bad_nested",
+def test_numpy_global_state_fires_default_rng_quiet():
+    source = """
+    import numpy as np
+
+    def good(seed):
+        return np.random.default_rng(seed)
+
+    def bad_seed():
+        np.random.seed(0)
+
+    def bad_unseeded():
+        return np.random.default_rng()
+
+    def bad_dist():
+        return np.random.normal()
+    """
+    assert flagged("repro.core.np_rng", source) == [
+        (8, "determinism"),
+        (11, "determinism"),
+        (14, "determinism"),
     ]
-    assert all("without a seed" in f.message for f in findings)
-    assert not any("global RNG state" in f.message for f in findings)
 
 
-def test_sim_clock_module_is_exempt(lint):
-    lint.write(
-        "sim/clock.py",
-        """
-        import time
+def test_numpy_bit_generators_hold_their_own_state():
+    source = """
+    import numpy as np
+    from numpy.random import PCG64, Generator, SeedSequence
 
-        def wall():
-            return time.time()
-        """,
-    )
-    assert lint.rule_ids() == []
+    def good_words(seed, count):
+        return np.random.PCG64(seed).random_raw(count)
+
+    def good_generator(seed):
+        return Generator(PCG64(SeedSequence(seed)))
+
+    def good_others(seed):
+        return (np.random.PCG64DXSM(seed), np.random.Philox(key=seed),
+                np.random.SFC64(seed), np.random.MT19937(seed))
+
+    def bad_bits():
+        return np.random.PCG64()
+
+    def bad_sequence():
+        return SeedSequence()
+
+    def bad_generator():
+        return Generator()
+
+    def bad_nested():
+        return Generator(np.random.Philox())
+    """
+    found = check("repro.backend.np_bits", source)
+    assert [(line, name) for line, name, _ in found] == [
+        (16, "determinism"),
+        (19, "determinism"),
+        (22, "determinism"),
+        (25, "determinism"),
+    ]
+    assert all("without a seed" in message for _, _, message in found)
 
 
-def test_seeded_string_stream_is_quiet(lint):
+def test_sim_clock_module_is_exempt():
+    assert flagged("repro.sim.clock", WALL_CLOCK) == []
+
+
+def test_seeded_string_stream_is_quiet():
     # The faults injector's per-(event, device) stream discipline.
-    lint.write(
-        "faults/streams.py",
-        """
-        import random
+    source = """
+    import random
 
-        def stream(plan_seed, index, device_id):
-            return random.Random(f"{plan_seed}:{index}:{device_id}")
-        """,
-    )
-    assert lint.rule_ids() == []
+    def stream(plan_seed, index, device_id):
+        return random.Random(f"{plan_seed}:{index}:{device_id}")
+    """
+    assert flagged("repro.faults.streams", source) == []
 
 
 @pytest.mark.parametrize(
@@ -229,18 +178,9 @@ def test_seeded_string_stream_is_quiet(lint):
         ("import time", "time.thread_time_ns()"),
     ],
 )
-def test_ambient_entropy_and_thread_clock_fire_in_core(lint, imports, expression):
-    lint.write(
-        "core/ambient.py",
-        f"""
-        {imports}
-
-        def draw():
-            return {expression}
-        """,
-    )
-    findings = lint.run()
-    assert [(f.rule_id, f.symbol) for f in findings] == [("determinism", "draw")]
+def test_ambient_entropy_and_thread_clock_fire_in_core(imports, expression):
+    source = f"{imports}\n\ndef draw():\n    return {expression}\n"
+    assert flagged("repro.core.ambient", source) == [(4, "determinism")]
 
 
 @pytest.mark.parametrize(
@@ -255,44 +195,24 @@ def test_ambient_entropy_and_thread_clock_fire_in_core(lint, imports, expression
         ("import numpy as np", "np.random.default_rng(seed=seed)"),
     ],
 )
-def test_seeded_counterparts_are_quiet_in_core(lint, imports, expression):
-    lint.write(
-        "core/seeded.py",
-        f"""
-        {imports}
-
-        def draw(seed):
-            return {expression}
-        """,
-    )
-    assert lint.rule_ids() == []
+def test_seeded_counterparts_are_quiet_in_core(imports, expression):
+    source = f"{imports}\n\ndef draw(seed):\n    return {expression}\n"
+    assert flagged("repro.core.seeded", source) == []
 
 
 @pytest.mark.parametrize("area", ["flash", "backend", "workload"])
-def test_engine_and_generator_are_held_to_the_strict_standard(lint, area):
+def test_engine_and_generator_are_held_to_the_strict_standard(area):
     # GOLDEN pins the engine's and the generator's output bit for bit.
-    lint.write(
-        f"{area}/bad_timing.py",
-        """
-        import time
-
-        def measure():
-            return time.perf_counter()
-        """,
-    )
-    findings = lint.run()
-    assert [f.rule_id for f in findings] == ["determinism"]
-    assert "host-clock" in findings[0].message
+    ((line, name, message),) = check(f"repro.{area}.bad_timing", PERF_COUNTER)
+    assert (line, name) == (5, "determinism")
+    assert "host-clock" in message
 
 
-def test_thread_clock_stays_legal_outside_the_core(lint):
-    lint.write(
-        "net/cpu_time.py",
-        """
-        import time
+def test_thread_clock_stays_legal_outside_the_core():
+    source = """
+    import time
 
-        def measure():
-            return time.thread_time()
-        """,
-    )
-    assert lint.rule_ids() == []
+    def measure():
+        return time.thread_time()
+    """
+    assert flagged("repro.net.cpu_time", source) == []

@@ -2,8 +2,7 @@
 
 Every package ``__init__.py`` is its docstring alone: a name is imported
 from the module that defines it, and importing any ``repro`` module runs no
-other package's code. The one exception is ``repro.analysis.rules``, whose
-``default_rules()`` is the linter's rule registry.
+other package's code.
 
 So the served tier (``python -m repro.net``, a cluster shard) never loads
 the in-process simulator: no cache manager, no ``ReoCache``, no recovery,
@@ -66,8 +65,6 @@ def test_package_inits_hold_only_their_docstring():
     assert len(inits) > 10
     extra = {}
     for path in inits:
-        if path.parent == SRC / "analysis" / "rules":
-            continue
         tree = ast.parse(path.read_text())
         if ast.get_docstring(tree) is None or len(tree.body) != 1:
             extra[path.relative_to(SRC).as_posix()] = len(tree.body)

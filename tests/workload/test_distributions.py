@@ -10,11 +10,11 @@ from repro.workload.distributions import LognormalSizeSampler, ZipfSampler
 class TestZipfSampler:
     def test_invalid_args(self):
         with pytest.raises(WorkloadError):
-            ZipfSampler(0, 1.0)
+            ZipfSampler(0, 1.0, seed=0)
         with pytest.raises(WorkloadError):
-            ZipfSampler(10, -0.5)
+            ZipfSampler(10, -0.5, seed=0)
         with pytest.raises(WorkloadError):
-            ZipfSampler(10, 1.0).sample_many(-1)
+            ZipfSampler(10, 1.0, seed=0).sample_many(-1)
 
     def test_samples_in_range(self):
         sampler = ZipfSampler(100, 0.9, seed=1)
@@ -41,17 +41,17 @@ class TestZipfSampler:
         assert strong_top > weak_top
 
     def test_alpha_zero_is_uniform(self):
-        sampler = ZipfSampler(10, 0.0)
+        sampler = ZipfSampler(10, 0.0, seed=0)
         for rank in range(10):
             assert sampler.probability(rank) == pytest.approx(0.1)
 
     def test_probability_sums_to_one(self):
-        sampler = ZipfSampler(64, 0.9)
+        sampler = ZipfSampler(64, 0.9, seed=0)
         assert sum(sampler.probability(rank) for rank in range(64)) == pytest.approx(1.0)
 
     def test_probability_bad_rank(self):
         with pytest.raises(WorkloadError):
-            ZipfSampler(10, 1.0).probability(10)
+            ZipfSampler(10, 1.0, seed=0).probability(10)
 
     def test_single_sample(self):
         assert 0 <= ZipfSampler(10, 1.0, seed=1).sample() < 10
@@ -60,13 +60,13 @@ class TestZipfSampler:
 class TestLognormalSizeSampler:
     def test_invalid_args(self):
         with pytest.raises(WorkloadError):
-            LognormalSizeSampler(0)
+            LognormalSizeSampler(0, seed=0)
         with pytest.raises(WorkloadError):
-            LognormalSizeSampler(100, sigma=-1)
+            LognormalSizeSampler(100, sigma=-1, seed=0)
         with pytest.raises(WorkloadError):
-            LognormalSizeSampler(100, min_size=0)
+            LognormalSizeSampler(100, min_size=0, seed=0)
         with pytest.raises(WorkloadError):
-            LognormalSizeSampler(100, min_size=50, max_size=10)
+            LognormalSizeSampler(100, min_size=50, max_size=10, seed=0)
 
     def test_mean_approximates_target(self):
         sampler = LognormalSizeSampler(mean_size=10_000, sigma=0.6, seed=5)
